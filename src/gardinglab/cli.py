@@ -92,9 +92,10 @@ def _build_parser() -> _Parser:
     verify.add_argument("--epsilon", type=float, required=True)
     verify.add_argument(
         "--method",
-        choices=("auto", "rejection", "hitrun"),
-        default="auto",
-        help="member generator",
+        choices=("ball", "rejection"),
+        default="ball",
+        help="member generator: exact uniform draws in the cone slice, or "
+        "Gaussian draws filtered by membership",
     )
     verify.add_argument(
         "--boundary-search",

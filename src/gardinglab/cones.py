@@ -250,7 +250,8 @@ def nesting_check(
 
     Checked per sample: G_{k+1} subset of G_k (plain and with a random shift
     alpha in [0, 1/N)), P_{m1} subset of P_{m2} for random 1 <= m1 <= m2 <= N,
-    and the endpoint identities G_N = P_1, P_N = G_1.  All per-sample draws
+    and the endpoint identities G_N = P_1, P_N = G_1.  A sample whose margins
+    in a check are not all finite violates that check.  All per-sample draws
     come from one seeded stream in a fixed order, so the verdict does not
     depend on evaluation scheduling.
     """
@@ -274,15 +275,17 @@ def nesting_check(
         open_k = margins > tol
         closed_k = margins >= -tol
         bad = (open_k[:, 1:] & ~open_k[:, :-1]) | (closed_k[:, 1:] & ~closed_k[:, :-1])
-        for i in np.flatnonzero(bad.any(axis=1)):
+        for i in np.flatnonzero(bad.any(axis=1) | ~np.isfinite(margins).all(axis=1)):
             _add_violation(report, label, rows[i], {"margins": margins[i].tolist()})
         report.checks += margins.shape[0] * (N - 1)
 
     # P_m monotonicity on random pairs.
     m1_margin = _positivity_margins_varying_m(rows, m_pairs[:, 0])
     m2_margin = _positivity_margins_varying_m(rows, m_pairs[:, 1])
-    bad = ((m1_margin > tol) & ~(m2_margin > tol)) | (
-        (m1_margin >= -tol) & ~(m2_margin >= -tol)
+    bad = (
+        ((m1_margin > tol) & ~(m2_margin > tol))
+        | ((m1_margin >= -tol) & ~(m2_margin >= -tol))
+        | ~(np.isfinite(m1_margin) & np.isfinite(m2_margin))
     )
     for i in np.flatnonzero(bad):
         _add_violation(
@@ -301,7 +304,7 @@ def nesting_check(
     gn = plain[:, N - 1]
     for label, a, b in (("G_N=P_1", gn, p1), ("P_N=G_1", pn, g1)):
         clear = (np.abs(a) > band) & (np.abs(b) > band)
-        bad = clear & ((a > 0) != (b > 0))
+        bad = (clear & ((a > 0) != (b > 0))) | ~(np.isfinite(a) & np.isfinite(b))
         for i in np.flatnonzero(bad):
             _add_violation(
                 report, label, rows[i], {"lhs_margin": float(a[i]), "rhs_margin": float(b[i])}

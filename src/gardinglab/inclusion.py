@@ -14,8 +14,9 @@ m-positivity cone ``P_{m_eps}``.  The workhorse is the algebraic identity
 which turns membership into a ball condition around the diagonal: on the
 slice ``sum(v) = 1`` the feasible set is exactly the ball of radius
 ``eps * sqrt((N-1)/N)`` about the barycenter in the sum-zero hyperplane.
-Both the samplers and the boundary optimizer exploit that geometry; the
-residual of the identity itself is exposed for independent checking.
+The ball sampler and the boundary optimizer exploit that geometry; Gaussian
+rejection sampling does not assume it, and the residual of the identity
+itself is exposed for independent checking.
 
 Equality in the inclusion is rigid: it forces ``m_eps`` to be a positive
 integer and the sorted vector to consist of ``m_eps`` zeros followed by
@@ -38,6 +39,7 @@ from .symfun import (
     VectorLike,
     as_array,
     elementary_symmetric,
+    partial_sum_batch,
     partial_sum_fractional,
 )
 
@@ -60,10 +62,12 @@ CASE_STRICT = "strict_positive"
 CASE_BOUNDARY = "boundary_rigid"
 CASE_NOT_MEMBER = "not_member"
 
-# When the rejection sampler would need more than this many raw draws, the
-# auto method switches to the hit-and-run walker.
-_AUTO_DRAW_BUDGET = 2e7
-_PILOT_DRAWS = 20_000
+# A sampling run stops short of its target after max(_DRAW_CAP, 50 * samples)
+# raw draws; no batch holds more than _MAX_BATCH rows.
+_DRAW_CAP = 100_000_000
+_MAX_BATCH = 2_000_000
+# The boundary search refines its restarts every this many iterations.
+_REFINE_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -229,12 +233,27 @@ def _sum_zero_basis(N: int) -> np.ndarray:
     return basis
 
 
+def _ball_points(
+    rng: np.random.Generator, size: int, dim: int, radius: float
+) -> np.ndarray:
+    """(size, dim) i.i.d. uniform points in the ball of the given radius.
+
+    A normalized Gaussian direction is uniform on the sphere, and the radius
+    ``radius * U^(1/dim)`` has the law of a uniform point's norm (Muller 1959).
+    """
+    w = rng.normal(size=(size, dim))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w *= radius * rng.uniform(size=(size, 1)) ** (1.0 / dim)
+    return w
+
+
 @dataclass
 class InclusionReport:
     """Outcome of sampled verification that shifted-cone members are m-positive.
 
     ``min_margin`` is the smallest normalized P_{m_eps} margin seen over the
-    accepted members; any accepted member with margin <= 0 is a violation.
+    accepted members; any accepted member whose margin is not > 0 (NaN
+    included) is a violation.
     """
 
     N: int
@@ -244,7 +263,7 @@ class InclusionReport:
     seed: int
     tol: float
     samples_requested: int
-    method: str = "auto"
+    method: str = "ball"
     method_used: str = ""
     draws: int = 0
     accepted: int = 0
@@ -306,7 +325,8 @@ def _collect_members(
         report.min_margin = (
             batch_min if report.min_margin is None else min(report.min_margin, batch_min)
         )
-    bad = np.flatnonzero(margins <= 0.0)
+    # A NaN margin is no evidence of membership, so it counts as a violation.
+    bad = np.flatnonzero(~(margins > 0.0))
     report.violation_count += int(bad.size)
     for i in bad[: max(0, 10 - len(report.violations))]:
         report.violations.append(
@@ -319,7 +339,7 @@ def verify_inclusion_sampling(
     epsilon: float,
     samples: int,
     seed: int,
-    method: str = "auto",
+    method: str = "ball",
     tol: float = DEFAULT_TOL,
     keep_members: bool = False,
 ) -> InclusionReport:
@@ -327,14 +347,20 @@ def verify_inclusion_sampling(
 
     ``method`` selects the member generator:
 
-    * ``rejection`` -- rotation-invariant Gaussian draws filtered by strict
-      cone membership (the acceptance rate is reported);
-    * ``hitrun`` -- a hit-and-run walker on the sum = 1 slice, where the cone
-      section is a ball and chord endpoints are available in closed form;
-    * ``auto`` -- a deterministic pilot batch estimates the rejection
-      acceptance rate and falls back to hit-and-run when the draw budget
-      would be exceeded (narrow cones in high dimension accept essentially
-      nothing, so pure rejection cannot finish).
+    * ``ball`` -- i.i.d. uniform points of the sum = 1 slice, where the cone
+      section is the ball of radius ``eps * sqrt((N-1)/N)`` about the
+      barycenter: a Gaussian direction in the sum-zero hyperplane and a
+      radius ``rho * U^(1/(N-1))``.  Exact and independent, and as cheap
+      in a narrow cone as in a wide one;
+    * ``rejection`` -- rotation-invariant Gaussian draws.  It is the one
+      route that does not assume the ball identity being checked, but its
+      acceptance rate collapses for narrow cones in high dimension.
+
+    Every draw of either method passes the same strict membership test
+    before it counts as a member; ball draws within ``tol`` of the sphere are
+    rejected like any other.  ``draws`` counts raw draws and
+    ``acceptance_rate`` is ``accepted / draws``.  After
+    ``max(1e8, 50 * samples)`` draws the run stops and flags a shortfall.
 
     Samples and all derived randomness come from one seeded generator in a
     fixed order; reports are reproducible byte-for-byte for a given seed.
@@ -343,7 +369,7 @@ def verify_inclusion_sampling(
         raise ValueError(f"N must be >= 2, got {N}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    if method not in ("auto", "rejection", "hitrun"):
+    if method not in ("ball", "rejection"):
         raise ValueError(f"unknown method {method!r}")
     p = epsilon_to_params(epsilon, N)
     report = InclusionReport(
@@ -360,71 +386,30 @@ def verify_inclusion_sampling(
         report.method_used = "none"
         report.acceptance_rate = 0.0
         return report
+    report.method_used = method
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    basis = _sum_zero_basis(N) if method == "ball" else None
     kept: list[np.ndarray] = []
-
-    def _take(members: np.ndarray) -> None:
+    hard_cap = max(_DRAW_CAP, 50 * samples)
+    while report.accepted < samples and report.draws < hard_cap:
+        if method == "ball":
+            # What is still missing plus as many draws as were rejected so
+            # far: one batch when nearly every draw is a member, geometric
+            # growth when few are.
+            size = min(_MAX_BATCH, samples + report.draws - 2 * report.accepted)
+            rows = 1.0 / N + _ball_points(rng, size, N - 1, p.slice_radius) @ basis
+        else:
+            size = max(10_000, min(_MAX_BATCH, samples * 4))
+            rows = rng.normal(size=(size, N))
+        report.draws += size
+        members = rows[_strict_member_mask(rows, p, tol)][: samples - report.accepted]
         report.accepted += members.shape[0]
         if members.shape[0]:
             _collect_members(report, members, p)
             if keep_members:
                 kept.append(members)
-
-    use = method
-    if method == "auto":
-        # Deterministic pilot batch: keep rejection only when the expected
-        # draw count fits the budget; pilot members count only if kept.
-        pilot = rng.normal(size=(_PILOT_DRAWS, N))
-        mask = _strict_member_mask(pilot, p, tol)
-        rate = float(mask.sum()) / _PILOT_DRAWS
-        expected = samples / rate if rate > 0 else math.inf
-        use = "rejection" if expected <= _AUTO_DRAW_BUDGET else "hitrun"
-        report.draws += _PILOT_DRAWS
-        if use == "rejection":
-            _take(pilot[mask][:samples])
-
-    report.method_used = use
-    if use == "rejection":
-        batch = max(10_000, min(2_000_000, samples * 4))
-        hard_cap = int(max(_AUTO_DRAW_BUDGET * 5, 50 * samples))
-        while report.accepted < samples and report.draws < hard_cap:
-            rows = rng.normal(size=(batch, N))
-            report.draws += batch
-            members = rows[_strict_member_mask(rows, p, tol)]
-            _take(members[: samples - report.accepted])
-        report.shortfall = report.accepted < samples
-        report.acceptance_rate = report.accepted / report.draws if report.draws else 0.0
-        if keep_members:
-            report.members = (
-                np.concatenate(kept, axis=0) if kept else np.empty((0, N))
-            )
-        return report
-
-    # Hit-and-run on the slice sum(v) = 1: w lives in the sum-zero hyperplane
-    # and must stay inside the ball of radius rho; chords are solved exactly.
-    rho = p.slice_radius
-    basis = _sum_zero_basis(N)
-    chains = int(min(max(64, samples // 64), 4096))
-    burn = 64
-    per_chain = -(-samples // chains)  # ceil
-    w = np.zeros((chains, N - 1))
-    collected: list[np.ndarray] = []
-    for step in range(burn + per_chain):
-        u = rng.normal(size=(chains, N - 1))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        b = 2.0 * (w * u).sum(axis=1)
-        c = (w * w).sum(axis=1) - rho * rho
-        disc = np.sqrt(np.maximum(b * b - 4.0 * c, 0.0))
-        s_lo = (-b - disc) / 2.0
-        s_hi = (-b + disc) / 2.0
-        s = s_lo + rng.uniform(size=chains) * (s_hi - s_lo)
-        w = w + s[:, None] * u
-        if step >= burn:
-            collected.append(1.0 / N + w @ basis)
-    members = np.concatenate(collected, axis=0)[:samples]
-    report.draws += members.shape[0]
-    report.acceptance_rate = 1.0
-    _take(members)
+    report.shortfall = report.accepted < samples
+    report.acceptance_rate = report.accepted / report.draws
     if keep_members:
         report.members = np.concatenate(kept, axis=0) if kept else np.empty((0, N))
     return report
@@ -456,7 +441,11 @@ def boundary_minimum_closed_form(p: EpsilonParams) -> float:
 
 @dataclass
 class BoundarySearchReport:
-    """Result of minimizing the m_eps-partial sum over the cone slice."""
+    """Result of minimizing the m_eps-partial sum over the cone slice.
+
+    ``iterations`` is the cap on subgradient iterations; ``iterations_used``
+    says how many ran before every restart was certified.
+    """
 
     N: int
     epsilon: float
@@ -472,6 +461,9 @@ class BoundarySearchReport:
     rigid_pattern: Optional[list] = None
     max_pattern_diff: Optional[float] = None
     matched_rigid: Optional[bool] = None
+    # Solver counter, kept out of records so that they depend on the
+    # answer only, like the members of a sampling run.
+    iterations_used: int = 0
 
     @property
     def ok(self) -> bool:
@@ -500,16 +492,6 @@ class BoundarySearchReport:
         }
 
 
-def _partial_sum_rows(rows: np.ndarray, m: float) -> np.ndarray:
-    fl = math.floor(m)
-    frac = m - fl
-    s = np.sort(rows, axis=1)
-    vals = s[:, :fl].sum(axis=1)
-    if frac != 0.0:
-        vals = vals + frac * s[:, fl]
-    return vals
-
-
 def boundary_search(
     N: int,
     epsilon: float,
@@ -524,18 +506,25 @@ def boundary_search(
     Projected subgradient descent with random restarts: the objective is a
     minimum of linear functionals (concave), the feasible set on the slice
     is a ball, and projection is a radial clip.  The base step shrinks as
-    1/sqrt(iteration); each restart finishes with an active-set refinement
-    that solves the identified supporting functional over the ball in closed
-    form, which is what pins the minimizer to entrywise accuracy.
+    1/sqrt(iteration).  Every 10 iterations, and at the cap, all restarts
+    get an active-set refinement: the supporting selection of the best
+    iterate is frozen and its linear functional is minimized over the ball
+    in closed form, which is what pins the minimizer to entrywise accuracy.
 
-    A restart counts as converged when its last recorded objective window
-    improved by less than 1e-9 relative or its refinement reproduced the
-    iterate's value; non-convergence of the best restart is flagged.
+    A refinement certifies when the frozen selection is still binding at the
+    refined point (the linearized and the true objective agree to 1e-10
+    relative); a certified point replaces the restart's best iterate.  The
+    search stops once every restart is certified and its selection has not
+    changed since the previous refinement, so ``iterations`` is a cap.  A
+    restart counts as converged when its last refinement certified;
+    non-convergence of the best restart is flagged.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     p = epsilon_to_params(epsilon, N)
     m = p.m_eps
     fl = math.floor(m)
@@ -554,68 +543,52 @@ def boundary_search(
         iterations=iterations,
     )
 
-    # Start points: uniform in the feasible ball.
-    w = rng.normal(size=(restarts, N - 1))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    w *= rho * rng.uniform(size=(restarts, 1)) ** (1.0 / (N - 1))
-
     weight = np.zeros(N)
     weight[:fl] = 1.0
     if frac != 0.0:
         weight[fl] = frac
 
-    best_vals = np.full(restarts, np.inf)
-    best_w = w.copy()
-    window_vals = np.full(restarts, np.inf)
-    converged = np.zeros(restarts, dtype=bool)
-    check_every = max(1, iterations // 10)
-
-    for t in range(iterations):
+    def supporting(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slice points of w and the partial-sum weights at their positions."""
         v = 1.0 / N + w @ basis
         order = np.argsort(v, axis=1, kind="stable")
-        vals = np.take_along_axis(v, order, axis=1)[:, : fl + 1 if frac else fl]
-        obj = vals[:, :fl].sum(axis=1) + (frac * vals[:, fl] if frac else 0.0)
+        sel = np.zeros_like(v)
+        np.put_along_axis(sel, order, np.broadcast_to(weight, v.shape), axis=1)
+        return v, sel
+
+    w = _ball_points(rng, restarts, N - 1, rho)
+    best_vals = np.full(restarts, np.inf)
+    best_w = w.copy()
+    prev_sel = None
+    for t in range(iterations):
+        v, sel = supporting(w)
+        obj = (sel * v).sum(axis=1)
         improved = obj < best_vals
         best_vals = np.where(improved, obj, best_vals)
         best_w[improved] = w[improved]
-        if (t + 1) % check_every == 0:
-            converged = np.abs(window_vals - best_vals) <= 1e-9 * (1.0 + np.abs(best_vals))
-            window_vals = best_vals.copy()
-        # Subgradient: the sorted weights mapped back to original positions.
-        grad = np.zeros_like(v)
-        np.put_along_axis(grad, order, np.broadcast_to(weight, v.shape), axis=1)
-        gw = grad @ basis.T
-        w = w - (step / math.sqrt(t + 1.0)) * gw
+        if (t + 1) % _REFINE_EVERY == 0 or t + 1 == iterations:
+            # Minimize each frozen selection over the ball: the minimizer is
+            # the radial point opposite the selection's sum-zero component.
+            # The selection never lies along (1, ..., 1), since 0 < m < N - 1.
+            _, best_sel = supporting(best_w)
+            sel_w = best_sel @ basis.T
+            cand = -rho * sel_w / np.linalg.norm(sel_w, axis=1, keepdims=True)
+            cand_v = 1.0 / N + cand @ basis
+            cand_obj = partial_sum_batch(np.sort(cand_v, axis=1), m)
+            lin_obj = (best_sel * cand_v).sum(axis=1)
+            converged = lin_obj - cand_obj <= 1e-10 * (1.0 + np.abs(cand_obj))
+            best_w[converged] = cand[converged]
+            best_vals[converged] = cand_obj[converged]
+            stable = prev_sel is not None and np.array_equal(best_sel, prev_sel)
+            if stable and converged.all():
+                break
+            prev_sel = best_sel
+        w = w - (step / math.sqrt(t + 1.0)) * (sel @ basis.T)
         norms = np.linalg.norm(w, axis=1, keepdims=True)
         over = norms[:, 0] > rho
         if np.any(over):
             w[over] *= rho / norms[over]
-
-    # Active-set refinement: freeze the supporting selection of the best
-    # iterate and minimize that linear functional over the ball exactly.
-    # The refined point certifies stationarity when its frozen functional is
-    # still the binding selection there (the linearized and the true
-    # objective agree), which is the convergence criterion for minimizing a
-    # concave min-of-linear objective.
-    for r in range(restarts):
-        v = 1.0 / N + best_w[r] @ basis
-        order = np.argsort(v, kind="stable")
-        sel = np.zeros(N)
-        sel[order[:fl]] = 1.0
-        if frac != 0.0:
-            sel[order[fl]] = frac
-        sel_w = sel @ basis.T
-        norm = np.linalg.norm(sel_w)
-        if norm > 0.0:
-            cand = -rho * sel_w / norm
-            cand_v = 1.0 / N + cand @ basis
-            cand_obj = float(_partial_sum_rows(cand_v[None, :], m)[0])
-            lin_obj = float(sel @ cand_v)
-            if cand_obj <= best_vals[r]:
-                best_vals[r] = cand_obj
-                best_w[r] = cand
-                if lin_obj - cand_obj <= 1e-10 * (1.0 + abs(cand_obj)):
-                    converged[r] = True
+    report.iterations_used = t + 1
 
     best = int(np.argmin(best_vals))
     minimizer = 1.0 / N + best_w[best] @ basis

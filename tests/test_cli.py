@@ -148,6 +148,12 @@ class TestVerifyInclusionCommand:
         bs = next(r for r in records if r["record"] == "boundary_search")
         assert bs["min_c0"] >= -1e-8 and bs["matched_rigid"]
 
+    def test_removed_method_is_usage_error(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "verify-inclusion", "--n", "4", "--epsilon", "0.5", "--method", "hitrun"
+        )
+        assert code == 64
+
     def test_byte_identical_reruns(self, capsys):
         args = (
             "--samples", "2000", "--seed", "123", "--format", "machine",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gardinglab import cones
 from gardinglab.cones import (
     ShiftParams,
     in_garding_cone,
@@ -213,6 +214,30 @@ class TestNesting:
             nesting_check(N=1, samples=10, seed=0)
         with pytest.raises(ValueError):
             nesting_check(N=3, samples=-1, seed=0)
+
+    @pytest.mark.parametrize(
+        "margin_fn",
+        [
+            "garding_margin_chain_batch",
+            "_positivity_margins_varying_m",
+            "positivity_margins_batch",
+        ],
+    )
+    def test_nonfinite_margins_are_violations(self, monkeypatch, margin_fn):
+        # A NaN margin compares False both ways, so without an explicit
+        # finiteness check it would pass every implication.
+        real = getattr(cones, margin_fn)
+
+        def poisoned(rows, *args):
+            out = real(rows, *args).copy()
+            out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(cones, margin_fn, poisoned)
+        report = nesting_check(N=5, samples=200, seed=7)
+        assert not report.ok
+        vectors = {tuple(v["vector"]) for v in report.violations if "vector" in v}
+        assert len(vectors) == 1
 
     def test_deterministic_for_fixed_seed(self):
         a = nesting_check(N=7, samples=500, seed=99)

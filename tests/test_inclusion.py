@@ -10,6 +10,8 @@ from gardinglab.inclusion import (
     CASE_BOUNDARY,
     CASE_NOT_MEMBER,
     CASE_STRICT,
+    InclusionReport,
+    _collect_members,
     boundary_search,
     dichotomy_check,
     epsilon_for_target_m,
@@ -226,27 +228,62 @@ class TestSamplingVerification:
         assert report.ok and report.accepted == 0
         assert report.min_margin is None
 
-    def test_hitrun_members_really_are_members(self):
+    def test_ball_members_really_are_members(self):
         report = verify_inclusion_sampling(
-            N=28, epsilon=0.05, samples=5_000, seed=19, method="hitrun"
+            N=28, epsilon=0.05, samples=5_000, seed=19, method="ball"
         )
-        assert report.ok and report.method_used == "hitrun"
+        assert report.ok and report.method_used == "ball"
         assert report.min_margin > 0
 
-    def test_hitrun_members_pass_cone_module_test(self):
+    def test_ball_members_pass_cone_module_test(self):
         report = verify_inclusion_sampling(
-            N=10, epsilon=0.1, samples=300, seed=53, method="hitrun", keep_members=True
+            N=10, epsilon=0.1, samples=300, seed=53, method="ball", keep_members=True
         )
         p = epsilon_to_params(0.1, 10)
         assert report.members.shape == (300, 10)
-        for row in report.members[::7]:
+        for row in report.members:
             assert in_shifted_cone(row, 2, p.shift_params).member_open
 
-    def test_auto_switches_method(self):
+    def test_default_ball_where_rejection_starves(self):
+        # Rejection accepts almost nothing here; the ball sampler draws
+        # members directly and rejects only draws within tol of the sphere.
         narrow = verify_inclusion_sampling(N=45, epsilon=0.05, samples=2_000, seed=29)
-        assert narrow.method_used == "hitrun"
-        wide = verify_inclusion_sampling(N=3, epsilon=0.9, samples=2_000, seed=31)
+        assert narrow.method == "ball" and narrow.method_used == "ball"
+        assert narrow.ok and narrow.accepted == 2_000
+        assert narrow.acceptance_rate >= 0.999
+        wide = verify_inclusion_sampling(
+            N=3, epsilon=0.9, samples=2_000, seed=31, method="rejection"
+        )
         assert wide.method_used == "rejection"
+
+    @pytest.mark.parametrize("N", [3, 45])
+    def test_ball_members_radially_uniform(self, N):
+        # A uniform point of a d-ball has P(|w| < rho 2^(-1/d)) = 1/2.
+        eps = 0.3
+        report = verify_inclusion_sampling(
+            N=N, epsilon=eps, samples=4_000, seed=59, keep_members=True
+        )
+        rho = epsilon_to_params(eps, N).slice_radius
+        np.testing.assert_allclose(report.members.sum(axis=1), 1.0, atol=1e-12)
+        radii = np.linalg.norm(report.members - 1.0 / N, axis=1)
+        assert radii.max() < rho
+        inner = float(np.mean(radii < rho * 2.0 ** (-1.0 / (N - 1))))
+        assert abs(inner - 0.5) < 0.03
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError):
+            verify_inclusion_sampling(N=4, epsilon=0.5, samples=10, seed=1, method="hitrun")
+
+    def test_nan_margin_counts_as_violation(self):
+        p = epsilon_to_params(0.5, 3)
+        report = InclusionReport(
+            N=3, epsilon=0.5, alpha_eps=p.alpha_eps, m_eps=p.m_eps, seed=0,
+            tol=1e-9, samples_requested=2,
+        )
+        rows = np.array([[0.3, 0.3, 0.4], [np.nan, 0.5, 0.5]])
+        _collect_members(report, rows, p)
+        assert report.violation_count == 1 and not report.ok
+        assert np.isnan(report.violations[0]["vector"][0])
 
     def test_deterministic_records(self):
         a = verify_inclusion_sampling(N=6, epsilon=0.4, samples=5_000, seed=37)
@@ -304,3 +341,22 @@ class TestBoundarySearch:
         a = boundary_search(N=4, epsilon=0.5, restarts=4, seed=15, iterations=500)
         b = boundary_search(N=4, epsilon=0.5, restarts=4, seed=15, iterations=500)
         assert a.to_record() == b.to_record()
+
+    def test_certified_refinement_replaces_noisy_iterate(self):
+        # The subgradient iterate can undercut the exact refined point by
+        # float noise; the certified refinement must still win.
+        report = boundary_search(N=40, epsilon=epsilon_for_target_m(7, 40), seed=2)
+        assert report.converged and report.matched_rigid
+        assert report.max_pattern_diff <= 1e-15
+
+    def test_stops_once_certified(self):
+        eps = epsilon_for_target_m(7, 40)
+        report = boundary_search(N=40, epsilon=eps, seed=2)
+        assert report.iterations_used <= 50 < report.iterations == 10_000
+        assert "iterations_used" not in report.to_record()
+        for cap in (1, 5, 15):
+            capped = boundary_search(N=40, epsilon=eps, seed=2, iterations=cap)
+            assert capped.iterations_used == cap
+            assert capped.to_record()["iterations"] == cap
+        with pytest.raises(ValueError):
+            boundary_search(N=4, epsilon=0.5, iterations=0)
