@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, Record
 from .cones import ConeMembership, in_positivity_cone, in_shifted_cone
 from .curvature import (
     KIND_FIRST,
@@ -39,7 +39,7 @@ from .curvature import (
     trace_free_count,
     two_form_count,
 )
-from .inclusion import epsilon_for_target_m, epsilon_to_params
+from .inclusion import epsilon_to_params
 from .symfun import VectorLike, as_array, partial_sum_fractional
 from .weighted import form_degree_coeff
 
@@ -71,13 +71,15 @@ _THRESHOLD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ThresholdTable:
+class ThresholdTable(Record):
     """Per-dimension eps thresholds gating each verdict label.
 
     Real-dimension columns are None below n = 3; the two complex columns are
     populated when a complex dimension is supplied.  ``vacuous`` lists the
     columns whose formula gives eps >= 1, where no admissible shift exists.
     """
+
+    record_tag = "thresholds"
 
     n: Optional[int]
     kaehler_dim: Optional[int]
@@ -87,28 +89,11 @@ class ThresholdTable:
     cpn_biholomorphic: Optional[float] = None
     vacuous: tuple = ()
 
-    def to_record(self) -> dict:
-        return {
-            "record": "thresholds",
-            "n": self.n,
-            "kaehler_dim": self.kaehler_dim,
-            "space_form_first": self.space_form_first,
-            "space_form_second": self.space_form_second,
-            "cpn_cohomology": self.cpn_cohomology,
-            "cpn_biholomorphic": self.cpn_biholomorphic,
-            "vacuous": list(self.vacuous),
-        }
-
 
 def space_form_first_threshold(n: int) -> float:
     """sqrt(2/((N1-1)(N1-2))) for N1 = n(n-1)/2; positivity target 2."""
     n1 = two_form_count(n)
     return math.sqrt(2.0 / ((n1 - 1) * (n1 - 2)))
-
-
-def space_form_first_threshold_dim_form(n: int) -> float:
-    """Equivalent closed form sqrt(8/((n^2-n-2)(n^2-n-4)))."""
-    return math.sqrt(8.0 / ((n * n - n - 2) * (n * n - n - 4)))
 
 
 def space_form_second_threshold(n: int) -> float:
@@ -117,19 +102,9 @@ def space_form_second_threshold(n: int) -> float:
     return math.sqrt(3.0 / ((n2 - 1) * (n2 - 3)))
 
 
-def space_form_second_threshold_dim_form(n: int) -> float:
-    """Equivalent closed form sqrt(12/((n^2+n-4)(n^2+n-8)))."""
-    return math.sqrt(12.0 / ((n * n + n - 4) * (n * n + n - 8)))
-
-
 def cpn_cohomology_threshold(n: int) -> float:
     """sqrt((3n-2)/((n^3-3n+2)(n^2-1))); positivity target 3 - 2/n."""
     return math.sqrt((3.0 * n - 2.0) / ((n**3 - 3 * n + 2) * (n * n - 1)))
-
-
-def cpn_cohomology_threshold_inverse_form(n: int) -> float:
-    """Same threshold through the generic inverse at target 3 - 2/n."""
-    return epsilon_for_target_m(3.0 - 2.0 / n, n * n)
 
 
 def cpn_biholomorphic_threshold(n: int) -> float:
@@ -187,7 +162,7 @@ def thresholds(n: Optional[int], kaehler_complex_dim: Optional[int] = None) -> T
 
 
 @dataclass(frozen=True)
-class BettiRange:
+class BettiRange(Record):
     """Inclusive vanishing range [lo, hi] and the rule that produced it."""
 
     lo: int
@@ -196,18 +171,9 @@ class BettiRange:
     bound_lhs: float
     bound_rhs: float
 
-    def to_record(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "rule": self.rule,
-            "bound_lhs": self.bound_lhs,
-            "bound_rhs": self.bound_rhs,
-        }
-
 
 @dataclass(frozen=True)
-class VerdictRecord:
+class VerdictRecord(Record):
     """One verdict label plus the checked inequality with numeric sides."""
 
     verdict: str
@@ -217,20 +183,12 @@ class VerdictRecord:
     rhs: float
     holds: bool
 
-    def to_record(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "rule": self.rule,
-            "inequality": self.inequality,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
-
 
 @dataclass
-class ClassificationReport:
+class ClassificationReport(Record):
     """Everything a verdict rests on: membership, positivity, ranges, labels."""
+
+    record_tag = "classification"
 
     kind: str
     n: int
@@ -248,23 +206,6 @@ class ClassificationReport:
     @property
     def has_verdict(self) -> bool:
         return any(v.verdict != VERDICT_NONE for v in self.verdicts)
-
-    def to_record(self) -> dict:
-        return {
-            "record": "classification",
-            "kind": self.kind,
-            "n": self.n,
-            "N": self.N,
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "m_eps": self.m_eps,
-            "membership": self.membership.to_record(),
-            "m_positive": self.m_positive,
-            "m_positivity_margin": self.m_positivity_margin,
-            "betti_zero_ranges": [r.to_record() for r in self.betti_zero_ranges],
-            "verdicts": [v.to_record() for v in self.verdicts],
-            "notes": self.notes,
-        }
 
 
 def _ceil_with_snap(m: float, tol: float) -> int:

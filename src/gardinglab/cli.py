@@ -138,21 +138,13 @@ def _cmd_cone_test(args, config: RunConfig) -> int:
     vec = read_vector_file(args.vector_file)
     n = vec.size
     if args.k is not None:
-        alpha = args.alpha
+        alpha = args.alpha or 0.0
         if args.epsilon is not None:
             if not 0.0 < args.epsilon < 1.0:
                 raise _CliError("--epsilon must lie in (0, 1)", EXIT_USAGE)
             alpha = (1.0 - args.epsilon) / n
-        if alpha:
-            membership = in_shifted_cone(
-                vec, args.k, ShiftParams(alpha=alpha, N=n), config.tol
-            )
-            cone_desc = f"G_{args.k}(alpha={alpha:.12g})"
-        else:
-            membership = in_shifted_cone(
-                vec, args.k, ShiftParams(alpha=0.0, N=n), config.tol
-            )
-            cone_desc = f"G_{args.k}"
+        membership = in_shifted_cone(vec, args.k, ShiftParams(alpha=alpha, N=n), config.tol)
+        cone_desc = f"G_{args.k}(alpha={alpha:.12g})" if alpha else f"G_{args.k}"
     else:
         if args.alpha is not None or args.epsilon is not None:
             raise _CliError("--alpha/--epsilon apply to --k cones only", EXIT_USAGE)
@@ -241,49 +233,32 @@ def _model_tensor(args) -> _curvature.CurvatureTensor:
 
 def _cmd_model_space(args, config: RunConfig) -> int:
     tensor = _model_tensor(args)
-    if args.operator == "first":
-        matrix = _curvature.assemble_first_kind(tensor)
-    else:
-        matrix = _curvature.assemble_second_kind(tensor)
-    spectrum = _curvature.eigen_spectrum(matrix)
     checks = _curvature.scalar_curvature_checks(tensor)
+    kind = _curvature.KIND_FIRST if args.operator == "first" else _curvature.KIND_SECOND
+    spectrum = checks.spectra[kind]
     csv = format_vector(spectrum.array)
+    record = {
+        "record": "model_space",
+        "kind": args.kind,
+        "operator": args.operator,
+        "n": tensor.n,
+        "identity": checks.to_record(),
+    }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv + "\n")
-        _emit(
-            config,
-            {
-                "record": "model_space",
-                "kind": args.kind,
-                "operator": args.operator,
-                "n": tensor.n,
-                "out": args.out,
-                "identity": checks.to_record(),
-            },
+        record["out"] = args.out
+        human = (
             f"wrote {len(spectrum)} eigenvalues to {args.out}; "
-            f"scalar-curvature identities ok={checks.ok}",
-        )
-    elif config.output_format == "machine":
-        print(
-            json.dumps(
-                {
-                    "record": "model_space",
-                    "kind": args.kind,
-                    "operator": args.operator,
-                    "n": tensor.n,
-                    "spectrum": [float(t) for t in spectrum.array],
-                    "identity": checks.to_record(),
-                },
-                sort_keys=True,
-            )
+            f"scalar-curvature identities ok={checks.ok}"
         )
     else:
-        print(csv)
-        print(
-            f"# scalar curvature {checks.scalar_curvature!r}; identities "
+        record["spectrum"] = [float(t) for t in spectrum.array]
+        human = (
+            f"{csv}\n# scalar curvature {checks.scalar_curvature!r}; identities "
             f"first_ok={checks.first_kind_ok} second_ok={checks.second_kind_ok}"
         )
+    _emit(config, record, human)
     return EXIT_OK if checks.ok else EXIT_IDENTITY_FAILURE
 
 

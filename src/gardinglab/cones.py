@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, Record
 from .symfun import (
     VectorLike,
     as_array,
     partial_sum_batch,
     partial_sum_fractional,
+    partial_sum_weights,
     sigma_prefix,
     sigma_prefix_batch,
 )
@@ -46,7 +47,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ConeMembership:
+class ConeMembership(Record):
     """Outcome of a cone test: flags, normalized margin, binding constraint."""
 
     member_open: bool
@@ -54,15 +55,6 @@ class ConeMembership:
     margin: float
     binding_constraint: str
     tol: float = DEFAULT_TOL
-
-    def to_record(self) -> dict:
-        return {
-            "member_open": self.member_open,
-            "member_closed": self.member_closed,
-            "margin": self.margin,
-            "binding_constraint": self.binding_constraint,
-            "tol": self.tol,
-        }
 
 
 @dataclass(frozen=True)
@@ -172,33 +164,13 @@ def positivity_margins_batch(rows: np.ndarray, m: float) -> np.ndarray:
     return out
 
 
-def _positivity_margins_varying_m(rows: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """Normalized P_{m_i} margin for row i, with a different m per row."""
-    rows = np.asarray(rows, dtype=float)
-    ms = np.asarray(ms, dtype=float)
-    b, n = rows.shape
-    norms = np.linalg.norm(rows, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    sorted_rows = np.sort(rows, axis=1)
-    cums = np.cumsum(sorted_rows, axis=1)
-    fl = np.floor(ms).astype(int)
-    fl = np.clip(fl, 0, n)
-    frac = ms - fl
-    head = np.where(fl > 0, cums[np.arange(b), np.maximum(fl, 1) - 1], 0.0)
-    next_idx = np.minimum(fl, n - 1)
-    c0 = head + np.where(frac > 0, frac * sorted_rows[np.arange(b), next_idx], 0.0)
-    out = c0 / (ms * safe)
-    out[norms == 0.0] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Nesting chains
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class NestingReport:
+class NestingReport(Record):
     """Sampled verification of the cone nesting chains.
 
     ``ok`` is False as soon as one implication fails beyond tolerance; the
@@ -206,6 +178,8 @@ class NestingReport:
     (G_N = P_1 and P_N = G_1) count a mismatch only when both margins sit
     clear of the boundary band, since the two sides normalize differently.
     """
+
+    record_tag = "nesting_check"
 
     N: int
     samples: int
@@ -221,18 +195,6 @@ class NestingReport:
     def __bool__(self) -> bool:
         return self.ok
 
-    def to_record(self) -> dict:
-        return {
-            "record": "nesting_check",
-            "N": self.N,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "checks": self.checks,
-            "ok": self.ok,
-            "violations": self.violations[:10],
-        }
-
 
 def _add_violation(report: NestingReport, kind: str, row: np.ndarray, detail: dict) -> None:
     if len(report.violations) < 10:
@@ -243,6 +205,14 @@ def _add_violation(report: NestingReport, kind: str, row: np.ndarray, detail: di
         report.violations.append({"kind": kind})
 
 
+def _breaks_maclaurin(chain: np.ndarray, tol: float) -> np.ndarray:
+    """Rows where some ``chain_{j+1} > tol`` has a (j+1)-th root above the
+    j-th root of ``chain_j`` by more than tol."""
+    roots = np.maximum(chain, 0.0)
+    roots **= 1.0 / np.arange(1, chain.shape[1] + 1)
+    return ((chain[:, 1:] > tol) & ~(roots[:, 1:] <= roots[:, :-1] + tol)).any(axis=1)
+
+
 def nesting_check(
     N: int, samples: int, seed: int, tol: float = DEFAULT_TOL
 ) -> NestingReport:
@@ -250,7 +220,11 @@ def nesting_check(
 
     Checked per sample: G_{k+1} subset of G_k (plain and with a random shift
     alpha in [0, 1/N)), P_{m1} subset of P_{m2} for random 1 <= m1 <= m2 <= N,
-    and the endpoint identities G_N = P_1, P_N = G_1.  A sample whose margins
+    and the endpoint identities G_N = P_1, P_N = G_1.  The chain margins are
+    cumulative minima, so G_{k+1} subset of G_k holds for them by
+    construction; what is checked instead is Maclaurin's inequality, which
+    Newton's inequalities give inside G_{k+1}: there the normalized margins
+    satisfy ``margin_{k+1}^(1/(k+1)) <= margin_k^(1/k)``.  A sample whose margins
     in a check are not all finite violates that check.  All per-sample draws
     come from one seeded stream in a fixed order, so the verdict does not
     depend on evaluation scheduling.
@@ -267,21 +241,28 @@ def nesting_check(
     alphas = rng.uniform(0.0, 1.0 / N, size=samples)
     m_pairs = np.sort(rng.uniform(1.0, N, size=(samples, 2)), axis=1)
 
-    # Garding chain margins for every k, plain and with the random shift.
+    # Garding chain margins for every k, plain and with the random shift,
+    # held to Maclaurin's inequality wherever the next cone is entered.
     plain = garding_margin_chain_batch(rows, N)
-    shifted_rows = rows - alphas[:, None] * rows.sum(axis=1, keepdims=True)
-    shifted = garding_margin_chain_batch(shifted_rows, N)
+    shifted = garding_margin_chain_batch(
+        rows - alphas[:, None] * rows.sum(axis=1, keepdims=True), N
+    )
     for label, margins in (("garding_chain", plain), ("shifted_chain", shifted)):
-        open_k = margins > tol
-        closed_k = margins >= -tol
-        bad = (open_k[:, 1:] & ~open_k[:, :-1]) | (closed_k[:, 1:] & ~closed_k[:, :-1])
-        for i in np.flatnonzero(bad.any(axis=1) | ~np.isfinite(margins).all(axis=1)):
+        bad = _breaks_maclaurin(margins, tol) | ~np.isfinite(margins).all(axis=1)
+        for i in np.flatnonzero(bad):
             _add_violation(report, label, rows[i], {"margins": margins[i].tolist()})
         report.checks += margins.shape[0] * (N - 1)
 
-    # P_m monotonicity on random pairs.
-    m1_margin = _positivity_margins_varying_m(rows, m_pairs[:, 0])
-    m2_margin = _positivity_margins_varying_m(rows, m_pairs[:, 1])
+    # P_m monotonicity on random pairs, one m-column at a time.
+    sorted_rows = np.sort(rows, axis=1)
+    norms = np.linalg.norm(rows, axis=1)
+    safe = np.where(norms == 0.0, 1.0, norms)
+    p_margins = []
+    for ms in m_pairs.T:
+        weighted = partial_sum_weights(ms[:, None], N)
+        weighted *= sorted_rows
+        p_margins.append(weighted.sum(axis=1) / (ms * safe))
+    m1_margin, m2_margin = p_margins
     bad = (
         ((m1_margin > tol) & ~(m2_margin > tol))
         | ((m1_margin >= -tol) & ~(m2_margin >= -tol))

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass
+from typing import ClassVar, Optional
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 0
@@ -22,6 +23,39 @@ DEFAULT_RESTARTS = 32
 CONFIG_ENV_VAR = "GARDINGLAB_CONFIG"
 
 _FORMATS = ("human", "machine")
+_MAX_RECORDED_VIOLATIONS = 10
+
+
+class Record:
+    """Mixin giving a report dataclass its ``to_record()`` from its fields.
+
+    The class-level ``record_tag``, when set, leads the record as
+    ``"record"`` and an ``ok`` property closes it.  ``violations`` keeps its
+    first 10 entries, nested records and sequences are converted, and fields
+    declared with ``metadata={"record": False}`` are left out.
+    """
+
+    record_tag: ClassVar[Optional[str]] = None
+
+    def to_record(self) -> dict:
+        record = {} if self.record_tag is None else {"record": self.record_tag}
+        for f in dataclasses.fields(self):
+            if f.metadata.get("record", True):
+                value = getattr(self, f.name)
+                if f.name == "violations":
+                    value = value[:_MAX_RECORDED_VIOLATIONS]
+                record[f.name] = _record_value(value)
+        if isinstance(getattr(type(self), "ok", None), property):
+            record["ok"] = self.ok
+        return record
+
+
+def _record_value(value):
+    if isinstance(value, Record):
+        return value.to_record()
+    if isinstance(value, (list, tuple)):
+        return [_record_value(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,12 @@ arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .config import Record
 from .symfun import SortedVector
 
 __all__ = [
@@ -395,8 +396,14 @@ def eigen_spectrum(matrix: OperatorMatrix) -> Spectrum:
 
 
 @dataclass(frozen=True)
-class CurvatureIdentityReport:
-    """Both eigenvalue-sum expressions of the scalar curvature, checked."""
+class CurvatureIdentityReport(Record):
+    """Both eigenvalue-sum expressions of the scalar curvature, checked.
+
+    ``spectra`` holds the two spectra the sums came from, keyed by operator
+    kind; it is left out of records.
+    """
+
+    record_tag = "scalar_curvature_checks"
 
     n: int
     scalar_curvature: float
@@ -406,24 +413,11 @@ class CurvatureIdentityReport:
     second_kind_rel_err: float
     first_kind_ok: bool
     second_kind_ok: bool
+    spectra: dict = field(repr=False, compare=False, metadata={"record": False})
 
     @property
     def ok(self) -> bool:
         return self.first_kind_ok and self.second_kind_ok
-
-    def to_record(self) -> dict:
-        return {
-            "record": "scalar_curvature_checks",
-            "n": self.n,
-            "scalar_curvature": self.scalar_curvature,
-            "first_kind_sum": self.first_kind_sum,
-            "second_kind_sum": self.second_kind_sum,
-            "first_kind_rel_err": self.first_kind_rel_err,
-            "second_kind_rel_err": self.second_kind_rel_err,
-            "first_kind_ok": self.first_kind_ok,
-            "second_kind_ok": self.second_kind_ok,
-            "ok": self.ok,
-        }
 
 
 def scalar_curvature_checks(
@@ -431,11 +425,13 @@ def scalar_curvature_checks(
 ) -> CurvatureIdentityReport:
     """Check scal = 2 * sum(first-kind) = 2n/(n+2) * sum(second-kind)."""
     scal = tensor.scalar_curvature()
-    lam = eigen_spectrum(assemble_first_kind(tensor)).array
-    nu = eigen_spectrum(assemble_second_kind(tensor)).array
+    spectra = {
+        KIND_FIRST: eigen_spectrum(assemble_first_kind(tensor)),
+        KIND_SECOND: eigen_spectrum(assemble_second_kind(tensor)),
+    }
     n = tensor.n
-    first = 2.0 * float(lam.sum())
-    second = (2.0 * n / (n + 2.0)) * float(nu.sum())
+    first = 2.0 * float(spectra[KIND_FIRST].array.sum())
+    second = (2.0 * n / (n + 2.0)) * float(spectra[KIND_SECOND].array.sum())
     scale = max(1.0, abs(scal))
     err1 = abs(first - scal) / scale
     err2 = abs(second - scal) / scale
@@ -448,4 +444,5 @@ def scalar_curvature_checks(
         second_kind_rel_err=err2,
         first_kind_ok=err1 <= rel_tol,
         second_kind_ok=err2 <= rel_tol,
+        spectra=spectra,
     )

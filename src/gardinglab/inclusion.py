@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, Record
 from .cones import ShiftParams, in_shifted_cone, positivity_margins_batch
 from .symfun import (
     RealVector,
@@ -41,6 +41,7 @@ from .symfun import (
     elementary_symmetric,
     partial_sum_batch,
     partial_sum_fractional,
+    partial_sum_weights,
 )
 
 __all__ = [
@@ -137,13 +138,13 @@ def shift_identity_residual(v: VectorLike, p: EpsilonParams) -> float:
     if x.size != p.N:
         raise ValueError(f"vector length {x.size} does not match N={p.N}")
     shifted = x - p.alpha_eps * x.sum()
-    lhs = 2.0 * elementary_symmetric(shifted, 2) if p.N >= 2 else 0.0
+    lhs = 2.0 * elementary_symmetric(shifted, 2)
     rhs = p.quadratic_coefficient * float(x.sum()) ** 2 - float((x * x).sum())
     return lhs - rhs
 
 
 @dataclass(frozen=True)
-class DichotomyVerdict:
+class DichotomyVerdict(Record):
     """Classification of a vector against the inclusion dichotomy.
 
     ``case`` is one of strict_positive, boundary_rigid, not_member.  ``c0``
@@ -156,9 +157,6 @@ class DichotomyVerdict:
     case: str
     c0: float
     rigid_m: Optional[int] = None
-
-    def to_record(self) -> dict:
-        return {"case": self.case, "c0": self.c0, "rigid_m": self.rigid_m}
 
 
 def _rigid_zero_count(sorted_x: np.ndarray, m_eps: float, tol: float) -> Optional[int]:
@@ -248,13 +246,15 @@ def _ball_points(
 
 
 @dataclass
-class InclusionReport:
+class InclusionReport(Record):
     """Outcome of sampled verification that shifted-cone members are m-positive.
 
     ``min_margin`` is the smallest normalized P_{m_eps} margin seen over the
     accepted members; any accepted member whose margin is not > 0 (NaN
     included) is a violation.
     """
+
+    record_tag = "verify_inclusion"
 
     N: int
     epsilon: float
@@ -274,37 +274,21 @@ class InclusionReport:
     shortfall: bool = False
     # Debug aid: the raw member vectors, kept only on request and never
     # serialized into records.
-    members: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    members: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False, metadata={"record": False}
+    )
 
     @property
     def ok(self) -> bool:
         return self.violation_count == 0 and not self.shortfall
 
-    def to_record(self) -> dict:
-        return {
-            "record": "verify_inclusion",
-            "N": self.N,
-            "epsilon": self.epsilon,
-            "alpha_eps": self.alpha_eps,
-            "m_eps": self.m_eps,
-            "seed": self.seed,
-            "tol": self.tol,
-            "samples_requested": self.samples_requested,
-            "method": self.method,
-            "method_used": self.method_used,
-            "draws": self.draws,
-            "accepted": self.accepted,
-            "acceptance_rate": self.acceptance_rate,
-            "min_margin": self.min_margin,
-            "violation_count": self.violation_count,
-            "violations": self.violations[:10],
-            "shortfall": self.shortfall,
-            "ok": self.ok,
-        }
-
 
 def _strict_member_mask(rows: np.ndarray, p: EpsilonParams, tol: float) -> np.ndarray:
-    """Open-membership mask for G_2(alpha_eps), same normalization as cones."""
+    """Open-membership mask for G_2(alpha_eps), same normalization as cones.
+
+    Kept apart from ``garding_margins_batch(k=2)``: the masks agree, but the
+    closed-form sigma_2 here makes the sampler's filter markedly cheaper.
+    """
     n = p.N
     sums = rows.sum(axis=1)
     shifted = rows - p.alpha_eps * sums[:, None]
@@ -384,7 +368,6 @@ def verify_inclusion_sampling(
     )
     if samples == 0:
         report.method_used = "none"
-        report.acceptance_rate = 0.0
         return report
     report.method_used = method
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
@@ -440,12 +423,14 @@ def boundary_minimum_closed_form(p: EpsilonParams) -> float:
 
 
 @dataclass
-class BoundarySearchReport:
+class BoundarySearchReport(Record):
     """Result of minimizing the m_eps-partial sum over the cone slice.
 
     ``iterations`` is the cap on subgradient iterations; ``iterations_used``
     says how many ran before every restart was certified.
     """
+
+    record_tag = "boundary_search"
 
     N: int
     epsilon: float
@@ -463,33 +448,13 @@ class BoundarySearchReport:
     matched_rigid: Optional[bool] = None
     # Solver counter, kept out of records so that they depend on the
     # answer only, like the members of a sampling run.
-    iterations_used: int = 0
+    iterations_used: int = field(default=0, metadata={"record": False})
 
     @property
     def ok(self) -> bool:
         good_value = self.min_c0 >= -10.0 * self.tol
         good_pattern = self.matched_rigid is not False
         return good_value and good_pattern and self.converged
-
-    def to_record(self) -> dict:
-        return {
-            "record": "boundary_search",
-            "N": self.N,
-            "epsilon": self.epsilon,
-            "m_eps": self.m_eps,
-            "seed": self.seed,
-            "tol": self.tol,
-            "restarts": self.restarts,
-            "iterations": self.iterations,
-            "min_c0": self.min_c0,
-            "minimizer": self.minimizer,
-            "converged": self.converged,
-            "restarts_converged": self.restarts_converged,
-            "rigid_pattern": self.rigid_pattern,
-            "max_pattern_diff": self.max_pattern_diff,
-            "matched_rigid": self.matched_rigid,
-            "ok": self.ok,
-        }
 
 
 def boundary_search(
@@ -527,8 +492,6 @@ def boundary_search(
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     p = epsilon_to_params(epsilon, N)
     m = p.m_eps
-    fl = math.floor(m)
-    frac = m - fl
     rho = p.slice_radius
     basis = _sum_zero_basis(N)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
@@ -543,10 +506,7 @@ def boundary_search(
         iterations=iterations,
     )
 
-    weight = np.zeros(N)
-    weight[:fl] = 1.0
-    if frac != 0.0:
-        weight[fl] = frac
+    weight = partial_sum_weights(m, N)
 
     def supporting(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Slice points of w and the partial-sum weights at their positions."""

@@ -130,20 +130,16 @@ def elementary_symmetric(v: VectorLike, k: int) -> float:
 
 
 def sigma_prefix(v: VectorLike, k: int) -> np.ndarray:
-    """Array (sigma_1, ..., sigma_k) via the Horner coefficient recurrence."""
-    x = as_array(v)
-    n = x.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    coeffs = np.zeros(k + 1)
-    coeffs[0] = 1.0
-    for mu in x:
-        coeffs[1:] = coeffs[1:] + mu * coeffs[:-1]
-    return coeffs[1:]
+    """Array (sigma_1, ..., sigma_k): one row of ``sigma_prefix_batch``."""
+    return sigma_prefix_batch(as_array(v)[None, :], k)[0]
 
 
 def sigma_prefix_batch(rows: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise (sigma_1, ..., sigma_k) for a (B, N) batch."""
+    """Row-wise (sigma_1, ..., sigma_k) for a (B, N) batch.
+
+    Horner coefficient recurrence: multiplying by ``(1 + t*mu)`` adds mu
+    times every coefficient to the next one up.
+    """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("expected a (B, N) batch")
@@ -152,9 +148,10 @@ def sigma_prefix_batch(rows: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     coeffs = np.zeros((b, k + 1))
     coeffs[:, 0] = 1.0
-    for i in range(n):
-        coeffs[:, 1:] = coeffs[:, 1:] + rows[:, i : i + 1] * coeffs[:, :-1]
-    return coeffs[:, 1:]
+    higher, lower = coeffs[:, 1:], coeffs[:, :-1]
+    for column in rows.T[:, :, None]:
+        higher += column * lower
+    return higher
 
 
 def sigma2_via_power_sums(v: VectorLike) -> float:
@@ -179,14 +176,18 @@ def _checked_m(m: float, n: int) -> float:
 
 def partial_sum_fractional(v: VectorLike, m: float) -> float:
     """Sum of the floor(m) smallest entries plus the fractional next term."""
-    x = _sorted_entries(v)
-    m = _checked_m(m, x.size)
-    fl = math.floor(m)
-    frac = m - fl
-    total = float(x[:fl].sum())
-    if frac != 0.0:
-        total += frac * float(x[fl])
-    return total
+    return float(partial_sum_batch(_sorted_entries(v)[None, :], m)[0])
+
+
+def partial_sum_weights(m, n: int) -> np.ndarray:
+    """Weights ``clip(m - i, 0, 1)`` for i = 0..n-1 of the partial sum at m.
+
+    Over sorted entries the fractional partial sum is the dot product with
+    these weights.  A column of per-row values ``m`` (shape (B, 1)) gives a
+    (B, n) array, one weight row each.
+    """
+    weights = np.subtract(m, np.arange(n), dtype=float)
+    return np.clip(weights, 0.0, 1.0, out=weights)
 
 
 def partial_sum_batch(sorted_rows: np.ndarray, m: float) -> np.ndarray:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL
+from .curvature import trace_free_count
 from .symfun import (
     VectorLike,
     _sorted_entries,
@@ -48,11 +49,6 @@ __all__ = [
     "bulk_positivity",
     "trace_free_count",
 ]
-
-
-def trace_free_count(n: int) -> int:
-    """Dimension of trace-free symmetric 2-tensors: (n-1)(n+2)/2."""
-    return (n - 1) * (n + 2) // 2
 
 
 @dataclass(frozen=True)

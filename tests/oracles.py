@@ -4,7 +4,8 @@ Each oracle recomputes a quantity by direct enumeration or by elementary
 projections so that library outputs are checked against a second route:
 subset enumeration for symmetric polynomials and selection sums, basic
 feasible solutions for the capped weighted-sum extremes, and a ball
-projection for the boundary minimum of the partial sum.
+projection for the boundary minimum of the partial sum.  The equivalent
+closed forms of the verdict thresholds live here too.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import itertools
 import math
 
 import numpy as np
+
+from gardinglab.inclusion import epsilon_for_target_m
 
 
 def sigma_subsets(values, k: int) -> float:
@@ -107,3 +110,18 @@ def boundary_min_by_projection(N: int, epsilon: float) -> float:
     ones = np.ones(N) / math.sqrt(N)
     perp = weights - np.dot(weights, ones) * ones
     return float(np.dot(weights, np.full(N, 1.0 / N)) - rho * np.linalg.norm(perp))
+
+
+def space_form_first_threshold_dim_form(n: int) -> float:
+    """First-kind space-form threshold as sqrt(8/((n^2-n-2)(n^2-n-4)))."""
+    return math.sqrt(8.0 / ((n * n - n - 2) * (n * n - n - 4)))
+
+
+def space_form_second_threshold_dim_form(n: int) -> float:
+    """Second-kind space-form threshold as sqrt(12/((n^2+n-4)(n^2+n-8)))."""
+    return math.sqrt(12.0 / ((n * n + n - 4) * (n * n + n - 8)))
+
+
+def cpn_cohomology_threshold_inverse_form(n: int) -> float:
+    """CP^n cohomology threshold through the generic inverse at target 3 - 2/n."""
+    return epsilon_for_target_m(3.0 - 2.0 / n, n * n)

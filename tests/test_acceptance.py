@@ -17,11 +17,8 @@ from gardinglab.classify import (
     classify_first_kind,
     cpn_biholomorphic_threshold,
     cpn_cohomology_threshold,
-    cpn_cohomology_threshold_inverse_form,
     space_form_first_threshold,
-    space_form_first_threshold_dim_form,
     space_form_second_threshold,
-    space_form_second_threshold_dim_form,
 )
 from gardinglab.cones import nesting_check
 from gardinglab.curvature import (
@@ -50,7 +47,12 @@ from gardinglab.weighted import (
     weighted_sup,
 )
 
-from oracles import weighted_extremes_enum
+from oracles import (
+    cpn_cohomology_threshold_inverse_form,
+    space_form_first_threshold_dim_form,
+    space_form_second_threshold_dim_form,
+    weighted_extremes_enum,
+)
 
 INCLUSION_DIMENSIONS = (3, 4, 6, 10, 28, 45)
 SHARPNESS_PAIRS = ((1, 4), (2, 4), (1, 6), (2, 6), (4, 6))

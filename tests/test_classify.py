@@ -15,11 +15,8 @@ from gardinglab.classify import (
     classify_second_kind,
     cpn_biholomorphic_threshold,
     cpn_cohomology_threshold,
-    cpn_cohomology_threshold_inverse_form,
     space_form_first_threshold,
-    space_form_first_threshold_dim_form,
     space_form_second_threshold,
-    space_form_second_threshold_dim_form,
     thresholds,
 )
 from gardinglab.curvature import (
@@ -36,6 +33,11 @@ from gardinglab.curvature import (
 )
 from gardinglab.inclusion import epsilon_to_params
 from gardinglab.symfun import SortedVector
+from oracles import (
+    cpn_cohomology_threshold_inverse_form,
+    space_form_first_threshold_dim_form,
+    space_form_second_threshold_dim_form,
+)
 
 
 def _spectrum(values, kind, n):

@@ -210,12 +210,14 @@ class TestModelSpaceCommand:
         # Valid tensors always satisfy the identities, so fake a failing
         # check to pin the exit-code wiring.
         import gardinglab.cli as cli_mod
+        from gardinglab.curvature import model_space_form, scalar_curvature_checks
 
         class FailingChecks:
             ok = False
             scalar_curvature = 1.0
             first_kind_ok = False
             second_kind_ok = True
+            spectra = scalar_curvature_checks(model_space_form(3, 1.0)).spectra
 
             def to_record(self):
                 return {"record": "scalar_curvature_checks", "ok": False}

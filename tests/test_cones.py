@@ -219,17 +219,18 @@ class TestNesting:
         "margin_fn",
         [
             "garding_margin_chain_batch",
-            "_positivity_margins_varying_m",
+            "partial_sum_weights",
             "positivity_margins_batch",
         ],
     )
     def test_nonfinite_margins_are_violations(self, monkeypatch, margin_fn):
         # A NaN margin compares False both ways, so without an explicit
-        # finiteness check it would pass every implication.
+        # finiteness check it would pass every implication.  Poisoning row 3
+        # of the P_m weights makes both m-columns' margins NaN for sample 3.
         real = getattr(cones, margin_fn)
 
-        def poisoned(rows, *args):
-            out = real(rows, *args).copy()
+        def poisoned(*args):
+            out = real(*args).copy()
             out[3] = np.nan
             return out
 
@@ -238,6 +239,24 @@ class TestNesting:
         assert not report.ok
         vectors = {tuple(v["vector"]) for v in report.violations if "vector" in v}
         assert len(vectors) == 1
+
+    def test_maclaurin_violation_is_caught(self, monkeypatch):
+        # The row [0.5, 0.4] is monotone, so the chain's own order cannot
+        # flag it, but sqrt(0.4) > 0.5 breaks Maclaurin's inequality.  Only
+        # positive samples get it, so G_2 = P_1 and P_2 = G_1 still agree.
+        real = cones.garding_margin_chain_batch
+
+        def fake(rows, k):
+            out = real(rows, k)
+            out[(rows > 0).all(axis=1)] = [0.5, 0.4]
+            return out
+
+        monkeypatch.setattr(cones, "garding_margin_chain_batch", fake)
+        report = nesting_check(N=2, samples=200, seed=3)
+        assert not report.ok
+        kinds = {v["kind"] for v in report.violations}
+        assert "garding_chain" in kinds
+        assert kinds <= {"garding_chain", "shifted_chain"}
 
     def test_deterministic_for_fixed_seed(self):
         a = nesting_check(N=7, samples=500, seed=99)

@@ -13,7 +13,9 @@ from gardinglab.symfun import (
     elementary_symmetric,
     normalized_partial_sum,
     partial_sum_fractional,
+    partial_sum_weights,
     sigma2_via_power_sums,
+    sigma_prefix,
     sigma_prefix_batch,
 )
 
@@ -81,6 +83,20 @@ class TestElementarySymmetric:
         with pytest.raises(ValueError):
             elementary_symmetric([1.0, float("nan")], 1)
 
+    def test_single_row_matches_vector_loop(self):
+        # The one-vector Horner loop does the same float operations as the
+        # batched recurrence, so the results agree bit for bit.
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            v = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            k = int(rng.integers(1, n + 1))
+            coeffs = np.zeros(k + 1)
+            coeffs[0] = 1.0
+            for mu in v:
+                coeffs[1:] = coeffs[1:] + mu * coeffs[:-1]
+            assert np.array_equal(sigma_prefix(v, k), coeffs[1:])
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(40, 9))
@@ -136,6 +152,18 @@ class TestPartialSums:
     def test_small_cases(self, vec, m, expected):
         assert partial_sum_fractional(vec, m) == pytest.approx(expected)
 
+    def test_matches_head_plus_fraction(self):
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            v = np.sort(rng.normal(size=n))
+            m = float(rng.choice([rng.uniform(0.01, n), rng.integers(1, n + 1)]))
+            fl = math.floor(m)
+            want = float(v[:fl].sum())
+            if m != fl:
+                want += (m - fl) * float(v[fl])
+            assert partial_sum_fractional(v, m) == want
+
     def test_integer_m_never_reads_past_end(self):
         # m == N must not touch an (N+1)-th entry.
         assert partial_sum_fractional((1.0, 2.0), 2) == 3.0
@@ -162,6 +190,18 @@ class TestPartialSums:
             v = np.sort(rng.normal(size=n))
             m1, m2 = np.sort(rng.uniform(1.0, n, size=2))
             assert normalized_partial_sum(v, m1) <= normalized_partial_sum(v, m2) + 1e-12
+
+    def test_weights_match_partial_sum(self):
+        rng = np.random.default_rng(29)
+        rows = np.sort(rng.normal(size=(200, 9)), axis=1)
+        ms = rng.uniform(0.05, 9.0, size=200)
+        weights = partial_sum_weights(ms[:, None], 9)
+        assert weights.shape == (200, 9)
+        for row, m, w in zip(rows, ms, weights):
+            assert np.array_equal(w, partial_sum_weights(m, 9))
+            assert w @ row == pytest.approx(partial_sum_fractional(row, m), abs=1e-12)
+        assert partial_sum_weights(2.25, 4).tolist() == [1.0, 1.0, 0.25, 0.0]
+        assert partial_sum_weights(4.0, 4).tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_requires_sorted_input(self):
         with pytest.raises(ValueError):
