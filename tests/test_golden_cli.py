@@ -1,6 +1,6 @@
 """Byte-for-byte gate on the CLI: exit codes and stdout of a fixed set of runs.
 
-Every subcommand runs in-process through ``main()`` inside a scratch working
+Every subcommand runs in-process through ``main()`` inside a temporary working
 directory, so file names in the output are relative and stable.  The
 expected transcript lives in ``tests/golden/cli_machine.txt``; regenerate it
 only for an intended output change, with

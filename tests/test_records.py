@@ -7,7 +7,12 @@ import numpy as np
 
 from gardinglab.classify import thresholds
 from gardinglab.cones import NestingReport, _add_violation, in_garding_cone
-from gardinglab.curvature import KIND_FIRST, KIND_SECOND, model_space_form, scalar_curvature_checks
+from gardinglab.curvature import (
+    KIND_FIRST,
+    KIND_SECOND,
+    model_space_form,
+    scalar_curvature_checks,
+)
 from gardinglab.inclusion import (
     InclusionReport,
     boundary_search,
