@@ -19,6 +19,7 @@ configurations and seeds reproduce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -60,7 +61,9 @@ def _emit(config: RunConfig, record: dict, human: str) -> None:
         print(human)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args keeps no state between calls.
     parser = _Parser(prog="gardinglab", description=__doc__.splitlines()[0])
     parser.add_argument("--tol", type=float, default=None, help="cone tolerance")
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")

@@ -17,14 +17,18 @@ Two self-adjoint operators are assembled from it:
   diagonal differences, for which the scalar curvature equals 2n/(n+2)
   times the eigenvalue sum.
 
-Spectra are extracted with a cyclic Jacobi rotation solver (off-diagonal
-threshold 1e-14 * ||A||_F, at most 100 sweeps) so the package carries no
-LAPACK dependency on this path; numpy is used only for array storage and
-arithmetic.
+Spectra are extracted with a Jacobi rotation solver (off-diagonal threshold
+1e-14 * ||A||_F, at most 100 sweeps) so the package carries no LAPACK
+dependency on this path; numpy is used only for array storage and
+arithmetic.  Each sweep runs in round-robin order: rounds of disjoint pairs
+whose rotations are applied as one array update.  Rows with no nonzero
+off-diagonal entry are skipped, so sparse model operators rotate only the
+few rows that couple.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -97,7 +101,8 @@ def validate_curvature_symmetries(components: np.ndarray, atol: float = _SYMMETR
             np.abs(r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2))
         ),
     }
-    bad = {name: float(v) for name, v in checks.items() if v > atol}
+    # Written so that a NaN (from a non-finite component) fails the check.
+    bad = {name: float(v) for name, v in checks.items() if not v <= atol}
     if bad:
         raise ValueError(f"curvature symmetries violated beyond {atol}: {bad}")
 
@@ -150,7 +155,7 @@ class OperatorMatrix:
         if arr.shape[0] < 1:
             raise ValueError("operator matrix must be at least 1x1")
         asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-        if asym > _SYMMETRY_ATOL:
+        if not asym <= _SYMMETRY_ATOL:
             raise ValueError(f"matrix asymmetry {asym} exceeds {_SYMMETRY_ATOL}")
         if kind not in (KIND_FIRST, KIND_SECOND, KIND_GENERIC):
             raise ValueError(f"unknown kind {kind!r}")
@@ -307,77 +312,114 @@ def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _round_robin_schedule(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Rounds of disjoint pairs ``(p, q)``, p < q, that cover every pair of
+    ``range(m)`` exactly once; the cached arrays are read-only.
+
+    Circle method: index 0 stays put and the others move one place per round;
+    for odd m a dummy index m pads the ring and its partner sits the round out.
+    """
+    size = m + m % 2
+    ring = np.arange(size)
+    rounds = []
+    for _ in range(size - 1):
+        x, y = ring[: size // 2], ring[::-1][: size // 2]
+        p, q = np.minimum(x, y), np.maximum(x, y)
+        p, q = p[q < m], q[q < m]
+        p.setflags(write=False)
+        q.setflags(write=False)
+        rounds.append((p, q))
+        ring = np.r_[ring[0], ring[-1], ring[1:-1]]
+    return tuple(rounds)
+
+
+def _off_norm(x: np.ndarray) -> float:
+    # Square the off-diagonal entries directly; subtracting the diagonal
+    # mass from the total cancels catastrophically near convergence.
+    return float(np.linalg.norm(x - np.diag(x.diagonal())))
+
+
+def _jacobi_sweep(a: np.ndarray, v: np.ndarray, rounds) -> None:
+    """One sweep in place: each round rotates its disjoint pairs at once."""
+    # Both angle branches are evaluated for every pair, so the lanes that
+    # divide by zero are silenced here and then replaced by np.where.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p, q in rounds:
+            apq = a[p, q]
+            h = a[q, q] - a[p, p]
+            # Standard stable angle formulas: t = apq / h where apq is
+            # negligible against the diagonal gap (theta would overflow), and
+            # t = 0 (c = 1, s = 0, an exact no-op) where apq == 0.
+            theta = 0.5 * h / apq
+            t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            t = np.where(theta < 0.0, -t, t)
+            t = np.where(np.abs(h) + 100.0 * np.abs(apq) == np.abs(h), apq / h, t)
+            t = np.where(apq == 0.0, 0.0, t)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            cc, ss = c[:, None], s[:, None]
+            row_p, row_q = a[p], a[q]
+            a[p] = cc * row_p - ss * row_q
+            a[q] = ss * row_p + cc * row_q
+            col_p, col_q = a[:, p], a[:, q]
+            a[:, p] = col_p * c - col_q * s
+            a[:, q] = col_p * s + col_q * c
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            vp, vq = v[:, p], v[:, q]
+            v[:, p] = vp * c - vq * s
+            v[:, q] = vp * s + vq * c
+
+
 def jacobi_eigensystem(
     matrix: np.ndarray,
     off_tol_factor: float = 1e-14,
     max_sweeps: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
+    """Round-robin Jacobi diagonalization of a symmetric matrix.
+
+    A sweep visits every ``(p, q)`` pair once, in rounds of disjoint pairs
+    (Brent & Luk) whose rotations are applied together.  Only rows with a
+    nonzero off-diagonal entry take part: a rotation never mixes another row
+    in, so the other diagonal entries and unit vectors pass through as they
+    are.
 
     Returns (eigenvalues ascending, orthogonal Q with matching columns) so
-    that ``A = Q diag(w) Q^T``.  Raises RuntimeError if the off-diagonal
-    norm has not dropped below ``off_tol_factor * ||A||_F`` within
+    that ``A = Q diag(w) Q^T``.  Raises ValueError on non-finite entries, and
+    RuntimeError, with the final ``off/||A||_F``, if the off-diagonal norm
+    has not dropped below ``off_tol_factor * ||A||_F`` within
     ``max_sweeps`` full sweeps.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     n = a.shape[0]
     if n == 1:
         return a.diagonal().copy(), np.eye(1)
     a = (a + a.T) / 2.0
-    v = np.eye(n)
     fro = float(np.linalg.norm(a))
     threshold = off_tol_factor * max(fro, np.finfo(float).tiny)
-
-    def off_norm(x: np.ndarray) -> float:
-        # Square the off-diagonal entries directly; subtracting the diagonal
-        # mass from the total cancels catastrophically near convergence.
-        off = x - np.diag(x.diagonal())
-        return float(np.linalg.norm(off))
-
+    w = a.diagonal().copy()
+    active = np.flatnonzero((a != np.diag(w)).any(axis=1))
+    sub = a[np.ix_(active, active)]
+    v = np.eye(active.size)
     for _ in range(max_sweeps):
-        if off_norm(a) <= threshold:
+        if _off_norm(sub) <= threshold:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # Rotation angle per the standard stable formulas; the first
-                # branch avoids overflow when apq is negligible against the
-                # diagonal gap.
-                h = a[q, q] - a[p, p]
-                if abs(h) + 100.0 * abs(apq) == abs(h):
-                    t = apq / h
-                else:
-                    theta = 0.5 * h / apq
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+        _jacobi_sweep(sub, v, _round_robin_schedule(active.size))
     else:
         raise RuntimeError(
-            f"Jacobi eigensolver did not converge within {max_sweeps} sweeps"
+            f"Jacobi eigensolver did not converge within {max_sweeps} sweeps "
+            f"(off/||A||_F = {_off_norm(sub) / fro:.3e})"
         )
-    w = a.diagonal().copy()
+    w[active] = sub.diagonal()
+    q = np.eye(n)
+    q[np.ix_(active, active)] = v
     order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return w[order], q[:, order]
 
 
 def eigen_spectrum(matrix: OperatorMatrix) -> Spectrum:

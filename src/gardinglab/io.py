@@ -14,6 +14,7 @@ otherwise the largest index seen is used.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,8 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
             value = float(tokens[4])
         except ValueError:
             raise VectorParseError(f"bad component line: {body!r}", lineno) from None
+        if not math.isfinite(value):
+            raise VectorParseError(f"non-finite value: {tokens[4]!r}", lineno)
         if min(i, j, k, l) < 1:
             raise VectorParseError("indices are 1-based", lineno)
         if not (i < j and k < l and (i, j) <= (k, l)):

@@ -5,7 +5,9 @@ projections so that library outputs are checked against a second route:
 subset enumeration for symmetric polynomials and selection sums, basic
 feasible solutions for the capped weighted-sum extremes, and a ball
 projection for the boundary minimum of the partial sum.  The equivalent
-closed forms of the verdict thresholds live here too.
+closed forms of the verdict thresholds live here too, and so does the
+scalar cyclic-order Jacobi loop that the library's round-robin solver
+replaced.
 """
 
 from __future__ import annotations
@@ -125,3 +127,38 @@ def space_form_second_threshold_dim_form(n: int) -> float:
 def cpn_cohomology_threshold_inverse_form(n: int) -> float:
     """CP^n cohomology threshold through the generic inverse at target 3 - 2/n."""
     return epsilon_for_target_m(3.0 - 2.0 / n, n * n)
+
+
+def cyclic_jacobi_eigenvalues(matrix, off_tol_factor: float = 1e-14) -> np.ndarray:
+    """Ascending eigenvalues by one scalar Jacobi rotation per (p, q) pair.
+
+    Sweeps visit the pairs in row-cyclic order, p < q; the angle formula and
+    the stopping test are those of ``curvature.jacobi_eigensystem``.
+    """
+    a = np.array(matrix, dtype=float)
+    a = (a + a.T) / 2.0
+    n = a.shape[0]
+    threshold = off_tol_factor * max(float(np.linalg.norm(a)), np.finfo(float).tiny)
+    for _ in range(100):
+        if np.linalg.norm(a - np.diag(a.diagonal())) <= threshold:
+            return np.sort(a.diagonal())
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                h = a[q, q] - a[p, p]
+                if abs(h) + 100.0 * abs(apq) == abs(h):
+                    t = apq / h
+                else:
+                    theta = 0.5 * h / apq
+                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rot = np.array([[c, -s], [s, c]])
+                a[[p, q], :] = rot @ a[[p, q], :]
+                a[:, [p, q]] = a[:, [p, q]] @ rot.T
+                a[p, q] = a[q, p] = 0.0
+    raise RuntimeError("cyclic Jacobi did not converge within 100 sweeps")

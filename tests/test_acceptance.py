@@ -213,7 +213,7 @@ def test_criterion_4_monotonicity_and_nesting():
 
 def test_criterion_5_scalar_curvature_identities():
     failures = []
-    for n in range(3, 9):
+    for n in range(3, 15):
         tensor = model_space_form(n, 1.0)
         spectrum = eigen_spectrum(assemble_first_kind(tensor)).array
         if not np.allclose(spectrum, 1.0, atol=1e-10):
@@ -226,9 +226,27 @@ def test_criterion_5_scalar_curvature_identities():
     product = eigen_spectrum(assemble_first_kind(model_product_spheres(2, 2))).array
     if np.max(np.abs(product - np.array([0, 0, 0, 0, 1, 1.0]))) > 1e-10:
         failures.append(("S2xS2", "spectrum"))
+    for p in range(2, 8):
+        for q in range(p, 8):
+            # On 2-forms: 1 on each factor's own 2-forms, 0 on the mixed ones.
+            ones = two_form_count(p) + two_form_count(q)
+            expected = np.r_[np.zeros(p * q), np.ones(ones)]
+            tensor = model_product_spheres(p, q)
+            spectrum = eigen_spectrum(assemble_first_kind(tensor)).array
+            if np.max(np.abs(spectrum - expected)) > 1e-10:
+                failures.append((f"S{p}xS{q}", "spectrum"))
+            report = scalar_curvature_checks(tensor)
+            scal = p * (p - 1) + q * (q - 1)
+            if abs(report.scalar_curvature - scal) > 1e-8 * scal:
+                failures.append((f"S{p}xS{q}", "scal value"))
+            if report.first_kind_rel_err > 1e-8 or report.second_kind_rel_err > 1e-8:
+                failures.append((f"S{p}xS{q}", "identity"))
     ok = not failures
     _report_line(
-        5, ok, "unit spheres n=3..8 and the 4-dim product match both identities"
+        5,
+        ok,
+        "unit spheres n=3..14 and the products S^p x S^q, 2 <= p <= q <= 7, "
+        "match both identities",
     )
     assert ok, failures
 

@@ -72,6 +72,17 @@ class TestTensorFiles:
         with pytest.raises(VectorParseError):
             parse_tensor_text("dim 3\n2 1 1 2 1\n")
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value_rejected(self, value, capsys, tmp_path):
+        text = f"dim 3\n1 2 1 2 1\n1 3 1 3 {value}\n"
+        with pytest.raises(VectorParseError) as info:
+            parse_tensor_text(text)
+        assert info.value.line == 3
+        path = tmp_path / "t.txt"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "model-space", "file", "--tensor-file", str(path))
+        assert code == 65 and "non-finite" in err
+
     def test_symmetry_violation_rejected(self):
         # Lone off-block component breaks the first Bianchi identity.
         with pytest.raises(ValueError):
@@ -162,6 +173,26 @@ class TestVerifyInclusionCommand:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+class TestParserReuse:
+    def test_one_parser_keeps_no_state_between_calls(self, capsys, monkeypatch):
+        import gardinglab.cli as cli_mod
+        from gardinglab.config import DEFAULT_SEED
+
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        assert cli_mod._build_parser() is cli_mod._build_parser()
+        tail = ("--samples", "20", "--format", "machine", "verify-inclusion", "--n", "4",
+                "--epsilon", "0.5", "--method", "rejection")
+        code, out, _ = run_cli(capsys, "--seed", "3", *tail)
+        assert code == 0 and json.loads(out.splitlines()[0])["seed"] == 3
+        code, out, _ = run_cli(capsys, *tail)
+        assert code == 0 and json.loads(out.splitlines()[0])["seed"] == DEFAULT_SEED
+        code, _, err = run_cli(capsys, "--seed", "3", "verify-inclusion", "--n", "4")
+        assert code == 64 and "--epsilon" in err
+        code, out, _ = run_cli(capsys, *tail)
+        record = json.loads(out.splitlines()[0])
+        assert code == 0 and record["seed"] == DEFAULT_SEED and record["method"] == "rejection"
 
 
 class TestModelSpaceCommand:

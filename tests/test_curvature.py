@@ -1,5 +1,8 @@
 """Model-space operators, symmetry validation, and the Jacobi eigensolver."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,16 @@ from gardinglab.curvature import (
     trace_free_basis,
     trace_free_count,
     two_form_count,
+    validate_curvature_symmetries,
+    _round_robin_schedule,
 )
+
+from oracles import cyclic_jacobi_eigenvalues
+
+
+def _random_symmetric(n, seed):
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    return (a + a.T) / 2
 
 
 class TestModelSpaces:
@@ -55,6 +67,17 @@ class TestModelSpaces:
         bad[0, 1, 0, 1] = 1.0  # missing all symmetry partners
         with pytest.raises(ValueError):
             CurvatureTensor.from_components(bad)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_validation_rejects_non_finite(self, bad):
+        # Each identity then compares non-finite values, which gives NaN.
+        r = model_space_form(3, 1.0).components.copy()
+        r[0, 1, 0, 1] = r[1, 0, 1, 0] = bad
+        r[1, 0, 0, 1] = r[0, 1, 1, 0] = -bad
+        with pytest.raises(ValueError, match="symmetries violated"):
+            validate_curvature_symmetries(r)
+        with pytest.raises(ValueError):
+            CurvatureTensor.from_components(r)
 
     def test_random_tensors_satisfy_identities(self):
         for seed in range(5):
@@ -191,6 +214,121 @@ class TestJacobiEigensolver:
         with pytest.raises(ValueError):
             jacobi_eigensystem(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "n, assemble",
+        [
+            (10, assemble_first_kind),
+            (10, assemble_second_kind),
+            (14, assemble_first_kind),
+            (14, assemble_second_kind),
+        ],
+    )
+    def test_curvature_operators_match_lapack_oracle(self, n, assemble):
+        # N = 45, 54, 91, 104; eigvalsh is the oracle only.
+        a = assemble(random_curvature_tensor(n, seed=n)).entries
+        w, _ = jacobi_eigensystem(a)
+        fro = np.linalg.norm(a)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-13 * fro
+
+    def test_round_robin_schedule_covers_each_pair_once(self):
+        for m in range(2, 42):
+            rounds = _round_robin_schedule(m)
+            assert len(rounds) == m - 1 + m % 2
+            for p, q in rounds:
+                assert np.all(p < q) and np.unique(np.r_[p, q]).size == 2 * p.size
+            pairs = sorted(pair for p, q in rounds for pair in zip(p.tolist(), q.tolist()))
+            assert pairs == list(itertools.combinations(range(m), 2))
+
+    @pytest.mark.parametrize("assemble", [assemble_first_kind, assemble_second_kind])
+    def test_round_robin_matches_cyclic_loop(self, assemble):
+        # Same rotations in another order: equal eigenvalues up to rounding.
+        a = assemble(random_curvature_tensor(6, seed=3)).entries
+        w, _ = jacobi_eigensystem(a)
+        assert np.max(np.abs(w - cyclic_jacobi_eigenvalues(a))) <= 1e-13 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 21])
+    def test_small_and_odd_sizes_match_lapack_oracle(self, n):
+        a = _random_symmetric(n, seed=100 + n)
+        w, q = jacobi_eigensystem(a)
+        fro = np.linalg.norm(a)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-13 * fro
+        assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-13
+
+    def test_reconstruction_and_orthogonality_at_104(self):
+        a = assemble_second_kind(random_curvature_tensor(14, seed=5)).entries
+        w, q = jacobi_eigensystem(a)
+        assert np.linalg.norm(a - q @ np.diag(w) @ q.T) <= 1e-12 * np.linalg.norm(a)
+        assert np.max(np.abs(q.T @ q - np.eye(104))) <= 1e-12
+        assert np.all(np.diff(w) >= 0)
+
+    def test_inactive_rows_pass_through(self):
+        # S^7 x S^7 on trace-free tensors: only 13 of 104 rows have a
+        # nonzero off-diagonal entry.
+        a = assemble_second_kind(model_product_spheres(7, 7)).entries
+        inactive = np.flatnonzero(~(a - np.diag(a.diagonal())).any(axis=1))
+        assert inactive.size == 104 - 13
+        w, q = jacobi_eigensystem(a)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-13 * np.linalg.norm(a))
+        assert np.max(np.abs(q.T @ q - np.eye(104))) <= 1e-13
+        _assert_exact_eigenpairs(a, w, q, inactive)
+
+    def test_one_isolated_pair(self):
+        a = np.diag([5.0, 1.0, 4.0, 2.0, 3.0, 0.0])
+        a[1, 4] = a[4, 1] = 0.5
+        w, q = jacobi_eigensystem(a)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-15)
+        np.testing.assert_allclose(q @ np.diag(w) @ q.T, a, atol=1e-15)
+        _assert_exact_eigenpairs(a, w, q, [0, 2, 3, 5])
+
+    def test_zero_matrix(self):
+        w, q = jacobi_eigensystem(np.zeros((7, 7)))
+        assert np.all(w == 0.0)
+        assert np.array_equal(q, np.eye(7))
+
+    def test_max_sweeps_is_honoured(self):
+        a = _random_symmetric(30, seed=7)
+        w, q = jacobi_eigensystem(a)
+        needed = next(k for k in range(1, 100) if _converges(a, k))
+        assert needed > 2
+        w_cap, q_cap = jacobi_eigensystem(a, max_sweeps=needed)
+        assert np.array_equal(w_cap, w) and np.array_equal(q_cap, q)
+        with pytest.raises(RuntimeError, match=f"within {needed - 1} sweeps"):
+            jacobi_eigensystem(a, max_sweeps=needed - 1)
+
+    def test_failure_reports_off_diagonal_ratio(self):
+        with pytest.raises(RuntimeError) as info:
+            jacobi_eigensystem(_random_symmetric(30, seed=11), max_sweeps=1)
+        found = re.search(r"within 1 sweeps \(off/\|\|A\|\|_F = (\S+)\)", str(info.value))
+        assert found, str(info.value)
+        assert 1e-14 < float(found.group(1)) < 1.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(10)
+        a[2, 5] = a[5, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            jacobi_eigensystem(a)
+
+    def test_nan_matrix_fails_before_any_sweep(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            jacobi_eigensystem(np.full((6, 6), np.nan))
+
+
+def _assert_exact_eigenpairs(a, w, q, rows):
+    """Rows never rotated: their unit vectors and diagonal entries come out unchanged."""
+    for row in rows:
+        unit = np.eye(a.shape[0])[:, row]
+        cols = [j for j in range(a.shape[0]) if np.array_equal(q[:, j], unit)]
+        assert len(cols) == 1 and w[cols[0]] == a[row, row], row
+
+
+def _converges(a, max_sweeps):
+    try:
+        jacobi_eigensystem(a, max_sweeps=max_sweeps)
+    except RuntimeError:
+        return False
+    return True
+
 
 class TestOperatorMatrixAndSpectrum:
     def test_kind_size_validation(self):
@@ -203,6 +341,15 @@ class TestOperatorMatrixAndSpectrum:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             OperatorMatrix.from_entries(bad)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entries_rejected(self, bad):
+        # inf - inf is NaN, and NaN > atol is false: the check must be
+        # written so that NaN fails it.
+        a = np.eye(10)
+        a[2, 5] = a[5, 2] = bad
+        with pytest.raises(ValueError):
+            OperatorMatrix.from_entries(a)
 
     def test_generic_spectrum_has_no_dimension(self):
         spec = eigen_spectrum(OperatorMatrix.from_entries(np.eye(5), KIND_GENERIC))
