@@ -385,6 +385,12 @@ def jacobi_eigensystem(
     in, so the other diagonal entries and unit vectors pass through as they
     are.
 
+    The solve runs on the matrix scaled by the power of two that brings its
+    largest entry into [0.5, 1), so ``||A||_F`` cannot overflow at any finite
+    scale.  Every rotation angle is scale-invariant and the scale is exact,
+    so the result is bit for bit the unscaled one wherever no entry falls
+    to a subnormal.
+
     Returns (eigenvalues ascending, orthogonal Q with matching columns) so
     that ``A = Q diag(w) Q^T``.  Raises ValueError on non-finite entries, and
     RuntimeError, with the final ``off/||A||_F``, if the off-diagonal norm
@@ -399,11 +405,13 @@ def jacobi_eigensystem(
     n = a.shape[0]
     if n == 1:
         return a.diagonal().copy(), np.eye(1)
+    w = a.diagonal().copy()
+    exponent = int(np.frexp(np.abs(a).max())[1])
+    a = np.ldexp(a, -exponent)
     a = (a + a.T) / 2.0
     fro = float(np.linalg.norm(a))
     threshold = off_tol_factor * max(fro, np.finfo(float).tiny)
-    w = a.diagonal().copy()
-    active = np.flatnonzero((a != np.diag(w)).any(axis=1))
+    active = np.flatnonzero((a != np.diag(a.diagonal())).any(axis=1))
     sub = a[np.ix_(active, active)]
     v = np.eye(active.size)
     for _ in range(max_sweeps):
@@ -415,7 +423,7 @@ def jacobi_eigensystem(
             f"Jacobi eigensolver did not converge within {max_sweeps} sweeps "
             f"(off/||A||_F = {_off_norm(sub) / fro:.3e})"
         )
-    w[active] = sub.diagonal()
+    w[active] = np.ldexp(sub.diagonal(), exponent)
     q = np.eye(n)
     q[np.ix_(active, active)] = v
     order = np.argsort(w, kind="stable")

@@ -5,7 +5,13 @@ Conventions used throughout the package:
 * ``sigma_k(v) = sum over i_1 < ... < i_k of v[i_1] * ... * v[i_k]``,
   computed by the Newton--Horner coefficient recurrence on the product
   ``prod(1 + t*v_i)`` (coefficient of ``t^k``).  The recurrence is exact for
-  integer inputs within the float mantissa and O(N*k) in time.
+  integer inputs within the float mantissa and O(N*k) in time.  It runs in
+  two loop orders with the same float operations in the same order, so both
+  give the same bits on finite input.  A (B, N) batch runs entry by entry
+  over coefficient-major ``(k+1, B)`` storage, so each step is one
+  contiguous vector update of every row at once.  A single row runs degree
+  by degree, one cumulative sum of the running ``sigma_{j-1}`` prefixes per
+  degree, so it takes k numpy steps instead of N.
 * Sorted vectors are non-decreasing.  Ties are broken stably by original
   index so that recorded permutations are reproducible.
 * ``partial_sum_fractional(v, m)`` with real ``m`` sums the ``floor(m)``
@@ -130,15 +136,40 @@ def elementary_symmetric(v: VectorLike, k: int) -> float:
 
 
 def sigma_prefix(v: VectorLike, k: int) -> np.ndarray:
-    """Array (sigma_1, ..., sigma_k): one row of ``sigma_prefix_batch``."""
-    return sigma_prefix_batch(as_array(v)[None, :], k)[0]
+    """Array (sigma_1, ..., sigma_k) of one vector, bit for bit one row of
+    ``sigma_prefix_batch``.
+
+    After the first i+1 entries, ``sigma_j`` is the previous ``sigma_j``
+    plus ``v[i]`` times the previous ``sigma_{j-1}``.  For one degree j that
+    is a running sum over i, so each degree is one sequential
+    ``add.accumulate`` over the prefixes of the degree below.  The batch
+    loop starts every sum at +0.0 where this one starts at its first term;
+    the two differ only in the sign of a zero, which the final ``+ 0.0``
+    clears.
+    """
+    x = as_array(v)
+    n = x.size
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    prefix = np.add.accumulate(x)
+    last = [prefix[-1]]
+    for j in range(1, k):
+        prefix = np.add.accumulate(x[j:] * prefix[:-1])
+        last.append(prefix[-1])
+    out = np.array(last)
+    out += 0.0
+    return out
 
 
 def sigma_prefix_batch(rows: np.ndarray, k: int) -> np.ndarray:
     """Row-wise (sigma_1, ..., sigma_k) for a (B, N) batch.
 
     Horner coefficient recurrence: multiplying by ``(1 + t*mu)`` adds mu
-    times every coefficient to the next one up.
+    times every coefficient to the next one up.  Coefficients are stored
+    coefficient-major, ``(k+1, B)``, and each column is copied once into a
+    contiguous buffer, so every update is a contiguous vector operation.
+    Before entry i only coefficients 0..i can be nonzero, so the first k
+    entries update just those.  Returns a transposed ``(B, k)`` view.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
@@ -146,12 +177,14 @@ def sigma_prefix_batch(rows: np.ndarray, k: int) -> np.ndarray:
     b, n = rows.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    coeffs = np.zeros((b, k + 1))
-    coeffs[:, 0] = 1.0
-    higher, lower = coeffs[:, 1:], coeffs[:, :-1]
-    for column in rows.T[:, :, None]:
-        higher += column * lower
-    return higher
+    coeffs = np.zeros((k + 1, b))
+    coeffs[0] = 1.0
+    column = np.empty(b)
+    for i in range(n):
+        np.copyto(column, rows[:, i])
+        top = min(i + 1, k)
+        coeffs[1 : top + 1] += column * coeffs[:top]
+    return coeffs[1:].T
 
 
 def sigma2_via_power_sums(v: VectorLike) -> float:

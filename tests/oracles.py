@@ -5,9 +5,9 @@ projections so that library outputs are checked against a second route:
 subset enumeration for symmetric polynomials and selection sums, basic
 feasible solutions for the capped weighted-sum extremes, and a ball
 projection for the boundary minimum of the partial sum.  The equivalent
-closed forms of the verdict thresholds live here too, and so does the
-scalar cyclic-order Jacobi loop that the library's round-robin solver
-replaced.
+closed forms of the verdict thresholds live here too, and so do the loops
+the library replaced: the row-major sigma recurrence and the scalar
+cyclic-order Jacobi loop.
 """
 
 from __future__ import annotations
@@ -26,6 +26,21 @@ def sigma_subsets(values, k: int) -> float:
     for combo in itertools.combinations(values, k):
         total += math.prod(combo)
     return total
+
+
+def sigma_prefix_row_major(rows, k: int) -> np.ndarray:
+    """Row-wise (sigma_1, ..., sigma_k) of a (B, N) batch, row-major.
+
+    Every entry updates every coefficient of a (B, k+1) array; the library's
+    kernels run the same float operations in other loop orders.
+    """
+    rows = np.asarray(rows, dtype=float)
+    coeffs = np.zeros((rows.shape[0], k + 1))
+    coeffs[:, 0] = 1.0
+    higher, lower = coeffs[:, 1:], coeffs[:, :-1]
+    for column in rows.T[:, :, None]:
+        higher += column * lower
+    return higher
 
 
 def selection_sum_min(values, m: float) -> float:

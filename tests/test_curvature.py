@@ -313,6 +313,23 @@ class TestJacobiEigensolver:
         with pytest.raises(ValueError, match="non-finite"):
             jacobi_eigensystem(np.full((6, 6), np.nan))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_huge_entries_still_rotate(self, scale):
+        # ||A||_F of these overflows; an inf threshold would return the diagonal.
+        w, q = jacobi_eigensystem(np.array([[1.0, 1.0], [1.0, -1.0]]) * scale)
+        np.testing.assert_allclose(w, [-np.sqrt(2.0) * scale, np.sqrt(2.0) * scale], rtol=1e-14)
+        np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-15)
+
+    @pytest.mark.parametrize("power", [-900, -300, -1, 1, 300, 1000])
+    def test_power_of_two_scale_is_exact(self, power):
+        # Each entry stays normal, so scaling by 2^power scales the
+        # eigenvalues exactly and leaves the eigenvectors as they are.
+        a = _random_symmetric(12, seed=19)
+        w, q = jacobi_eigensystem(a)
+        w_scaled, q_scaled = jacobi_eigensystem(np.ldexp(a, power))
+        assert np.array_equal(w_scaled, np.ldexp(w, power))
+        assert np.array_equal(q_scaled, q)
+
 
 def _assert_exact_eigenpairs(a, w, q, rows):
     """Rows never rotated: their unit vectors and diagonal entries come out unchanged."""

@@ -19,7 +19,7 @@ from gardinglab.symfun import (
     sigma_prefix_batch,
 )
 
-from oracles import sigma_subsets
+from oracles import sigma_prefix_row_major, sigma_subsets
 
 
 class TestElementarySymmetric:
@@ -84,28 +84,32 @@ class TestElementarySymmetric:
             elementary_symmetric([1.0, float("nan")], 1)
 
     def test_single_row_matches_vector_loop(self):
-        # The one-vector Horner loop does the same float operations as the
-        # batched recurrence, so the results agree bit for bit.
+        # The degree-major single-row kernel does the same float operations
+        # as the row-major loop, so the results agree bit for bit, signed
+        # zeros included: the loop never returns -0.0.
         rng = np.random.default_rng(17)
         for _ in range(300):
             n = int(rng.integers(1, 41))
             v = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
-            k = int(rng.integers(1, n + 1))
-            coeffs = np.zeros(k + 1)
-            coeffs[0] = 1.0
-            for mu in v:
-                coeffs[1:] = coeffs[1:] + mu * coeffs[:-1]
-            assert np.array_equal(sigma_prefix(v, k), coeffs[1:])
+            v[rng.random(n) < 0.2] = 0.0
+            v[rng.random(n) < 0.2] = -0.0
+            for k in sorted({1, min(2, n), n, int(rng.integers(1, n + 1))}):
+                got = sigma_prefix(v, k)
+                assert np.array_equal(got, sigma_prefix_row_major(v[None, :], k)[0])
+                assert not np.signbit(got[got == 0.0]).any()
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
-        rows = rng.normal(size=(40, 9))
-        batch = sigma_prefix_batch(rows, 9)
-        for i in range(rows.shape[0]):
-            for k in range(1, 10):
-                assert batch[i, k - 1] == pytest.approx(
-                    elementary_symmetric(rows[i], k), rel=1e-12, abs=1e-13
-                )
+        n = 9
+        for b in (1, 40, 4000):
+            rows = rng.normal(size=(b, n)) * 10.0 ** rng.uniform(-3, 3, size=(b, 1))
+            rows[rng.random((b, n)) < 0.1] = 0.0
+            rows[rng.random((b, n)) < 0.1] = -0.0
+            for k in (1, 2, 3, n):
+                batch = sigma_prefix_batch(rows, k)
+                assert batch.shape == (b, k)
+                assert np.array_equal(batch, sigma_prefix_row_major(rows, k))
+                assert np.array_equal(batch, [sigma_prefix(row, k) for row in rows])
 
 
 class TestSigma2PowerSums:
