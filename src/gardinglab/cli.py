@@ -68,7 +68,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--tol", type=float, default=None, help="cone tolerance")
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
     parser.add_argument("--samples", type=int, default=None, help="sample count")
-    parser.add_argument("--restarts", type=int, default=None, help="optimizer restarts")
+    parser.add_argument(
+        "--restarts", type=int, default=None, help="accepted for compatibility; unused"
+    )
     parser.add_argument(
         "--format",
         choices=("human", "machine"),
@@ -201,13 +203,7 @@ def _cmd_verify_inclusion(args, config: RunConfig) -> int:
             "note: no samples requested; vacuous pass",
         )
     if args.boundary_search:
-        bs = boundary_search(
-            N=args.n,
-            epsilon=args.epsilon,
-            restarts=config.restarts,
-            seed=config.seed,
-            tol=config.tol,
-        )
+        bs = boundary_search(N=args.n, epsilon=args.epsilon, tol=config.tol)
         ok = ok and bs.ok
         _emit(
             config,

@@ -90,6 +90,7 @@ def dimension_for_count(N: int, kind: str) -> Optional[int]:
     return None
 
 
+@np.errstate(invalid="ignore")
 def validate_curvature_symmetries(components: np.ndarray, atol: float = _SYMMETRY_ATOL) -> None:
     """Raise ValueError if any algebraic curvature identity fails."""
     r = components
@@ -154,7 +155,8 @@ class OperatorMatrix:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("operator matrix must be at least 1x1")
-        asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+            asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
         if not asym <= _SYMMETRY_ATOL:
             raise ValueError(f"matrix asymmetry {asym} exceeds {_SYMMETRY_ATOL}")
         if kind not in (KIND_FIRST, KIND_SECOND, KIND_GENERIC):

@@ -14,14 +14,15 @@ m-positivity cone ``P_{m_eps}``.  The workhorse is the algebraic identity
 which turns membership into a ball condition around the diagonal: on the
 slice ``sum(v) = 1`` the feasible set is exactly the ball of radius
 ``eps * sqrt((N-1)/N)`` about the barycenter in the sum-zero hyperplane.
-The ball sampler and the boundary optimizer exploit that geometry; Gaussian
-rejection sampling does not assume it, and the residual of the identity
-itself is exposed for independent checking.
+The ball sampler draws from that ball, and the boundary search minimizes
+the partial sum over it in closed form; Gaussian rejection sampling does not
+assume the identity, and the residual of the identity itself is exposed for
+independent checking.
 
 Equality in the inclusion is rigid: it forces ``m_eps`` to be a positive
 integer and the sorted vector to consist of ``m_eps`` zeros followed by
 equal positive entries.  ``sharp_witness`` builds those extremal vectors and
-``boundary_search`` recovers them numerically.
+``boundary_search`` recovers them as the exact minimizers of the partial sum.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .symfun import (
     VectorLike,
     as_array,
     elementary_symmetric,
-    partial_sum_batch,
     partial_sum_fractional,
     partial_sum_weights,
 )
@@ -67,8 +67,6 @@ CASE_NOT_MEMBER = "not_member"
 # raw draws; no batch holds more than _MAX_BATCH rows.
 _DRAW_CAP = 100_000_000
 _MAX_BATCH = 2_000_000
-# The boundary search refines its restarts every this many iterations.
-_REFINE_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -403,7 +401,7 @@ def verify_inclusion_sampling(
 
 
 # ---------------------------------------------------------------------------
-# Boundary optimization
+# Boundary minimization
 # ---------------------------------------------------------------------------
 
 
@@ -417,8 +415,8 @@ def boundary_minimum_closed_form(p: EpsilonParams) -> float:
         m/N - rho * sqrt(floor(m) + frac^2 - m^2/N).
 
     The value is 0 exactly when m_eps is an integer and strictly positive
-    otherwise.  Kept next to the optimizer as an audit value; tests use an
-    independent re-derivation.
+    otherwise.  ``boundary_search`` checks its evaluated minimum against this
+    formula; tests use an independent re-derivation.
     """
     m = p.m_eps
     fl = math.floor(m)
@@ -428,31 +426,33 @@ def boundary_minimum_closed_form(p: EpsilonParams) -> float:
 
 @dataclass
 class BoundarySearchReport(Record):
-    """Result of minimizing the m_eps-partial sum over the cone slice.
+    """The minimum of the m_eps-partial sum over the cone slice, and its minimizer.
 
-    ``iterations`` is the cap on subgradient iterations; ``iterations_used``
-    says how many ran before every restart was certified.
+    ``minimizer`` is the sorted exact minimizer and ``min_c0`` the partial
+    sum evaluated at it.  ``converged`` says that the evaluated minimum
+    agrees with ``boundary_minimum_closed_form`` and that the minimizer is a
+    closed member of the shifted cone.  The minimizer is found in one step,
+    so ``restarts`` and ``iterations`` are the constants 1 and 0.
     """
 
     record_tag = "boundary_search"
+    restarts = 1
+    iterations = 0
 
     N: int
     epsilon: float
     m_eps: float
-    seed: int
     tol: float
-    restarts: int
-    iterations: int
-    min_c0: float = math.inf
-    minimizer: list = field(default_factory=list)
-    converged: bool = False
-    restarts_converged: int = 0
+    min_c0: float
+    minimizer: list
+    converged: bool
     rigid_pattern: Optional[list] = None
     max_pattern_diff: Optional[float] = None
     matched_rigid: Optional[bool] = None
-    # Solver counter, kept out of records so that they depend on the
-    # answer only, like the members of a sampling run.
-    iterations_used: int = field(default=0, metadata={"record": False})
+
+    @property
+    def restarts_converged(self) -> int:
+        return int(self.converged)
 
     @property
     def ok(self) -> bool:
@@ -461,111 +461,48 @@ class BoundarySearchReport(Record):
         return good_value and good_pattern and self.converged
 
 
-def boundary_search(
-    N: int,
-    epsilon: float,
-    restarts: int = 32,
-    seed: int = 0,
-    iterations: int = 10_000,
-    step: float = 1e-2,
-    tol: float = DEFAULT_TOL,
-) -> BoundarySearchReport:
+def boundary_search(N: int, epsilon: float, tol: float = DEFAULT_TOL) -> BoundarySearchReport:
     """Minimize the m_eps-partial sum over the closed cone slice sum(v) = 1.
 
-    Projected subgradient descent with random restarts: the objective is a
-    minimum of linear functionals (concave), the feasible set on the slice
-    is a ball, and projection is a radial clip.  The base step shrinks as
-    1/sqrt(iteration).  Every 10 iterations, and at the cap, all restarts
-    get an active-set refinement: the supporting selection of the best
-    iterate is frozen and its linear functional is minimized over the ball
-    in closed form, which is what pins the minimizer to entrywise accuracy.
+    Over sorted entries the partial sum is the dot product with the weights
+    ``w = partial_sum_weights(m_eps, N)``, and every other selection is a
+    permutation of w.  On the slice the cone is the ball of radius rho about
+    the barycenter, so the minimizer is the ball point opposite the sum-zero
+    part of w,
 
-    A refinement certifies when the frozen selection is still binding at the
-    refined point (the linearized and the true objective agree to 1e-10
-    relative); a certified point replaces the restart's best iterate.  The
-    search stops once every restart is certified and its selection has not
-    changed since the previous refinement, so ``iterations`` is a cap.  A
-    restart counts as converged when its last refinement certified;
-    non-convergence of the best restart is flagged.
+        v* = 1/N - rho * (w - mean w) / ||w - mean w||,
+
+    which is already sorted, because w is non-increasing.  w is never
+    constant, since 0 < m_eps < N - 1.  When m_eps is an integer the
+    minimizer is compared entrywise with the rigid pattern (m_eps zeros,
+    then equal entries).
     """
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
     p = epsilon_to_params(epsilon, N)
     m = p.m_eps
-    rho = p.slice_radius
-    basis = _sum_zero_basis(N)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-
+    direction = partial_sum_weights(m, N)
+    direction -= direction.mean()
+    minimizer = np.sort(1.0 / N - p.slice_radius * direction / np.linalg.norm(direction))
+    min_c0 = partial_sum_fractional(minimizer, m)
+    exact = boundary_minimum_closed_form(p)
+    converged = (
+        abs(min_c0 - exact) <= 1e-10 * (1.0 + abs(exact))
+        and in_shifted_cone(minimizer, 2, p.shift_params, tol).member_closed
+    )
     report = BoundarySearchReport(
         N=N,
         epsilon=p.epsilon,
         m_eps=m,
-        seed=seed,
         tol=tol,
-        restarts=restarts,
-        iterations=iterations,
+        min_c0=min_c0,
+        minimizer=[float(t) for t in minimizer],
+        converged=converged,
     )
-
-    weight = partial_sum_weights(m, N)
-
-    def supporting(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slice points of w and the partial-sum weights at their positions."""
-        v = 1.0 / N + w @ basis
-        order = np.argsort(v, axis=1, kind="stable")
-        sel = np.zeros_like(v)
-        np.put_along_axis(sel, order, np.broadcast_to(weight, v.shape), axis=1)
-        return v, sel
-
-    w = _ball_points(rng, restarts, N - 1, rho)
-    best_vals = np.full(restarts, np.inf)
-    best_w = w.copy()
-    prev_sel = None
-    for t in range(iterations):
-        v, sel = supporting(w)
-        obj = (sel * v).sum(axis=1)
-        improved = obj < best_vals
-        best_vals = np.where(improved, obj, best_vals)
-        best_w[improved] = w[improved]
-        if (t + 1) % _REFINE_EVERY == 0 or t + 1 == iterations:
-            # Minimize each frozen selection over the ball: the minimizer is
-            # the radial point opposite the selection's sum-zero component.
-            # The selection never lies along (1, ..., 1), since 0 < m < N - 1.
-            _, best_sel = supporting(best_w)
-            sel_w = best_sel @ basis.T
-            cand = -rho * sel_w / np.linalg.norm(sel_w, axis=1, keepdims=True)
-            cand_v = 1.0 / N + cand @ basis
-            cand_obj = partial_sum_batch(np.sort(cand_v, axis=1), m)
-            lin_obj = (best_sel * cand_v).sum(axis=1)
-            converged = lin_obj - cand_obj <= 1e-10 * (1.0 + np.abs(cand_obj))
-            best_w[converged] = cand[converged]
-            best_vals[converged] = cand_obj[converged]
-            stable = prev_sel is not None and np.array_equal(best_sel, prev_sel)
-            if stable and converged.all():
-                break
-            prev_sel = best_sel
-        w = w - (step / math.sqrt(t + 1.0)) * (sel @ basis.T)
-        norms = np.linalg.norm(w, axis=1, keepdims=True)
-        over = norms[:, 0] > rho
-        if np.any(over):
-            w[over] *= rho / norms[over]
-    report.iterations_used = t + 1
-
-    best = int(np.argmin(best_vals))
-    minimizer = 1.0 / N + best_w[best] @ basis
-    report.min_c0 = float(best_vals[best])
-    report.minimizer = [float(t) for t in np.sort(minimizer)]
-    report.restarts_converged = int(converged.sum())
-    report.converged = bool(converged[best])
 
     m_int = round(m)
     if abs(m - m_int) <= 1e-9 and 1 <= m_int <= N - 1:
         pattern = np.zeros(N)
         pattern[m_int:] = 1.0 / (N - m_int)
-        diff = float(np.max(np.abs(np.sort(minimizer) - pattern)))
+        diff = float(np.max(np.abs(minimizer - pattern)))
         report.rigid_pattern = [float(t) for t in pattern]
         report.max_pattern_diff = diff
         report.matched_rigid = diff <= 1e-6

@@ -6,18 +6,25 @@ subset enumeration for symmetric polynomials and selection sums, basic
 feasible solutions for the capped weighted-sum extremes, and a ball
 projection for the boundary minimum of the partial sum.  The equivalent
 closed forms of the verdict thresholds live here too, and so do the loops
-the library replaced: the row-major sigma recurrence and the scalar
-cyclic-order Jacobi loop.
+the library replaced: the row-major sigma recurrence, the scalar
+cyclic-order Jacobi loop and the restarted subgradient boundary search.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from gardinglab.inclusion import epsilon_for_target_m
+from gardinglab.inclusion import (
+    _ball_points,
+    _sum_zero_basis,
+    epsilon_for_target_m,
+    epsilon_to_params,
+)
+from gardinglab.symfun import partial_sum_batch, partial_sum_weights
 
 
 def sigma_subsets(values, k: int) -> float:
@@ -127,6 +134,101 @@ def boundary_min_by_projection(N: int, epsilon: float) -> float:
     ones = np.ones(N) / math.sqrt(N)
     perp = weights - np.dot(weights, ones) * ones
     return float(np.dot(weights, np.full(N, 1.0 / N)) - rho * np.linalg.norm(perp))
+
+
+@dataclass
+class SubgradientResult:
+    """Best restart of ``boundary_search_by_subgradient`` and its counters."""
+
+    min_c0: float
+    minimizer: np.ndarray
+    converged: bool
+    iterations_used: int
+
+
+def boundary_search_by_subgradient(
+    N: int,
+    epsilon: float,
+    restarts: int = 32,
+    seed: int = 0,
+    iterations: int = 10_000,
+    step: float = 1e-2,
+) -> SubgradientResult:
+    """Minimize the m_eps-partial sum over the cone slice by subgradient descent.
+
+    Projected subgradient descent with random restarts: the objective is a
+    minimum of linear functionals (concave), the feasible set on the slice
+    is a ball, and projection is a radial clip.  The base step shrinks as
+    1/sqrt(iteration).  Every 10 iterations, and at the cap, all restarts
+    get an active-set refinement: the supporting selection of the best
+    iterate is frozen and its linear functional is minimized over the ball,
+    which is what pins the minimizer to entrywise accuracy.
+
+    A refinement certifies when the frozen selection is still binding at the
+    refined point (the linearized and the true objective agree to 1e-10
+    relative); a certified point replaces the restart's best iterate.  The
+    search stops once every restart is certified and its selection has not
+    changed since the previous refinement, so ``iterations`` is a cap.
+    ``minimizer`` is the sorted best point.
+    """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    p = epsilon_to_params(epsilon, N)
+    m = p.m_eps
+    rho = p.slice_radius
+    basis = _sum_zero_basis(N)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    weight = partial_sum_weights(m, N)
+
+    def supporting(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slice points of w and the partial-sum weights at their positions."""
+        v = 1.0 / N + w @ basis
+        order = np.argsort(v, axis=1, kind="stable")
+        sel = np.zeros_like(v)
+        np.put_along_axis(sel, order, np.broadcast_to(weight, v.shape), axis=1)
+        return v, sel
+
+    w = _ball_points(rng, restarts, N - 1, rho)
+    best_vals = np.full(restarts, np.inf)
+    best_w = w.copy()
+    prev_sel = None
+    for t in range(iterations):
+        v, sel = supporting(w)
+        obj = (sel * v).sum(axis=1)
+        improved = obj < best_vals
+        best_vals = np.where(improved, obj, best_vals)
+        best_w[improved] = w[improved]
+        if (t + 1) % 10 == 0 or t + 1 == iterations:
+            # Minimize each frozen selection over the ball: the minimizer is
+            # the radial point opposite the selection's sum-zero component.
+            _, best_sel = supporting(best_w)
+            sel_w = best_sel @ basis.T
+            cand = -rho * sel_w / np.linalg.norm(sel_w, axis=1, keepdims=True)
+            cand_v = 1.0 / N + cand @ basis
+            cand_obj = partial_sum_batch(np.sort(cand_v, axis=1), m)
+            lin_obj = (best_sel * cand_v).sum(axis=1)
+            converged = lin_obj - cand_obj <= 1e-10 * (1.0 + np.abs(cand_obj))
+            best_w[converged] = cand[converged]
+            best_vals[converged] = cand_obj[converged]
+            stable = prev_sel is not None and np.array_equal(best_sel, prev_sel)
+            if stable and converged.all():
+                break
+            prev_sel = best_sel
+        w = w - (step / math.sqrt(t + 1.0)) * (sel @ basis.T)
+        norms = np.linalg.norm(w, axis=1, keepdims=True)
+        over = norms[:, 0] > rho
+        if np.any(over):
+            w[over] *= rho / norms[over]
+
+    best = int(np.argmin(best_vals))
+    return SubgradientResult(
+        min_c0=float(best_vals[best]),
+        minimizer=np.sort(1.0 / N + best_w[best] @ basis),
+        converged=bool(converged[best]),
+        iterations_used=t + 1,
+    )
 
 
 def space_form_first_threshold_dim_form(n: int) -> float:

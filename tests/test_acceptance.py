@@ -48,6 +48,7 @@ from gardinglab.weighted import (
 )
 
 from oracles import (
+    boundary_search_by_subgradient,
     cpn_cohomology_threshold_inverse_form,
     space_form_first_threshold_dim_form,
     space_form_second_threshold_dim_form,
@@ -90,7 +91,7 @@ def sharpness_runs():
     runs = {}
     for m, n in SHARPNESS_PAIRS:
         eps = epsilon_for_target_m(m, n)
-        runs[(m, n)] = boundary_search(N=n, epsilon=eps, restarts=32, seed=7700 + m + n)
+        runs[(m, n)] = boundary_search(N=n, epsilon=eps)
     return runs
 
 
@@ -134,13 +135,21 @@ def test_criterion_2_sharpness(sharpness_runs):
             failures.append((m, n, "witness sigma_2"))
         if abs(partial_sum_fractional(np.sort(witness), p.m_eps)) > 1e-12:
             failures.append((m, n, "witness partial sum"))
+    # The closed form against the restarted subgradient search it replaced.
+    for m, n in SHARPNESS_PAIRS + ((7, 40),):
+        eps = epsilon_for_target_m(m, n)
+        report = sharpness_runs.get((m, n)) or boundary_search(N=n, epsilon=eps)
+        oracle = boundary_search_by_subgradient(n, eps, restarts=32, seed=7700 + m + n)
+        gap = np.max(np.abs(np.array(report.minimizer) - oracle.minimizer))
+        if abs(report.min_c0 - oracle.min_c0) > 1e-12 or gap > 1e-12:
+            failures.append((m, n, f"subgradient oracle differs by {gap:.2e}"))
     ok = not failures
     worst = max(abs(r.min_c0) for r in sharpness_runs.values())
     _report_line(
         2,
         ok,
         f"{len(sharpness_runs)} (m, N) targets, |min c0| <= {worst:.2e}, "
-        "rigid minimizers recovered, witnesses exact",
+        "rigid minimizers recovered, witnesses exact, subgradient oracle agrees",
     )
     assert ok, failures
 
@@ -376,9 +385,7 @@ def test_criterion_9_determinism(inclusion_runs, sharpness_runs):
         if a != b:
             mismatches.append(("inclusion", n, eps))
     for (m, n), report in sharpness_runs.items():
-        fresh = boundary_search(
-            N=n, epsilon=epsilon_for_target_m(m, n), restarts=32, seed=7700 + m + n
-        )
+        fresh = boundary_search(N=n, epsilon=epsilon_for_target_m(m, n))
         a = json.dumps(report.to_record(), sort_keys=True).encode()
         b = json.dumps(fresh.to_record(), sort_keys=True).encode()
         if a != b:

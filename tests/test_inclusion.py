@@ -1,5 +1,6 @@
 """Parameter maps, the shift identity, the dichotomy, and both verifiers."""
 
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from gardinglab.inclusion import (
 )
 from gardinglab.symfun import elementary_symmetric, partial_sum_fractional
 
-from oracles import boundary_min_by_projection
+from oracles import boundary_min_by_projection, boundary_search_by_subgradient
 
 
 class TestEpsilonParams:
@@ -309,7 +310,7 @@ class TestSamplingVerification:
 class TestBoundarySearch:
     def test_integer_target_recovers_rigid_minimizer(self):
         eps = epsilon_for_target_m(2, 4)
-        report = boundary_search(N=4, epsilon=eps, restarts=16, seed=5)
+        report = boundary_search(N=4, epsilon=eps)
         assert -1e-8 <= report.min_c0 <= 1e-6
         assert report.converged and report.matched_rigid
         np.testing.assert_allclose(
@@ -318,45 +319,60 @@ class TestBoundarySearch:
 
     def test_noninteger_target_minimum_is_positive(self):
         eps = epsilon_for_target_m(2.5, 5)
-        report = boundary_search(N=5, epsilon=eps, restarts=16, seed=7, iterations=4000)
+        report = boundary_search(N=5, epsilon=eps)
         oracle = boundary_min_by_projection(5, eps)
         assert report.min_c0 == pytest.approx(oracle, abs=1e-9)
         assert report.min_c0 > 0
         assert report.matched_rigid is None
 
     def test_small_dimension(self):
-        report = boundary_search(N=2, epsilon=0.5, restarts=8, seed=9, iterations=2000)
+        report = boundary_search(N=2, epsilon=0.5)
         assert report.min_c0 >= -1e-8
 
     def test_matches_projection_oracle_across_eps(self):
         rng = np.random.default_rng(11)
-        for _ in range(6):
-            n = int(rng.integers(3, 8))
-            eps = float(rng.uniform(0.1, 0.9))
-            report = boundary_search(N=n, epsilon=eps, restarts=12, seed=13, iterations=4000)
+        cases = [(int(rng.integers(3, 8)), float(rng.uniform(0.1, 0.9))) for _ in range(6)]
+        cases += [
+            (2, 0.3),
+            (2, 0.95),
+            (9, epsilon_for_target_m(3, 9)),
+            (9, epsilon_for_target_m(3.5, 9)),
+            (2000, 0.01),
+            (2000, epsilon_for_target_m(40, 2000)),
+        ]
+        for n, eps in cases:
+            report = boundary_search(N=n, epsilon=eps)
             oracle = boundary_min_by_projection(n, eps)
             assert report.min_c0 == pytest.approx(oracle, abs=1e-8)
+            v = np.array(report.minimizer)
+            assert np.all(np.diff(v) >= 0.0)
+            assert abs(v.sum() - 1.0) <= 1e-12
+            p = epsilon_to_params(eps, n)
+            assert in_shifted_cone(v, 2, p.shift_params).member_closed
+            assert report.converged and report.ok
+            again = boundary_search(N=n, epsilon=eps).to_record()
+            assert json.dumps(again).encode() == json.dumps(report.to_record()).encode()
 
     def test_deterministic(self):
-        a = boundary_search(N=4, epsilon=0.5, restarts=4, seed=15, iterations=500)
-        b = boundary_search(N=4, epsilon=0.5, restarts=4, seed=15, iterations=500)
+        a = boundary_search(N=4, epsilon=0.5)
+        b = boundary_search(N=4, epsilon=0.5)
         assert a.to_record() == b.to_record()
 
     def test_certified_refinement_replaces_noisy_iterate(self):
         # The subgradient iterate can undercut the exact refined point by
         # float noise; the certified refinement must still win.
-        report = boundary_search(N=40, epsilon=epsilon_for_target_m(7, 40), seed=2)
-        assert report.converged and report.matched_rigid
-        assert report.max_pattern_diff <= 1e-15
+        result = boundary_search_by_subgradient(40, epsilon_for_target_m(7, 40), seed=2)
+        pattern = np.zeros(40)
+        pattern[7:] = 1.0 / 33
+        assert result.converged
+        assert np.max(np.abs(result.minimizer - pattern)) <= 1e-15
 
     def test_stops_once_certified(self):
         eps = epsilon_for_target_m(7, 40)
-        report = boundary_search(N=40, epsilon=eps, seed=2)
-        assert report.iterations_used <= 50 < report.iterations == 10_000
-        assert "iterations_used" not in report.to_record()
+        result = boundary_search_by_subgradient(40, eps, seed=2)
+        assert result.iterations_used <= 50 < 10_000
         for cap in (1, 5, 15):
-            capped = boundary_search(N=40, epsilon=eps, seed=2, iterations=cap)
+            capped = boundary_search_by_subgradient(40, eps, seed=2, iterations=cap)
             assert capped.iterations_used == cap
-            assert capped.to_record()["iterations"] == cap
         with pytest.raises(ValueError):
-            boundary_search(N=4, epsilon=0.5, iterations=0)
+            boundary_search_by_subgradient(4, 0.5, iterations=0)
