@@ -373,12 +373,11 @@ def classify_kaehler(
         _no_verdict(report)
         return report
 
-    norm = float(np.linalg.norm(values))
     coh_thr = cpn_cohomology_threshold(n_complex)
     if coh_thr < 1.0 and _at_most(report.epsilon, coh_thr):
         m_target = 3.0 - 2.0 / n_complex
         consequence = partial_sum_fractional(values, m_target)
-        if consequence / (m_target * norm) > tol:
+        if in_positivity_cone(values, m_target, tol).member_open:
             report.verdicts.append(
                 VerdictRecord(
                     verdict=VERDICT_CPN_COHOMOLOGY,
@@ -395,7 +394,7 @@ def classify_kaehler(
     bih_thr = cpn_biholomorphic_threshold(n_complex)
     if bih_thr < 1.0 and _at_most(report.epsilon, bih_thr):
         pair_sum = float(values[0] + values[1])
-        if pair_sum / (2.0 * norm) > tol:
+        if in_positivity_cone(values, 2.0, tol).member_open:
             report.verdicts.append(
                 VerdictRecord(
                     verdict=VERDICT_CPN_BIHOLOMORPHIC,

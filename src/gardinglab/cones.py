@@ -10,10 +10,24 @@ Three cone families are covered:
   selection is always the smallest entries.
 
 Margins are normalized so one tolerance is meaningful across dimensions and
-scales: ``sigma_j`` is divided by ``binom(N, j) * ||v||^j`` and the partial
-sum by ``m * ||v||``.  The zero vector is a closed member of every cone (it
-is the cone vertex) and an open member of none.  Open membership requires
-``margin > tol``; closed membership requires ``margin >= -tol``.
+scales, and apart from the sampler's G_2 mask in ``inclusion`` this module
+is the one place that normalizes them.  The G_k margin of ``v`` is the
+worst elementary symmetric mean ``E_j(u) = sigma_j(u) / binom(N, j)`` of
+the unit vector ``u = v / ||v||``, run through the recurrence of ``symfun``
+with every running value in [-1, 1], so neither ``binom(N, j)`` nor
+``||v||^j`` is ever formed.  The P_m margin is the partial sum divided by
+``m * ||v||``.  The scalar tests take ``||v||`` from ``math.hypot``, which
+neither overflows nor underflows short of a norm past the float maximum
+(they raise ValueError there), so their margins hold at every scale at
+which the entries, shifted entries and partial sums are finite normal
+floats: tested over 1e-300..1e300 with N up to about 1000, where they
+agree with the scale-1 margins within 1e-15 and a power-of-two scaling
+changes no bit.  The batch kernels take ``np.linalg.norm`` of rows whose
+squares stay in float range, as the samplers' and the nesting checker's
+rows do (the nesting checker is tested up to N = 2000).  The zero vector
+is a closed member of every cone (it is the cone vertex) and an open
+member of none.  Open membership requires ``margin > tol``; closed
+membership requires ``margin >= -tol``.
 """
 
 from __future__ import annotations
@@ -28,7 +42,6 @@ from .symfun import (
     VectorLike,
     as_array,
     partial_sum_batch,
-    partial_sum_fractional,
     partial_sum_weights,
     sigma_prefix,
     sigma_prefix_batch,
@@ -91,36 +104,47 @@ def shift(v: VectorLike, p: ShiftParams) -> np.ndarray:
     return x - p.alpha * x.sum()
 
 
-def in_garding_cone(v: VectorLike, k: int, tol: float = DEFAULT_TOL) -> ConeMembership:
-    """Test v against G_k; the margin is the worst normalized sigma_j."""
-    x = as_array(v)
+def _norm(x: np.ndarray) -> float:
+    """||x|| by ``math.hypot``; raises where it is not a finite float, as for
+    entries near the float maximum or a shift whose sum overflowed."""
+    norm = math.hypot(*x.tolist())
+    if not math.isfinite(norm):
+        raise ValueError("vector norm is not a finite float")
+    return norm
+
+
+def _garding_membership(x: np.ndarray, k: int, tol: float) -> ConeMembership:
+    """G_k test of a validated vector: the worst mean E_j of x / ||x||."""
     n = x.size
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    norm = float(np.linalg.norm(x))
+    norm = _norm(x)
     if norm == 0.0:
         return _membership(0.0, "zero_vector", tol)
-    sigmas = sigma_prefix(x, k)
-    scales = np.array([math.comb(n, j) * norm**j for j in range(1, k + 1)])
-    margins = sigmas / scales
+    margins = sigma_prefix(x / norm, k, _means=True)
     j = int(np.argmin(margins))
     return _membership(float(margins[j]), f"sigma_{j + 1}", tol)
+
+
+def in_garding_cone(v: VectorLike, k: int, tol: float = DEFAULT_TOL) -> ConeMembership:
+    """Test v against G_k; the margin is the worst normalized sigma_j."""
+    return _garding_membership(as_array(v), k, tol)
 
 
 def in_shifted_cone(
     v: VectorLike, k: int, p: ShiftParams, tol: float = DEFAULT_TOL
 ) -> ConeMembership:
     """Test v against G_k(alpha): membership of the shifted vector in G_k."""
-    return in_garding_cone(shift(v, p), k, tol)
+    return _garding_membership(shift(v, p), k, tol)
 
 
 def in_positivity_cone(v: VectorLike, m: float, tol: float = DEFAULT_TOL) -> ConeMembership:
     """Test v against P_m; sorting makes the smallest entries binding."""
     x = as_array(v)
-    norm = float(np.linalg.norm(x))
+    norm = _norm(x)
     if norm == 0.0:
         return _membership(0.0, "zero_vector", tol)
-    c0 = partial_sum_fractional(np.sort(x, kind="stable"), m)
+    c0 = float(partial_sum_batch(np.sort(x)[None, :], m)[0])
     return _membership(c0 / (float(m) * norm), f"partial_sum[m={m:g}]", tol)
 
 
@@ -132,20 +156,13 @@ def in_positivity_cone(v: VectorLike, m: float, tol: float = DEFAULT_TOL) -> Con
 def garding_margin_chain_batch(rows: np.ndarray, k: int) -> np.ndarray:
     """(B, k) array whose column j-1 is the normalized G_j margin per row.
 
-    Column j-1 equals ``min over i <= j of sigma_i / (binom(N,i) ||v||^i)``,
-    i.e. the whole Garding chain in one pass; zero rows get margin 0.
+    Column j-1 equals ``min over i <= j of E_i(v / ||v||)``, i.e. the whole
+    Garding chain in one pass; zero rows get margin 0.
     """
     rows = np.asarray(rows, dtype=float)
-    b, n = rows.shape
-    norms = np.linalg.norm(rows, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    sigmas = sigma_prefix_batch(rows, k)
-    scaled = np.empty((b, k))
-    for j in range(1, k + 1):
-        scaled[:, j - 1] = sigmas[:, j - 1] / (math.comb(n, j) * safe**j)
-    chain = np.minimum.accumulate(scaled, axis=1)
-    chain[norms == 0.0, :] = 0.0
-    return chain
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    units = rows / np.where(norms == 0.0, 1.0, norms)
+    return np.minimum.accumulate(sigma_prefix_batch(units, k, _means=True), axis=1)
 
 
 def garding_margins_batch(rows: np.ndarray, k: int) -> np.ndarray:

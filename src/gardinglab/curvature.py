@@ -67,6 +67,10 @@ KIND_SECOND = "second_kind"
 KIND_GENERIC = "generic"
 
 _SYMMETRY_ATOL = 1e-12
+# Jacobi stops once the off-diagonal norm is below this fraction of ||A||_F.
+_JACOBI_OFF_TOL = 1e-14
+# Relative error within which the scalar curvature identities count as held.
+_IDENTITY_RTOL = 1e-8
 
 
 def two_form_count(n: int) -> int:
@@ -116,15 +120,14 @@ class CurvatureTensor:
     components: np.ndarray
 
     @classmethod
-    def from_components(cls, components, validate: bool = True) -> "CurvatureTensor":
+    def from_components(cls, components) -> "CurvatureTensor":
         arr = np.array(components, dtype=float)
         if arr.ndim != 4 or len(set(arr.shape)) != 1:
             raise ValueError(f"expected an (n,n,n,n) array, got shape {arr.shape}")
         n = arr.shape[0]
         if n < 3:
             raise ValueError(f"dimension must be >= 3, got {n}")
-        if validate:
-            validate_curvature_symmetries(arr)
+        validate_curvature_symmetries(arr)
         arr.setflags(write=False)
         return cls(n=n, components=arr)
 
@@ -375,9 +378,7 @@ def _jacobi_sweep(a: np.ndarray, v: np.ndarray, rounds) -> None:
 
 
 def jacobi_eigensystem(
-    matrix: np.ndarray,
-    off_tol_factor: float = 1e-14,
-    max_sweeps: int = 100,
+    matrix: np.ndarray, max_sweeps: int = 100
 ) -> tuple[np.ndarray, np.ndarray]:
     """Round-robin Jacobi diagonalization of a symmetric matrix.
 
@@ -396,7 +397,7 @@ def jacobi_eigensystem(
     Returns (eigenvalues ascending, orthogonal Q with matching columns) so
     that ``A = Q diag(w) Q^T``.  Raises ValueError on non-finite entries, and
     RuntimeError, with the final ``off/||A||_F``, if the off-diagonal norm
-    has not dropped below ``off_tol_factor * ||A||_F`` within
+    has not dropped below ``1e-14 * ||A||_F`` within
     ``max_sweeps`` full sweeps.
     """
     a = np.array(matrix, dtype=float)
@@ -412,7 +413,7 @@ def jacobi_eigensystem(
     a = np.ldexp(a, -exponent)
     a = (a + a.T) / 2.0
     fro = float(np.linalg.norm(a))
-    threshold = off_tol_factor * max(fro, np.finfo(float).tiny)
+    threshold = _JACOBI_OFF_TOL * max(fro, np.finfo(float).tiny)
     active = np.flatnonzero((a != np.diag(a.diagonal())).any(axis=1))
     sub = a[np.ix_(active, active)]
     v = np.eye(active.size)
@@ -472,9 +473,7 @@ class CurvatureIdentityReport(Record):
         return self.first_kind_ok and self.second_kind_ok
 
 
-def scalar_curvature_checks(
-    tensor: CurvatureTensor, rel_tol: float = 1e-8
-) -> CurvatureIdentityReport:
+def scalar_curvature_checks(tensor: CurvatureTensor) -> CurvatureIdentityReport:
     """Check scal = 2 * sum(first-kind) = 2n/(n+2) * sum(second-kind)."""
     scal = tensor.scalar_curvature()
     spectra = {
@@ -494,7 +493,7 @@ def scalar_curvature_checks(
         second_kind_sum=second,
         first_kind_rel_err=err1,
         second_kind_rel_err=err2,
-        first_kind_ok=err1 <= rel_tol,
-        second_kind_ok=err2 <= rel_tol,
+        first_kind_ok=err1 <= _IDENTITY_RTOL,
+        second_kind_ok=err2 <= _IDENTITY_RTOL,
         spectra=spectra,
     )

@@ -34,14 +34,15 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT_TOL, Record
-from .cones import ShiftParams, in_shifted_cone, positivity_margins_batch
+from .cones import ShiftParams, in_positivity_cone, in_shifted_cone, positivity_margins_batch
 from .symfun import (
     RealVector,
     VectorLike,
     as_array,
-    elementary_symmetric,
+    partial_sum_batch,
     partial_sum_fractional,
     partial_sum_weights,
+    sigma_prefix,
 )
 
 __all__ = [
@@ -130,15 +131,21 @@ def shift_identity_residual(v: VectorLike, p: EpsilonParams) -> float:
 
     sigma_2 is evaluated by the coefficient recurrence, not the power-sum
     shortcut, so the two sides are computed along independent routes; the
-    result should vanish to roundoff for every vector.
+    result should vanish to roundoff for every vector.  Both sides are taken
+    of the unit vector ``v / ||v||`` and the difference is multiplied back by
+    ``||v||`` twice, so a residual beyond float range comes back as +-inf,
+    without an exception or a warning; it is NaN only where ``||v||`` itself
+    is past the float maximum.
     """
     x = as_array(v)
     if x.size != p.N:
         raise ValueError(f"vector length {x.size} does not match N={p.N}")
-    shifted = x - p.alpha_eps * x.sum()
-    lhs = 2.0 * elementary_symmetric(shifted, 2)
-    rhs = p.quadratic_coefficient * float(x.sum()) ** 2 - float((x * x).sum())
-    return lhs - rhs
+    norm = math.hypot(*x.tolist()) or 1.0
+    u = x / norm
+    total = float(u.sum())
+    lhs = 2.0 * float(sigma_prefix(u - p.alpha_eps * total, 2)[-1])
+    rhs = p.quadratic_coefficient * total**2 - float((u * u).sum())
+    return (lhs - rhs) * norm * norm
 
 
 @dataclass(frozen=True)
@@ -182,21 +189,20 @@ def dichotomy_check(
     """Classify v: outside the closed shifted cone, strictly inside P_{m_eps},
     or on the rigid boundary.
 
-    The strict/boundary split uses the scale-normalized partial sum
-    ``c0 / (m_eps ||v||)`` so the verdict is invariant under positive
+    The strict/boundary split is open membership in P_{m_eps}, whose margin
+    is scale-normalized, so the verdict is invariant under positive
     rescaling.  The zero vector is the one closed member with ``sum(v) = 0``
     and is reported as a degenerate boundary case (rigid_m None).
     """
     x = as_array(v)
     membership = in_shifted_cone(x, 2, p.shift_params, tol)
     sorted_x = np.sort(x, kind="stable")
-    c0 = partial_sum_fractional(sorted_x, p.m_eps)
+    c0 = float(partial_sum_batch(sorted_x[None, :], p.m_eps)[0])
     if not membership.member_closed:
         return DichotomyVerdict(case=CASE_NOT_MEMBER, c0=c0)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
+    if not x.any():
         return DichotomyVerdict(case=CASE_BOUNDARY, c0=0.0, rigid_m=None)
-    if c0 / (p.m_eps * norm) > tol:
+    if in_positivity_cone(x, p.m_eps, tol).member_open:
         return DichotomyVerdict(case=CASE_STRICT, c0=c0)
     return DichotomyVerdict(
         case=CASE_BOUNDARY, c0=c0, rigid_m=_rigid_zero_count(sorted_x, p.m_eps, tol)
@@ -285,11 +291,12 @@ def _strict_member_mask(rows: np.ndarray, p: EpsilonParams, tol: float) -> np.nd
     """Open-membership mask for G_2(alpha_eps), same normalization as cones.
 
     Kept apart from ``garding_margins_batch(k=2)``, which gives the same
-    masks.  With the coefficient-major sigma kernel that route costs
-    0.97-1.15x this closed form on 5000-row batches (N = 6/28/45, 2 cores),
-    but routing the sampler through it gained nothing on ``inclusion_grid``
-    over 3 pairs (``job_tail_ms`` median 10.5 -> 10.8 ms, ``wall_s``
-    0.334 -> 0.341 s), so the sampler keeps the form without a loop.
+    masks: the sampler's rows are bounded, so ``comb(N, 2) * ||v||^2``
+    cannot overflow here.  With the means recurrence of ``symfun`` that
+    route costs 1.16-1.35x this closed form per 5000-row batch (N = 6/28/45,
+    2 cores), and routing the sampler through it raised ``inclusion_grid``
+    ``job_tail_ms`` by 40-50% over 3 pairs, so the sampler keeps the form
+    without a loop.
     """
     n = p.N
     sums = rows.sum(axis=1)

@@ -12,6 +12,12 @@ Conventions used throughout the package:
   contiguous vector update of every row at once.  A single row runs degree
   by degree, one cumulative sum of the running ``sigma_{j-1}`` prefixes per
   degree, so it takes k numpy steps instead of N.
+* The cone margins use the same recurrence for the elementary symmetric
+  means ``E_j = sigma_j / binom(N, j)``: coefficient j carries the factor
+  ``1 / binom(N, j)``, so each update adds ``(j/(N-j+1) * v_i) * E_{j-1}``.
+  For ``||v|| <= 1`` every running coefficient and every added term is
+  then bounded by 1 in absolute value (Maclaurin), at any N, so nothing
+  overflows and no ``binom(N, j)`` or ``||v||^j`` is formed.
 * Sorted vectors are non-decreasing.  Ties are broken stably by original
   index so that recorded permutations are reproducible.
 * ``partial_sum_fractional(v, m)`` with real ``m`` sums the ``floor(m)``
@@ -135,41 +141,51 @@ def elementary_symmetric(v: VectorLike, k: int) -> float:
     return float(sigma_prefix(x, k)[-1])
 
 
-def sigma_prefix(v: VectorLike, k: int) -> np.ndarray:
-    """Array (sigma_1, ..., sigma_k) of one vector, bit for bit one row of
-    ``sigma_prefix_batch``.
+def _degree_factors(n: int, k: int, means: bool) -> np.ndarray:
+    """Per-degree factors ``j/(n-j+1)`` for j = 1..k, which turn sigma_j into
+    the mean ``sigma_j / binom(n, j)``; all ones for plain sigma_j."""
+    if not means:
+        return np.ones(k)
+    return np.arange(1, k + 1) / np.arange(n, n - k, -1)
+
+
+def sigma_prefix(x: np.ndarray, k: int, *, _means: bool = False) -> np.ndarray:
+    """Array (sigma_1, ..., sigma_k) of one validated 1-d array with
+    ``1 <= k <= N``, bit for bit one row of ``sigma_prefix_batch``.
 
     After the first i+1 entries, ``sigma_j`` is the previous ``sigma_j``
-    plus ``v[i]`` times the previous ``sigma_{j-1}``.  For one degree j that
-    is a running sum over i, so each degree is one sequential
-    ``add.accumulate`` over the prefixes of the degree below.  The batch
-    loop starts every sum at +0.0 where this one starts at its first term;
-    the two differ only in the sign of a zero, which the final ``+ 0.0``
-    clears.
+    plus ``(f_j * v[i])`` times the previous ``sigma_{j-1}``, with the
+    degree factors f_j of ``_degree_factors``, all taken in one outer
+    product.  For one degree j that is a running sum over i, so each degree
+    is one sequential ``add.accumulate`` over the prefixes of the degree
+    below.  The batch loop starts every sum at +0.0 where this one starts at
+    its first term; the two differ only in the sign of a zero, which the
+    final ``+ 0.0`` clears.  ``_means=True`` gives the means
+    ``sigma_j / binom(N, j)`` instead.
     """
-    x = as_array(v)
-    n = x.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    prefix = np.add.accumulate(x)
+    steps = _degree_factors(x.size, k, _means)[:, None] * x
+    prefix = np.add.accumulate(steps[0])
     last = [prefix[-1]]
     for j in range(1, k):
-        prefix = np.add.accumulate(x[j:] * prefix[:-1])
+        prefix = np.add.accumulate(steps[j, j:] * prefix[:-1])
         last.append(prefix[-1])
     out = np.array(last)
     out += 0.0
     return out
 
 
-def sigma_prefix_batch(rows: np.ndarray, k: int) -> np.ndarray:
+def sigma_prefix_batch(rows: np.ndarray, k: int, *, _means: bool = False) -> np.ndarray:
     """Row-wise (sigma_1, ..., sigma_k) for a (B, N) batch.
 
-    Horner coefficient recurrence: multiplying by ``(1 + t*mu)`` adds mu
-    times every coefficient to the next one up.  Coefficients are stored
+    Horner coefficient recurrence: multiplying by ``(1 + t*mu)`` adds
+    ``(f_j * mu)`` times coefficient j-1 to coefficient j, with the degree
+    factors f_j of ``_degree_factors``.  Coefficients are stored
     coefficient-major, ``(k+1, B)``, and each column is copied once into a
-    contiguous buffer, so every update is a contiguous vector operation.
+    contiguous buffer; every update runs in a preallocated ``(k, B)`` step
+    buffer, so it is three contiguous vector operations and no allocation.
     Before entry i only coefficients 0..i can be nonzero, so the first k
-    entries update just those.  Returns a transposed ``(B, k)`` view.
+    entries update just those.  Returns a transposed ``(B, k)`` view;
+    ``_means=True`` gives the means ``sigma_j / binom(N, j)`` instead.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
@@ -177,13 +193,17 @@ def sigma_prefix_batch(rows: np.ndarray, k: int) -> np.ndarray:
     b, n = rows.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    factors = _degree_factors(n, k, _means)[:, None]
     coeffs = np.zeros((k + 1, b))
     coeffs[0] = 1.0
     column = np.empty(b)
+    step = np.empty((k, b))
     for i in range(n):
         np.copyto(column, rows[:, i])
         top = min(i + 1, k)
-        coeffs[1 : top + 1] += column * coeffs[:top]
+        np.multiply(factors[:top], column, out=step[:top])
+        step[:top] *= coeffs[:top]
+        coeffs[1 : top + 1] += step[:top]
     return coeffs[1:].T
 
 

@@ -35,18 +35,25 @@ def sigma_subsets(values, k: int) -> float:
     return total
 
 
-def sigma_prefix_row_major(rows, k: int) -> np.ndarray:
+def sigma_prefix_row_major(rows, k: int, means: bool = False) -> np.ndarray:
     """Row-wise (sigma_1, ..., sigma_k) of a (B, N) batch, row-major.
 
     Every entry updates every coefficient of a (B, k+1) array; the library's
-    kernels run the same float operations in other loop orders.
+    kernels run the same float operations in other loop orders.  With
+    ``means`` coefficient j gets ``(j/(N-j+1) * v_i) * E_{j-1}``, which
+    gives the means ``E_j = sigma_j / binom(N, j)``; without it the factor
+    is 1.
     """
     rows = np.asarray(rows, dtype=float)
+    n = rows.shape[1]
+    factors = np.ones(k)
+    if means:
+        factors = np.array([j / (n - j + 1) for j in range(1, k + 1)])
     coeffs = np.zeros((rows.shape[0], k + 1))
     coeffs[:, 0] = 1.0
     higher, lower = coeffs[:, 1:], coeffs[:, :-1]
     for column in rows.T[:, :, None]:
-        higher += column * lower
+        higher += (factors * column) * lower
     return higher
 
 

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gardinglab import cones
+from gardinglab.config import DEFAULT_TOL
 from gardinglab.cones import (
     ShiftParams,
     in_garding_cone,
@@ -16,6 +17,7 @@ from gardinglab.cones import (
     nesting_check,
     shift,
 )
+from gardinglab.inclusion import dichotomy_check, epsilon_to_params
 
 from oracles import selection_sum_min
 
@@ -74,6 +76,18 @@ class TestGardingCone:
     def test_k_range(self):
         with pytest.raises(ValueError):
             in_garding_cone([1, 2], 3)
+
+    def test_norm_past_float_max_raises(self):
+        # Finite entries whose norm is not a float: a margin over an infinite
+        # norm would read 0, a closed member, so the tests raise instead.
+        v = [1e308, -1e308, 1e308, -1e308]
+        for test in (
+            lambda: in_garding_cone(v, 2),
+            lambda: in_shifted_cone(v, 2, ShiftParams(alpha=0.1, N=4)),
+            lambda: in_positivity_cone(v, 2),
+        ):
+            with pytest.raises(ValueError, match="norm"):
+                test()
 
 
 class TestShiftedCone:
@@ -149,23 +163,98 @@ class TestPositivityCone:
                 assert in_positivity_cone(v, m2).member_open
 
 
+def _flags(res):
+    return res.member_open, res.member_closed
+
+
+def _near_tol(margin: float) -> bool:
+    """Whether a margin change of 1e-15 could flip an open or closed flag."""
+    return abs(abs(margin) - DEFAULT_TOL) <= 1e-15
+
+
+def _full_precision(x: np.ndarray, nonzero: int) -> bool:
+    """Whether x keeps `nonzero` nonzero entries, all of them normal floats."""
+    kept = np.abs(x[x != 0])
+    return kept.size == nonzero and bool((kept >= np.finfo(float).tiny).all())
+
+
 class TestScaleAndPermutationInvariance:
     @settings(max_examples=80, deadline=None)
     @given(
         st.lists(st.floats(-4, 4, allow_nan=False), min_size=2, max_size=8),
         st.floats(0.01, 100.0),
+        st.integers(0, 1000),
+        st.floats(-300.0, 300.0),
+        st.integers(-990, 990),
     )
-    def test_scaling(self, entries, t):
+    # Scale defects of the binom(N, j) * ||v||^j and m * ||v|| normalizers:
+    # a NaN G_k margin, a vector reported as the zero vector, a P_3 margin 0.
+    @example([1.0] * 10, 1.0, 0, 160.0, 0)
+    @example([1.0] * 10, 1.0, 0, -170.0, 0)
+    @example([1.0] * 9, 1.0, 0, 170.0, 0)
+    def test_scaling(self, entries, t, extra, log10_scale, power):
         v = np.array(entries)
-        if np.linalg.norm(v) == 0:
+        if np.linalg.norm(v) != 0:
+            k = max(1, len(entries) // 2)
+            a = in_garding_cone(v, k)
+            b = in_garding_cone(t * v, k)
+            assert (a.member_open, a.member_closed) == (b.member_open, b.member_closed)
+            pa = in_positivity_cone(v, 1.5)
+            pb = in_positivity_cone(t * v, 1.5)
+            assert (pa.member_open, pa.member_closed) == (pb.member_open, pb.member_closed)
+
+        # The drawn entries plus `extra` seeded Gaussian ones (N up to about
+        # 1000), scaled by 10**log10_scale (1e-300..1e300) and by 2**power.
+        # Wherever every nonzero entry the tests see is a normal float, at
+        # scale 1 and scaled, margins agree with the unscaled ones within
+        # 1e-15, flags agree wherever that cannot flip one, and the power of
+        # two, which then scales every entry exactly, changes no bit.
+        v = np.concatenate([v, np.random.default_rng(extra).normal(size=extra)])
+        n = v.size
+        k = max(1, n // 2)
+        shift_p = ShiftParams(alpha=0.5 / n, N=n)
+        eps_p = epsilon_to_params(0.5, n)
+
+        def seen(x):
+            return x, shift(x, shift_p), x - eps_p.alpha_eps * x.sum()
+
+        nonzero = [np.count_nonzero(x) for x in seen(v)]
+        if not v.any() or not all(map(_full_precision, seen(v), nonzero)):
             return
-        k = max(1, len(entries) // 2)
-        a = in_garding_cone(v, k)
-        b = in_garding_cone(t * v, k)
-        assert (a.member_open, a.member_closed) == (b.member_open, b.member_closed)
-        pa = in_positivity_cone(v, 1.5)
-        pb = in_positivity_cone(t * v, 1.5)
-        assert (pa.member_open, pa.member_closed) == (pb.member_open, pb.member_closed)
+        two = 2.0**power
+        scales = [
+            s
+            for s in (10.0**log10_scale, two)
+            if all(map(_full_precision, seen(s * v), nonzero))
+        ]
+        exact = two in scales
+        tests = (
+            lambda x: in_garding_cone(x, k),
+            lambda x: in_shifted_cone(x, 2, shift_p),
+            lambda x: in_shifted_cone(x, k, shift_p),
+            lambda x: in_positivity_cone(x, 1.5),
+            lambda x: in_positivity_cone(x, n / 3),
+        )
+        for test in tests:
+            base = test(v)
+            for scale in scales:
+                res = test(scale * v)
+                assert abs(res.margin - base.margin) <= 1e-15
+                if not _near_tol(base.margin):
+                    assert _flags(res) == _flags(base)
+            if exact:
+                assert test(two * v) == base
+        verdict = dichotomy_check(v, eps_p)
+        deciding = (
+            in_shifted_cone(v, 2, eps_p.shift_params),
+            in_positivity_cone(v, eps_p.m_eps),
+        )
+        if not any(_near_tol(res.margin) for res in deciding):
+            for scale in scales:
+                assert dichotomy_check(scale * v, eps_p).case == verdict.case
+        if exact:
+            scaled = dichotomy_check(two * v, eps_p)
+            assert (scaled.case, scaled.c0) == (verdict.case, two * verdict.c0)
 
     def test_scaling_bulk(self):
         rng = np.random.default_rng(47)
@@ -206,8 +295,12 @@ class TestNesting:
         assert nesting_check(N=4, samples=0, seed=1).ok
 
     def test_several_dimensions(self):
-        for n in (2, 3, 5, 9):
-            assert nesting_check(N=n, samples=2000, seed=n).ok
+        # From N = 400 on, binom(N, j) * ||v||^j overflows for some j, and
+        # from about N = 1030 binom(N, j) has no float value at all; the
+        # means recurrence forms neither.
+        for n, samples in ((2, 2000), (3, 2000), (5, 2000), (9, 2000), (400, 40), (2000, 2)):
+            assert nesting_check(N=n, samples=samples, seed=n).ok
+        assert nesting_check(1100, 5, 1).ok
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

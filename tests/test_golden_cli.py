@@ -6,6 +6,8 @@ expected transcript lives in ``tests/golden/cli_machine.txt``; regenerate it
 only for an intended output change, with
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
+
+which prints every line that moved, numbered, with its old and new text.
 """
 
 from __future__ import annotations
@@ -141,5 +143,13 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     os.environ.pop(CONFIG_ENV_VAR, None)
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(render(Path(tmp)), encoding="utf-8")
+        new = render(Path(tmp))
+    old = GOLDEN.read_text(encoding="utf-8") if GOLDEN.exists() else ""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    for number in range(1, max(len(old_lines), len(new_lines)) + 1):
+        before = old_lines[number - 1] if number <= len(old_lines) else None
+        after = new_lines[number - 1] if number <= len(new_lines) else None
+        if before != after:
+            print(f"line {number}:\n  - {before}\n  + {after}")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(new, encoding="utf-8")

@@ -109,13 +109,23 @@ class TestShiftIdentity:
         assert shift_identity_residual(np.zeros(5), p) == 0.0
 
     def test_random_vectors(self):
+        # Also at scales 1e-300..1e300 and 1.79e215, where ||v||^2 can leave
+        # float range: the residual never raises or warns and stays within
+        # the bound (+inf where ||v||^2 overflows), and a power of two scales
+        # it exactly.
         rng = np.random.default_rng(3)
         for _ in range(500):
             n = int(rng.integers(2, 65))
             p = epsilon_to_params(float(rng.uniform(0.01, 0.99)), n)
             v = rng.normal(size=n) * float(rng.uniform(0.1, 10))
             bound = 1e-9 * (1 + float(v @ v))
-            assert abs(shift_identity_residual(v, p)) <= bound
+            residual = shift_identity_residual(v, p)
+            assert abs(residual) <= bound
+            for t in (10.0 ** rng.uniform(-300, 300), 1.79e215):
+                norm = math.hypot(*(t * v))
+                assert abs(shift_identity_residual(t * v, p)) <= 1e-9 * (1 + norm * norm)
+            power = int(rng.integers(-400, 400))
+            assert shift_identity_residual(v * 2.0**power, p) == residual * 4.0**power
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

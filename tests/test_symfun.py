@@ -1,5 +1,6 @@
 """Elementary symmetric polynomials and partial sums against enumeration."""
 
+import itertools
 import math
 
 import numpy as np
@@ -94,9 +95,11 @@ class TestElementarySymmetric:
             v[rng.random(n) < 0.2] = 0.0
             v[rng.random(n) < 0.2] = -0.0
             for k in sorted({1, min(2, n), n, int(rng.integers(1, n + 1))}):
-                got = sigma_prefix(v, k)
-                assert np.array_equal(got, sigma_prefix_row_major(v[None, :], k)[0])
-                assert not np.signbit(got[got == 0.0]).any()
+                for means in (False, True):
+                    got = sigma_prefix(v, k, _means=means)
+                    want = sigma_prefix_row_major(v[None, :], k, means)[0]
+                    assert np.array_equal(got, want)
+                    assert not np.signbit(got[got == 0.0]).any()
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -105,11 +108,13 @@ class TestElementarySymmetric:
             rows = rng.normal(size=(b, n)) * 10.0 ** rng.uniform(-3, 3, size=(b, 1))
             rows[rng.random((b, n)) < 0.1] = 0.0
             rows[rng.random((b, n)) < 0.1] = -0.0
-            for k in (1, 2, 3, n):
-                batch = sigma_prefix_batch(rows, k)
+            for k, means in itertools.product((1, 2, 3, n), (False, True)):
+                batch = sigma_prefix_batch(rows, k, _means=means)
                 assert batch.shape == (b, k)
-                assert np.array_equal(batch, sigma_prefix_row_major(rows, k))
-                assert np.array_equal(batch, [sigma_prefix(row, k) for row in rows])
+                assert np.array_equal(batch, sigma_prefix_row_major(rows, k, means))
+                assert np.array_equal(
+                    batch, [sigma_prefix(row, k, _means=means) for row in rows]
+                )
 
 
 class TestSigma2PowerSums:
