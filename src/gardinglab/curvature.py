@@ -345,8 +345,12 @@ def _off_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x - np.diag(x.diagonal())))
 
 
-def _jacobi_sweep(a: np.ndarray, v: np.ndarray, rounds) -> None:
-    """One sweep in place: each round rotates its disjoint pairs at once."""
+def _jacobi_sweep(a: np.ndarray, v: Optional[np.ndarray], rounds) -> None:
+    """One sweep in place: each round rotates its disjoint pairs at once.
+
+    The accumulated rotation ``v`` is updated too, unless it is None; the
+    updates of ``a`` never read ``v``, so they are the same either way.
+    """
     # Both angle branches are evaluated for every pair, so the lanes that
     # divide by zero are silenced here and then replaced by np.where.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -372,14 +376,16 @@ def _jacobi_sweep(a: np.ndarray, v: np.ndarray, rounds) -> None:
             a[:, q] = col_p * s + col_q * c
             a[p, q] = 0.0
             a[q, p] = 0.0
+            if v is None:
+                continue
             vp, vq = v[:, p], v[:, q]
             v[:, p] = vp * c - vq * s
             v[:, q] = vp * s + vq * c
 
 
 def jacobi_eigensystem(
-    matrix: np.ndarray, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
+    matrix: np.ndarray, max_sweeps: int = 100, *, _vectors: bool = True
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Round-robin Jacobi diagonalization of a symmetric matrix.
 
     A sweep visits every ``(p, q)`` pair once, in rounds of disjoint pairs
@@ -399,6 +405,10 @@ def jacobi_eigensystem(
     RuntimeError, with the final ``off/||A||_F``, if the off-diagonal norm
     has not dropped below ``1e-14 * ||A||_F`` within
     ``max_sweeps`` full sweeps.
+
+    The private ``_vectors=False`` skips accumulating Q and returns
+    ``(w, None)``: the rotations of A never read Q, so ``w`` is bit for bit
+    the same, and no round updates Q's rotated columns.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -407,7 +417,7 @@ def jacobi_eigensystem(
         raise ValueError("matrix has non-finite entries")
     n = a.shape[0]
     if n == 1:
-        return a.diagonal().copy(), np.eye(1)
+        return a.diagonal().copy(), np.eye(1) if _vectors else None
     w = a.diagonal().copy()
     exponent = int(np.frexp(np.abs(a).max())[1])
     a = np.ldexp(a, -exponent)
@@ -416,7 +426,7 @@ def jacobi_eigensystem(
     threshold = _JACOBI_OFF_TOL * max(fro, np.finfo(float).tiny)
     active = np.flatnonzero((a != np.diag(a.diagonal())).any(axis=1))
     sub = a[np.ix_(active, active)]
-    v = np.eye(active.size)
+    v = np.eye(active.size) if _vectors else None
     for _ in range(max_sweeps):
         if _off_norm(sub) <= threshold:
             break
@@ -427,15 +437,21 @@ def jacobi_eigensystem(
             f"(off/||A||_F = {_off_norm(sub) / fro:.3e})"
         )
     w[active] = np.ldexp(sub.diagonal(), exponent)
+    order = np.argsort(w, kind="stable")
+    if v is None:
+        return w[order], None
     q = np.eye(n)
     q[np.ix_(active, active)] = v
-    order = np.argsort(w, kind="stable")
     return w[order], q[:, order]
 
 
 def eigen_spectrum(matrix: OperatorMatrix) -> Spectrum:
-    """Ordered spectrum of an operator matrix via the Jacobi solver."""
-    w, _ = jacobi_eigensystem(matrix.entries)
+    """Ordered spectrum of an operator matrix via the Jacobi solver.
+
+    Only eigenvalues are computed (``_vectors=False``); they are bit for bit
+    those of ``jacobi_eigensystem(matrix.entries)[0]``.
+    """
+    w, _ = jacobi_eigensystem(matrix.entries, _vectors=False)
     return Spectrum(
         eigenvalues=SortedVector.from_vector(w),
         kind=matrix.kind,

@@ -165,7 +165,12 @@ class DichotomyVerdict(Record):
 
 
 def _rigid_zero_count(sorted_x: np.ndarray, m_eps: float, tol: float) -> Optional[int]:
-    """Number of leading zeros if the sorted vector matches the rigid pattern."""
+    """Number of leading zeros if the sorted vector matches the rigid pattern.
+
+    Zeros and equal entries are judged relative to the largest magnitude, so
+    the answer does not depend on the vector's scale; the zero vector, whose
+    tail is not positive, gets None.
+    """
     n = sorted_x.size
     m_int = round(m_eps)
     if abs(m_eps - m_int) > max(tol, 1e-9) * max(1.0, abs(m_eps)):
@@ -173,7 +178,7 @@ def _rigid_zero_count(sorted_x: np.ndarray, m_eps: float, tol: float) -> Optiona
     if not 1 <= m_int <= n - 1:
         return None
     scale = float(np.max(np.abs(sorted_x)))
-    atol = 10.0 * max(tol, 1e-12) * max(1.0, scale)
+    atol = 10.0 * max(tol, 1e-12) * scale
     head = sorted_x[:m_int]
     tail = sorted_x[m_int:]
     if np.max(np.abs(head)) > atol:

@@ -123,13 +123,15 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
         raise VectorParseError("need dimension >= 3 (add a 'dim n' line?)", 1)
     if max_index > n:
         raise VectorParseError(f"index {max_index} exceeds dim {n}", 1)
+    # Canonical keys are unique, so no two entries write the same component
+    # and all of them can be scattered at once.
+    a, b, c, d = np.array(list(entries), dtype=np.intp).reshape(-1, 4).T - 1
+    values = np.fromiter(entries.values(), dtype=float, count=len(entries))
     comps = np.zeros((n, n, n, n))
-    for (i, j, k, l), value in entries.items():
-        a, b, c, d = i - 1, j - 1, k - 1, l - 1
-        for (p, q, sp) in ((a, b, 1.0), (b, a, -1.0)):
-            for (r, s, ss) in ((c, d, 1.0), (d, c, -1.0)):
-                comps[p, q, r, s] = sp * ss * value
-                comps[r, s, p, q] = sp * ss * value
+    for (p, q, sp) in ((a, b, 1.0), (b, a, -1.0)):
+        for (r, s, ss) in ((c, d, 1.0), (d, c, -1.0)):
+            comps[p, q, r, s] = sp * ss * values
+            comps[r, s, p, q] = sp * ss * values
     return CurvatureTensor.from_components(comps)
 
 

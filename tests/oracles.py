@@ -7,7 +7,8 @@ feasible solutions for the capped weighted-sum extremes, and a ball
 projection for the boundary minimum of the partial sum.  The equivalent
 closed forms of the verdict thresholds live here too, and so do the loops
 the library replaced: the row-major sigma recurrence, the scalar
-cyclic-order Jacobi loop and the restarted subgradient boundary search.
+cyclic-order Jacobi loop, the restarted subgradient boundary search and the
+per-entry symmetric fill of a parsed tensor file.
 """
 
 from __future__ import annotations
@@ -286,3 +287,17 @@ def cyclic_jacobi_eigenvalues(matrix, off_tol_factor: float = 1e-14) -> np.ndarr
                 a[:, [p, q]] = a[:, [p, q]] @ rot.T
                 a[p, q] = a[q, p] = 0.0
     raise RuntimeError("cyclic Jacobi did not converge within 100 sweeps")
+
+
+def tensor_fill_by_loop(entries: dict, n: int) -> np.ndarray:
+    """Dense (n, n, n, n) components from canonical 1-based
+    ``(i, j, k, l) -> value`` entries, written one symmetric component at a
+    time (eight scalar writes per entry)."""
+    comps = np.zeros((n, n, n, n))
+    for (i, j, k, l), value in entries.items():
+        a, b, c, d = i - 1, j - 1, k - 1, l - 1
+        for (p, q, sp) in ((a, b, 1.0), (b, a, -1.0)):
+            for (r, s, ss) in ((c, d, 1.0), (d, c, -1.0)):
+                comps[p, q, r, s] = sp * ss * value
+                comps[r, s, p, q] = sp * ss * value
+    return comps

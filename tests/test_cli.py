@@ -1,5 +1,6 @@
 """Exit-code contract, file formats, config precedence, and determinism."""
 
+import itertools
 import json
 import math
 import subprocess
@@ -10,12 +11,15 @@ import pytest
 
 from gardinglab.cli import main
 from gardinglab.config import CONFIG_ENV_VAR
+from gardinglab.curvature import model_product_spheres, random_curvature_tensor
 from gardinglab.io import (
     VectorParseError,
     format_vector,
     parse_tensor_text,
     parse_vector_text,
 )
+
+from oracles import tensor_fill_by_loop
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +71,28 @@ class TestTensorFiles:
         assert tensor.components[0, 1, 0, 1] == 1.0
         assert tensor.components[1, 0, 0, 1] == -1.0
         assert tensor.scalar_curvature() == pytest.approx(6.0)
+
+    def test_fill_matches_scalar_loop(self):
+        # Random tensors, a product (many exact zeros) and an empty file.
+        cases = [
+            (random_curvature_tensor(n, seed=seed).components, n)
+            for n in range(3, 11)
+            for seed in range(3)
+        ]
+        cases += [(model_product_spheres(2, 3).components, 5), (np.zeros((4,) * 4), 4)]
+        for r, n in cases:
+            pairs = list(itertools.combinations(range(n), 2))
+            entries = {
+                (i + 1, j + 1, k + 1, l + 1): float(r[i, j, k, l])
+                for a, (i, j) in enumerate(pairs)
+                for k, l in pairs[a:]
+                if r[i, j, k, l] != 0.0
+            }
+            text = f"dim {n}\n" + "".join(
+                f"{i} {j} {k} {l} {value!r}\n" for (i, j, k, l), value in entries.items()
+            )
+            got = parse_tensor_text(text).components
+            assert got.tobytes() == tensor_fill_by_loop(entries, n).tobytes()
 
     def test_bad_index_order_rejected(self):
         with pytest.raises(VectorParseError):

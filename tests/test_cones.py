@@ -251,10 +251,15 @@ class TestScaleAndPermutationInvariance:
         )
         if not any(_near_tol(res.margin) for res in deciding):
             for scale in scales:
-                assert dichotomy_check(scale * v, eps_p).case == verdict.case
+                scaled = dichotomy_check(scale * v, eps_p)
+                assert (scaled.case, scaled.rigid_m) == (verdict.case, verdict.rigid_m)
         if exact:
             scaled = dichotomy_check(two * v, eps_p)
-            assert (scaled.case, scaled.c0) == (verdict.case, two * verdict.c0)
+            assert (scaled.case, scaled.c0, scaled.rigid_m) == (
+                verdict.case,
+                two * verdict.c0,
+                verdict.rigid_m,
+            )
 
     def test_scaling_bulk(self):
         rng = np.random.default_rng(47)

@@ -254,6 +254,33 @@ class TestJacobiEigensolver:
         assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-13 * fro
         assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-13
 
+    def test_eigenvalue_only_path_is_bit_identical(self):
+        # eigen_spectrum never accumulates Q; its eigenvalues must not move.
+        operators = [
+            assemble(random_curvature_tensor(n, seed=n))
+            for n in range(3, 15)
+            for assemble in (assemble_first_kind, assemble_second_kind)
+        ]
+        operators += [
+            assemble_second_kind(model_space_form(6, 1.0)),
+            assemble_first_kind(model_product_spheres(3, 4)),
+            OperatorMatrix.from_entries([[-2.5]]),
+        ]
+        for matrix in operators:
+            w, _ = jacobi_eigensystem(matrix.entries)
+            assert eigen_spectrum(matrix).array.tobytes() == w.tobytes()
+        for matrix in operators[:2] + operators[-1:]:
+            assert jacobi_eigensystem(matrix.entries, _vectors=False)[1] is None
+
+    def test_eigenvalue_only_path_fails_the_same_way(self):
+        a = _random_symmetric(30, seed=11)
+        for max_sweeps in (1, 3):
+            with pytest.raises(RuntimeError) as with_q:
+                jacobi_eigensystem(a, max_sweeps=max_sweeps)
+            with pytest.raises(RuntimeError) as without_q:
+                jacobi_eigensystem(a, max_sweeps=max_sweeps, _vectors=False)
+            assert str(without_q.value) == str(with_q.value)
+
     def test_reconstruction_and_orthogonality_at_104(self):
         a = assemble_second_kind(random_curvature_tensor(14, seed=5)).entries
         w, q = jacobi_eigensystem(a)

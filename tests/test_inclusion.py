@@ -13,6 +13,7 @@ from gardinglab.inclusion import (
     CASE_STRICT,
     InclusionReport,
     _collect_members,
+    _rigid_zero_count,
     boundary_search,
     dichotomy_check,
     epsilon_for_target_m,
@@ -159,6 +160,7 @@ class TestDichotomy:
         verdict = dichotomy_check(np.zeros(4), p)
         assert verdict.case == CASE_BOUNDARY
         assert verdict.rigid_m is None
+        assert _rigid_zero_count(np.zeros(4), 2.0, 1e-9) is None
 
     def test_members_with_positive_sum_have_nonnegative_c0(self):
         rng = np.random.default_rng(5)
@@ -190,6 +192,13 @@ class TestDichotomy:
             verdict = dichotomy_check(sharp_witness(n, m), p)
             assert verdict.case == CASE_BOUNDARY
             assert verdict.rigid_m == m
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-12, 1e-10, 1e-8, 1.0, 1e10, 1e300])
+    def test_rigid_pattern_at_every_scale(self, t):
+        # An absolute tolerance below scale 1 used to lose the pattern.
+        p = epsilon_to_params(epsilon_for_target_m(2, 4), 4)
+        verdict = dichotomy_check(t * sharp_witness(4, 2).array, p)
+        assert (verdict.case, verdict.rigid_m) == (CASE_BOUNDARY, 2)
 
 
 class TestSharpWitness:
