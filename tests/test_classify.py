@@ -267,6 +267,58 @@ class TestImplicationChain:
             assert has_sf == (eps <= thr * (1 + 1e-12))
 
 
+def _first(n, eps):
+    return classify_first_kind(_spectrum(np.ones(two_form_count(n)), KIND_FIRST, n), eps)
+
+
+def _second(n, eps):
+    return classify_second_kind(_spectrum(np.ones(trace_free_count(n)), KIND_SECOND, n), eps)
+
+
+def _kaehler(n, eps):
+    return classify_kaehler(np.ones(n * n), n, eps)
+
+
+# (verdict, rule, threshold, classifier of a constant spectrum, dimensions)
+_GATED_RULES = [
+    (VERDICT_SPACE_FORM, "space_form_threshold_first_kind", space_form_first_threshold,
+     _first, range(3, 13)),
+    (VERDICT_SPACE_FORM, "space_form_threshold_second_kind", space_form_second_threshold,
+     _second, range(3, 13)),
+    (VERDICT_CPN_COHOMOLOGY, "cpn_cohomology_threshold", cpn_cohomology_threshold,
+     _kaehler, range(2, 7)),
+    (VERDICT_CPN_BIHOLOMORPHIC, "cpn_biholomorphic_threshold", cpn_biholomorphic_threshold,
+     _kaehler, range(2, 7)),
+]
+
+
+class TestThresholdGate:
+    @pytest.mark.parametrize("verdict, rule, threshold, classify, dims", _GATED_RULES)
+    def test_equality_accepted_and_next_step_rejected(
+        self, verdict, rule, threshold, classify, dims
+    ):
+        vacuous = []
+        for n in dims:
+            thr = threshold(n)
+            if thr >= 1.0:
+                vacuous.append(n)
+                for eps in (0.5, 0.9, 1.0 - 1e-9):
+                    report = classify(n, eps)
+                    assert report.membership.member_open
+                    assert rule not in [v.rule for v in report.verdicts]
+                continue
+            at = classify(n, thr)
+            assert at.membership.member_open
+            emitted = [v for v in at.verdicts if v.rule == rule]
+            assert [v.verdict for v in emitted] == [verdict], (n, thr)
+            assert emitted[0].lhs == thr and emitted[0].rhs == thr and emitted[0].holds
+            above = classify(n, thr * (1.0 + 1e-9))
+            assert above.membership.member_open
+            assert rule not in [v.rule for v in above.verdicts], (n, thr)
+        # Only the n = 3 first-kind threshold (exactly 1) is vacuous in range.
+        assert vacuous == ([3] if threshold is space_form_first_threshold else [])
+
+
 class TestReportAuditing:
     def test_every_emitted_inequality_reevaluates_true(self):
         reports = []

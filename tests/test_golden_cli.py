@@ -44,6 +44,10 @@ INPUTS = {
     "kaehler2.txt": "2,2,2,2\n",
     "kaehler3.txt": "1,1.5,2,2,2.5,3,3,3.5,4\n",
     "short.txt": "1,2,3\n",
+    "s3_first.txt": "1,1,1\n",
+    "s5_first.txt": ",".join(["1.0"] * 10) + "\n",
+    "s7_first.txt": ",".join(["1.0"] * 21) + "\n",
+    "n8_second.txt": ",".join(str(1 + i % 5) for i in range(35)) + "\n",
 }
 
 CASES = [
@@ -79,6 +83,14 @@ CASES = [
     (*M, "classify", "kaehler2.txt", "--dim", "2", "--operator", "kaehler", "--epsilon", "0.25"),
     (*M, "classify", "kaehler3.txt", "--dim", "3", "--operator", "kaehler", "--epsilon", "0.05"),
     (*M, "classify", "short.txt", "--dim", "4", "--operator", "first", "--epsilon", "0.2"),
+    # Odd n with ceil(m_eps) = ceil(n/2): eps just above the n = 5 threshold 1/6.
+    (*M, "classify", "s5_first.txt", "--dim", "5", "--operator", "first", "--epsilon", "0.1667"),
+    # m_eps = 4.70 at n = 7: split vanishing b_1..b_2 and b_5..b_6.
+    (*M, "classify", "s7_first.txt", "--dim", "7", "--operator", "first", "--epsilon", "0.12"),
+    # m_eps = 6.9 at n = 8: degree rules p = 2, 3, 4 fire, the bulk rule does not.
+    (*M, "classify", "n8_second.txt", "--dim", "8", "--operator", "second", "--epsilon", "0.085"),
+    # The n = 3 first-kind threshold is vacuous (exactly 1).
+    (*M, "classify", "s3_first.txt", "--dim", "3", "--operator", "first", "--epsilon", "0.5"),
     (*M, "thresholds", "--n-min", "2", "--n-max", "6"),
     (*M, "thresholds", "--n-min", "5", "--n-max", "4"),
     ("cone-test", "wide.txt", "--k", "2", "--epsilon", "0.3"),
@@ -91,6 +103,7 @@ CASES = [
     ("classify", "s2x2_first.txt", "--dim", "4", "--operator", "first",
      "--epsilon", repr(math.sqrt(0.4))),
     ("classify", "s4_second.txt", "--dim", "4", "--operator", "second", "--epsilon", "0.25"),
+    ("classify", "s5_first.txt", "--dim", "5", "--operator", "first", "--epsilon", "0.1667"),
     ("thresholds", "--n-min", "2", "--n-max", "4"),
 ]
 
