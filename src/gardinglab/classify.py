@@ -17,16 +17,19 @@ membership implies, and emits:
   the m_eps formula, which is how the table is cross-checked.
 
 Verdicts require *open* membership; spectra that only reach the closed
-cone get a boundary note and no verdict.  Every emitted verdict records the
+cone get a boundary note and no verdict.  Every verdict passes one gate,
+eps <= threshold for a threshold below 1, with equality accepted (the two
+complex labels also need their positivity consequence), and records the
 inequality it rests on with both numeric sides so reports can be audited
-without rerunning.
+without rerunning.  A report without a verdict gets a ``none`` entry that
+says why.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -122,37 +125,24 @@ def thresholds(n: Optional[int], kaehler_complex_dim: Optional[int] = None) -> T
     """
     if n is None and kaehler_complex_dim is None:
         raise ValueError("need a real dimension n >= 3 or a complex dimension >= 2")
-    vacuous = []
-    first = second = None
+    columns = {}
     if n is not None and n >= 3:
-        first = space_form_first_threshold(n)
-        second = space_form_second_threshold(n)
-        if first >= 1.0:
-            vacuous.append("space_form_first")
-        if second >= 1.0:
-            vacuous.append("space_form_second")
+        columns["space_form_first"] = space_form_first_threshold(n)
+        columns["space_form_second"] = space_form_second_threshold(n)
     elif n is not None and n != 2:
         raise ValueError(f"real dimension must be >= 3, got {n}")
-    coh = bih = None
     if kaehler_complex_dim is not None:
         if kaehler_complex_dim < 2:
             raise ValueError(
                 f"complex dimension must be >= 2, got {kaehler_complex_dim}"
             )
-        coh = cpn_cohomology_threshold(kaehler_complex_dim)
-        bih = cpn_biholomorphic_threshold(kaehler_complex_dim)
-        if coh >= 1.0:
-            vacuous.append("cpn_cohomology")
-        if bih >= 1.0:
-            vacuous.append("cpn_biholomorphic")
+        columns["cpn_cohomology"] = cpn_cohomology_threshold(kaehler_complex_dim)
+        columns["cpn_biholomorphic"] = cpn_biholomorphic_threshold(kaehler_complex_dim)
     return ThresholdTable(
         n=n,
         kaehler_dim=kaehler_complex_dim,
-        space_form_first=first,
-        space_form_second=second,
-        cpn_cohomology=coh,
-        cpn_biholomorphic=bih,
-        vacuous=tuple(vacuous),
+        vacuous=tuple(name for name, thr in columns.items() if thr >= 1.0),
+        **columns,
     )
 
 
@@ -244,7 +234,45 @@ def _base_report(
     return report
 
 
-def _no_verdict(report: ClassificationReport) -> None:
+def _real_report(
+    spec: Spectrum,
+    kind: str,
+    count: Callable[[int], int],
+    formula: str,
+    epsilon: float,
+    tol: float,
+) -> ClassificationReport:
+    """Base report for a real-operator spectrum after checking kind and length."""
+    if spec.kind != kind:
+        raise ValueError(f"expected a {kind} spectrum, got {spec.kind}")
+    if spec.n is None or len(spec) != count(spec.n):
+        raise ValueError(f"spectrum length does not match {formula} for its dimension")
+    return _base_report(kind, spec.n, spec.array, epsilon, tol)
+
+
+def _within_threshold(report: ClassificationReport, thr: float) -> bool:
+    """eps <= thr for a non-vacuous threshold (thr < 1), equality accepted."""
+    return thr < 1.0 and _at_most(report.epsilon, thr)
+
+
+def _add_verdict(
+    report: ClassificationReport, verdict: str, rule: str, thr: float, also: str = ""
+) -> None:
+    """Record a verdict resting on eps <= thr, plus any further checked fact."""
+    report.verdicts.append(
+        VerdictRecord(
+            verdict=verdict,
+            rule=rule,
+            inequality=f"epsilon {report.epsilon:.12g} <= {thr:.12g}" + also,
+            lhs=report.epsilon,
+            rhs=thr,
+            holds=True,
+        )
+    )
+
+
+def _no_verdict(report: ClassificationReport) -> ClassificationReport:
+    """Close a report: without a verdict it gets the reason none applies."""
     if not report.verdicts:
         reason = (
             "open-cone membership fails"
@@ -261,101 +289,64 @@ def _no_verdict(report: ClassificationReport) -> None:
                 holds=False,
             )
         )
+    return report
 
 
 def classify_first_kind(
     spec: Spectrum, epsilon: float, tol: float = DEFAULT_TOL
 ) -> ClassificationReport:
     """Classify a 2-form-operator spectrum at shift strength eps."""
-    if spec.kind != KIND_FIRST:
-        raise ValueError(f"expected a {KIND_FIRST} spectrum, got {spec.kind}")
-    n = spec.n
-    values = spec.array
-    if n is None or values.size != two_form_count(n):
-        raise ValueError("spectrum length does not match n(n-1)/2 for its dimension")
-    report = _base_report(KIND_FIRST, n, values, epsilon, tol)
-    if not report.membership.member_open:
-        _no_verdict(report)
-        return report
-
-    k = _ceil_with_snap(report.m_eps, tol)
-    half = math.ceil(n / 2)
-    if k <= half:
-        report.betti_zero_ranges.append(
-            BettiRange(1, n - 1, "two_form_full_vanishing", float(k), float(half))
-        )
-    elif k <= n - 1:
-        report.betti_zero_ranges.append(
-            BettiRange(1, n - k, "two_form_split_vanishing_low", float(k), float(n - 1))
-        )
-        report.betti_zero_ranges.append(
-            BettiRange(k, n - 1, "two_form_split_vanishing_high", float(k), float(n - 1))
-        )
-    if n % 2 == 1 and k == half:
-        report.notes.append(
-            "case-boundary: ceil(m_eps) equals ceil(n/2) with odd n, where the "
-            "floor/ceil conventions for the full-vanishing case differ"
-        )
-
-    thr = space_form_first_threshold(n)
-    if thr < 1.0 and _at_most(report.epsilon, thr):
-        report.verdicts.append(
-            VerdictRecord(
-                verdict=VERDICT_SPACE_FORM,
-                rule="space_form_threshold_first_kind",
-                inequality=f"epsilon {report.epsilon:.12g} <= {thr:.12g}",
-                lhs=report.epsilon,
-                rhs=thr,
-                holds=True,
+    report = _real_report(spec, KIND_FIRST, two_form_count, "n(n-1)/2", epsilon, tol)
+    if report.membership.member_open:
+        n = report.n
+        k = _ceil_with_snap(report.m_eps, tol)
+        half = math.ceil(n / 2)
+        if k <= half:
+            report.betti_zero_ranges.append(
+                BettiRange(1, n - 1, "two_form_full_vanishing", float(k), float(half))
             )
-        )
-    _no_verdict(report)
-    return report
+        elif k <= n - 1:
+            report.betti_zero_ranges.append(
+                BettiRange(1, n - k, "two_form_split_vanishing_low", float(k), float(n - 1))
+            )
+            report.betti_zero_ranges.append(
+                BettiRange(k, n - 1, "two_form_split_vanishing_high", float(k), float(n - 1))
+            )
+        if n % 2 == 1 and k == half:
+            report.notes.append(
+                "case-boundary: ceil(m_eps) equals ceil(n/2) with odd n, where the "
+                "floor/ceil conventions for the full-vanishing case differ"
+            )
+        thr = space_form_first_threshold(n)
+        if _within_threshold(report, thr):
+            _add_verdict(report, VERDICT_SPACE_FORM, "space_form_threshold_first_kind", thr)
+    return _no_verdict(report)
 
 
 def classify_second_kind(
     spec: Spectrum, epsilon: float, tol: float = DEFAULT_TOL
 ) -> ClassificationReport:
     """Classify a trace-free-operator spectrum at shift strength eps."""
-    if spec.kind != KIND_SECOND:
-        raise ValueError(f"expected a {KIND_SECOND} spectrum, got {spec.kind}")
-    n = spec.n
-    values = spec.array
-    if n is None or values.size != trace_free_count(n):
-        raise ValueError(
-            "spectrum length does not match (n-1)(n+2)/2 for its dimension"
-        )
-    report = _base_report(KIND_SECOND, n, values, epsilon, tol)
-    if not report.membership.member_open:
-        _no_verdict(report)
-        return report
-
-    bulk = 3.0 * n / 4.0
-    if _at_most(report.m_eps, bulk):
-        report.betti_zero_ranges.append(
-            BettiRange(1, n - 1, "trace_free_full_vanishing", report.m_eps, bulk)
-        )
-    for p in range(1, n // 2 + 1):
-        cp = form_degree_coeff(n, p).coeff
-        if _at_most(report.m_eps, cp):
+    report = _real_report(
+        spec, KIND_SECOND, trace_free_count, "(n-1)(n+2)/2", epsilon, tol
+    )
+    if report.membership.member_open:
+        n = report.n
+        bulk = 3.0 * n / 4.0
+        if _at_most(report.m_eps, bulk):
             report.betti_zero_ranges.append(
-                BettiRange(p, n - p, f"trace_free_degree_{p}_vanishing", report.m_eps, cp)
+                BettiRange(1, n - 1, "trace_free_full_vanishing", report.m_eps, bulk)
             )
-
-    thr = space_form_second_threshold(n)
-    if thr < 1.0 and _at_most(report.epsilon, thr):
-        report.verdicts.append(
-            VerdictRecord(
-                verdict=VERDICT_SPACE_FORM,
-                rule="space_form_threshold_second_kind",
-                inequality=f"epsilon {report.epsilon:.12g} <= {thr:.12g}",
-                lhs=report.epsilon,
-                rhs=thr,
-                holds=True,
-            )
-        )
-    _no_verdict(report)
-    return report
+        for p in range(1, n // 2 + 1):
+            cp = form_degree_coeff(n, p).coeff
+            if _at_most(report.m_eps, cp):
+                report.betti_zero_ranges.append(
+                    BettiRange(p, n - p, f"trace_free_degree_{p}_vanishing", report.m_eps, cp)
+                )
+        thr = space_form_second_threshold(n)
+        if _within_threshold(report, thr):
+            _add_verdict(report, VERDICT_SPACE_FORM, "space_form_threshold_second_kind", thr)
+    return _no_verdict(report)
 
 
 def classify_kaehler(
@@ -369,44 +360,22 @@ def classify_kaehler(
     if values.size != n3:
         raise ValueError(f"spectrum length {values.size} does not match n^2 = {n3}")
     report = _base_report(KIND_KAEHLER, n_complex, values, epsilon, tol)
-    if not report.membership.member_open:
-        _no_verdict(report)
-        return report
-
-    coh_thr = cpn_cohomology_threshold(n_complex)
-    if coh_thr < 1.0 and _at_most(report.epsilon, coh_thr):
-        m_target = 3.0 - 2.0 / n_complex
-        consequence = partial_sum_fractional(values, m_target)
-        if in_positivity_cone(values, m_target, tol).member_open:
-            report.verdicts.append(
-                VerdictRecord(
-                    verdict=VERDICT_CPN_COHOMOLOGY,
-                    rule="cpn_cohomology_threshold",
-                    inequality=(
-                        f"epsilon {report.epsilon:.12g} <= {coh_thr:.12g} and "
-                        f"partial_sum({m_target:.12g}) = {consequence:.12g} > 0"
-                    ),
-                    lhs=report.epsilon,
-                    rhs=coh_thr,
-                    holds=True,
+    if report.membership.member_open:
+        thr = cpn_cohomology_threshold(n_complex)
+        if _within_threshold(report, thr):
+            m_target = 3.0 - 2.0 / n_complex
+            if in_positivity_cone(values, m_target, tol).member_open:
+                consequence = partial_sum_fractional(values, m_target)
+                _add_verdict(
+                    report, VERDICT_CPN_COHOMOLOGY, "cpn_cohomology_threshold", thr,
+                    f" and partial_sum({m_target:.12g}) = {consequence:.12g} > 0",
                 )
-            )
-    bih_thr = cpn_biholomorphic_threshold(n_complex)
-    if bih_thr < 1.0 and _at_most(report.epsilon, bih_thr):
-        pair_sum = float(values[0] + values[1])
-        if in_positivity_cone(values, 2.0, tol).member_open:
-            report.verdicts.append(
-                VerdictRecord(
-                    verdict=VERDICT_CPN_BIHOLOMORPHIC,
-                    rule="cpn_biholomorphic_threshold",
-                    inequality=(
-                        f"epsilon {report.epsilon:.12g} <= {bih_thr:.12g} and "
-                        f"smallest pair sum = {pair_sum:.12g} > 0"
-                    ),
-                    lhs=report.epsilon,
-                    rhs=bih_thr,
-                    holds=True,
+        thr = cpn_biholomorphic_threshold(n_complex)
+        if _within_threshold(report, thr):
+            if in_positivity_cone(values, 2.0, tol).member_open:
+                pair_sum = float(values[0] + values[1])
+                _add_verdict(
+                    report, VERDICT_CPN_BIHOLOMORPHIC, "cpn_biholomorphic_threshold", thr,
+                    f" and smallest pair sum = {pair_sum:.12g} > 0",
                 )
-            )
-    _no_verdict(report)
-    return report
+    return _no_verdict(report)

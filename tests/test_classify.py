@@ -1,6 +1,7 @@
 """Threshold table and verdict logic for all three operator families."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -317,6 +318,31 @@ class TestThresholdGate:
             assert rule not in [v.rule for v in above.verdicts], (n, thr)
         # Only the n = 3 first-kind threshold (exactly 1) is vacuous in range.
         assert vacuous == ([3] if threshold is space_form_first_threshold else [])
+
+
+class TestValidationMessages:
+    @pytest.mark.parametrize(
+        "classify, kind, other, count, formula",
+        [
+            (classify_first_kind, KIND_FIRST, KIND_SECOND, two_form_count, "n(n-1)/2"),
+            (classify_second_kind, KIND_SECOND, KIND_FIRST, trace_free_count,
+             "(n-1)(n+2)/2"),
+        ],
+    )
+    def test_real_kinds(self, classify, kind, other, count, formula):
+        with pytest.raises(ValueError, match=f"^expected a {kind} spectrum, got {other}$"):
+            classify(_spectrum(np.ones(count(4)), other, 4), 0.2)
+        length = f"^spectrum length does not match {re.escape(formula)} for its dimension$"
+        with pytest.raises(ValueError, match=length):
+            classify(_spectrum(np.ones(count(4) + 1), kind, 4), 0.2)
+        with pytest.raises(ValueError, match=length):
+            classify(_spectrum(np.ones(count(4)), kind, None), 0.2)
+
+    def test_kaehler(self):
+        with pytest.raises(ValueError, match=r"^complex dimension must be >= 2, got 1$"):
+            classify_kaehler(np.ones(1), 1, 0.2)
+        with pytest.raises(ValueError, match=r"^spectrum length 5 does not match n\^2 = 4$"):
+            classify_kaehler(np.ones(5), 2, 0.2)
 
 
 class TestReportAuditing:
