@@ -11,7 +11,8 @@ Subcommands and exit codes:
 * ``classify``: 0 iff some verdict label was emitted, else 1.
 * ``thresholds``: always 0.
 
-Usage errors exit 64 and malformed input files exit 65.  Machine format
+Usage errors exit 64; input files that are malformed, not UTF-8 or cannot be
+opened (and any other failed file operation) exit 65.  Machine format
 prints one self-describing JSON record per line with sorted keys, so equal
 configurations and seeds reproduce byte-identical output.
 """
@@ -360,7 +361,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VectorParseError as exc:
         print(f"gardinglab: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"gardinglab: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, RuntimeError) as exc:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import ClassVar, Optional
@@ -69,8 +71,16 @@ class RunConfig:
     output_format: str = "human"
 
     def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        # Values may come from a JSON file, so types are checked, not assumed;
+        # bool is an int subclass and is refused explicitly.
+        tol = self.tol
+        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        if not (real and 0 < tol < math.inf):
+            raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+        for name in ("seed", "samples", "restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples < 0:
             raise ValueError(f"samples must be >= 0, got {self.samples}")
         if self.restarts < 1:

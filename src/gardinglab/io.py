@@ -67,8 +67,18 @@ def parse_vector_text(text: str) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
+def _read_text(path: str | Path) -> str:
+    """UTF-8 file contents; a byte that does not decode is an error on its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise VectorParseError(f"not UTF-8 text ({exc.reason})", line) from None
+
+
 def read_vector_file(path: str | Path) -> np.ndarray:
-    return parse_vector_text(Path(path).read_text(encoding="utf-8"))
+    return parse_vector_text(_read_text(path))
 
 
 def format_vector(values) -> str:
@@ -136,4 +146,4 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
 
 
 def read_tensor_file(path: str | Path) -> CurvatureTensor:
-    return parse_tensor_text(Path(path).read_text(encoding="utf-8"))
+    return parse_tensor_text(_read_text(path))

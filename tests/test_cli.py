@@ -17,6 +17,8 @@ from gardinglab.io import (
     format_vector,
     parse_tensor_text,
     parse_vector_text,
+    read_tensor_file,
+    read_vector_file,
 )
 
 from oracles import tensor_fill_by_loop
@@ -113,6 +115,43 @@ class TestTensorFiles:
         # Lone off-block component breaks the first Bianchi identity.
         with pytest.raises(ValueError):
             parse_tensor_text("dim 4\n1 2 3 4 1\n")
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cone-test", "{dir}", "--k", "2"),
+            ("model-space", "file", "--tensor-file", "{dir}"),
+            ("classify", "{dir}", "--dim", "3", "--operator", "first", "--epsilon", "0.5"),
+        ],
+        ids=["cone_test", "tensor_file", "classify"],
+    )
+    def test_directory_exits_65(self, argv, capsys, tmp_path):
+        code, _, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert code == 65
+        assert err.startswith("gardinglab: ") and err.count("\n") == 1
+        assert "Is a directory" in err
+
+    def test_vector_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"# comment\r\n1, 2,\n3, \xff 4\n")
+        with pytest.raises(VectorParseError) as info:
+            read_vector_file(path)
+        assert info.value.line == 3
+        code, _, err = run_cli(capsys, "cone-test", str(path), "--k", "2")
+        assert code == 65
+        assert err == "gardinglab: line 3: not UTF-8 text (invalid start byte)\n"
+
+    def test_tensor_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"dim 3\n1 2 1 2 1\n1 3 1 3 \xc3\n")
+        with pytest.raises(VectorParseError) as info:
+            read_tensor_file(path)
+        assert info.value.line == 3
+        code, _, err = run_cli(capsys, "model-space", "file", "--tensor-file", str(path))
+        assert code == 65
+        assert err.startswith("gardinglab: line 3: not UTF-8 text") and err.count("\n") == 1
 
 
 class TestConeTestCommand:
@@ -402,6 +441,41 @@ class TestConfig:
         monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
         code, _, err = run_cli(capsys, "thresholds")
         assert code == 64 and "unknown keys" in err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"tol": "abc"}, "tol must be a finite positive number, got 'abc'"),
+            ({"tol": None}, "tol must be a finite positive number, got None"),
+            ({"tol": True}, "tol must be a finite positive number, got True"),
+            ({"tol": 1e400}, "tol must be a finite positive number, got inf"),
+            ({"seed": "x"}, "seed must be an integer, got 'x'"),
+            ({"seed": False}, "seed must be an integer, got False"),
+            ({"samples": 1.5}, "samples must be an integer, got 1.5"),
+            ({"samples": True}, "samples must be an integer, got True"),
+            ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
+        ],
+        ids=["tol_str", "tol_null", "tol_bool", "tol_inf", "seed_str", "seed_bool",
+             "samples_float", "samples_bool", "restarts_float"],
+    )
+    def test_mistyped_config_value_is_usage_error(
+        self, data, message, capsys, tmp_path, monkeypatch
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        # Checked when the configuration loads, whichever subcommand runs.
+        code, out, err = run_cli(capsys, "thresholds", "--n-max", "3")
+        assert code == 64 and out == ""
+        assert err == f"gardinglab: {message}\n"
+
+    def test_infinite_tol_flag_is_usage_error(self, capsys, vec_file):
+        # An infinite tolerance would call the open member 1,2,3 closed-boundary.
+        code, out, err = run_cli(
+            capsys, "--tol", "inf", "cone-test", vec_file("v", "1,2,3"), "--k", "2"
+        )
+        assert code == 64 and out == ""
+        assert err == "gardinglab: tol must be a finite positive number, got inf\n"
 
 
 class TestConsoleEntry:
