@@ -7,7 +7,7 @@ Subcommands and exit codes:
 * ``verify-inclusion``: 0 iff the sampled inclusion check (and, when
   enabled, the boundary search) reports no violation.
 * ``model-space``: writes an ordered spectrum; exits 3 when a
-  scalar-curvature identity fails.
+  scalar-curvature identity (a trace of an assembled operator) fails.
 * ``classify``: 0 iff some verdict label was emitted, else 1.
 * ``thresholds``: always 0.
 
@@ -234,8 +234,9 @@ def _model_tensor(args) -> _curvature.CurvatureTensor:
 def _cmd_model_space(args, config: RunConfig) -> int:
     tensor = _model_tensor(args)
     checks = _curvature.scalar_curvature_checks(tensor)
-    kind = _curvature.KIND_FIRST if args.operator == "first" else _curvature.KIND_SECOND
-    spectrum = checks.spectra[kind]
+    first = args.operator == "first"
+    assemble = _curvature.assemble_first_kind if first else _curvature.assemble_second_kind
+    spectrum = _curvature.eigen_spectrum(assemble(tensor))
     csv = format_vector(spectrum.array)
     record = {
         "record": "model_space",
@@ -262,15 +263,20 @@ def _cmd_model_space(args, config: RunConfig) -> int:
     return EXIT_OK if checks.ok else EXIT_IDENTITY_FAILURE
 
 
+# classify --operator name -> (spectrum length in frame dimension n, kind of a
+# real spectrum or None for the Kaehler one, classifier in ``classify``).
+_CLASSIFY_OPERATORS = {
+    "first": (_curvature.two_form_count, _curvature.KIND_FIRST, "classify_first_kind"),
+    "second": (_curvature.trace_free_count, _curvature.KIND_SECOND, "classify_second_kind"),
+    "kaehler": (lambda n: n * n, None, "classify_kaehler"),
+}
+
+
 def _cmd_classify(args, config: RunConfig) -> int:
     values = read_vector_file(args.spectrum_file)
     n = args.dim
-    if args.operator == "first":
-        expected = _curvature.two_form_count(n)
-    elif args.operator == "second":
-        expected = _curvature.trace_free_count(n)
-    else:
-        expected = n * n
+    size, kind, classifier = _CLASSIFY_OPERATORS[args.operator]
+    expected = size(n)
     if values.size != expected:
         print(
             f"gardinglab: spectrum length {values.size} does not match the "
@@ -278,19 +284,14 @@ def _cmd_classify(args, config: RunConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
-    if args.operator == "kaehler":
-        report = _classify.classify_kaehler(values, n, args.epsilon, config.tol)
+    if kind is None:
+        spectrum = (values, n)
     else:
-        kind = (
-            _curvature.KIND_FIRST if args.operator == "first" else _curvature.KIND_SECOND
+        spectrum = (
+            _curvature.Spectrum(eigenvalues=SortedVector.from_vector(values), kind=kind, n=n),
         )
-        spec = _curvature.Spectrum(
-            eigenvalues=SortedVector.from_vector(values), kind=kind, n=n
-        )
-        if args.operator == "first":
-            report = _classify.classify_first_kind(spec, args.epsilon, config.tol)
-        else:
-            report = _classify.classify_second_kind(spec, args.epsilon, config.tol)
+    # Looked up at call time, so a wrapper set on the module sees the call.
+    report = getattr(_classify, classifier)(*spectrum, args.epsilon, config.tol)
     lines = [
         f"{args.operator} operator, n={n}, N={report.N}, eps={report.epsilon:.6g}: "
         f"member_open={report.membership.member_open} m_eps={report.m_eps:.6g}"

@@ -103,10 +103,6 @@ class EpsilonParams:
 def epsilon_to_params(epsilon: float, N: int) -> EpsilonParams:
     """Populate alpha_eps and m_eps from their closed forms."""
     epsilon = float(epsilon)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
     e2 = epsilon * epsilon
     return EpsilonParams(
         epsilon=epsilon,

@@ -162,10 +162,6 @@ class FormDegreeCoeffs:
 
 def form_degree_coeff(n: int, p: int) -> FormDegreeCoeffs:
     """C_p(n) with its defining highest/total weight pair."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if not 1 <= p <= n // 2:
-        raise ValueError(f"p must satisfy 1 <= p <= {n // 2}, got {p}")
     total = 1.5 * p * (n - p)
     highest = (n * n * p - n * p * p - 2 * n * p + 2 * n * n + 2 * n - 4 * p) / (
         n * (n + 2)
@@ -196,15 +192,20 @@ def positivity_at_level(
     return lhs >= rhs - tol * (1.0 + abs(rhs))
 
 
-def form_degree_positivity(
-    spectrum: VectorLike, n: int, p: int, kappa: float, tol: float = DEFAULT_TOL
-) -> bool:
-    """C_p-level positivity test for a trace-free-operator spectrum."""
+def _trace_free_entries(spectrum: VectorLike, n: int) -> np.ndarray:
     x = _sorted_entries(spectrum)
     if x.size != trace_free_count(n):
         raise ValueError(
             f"spectrum length {x.size} does not match (n-1)(n+2)/2 = {trace_free_count(n)}"
         )
+    return x
+
+
+def form_degree_positivity(
+    spectrum: VectorLike, n: int, p: int, kappa: float, tol: float = DEFAULT_TOL
+) -> bool:
+    """C_p-level positivity test for a trace-free-operator spectrum."""
+    x = _trace_free_entries(spectrum, n)
     return positivity_at_level(x, form_degree_coeff(n, p).coeff, kappa, tol)
 
 
@@ -212,9 +213,5 @@ def bulk_positivity(
     spectrum: VectorLike, n: int, kappa: float, tol: float = DEFAULT_TOL
 ) -> bool:
     """3n/4-level positivity test for a trace-free-operator spectrum."""
-    x = _sorted_entries(spectrum)
-    if x.size != trace_free_count(n):
-        raise ValueError(
-            f"spectrum length {x.size} does not match (n-1)(n+2)/2 = {trace_free_count(n)}"
-        )
+    x = _trace_free_entries(spectrum, n)
     return positivity_at_level(x, 3.0 * n / 4.0, kappa, tol)

@@ -23,9 +23,11 @@ from gardinglab.classify import (
 from gardinglab.cones import nesting_check
 from gardinglab.curvature import (
     assemble_first_kind,
+    assemble_second_kind,
     eigen_spectrum,
     model_product_spheres,
     model_space_form,
+    random_curvature_tensor,
     scalar_curvature_checks,
     trace_free_count,
     two_form_count,
@@ -220,6 +222,16 @@ def test_criterion_4_monotonicity_and_nesting():
     assert ok
 
 
+def _spectrum_sums_hold(tensor) -> bool:
+    """scal = 2 * sum(first-kind spectrum) = 2n/(n+2) * sum(second-kind spectrum)."""
+    n = tensor.n
+    scal = tensor.scalar_curvature()
+    first = 2.0 * eigen_spectrum(assemble_first_kind(tensor)).array.sum()
+    second = 2.0 * n / (n + 2.0) * eigen_spectrum(assemble_second_kind(tensor)).array.sum()
+    tol = 1e-8 * max(1.0, abs(scal))
+    return abs(first - scal) <= tol and abs(second - scal) <= tol
+
+
 def test_criterion_5_scalar_curvature_identities():
     failures = []
     for n in range(3, 15):
@@ -232,6 +244,8 @@ def test_criterion_5_scalar_curvature_identities():
             failures.append((n, "scal value"))
         if report.first_kind_rel_err > 1e-8 or report.second_kind_rel_err > 1e-8:
             failures.append((n, "identity"))
+        if not _spectrum_sums_hold(tensor):
+            failures.append((n, "spectrum sums"))
     product = eigen_spectrum(assemble_first_kind(model_product_spheres(2, 2))).array
     if np.max(np.abs(product - np.array([0, 0, 0, 0, 1, 1.0]))) > 1e-10:
         failures.append(("S2xS2", "spectrum"))
@@ -250,12 +264,18 @@ def test_criterion_5_scalar_curvature_identities():
                 failures.append((f"S{p}xS{q}", "scal value"))
             if report.first_kind_rel_err > 1e-8 or report.second_kind_rel_err > 1e-8:
                 failures.append((f"S{p}xS{q}", "identity"))
+            if not _spectrum_sums_hold(tensor):
+                failures.append((f"S{p}xS{q}", "spectrum sums"))
+    for n in range(3, 10):
+        tensor = random_curvature_tensor(n, seed=n)
+        if not (scalar_curvature_checks(tensor).ok and _spectrum_sums_hold(tensor)):
+            failures.append((f"random n={n}", "identity"))
     ok = not failures
     _report_line(
         5,
         ok,
-        "unit spheres n=3..14 and the products S^p x S^q, 2 <= p <= q <= 7, "
-        "match both identities",
+        "unit spheres n=3..14, the products S^p x S^q, 2 <= p <= q <= 7, and "
+        "random tensors n=3..9 match both identities as traces and as spectrum sums",
     )
     assert ok, failures
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -306,14 +307,12 @@ class TestModelSpaceCommand:
         # Valid tensors always satisfy the identities, so fake a failing
         # check to pin the exit-code wiring.
         import gardinglab.cli as cli_mod
-        from gardinglab.curvature import model_space_form, scalar_curvature_checks
 
         class FailingChecks:
             ok = False
             scalar_curvature = 1.0
             first_kind_ok = False
             second_kind_ok = True
-            spectra = scalar_curvature_checks(model_space_form(3, 1.0)).spectra
 
             def to_record(self):
                 return {"record": "scalar_curvature_checks", "ok": False}
@@ -323,6 +322,44 @@ class TestModelSpaceCommand:
         )
         code, _, _ = run_cli(capsys, "model-space", "sphere", "--n", "3")
         assert code == 3
+
+    @pytest.mark.parametrize("operator", ["first", "second"])
+    @pytest.mark.parametrize("kind", ["sphere", "product", "file"])
+    def test_one_jacobi_solve_per_run(self, capsys, monkeypatch, tmp_path, kind, operator):
+        # The identities are checked on operator traces, so only the printed
+        # spectrum is diagonalized.
+        import gardinglab.curvature as curvature_mod
+
+        calls = []
+        solve = curvature_mod.jacobi_eigensystem
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(curvature_mod, "jacobi_eigensystem", counting)
+        path = tmp_path / "t.txt"
+        r = random_curvature_tensor(4, seed=0).components
+        pairs = list(itertools.combinations(range(4), 2))
+        path.write_text(
+            "dim 4\n"
+            + "".join(
+                f"{i + 1} {j + 1} {k + 1} {l + 1} {float(r[i, j, k, l])!r}\n"
+                for a, (i, j) in enumerate(pairs)
+                for k, l in pairs[a:]
+            ),
+            encoding="utf-8",
+        )
+        kind_args = {
+            "sphere": ("--n", "5"),
+            "product": ("--p", "2", "--q", "3"),
+            "file": ("--tensor-file", str(path)),
+        }[kind]
+        code, _, _ = run_cli(
+            capsys, "model-space", kind, *kind_args, "--operator", operator
+        )
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestClassifyCommand:
@@ -480,10 +517,18 @@ class TestConfig:
 
 class TestConsoleEntry:
     def test_subprocess_smoke(self, tmp_path):
+        # The child imports the same gardinglab as this process, whether or
+        # not PYTHONPATH already names it.
+        import gardinglab
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gardinglab.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-m", "gardinglab.cli", "thresholds", "--n-max", "3"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert out.returncode == 0
         assert "space_form_second" in out.stdout or "n=3" in out.stdout

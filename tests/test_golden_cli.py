@@ -7,12 +7,13 @@ only for an intended output change, with
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 
-which prints every line that moved, numbered, with its old and new text.
+which prints a unified diff of the old and new transcripts.
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import math
 import os
@@ -158,11 +159,13 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         new = render(Path(tmp))
     old = GOLDEN.read_text(encoding="utf-8") if GOLDEN.exists() else ""
-    old_lines, new_lines = old.splitlines(), new.splitlines()
-    for number in range(1, max(len(old_lines), len(new_lines)) + 1):
-        before = old_lines[number - 1] if number <= len(old_lines) else None
-        after = new_lines[number - 1] if number <= len(new_lines) else None
-        if before != after:
-            print(f"line {number}:\n  - {before}\n  + {after}")
+    sys.stdout.writelines(
+        difflib.unified_diff(
+            old.splitlines(keepends=True),
+            new.splitlines(keepends=True),
+            fromfile="golden (old)",
+            tofile="golden (new)",
+        )
+    )
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(new, encoding="utf-8")

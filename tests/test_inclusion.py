@@ -11,6 +11,7 @@ from gardinglab.inclusion import (
     CASE_BOUNDARY,
     CASE_NOT_MEMBER,
     CASE_STRICT,
+    EpsilonParams,
     InclusionReport,
     _collect_members,
     _rigid_zero_count,
@@ -65,6 +66,10 @@ class TestEpsilonParams:
             epsilon_to_params(1.0, 4)
         with pytest.raises(ValueError):
             epsilon_to_params(0.5, 1)
+        # The bundle itself holds the check, so direct construction is checked.
+        for epsilon, N in ((0.0, 4), (1.0, 4), (0.5, 1)):
+            with pytest.raises(ValueError):
+                EpsilonParams(epsilon=epsilon, N=N, alpha_eps=0.1, m_eps=1.0)
 
 
 class TestInverseMap:

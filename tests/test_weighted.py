@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gardinglab.weighted import (
+    FormDegreeCoeffs,
     WeightBudget,
     anchored_lower_bound,
     budget_normalized_bound,
@@ -199,6 +200,10 @@ class TestFormDegreeCoeffs:
             form_degree_coeff(2, 1)
         with pytest.raises(ValueError):
             form_degree_coeff(4, 3)
+        # The coefficient record itself holds the check.
+        for n, p in ((2, 1), (4, 3)):
+            with pytest.raises(ValueError):
+                FormDegreeCoeffs(n=n, p=p, coeff=1.0, highest_weight=1.0, total_weight=1.0)
 
     @pytest.mark.parametrize(
         "n,expected,floor_value",
@@ -239,6 +244,8 @@ class TestPositivityLevels:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             bulk_positivity(np.ones(5), 4, 0.0)
+        with pytest.raises(ValueError):
+            form_degree_positivity(np.ones(5), 4, 1, 0.0)
 
     def test_generic_level(self):
         assert positivity_at_level(np.array([0.0, 1.0, 2.0]), 1.5, 0.0)
