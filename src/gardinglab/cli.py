@@ -15,6 +15,16 @@ Usage errors exit 64; input files that are malformed, not UTF-8 or cannot be
 opened (and any other failed file operation) exit 65.  Machine format
 prints one self-describing JSON record per line with sorted keys, so equal
 configurations and seeds reproduce byte-identical output.
+
+Start-up: the module level imports the standard library and ``config``
+alone, and each handler imports what it runs when it is called, after its
+usage checks.
+``thresholds`` and every usage error run without numpy; ``cone-test`` loads
+``io``, ``cones`` and ``symfun``; ``model-space`` adds ``curvature``;
+``verify-inclusion`` loads ``inclusion``; ``classify`` reads its file and
+checks the spectrum length before it loads ``classify``.  Handlers read
+library functions from their modules at call time, so a wrapper set on a
+module sees the call.
 """
 
 from __future__ import annotations
@@ -25,13 +35,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import classify as _classify
-from . import curvature as _curvature
-from .cones import ShiftParams, in_positivity_cone, in_shifted_cone
-from .config import RunConfig, load_config
-from .inclusion import boundary_search, verify_inclusion_sampling
-from .io import VectorParseError, format_vector, read_tensor_file, read_vector_file
-from .symfun import SortedVector
+from .config import RunConfig, VectorParseError, load_config
 
 EXIT_OK = 0
 EXIT_CLOSED_ONLY = 1
@@ -141,6 +145,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_cone_test(args, config: RunConfig) -> int:
+    from .cones import ShiftParams, in_positivity_cone, in_shifted_cone
+    from .io import read_vector_file
+
     vec = read_vector_file(args.vector_file)
     n = vec.size
     if args.k is not None:
@@ -178,6 +185,8 @@ def _cmd_cone_test(args, config: RunConfig) -> int:
 
 
 def _cmd_verify_inclusion(args, config: RunConfig) -> int:
+    from .inclusion import boundary_search, verify_inclusion_sampling
+
     report = verify_inclusion_sampling(
         N=args.n,
         epsilon=args.epsilon,
@@ -217,26 +226,27 @@ def _cmd_verify_inclusion(args, config: RunConfig) -> int:
     return EXIT_OK if ok else 1
 
 
-def _model_tensor(args) -> _curvature.CurvatureTensor:
-    if args.kind == "sphere":
-        if args.n is None:
-            raise _CliError("model-space sphere needs --n", EXIT_USAGE)
-        return _curvature.model_space_form(args.n, args.curvature)
-    if args.kind == "product":
-        if args.p is None or args.q is None:
-            raise _CliError("model-space product needs --p and --q", EXIT_USAGE)
-        return _curvature.model_product_spheres(args.p, args.q)
-    if args.tensor_file is None:
-        raise _CliError("model-space file needs --tensor-file", EXIT_USAGE)
-    return read_tensor_file(args.tensor_file)
-
-
 def _cmd_model_space(args, config: RunConfig) -> int:
-    tensor = _model_tensor(args)
-    checks = _curvature.scalar_curvature_checks(tensor)
+    if args.kind == "sphere" and args.n is None:
+        raise _CliError("model-space sphere needs --n", EXIT_USAGE)
+    if args.kind == "product" and (args.p is None or args.q is None):
+        raise _CliError("model-space product needs --p and --q", EXIT_USAGE)
+    if args.kind == "file" and args.tensor_file is None:
+        raise _CliError("model-space file needs --tensor-file", EXIT_USAGE)
+    from . import curvature
+    from .io import format_vector, read_tensor_file
+
+    if args.kind == "sphere":
+        tensor = curvature.model_space_form(args.n, args.curvature)
+    elif args.kind == "product":
+        tensor = curvature.model_product_spheres(args.p, args.q)
+    else:
+        tensor = read_tensor_file(args.tensor_file)
     first = args.operator == "first"
-    assemble = _curvature.assemble_first_kind if first else _curvature.assemble_second_kind
-    spectrum = _curvature.eigen_spectrum(assemble(tensor))
+    assemble = curvature.assemble_first_kind if first else curvature.assemble_second_kind
+    operator = assemble(tensor)
+    checks = curvature.scalar_curvature_checks(tensor, operator)
+    spectrum = curvature.eigen_spectrum(operator)
     csv = format_vector(spectrum.array)
     record = {
         "record": "model_space",
@@ -263,20 +273,14 @@ def _cmd_model_space(args, config: RunConfig) -> int:
     return EXIT_OK if checks.ok else EXIT_IDENTITY_FAILURE
 
 
-# classify --operator name -> (spectrum length in frame dimension n, kind of a
-# real spectrum or None for the Kaehler one, classifier in ``classify``).
-_CLASSIFY_OPERATORS = {
-    "first": (_curvature.two_form_count, _curvature.KIND_FIRST, "classify_first_kind"),
-    "second": (_curvature.trace_free_count, _curvature.KIND_SECOND, "classify_second_kind"),
-    "kaehler": (lambda n: n * n, None, "classify_kaehler"),
-}
-
-
 def _cmd_classify(args, config: RunConfig) -> int:
+    from .io import read_vector_file
+    from .tables import trace_free_count, two_form_count
+
     values = read_vector_file(args.spectrum_file)
     n = args.dim
-    size, kind, classifier = _CLASSIFY_OPERATORS[args.operator]
-    expected = size(n)
+    size = {"first": two_form_count, "second": trace_free_count, "kaehler": lambda d: d * d}
+    expected = size[args.operator](n)
     if values.size != expected:
         print(
             f"gardinglab: spectrum length {values.size} does not match the "
@@ -284,14 +288,17 @@ def _cmd_classify(args, config: RunConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
-    if kind is None:
-        spectrum = (values, n)
+    from . import classify, curvature
+    from .symfun import SortedVector
+
+    if args.operator == "kaehler":
+        report = classify.classify_kaehler(values, n, args.epsilon, config.tol)
     else:
-        spectrum = (
-            _curvature.Spectrum(eigenvalues=SortedVector.from_vector(values), kind=kind, n=n),
-        )
-    # Looked up at call time, so a wrapper set on the module sees the call.
-    report = getattr(_classify, classifier)(*spectrum, args.epsilon, config.tol)
+        first = args.operator == "first"
+        kind = curvature.KIND_FIRST if first else curvature.KIND_SECOND
+        spectrum = curvature.Spectrum(SortedVector.from_vector(values), kind, n)
+        classifier = classify.classify_first_kind if first else classify.classify_second_kind
+        report = classifier(spectrum, args.epsilon, config.tol)
     lines = [
         f"{args.operator} operator, n={n}, N={report.N}, eps={report.epsilon:.6g}: "
         f"member_open={report.membership.member_open} m_eps={report.m_eps:.6g}"
@@ -309,10 +316,10 @@ def _cmd_classify(args, config: RunConfig) -> int:
 def _cmd_thresholds(args, config: RunConfig) -> int:
     if args.n_min < 2 or args.n_min > args.n_max:
         raise _CliError("need 2 <= n-min <= n-max", EXIT_USAGE)
-    rows = []
+    from .tables import thresholds
+
     for n in range(args.n_min, args.n_max + 1):
-        table = _classify.thresholds(n if n >= 3 else None, kaehler_complex_dim=n)
-        rows.append(table)
+        table = thresholds(n if n >= 3 else None, kaehler_complex_dim=n)
         _emit(
             config,
             table.to_record(),

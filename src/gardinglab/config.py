@@ -5,6 +5,10 @@ boundary vectors classify consistently across modules.  Precedence when
 resolving a configuration: explicit overrides (CLI flags) beat the JSON file
 named by the ``GARDINGLAB_CONFIG`` environment variable, which beats the
 built-in defaults.
+
+The module also holds what every other module shares without numpy: the
+``Record`` mixin and ``VectorParseError``, which the CLI maps to exit 65
+without importing ``io``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,14 @@ CONFIG_ENV_VAR = "GARDINGLAB_CONFIG"
 
 _FORMATS = ("human", "machine")
 _MAX_RECORDED_VIOLATIONS = 10
+
+
+class VectorParseError(ValueError):
+    """Malformed numeric file; carries the 1-based offending line number."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
 
 
 class Record:

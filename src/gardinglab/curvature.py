@@ -37,6 +37,7 @@ import numpy as np
 
 from .config import Record
 from .symfun import SortedVector
+from .tables import trace_free_count, two_form_count
 
 __all__ = [
     "KIND_FIRST",
@@ -71,16 +72,6 @@ _SYMMETRY_ATOL = 1e-12
 _JACOBI_OFF_TOL = 1e-14
 # Relative error within which the scalar curvature identities count as held.
 _IDENTITY_RTOL = 1e-8
-
-
-def two_form_count(n: int) -> int:
-    """Dimension of the 2-form space: n(n-1)/2."""
-    return n * (n - 1) // 2
-
-
-def trace_free_count(n: int) -> int:
-    """Dimension of trace-free symmetric 2-tensors: (n-1)(n+2)/2."""
-    return (n - 1) * (n + 2) // 2
 
 
 def dimension_for_count(N: int, kind: str) -> Optional[int]:
@@ -484,17 +475,32 @@ class CurvatureIdentityReport(Record):
         return self.first_kind_ok and self.second_kind_ok
 
 
-def scalar_curvature_checks(tensor: CurvatureTensor) -> CurvatureIdentityReport:
+def scalar_curvature_checks(
+    tensor: CurvatureTensor, operator: Optional[OperatorMatrix] = None
+) -> CurvatureIdentityReport:
     """Check scal = 2 tr(first-kind) = 2n/(n+2) tr(second-kind).
 
     The traces are taken of the assembled operators, so no eigensolve runs:
     the identities test the basis normalizations of the assembly, and a
-    spectrum's sum equals its operator's trace up to rounding.
+    spectrum's sum equals its operator's trace up to rounding.  ``operator``
+    may hand in the tensor's first- or second-kind operator, already
+    assembled by ``assemble_first_kind`` or ``assemble_second_kind``; only
+    the other kind is then assembled here, and the report is the same.
     """
     scal = tensor.scalar_curvature()
     n = tensor.n
-    first = 2.0 * float(np.trace(assemble_first_kind(tensor).entries))
-    second = (2.0 * n / (n + 2.0)) * float(np.trace(assemble_second_kind(tensor).entries))
+    given = {}
+    if operator is not None:
+        if dimension_for_count(operator.N, operator.kind) != n:
+            raise ValueError(
+                f"expected a first- or second-kind operator in dimension {n}, "
+                f"got a {operator.kind} operator of size {operator.N}"
+            )
+        given[operator.kind] = operator
+    first_op = given.get(KIND_FIRST) or assemble_first_kind(tensor)
+    second_op = given.get(KIND_SECOND) or assemble_second_kind(tensor)
+    first = 2.0 * float(np.trace(first_op.entries))
+    second = (2.0 * n / (n + 2.0)) * float(np.trace(second_op.entries))
     scale = max(1.0, abs(scal))
     err1 = abs(first - scal) / scale
     err2 = abs(second - scal) / scale

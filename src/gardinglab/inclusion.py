@@ -112,6 +112,23 @@ def epsilon_to_params(epsilon: float, N: int) -> EpsilonParams:
     )
 
 
+def _resolvable_params(epsilon: float, N: int) -> EpsilonParams:
+    """``epsilon_to_params``, refusing an eps too small for float64 at N.
+
+    Below about 5.6e-17 (1.7e-16 at N = 3) the shift ``(1 - eps)/N`` rounds
+    to ``1/N``, outside ``ShiftParams``' range: the cone slice degenerates,
+    ``m_eps`` is lost in rounding (it is 0 once eps^2 underflows, below about
+    1e-162), the sampler finds no member and the boundary search cannot run.
+    """
+    p = epsilon_to_params(epsilon, N)
+    if p.alpha_eps == 1.0 / N:
+        raise ValueError(
+            f"epsilon {p.epsilon!r} is too small to resolve in float64 at N={N}: "
+            f"the shift (1 - epsilon)/N rounds to 1/N"
+        )
+    return p
+
+
 def epsilon_for_target_m(m_target: float, N: int) -> float:
     """Inverse map: the eps whose positivity index equals m_target."""
     m_target = float(m_target)
@@ -355,6 +372,8 @@ def verify_inclusion_sampling(
     rejected like any other.  ``draws`` counts raw draws and
     ``acceptance_rate`` is ``accepted / draws``.  After
     ``max(1e8, 50 * samples)`` draws the run stops and flags a shortfall.
+    An eps so small that ``(1 - eps)/N`` rounds to ``1/N`` raises ValueError
+    up front: the membership test would then see only rounding noise.
 
     Samples and all derived randomness come from one seeded generator in a
     fixed order; reports are reproducible byte-for-byte for a given seed.
@@ -365,7 +384,7 @@ def verify_inclusion_sampling(
         raise ValueError(f"samples must be >= 0, got {samples}")
     if method not in ("ball", "rejection"):
         raise ValueError(f"unknown method {method!r}")
-    p = epsilon_to_params(epsilon, N)
+    p = _resolvable_params(epsilon, N)
     report = InclusionReport(
         N=N,
         epsilon=p.epsilon,
@@ -483,9 +502,10 @@ def boundary_search(N: int, epsilon: float, tol: float = DEFAULT_TOL) -> Boundar
     which is already sorted, because w is non-increasing.  w is never
     constant, since 0 < m_eps < N - 1.  When m_eps is an integer the
     minimizer is compared entrywise with the rigid pattern (m_eps zeros,
-    then equal entries).
+    then equal entries).  An eps that float64 cannot resolve at N raises
+    ValueError, as in ``verify_inclusion_sampling``.
     """
-    p = epsilon_to_params(epsilon, N)
+    p = _resolvable_params(epsilon, N)
     m = p.m_eps
     direction = partial_sum_weights(m, N)
     direction -= direction.mean()

@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curvature import CurvatureTensor
+from .config import VectorParseError
+
+if TYPE_CHECKING:
+    from .curvature import CurvatureTensor
 
 __all__ = [
     "VectorParseError",
@@ -29,14 +33,6 @@ __all__ = [
     "parse_tensor_text",
     "read_tensor_file",
 ]
-
-
-class VectorParseError(ValueError):
-    """Malformed numeric file; carries the 1-based offending line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 def _strip_comment(line: str) -> str:
@@ -88,6 +84,9 @@ def format_vector(values) -> str:
 
 def parse_tensor_text(text: str) -> CurvatureTensor:
     """Parse an ``i j k l value`` component list into a curvature tensor."""
+    # Imported here, so reading a vector file does not load ``curvature``.
+    from .curvature import CurvatureTensor
+
     entries: dict[tuple[int, int, int, int], float] = {}
     dim: int | None = None
     max_index = 0

@@ -27,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .curvature import trace_free_count
 from .symfun import (
     VectorLike,
     _sorted_entries,
     normalized_partial_sum,
     partial_sum_fractional,
 )
+from .tables import trace_free_count
 
 __all__ = [
     "WeightBudget",

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -225,6 +226,17 @@ class TestVerifyInclusionCommand:
         bs = next(r for r in records if r["record"] == "boundary_search")
         assert bs["min_c0"] >= -1e-8 and bs["matched_rigid"]
 
+    @pytest.mark.parametrize("extra", [(), ("--boundary-search",)])
+    def test_unresolvable_epsilon_exits_64_at_once(self, capsys, extra):
+        # A RuntimeWarning fails the suite, so none may be raised on the way.
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "verify-inclusion", "--n", "4", "--epsilon", "1e-300", *extra
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 64 and out == ""
+        assert err.startswith("gardinglab: epsilon 1e-300 is too small")
+
     def test_removed_method_is_usage_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "verify-inclusion", "--n", "4", "--epsilon", "0.5", "--method", "hitrun"
@@ -306,7 +318,7 @@ class TestModelSpaceCommand:
     def test_identity_failure_exits_3(self, capsys, monkeypatch):
         # Valid tensors always satisfy the identities, so fake a failing
         # check to pin the exit-code wiring.
-        import gardinglab.cli as cli_mod
+        import gardinglab.curvature as curvature_mod
 
         class FailingChecks:
             ok = False
@@ -318,7 +330,7 @@ class TestModelSpaceCommand:
                 return {"record": "scalar_curvature_checks", "ok": False}
 
         monkeypatch.setattr(
-            cli_mod._curvature, "scalar_curvature_checks", lambda t: FailingChecks()
+            curvature_mod, "scalar_curvature_checks", lambda *args: FailingChecks()
         )
         code, _, _ = run_cli(capsys, "model-space", "sphere", "--n", "3")
         assert code == 3

@@ -441,3 +441,25 @@ class TestScalarCurvatureChecks:
     def test_random_tensors(self):
         for seed in range(3):
             assert scalar_curvature_checks(random_curvature_tensor(5, seed=seed)).ok
+
+    def test_assembled_operator_gives_the_same_record(self, monkeypatch):
+        import gardinglab.curvature as curvature_mod
+
+        for tensor in (random_curvature_tensor(5, seed=4), model_product_spheres(2, 3)):
+            expected = scalar_curvature_checks(tensor).to_record()
+            for assemble in (assemble_first_kind, assemble_second_kind):
+                operator = assemble(tensor)
+                with monkeypatch.context() as m:
+                    # The handed-in kind must not be assembled again.
+                    m.setattr(curvature_mod, assemble.__name__, None)
+                    got = scalar_curvature_checks(tensor, operator).to_record()
+                assert got == expected
+
+    def test_assembled_operator_must_match_the_tensor(self):
+        tensor = model_space_form(4, 1.0)
+        for operator in (
+            assemble_first_kind(model_space_form(5, 1.0)),
+            OperatorMatrix.from_entries(np.eye(6)),
+        ):
+            with pytest.raises(ValueError, match="operator in dimension 4"):
+                scalar_curvature_checks(tensor, operator)

@@ -400,3 +400,25 @@ class TestBoundarySearch:
             assert capped.iterations_used == cap
         with pytest.raises(ValueError):
             boundary_search_by_subgradient(4, 0.5, iterations=0)
+
+
+class TestUnresolvableEpsilon:
+    # Below about 5.6e-17 the shift (1 - eps)/N rounds to 1/N: the sampler
+    # then found no member before its 1e8-draw cap (about 30 s at N = 4), and
+    # below about 1e-162 m_eps underflows to 0 and the boundary search
+    # divided by a zero norm.
+    @pytest.mark.parametrize(
+        "N, eps",
+        [(2, 5e-17), (4, 5e-17), (4, 1e-20), (4, 1e-300), (10, 1e-160), (45, 1e-100)],
+    )
+    def test_rejected_up_front_naming_eps(self, N, eps):
+        message = f"epsilon {eps!r} is too small"
+        with pytest.raises(ValueError, match=message):
+            verify_inclusion_sampling(N, eps, samples=100, seed=0)
+        with pytest.raises(ValueError, match=message):
+            boundary_search(N, eps)
+
+    @pytest.mark.parametrize("N, eps", [(2, 1e-16), (3, 1.7e-16), (4, 1e-16), (10, 1e-16)])
+    def test_smallest_resolvable_eps_still_runs(self, N, eps):
+        assert verify_inclusion_sampling(N, eps, samples=100, seed=0).ok
+        assert boundary_search(N, eps).ok
