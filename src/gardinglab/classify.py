@@ -37,7 +37,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Record
 from .cones import ConeMembership, in_positivity_cone, in_shifted_cone
 from .curvature import KIND_FIRST, KIND_SECOND, Spectrum
-from .inclusion import epsilon_to_params
+from .inclusion import _resolvable_params
 from .symfun import VectorLike, as_array, partial_sum_fractional
 from .tables import (
     ThresholdTable,
@@ -143,7 +143,7 @@ def _at_most(value: float, bound: float) -> bool:
 def _base_report(
     kind: str, n: int, values: np.ndarray, epsilon: float, tol: float
 ) -> ClassificationReport:
-    params = epsilon_to_params(epsilon, values.size)
+    params = _resolvable_params(epsilon, values.size)
     membership = in_shifted_cone(values, 2, params.shift_params, tol)
     report = ClassificationReport(
         kind=kind,

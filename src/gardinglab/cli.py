@@ -145,7 +145,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_cone_test(args, config: RunConfig) -> int:
-    from .cones import ShiftParams, in_positivity_cone, in_shifted_cone
+    from .cones import ShiftParams, _resolvable_alpha, in_positivity_cone, in_shifted_cone
     from .io import read_vector_file
 
     vec = read_vector_file(args.vector_file)
@@ -155,7 +155,7 @@ def _cmd_cone_test(args, config: RunConfig) -> int:
         if args.epsilon is not None:
             if not 0.0 < args.epsilon < 1.0:
                 raise _CliError("--epsilon must lie in (0, 1)", EXIT_USAGE)
-            alpha = (1.0 - args.epsilon) / n
+            alpha = _resolvable_alpha(args.epsilon, n)
         membership = in_shifted_cone(vec, args.k, ShiftParams(alpha=alpha, N=n), config.tol)
         cone_desc = f"G_{args.k}(alpha={alpha:.12g})" if alpha else f"G_{args.k}"
     else:

@@ -86,6 +86,20 @@ class ShiftParams:
             )
 
 
+def _resolvable_alpha(epsilon: float, N: int) -> float:
+    """The shift ``alpha = (1 - epsilon)/N``, refusing an eps too small for
+    float64 at N: below about 5.6e-17 (1.7e-16 at N = 3) it rounds to
+    ``1/N``, just outside ``ShiftParams``' range, whose message would name
+    alpha instead of the eps given."""
+    alpha = (1.0 - epsilon) / N
+    if alpha == 1.0 / N:
+        raise ValueError(
+            f"epsilon {epsilon!r} is too small to resolve in float64 at N={N}: "
+            f"the shift (1 - epsilon)/N rounds to 1/N"
+        )
+    return alpha
+
+
 def _membership(margin: float, binding: str, tol: float) -> ConeMembership:
     return ConeMembership(
         member_open=margin > tol,
@@ -230,6 +244,41 @@ def _breaks_maclaurin(chain: np.ndarray, tol: float) -> np.ndarray:
     return ((chain[:, 1:] > tol) & ~(roots[:, 1:] <= roots[:, :-1] + tol)).any(axis=1)
 
 
+def _chain_faults(chain: np.ndarray, tol: float) -> np.ndarray:
+    """Rows of a Garding chain that break Maclaurin or hold a non-finite value."""
+    return _breaks_maclaurin(chain, tol) | ~np.isfinite(chain).all(axis=1)
+
+
+# Degrees of the Garding chain that nesting_check runs for every sample.
+_CHAIN_HEAD = 8
+
+
+def _check_garding_chain(
+    report: NestingReport, label: str, chain_rows: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hold the Garding chain of ``chain_rows`` to Maclaurin's inequality and
+    to finiteness; return its G_1 and G_N margins.
+
+    Every row runs the first ``_CHAIN_HEAD`` degrees.  Only the deep rows
+    run all N: those whose head ends at a margin that is not ``< 0`` (NaN
+    included) or whose head is faulty.  Violations name the row of ``rows``.
+    """
+    n = rows.shape[1]
+    head = garding_margin_chain_batch(chain_rows, min(_CHAIN_HEAD, n))
+    deep = np.flatnonzero(~(head[:, -1] < 0.0) | _chain_faults(head, report.tol))
+    gn = head[:, -1].copy()
+    if head.shape[1] == n or not deep.size:
+        chains = head[deep]
+    else:
+        chains = garding_margin_chain_batch(chain_rows[deep], n)
+        gn[deep] = chains[:, -1]
+    bad = _chain_faults(chains, report.tol)
+    for i, margins in zip(deep[bad], chains[bad]):
+        _add_violation(report, label, rows[i], {"margins": margins.tolist()})
+    report.checks += rows.shape[0] * (n - 1)
+    return head[:, 0], gn
+
+
 def nesting_check(
     N: int, samples: int, seed: int, tol: float = DEFAULT_TOL
 ) -> NestingReport:
@@ -245,6 +294,20 @@ def nesting_check(
     in a check are not all finite violates that check.  All per-sample draws
     come from one seeded stream in a fixed order, so the verdict does not
     depend on evaluation scheduling.
+
+    Each chain stops early.  Every sample runs the recurrence for the first
+    ``_CHAIN_HEAD`` degrees only; a sample runs all N degrees, and is held to
+    both checks over its whole chain, only if its head ends at a margin that
+    is not ``< 0`` (NaN included), breaks Maclaurin or holds a non-finite
+    value.  The report is the one the full chains give, for three reasons:
+
+    * past the head the chain of any other sample is a running minimum, so
+      it stays ``<=`` the negative head-end margin, and every Maclaurin test
+      needs a margin ``> tol``;
+    * those later margins are finite, since ``|E_j(v/||v||)| <= 1``;
+    * G_N = P_1 cannot fail for such a sample, whose G_N margin is taken
+      from its head end: a P_1 margin ``> 0`` makes every entry positive,
+      hence every E_j positive, and the sample would have run in full.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
@@ -258,17 +321,15 @@ def nesting_check(
     alphas = rng.uniform(0.0, 1.0 / N, size=samples)
     m_pairs = np.sort(rng.uniform(1.0, N, size=(samples, 2)), axis=1)
 
-    # Garding chain margins for every k, plain and with the random shift,
-    # held to Maclaurin's inequality wherever the next cone is entered.
-    plain = garding_margin_chain_batch(rows, N)
-    shifted = garding_margin_chain_batch(
-        rows - alphas[:, None] * rows.sum(axis=1, keepdims=True), N
+    # Garding chain margins, plain and with the random shift, held to
+    # Maclaurin's inequality wherever the next cone is entered.
+    g1, gn = _check_garding_chain(report, "garding_chain", rows, rows)
+    _check_garding_chain(
+        report,
+        "shifted_chain",
+        rows - alphas[:, None] * rows.sum(axis=1, keepdims=True),
+        rows,
     )
-    for label, margins in (("garding_chain", plain), ("shifted_chain", shifted)):
-        bad = _breaks_maclaurin(margins, tol) | ~np.isfinite(margins).all(axis=1)
-        for i in np.flatnonzero(bad):
-            _add_violation(report, label, rows[i], {"margins": margins[i].tolist()})
-        report.checks += margins.shape[0] * (N - 1)
 
     # P_m monotonicity on random pairs, one m-column at a time.
     sorted_rows = np.sort(rows, axis=1)
@@ -298,8 +359,6 @@ def nesting_check(
     band = 10.0 * tol
     p1 = positivity_margins_batch(rows, 1.0)
     pn = positivity_margins_batch(rows, float(N))
-    g1 = plain[:, 0]
-    gn = plain[:, N - 1]
     for label, a, b in (("G_N=P_1", gn, p1), ("P_N=G_1", pn, g1)):
         clear = (np.abs(a) > band) & (np.abs(b) > band)
         bad = (clear & ((a > 0) != (b > 0))) | ~(np.isfinite(a) & np.isfinite(b))

@@ -34,7 +34,13 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT_TOL, Record
-from .cones import ShiftParams, in_positivity_cone, in_shifted_cone, positivity_margins_batch
+from .cones import (
+    ShiftParams,
+    _norm,
+    _resolvable_alpha,
+    in_shifted_cone,
+    positivity_margins_batch,
+)
 from .symfun import (
     RealVector,
     VectorLike,
@@ -121,11 +127,7 @@ def _resolvable_params(epsilon: float, N: int) -> EpsilonParams:
     1e-162), the sampler finds no member and the boundary search cannot run.
     """
     p = epsilon_to_params(epsilon, N)
-    if p.alpha_eps == 1.0 / N:
-        raise ValueError(
-            f"epsilon {p.epsilon!r} is too small to resolve in float64 at N={N}: "
-            f"the shift (1 - epsilon)/N rounds to 1/N"
-        )
+    _resolvable_alpha(p.epsilon, N)
     return p
 
 
@@ -220,7 +222,8 @@ def dichotomy_check(
         return DichotomyVerdict(case=CASE_NOT_MEMBER, c0=c0)
     if not x.any():
         return DichotomyVerdict(case=CASE_BOUNDARY, c0=0.0, rigid_m=None)
-    if in_positivity_cone(x, p.m_eps, tol).member_open:
+    # Open membership in P_{m_eps}: its normalized margin exceeds tol.
+    if c0 / (p.m_eps * _norm(x)) > tol:
         return DichotomyVerdict(case=CASE_STRICT, c0=c0)
     return DichotomyVerdict(
         case=CASE_BOUNDARY, c0=c0, rigid_m=_rigid_zero_count(sorted_x, p.m_eps, tol)

@@ -117,7 +117,7 @@ def as_array(v: VectorLike) -> np.ndarray:
     x = np.asarray(v, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"expected a 1-d vector with N >= 1, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("vector entries must be finite")
     return x
 

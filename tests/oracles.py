@@ -7,8 +7,9 @@ feasible solutions for the capped weighted-sum extremes, and a ball
 projection for the boundary minimum of the partial sum.  The equivalent
 closed forms of the verdict thresholds live here too, and so do the loops
 the library replaced: the row-major sigma recurrence, the scalar
-cyclic-order Jacobi loop, the restarted subgradient boundary search and the
-per-entry symmetric fill of a parsed tensor file.
+cyclic-order Jacobi loop, the restarted subgradient boundary search, the
+per-entry symmetric fill of a parsed tensor file and the nesting check that
+runs every sample's Garding chain through all N degrees.
 """
 
 from __future__ import annotations
@@ -19,6 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gardinglab.config import DEFAULT_TOL
+from gardinglab.cones import (
+    NestingReport,
+    _add_violation,
+    _breaks_maclaurin,
+    garding_margin_chain_batch,
+    positivity_margins_batch,
+)
 from gardinglab.inclusion import (
     _ball_points,
     _sum_zero_basis,
@@ -301,3 +310,72 @@ def tensor_fill_by_loop(entries: dict, n: int) -> np.ndarray:
                 comps[p, q, r, s] = sp * ss * value
                 comps[r, s, p, q] = sp * ss * value
     return comps
+
+
+def nesting_check_full_chain(
+    N: int, samples: int, seed: int, tol: float = DEFAULT_TOL
+) -> NestingReport:
+    """``cones.nesting_check`` with the full N-degree Garding chain of every
+    sample, plain and shifted, held to Maclaurin's inequality and finiteness.
+
+    Same seeded draws, same checks in the same order, same record.
+    """
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    report = NestingReport(N=N, samples=samples, seed=seed, tol=tol)
+    if samples == 0:
+        return report
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    rows = rng.normal(size=(samples, N))
+    alphas = rng.uniform(0.0, 1.0 / N, size=samples)
+    m_pairs = np.sort(rng.uniform(1.0, N, size=(samples, 2)), axis=1)
+
+    plain = garding_margin_chain_batch(rows, N)
+    shifted = garding_margin_chain_batch(
+        rows - alphas[:, None] * rows.sum(axis=1, keepdims=True), N
+    )
+    for label, margins in (("garding_chain", plain), ("shifted_chain", shifted)):
+        bad = _breaks_maclaurin(margins, tol) | ~np.isfinite(margins).all(axis=1)
+        for i in np.flatnonzero(bad):
+            _add_violation(report, label, rows[i], {"margins": margins[i].tolist()})
+        report.checks += margins.shape[0] * (N - 1)
+
+    sorted_rows = np.sort(rows, axis=1)
+    norms = np.linalg.norm(rows, axis=1)
+    safe = np.where(norms == 0.0, 1.0, norms)
+    p_margins = []
+    for ms in m_pairs.T:
+        weighted = partial_sum_weights(ms[:, None], N)
+        weighted *= sorted_rows
+        p_margins.append(weighted.sum(axis=1) / (ms * safe))
+    m1_margin, m2_margin = p_margins
+    bad = (
+        ((m1_margin > tol) & ~(m2_margin > tol))
+        | ((m1_margin >= -tol) & ~(m2_margin >= -tol))
+        | ~(np.isfinite(m1_margin) & np.isfinite(m2_margin))
+    )
+    for i in np.flatnonzero(bad):
+        _add_violation(
+            report,
+            "positivity_monotonicity",
+            rows[i],
+            {"m1": float(m_pairs[i, 0]), "m2": float(m_pairs[i, 1])},
+        )
+    report.checks += samples
+
+    band = 10.0 * tol
+    p1 = positivity_margins_batch(rows, 1.0)
+    pn = positivity_margins_batch(rows, float(N))
+    g1 = plain[:, 0]
+    gn = plain[:, N - 1]
+    for label, a, b in (("G_N=P_1", gn, p1), ("P_N=G_1", pn, g1)):
+        clear = (np.abs(a) > band) & (np.abs(b) > band)
+        bad = (clear & ((a > 0) != (b > 0))) | ~(np.isfinite(a) & np.isfinite(b))
+        for i in np.flatnonzero(bad):
+            _add_violation(
+                report, label, rows[i], {"lhs_margin": float(a[i]), "rhs_margin": float(b[i])}
+            )
+        report.checks += samples
+    return report

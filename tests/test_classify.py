@@ -344,6 +344,17 @@ class TestValidationMessages:
         with pytest.raises(ValueError, match=r"^spectrum length 5 does not match n\^2 = 4$"):
             classify_kaehler(np.ones(5), 2, 0.2)
 
+    def test_unresolvable_epsilon_names_epsilon(self):
+        # Below about 5.6e-17 the shift (1 - eps)/N rounds to 1/N, which
+        # ShiftParams would refuse with a message about alpha.
+        message = r"^epsilon 1e-300 is too small to resolve in float64 at N=6: "
+        with pytest.raises(ValueError, match=message):
+            classify_first_kind(_spectrum(np.ones(6), KIND_FIRST, 4), 1e-300)
+        with pytest.raises(ValueError, match=message.replace("N=6", "N=9")):
+            classify_second_kind(_spectrum(np.ones(9), KIND_SECOND, 4), 1e-300)
+        with pytest.raises(ValueError, match=message.replace("N=6", "N=4")):
+            classify_kaehler(np.ones(4), 2, 1e-300)
+
 
 class TestReportAuditing:
     def test_every_emitted_inequality_reevaluates_true(self):

@@ -181,6 +181,14 @@ class TestConeTestCommand:
         code, _, err = run_cli(capsys, "cone-test", vec_file("v", "1,2"))
         assert code == 64
 
+    def test_unresolvable_epsilon_names_epsilon(self, capsys, vec_file):
+        code, out, err = run_cli(
+            capsys, "cone-test", vec_file("v", "1,2,3,4"), "--k", "2", "--epsilon", "1e-300"
+        )
+        assert code == 64 and out == ""
+        assert err.startswith("gardinglab: epsilon 1e-300 is too small to resolve")
+        assert "N=4" in err and "alpha must" not in err
+
     def test_parse_error(self, capsys, vec_file):
         code, _, err = run_cli(capsys, "cone-test", vec_file("v", "1,oops"), "--k", "1")
         assert code == 65
@@ -375,6 +383,19 @@ class TestModelSpaceCommand:
 
 
 class TestClassifyCommand:
+    @pytest.mark.parametrize(
+        "operator, dim, length", [("first", 4, 6), ("second", 3, 5), ("kaehler", 2, 4)]
+    )
+    def test_unresolvable_epsilon_names_epsilon(self, capsys, vec_file, operator, dim, length):
+        path = vec_file("s.csv", ",".join(["1"] * length))
+        code, out, err = run_cli(
+            capsys, "classify", path, "--dim", str(dim), "--operator", operator,
+            "--epsilon", "1e-300",
+        )
+        assert code == 64 and out == ""
+        assert err.startswith("gardinglab: epsilon 1e-300 is too small to resolve")
+        assert f"N={length}" in err and "alpha must" not in err
+
     def test_round_trip_sphere(self, capsys, tmp_path):
         target = tmp_path / "spec.csv"
         run_cli(capsys, "model-space", "sphere", "--n", "4", "--out", str(target))

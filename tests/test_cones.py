@@ -19,7 +19,7 @@ from gardinglab.cones import (
 )
 from gardinglab.inclusion import dichotomy_check, epsilon_to_params
 
-from oracles import selection_sum_min
+from oracles import nesting_check_full_chain, selection_sum_min
 
 
 class TestShift:
@@ -303,7 +303,7 @@ class TestNesting:
         # From N = 400 on, binom(N, j) * ||v||^j overflows for some j, and
         # from about N = 1030 binom(N, j) has no float value at all; the
         # means recurrence forms neither.
-        for n, samples in ((2, 2000), (3, 2000), (5, 2000), (9, 2000), (400, 40), (2000, 2)):
+        for n, samples in ((2, 2000), (3, 2000), (5, 2000), (9, 2000), (400, 40), (2000, 200)):
             assert nesting_check(N=n, samples=samples, seed=n).ok
         assert nesting_check(1100, 5, 1).ok
 
@@ -360,3 +360,86 @@ class TestNesting:
         a = nesting_check(N=7, samples=500, seed=99)
         b = nesting_check(N=7, samples=500, seed=99)
         assert a.to_record() == b.to_record()
+
+
+def _nesting_rows(N: int, samples: int, seed: int) -> np.ndarray:
+    """The Gaussian samples that ``nesting_check`` draws first."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed)).normal(size=(samples, N))
+
+
+class TestNestingChainHead:
+    """Only the samples whose chain head may matter run all N degrees."""
+
+    N, SAMPLES, SEED = 20, 50, 4
+
+    def test_matches_full_chain_oracle(self, monkeypatch):
+        real = cones.garding_margin_chain_batch
+        deep_rows = []
+
+        def counting(rows, k):
+            if k == rows.shape[1] > cones._CHAIN_HEAD:
+                deep_rows.append(rows.shape[0])
+            return real(rows, k)
+
+        monkeypatch.setattr(cones, "garding_margin_chain_batch", counting)
+        dims = [*range(2, 41), 45, 70, 100, 400, 1100, 2000]
+        for n in dims:
+            samples = (
+                2000 if n <= 12 else 400 if n <= 40 else 200 if n <= 100 else 20 if n <= 400 else 4
+            )
+            for seed in (n, n + 1, n + 2):
+                got = nesting_check(n, samples, seed).to_record()
+                assert got == nesting_check_full_chain(n, samples, seed).to_record(), (n, seed)
+        # The grid holds samples that run the full chain, so both routes are compared.
+        assert sum(deep_rows) > 0
+
+    @pytest.mark.parametrize("column", [2, "head_end"])
+    def test_nan_in_head_runs_the_full_chain(self, monkeypatch, column):
+        # A NaN margin is neither < 0 nor finite; either way its sample must
+        # run the full chain and be reported with all N margins.
+        column = cones._CHAIN_HEAD - 1 if column == "head_end" else column
+        real = cones.garding_margin_chain_batch
+        target = _nesting_rows(self.N, self.SAMPLES, self.SEED)[5]
+        true_chain = real(target[None, :], self.N)[0]
+        assert self.N > cones._CHAIN_HEAD and true_chain[cones._CHAIN_HEAD - 1] < 0
+
+        def fake(rows, k):
+            out = real(rows, k)
+            out[(rows == target).all(axis=1), column] = np.nan
+            return out
+
+        monkeypatch.setattr(cones, "garding_margin_chain_batch", fake)
+        report = nesting_check(self.N, self.SAMPLES, self.SEED)
+        assert [v["kind"] for v in report.violations] == ["garding_chain"]
+        violation = report.violations[0]
+        assert violation["vector"] == target.tolist()
+        margins = np.array(violation["margins"])
+        assert margins.shape == (self.N,) and np.isnan(margins[column])
+        expected = true_chain.copy()
+        expected[column] = np.nan
+        np.testing.assert_array_equal(margins, expected)
+
+    def test_maclaurin_break_past_the_head_is_caught(self, monkeypatch):
+        # The fake head is c^j, whose j-th roots all equal c, so it holds
+        # Maclaurin with equality and ends above 0; the break sits four
+        # degrees past the head.  The sample has a positive sum and a
+        # negative entry, so the endpoint identities still agree with the
+        # positive G_1 margin and the negative tail.
+        real = cones.garding_margin_chain_batch
+        rows = _nesting_rows(self.N, self.SAMPLES, self.SEED)
+        target = next(r for r in rows if r.sum() > 0 and r.min() < 0)
+        brk = cones._CHAIN_HEAD + 4
+        chain = 0.5 ** np.arange(1.0, self.N + 1)
+        chain[brk] = 0.75 ** (brk + 1)
+        chain[brk + 1 :] = -0.1
+
+        def fake(batch, k):
+            out = real(batch, k)
+            out[(batch == target).all(axis=1)] = chain[:k]
+            return out
+
+        monkeypatch.setattr(cones, "garding_margin_chain_batch", fake)
+        report = nesting_check(self.N, self.SAMPLES, self.SEED)
+        assert report.violations == [
+            {"kind": "garding_chain", "vector": target.tolist(), "margins": chain.tolist()}
+        ]
