@@ -72,8 +72,6 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "RealVector",
-            "SortedVector",
             "elementary_symmetric",
             "normalized_partial_sum",
             "partial_sum_fractional",

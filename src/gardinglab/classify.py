@@ -179,7 +179,7 @@ def _real_report(
         raise ValueError(f"expected a {kind} spectrum, got {spec.kind}")
     if spec.n is None or len(spec) != count(spec.n):
         raise ValueError(f"spectrum length does not match {formula} for its dimension")
-    return _base_report(kind, spec.n, spec.array, epsilon, tol)
+    return _base_report(kind, spec.n, spec.eigenvalues, epsilon, tol)
 
 
 def _within_threshold(report: ClassificationReport, thr: float) -> bool:

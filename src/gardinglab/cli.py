@@ -74,9 +74,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
     parser.add_argument("--samples", type=int, default=None, help="sample count")
     parser.add_argument(
-        "--restarts", type=int, default=None, help="accepted for compatibility; unused"
-    )
-    parser.add_argument(
         "--format",
         choices=("human", "machine"),
         default=None,
@@ -247,7 +244,7 @@ def _cmd_model_space(args, config: RunConfig) -> int:
     operator = assemble(tensor)
     checks = curvature.scalar_curvature_checks(tensor, operator)
     spectrum = curvature.eigen_spectrum(operator)
-    csv = format_vector(spectrum.array)
+    csv = format_vector(spectrum.eigenvalues)
     record = {
         "record": "model_space",
         "kind": args.kind,
@@ -264,7 +261,7 @@ def _cmd_model_space(args, config: RunConfig) -> int:
             f"scalar-curvature identities ok={checks.ok}"
         )
     else:
-        record["spectrum"] = [float(t) for t in spectrum.array]
+        record["spectrum"] = [float(t) for t in spectrum.eigenvalues]
         human = (
             f"{csv}\n# scalar curvature {checks.scalar_curvature!r}; identities "
             f"first_ok={checks.first_kind_ok} second_ok={checks.second_kind_ok}"
@@ -288,15 +285,16 @@ def _cmd_classify(args, config: RunConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
+    import numpy as np
+
     from . import classify, curvature
-    from .symfun import SortedVector
 
     if args.operator == "kaehler":
         report = classify.classify_kaehler(values, n, args.epsilon, config.tol)
     else:
         first = args.operator == "first"
         kind = curvature.KIND_FIRST if first else curvature.KIND_SECOND
-        spectrum = curvature.Spectrum(SortedVector.from_vector(values), kind, n)
+        spectrum = curvature.Spectrum(np.sort(values, kind="stable"), kind, n)
         classifier = classify.classify_first_kind if first else classify.classify_second_kind
         report = classifier(spectrum, args.epsilon, config.tol)
     lines = [
@@ -358,7 +356,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "tol": args.tol,
                 "seed": args.seed,
                 "samples": args.samples,
-                "restarts": args.restarts,
                 "output_format": args.format,
             }
         )

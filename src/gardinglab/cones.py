@@ -179,11 +179,6 @@ def garding_margin_chain_batch(rows: np.ndarray, k: int) -> np.ndarray:
     return np.minimum.accumulate(sigma_prefix_batch(units, k, _means=True), axis=1)
 
 
-def garding_margins_batch(rows: np.ndarray, k: int) -> np.ndarray:
-    """Normalized G_k margins per row; zero rows get margin 0."""
-    return garding_margin_chain_batch(rows, k)[:, -1]
-
-
 def positivity_margins_batch(rows: np.ndarray, m: float) -> np.ndarray:
     """Normalized P_m margins per row; zero rows get margin 0."""
     rows = np.asarray(rows, dtype=float)

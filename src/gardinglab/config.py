@@ -21,10 +21,20 @@ import os
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
+__all__ = [
+    "DEFAULT_TOL",
+    "DEFAULT_SEED",
+    "DEFAULT_SAMPLES",
+    "CONFIG_ENV_VAR",
+    "VectorParseError",
+    "Record",
+    "RunConfig",
+    "load_config",
+]
+
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 100_000
-DEFAULT_RESTARTS = 32
 
 CONFIG_ENV_VAR = "GARDINGLAB_CONFIG"
 
@@ -79,7 +89,6 @@ class RunConfig:
     tol: float = DEFAULT_TOL
     seed: int = DEFAULT_SEED
     samples: int = DEFAULT_SAMPLES
-    restarts: int = DEFAULT_RESTARTS
     output_format: str = "human"
 
     def __post_init__(self) -> None:
@@ -89,14 +98,12 @@ class RunConfig:
         real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
         if not (real and 0 < tol < math.inf):
             raise ValueError(f"tol must be a finite positive number, got {tol!r}")
-        for name in ("seed", "samples", "restarts"):
+        for name in ("seed", "samples"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples < 0:
             raise ValueError(f"samples must be >= 0, got {self.samples}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.output_format not in _FORMATS:
             raise ValueError(
                 f"output_format must be one of {_FORMATS}, got {self.output_format!r}"

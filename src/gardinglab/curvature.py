@@ -17,13 +17,14 @@ Two self-adjoint operators are assembled from it:
   diagonal differences, for which the scalar curvature equals 2n/(n+2)
   times the trace.
 
-Spectra are extracted with a Jacobi rotation solver (off-diagonal threshold
-1e-14 * ||A||_F, at most 100 sweeps) so the package carries no LAPACK
-dependency on this path; numpy is used only for array storage and
-arithmetic.  Each sweep runs in round-robin order: rounds of disjoint pairs
-whose rotations are applied as one array update.  Rows with no nonzero
-off-diagonal entry are skipped, so sparse model operators rotate only the
-few rows that couple.
+Spectra are the eigenvalues of a Jacobi rotation solver (off-diagonal
+threshold 1e-14 * ||A||_F, at most 100 sweeps) so the package carries no
+LAPACK dependency on this path; numpy is used only for array storage and
+arithmetic.  No eigenvectors are accumulated: every consumer of a spectrum
+reads its eigenvalues alone.  Each sweep runs in round-robin order: rounds
+of disjoint pairs whose rotations are applied as one array update.  Rows
+with no nonzero off-diagonal entry are skipped, so sparse model operators
+rotate only the few rows that couple.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .config import Record
-from .symfun import SortedVector
+from .symfun import _sorted_entries
 from .tables import trace_free_count, two_form_count
 
 __all__ = [
@@ -165,18 +166,23 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered eigenvalues with the operator kind and frame dimension."""
+    """Eigenvalues with the operator kind and frame dimension.
 
-    eigenvalues: SortedVector
+    ``eigenvalues`` is a read-only copy of the given finite, non-decreasing
+    1-d float array; callers sort with ``np.sort(..., kind="stable")``.
+    """
+
+    eigenvalues: np.ndarray
     kind: str
     n: Optional[int]
 
+    def __post_init__(self) -> None:
+        values = _sorted_entries(self.eigenvalues).copy()
+        values.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", values)
+
     def __len__(self) -> int:
         return len(self.eigenvalues)
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.eigenvalues.array
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +342,8 @@ def _off_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x - np.diag(x.diagonal())))
 
 
-def _jacobi_sweep(a: np.ndarray, v: Optional[np.ndarray], rounds) -> None:
-    """One sweep in place: each round rotates its disjoint pairs at once.
-
-    The accumulated rotation ``v`` is updated too, unless it is None; the
-    updates of ``a`` never read ``v``, so they are the same either way.
-    """
+def _jacobi_sweep(a: np.ndarray, rounds) -> None:
+    """One sweep in place: each round rotates its disjoint pairs at once."""
     # Both angle branches are evaluated for every pair, so the lanes that
     # divide by zero are silenced here and then replaced by np.where.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -367,23 +369,15 @@ def _jacobi_sweep(a: np.ndarray, v: Optional[np.ndarray], rounds) -> None:
             a[:, q] = col_p * s + col_q * c
             a[p, q] = 0.0
             a[q, p] = 0.0
-            if v is None:
-                continue
-            vp, vq = v[:, p], v[:, q]
-            v[:, p] = vp * c - vq * s
-            v[:, q] = vp * s + vq * c
 
 
-def jacobi_eigensystem(
-    matrix: np.ndarray, max_sweeps: int = 100, *, _vectors: bool = True
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Round-robin Jacobi diagonalization of a symmetric matrix.
+def jacobi_eigensystem(matrix: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by round-robin Jacobi rotations.
 
     A sweep visits every ``(p, q)`` pair once, in rounds of disjoint pairs
     (Brent & Luk) whose rotations are applied together.  Only rows with a
     nonzero off-diagonal entry take part: a rotation never mixes another row
-    in, so the other diagonal entries and unit vectors pass through as they
-    are.
+    in, so the other diagonal entries pass through as they are.
 
     The solve runs on the matrix scaled by the power of two that brings its
     largest entry into [0.5, 1), so ``||A||_F`` cannot overflow at any finite
@@ -391,24 +385,16 @@ def jacobi_eigensystem(
     so the result is bit for bit the unscaled one wherever no entry falls
     to a subnormal.
 
-    Returns (eigenvalues ascending, orthogonal Q with matching columns) so
-    that ``A = Q diag(w) Q^T``.  Raises ValueError on non-finite entries, and
-    RuntimeError, with the final ``off/||A||_F``, if the off-diagonal norm
-    has not dropped below ``1e-14 * ||A||_F`` within
-    ``max_sweeps`` full sweeps.
-
-    The private ``_vectors=False`` skips accumulating Q and returns
-    ``(w, None)``: the rotations of A never read Q, so ``w`` is bit for bit
-    the same, and no round updates Q's rotated columns.
+    Returns the eigenvalues in ascending order, sorted stably.  Raises
+    ValueError on non-finite entries, and RuntimeError, with the final
+    ``off/||A||_F``, if the off-diagonal norm has not dropped below
+    ``1e-14 * ||A||_F`` within ``max_sweeps`` full sweeps.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy(), np.eye(1) if _vectors else None
     w = a.diagonal().copy()
     exponent = int(np.frexp(np.abs(a).max())[1])
     a = np.ldexp(a, -exponent)
@@ -417,34 +403,24 @@ def jacobi_eigensystem(
     threshold = _JACOBI_OFF_TOL * max(fro, np.finfo(float).tiny)
     active = np.flatnonzero((a != np.diag(a.diagonal())).any(axis=1))
     sub = a[np.ix_(active, active)]
-    v = np.eye(active.size) if _vectors else None
     for _ in range(max_sweeps):
         if _off_norm(sub) <= threshold:
             break
-        _jacobi_sweep(sub, v, _round_robin_schedule(active.size))
+        _jacobi_sweep(sub, _round_robin_schedule(active.size))
     else:
         raise RuntimeError(
             f"Jacobi eigensolver did not converge within {max_sweeps} sweeps "
             f"(off/||A||_F = {_off_norm(sub) / fro:.3e})"
         )
     w[active] = np.ldexp(sub.diagonal(), exponent)
-    order = np.argsort(w, kind="stable")
-    if v is None:
-        return w[order], None
-    q = np.eye(n)
-    q[np.ix_(active, active)] = v
-    return w[order], q[:, order]
+    return np.sort(w, kind="stable")
 
 
 def eigen_spectrum(matrix: OperatorMatrix) -> Spectrum:
-    """Ordered spectrum of an operator matrix via the Jacobi solver.
-
-    Only eigenvalues are computed (``_vectors=False``); they are bit for bit
-    those of ``jacobi_eigensystem(matrix.entries)[0]``.
-    """
-    w, _ = jacobi_eigensystem(matrix.entries, _vectors=False)
+    """Ordered spectrum of an operator matrix: the eigenvalues of
+    ``jacobi_eigensystem(matrix.entries)``, bit for bit."""
     return Spectrum(
-        eigenvalues=SortedVector.from_vector(w),
+        eigenvalues=jacobi_eigensystem(matrix.entries),
         kind=matrix.kind,
         n=dimension_for_count(matrix.N, matrix.kind),
     )

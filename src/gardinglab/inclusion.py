@@ -38,11 +38,11 @@ from .cones import (
     ShiftParams,
     _norm,
     _resolvable_alpha,
+    in_garding_cone,
     in_shifted_cone,
     positivity_margins_batch,
 )
 from .symfun import (
-    RealVector,
     VectorLike,
     as_array,
     partial_sum_batch,
@@ -230,7 +230,7 @@ def dichotomy_check(
     )
 
 
-def sharp_witness(N: int, m: int) -> RealVector:
+def sharp_witness(N: int, m: int) -> np.ndarray:
     """Extremal boundary vector: m zeros followed by N - m ones.
 
     With eps chosen so that m_eps = m, the witness sits exactly on the
@@ -238,7 +238,7 @@ def sharp_witness(N: int, m: int) -> RealVector:
     """
     if not 1 <= m <= N - 1:
         raise ValueError(f"m must satisfy 1 <= m <= {N - 1}, got {m}")
-    return RealVector([0.0] * m + [1.0] * (N - m))
+    return np.repeat([0.0, 1.0], [m, N - m])
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +311,9 @@ class InclusionReport(Record):
 def _strict_member_mask(rows: np.ndarray, p: EpsilonParams, tol: float) -> np.ndarray:
     """Open-membership mask for G_2(alpha_eps), same normalization as cones.
 
-    Kept apart from ``garding_margins_batch(k=2)``, which gives the same
-    masks: the sampler's rows are bounded, so ``comb(N, 2) * ||v||^2``
-    cannot overflow here.  With the means recurrence of ``symfun`` that
+    Kept apart from the last column of ``garding_margin_chain_batch(rows, 2)``,
+    which gives the same masks: the sampler's rows are bounded, so
+    ``comb(N, 2) * ||v||^2`` cannot overflow here.  With the means recurrence of ``symfun`` that
     route costs 1.16-1.35x this closed form per 5000-row batch (N = 6/28/45,
     2 cores), and routing the sampler through it raised ``inclusion_grid``
     ``job_tail_ms`` by 40-50% over 3 pairs, so the sampler keeps the form
@@ -507,17 +507,24 @@ def boundary_search(N: int, epsilon: float, tol: float = DEFAULT_TOL) -> Boundar
     minimizer is compared entrywise with the rigid pattern (m_eps zeros,
     then equal entries).  An eps that float64 cannot resolve at N raises
     ValueError, as in ``verify_inclusion_sampling``.
+
+    Cone membership is tested on the shift of v* in the form
+    ``eps/N - rho * (w - mean w) / ||w - mean w||``, which is exactly
+    ``v* - alpha_eps * sum(v*)`` because sum(v*) = 1: forming
+    ``1/N - alpha_eps`` instead cancels for small eps and leaves a sigma_2
+    margin of rounding noise below -tol (-1.4e-9 at eps = 1e-10, N = 45).
     """
     p = _resolvable_params(epsilon, N)
     m = p.m_eps
     direction = partial_sum_weights(m, N)
     direction -= direction.mean()
-    minimizer = np.sort(1.0 / N - p.slice_radius * direction / np.linalg.norm(direction))
+    step = p.slice_radius * direction / np.linalg.norm(direction)
+    minimizer = np.sort(1.0 / N - step)
     min_c0 = partial_sum_fractional(minimizer, m)
     exact = boundary_minimum_closed_form(p)
     converged = (
         abs(min_c0 - exact) <= 1e-10 * (1.0 + abs(exact))
-        and in_shifted_cone(minimizer, 2, p.shift_params, tol).member_closed
+        and in_garding_cone(p.epsilon / N - step, 2, tol).member_closed
     )
     report = BoundarySearchReport(
         N=N,

@@ -18,8 +18,9 @@ Conventions used throughout the package:
   For ``||v|| <= 1`` every running coefficient and every added term is
   then bounded by 1 in absolute value (Maclaurin), at any N, so nothing
   overflows and no ``binom(N, j)`` or ``||v||^j`` is formed.
-* Sorted vectors are non-decreasing.  Ties are broken stably by original
-  index so that recorded permutations are reproducible.
+* Sorted vectors are plain non-decreasing float arrays, sorted stably
+  (``np.sort(..., kind="stable")``), so equal entries keep their order and
+  a sort is reproducible bit for bit.
 * ``partial_sum_fractional(v, m)`` with real ``m`` sums the ``floor(m)``
   smallest entries plus ``(m - floor(m))`` times the next one.  The domain is
   ``0 < m <= N``: values below 1 arise naturally from small shift parameters
@@ -31,14 +32,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 __all__ = [
-    "RealVector",
-    "SortedVector",
     "elementary_symmetric",
     "sigma2_via_power_sums",
     "partial_sum_fractional",
@@ -50,70 +48,11 @@ __all__ = [
 _M_CLAMP_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RealVector:
-    """Finite real vector of length N >= 1."""
-
-    entries: tuple[float, ...]
-
-    def __init__(self, entries: Iterable[float]) -> None:
-        object.__setattr__(self, "entries", tuple(float(x) for x in entries))
-        if len(self.entries) < 1:
-            raise ValueError("RealVector needs at least one entry")
-        if not all(math.isfinite(x) for x in self.entries):
-            raise ValueError("RealVector entries must be finite")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=float)
-
-
-@dataclass(frozen=True)
-class SortedVector:
-    """Non-decreasing vector plus the stable permutation that produced it.
-
-    ``entries[i] == source[permutation[i]]`` for the source vector the sort
-    was taken from; ties keep the lowest original index first.
-    """
-
-    entries: tuple[float, ...]
-    permutation: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != len(self.permutation):
-            raise ValueError("entries and permutation length mismatch")
-        if any(a > b for a, b in zip(self.entries, self.entries[1:])):
-            raise ValueError("SortedVector entries must be non-decreasing")
-        if sorted(self.permutation) != list(range(len(self.entries))):
-            raise ValueError("permutation must be a permutation of 0..N-1")
-
-    @classmethod
-    def from_vector(cls, v: "VectorLike") -> "SortedVector":
-        x = as_array(v)
-        perm = np.argsort(x, kind="stable")
-        return cls(tuple(float(t) for t in x[perm]), tuple(int(i) for i in perm))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=float)
-
-
-VectorLike = Union[RealVector, SortedVector, Sequence[float], np.ndarray]
+VectorLike = Union[Sequence[float], np.ndarray]
 
 
 def as_array(v: VectorLike) -> np.ndarray:
-    """Coerce any accepted vector form to a validated 1-d float array."""
-    if isinstance(v, (RealVector, SortedVector)):
-        return v.array
+    """Coerce a sequence or array to a validated 1-d float array."""
     x = np.asarray(v, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"expected a 1-d vector with N >= 1, got shape {x.shape}")
@@ -124,11 +63,9 @@ def as_array(v: VectorLike) -> np.ndarray:
 
 def _sorted_entries(v: VectorLike) -> np.ndarray:
     """Entries of an already-sorted input; raises if the order is violated."""
-    if isinstance(v, SortedVector):
-        return v.array
     x = as_array(v)
     if np.any(np.diff(x) < 0):
-        raise ValueError("input must be sorted non-decreasing (use SortedVector)")
+        raise ValueError("input must be sorted non-decreasing")
     return x
 
 

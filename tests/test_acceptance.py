@@ -130,7 +130,7 @@ def test_criterion_2_sharpness(sharpness_runs):
             failures.append((m, n, f"pattern diff {report.max_pattern_diff}"))
         if not report.converged:
             failures.append((m, n, "not converged"))
-        witness = sharp_witness(n, m).array
+        witness = sharp_witness(n, m)
         p = epsilon_to_params(epsilon_for_target_m(m, n), n)
         shifted = witness - p.alpha_eps * witness.sum()
         if abs(elementary_symmetric(shifted, 2)) > 1e-10:
@@ -226,8 +226,8 @@ def _spectrum_sums_hold(tensor) -> bool:
     """scal = 2 * sum(first-kind spectrum) = 2n/(n+2) * sum(second-kind spectrum)."""
     n = tensor.n
     scal = tensor.scalar_curvature()
-    first = 2.0 * eigen_spectrum(assemble_first_kind(tensor)).array.sum()
-    second = 2.0 * n / (n + 2.0) * eigen_spectrum(assemble_second_kind(tensor)).array.sum()
+    first = 2.0 * eigen_spectrum(assemble_first_kind(tensor)).eigenvalues.sum()
+    second = 2.0 * n / (n + 2.0) * eigen_spectrum(assemble_second_kind(tensor)).eigenvalues.sum()
     tol = 1e-8 * max(1.0, abs(scal))
     return abs(first - scal) <= tol and abs(second - scal) <= tol
 
@@ -236,7 +236,7 @@ def test_criterion_5_scalar_curvature_identities():
     failures = []
     for n in range(3, 15):
         tensor = model_space_form(n, 1.0)
-        spectrum = eigen_spectrum(assemble_first_kind(tensor)).array
+        spectrum = eigen_spectrum(assemble_first_kind(tensor)).eigenvalues
         if not np.allclose(spectrum, 1.0, atol=1e-10):
             failures.append((n, "spectrum"))
         report = scalar_curvature_checks(tensor)
@@ -246,7 +246,7 @@ def test_criterion_5_scalar_curvature_identities():
             failures.append((n, "identity"))
         if not _spectrum_sums_hold(tensor):
             failures.append((n, "spectrum sums"))
-    product = eigen_spectrum(assemble_first_kind(model_product_spheres(2, 2))).array
+    product = eigen_spectrum(assemble_first_kind(model_product_spheres(2, 2))).eigenvalues
     if np.max(np.abs(product - np.array([0, 0, 0, 0, 1, 1.0]))) > 1e-10:
         failures.append(("S2xS2", "spectrum"))
     for p in range(2, 8):
@@ -255,7 +255,7 @@ def test_criterion_5_scalar_curvature_identities():
             ones = two_form_count(p) + two_form_count(q)
             expected = np.r_[np.zeros(p * q), np.ones(ones)]
             tensor = model_product_spheres(p, q)
-            spectrum = eigen_spectrum(assemble_first_kind(tensor)).array
+            spectrum = eigen_spectrum(assemble_first_kind(tensor)).eigenvalues
             if np.max(np.abs(spectrum - expected)) > 1e-10:
                 failures.append((f"S{p}xS{q}", "spectrum"))
             report = scalar_curvature_checks(tensor)

@@ -225,7 +225,7 @@ class TestVerifyInclusionCommand:
 
     def test_boundary_search_flag(self, capsys):
         code, out, _ = run_cli(
-            capsys, "--samples", "500", "--restarts", "4", "--format", "machine",
+            capsys, "--samples", "500", "--format", "machine",
             "verify-inclusion", "--n", "4", "--epsilon", repr(1 / math.sqrt(3)),
             "--boundary-search",
         )
@@ -233,6 +233,26 @@ class TestVerifyInclusionCommand:
         records = [json.loads(line) for line in out.splitlines()]
         bs = next(r for r in records if r["record"] == "boundary_search")
         assert bs["min_c0"] >= -1e-8 and bs["matched_rigid"]
+
+    @pytest.mark.parametrize("n", [3, 4, 10, 45, 100])
+    def test_boundary_search_converges_at_small_eps(self, capsys, n):
+        # The minimizer's membership test used to cancel in 1/N - alpha_eps
+        # and exit 1 here: 30 of these 64 eps failed at N = 45.
+        for eps in np.geomspace(5e-17, 1e-10, 64):
+            if (1.0 - eps) / n == 1.0 / n:
+                continue  # refused up front with exit 64
+            code, out, _ = run_cli(
+                capsys, "--samples", "20", "--format", "machine", "verify-inclusion",
+                "--n", str(n), "--epsilon", repr(float(eps)), "--boundary-search",
+            )
+            bs = json.loads(out.splitlines()[-1])
+            assert code == 0 and bs["converged"], (n, eps)
+
+    def test_restarts_flag_is_gone(self, capsys):
+        inclusion = ("verify-inclusion", "--n", "4", "--epsilon", "0.5")
+        for argv in (("--restarts", "4", *inclusion), (*inclusion, "--restarts", "4")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 64 and out == "" and err.startswith("gardinglab: ")
 
     @pytest.mark.parametrize("extra", [(), ("--boundary-search",)])
     def test_unresolvable_epsilon_exits_64_at_once(self, capsys, extra):
@@ -523,7 +543,8 @@ class TestConfig:
             ({"seed": False}, "seed must be an integer, got False"),
             ({"samples": 1.5}, "samples must be an integer, got 1.5"),
             ({"samples": True}, "samples must be an integer, got True"),
-            ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
+            # restarts is no longer a setting: any value is an unknown key.
+            ({"restarts": 2.5}, "config file {path}: unknown keys ['restarts']"),
         ],
         ids=["tol_str", "tol_null", "tol_bool", "tol_inf", "seed_str", "seed_bool",
              "samples_float", "samples_bool", "restarts_float"],
@@ -537,7 +558,7 @@ class TestConfig:
         # Checked when the configuration loads, whichever subcommand runs.
         code, out, err = run_cli(capsys, "thresholds", "--n-max", "3")
         assert code == 64 and out == ""
-        assert err == f"gardinglab: {message}\n"
+        assert err == f"gardinglab: {message.format(path=cfg)}\n"
 
     def test_infinite_tol_flag_is_usage_error(self, capsys, vec_file):
         # An infinite tolerance would call the open member 1,2,3 closed-boundary.

@@ -66,9 +66,9 @@ CASES = [
     (*M, "--samples", "500", "--seed", "5", "verify-inclusion", "--n", "4", "--epsilon", "0.7",
      "--method", "rejection"),
     (*M, "--samples", "0", "verify-inclusion", "--n", "4", "--epsilon", "0.5"),
-    (*M, "--samples", "300", "--restarts", "4", "--seed", "3", "verify-inclusion", "--n", "6",
+    (*M, "--samples", "300", "--seed", "3", "verify-inclusion", "--n", "6",
      "--epsilon", EPS_2_6, "--boundary-search"),
-    (*M, "--samples", "300", "--restarts", "4", "--seed", "7", "verify-inclusion", "--n", "40",
+    (*M, "--samples", "300", "--seed", "7", "verify-inclusion", "--n", "40",
      "--epsilon", EPS_7_40, "--boundary-search"),
     (*M, "verify-inclusion", "--n", "4", "--epsilon", "0.5", "--method", "hitrun"),
     (*M, "model-space", "sphere", "--n", "4"),
@@ -96,7 +96,7 @@ CASES = [
     (*M, "thresholds", "--n-min", "5", "--n-max", "4"),
     ("cone-test", "wide.txt", "--k", "2", "--epsilon", "0.3"),
     ("--samples", "0", "verify-inclusion", "--n", "4", "--epsilon", "0.5"),
-    ("--samples", "300", "--restarts", "4", "verify-inclusion", "--n", "6",
+    ("--samples", "300", "verify-inclusion", "--n", "6",
      "--epsilon", EPS_2_6, "--boundary-search"),
     ("model-space", "sphere", "--n", "4", "--operator", "second"),
     ("model-space", "product", "--p", "3", "--q", "2", "--out", "spec.csv"),
@@ -106,6 +106,9 @@ CASES = [
     ("classify", "s4_second.txt", "--dim", "4", "--operator", "second", "--epsilon", "0.25"),
     ("classify", "s5_first.txt", "--dim", "5", "--operator", "first", "--epsilon", "0.1667"),
     ("thresholds", "--n-min", "2", "--n-max", "4"),
+    # --restarts was removed: the flag is now a usage error.
+    (*M, "--samples", "300", "--restarts", "4", "--seed", "3", "verify-inclusion", "--n", "6",
+     "--epsilon", EPS_2_6, "--boundary-search"),
 ]
 
 

@@ -15,6 +15,7 @@ from gardinglab.inclusion import (
     InclusionReport,
     _collect_members,
     _rigid_zero_count,
+    boundary_minimum_closed_form,
     boundary_search,
     dichotomy_check,
     epsilon_for_target_m,
@@ -202,7 +203,7 @@ class TestDichotomy:
     def test_rigid_pattern_at_every_scale(self, t):
         # An absolute tolerance below scale 1 used to lose the pattern.
         p = epsilon_to_params(epsilon_for_target_m(2, 4), 4)
-        verdict = dichotomy_check(t * sharp_witness(4, 2).array, p)
+        verdict = dichotomy_check(t * sharp_witness(4, 2), p)
         assert (verdict.case, verdict.rigid_m) == (CASE_BOUNDARY, 2)
 
 
@@ -222,7 +223,7 @@ class TestSharpWitness:
         # The matching eps exists for m < N - 1 (m_eps never reaches N - 1).
         for n in range(3, 12):
             for m in range(1, n - 1):
-                w = sharp_witness(n, m).array
+                w = sharp_witness(n, m)
                 p = epsilon_to_params(epsilon_for_target_m(m, n), n)
                 shifted = w - p.alpha_eps * w.sum()
                 assert abs(elementary_symmetric(shifted, 2)) <= 1e-10
@@ -376,6 +377,36 @@ class TestBoundarySearch:
             assert report.converged and report.ok
             again = boundary_search(N=n, epsilon=eps).to_record()
             assert json.dumps(again).encode() == json.dumps(report.to_record()).encode()
+
+    @pytest.mark.parametrize("n", [3, 4, 10, 45, 100])
+    def test_converged_at_every_resolvable_small_eps(self, n):
+        # Tested on v* - alpha_eps * sum(v*) as formed, 1/N - alpha_eps
+        # cancelled: at N = 45 the minimizer's sigma_2 margin read -1.4e-9
+        # at eps = 1e-10, so converged was False for an accepted eps.
+        accepted = 0
+        for eps in np.geomspace(5e-17, 1e-10, 64):
+            try:
+                report = boundary_search(n, float(eps))
+            except ValueError:
+                continue
+            accepted += 1
+            assert report.converged and report.ok, (n, eps)
+        assert accepted >= 55
+
+    @pytest.mark.parametrize("n, eps", [(4, 0.5), (10, 0.3), (45, 1e-10), (100, 1e-3)])
+    def test_membership_check_still_bites(self, n, eps, monkeypatch):
+        # A minimizer pushed out of the ball by a relative 1e-3 leaves the
+        # cone; the closed form moves with it, so only membership can fail.
+        assert boundary_search(n, eps).converged
+        radius = EpsilonParams.slice_radius.fget
+        monkeypatch.setattr(
+            EpsilonParams, "slice_radius", property(lambda p: 1.001 * radius(p))
+        )
+        report = boundary_search(n, eps)
+        assert report.min_c0 == pytest.approx(
+            boundary_minimum_closed_form(epsilon_to_params(eps, n)), abs=1e-12
+        )
+        assert not report.converged and not report.ok
 
     def test_deterministic(self):
         a = boundary_search(N=4, epsilon=0.5)

@@ -90,6 +90,27 @@ def test_every_export_is_its_module_object():
     assert set(gl.__all__) <= set(dir(gl))
 
 
+_SUBMODULES = (
+    "classify", "cones", "config", "curvature", "inclusion", "io", "symfun", "tables",
+    "weighted",
+)
+
+
+@pytest.mark.parametrize("name", _SUBMODULES)
+def test_every_public_name_resolves(name):
+    module = importlib.import_module(f"gardinglab.{name}")
+    public = module.__all__
+    assert len(public) == len(set(public))
+    assert [n for n in public if not hasattr(module, n)] == []
+
+
+def test_every_export_is_listed_by_its_module():
+    assert set(gl._EXPORTS.values()) <= set(_SUBMODULES)
+    for name, module_name in gl._EXPORTS.items():
+        module = importlib.import_module(f"gardinglab.{module_name}")
+        assert name in module.__all__, (name, module_name)
+
+
 def test_thresholds_stays_the_function_beside_its_module():
     import gardinglab.classify
     import gardinglab.tables

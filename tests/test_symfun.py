@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gardinglab.symfun import (
-    RealVector,
-    SortedVector,
+    as_array,
     elementary_symmetric,
     normalized_partial_sum,
     partial_sum_fractional,
@@ -224,25 +223,9 @@ class TestPartialSums:
 
 
 class TestVectorTypes:
-    def test_real_vector_validation(self):
-        with pytest.raises(ValueError):
-            RealVector([])
-        with pytest.raises(ValueError):
-            RealVector([1.0, math.inf])
-        assert len(RealVector([1, 2, 3])) == 3
-
-    def test_sorted_vector_permutation_reproduces_entries(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            v = rng.normal(size=int(rng.integers(1, 12)))
-            sv = SortedVector.from_vector(v)
-            assert list(sv.entries) == [v[i] for i in sv.permutation]
-            assert np.all(np.diff(sv.entries) >= 0)
-
-    def test_sorted_vector_stable_ties(self):
-        sv = SortedVector.from_vector([2.0, 1.0, 1.0, 2.0])
-        assert sv.permutation == (1, 2, 0, 3)
-
-    def test_sorted_vector_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            SortedVector(entries=(2.0, 1.0), permutation=(0, 1))
+    def test_as_array_validation(self):
+        for bad in ([], [1.0, math.inf], [[1.0, 2.0]]):
+            with pytest.raises(ValueError):
+                as_array(bad)
+        x = as_array([1, 2, 3])
+        assert x.dtype == np.float64 and x.tolist() == [1.0, 2.0, 3.0]
