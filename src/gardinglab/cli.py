@@ -19,10 +19,12 @@ configurations and seeds reproduce byte-identical output.
 Start-up: the module level imports the standard library and ``config``
 alone, and each handler imports what it runs when it is called, after its
 usage checks.
-``thresholds`` and every usage error run without numpy; ``cone-test`` loads
-``io``, ``cones`` and ``symfun``; ``model-space`` adds ``curvature``;
-``verify-inclusion`` loads ``inclusion``; ``classify`` reads its file and
-checks the spectrum length before it loads ``classify``.  Handlers read
+``thresholds`` and every usage error run without numpy.  ``cone-test``
+loads ``io`` and reads its vector file, so a missing, malformed or
+non-finite file exits 65 without numpy, and only then loads ``cones`` and
+``symfun``; ``model-space`` adds ``curvature``; ``verify-inclusion`` loads
+``inclusion``; ``classify`` reads its file in the same way and checks the
+spectrum length before it loads ``classify``.  Handlers read
 library functions from their modules at call time, so a wrapper set on a
 module sees the call.
 """
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from typing import Optional, Sequence
@@ -67,9 +70,9 @@ def _emit(config: RunConfig, record: dict, human: str) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    # Built once per process: parse_args keeps no state between calls.
-    parser = _Parser(prog="gardinglab", description=__doc__.splitlines()[0])
+def _run_option_parser() -> _Parser:
+    """The options that come before the subcommand, alone."""
+    parser = _Parser(prog="gardinglab", add_help=False)
     parser.add_argument("--tol", type=float, default=None, help="cone tolerance")
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
     parser.add_argument("--samples", type=int, default=None, help="sample count")
@@ -78,6 +81,17 @@ def _build_parser() -> _Parser:
         choices=("human", "machine"),
         default=None,
         help="human tables or JSON lines",
+    )
+    return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _build_parser() -> _Parser:
+    # Built once per process: parse_args keeps no state between calls.
+    parser = _Parser(
+        prog="gardinglab",
+        description=__doc__.splitlines()[0],
+        parents=[_run_option_parser()],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -142,10 +156,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_cone_test(args, config: RunConfig) -> int:
-    from .cones import ShiftParams, _resolvable_alpha, in_positivity_cone, in_shifted_cone
     from .io import read_vector_file
 
     vec = read_vector_file(args.vector_file)
+    from .cones import ShiftParams, _resolvable_alpha, in_positivity_cone, in_shifted_cone
+
     n = vec.size
     if args.k is not None:
         alpha = args.alpha or 0.0
@@ -272,9 +287,10 @@ def _cmd_model_space(args, config: RunConfig) -> int:
 
 def _cmd_classify(args, config: RunConfig) -> int:
     from .io import read_vector_file
-    from .tables import trace_free_count, two_form_count
 
     values = read_vector_file(args.spectrum_file)
+    from .tables import trace_free_count, two_form_count
+
     n = args.dim
     size = {"first": two_form_count, "second": trace_free_count, "kaehler": lambda d: d * d}
     expected = size[args.operator](n)
@@ -347,10 +363,30 @@ _HANDLERS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parsed arguments; a usage error names an unknown option before the
+    subcommand.
+
+    argparse sets such an option aside and takes the value after it for the
+    subcommand, so ``--seeds 3 thresholds`` would fail as an invalid choice
+    '3'.  On a failed parse the tokens before the first subcommand name are
+    parsed against the run options alone, and if the first one left over is
+    an option the error names it, as the same option after the subcommand
+    is named.
+    """
     try:
-        args = parser.parse_args(argv)
+        return _build_parser().parse_args(argv)
+    except _CliError:
+        head = list(itertools.takewhile(lambda token: token not in _HANDLERS, argv))
+        _, unknown = _run_option_parser().parse_known_args(head)
+        if unknown and unknown[0].startswith("-"):
+            _run_option_parser().error(f"unrecognized arguments: {' '.join(unknown)}")
+        raise
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         config = load_config(
             {
                 "tol": args.tol,

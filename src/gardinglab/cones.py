@@ -182,11 +182,30 @@ def garding_margin_chain_batch(rows: np.ndarray, k: int) -> np.ndarray:
 def positivity_margins_batch(rows: np.ndarray, m: float) -> np.ndarray:
     """Normalized P_m margins per row; zero rows get margin 0."""
     rows = np.asarray(rows, dtype=float)
+    # The norms first: their (B, N) temporary is freed before the sort
+    # allocates, which keeps large batches from holding both at once.
     norms = np.linalg.norm(rows, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    c0 = partial_sum_batch(np.sort(rows, axis=1), m)
-    out = c0 / (float(m) * safe)
-    out[norms == 0.0] = 0.0
+    return _sorted_positivity_margins(np.sort(rows, axis=1), norms, float(m))
+
+
+def _sorted_positivity_margins(
+    sorted_rows: np.ndarray, norms: np.ndarray, m: float | np.ndarray
+) -> np.ndarray:
+    """Normalized P_m margins of ascending rows with their norms given.
+
+    ``m`` is one index for every row, or an array of one index per row,
+    whose partial sums are dot products with ``partial_sum_weights``.  Zero
+    rows get margin 0.
+    """
+    if np.ndim(m) == 0:
+        c0 = partial_sum_batch(sorted_rows, m)
+    else:
+        weighted = partial_sum_weights(m[:, None], sorted_rows.shape[1])
+        weighted *= sorted_rows
+        c0 = weighted.sum(axis=1)
+    zero = norms == 0.0
+    out = c0 / (m * np.where(zero, 1.0, norms))
+    out[zero] = 0.0
     return out
 
 
@@ -326,16 +345,13 @@ def nesting_check(
         rows,
     )
 
-    # P_m monotonicity on random pairs, one m-column at a time.
-    sorted_rows = np.sort(rows, axis=1)
+    # P_m monotonicity on random pairs, one m-column at a time; the rows are
+    # sorted and normed once for these and the endpoint identities.
     norms = np.linalg.norm(rows, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    p_margins = []
-    for ms in m_pairs.T:
-        weighted = partial_sum_weights(ms[:, None], N)
-        weighted *= sorted_rows
-        p_margins.append(weighted.sum(axis=1) / (ms * safe))
-    m1_margin, m2_margin = p_margins
+    sorted_rows = np.sort(rows, axis=1)
+    m1_margin, m2_margin = (
+        _sorted_positivity_margins(sorted_rows, norms, ms) for ms in m_pairs.T
+    )
     bad = (
         ((m1_margin > tol) & ~(m2_margin > tol))
         | ((m1_margin >= -tol) & ~(m2_margin >= -tol))
@@ -352,8 +368,8 @@ def nesting_check(
 
     # Endpoint identities, compared outside the boundary band only.
     band = 10.0 * tol
-    p1 = positivity_margins_batch(rows, 1.0)
-    pn = positivity_margins_batch(rows, float(N))
+    p1 = _sorted_positivity_margins(sorted_rows, norms, 1.0)
+    pn = _sorted_positivity_margins(sorted_rows, norms, float(N))
     for label, a, b in (("G_N=P_1", gn, p1), ("P_N=G_1", pn, g1)):
         clear = (np.abs(a) > band) & (np.abs(b) > band)
         bad = (clear & ((a > 0) != (b > 0))) | ~(np.isfinite(a) & np.isfinite(b))

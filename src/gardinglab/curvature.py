@@ -22,14 +22,18 @@ threshold 1e-14 * ||A||_F, at most 100 sweeps) so the package carries no
 LAPACK dependency on this path; numpy is used only for array storage and
 arithmetic.  No eigenvectors are accumulated: every consumer of a spectrum
 reads its eigenvalues alone.  Each sweep runs in round-robin order: rounds
-of disjoint pairs whose rotations are applied as one array update.  Rows
-with no nonzero off-diagonal entry are skipped, so sparse model operators
-rotate only the few rows that couple.
+of disjoint pairs whose rotations are applied as one array update.  Each
+round works on a copy of the matrix laid out in its paired order, the ``p``
+rows on top and their ``q`` partners below, so it rotates contiguous halves
+and gathers nothing; one ``take`` moves the copy into the next round's
+order.  Rows with no nonzero off-diagonal entry are skipped, so sparse model
+operators rotate only the few rows that couple.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -104,9 +108,13 @@ def validate_curvature_symmetries(components: np.ndarray, atol: float = _SYMMETR
         raise ValueError(f"curvature symmetries violated beyond {atol}: {bad}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureTensor:
-    """Dense curvature tensor over an orthonormal frame in dimension n >= 3."""
+    """Dense curvature tensor over an orthonormal frame in dimension n >= 3.
+
+    Like ``OperatorMatrix`` and ``Spectrum``, it holds an array, so equality
+    is identity and instances hash by identity.
+    """
 
     n: int
     components: np.ndarray
@@ -135,7 +143,7 @@ class CurvatureTensor:
         return CurvatureTensor.from_components(rotated)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Dense symmetric operator matrix with its kind tag."""
 
@@ -164,7 +172,7 @@ class OperatorMatrix:
         return cls(N=arr.shape[0], entries=arr, kind=kind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues with the operator kind and frame dimension.
 
@@ -260,8 +268,14 @@ def trace_free_basis(n: int) -> np.ndarray:
     """(N2, n, n) orthonormal basis of trace-free symmetric 2-tensors.
 
     Off-diagonal elements (e_i e_j + e_j e_i)/sqrt(2) for i < j, followed by
-    n-1 Gram-Schmidt-orthonormalized diagonal difference tensors.
+    n-1 Gram-Schmidt-orthonormalized diagonal difference tensors.  The array
+    is built once per n and is read-only.
     """
+    return _trace_free_basis(n)
+
+
+@functools.lru_cache(maxsize=32)
+def _trace_free_basis(n: int) -> np.ndarray:
     mats = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -279,7 +293,9 @@ def trace_free_basis(n: int) -> np.ndarray:
         d = d / np.linalg.norm(d)
         diags.append(d)
         mats.append(np.diag(d))
-    return np.stack(mats, axis=0)
+    basis = np.stack(mats, axis=0)
+    basis.setflags(write=False)
+    return basis
 
 
 def full_symmetric_basis(n: int) -> np.ndarray:
@@ -336,48 +352,124 @@ def _round_robin_schedule(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(rounds)
 
 
+@functools.lru_cache(maxsize=32)
+def _paired_layouts(m: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Flat ``take`` indices that carry an ``s x s`` matrix, s = m + m % 2,
+    through one sweep in paired order, and the flat index of a round's pivots.
+
+    Round r's paired order lists the ``p`` indices of
+    ``_round_robin_schedule(m)[r]``, then their ``q`` partners in the same
+    pair order; for odd m the index that sits the round out is paired last
+    with the dummy index m.  ``moves[0]`` takes natural order to round 0's
+    order, ``moves[r]`` round r-1's order to round r's, and the last move
+    round s-2's order back to natural order.  In paired order the pivots of
+    a round are entries ``(i, h + i)`` and ``(h + i, i)``, h = s/2.  The
+    cached arrays are read-only; the moves hold s^3 indices in all, 0.7 MB
+    at s = 44.
+    """
+    size = m + m % 2
+    half = size // 2
+    orders = [np.arange(size)]
+    for p, q in _round_robin_schedule(m):
+        if p.size < half:
+            (idle,) = set(range(m)).difference(p.tolist(), q.tolist())
+            p, q = np.r_[p, idle], np.r_[q, m]
+        orders.append(np.r_[p, q])
+    orders.append(orders[0])
+    moves = []
+    for old, new in zip(orders[:-1], orders[1:]):
+        position = np.empty(size, dtype=np.intp)
+        position[old] = np.arange(size)
+        src = position[new]
+        move = (src[:, None] * size + src[None, :]).ravel()
+        move.setflags(write=False)
+        moves.append(move)
+    diagonal = np.arange(half) * (size + 1)
+    pivots = np.r_[diagonal + half, diagonal + half * size]
+    pivots.setflags(write=False)
+    return tuple(moves), pivots
+
+
 def _off_norm(x: np.ndarray) -> float:
     # Square the off-diagonal entries directly; subtracting the diagonal
     # mass from the total cancels catastrophically near convergence.
     return float(np.linalg.norm(x - np.diag(x.diagonal())))
 
 
-def _jacobi_sweep(a: np.ndarray, rounds) -> None:
-    """One sweep in place: each round rotates its disjoint pairs at once."""
+def _jacobi_sweep(x: np.ndarray, moves: tuple[np.ndarray, ...], pivots: np.ndarray) -> None:
+    """One sweep in place on the ``s x s`` matrix ``x`` of ``_paired_layouts``.
+
+    Each round works on a copy of the matrix in the round's paired order, so
+    its ``p`` rows are the top half and its ``q`` rows the bottom half:
+    ``app``, ``aqq`` and ``apq`` are diagonal views, and the rotations of
+    all pairs update two contiguous row halves, then two column halves.
+    One ``take`` moves the copy into the next round's order, and the last
+    one back into ``x``.  A dummy row and column of +0.0 get ``c = 1``,
+    ``s = 0`` exactly, which leaves every entry bit for bit as it is.
+    """
+    size = x.shape[0]
+    half = size // 2
+    step = size + 1
+    layouts = [
+        (
+            buf,
+            buf.reshape(2, half, size),
+            buf.reshape(size, 2, half),
+            buf[: half * step : step],
+            buf[half * step :: step],
+            buf[half : half * step : step],
+        )
+        for buf in (np.empty(size * size), np.empty(size * size))
+    ]
+    cs = np.empty((2, half))
+    c, s = cs
+    row_cs, col_cs = cs[:, None, :, None], cs[:, None, None, :]
+    source = x.reshape(-1)
     # Both angle branches are evaluated for every pair, so the lanes that
-    # divide by zero are silenced here and then replaced by np.where.
+    # divide by zero are silenced here and then overwritten.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for p, q in rounds:
-            apq = a[p, q]
-            h = a[q, q] - a[p, p]
+        for move, (buf, rows, cols, app, aqq, apq) in zip(
+            moves[:-1], itertools.cycle(layouts)
+        ):
+            # mode="clip" lets take write to ``out`` without buffering.
+            source.take(move, out=buf, mode="clip")
             # Standard stable angle formulas: t = apq / h where apq is
             # negligible against the diagonal gap (theta would overflow), and
-            # t = 0 (c = 1, s = 0, an exact no-op) where apq == 0.
+            # t = 0 (c = 1, s = 0, an exact no-op) where apq == 0.  Adding
+            # +0.0 turns theta = -0.0 into +0.0, so copysign flips t exactly
+            # where theta < 0.
+            h = aqq - app
             theta = 0.5 * h / apq
             t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            t = np.where(theta < 0.0, -t, t)
-            t = np.where(np.abs(h) + 100.0 * np.abs(apq) == np.abs(h), apq / h, t)
-            t = np.where(apq == 0.0, 0.0, t)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            cc, ss = c[:, None], s[:, None]
-            row_p, row_q = a[p], a[q]
-            a[p] = cc * row_p - ss * row_q
-            a[q] = ss * row_p + cc * row_q
-            col_p, col_q = a[:, p], a[:, q]
-            a[:, p] = col_p * c - col_q * s
-            a[:, q] = col_p * s + col_q * c
-            a[p, q] = 0.0
-            a[q, p] = 0.0
+            np.copysign(t, theta + 0.0, out=t)
+            abs_h = np.abs(h)
+            t = np.where(abs_h + 100.0 * np.abs(apq) == abs_h, apq / h, t)
+            t[apq == 0.0] = 0.0
+            np.divide(1.0, np.sqrt(t * t + 1.0), out=c)
+            np.multiply(t, c, out=s)
+            # rows[0] = c*rows[0] - s*rows[1], rows[1] = s*rows[0] + c*rows[1].
+            prod = row_cs * rows
+            np.subtract(prod[0, 0], prod[1, 1], out=rows[0])
+            np.add(prod[1, 0], prod[0, 1], out=rows[1])
+            prod = col_cs * cols
+            np.subtract(prod[0, :, 0], prod[1, :, 1], out=cols[:, 0])
+            np.add(prod[1, :, 0], prod[0, :, 1], out=cols[:, 1])
+            buf[pivots] = 0.0
+            source = buf
+    source.take(moves[-1], out=x.reshape(-1), mode="clip")
 
 
 def jacobi_eigensystem(matrix: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by round-robin Jacobi rotations.
 
     A sweep visits every ``(p, q)`` pair once, in rounds of disjoint pairs
-    (Brent & Luk) whose rotations are applied together.  Only rows with a
-    nonzero off-diagonal entry take part: a rotation never mixes another row
-    in, so the other diagonal entries pass through as they are.
+    (Brent & Luk) whose rotations are applied together, on a copy kept in
+    each round's paired order (``_paired_layouts``); the float operations
+    are those of gathering the rows and columns of each pair in natural
+    order, so the eigenvalues are the same bits.  The convergence test reads
+    the matrix in natural order once per sweep.  Only rows with a nonzero
+    off-diagonal entry take part: a rotation never mixes another row in, so
+    the other diagonal entries pass through as they are.
 
     The solve runs on the matrix scaled by the power of two that brings its
     largest entry into [0.5, 1), so ``||A||_F`` cannot overflow at any finite
@@ -402,11 +494,14 @@ def jacobi_eigensystem(matrix: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
     fro = float(np.linalg.norm(a))
     threshold = _JACOBI_OFF_TOL * max(fro, np.finfo(float).tiny)
     active = np.flatnonzero((a != np.diag(a.diagonal())).any(axis=1))
-    sub = a[np.ix_(active, active)]
+    m = active.size
+    padded = np.zeros((m + m % 2, m + m % 2))
+    sub = padded[:m, :m]
+    sub[...] = a[np.ix_(active, active)]
     for _ in range(max_sweeps):
         if _off_norm(sub) <= threshold:
             break
-        _jacobi_sweep(sub, _round_robin_schedule(active.size))
+        _jacobi_sweep(padded, *_paired_layouts(m))
     else:
         raise RuntimeError(
             f"Jacobi eigensolver did not converge within {max_sweeps} sweeps "

@@ -10,6 +10,9 @@ indices.  Only entries with i < j, k < l and (i, j) <= (k, l) in
 lexicographic order may appear; every other component follows from the
 algebraic symmetries.  An optional ``dim n`` line fixes the frame dimension,
 otherwise the largest index seen is used.
+
+numpy is imported by the functions that build or format arrays, once the
+text has parsed, so a malformed file fails without loading it.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .config import VectorParseError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .curvature import CurvatureTensor
 
 __all__ = [
@@ -35,10 +38,6 @@ __all__ = [
 ]
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0]
-
-
 def parse_vector_text(text: str) -> np.ndarray:
     """Parse decimals separated by commas and/or whitespace.
 
@@ -47,7 +46,7 @@ def parse_vector_text(text: str) -> np.ndarray:
     """
     values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw)
+        body = raw.partition("#")[0]
         for ch in ",()[]":
             body = body.replace(ch, " ")
         for token in body.split():
@@ -55,11 +54,13 @@ def parse_vector_text(text: str) -> np.ndarray:
                 value = float(token)
             except ValueError:
                 raise VectorParseError(f"not a number: {token!r}", lineno) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise VectorParseError(f"non-finite value: {token!r}", lineno)
             values.append(value)
     if not values:
         raise VectorParseError("no numeric entries found", 1)
+    import numpy as np
+
     return np.array(values, dtype=float)
 
 
@@ -79,22 +80,21 @@ def read_vector_file(path: str | Path) -> np.ndarray:
 
 def format_vector(values) -> str:
     """Comma-separated shortest-representation decimals (bit-exact reload)."""
+    import numpy as np
+
     return ",".join(repr(float(v)) for v in np.asarray(values, dtype=float))
 
 
 def parse_tensor_text(text: str) -> CurvatureTensor:
     """Parse an ``i j k l value`` component list into a curvature tensor."""
-    # Imported here, so reading a vector file does not load ``curvature``.
-    from .curvature import CurvatureTensor
-
     entries: dict[tuple[int, int, int, int], float] = {}
     dim: int | None = None
     max_index = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw).strip()
-        if not body:
-            continue
+        body = raw.partition("#")[0]
         tokens = body.replace(",", " ").split()
+        if not tokens:
+            continue
         if tokens[0].lower() == "dim":
             if len(tokens) != 2:
                 raise VectorParseError("dim line must be 'dim n'", lineno)
@@ -107,14 +107,15 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
             raise VectorParseError(
                 f"expected 'i j k l value', got {len(tokens)} fields", lineno
             )
+        ti, tj, tk, tl, field = tokens
         try:
-            i, j, k, l = (int(t) for t in tokens[:4])
-            value = float(tokens[4])
+            i, j, k, l = int(ti), int(tj), int(tk), int(tl)
+            value = float(field)
         except ValueError:
-            raise VectorParseError(f"bad component line: {body!r}", lineno) from None
+            raise VectorParseError(f"bad component line: {body.strip()!r}", lineno) from None
         if not math.isfinite(value):
-            raise VectorParseError(f"non-finite value: {tokens[4]!r}", lineno)
-        if min(i, j, k, l) < 1:
+            raise VectorParseError(f"non-finite value: {field!r}", lineno)
+        if i < 1 or j < 1 or k < 1 or l < 1:
             raise VectorParseError("indices are 1-based", lineno)
         if not (i < j and k < l and (i, j) <= (k, l)):
             raise VectorParseError(
@@ -126,12 +127,17 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
         if key in entries and entries[key] != value:
             raise VectorParseError(f"conflicting duplicate for {key}", lineno)
         entries[key] = value
-        max_index = max(max_index, i, j, k, l)
+        # i < j, k < l and i <= k, so j or l is the largest index.
+        max_index = max(max_index, j, l)
     n = dim if dim is not None else max_index
     if n < 3:
         raise VectorParseError("need dimension >= 3 (add a 'dim n' line?)", 1)
     if max_index > n:
         raise VectorParseError(f"index {max_index} exceeds dim {n}", 1)
+    import numpy as np
+
+    from .curvature import CurvatureTensor
+
     # Canonical keys are unique, so no two entries write the same component
     # and all of them can be scattered at once.
     a, b, c, d = np.array(list(entries), dtype=np.intp).reshape(-1, 4).T - 1

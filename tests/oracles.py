@@ -7,9 +7,11 @@ feasible solutions for the capped weighted-sum extremes, and a ball
 projection for the boundary minimum of the partial sum.  The equivalent
 closed forms of the verdict thresholds live here too, and so do the loops
 the library replaced: the row-major sigma recurrence, the scalar
-cyclic-order Jacobi loop, the restarted subgradient boundary search, the
-per-entry symmetric fill of a parsed tensor file and the nesting check that
-runs every sample's Garding chain through all N degrees.
+cyclic-order Jacobi loop, the round-robin Jacobi rounds that gather and
+scatter rows and columns in natural order, the restarted subgradient
+boundary search, the per-entry symmetric fill of a parsed tensor file and
+the nesting check that runs every sample's Garding chain through all N
+degrees.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from gardinglab.cones import (
     garding_margin_chain_batch,
     positivity_margins_batch,
 )
+from gardinglab.curvature import _round_robin_schedule
 from gardinglab.inclusion import (
     _ball_points,
     _sum_zero_basis,
@@ -296,6 +299,64 @@ def cyclic_jacobi_eigenvalues(matrix, off_tol_factor: float = 1e-14) -> np.ndarr
                 a[:, [p, q]] = a[:, [p, q]] @ rot.T
                 a[p, q] = a[q, p] = 0.0
     raise RuntimeError("cyclic Jacobi did not converge within 100 sweeps")
+
+
+def round_robin_jacobi_by_gathers(matrix, max_sweeps: int = 100) -> np.ndarray:
+    """``curvature.jacobi_eigensystem`` with each round's rows and columns
+    gathered and scattered by fancy indexing in natural order.
+
+    Same input checks, power-of-two scaling, active rows, round-robin
+    schedule, angle formulas, stopping test and error texts; the library
+    runs the same float operations on a copy kept in each round's paired
+    order, so both give the same bits.
+    """
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    w = a.diagonal().copy()
+    exponent = int(np.frexp(np.abs(a).max())[1])
+    a = np.ldexp(a, -exponent)
+    a = (a + a.T) / 2.0
+    fro = float(np.linalg.norm(a))
+    threshold = 1e-14 * max(fro, np.finfo(float).tiny)
+    active = np.flatnonzero((a != np.diag(a.diagonal())).any(axis=1))
+    sub = a[np.ix_(active, active)]
+
+    def off_norm(x):
+        return float(np.linalg.norm(x - np.diag(x.diagonal())))
+
+    for _ in range(max_sweeps):
+        if off_norm(sub) <= threshold:
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for p, q in _round_robin_schedule(active.size):
+                apq = sub[p, q]
+                h = sub[q, q] - sub[p, p]
+                theta = 0.5 * h / apq
+                t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+                t = np.where(theta < 0.0, -t, t)
+                t = np.where(np.abs(h) + 100.0 * np.abs(apq) == np.abs(h), apq / h, t)
+                t = np.where(apq == 0.0, 0.0, t)
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                cc, ss = c[:, None], s[:, None]
+                row_p, row_q = sub[p], sub[q]
+                sub[p] = cc * row_p - ss * row_q
+                sub[q] = ss * row_p + cc * row_q
+                col_p, col_q = sub[:, p], sub[:, q]
+                sub[:, p] = col_p * c - col_q * s
+                sub[:, q] = col_p * s + col_q * c
+                sub[p, q] = 0.0
+                sub[q, p] = 0.0
+    else:
+        raise RuntimeError(
+            f"Jacobi eigensolver did not converge within {max_sweeps} sweeps "
+            f"(off/||A||_F = {off_norm(sub) / fro:.3e})"
+        )
+    w[active] = np.ldexp(sub.diagonal(), exponent)
+    return np.sort(w, kind="stable")
 
 
 def tensor_fill_by_loop(entries: dict, n: int) -> np.ndarray:

@@ -481,6 +481,38 @@ class TestClassifyCommand:
         assert "does not match" in err
 
 
+class TestUnknownTopLevelOption:
+    @pytest.mark.parametrize(
+        "argv",
+        [("--seeds", "3", "thresholds"), ("thresholds", "--seeds", "3")],
+        ids=["before_subcommand", "after_subcommand"],
+    )
+    def test_error_names_the_option(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err == "gardinglab: unrecognized arguments: --seeds 3\n"
+
+    def test_value_of_a_known_option_is_not_the_subcommand(self, capsys):
+        code, _, err = run_cli(capsys, "--samples", "3", "--restarts", "4", "thresholds")
+        assert code == 64 and err == "gardinglab: unrecognized arguments: --restarts 4\n"
+
+    def test_bad_subcommand_is_still_named(self, capsys):
+        code, _, err = run_cli(capsys, "--seed", "1", "bogus", "--n", "3")
+        assert code == 64 and "invalid choice: 'bogus'" in err
+
+    def test_known_top_level_options_still_parse(self, capsys, monkeypatch):
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        tail = ("verify-inclusion", "--n", "4", "--epsilon", "0.5")
+        for head in (
+            ("--tol", "1e-8", "--seed", "4", "--samples", "10", "--format", "machine"),
+            ("--samples=10", "--seed=4", "--form", "machine", "--tol", "1e-8"),
+        ):
+            code, out, err = run_cli(capsys, *head, *tail)
+            record = json.loads(out.splitlines()[0])
+            assert code == 0 and err == ""
+            assert (record["seed"], record["samples_requested"], record["tol"]) == (4, 10, 1e-8)
+
+
 class TestThresholdsCommand:
     def test_table_rows(self, capsys):
         code, out, _ = run_cli(capsys, "thresholds", "--n-min", "3", "--n-max", "4")

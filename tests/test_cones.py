@@ -318,7 +318,7 @@ class TestNesting:
         [
             "garding_margin_chain_batch",
             "partial_sum_weights",
-            "positivity_margins_batch",
+            "_sorted_positivity_margins",
         ],
     )
     def test_nonfinite_margins_are_violations(self, monkeypatch, margin_fn):
@@ -337,6 +337,23 @@ class TestNesting:
         assert not report.ok
         vectors = {tuple(v["vector"]) for v in report.violations if "vector" in v}
         assert len(vectors) == 1
+
+    def test_nonfinite_endpoint_margins_are_violations(self, monkeypatch):
+        # Only the P_1 and P_N margins of sample 3 are NaN: both endpoint
+        # identities report it, and the P_m monotonicity check does not.
+        real = cones._sorted_positivity_margins
+
+        def poisoned(sorted_rows, norms, m):
+            out = real(sorted_rows, norms, m)
+            if np.ndim(m) == 0:
+                out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(cones, "_sorted_positivity_margins", poisoned)
+        report = nesting_check(N=5, samples=200, seed=7)
+        kinds = {v["kind"] for v in report.violations}
+        assert kinds == {"G_N=P_1", "P_N=G_1"}
+        assert len({tuple(v["vector"]) for v in report.violations}) == 1
 
     def test_maclaurin_violation_is_caught(self, monkeypatch):
         # The row [0.5, 0.4] is monotone, so the chain's own order cannot

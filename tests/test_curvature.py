@@ -29,10 +29,11 @@ from gardinglab.curvature import (
     trace_free_count,
     two_form_count,
     validate_curvature_symmetries,
+    _paired_layouts,
     _round_robin_schedule,
 )
 
-from oracles import cyclic_jacobi_eigenvalues
+from oracles import cyclic_jacobi_eigenvalues, round_robin_jacobi_by_gathers
 
 
 def _random_symmetric(n, seed):
@@ -157,6 +158,22 @@ class TestSecondKindAssembly:
             np.testing.assert_allclose(gram, np.eye(basis.shape[0]), atol=1e-12)
             traces = np.einsum("aii->a", basis)
             np.testing.assert_allclose(traces, 0.0, atol=1e-12)
+
+    def test_basis_is_built_once_and_read_only(self, monkeypatch):
+        import gardinglab.curvature as curvature_mod
+
+        basis = trace_free_basis(5)
+        assert trace_free_basis(5) is basis and not basis.flags.writeable
+        # assemble_second_kind reads the module-level name at call time.
+        seen = []
+
+        def wrapper(n):
+            seen.append(n)
+            return basis
+
+        monkeypatch.setattr(curvature_mod, "trace_free_basis", wrapper)
+        assemble_second_kind(random_curvature_tensor(5, seed=1))
+        assert seen == [5]
 
     def test_trace_mode_decouples_for_space_forms(self):
         # On the full symmetric basis (trace-free + pure trace) the last
@@ -356,6 +373,83 @@ class TestJacobiEigensolver:
         assert np.array_equal(w_scaled, np.ldexp(w, power))
 
 
+def _gather_oracle_cases():
+    """(id, matrix) pairs for the bit-identity tests of the paired layout."""
+    for n in range(1, 51):  # odd and even active sizes
+        yield f"random-{n}", _random_symmetric(n, seed=200 + n)
+    for n in range(3, 13):
+        for seed in range(3):
+            tensor = random_curvature_tensor(n, seed=seed)
+            yield f"first-{n}-{seed}", assemble_first_kind(tensor).entries
+            yield f"second-{n}-{seed}", assemble_second_kind(tensor).entries
+    for n in (3, 6, 11):
+        sphere = model_space_form(n, 1.7)
+        yield f"sphere-first-{n}", assemble_first_kind(sphere).entries
+        yield f"sphere-second-{n}", assemble_second_kind(sphere).entries
+    for p, q in ((2, 2), (3, 4), (5, 2), (7, 7)):
+        product = model_product_spheres(p, q)
+        yield f"product-first-{p}-{q}", assemble_first_kind(product).entries
+        yield f"product-second-{p}-{q}", assemble_second_kind(product).entries
+    for n in (5, 8, 13):
+        # Integer entries: many exactly equal diagonal entries (theta = +-0).
+        a = np.random.default_rng(n).integers(-2, 3, size=(n, n)).astype(float)
+        a = a + a.T
+        np.fill_diagonal(a, 1.0)
+        yield f"equal-diagonal-{n}", a.copy()
+        a[0, 3] = a[3, 0] = 0.0  # an apq = 0 pivot in the first sweep
+        yield f"zero-pivot-{n}", a.copy()
+        a[2, :] = a[:, 2] = 0.0  # an inactive row
+        a[2, 2] = -0.0
+        yield f"inactive-row-{n}", a.copy()
+        np.fill_diagonal(a, -0.0)
+        yield f"negative-zero-diagonal-{n}", a.copy()
+        yield f"negated-{n}", -a  # apq of the other sign, diagonal +0.0
+    for power in (-900, -300, -1, 1, 300, 1000):
+        yield f"scaled-2^{power}", np.ldexp(_random_symmetric(12, seed=19), power)
+
+
+class TestPairedLayout:
+    @pytest.mark.parametrize(
+        "a", [pytest.param(a, id=label) for label, a in _gather_oracle_cases()]
+    )
+    def test_spectrum_bytes_match_the_gather_oracle(self, a):
+        assert jacobi_eigensystem(a).tobytes() == round_robin_jacobi_by_gathers(a).tobytes()
+
+    @pytest.mark.parametrize("n, seed", [(7, 7), (30, 7), (31, 11), (45, 3)])
+    def test_max_sweeps_fails_with_the_oracle_text(self, n, seed):
+        a = _random_symmetric(n, seed=seed)
+        needed = next(k for k in range(1, 100) if _converges(a, k))
+        for max_sweeps in range(1, needed):
+            with pytest.raises(RuntimeError) as ours:
+                jacobi_eigensystem(a, max_sweeps=max_sweeps)
+            with pytest.raises(RuntimeError) as theirs:
+                round_robin_jacobi_by_gathers(a, max_sweeps=max_sweeps)
+            assert str(ours.value) == str(theirs.value)
+        w = round_robin_jacobi_by_gathers(a, max_sweeps=needed)
+        assert jacobi_eigensystem(a, max_sweeps=needed).tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 10, 21])
+    def test_layouts_follow_the_schedule_and_close_the_ring(self, m):
+        moves, pivots = _paired_layouts(m)
+        size = m + m % 2
+        half = size // 2
+        rounds = _round_robin_schedule(m)
+        assert len(moves) == len(rounds) + 1
+        # Label each entry by its natural (row, column) and follow the moves.
+        x = np.arange(size * size)
+        for move, (p, q) in zip(moves, rounds):
+            x = x.take(move)
+            rows = x.reshape(size, size)[:, 0] // size
+            assert np.array_equal(rows[: p.size], p)
+            assert np.array_equal(rows[half : half + q.size], q)
+            if p.size < half:  # the idle index meets the dummy m, last
+                assert rows[half - 1] not in np.r_[p, q] and rows[-1] == m
+            assert np.array_equal(x[pivots] // size, np.r_[rows[:half], rows[half:]])
+            assert np.array_equal(x[pivots] % size, np.r_[rows[half:], rows[:half]])
+        assert np.array_equal(x.take(moves[-1]), np.arange(size * size))
+        assert not any(move.flags.writeable for move in moves) and not pivots.flags.writeable
+
+
 def _assert_similarity_invariants(a, w, rtol):
     """sum(w) = tr(A) and sum(w^2) = ||A||_F^2, relative to ||A||_F."""
     fro = np.linalg.norm(a)
@@ -416,6 +510,19 @@ class TestOperatorMatrixAndSpectrum:
         assert spec.eigenvalues.dtype == np.float64
         with pytest.raises(ValueError):
             spec.eigenvalues[0] = 0.0
+
+
+    def test_array_holders_compare_and_hash_by_identity(self):
+        # The generated __eq__ would compare the arrays and raise.
+        pairs = [
+            (OperatorMatrix.from_entries(np.eye(2)), OperatorMatrix.from_entries(np.eye(2))),
+            (Spectrum(np.ones(3), KIND_GENERIC, None), Spectrum(np.ones(3), KIND_GENERIC, None)),
+            (model_space_form(3, 1.0), model_space_form(3, 1.0)),
+        ]
+        for a, b in pairs:
+            assert a == a and not a != a
+            assert a != b and not a == b
+            assert len({a, a, b}) == 2 and hash(a) == hash(a)
 
 
 class TestBasisIndependence:

@@ -109,6 +109,9 @@ CASES = [
     # --restarts was removed: the flag is now a usage error.
     (*M, "--samples", "300", "--restarts", "4", "--seed", "3", "verify-inclusion", "--n", "6",
      "--epsilon", EPS_2_6, "--boundary-search"),
+    # An unknown option is a usage error before and after the subcommand.
+    (*M, "--seeds", "3", "thresholds"),
+    (*M, "thresholds", "--seeds", "3"),
 ]
 
 

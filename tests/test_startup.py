@@ -82,6 +82,26 @@ def test_cone_test_loads_only_what_it_runs(tmp_path):
     assert not modules & unused
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["1, oops\n", "1, inf, 2\n", "# no entries\n", None],
+    ids=["malformed", "non_finite", "empty", "missing"],
+)
+@pytest.mark.parametrize("command", ["cone-test", "classify"])
+def test_unreadable_vector_file_exits_65_without_numpy(tmp_path, content, command):
+    path = tmp_path / "v.txt"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    argv = {
+        "cone-test": ["cone-test", str(path), "--k", "2"],
+        "classify": ["classify", str(path), "--dim", "3", "--operator", "first", "--epsilon", "0.5"],
+    }[command]
+    code, modules = _loaded(_RUN_CLI, *argv)
+    assert code == 65
+    assert "numpy" not in modules
+    assert _submodules(modules) <= {"gardinglab.cli", "gardinglab.config", "gardinglab.io"}
+
+
 def test_every_export_is_its_module_object():
     assert len(gl.__all__) == len(set(gl.__all__))
     for name in gl.__all__:
