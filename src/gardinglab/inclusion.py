@@ -27,6 +27,7 @@ equal positive entries.  ``sharp_witness`` builds those extremal vectors and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -71,9 +72,17 @@ CASE_BOUNDARY = "boundary_rigid"
 CASE_NOT_MEMBER = "not_member"
 
 # A sampling run stops short of its target after max(_DRAW_CAP, 50 * samples)
-# raw draws; no batch holds more than _MAX_BATCH rows.
+# raw draws.  No batch holds more than _MAX_BATCH rows, and a draw keeps at
+# most two batch-sized float64 arrays alive at once (the ball route's
+# directions and their basis product, then that product and its shift by
+# 1/N), so the sampler's memory ceiling is 2 * _MAX_BATCH * N * 8 bytes,
+# 32 * N MB, plus the members kept on request.  Membership and margins run
+# over consecutive blocks of _BLOCK_FLOATS float64s (256 KiB) of a batch:
+# their temporaries fit a 2 MiB L2 cache, which full-batch temporaries
+# (4 MB each at 5000 x 100) overflowed.
 _DRAW_CAP = 100_000_000
 _MAX_BATCH = 2_000_000
+_BLOCK_FLOATS = 32_768
 
 
 @dataclass(frozen=True)
@@ -246,13 +255,16 @@ def sharp_witness(N: int, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
 def _sum_zero_basis(N: int) -> np.ndarray:
-    """(N-1, N) orthonormal rows spanning the sum-zero hyperplane (Helmert)."""
+    """(N-1, N) orthonormal rows spanning the sum-zero hyperplane (Helmert);
+    built once per N and read-only."""
     basis = np.zeros((N - 1, N))
     for k in range(1, N):
         basis[k - 1, :k] = 1.0
         basis[k - 1, k] = -float(k)
         basis[k - 1] /= math.sqrt(k * (k + 1))
+    basis.setflags(write=False)
     return basis
 
 
@@ -334,11 +346,11 @@ def _collect_members(
     report: InclusionReport, members: np.ndarray, p: EpsilonParams
 ) -> None:
     margins = positivity_margins_batch(members, p.m_eps)
-    batch_min = float(margins.min()) if margins.size else None
-    if batch_min is not None:
-        report.min_margin = (
-            batch_min if report.min_margin is None else min(report.min_margin, batch_min)
-        )
+    if margins.size:
+        low = float(margins.min())
+        # min() would keep a NaN only from the first call; it must stick from any.
+        if report.min_margin is None or math.isnan(low) or low < report.min_margin:
+            report.min_margin = low
     # A NaN margin is no evidence of membership, so it counts as a violation.
     bad = np.flatnonzero(~(margins > 0.0))
     report.violation_count += int(bad.size)
@@ -378,6 +390,12 @@ def verify_inclusion_sampling(
     An eps so small that ``(1 - eps)/N`` rounds to ``1/N`` raises ValueError
     up front: the membership test would then see only rounding noise.
 
+    Each batch is drawn whole, then tested in consecutive row blocks of
+    about ``_BLOCK_FLOATS`` entries, and the run stops at the first block
+    that completes the target.  Every step after the draw works row by row,
+    so the blocks change no bit of the report or of ``members``; ``draws``
+    still counts whole batches.
+
     Samples and all derived randomness come from one seeded generator in a
     fixed order; reports are reproducible byte-for-byte for a given seed.
     """
@@ -406,6 +424,7 @@ def verify_inclusion_sampling(
     basis = _sum_zero_basis(N) if method == "ball" else None
     kept: list[np.ndarray] = []
     hard_cap = max(_DRAW_CAP, 50 * samples)
+    block = max(1, _BLOCK_FLOATS // N)
     while report.accepted < samples and report.draws < hard_cap:
         if method == "ball":
             # What is still missing plus as many draws as were rejected so
@@ -417,12 +436,20 @@ def verify_inclusion_sampling(
             size = max(10_000, min(_MAX_BATCH, samples * 4))
             rows = rng.normal(size=(size, N))
         report.draws += size
-        members = rows[_strict_member_mask(rows, p, tol)][: samples - report.accepted]
-        report.accepted += members.shape[0]
-        if members.shape[0]:
-            _collect_members(report, members, p)
-            if keep_members:
-                kept.append(members)
+        # The basis product above stays whole: OpenBLAS rounds a row of a
+        # row-blocked product differently at some N (18, 28, 60, 100, ...).
+        for start in range(0, size, block):
+            chunk = rows[start : start + block]
+            members = chunk[_strict_member_mask(chunk, p, tol)][: samples - report.accepted]
+            if members.shape[0]:
+                report.accepted += members.shape[0]
+                _collect_members(report, members, p)
+                if keep_members:
+                    kept.append(members)
+                if report.accepted == samples:
+                    break
+        # Free this batch before the next one is drawn.
+        del rows, chunk
     report.shortfall = report.accepted < samples
     report.acceptance_rate = report.accepted / report.draws
     if keep_members:

@@ -9,9 +9,9 @@ closed forms of the verdict thresholds live here too, and so do the loops
 the library replaced: the row-major sigma recurrence, the scalar
 cyclic-order Jacobi loop, the round-robin Jacobi rounds that gather and
 scatter rows and columns in natural order, the restarted subgradient
-boundary search, the per-entry symmetric fill of a parsed tensor file and
-the nesting check that runs every sample's Garding chain through all N
-degrees.
+boundary search, the per-entry symmetric fill of a parsed tensor file, the
+nesting check that runs every sample's Garding chain through all N degrees
+and the inclusion sampler that tests each drawn batch whole.
 """
 
 from __future__ import annotations
@@ -32,7 +32,13 @@ from gardinglab.cones import (
 )
 from gardinglab.curvature import _round_robin_schedule
 from gardinglab.inclusion import (
+    _DRAW_CAP,
+    _MAX_BATCH,
+    InclusionReport,
     _ball_points,
+    _collect_members,
+    _resolvable_params,
+    _strict_member_mask,
     _sum_zero_basis,
     epsilon_for_target_m,
     epsilon_to_params,
@@ -439,4 +445,59 @@ def nesting_check_full_chain(
                 report, label, rows[i], {"lhs_margin": float(a[i]), "rhs_margin": float(b[i])}
             )
         report.checks += samples
+    return report
+
+
+def verify_inclusion_sampling_unblocked(
+    N: int,
+    epsilon: float,
+    samples: int,
+    seed: int,
+    method: str = "ball",
+    tol: float = DEFAULT_TOL,
+    keep_members: bool = False,
+) -> InclusionReport:
+    """``inclusion.verify_inclusion_sampling`` with membership and margins
+    taken over each drawn batch whole rather than in row blocks.
+
+    Same seeded draws, same per-row kernels, same record and members; the
+    arguments are assumed valid.
+    """
+    p = _resolvable_params(epsilon, N)
+    report = InclusionReport(
+        N=N,
+        epsilon=p.epsilon,
+        alpha_eps=p.alpha_eps,
+        m_eps=p.m_eps,
+        seed=seed,
+        tol=tol,
+        samples_requested=samples,
+        method=method,
+    )
+    if samples == 0:
+        report.method_used = "none"
+        return report
+    report.method_used = method
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    basis = _sum_zero_basis(N) if method == "ball" else None
+    kept: list[np.ndarray] = []
+    hard_cap = max(_DRAW_CAP, 50 * samples)
+    while report.accepted < samples and report.draws < hard_cap:
+        if method == "ball":
+            size = min(_MAX_BATCH, samples + report.draws - 2 * report.accepted)
+            rows = 1.0 / N + _ball_points(rng, size, N - 1, p.slice_radius) @ basis
+        else:
+            size = max(10_000, min(_MAX_BATCH, samples * 4))
+            rows = rng.normal(size=(size, N))
+        report.draws += size
+        members = rows[_strict_member_mask(rows, p, tol)][: samples - report.accepted]
+        report.accepted += members.shape[0]
+        if members.shape[0]:
+            _collect_members(report, members, p)
+            if keep_members:
+                kept.append(members)
+    report.shortfall = report.accepted < samples
+    report.acceptance_rate = report.accepted / report.draws
+    if keep_members:
+        report.members = np.concatenate(kept, axis=0) if kept else np.empty((0, N))
     return report

@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gardinglab.inclusion as inclusion_mod
 from gardinglab.cones import in_shifted_cone
 from gardinglab.inclusion import (
     CASE_BOUNDARY,
@@ -13,8 +15,10 @@ from gardinglab.inclusion import (
     CASE_STRICT,
     EpsilonParams,
     InclusionReport,
+    _BLOCK_FLOATS,
     _collect_members,
     _rigid_zero_count,
+    _sum_zero_basis,
     boundary_minimum_closed_form,
     boundary_search,
     dichotomy_check,
@@ -26,7 +30,11 @@ from gardinglab.inclusion import (
 )
 from gardinglab.symfun import elementary_symmetric, partial_sum_fractional
 
-from oracles import boundary_min_by_projection, boundary_search_by_subgradient
+from oracles import (
+    boundary_min_by_projection,
+    boundary_search_by_subgradient,
+    verify_inclusion_sampling_unblocked,
+)
 
 
 class TestEpsilonParams:
@@ -311,6 +319,31 @@ class TestSamplingVerification:
         assert report.violation_count == 1 and not report.ok
         assert np.isnan(report.violations[0]["vector"][0])
 
+    def test_nan_margin_from_a_later_call_sticks(self, monkeypatch):
+        # min() folded the per-call minima, so a NaN survived only when it
+        # came from the first call.
+        real = inclusion_mod.positivity_margins_batch
+        calls = []
+
+        def nan_on_second_call(rows, m):
+            margins = real(rows, m)
+            calls.append(margins.size)
+            if len(calls) == 2:
+                margins[0] = np.nan
+            return margins
+
+        monkeypatch.setattr(inclusion_mod, "positivity_margins_batch", nan_on_second_call)
+        report = verify_inclusion_sampling(6, 0.3, 2000, 1, method="rejection")
+        assert len(calls) > 2
+        assert math.isnan(report.min_margin)
+        assert report.violation_count == 1 and not report.ok
+
+    def test_basis_is_built_once_and_read_only(self):
+        basis = _sum_zero_basis(7)
+        assert _sum_zero_basis(7) is basis and not basis.flags.writeable
+        np.testing.assert_allclose(basis @ basis.T, np.eye(6), atol=1e-15)
+        np.testing.assert_allclose(basis.sum(axis=1), 0.0, atol=1e-15)
+
     def test_deterministic_records(self):
         a = verify_inclusion_sampling(N=6, epsilon=0.4, samples=5_000, seed=37)
         b = verify_inclusion_sampling(N=6, epsilon=0.4, samples=5_000, seed=37)
@@ -330,6 +363,83 @@ class TestSamplingVerification:
         mask = _strict_member_mask(rows, p, 1e-9)
         for i in range(0, 2000, 97):
             assert mask[i] == in_shifted_cone(rows[i], 2, p.shift_params).member_open
+
+
+def _block(N: int) -> int:
+    return max(1, _BLOCK_FLOATS // N)
+
+
+def _assert_same_as_unblocked(N, eps, samples, seed, method):
+    got = verify_inclusion_sampling(N, eps, samples, seed, method=method, keep_members=True)
+    want = verify_inclusion_sampling_unblocked(
+        N, eps, samples, seed, method=method, keep_members=True
+    )
+    assert got.to_record() == want.to_record()
+    assert got.members.shape == want.members.shape
+    assert got.members.tobytes() == want.members.tobytes()
+    return got
+
+
+class TestBlockedSampling:
+    """Row blocks change no bit of a report or of its members."""
+
+    @pytest.mark.parametrize("N", [*range(2, 131), 200, 400])
+    def test_ball_matches_unblocked(self, N):
+        # One member past a block and one short of it, narrow and wide.
+        _assert_same_as_unblocked(N, 0.05, _block(N) + 1, N, "ball")
+        _assert_same_as_unblocked(N, 0.9, max(1, _block(N) - 1), N + 1, "ball")
+
+    @pytest.mark.parametrize(
+        "N", [2, 3, 4, 5, 6, 7, 10, 18, 28, 45, 60, 64, 99, 100, 101, 127, 128, 129, 130, 200, 400]
+    )
+    def test_rejection_matches_unblocked(self, N):
+        _assert_same_as_unblocked(N, 0.9, _block(N) + 1, N, "rejection")
+
+    @pytest.mark.parametrize("method", ["ball", "rejection"])
+    @pytest.mark.parametrize("N", [3, 45, 100])
+    def test_sample_counts_around_a_block(self, N, method):
+        for samples in (1, _block(N) - 1, _block(N), _block(N) + 1, 2 * _block(N)):
+            _assert_same_as_unblocked(N, 0.9, samples, samples, method)
+
+    @pytest.mark.parametrize("N, eps, samples", [(3, 0.2, 5000), (6, 0.3, 2000), (60, 0.5, 1000)])
+    def test_multi_batch_rejection_matches_unblocked(self, N, eps, samples):
+        report = _assert_same_as_unblocked(N, eps, samples, 17, "rejection")
+        assert report.draws > max(10_000, 4 * samples) and report.ok
+
+    def test_violation_cap_and_order_hold_across_blocks(self, monkeypatch):
+        real = inclusion_mod.positivity_margins_batch
+
+        def flag_some(rows, m):
+            # About 1% of rows, picked by a digit of their first entry, so
+            # both samplers flag the same rows wherever the blocks fall.
+            margins = real(rows, m)
+            return np.where((rows[:, 0] * 1e9) % 1.0 < 0.01, -margins, margins)
+
+        monkeypatch.setattr(inclusion_mod, "positivity_margins_batch", flag_some)
+        N = 100
+        report = _assert_same_as_unblocked(N, 0.2, 5000, 3, "ball")
+        assert report.violation_count > 10 and len(report.violations) == 10
+        flagged = np.flatnonzero((report.members[:, 0] * 1e9) % 1.0 < 0.01)
+        assert flagged.size == report.violation_count
+        assert [v["vector"] for v in report.violations] == report.members[flagged[:10]].tolist()
+        assert flagged[9] >= 2 * _block(N)
+
+    @pytest.mark.parametrize(
+        "method, eps, batch_rows, batches", [("ball", 0.2, 5000, 2.25), ("rejection", 0.9, 20_000, 1.25)]
+    )
+    def test_peak_memory_stays_near_the_draw(self, method, eps, batch_rows, batches):
+        # The ball draw holds two (5000, 100) arrays at its peak and the
+        # rejection draw one (20000, 100) array; full-batch temporaries of
+        # the membership and margin passes would add several more.
+        N = 100
+        verify_inclusion_sampling(N, eps, 5000, 3, method=method)
+        tracemalloc.start()
+        try:
+            verify_inclusion_sampling(N, eps, 5000, 3, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < batches * batch_rows * N * 8
 
 
 class TestBoundarySearch:
