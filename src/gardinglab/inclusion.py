@@ -74,12 +74,12 @@ CASE_NOT_MEMBER = "not_member"
 # A sampling run stops short of its target after max(_DRAW_CAP, 50 * samples)
 # raw draws.  No batch holds more than _MAX_BATCH rows, and a draw keeps at
 # most two batch-sized float64 arrays alive at once (the ball route's
-# directions and their basis product, then that product and its shift by
-# 1/N), so the sampler's memory ceiling is 2 * _MAX_BATCH * N * 8 bytes,
-# 32 * N MB, plus the members kept on request.  Membership and margins run
-# over consecutive blocks of _BLOCK_FLOATS float64s (256 KiB) of a batch:
-# their temporaries fit a 2 MiB L2 cache, which full-batch temporaries
-# (4 MB each at 5000 x 100) overflowed.
+# directions and their basis product), so the sampler's memory ceiling is
+# 2 * _MAX_BATCH * N * 8 bytes, 32 * N MB, plus the members kept on
+# request.  Membership and margins run over consecutive blocks of
+# _BLOCK_FLOATS float64s (256 KiB) of a batch: their temporaries fit a
+# 2 MiB L2 cache, which full-batch temporaries (4 MB each at 5000 x 100)
+# overflowed.
 _DRAW_CAP = 100_000_000
 _MAX_BATCH = 2_000_000
 _BLOCK_FLOATS = 32_768
@@ -334,10 +334,13 @@ def _strict_member_mask(rows: np.ndarray, p: EpsilonParams, tol: float) -> np.nd
     n = p.N
     sums = rows.sum(axis=1)
     shifted = rows - p.alpha_eps * sums[:, None]
-    norms = np.linalg.norm(shifted, axis=1)
+    # np.linalg.norm(shifted, axis=1) is sqrt of this very sum, so one sum of
+    # squares serves the norm and sigma_2 with the same bits.
+    squares = (shifted * shifted).sum(axis=1)
+    norms = np.sqrt(squares)
     safe = np.where(norms == 0.0, 1.0, norms)
     s1 = shifted.sum(axis=1)
-    s2 = (s1 * s1 - (shifted * shifted).sum(axis=1)) / 2.0
+    s2 = (s1 * s1 - squares) / 2.0
     margin = np.minimum(s1 / (n * safe), s2 / (math.comb(n, 2) * safe**2))
     return (margin > tol) & (norms > 0.0)
 
@@ -431,7 +434,8 @@ def verify_inclusion_sampling(
             # far: one batch when nearly every draw is a member, geometric
             # growth when few are.
             size = min(_MAX_BATCH, samples + report.draws - 2 * report.accepted)
-            rows = 1.0 / N + _ball_points(rng, size, N - 1, p.slice_radius) @ basis
+            rows = _ball_points(rng, size, N - 1, p.slice_radius) @ basis
+            rows += 1.0 / N  # in place; the same bits as 1.0 / N + product
         else:
             size = max(10_000, min(_MAX_BATCH, samples * 4))
             rows = rng.normal(size=(size, N))
