@@ -458,7 +458,8 @@ def verify_inclusion_sampling_unblocked(
     keep_members: bool = False,
 ) -> InclusionReport:
     """``inclusion.verify_inclusion_sampling`` with membership and margins
-    taken over each drawn batch whole rather than in row blocks.
+    taken over each drawn batch whole rather than in row blocks, and the
+    ball rows shifted by ``1/N`` out of place.
 
     Same seeded draws, same per-row kernels, same record and members; the
     arguments are assumed valid.
