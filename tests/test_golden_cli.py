@@ -49,6 +49,11 @@ INPUTS = {
     "s5_first.txt": ",".join(["1.0"] * 10) + "\n",
     "s7_first.txt": ",".join(["1.0"] * 21) + "\n",
     "n8_second.txt": ",".join(str(1 + i % 5) for i in range(35)) + "\n",
+    # One 40-entry vector at the ends of the float range.
+    **{
+        f"v40_{scale}.txt": ",".join(f"{(i % 5) - 0.5 + i / 8}{scale}" for i in range(40)) + "\n"
+        for scale in ("e-300", "e300")
+    },
 }
 
 CASES = [
@@ -62,6 +67,11 @@ CASES = [
     (*M, "cone-test", "pos.txt", "--m", "2", "--alpha", "0.1"),
     (*M, "cone-test", "bad.txt", "--k", "1"),
     (*M, "cone-test", "missing.txt", "--k", "1"),
+    *(
+        (*M, "cone-test", f"v40_{scale}.txt", *opts)
+        for scale in ("e-300", "e300")
+        for opts in (("--k", "40"), ("--k", "17", "--epsilon", "0.4"), ("--m", "13.7"))
+    ),
     (*M, "--samples", "2000", "--seed", "9", "verify-inclusion", "--n", "6", "--epsilon", "0.4"),
     (*M, "--samples", "500", "--seed", "5", "verify-inclusion", "--n", "4", "--epsilon", "0.7",
      "--method", "rejection"),
