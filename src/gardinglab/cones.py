@@ -136,7 +136,7 @@ def _garding_membership(x: np.ndarray, k: int, tol: float) -> ConeMembership:
     if norm == 0.0:
         return _membership(0.0, "zero_vector", tol)
     margins = sigma_prefix(x / norm, k, _means=True)
-    j = int(np.argmin(margins))
+    j = int(margins.argmin())
     return _membership(float(margins[j]), f"sigma_{j + 1}", tol)
 
 
@@ -158,7 +158,7 @@ def in_positivity_cone(v: VectorLike, m: float, tol: float = DEFAULT_TOL) -> Con
     norm = _norm(x)
     if norm == 0.0:
         return _membership(0.0, "zero_vector", tol)
-    c0 = float(partial_sum_batch(np.sort(x)[None, :], m)[0])
+    c0 = float(partial_sum_batch(np.sort(x), m))
     return _membership(c0 / (float(m) * norm), f"partial_sum[m={m:g}]", tol)
 
 

@@ -100,7 +100,7 @@ class EpsilonParams:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
-    @property
+    @functools.cached_property
     def shift_params(self) -> ShiftParams:
         return ShiftParams(alpha=self.alpha_eps, N=self.N)
 
@@ -223,10 +223,11 @@ def dichotomy_check(
     rescaling.  The zero vector is the one closed member with ``sum(v) = 0``
     and is reported as a degenerate boundary case (rigid_m None).
     """
-    x = as_array(v)
-    membership = in_shifted_cone(x, 2, p.shift_params, tol)
+    membership = in_shifted_cone(v, 2, p.shift_params, tol)
+    # The cone test has validated v; this only takes its float array.
+    x = np.asarray(v, dtype=float)
     sorted_x = np.sort(x, kind="stable")
-    c0 = float(partial_sum_batch(sorted_x[None, :], p.m_eps)[0])
+    c0 = float(partial_sum_batch(sorted_x, p.m_eps))
     if not membership.member_closed:
         return DichotomyVerdict(case=CASE_NOT_MEMBER, c0=c0)
     if not x.any():

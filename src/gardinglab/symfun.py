@@ -11,13 +11,16 @@ Conventions used throughout the package:
   over coefficient-major ``(k+1, B)`` storage, so each step is one
   contiguous vector update of every row at once.  A single row runs degree
   by degree, one cumulative sum of the running ``sigma_{j-1}`` prefixes per
-  degree, so it takes k numpy steps instead of N.
+  degree, so it takes k numpy steps instead of N, and writes each degree's
+  last prefix straight into its result.
 * The cone margins use the same recurrence for the elementary symmetric
   means ``E_j = sigma_j / binom(N, j)``: coefficient j carries the factor
   ``1 / binom(N, j)``, so each update adds ``(j/(N-j+1) * v_i) * E_{j-1}``.
   For ``||v|| <= 1`` every running coefficient and every added term is
   then bounded by 1 in absolute value (Maclaurin), at any N, so nothing
-  overflows and no ``binom(N, j)`` or ``||v||^j`` is formed.
+  overflows and no ``binom(N, j)`` or ``||v||^j`` is formed.  The factors
+  are cached per N, as one read-only column of all N degrees that both
+  loop orders slice to k.
 * Sorted vectors are plain non-decreasing float arrays, sorted stably
   (``np.sort(..., kind="stable")``), so equal entries keep their order and
   a sort is reproducible bit for bit.
@@ -26,11 +29,14 @@ Conventions used throughout the package:
   ``0 < m <= N``: values below 1 arise naturally from small shift parameters
   (the weight then multiplies the single smallest entry), and at integer
   ``m`` (including ``m == N``) the fractional term is dropped so that no
-  out-of-range entry is ever read.
+  out-of-range entry is ever read.  One kernel, ``partial_sum_batch``, takes
+  it over the last axis, so one sorted vector and a (B, N) batch of sorted
+  rows go through the same code and a vector gets the bits of its row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence, Union
 
@@ -78,12 +84,20 @@ def elementary_symmetric(v: VectorLike, k: int) -> float:
     return float(sigma_prefix(x, k)[-1])
 
 
-def _degree_factors(n: int, k: int, means: bool) -> np.ndarray:
-    """Per-degree factors ``j/(n-j+1)`` for j = 1..k, which turn sigma_j into
-    the mean ``sigma_j / binom(n, j)``; all ones for plain sigma_j."""
-    if not means:
-        return np.ones(k)
-    return np.arange(1, k + 1) / np.arange(n, n - k, -1)
+@functools.lru_cache(maxsize=64)
+def _degree_factors(n: int, means: bool) -> np.ndarray:
+    """Read-only (n, 1) column of the per-degree factors ``j/(n-j+1)``,
+    j = 1..n, which turn sigma_j into the mean ``sigma_j / binom(n, j)``;
+    all ones for plain sigma_j.  Degree k takes the slice ``[:k]``: each
+    factor is one correctly rounded quotient, so it has the same bits
+    whatever the length of the column it sits in."""
+    if means:
+        j = np.arange(1, n + 1)[:, None]
+        column = j / (n + 1 - j)
+    else:
+        column = np.ones((n, 1))
+    column.setflags(write=False)
+    return column
 
 
 def sigma_prefix(x: np.ndarray, k: int, *, _means: bool = False) -> np.ndarray:
@@ -95,18 +109,19 @@ def sigma_prefix(x: np.ndarray, k: int, *, _means: bool = False) -> np.ndarray:
     degree factors f_j of ``_degree_factors``, all taken in one outer
     product.  For one degree j that is a running sum over i, so each degree
     is one sequential ``add.accumulate`` over the prefixes of the degree
-    below.  The batch loop starts every sum at +0.0 where this one starts at
-    its first term; the two differ only in the sign of a zero, which the
-    final ``+ 0.0`` clears.  ``_means=True`` gives the means
-    ``sigma_j / binom(N, j)`` instead.
+    below, and its last prefix goes straight into the result.  The batch
+    loop starts every sum at +0.0 where this one starts at its first term;
+    the two differ only in the sign of a zero, which the final ``+ 0.0``
+    clears.  ``_means=True`` gives the means ``sigma_j / binom(N, j)``
+    instead.
     """
-    steps = _degree_factors(x.size, k, _means)[:, None] * x
+    steps = _degree_factors(x.size, _means)[:k] * x
+    out = np.empty(k)
     prefix = np.add.accumulate(steps[0])
-    last = [prefix[-1]]
+    out[0] = prefix[-1]
     for j in range(1, k):
         prefix = np.add.accumulate(steps[j, j:] * prefix[:-1])
-        last.append(prefix[-1])
-    out = np.array(last)
+        out[j] = prefix[-1]
     out += 0.0
     return out
 
@@ -130,7 +145,7 @@ def sigma_prefix_batch(rows: np.ndarray, k: int, *, _means: bool = False) -> np.
     b, n = rows.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    factors = _degree_factors(n, k, _means)[:, None]
+    factors = _degree_factors(n, _means)[:k]
     coeffs = np.zeros((k + 1, b))
     coeffs[0] = 1.0
     column = np.empty(b)
@@ -166,7 +181,7 @@ def _checked_m(m: float, n: int) -> float:
 
 def partial_sum_fractional(v: VectorLike, m: float) -> float:
     """Sum of the floor(m) smallest entries plus the fractional next term."""
-    return float(partial_sum_batch(_sorted_entries(v)[None, :], m)[0])
+    return float(partial_sum_batch(_sorted_entries(v), m))
 
 
 def partial_sum_weights(m, n: int) -> np.ndarray:
@@ -181,16 +196,21 @@ def partial_sum_weights(m, n: int) -> np.ndarray:
 
 
 def partial_sum_batch(sorted_rows: np.ndarray, m: float) -> np.ndarray:
-    """Row-wise fractional partial sum for a (B, N) batch of sorted rows."""
+    """Fractional partial sum over the last axis of sorted entries: a float
+    for one sorted vector, one per row for a (B, N) batch.
+
+    A vector gives the bits of its own row in a batch: the floor(m) entries
+    are summed along the last axis in the same order either way.
+    """
     rows = np.asarray(sorted_rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("expected a (B, N) batch")
-    m = _checked_m(m, rows.shape[1])
+    if rows.ndim < 1:
+        raise ValueError("expected a sorted vector or a (..., N) batch")
+    m = _checked_m(m, rows.shape[-1])
     fl = math.floor(m)
     frac = m - fl
-    total = rows[:, :fl].sum(axis=1)
+    total = rows[..., :fl].sum(axis=-1)
     if frac != 0.0:
-        total = total + frac * rows[:, fl]
+        total = total + frac * rows[..., fl]
     return total
 
 

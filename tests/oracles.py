@@ -6,12 +6,14 @@ subset enumeration for symmetric polynomials and selection sums, basic
 feasible solutions for the capped weighted-sum extremes, and a ball
 projection for the boundary minimum of the partial sum.  The equivalent
 closed forms of the verdict thresholds live here too, and so do the loops
-the library replaced: the row-major sigma recurrence, the scalar
-cyclic-order Jacobi loop, the round-robin Jacobi rounds that gather and
-scatter rows and columns in natural order, the restarted subgradient
-boundary search, the per-entry symmetric fill of a parsed tensor file, the
-nesting check that runs every sample's Garding chain through all N degrees
-and the inclusion sampler that tests each drawn batch whole.
+the library replaced: the row-major sigma recurrence, the single-vector
+recurrence with degree factors built per call, the partial sum of one
+vector as a (1, N) batch, the scalar cyclic-order Jacobi loop, the
+round-robin Jacobi rounds that gather and scatter rows and columns in
+natural order, the restarted subgradient boundary search, the per-entry
+symmetric fill of a parsed tensor file, the nesting check that runs every
+sample's Garding chain through all N degrees and the inclusion sampler that
+tests each drawn batch whole.
 """
 
 from __future__ import annotations
@@ -74,6 +76,37 @@ def sigma_prefix_row_major(rows, k: int, means: bool = False) -> np.ndarray:
     for column in rows.T[:, :, None]:
         higher += (factors * column) * lower
     return higher
+
+
+def sigma_prefix_with_fresh_factors(x: np.ndarray, k: int, means: bool = False) -> np.ndarray:
+    """(sigma_1, ..., sigma_k) of one vector by the degree-by-degree loop,
+    with the degree factors built per call from two ``arange``s and the
+    last prefix of each degree gathered in a list."""
+    n = x.size
+    factors = np.ones(k)
+    if means:
+        factors = np.arange(1, k + 1) / np.arange(n, n - k, -1)
+    steps = factors[:, None] * x
+    prefix = np.add.accumulate(steps[0])
+    last = [prefix[-1]]
+    for j in range(1, k):
+        prefix = np.add.accumulate(steps[j, j:] * prefix[:-1])
+        last.append(prefix[-1])
+    out = np.array(last)
+    out += 0.0
+    return out
+
+
+def partial_sum_as_batch_row(sorted_x: np.ndarray, m: float) -> float:
+    """Fractional partial sum of one sorted vector at ``0 < m <= N``, taken
+    as the single row of a (1, N) batch, summed along axis 1."""
+    rows = sorted_x[None, :]
+    fl = math.floor(m)
+    frac = m - fl
+    total = rows[:, :fl].sum(axis=1)
+    if frac != 0.0:
+        total = total + frac * rows[:, fl]
+    return float(total[0])
 
 
 def selection_sum_min(values, m: float) -> float:

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gardinglab.symfun import (
+    _degree_factors,
     as_array,
     elementary_symmetric,
     normalized_partial_sum,
+    partial_sum_batch,
     partial_sum_fractional,
     partial_sum_weights,
     sigma2_via_power_sums,
@@ -19,7 +21,12 @@ from gardinglab.symfun import (
     sigma_prefix_batch,
 )
 
-from oracles import sigma_prefix_row_major, sigma_subsets
+from oracles import (
+    partial_sum_as_batch_row,
+    sigma_prefix_row_major,
+    sigma_prefix_with_fresh_factors,
+    sigma_subsets,
+)
 
 
 class TestElementarySymmetric:
@@ -220,6 +227,99 @@ class TestPartialSums:
             partial_sum_fractional((1.0, 2.0), 0.0)
         with pytest.raises(ValueError):
             partial_sum_fractional((1.0, 2.0), 2.5)
+
+
+def _oracle_vectors(seed):
+    """(N, vector) for N = 1..400: scales 1e-300..1e300, about a fifth of
+    the entries +0.0 and a fifth -0.0, and at every seventh N a row of
+    zeros alone (-0.0 and +0.0 alternating)."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 401):
+        v = rng.normal(size=n) * 10.0 ** rng.uniform(-300.0, 300.0)
+        v[rng.random(n) < 0.2] = 0.0
+        v[rng.random(n) < 0.2] = -0.0
+        if n % 7 == 0:
+            v = np.where(np.arange(n) % 2 == 0, -0.0, 0.0)
+        yield n, v
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestSingleVectorKernels:
+    """The single-vector kernels against the forms they replaced, byte for byte."""
+
+    def test_sigma_prefix_matches_fresh_factors(self):
+        rng = np.random.default_rng(41)
+        for n, v in _oracle_vectors(43):
+            unit = v / (math.hypot(*v.tolist()) or 1.0)
+            if n <= 40:
+                ks, xs = range(1, n + 1), (v, unit)
+            else:
+                # Sampled degrees, the full chain at every 20th N, and the
+                # raw and unit vectors on alternate N.
+                ks = sorted({1, 2, int(rng.integers(3, n + 1)), n if n % 20 == 0 else 2})
+                xs = (v if n % 2 else unit,)
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                for x, k, means in itertools.product(xs, ks, (False, True)):
+                    got = sigma_prefix(x, k, _means=means)
+                    want = sigma_prefix_with_fresh_factors(x, k, means)
+                    assert _bits(got) == _bits(want), (n, k, means)
+
+    def test_cached_factors_slice_to_fresh_factors(self):
+        for n in range(1, 401):
+            for k in sorted({1, n // 3 + 1, n}):
+                fresh = np.arange(1, k + 1) / np.arange(n, n - k, -1)
+                assert _bits(_degree_factors(n, True)[:k, 0]) == _bits(fresh)
+            assert _bits(_degree_factors(n, False)) == _bits(np.ones(n))
+
+    def test_partial_sum_of_a_vector_matches_its_batch_row(self):
+        rng = np.random.default_rng(47)
+        for n, v in _oracle_vectors(53):
+            sorted_v = np.sort(v)
+            batch = np.stack([sorted_v, np.sort(rng.normal(size=n)), sorted_v[::-1].copy()])
+            ms = {float(n), 1.0, float(rng.integers(1, n + 1)), float(rng.uniform(0.01, n))}
+            with np.errstate(over="ignore", invalid="ignore"):
+                for m in sorted(ms):
+                    got = partial_sum_batch(sorted_v, m)
+                    assert np.ndim(got) == 0
+                    assert _bits(got) == _bits(partial_sum_as_batch_row(sorted_v, m)), (n, m)
+                    assert _bits(got) == _bits(partial_sum_batch(batch, m)[0])
+                    assert _bits(partial_sum_fractional(sorted_v, m)) == _bits(got)
+
+    def test_partial_sum_reduces_the_last_axis(self):
+        rows = np.sort(np.random.default_rng(59).normal(size=(3, 4, 9)), axis=-1)
+        got = partial_sum_batch(rows, 4.5)
+        assert got.shape == (3, 4)
+        assert _bits(got) == _bits([[partial_sum_batch(r, 4.5) for r in block] for block in rows])
+        with pytest.raises(ValueError):
+            partial_sum_batch(np.float64(1.0), 1.0)
+
+    def test_factor_cache_is_bounded_and_read_only(self):
+        assert _degree_factors.cache_info().maxsize is not None
+        column = _degree_factors(12, True)
+        assert _degree_factors(12, True) is column
+        assert column.shape == (12, 1) and not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0, 0] = 2.0
+        assert not _degree_factors(12, False).flags.writeable
+
+    def test_mutating_a_result_leaves_later_calls_unchanged(self):
+        x = np.random.default_rng(61).normal(size=12)
+        rows = x[None, :]
+        for means in (False, True):
+            first = sigma_prefix(x, 12, _means=means)
+            batch = sigma_prefix_batch(rows, 12, _means=means)
+            want, want_batch = first.copy(), batch.copy()
+            first[:] = 7.0
+            batch[:] = 7.0
+            assert _bits(sigma_prefix(x, 12, _means=means)) == _bits(want)
+            assert _bits(sigma_prefix_batch(rows, 12, _means=means)) == _bits(want_batch)
+        sums = partial_sum_batch(np.sort(rows, axis=1), 5.5)
+        want = sums.copy()
+        sums[:] = 7.0
+        assert _bits(partial_sum_batch(np.sort(rows, axis=1), 5.5)) == _bits(want)
 
 
 class TestVectorTypes:
