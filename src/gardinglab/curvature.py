@@ -60,7 +60,6 @@ __all__ = [
     "assemble_first_kind",
     "assemble_second_kind",
     "trace_free_basis",
-    "full_symmetric_basis",
     "assemble_on_tensor_basis",
     "jacobi_eigensystem",
     "eigen_spectrum",
@@ -296,13 +295,6 @@ def _trace_free_basis(n: int) -> np.ndarray:
     basis = np.stack(mats, axis=0)
     basis.setflags(write=False)
     return basis
-
-
-def full_symmetric_basis(n: int) -> np.ndarray:
-    """Trace-free basis extended by the normalized identity (pure trace)."""
-    return np.concatenate(
-        [trace_free_basis(n), (np.eye(n) / math.sqrt(n))[None, :, :]], axis=0
-    )
 
 
 def assemble_on_tensor_basis(tensor: CurvatureTensor, basis: np.ndarray) -> np.ndarray:

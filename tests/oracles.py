@@ -13,7 +13,8 @@ round-robin Jacobi rounds that gather and scatter rows and columns in
 natural order, the restarted subgradient boundary search, the per-entry
 symmetric fill of a parsed tensor file, the nesting check that runs every
 sample's Garding chain through all N degrees and the inclusion sampler that
-tests each drawn batch whole.
+tests each drawn batch whole.  The full symmetric-tensor basis (trace-free
+part plus pure trace) is here as well, since only a test uses it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from gardinglab.cones import (
     garding_margin_chain_batch,
     positivity_margins_batch,
 )
-from gardinglab.curvature import _round_robin_schedule
+from gardinglab.curvature import _round_robin_schedule, trace_free_basis
 from gardinglab.inclusion import (
     _DRAW_CAP,
     _MAX_BATCH,
@@ -303,6 +304,13 @@ def space_form_second_threshold_dim_form(n: int) -> float:
 def cpn_cohomology_threshold_inverse_form(n: int) -> float:
     """CP^n cohomology threshold through the generic inverse at target 3 - 2/n."""
     return epsilon_for_target_m(3.0 - 2.0 / n, n * n)
+
+
+def full_symmetric_basis(n: int) -> np.ndarray:
+    """Trace-free basis extended by the normalized identity (pure trace)."""
+    return np.concatenate(
+        [trace_free_basis(n), (np.eye(n) / math.sqrt(n))[None, :, :]], axis=0
+    )
 
 
 def cyclic_jacobi_eigenvalues(matrix, off_tol_factor: float = 1e-14) -> np.ndarray:

@@ -19,7 +19,6 @@ from gardinglab.curvature import (
     assemble_second_kind,
     dimension_for_count,
     eigen_spectrum,
-    full_symmetric_basis,
     jacobi_eigensystem,
     model_product_spheres,
     model_space_form,
@@ -33,7 +32,11 @@ from gardinglab.curvature import (
     _round_robin_schedule,
 )
 
-from oracles import cyclic_jacobi_eigenvalues, round_robin_jacobi_by_gathers
+from oracles import (
+    cyclic_jacobi_eigenvalues,
+    full_symmetric_basis,
+    round_robin_jacobi_by_gathers,
+)
 
 
 def _random_symmetric(n, seed):
