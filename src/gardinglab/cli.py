@@ -23,8 +23,9 @@ usage checks.
 loads ``io`` and reads its vector file, so a missing, malformed or
 non-finite file exits 65 without numpy, and only then loads ``cones`` and
 ``symfun``; ``model-space`` adds ``curvature``; ``verify-inclusion`` loads
-``inclusion``; ``classify`` reads its file in the same way and checks the
-spectrum length before it loads ``classify``.  Handlers read
+``inclusion``; ``classify`` reads its file in the same way and counts its
+entries before numpy loads, so a spectrum of the wrong length exits 65
+without numpy too.  Handlers read
 library functions from their modules at call time, so a wrapper set on a
 module sees the call.
 """
@@ -286,17 +287,17 @@ def _cmd_model_space(args, config: RunConfig) -> int:
 
 
 def _cmd_classify(args, config: RunConfig) -> int:
-    from .io import read_vector_file
+    from .io import _parse_floats, _read_text
 
-    values = read_vector_file(args.spectrum_file)
+    entries = _parse_floats(_read_text(args.spectrum_file))
     from .tables import trace_free_count, two_form_count
 
     n = args.dim
     size = {"first": two_form_count, "second": trace_free_count, "kaehler": lambda d: d * d}
     expected = size[args.operator](n)
-    if values.size != expected:
+    if len(entries) != expected:
         print(
-            f"gardinglab: spectrum length {values.size} does not match the "
+            f"gardinglab: spectrum length {len(entries)} does not match the "
             f"{args.operator} operator in dimension {n} (expected {expected})",
             file=sys.stderr,
         )
@@ -304,6 +305,8 @@ def _cmd_classify(args, config: RunConfig) -> int:
     import numpy as np
 
     from . import classify, curvature
+
+    values = np.array(entries, dtype=float)
 
     if args.operator == "kaehler":
         report = classify.classify_kaehler(values, n, args.epsilon, config.tol)

@@ -12,7 +12,9 @@ algebraic symmetries.  An optional ``dim n`` line fixes the frame dimension,
 otherwise the largest index seen is used.
 
 numpy is imported by the functions that build or format arrays, once the
-text has parsed, so a malformed file fails without loading it.
+text has parsed, so a malformed file fails without loading it.  The float
+parse of a vector text is numpy-free on its own (``_parse_floats``), so a
+caller can check the number of entries before any array is built.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ __all__ = [
 ]
 
 
-def parse_vector_text(text: str) -> np.ndarray:
-    """Parse decimals separated by commas and/or whitespace.
+def _parse_floats(text: str) -> list[float]:
+    """The decimals of a vector text, separated by commas and/or whitespace,
+    parsed without numpy.
 
     Surrounding parentheses or brackets are ignored, so tuple-style files
     like ``(1,2,3)`` load as written.
@@ -59,6 +62,12 @@ def parse_vector_text(text: str) -> np.ndarray:
             values.append(value)
     if not values:
         raise VectorParseError("no numeric entries found", 1)
+    return values
+
+
+def parse_vector_text(text: str) -> np.ndarray:
+    """Parse a vector text (see ``_parse_floats``) into a float array."""
+    values = _parse_floats(text)
     import numpy as np
 
     return np.array(values, dtype=float)

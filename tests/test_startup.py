@@ -102,6 +102,18 @@ def test_unreadable_vector_file_exits_65_without_numpy(tmp_path, content, comman
     assert _submodules(modules) <= {"gardinglab.cli", "gardinglab.config", "gardinglab.io"}
 
 
+def test_wrong_length_spectrum_exits_65_without_numpy(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("1, 1, 1, 1\n", encoding="utf-8")
+    argv = ["classify", str(path), "--dim", "3", "--operator", "first", "--epsilon", "0.5"]
+    code, modules = _loaded(_RUN_CLI, *argv)
+    assert code == 65
+    assert "numpy" not in modules
+    assert _submodules(modules) == {
+        "gardinglab.cli", "gardinglab.config", "gardinglab.io", "gardinglab.tables"
+    }
+
+
 def test_every_export_is_its_module_object():
     assert len(gl.__all__) == len(set(gl.__all__))
     for name in gl.__all__:
