@@ -307,7 +307,6 @@ def _cmd_classify(args, config: RunConfig) -> int:
     from . import classify, curvature
 
     values = np.array(entries, dtype=float)
-
     if args.operator == "kaehler":
         report = classify.classify_kaehler(values, n, args.epsilon, config.tol)
     else:
