@@ -20,9 +20,12 @@ Start-up: the module level imports the standard library and ``config``
 alone, and each handler imports what it runs when it is called, after its
 usage checks.
 ``thresholds`` and every usage error run without numpy.  ``cone-test``
-loads ``io`` and reads its vector file, so a missing, malformed or
-non-finite file exits 65 without numpy, and only then loads ``cones`` and
-``symfun``; ``model-space`` adds ``curvature``; ``verify-inclusion`` loads
+loads ``io`` and parses its vector file into Python floats, so a missing,
+malformed or non-finite file exits 65 without numpy, and only then loads
+``cones`` and ``symfun``.  A vector of up to 16 entries is tested on those
+floats and loads no numpy at all; a longer one loads numpy, whose
+single-row loop is faster there, and gives the same record.
+``model-space`` adds ``curvature``; ``verify-inclusion`` loads
 ``inclusion``; ``classify`` reads its file in the same way and counts its
 entries before numpy loads, so a spectrum of the wrong length exits 65
 without numpy too.  Handlers read
@@ -157,12 +160,12 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_cone_test(args, config: RunConfig) -> int:
-    from .io import read_vector_file
+    from .io import _parse_floats, _read_text
 
-    vec = read_vector_file(args.vector_file)
+    vec = _parse_floats(_read_text(args.vector_file))
     from .cones import ShiftParams, _resolvable_alpha, in_positivity_cone, in_shifted_cone
 
-    n = vec.size
+    n = len(vec)
     if args.k is not None:
         alpha = args.alpha or 0.0
         if args.epsilon is not None:

@@ -9,23 +9,37 @@ Three cone families are covered:
   of ``floor(m)+1`` entries positive; for sorted vectors the binding
   selection is always the smallest entries.
 
-Margins are normalized so one tolerance is meaningful across dimensions and
-scales, and apart from the sampler's G_2 mask in ``inclusion`` this module
-is the one place that normalizes them.  The G_k margin of ``v`` is the
-worst elementary symmetric mean ``E_j(u) = sigma_j(u) / binom(N, j)`` of
-the unit vector ``u = v / ||v||``, run through the recurrence of ``symfun``
+Margins are normalized so that they do not depend on the scale of v, and
+apart from the sampler's G_2 mask in ``inclusion`` this module is the one
+place that normalizes them.  The G_k margin of ``v`` is the worst
+elementary symmetric mean ``E_j(u) = sigma_j(u) / binom(N, j)`` of the
+unit vector ``u = v / ||v||``, run through the recurrence of ``symfun``
 with every running value in [-1, 1], so neither ``binom(N, j)`` nor
 ``||v||^j`` is ever formed.  The P_m margin is the partial sum divided by
-``m * ||v||``.  The scalar tests take ``||v||`` from ``math.hypot``, which
+``m * ||v||``.
+
+One tolerance does not mean the same across dimensions at high degree:
+``E_j`` of a unit vector is at most ``N^(-j/2)`` (reached on the diagonal),
+so the G_k margin of a vector deep inside G_k can fall below ``tol``.
+``in_garding_cone(np.ones(20), 20)`` has margin 9.77e-14 at sigma_20 and is
+not an open member, though it is the barycentre of the positive cone.
+A degree-homogeneous margin, such as ``E_j^(1/j)``, would change every
+record and is not used.
+
+The scalar tests take ``||v||`` from ``math.hypot``, which
 neither overflows nor underflows short of a norm past the float maximum
 (they raise ValueError there), so their margins hold at every scale at
 which the entries, shifted entries and partial sums are finite normal
 floats: tested over 1e-300..1e300 with N up to about 1000, where they
 agree with the scale-1 margins within 1e-15 and a power-of-two scaling
-changes no bit.  The batch kernels take ``np.linalg.norm`` of rows whose
-squares stay in float range, as the samplers' and the nesting checker's
-rows do (the nesting checker is tested up to N = 2000).  The zero vector
-is a closed member of every cone (it is the cone vertex) and an open
+changes no bit.  They run on Python floats for vectors of up to 16 entries
+and on numpy above (``symfun.vector_entries``), with the same bits: the
+shift sums in numpy's pairwise order and the recurrence does numpy's
+operations.  numpy is imported only by the array paths, the batch kernels
+and the nesting checker.  The batch kernels take ``np.linalg.norm`` of rows
+whose squares stay in float range, as the samplers' and the nesting
+checker's rows do (the nesting checker is tested up to N = 2000).  The zero
+vector is a closed member of every cone (it is the cone vertex) and an open
 member of none.  Open membership requires ``margin > tol``; closed
 membership requires ``margin >= -tol``.
 """
@@ -34,18 +48,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import DEFAULT_TOL, Record
 from .symfun import (
     VectorLike,
     as_array,
+    pairwise_sum,
     partial_sum_batch,
     partial_sum_weights,
     sigma_prefix,
     sigma_prefix_batch,
+    vector_entries,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ConeMembership",
@@ -110,55 +128,73 @@ def _membership(margin: float, binding: str, tol: float) -> ConeMembership:
     )
 
 
-def shift(v: VectorLike, p: ShiftParams) -> np.ndarray:
-    """Subtract alpha times the coordinate sum from every coordinate."""
-    x = as_array(v)
-    if x.size != p.N:
-        raise ValueError(f"vector length {x.size} does not match N={p.N}")
+def _shifted(x, p: ShiftParams):
+    """``x - alpha * sum(x)`` of validated entries, Python floats or a float
+    array; a list's sum is ``pairwise_sum``, so both give the same bits."""
+    if len(x) != p.N:
+        raise ValueError(f"vector length {len(x)} does not match N={p.N}")
+    if isinstance(x, list):
+        offset = p.alpha * pairwise_sum(x)
+        return [t - offset for t in x]
     return x - p.alpha * x.sum()
 
 
-def _norm(x: np.ndarray) -> float:
-    """||x|| by ``math.hypot``; raises where it is not a finite float, as for
-    entries near the float maximum or a shift whose sum overflowed."""
-    norm = math.hypot(*x.tolist())
+def shift(v: VectorLike, p: ShiftParams) -> np.ndarray:
+    """Subtract alpha times the coordinate sum from every coordinate."""
+    return _shifted(as_array(v), p)
+
+
+def _norm(x) -> float:
+    """||x|| of Python floats or a float array by ``math.hypot``; raises
+    where it is not a finite float, as for entries near the float maximum or
+    a shift whose sum overflowed."""
+    norm = math.hypot(*(x if isinstance(x, list) else x.tolist()))
     if not math.isfinite(norm):
         raise ValueError("vector norm is not a finite float")
     return norm
 
 
-def _garding_membership(x: np.ndarray, k: int, tol: float) -> ConeMembership:
-    """G_k test of a validated vector: the worst mean E_j of x / ||x||."""
-    n = x.size
+def _garding_membership(x, k: int, tol: float) -> ConeMembership:
+    """G_k test of validated entries from ``vector_entries``: the worst mean
+    E_j of x / ||x||, on Python floats for a list and on numpy for an array."""
+    n = len(x)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     norm = _norm(x)
     if norm == 0.0:
         return _membership(0.0, "zero_vector", tol)
-    margins = sigma_prefix(x / norm, k, _means=True)
-    j = int(margins.argmin())
-    return _membership(float(margins[j]), f"sigma_{j + 1}", tol)
+    if isinstance(x, list):
+        margins = sigma_prefix([t / norm for t in x], k, _means=True)
+    else:
+        margins = sigma_prefix(x / norm, k, _means=True).tolist()
+    worst = min(margins)
+    return _membership(worst, f"sigma_{margins.index(worst) + 1}", tol)
 
 
 def in_garding_cone(v: VectorLike, k: int, tol: float = DEFAULT_TOL) -> ConeMembership:
     """Test v against G_k; the margin is the worst normalized sigma_j."""
-    return _garding_membership(as_array(v), k, tol)
+    return _garding_membership(vector_entries(v), k, tol)
 
 
 def in_shifted_cone(
     v: VectorLike, k: int, p: ShiftParams, tol: float = DEFAULT_TOL
 ) -> ConeMembership:
     """Test v against G_k(alpha): membership of the shifted vector in G_k."""
-    return _garding_membership(shift(v, p), k, tol)
+    return _garding_membership(_shifted(vector_entries(v), p), k, tol)
 
 
 def in_positivity_cone(v: VectorLike, m: float, tol: float = DEFAULT_TOL) -> ConeMembership:
     """Test v against P_m; sorting makes the smallest entries binding."""
-    x = as_array(v)
+    x = vector_entries(v)
     norm = _norm(x)
     if norm == 0.0:
         return _membership(0.0, "zero_vector", tol)
-    c0 = float(partial_sum_batch(np.sort(x), m))
+    if isinstance(x, list):
+        c0 = partial_sum_batch(sorted(x), m)
+    else:
+        import numpy as np
+
+        c0 = float(partial_sum_batch(np.sort(x), m))
     return _membership(c0 / (float(m) * norm), f"partial_sum[m={m:g}]", tol)
 
 
@@ -173,6 +209,8 @@ def garding_margin_chain_batch(rows: np.ndarray, k: int) -> np.ndarray:
     Column j-1 equals ``min over i <= j of E_i(v / ||v||)``, i.e. the whole
     Garding chain in one pass; zero rows get margin 0.
     """
+    import numpy as np
+
     rows = np.asarray(rows, dtype=float)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     units = rows / np.where(norms == 0.0, 1.0, norms)
@@ -181,6 +219,8 @@ def garding_margin_chain_batch(rows: np.ndarray, k: int) -> np.ndarray:
 
 def positivity_margins_batch(rows: np.ndarray, m: float) -> np.ndarray:
     """Normalized P_m margins per row; zero rows get margin 0."""
+    import numpy as np
+
     rows = np.asarray(rows, dtype=float)
     # The norms first: their (B, N) temporary is freed before the sort
     # allocates, which keeps large batches from holding both at once.
@@ -197,6 +237,8 @@ def _sorted_positivity_margins(
     whose partial sums are dot products with ``partial_sum_weights``.  Zero
     rows get margin 0.
     """
+    import numpy as np
+
     if np.ndim(m) == 0:
         c0 = partial_sum_batch(sorted_rows, m)
     else:
@@ -253,6 +295,8 @@ def _add_violation(report: NestingReport, kind: str, row: np.ndarray, detail: di
 def _breaks_maclaurin(chain: np.ndarray, tol: float) -> np.ndarray:
     """Rows where some ``chain_{j+1} > tol`` has a (j+1)-th root above the
     j-th root of ``chain_j`` by more than tol."""
+    import numpy as np
+
     roots = np.maximum(chain, 0.0)
     roots **= 1.0 / np.arange(1, chain.shape[1] + 1)
     return ((chain[:, 1:] > tol) & ~(roots[:, 1:] <= roots[:, :-1] + tol)).any(axis=1)
@@ -260,6 +304,8 @@ def _breaks_maclaurin(chain: np.ndarray, tol: float) -> np.ndarray:
 
 def _chain_faults(chain: np.ndarray, tol: float) -> np.ndarray:
     """Rows of a Garding chain that break Maclaurin or hold a non-finite value."""
+    import numpy as np
+
     return _breaks_maclaurin(chain, tol) | ~np.isfinite(chain).all(axis=1)
 
 
@@ -277,6 +323,8 @@ def _check_garding_chain(
     run all N: those whose head ends at a margin that is not ``< 0`` (NaN
     included) or whose head is faulty.  Violations name the row of ``rows``.
     """
+    import numpy as np
+
     n = rows.shape[1]
     head = garding_margin_chain_batch(chain_rows, min(_CHAIN_HEAD, n))
     deep = np.flatnonzero(~(head[:, -1] < 0.0) | _chain_faults(head, report.tol))
@@ -323,6 +371,8 @@ def nesting_check(
       from its head end: a P_1 margin ``> 0`` makes every entry positive,
       hence every E_j positive, and the sample would have run in full.
     """
+    import numpy as np
+
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     if samples < 0:

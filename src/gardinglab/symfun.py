@@ -10,20 +10,33 @@ Conventions used throughout the package:
   give the same bits on finite input.  A (B, N) batch runs entry by entry
   over coefficient-major ``(k+1, B)`` storage, so each step is one
   contiguous vector update of every row at once.  A single row runs degree
-  by degree, one cumulative sum of the running ``sigma_{j-1}`` prefixes per
-  degree, so it takes k numpy steps instead of N, and writes each degree's
-  last prefix straight into its result.
+  by degree, one running sum of the ``sigma_{j-1}`` prefixes per degree,
+  and keeps each degree's last prefix.  On a float array that is one
+  ``np.add.accumulate`` per degree, k numpy steps instead of N; on a list
+  of Python floats it is one ``itertools.accumulate`` per degree, with the
+  same multiplies and the same sequential adds.
+* Single vectors run on Python floats up to 16 entries and on numpy above
+  (``vector_entries``), chosen by length alone; batches always run on
+  numpy.  A whole cone test on floats pays per entry and per multiply-add,
+  and numpy pays per degree and per call, so floats are faster or level
+  at every degree up to 16 entries and numpy is faster at most degrees
+  from about 20.  numpy is imported by the functions that build arrays, so
+  a float path never loads it; this is what lets ``cone-test`` on a short
+  vector start without numpy.
 * The cone margins use the same recurrence for the elementary symmetric
   means ``E_j = sigma_j / binom(N, j)``: coefficient j carries the factor
   ``1 / binom(N, j)``, so each update adds ``(j/(N-j+1) * v_i) * E_{j-1}``.
   For ``||v|| <= 1`` every running coefficient and every added term is
   then bounded by 1 in absolute value (Maclaurin), at any N, so nothing
-  overflows and no ``binom(N, j)`` or ``||v||^j`` is formed.  The factors
-  are cached per N, as one read-only column of all N degrees that both
-  loop orders slice to k.
+  overflows and no ``binom(N, j)`` or ``||v||^j`` is formed.  The array
+  loops read the factors from a cache per N, one read-only column of all N
+  degrees that both slice to k; the float loop forms the same correctly
+  rounded quotients itself.
 * Sorted vectors are plain non-decreasing float arrays, sorted stably
   (``np.sort(..., kind="stable")``), so equal entries keep their order and
-  a sort is reproducible bit for bit.
+  a sort is reproducible bit for bit.  A single vector on floats is sorted
+  by ``sorted``; only the order of +0.0 and -0.0 can differ, and no partial
+  sum sees it.
 * ``partial_sum_fractional(v, m)`` with real ``m`` sums the ``floor(m)``
   smallest entries plus ``(m - floor(m))`` times the next one.  The domain is
   ``0 < m <= N``: values below 1 arise naturally from small shift parameters
@@ -31,16 +44,22 @@ Conventions used throughout the package:
   ``m`` (including ``m == N``) the fractional term is dropped so that no
   out-of-range entry is ever read.  One kernel, ``partial_sum_batch``, takes
   it over the last axis, so one sorted vector and a (B, N) batch of sorted
-  rows go through the same code and a vector gets the bits of its row.
+  rows go through the same code and a vector gets the bits of its row.  A
+  sorted list of Python floats is summed by ``pairwise_sum`` in numpy's
+  pairwise order (Higham, SIAM J. Sci. Comput. 14, 1993), so it gets the
+  bits of its array too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence, Union
+from itertools import accumulate, repeat
+from operator import add, mul
+from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "elementary_symmetric",
@@ -53,12 +72,18 @@ __all__ = [
 # float roundoff (e.g. m computed from a shift parameter).
 _M_CLAMP_RTOL = 1e-12
 
+# Vectors of at most this many entries take the single-vector kernels on
+# Python floats; longer ones take numpy's (see ``vector_entries``).
+_FLOAT_ENTRIES = 16
 
-VectorLike = Union[Sequence[float], np.ndarray]
+
+VectorLike = Union[Sequence[float], "np.ndarray"]
 
 
 def as_array(v: VectorLike) -> np.ndarray:
     """Coerce a sequence or array to a validated 1-d float array."""
+    import numpy as np
+
     x = np.asarray(v, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"expected a 1-d vector with N >= 1, got shape {x.shape}")
@@ -67,8 +92,66 @@ def as_array(v: VectorLike) -> np.ndarray:
     return x
 
 
+def as_floats(v: VectorLike) -> list[float]:
+    """The entries of a validated 1-d vector as a list of Python floats.
+
+    A list, tuple or 1-d array of finite numbers is read without numpy.
+    Anything else goes through ``as_array``, so every input it refuses
+    raises the same exception with the same message.
+    """
+    if isinstance(v, (list, tuple)) or getattr(v, "ndim", None) == 1:
+        try:
+            x = list(map(float, v if isinstance(v, (list, tuple)) else v.tolist()))
+        except (TypeError, ValueError, OverflowError):
+            x = []
+        if x and all(map(math.isfinite, x)):
+            return x
+    return as_array(v).tolist()
+
+
+def vector_entries(v: VectorLike) -> list[float] | np.ndarray:
+    """The validated entries of v: Python floats (``as_floats``) for at most
+    ``_FLOAT_ENTRIES`` entries, a float array (``as_array``) for more.
+
+    The choice reads the length of v alone (see the module docstring for
+    why), and both forms refuse the same inputs with the same errors.
+    """
+    try:
+        n = len(v)
+    except TypeError:
+        n = 0
+    return as_floats(v) if n <= _FLOAT_ENTRIES else as_array(v)
+
+
+def pairwise_sum(x: list[float]) -> float:
+    """``np.add.reduce`` of a list of floats, bit for bit.
+
+    numpy starts a float sum at +0.0 and adds the pairwise sum of the
+    entries: sequential below 8 entries, eight interleaved running sums up
+    to 128, and above that the sum of two halves split at a multiple of 8.
+    """
+    return 0.0 + _pairwise(x, 0, len(x))
+
+
+def _pairwise(x: list[float], start: int, n: int) -> float:
+    if n < 8:
+        return functools.reduce(add, x[start : start + n], 0.0)
+    if n <= 128:
+        end = start + n - n % 8
+        r = x[start : start + 8]
+        for i in range(start + 8, end, 8):
+            r = list(map(add, r, x[i : i + 8]))
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return functools.reduce(add, x[end : start + n], res)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(x, start, half) + _pairwise(x, start + half, n - half)
+
+
 def _sorted_entries(v: VectorLike) -> np.ndarray:
     """Entries of an already-sorted input; raises if the order is violated."""
+    import numpy as np
+
     x = as_array(v)
     if np.any(np.diff(x) < 0):
         raise ValueError("input must be sorted non-decreasing")
@@ -77,8 +160,8 @@ def _sorted_entries(v: VectorLike) -> np.ndarray:
 
 def elementary_symmetric(v: VectorLike, k: int) -> float:
     """k-th elementary symmetric polynomial sigma_k of the entries."""
-    x = as_array(v)
-    n = x.size
+    x = vector_entries(v)
+    n = len(x)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     return float(sigma_prefix(x, k)[-1])
@@ -91,6 +174,8 @@ def _degree_factors(n: int, means: bool) -> np.ndarray:
     all ones for plain sigma_j.  Degree k takes the slice ``[:k]``: each
     factor is one correctly rounded quotient, so it has the same bits
     whatever the length of the column it sits in."""
+    import numpy as np
+
     if means:
         j = np.arange(1, n + 1)[:, None]
         column = j / (n + 1 - j)
@@ -100,21 +185,25 @@ def _degree_factors(n: int, means: bool) -> np.ndarray:
     return column
 
 
-def sigma_prefix(x: np.ndarray, k: int, *, _means: bool = False) -> np.ndarray:
-    """Array (sigma_1, ..., sigma_k) of one validated 1-d array with
-    ``1 <= k <= N``, bit for bit one row of ``sigma_prefix_batch``.
+def sigma_prefix(x, k: int, *, _means: bool = False):
+    """(sigma_1, ..., sigma_k) of validated entries with ``1 <= k <= N``,
+    bit for bit one row of ``sigma_prefix_batch``: a list for a list of
+    Python floats, an array for a 1-d float array.
 
     After the first i+1 entries, ``sigma_j`` is the previous ``sigma_j``
     plus ``(f_j * v[i])`` times the previous ``sigma_{j-1}``, with the
-    degree factors f_j of ``_degree_factors``, all taken in one outer
-    product.  For one degree j that is a running sum over i, so each degree
-    is one sequential ``add.accumulate`` over the prefixes of the degree
-    below, and its last prefix goes straight into the result.  The batch
-    loop starts every sum at +0.0 where this one starts at its first term;
-    the two differ only in the sign of a zero, which the final ``+ 0.0``
-    clears.  ``_means=True`` gives the means ``sigma_j / binom(N, j)``
-    instead.
+    degree factors f_j of ``_degree_factors``.  For one degree j that is a
+    running sum over i, so each degree is one sequential running sum over
+    the prefixes of the degree below, and its last prefix is the result.
+    The batch loop starts every sum at +0.0 where this one starts at its
+    first term; the two differ only in the sign of a zero, which the final
+    ``+ 0.0`` clears.  ``_means=True`` gives the means
+    ``sigma_j / binom(N, j)`` instead.
     """
+    if isinstance(x, list):
+        return _sigma_prefix_floats(x, k, _means)
+    import numpy as np
+
     steps = _degree_factors(x.size, _means)[:k] * x
     out = np.empty(k)
     prefix = np.add.accumulate(steps[0])
@@ -123,6 +212,23 @@ def sigma_prefix(x: np.ndarray, k: int, *, _means: bool = False) -> np.ndarray:
         prefix = np.add.accumulate(steps[j, j:] * prefix[:-1])
         out[j] = prefix[-1]
     out += 0.0
+    return out
+
+
+def _sigma_prefix_floats(x: list[float], k: int, means: bool) -> list[float]:
+    """``sigma_prefix`` on Python floats, degree by degree with
+    ``accumulate``: the same products ``(f_j * v[i]) * prefix``, the same
+    sequential sums and the same factors (``j/(N-j+1)`` is a correctly
+    rounded int quotient), so the same bits.  The products by sigma_0 = 1
+    and by the unit factors of plain sigma_j are exact, so they are left
+    out."""
+    n = len(x)
+    out = []
+    prefix = None
+    for j in range(k):
+        steps = map(mul, repeat((j + 1) / (n - j)), x[j:]) if means else x[j:]
+        prefix = list(accumulate(map(mul, steps, prefix) if j else steps))
+        out.append(prefix[-1] + 0.0)
     return out
 
 
@@ -139,6 +245,8 @@ def sigma_prefix_batch(rows: np.ndarray, k: int, *, _means: bool = False) -> np.
     entries update just those.  Returns a transposed ``(B, k)`` view;
     ``_means=True`` gives the means ``sigma_j / binom(N, j)`` instead.
     """
+    import numpy as np
+
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("expected a (B, N) batch")
@@ -191,17 +299,28 @@ def partial_sum_weights(m, n: int) -> np.ndarray:
     these weights.  A column of per-row values ``m`` (shape (B, 1)) gives a
     (B, n) array, one weight row each.
     """
+    import numpy as np
+
     weights = np.subtract(m, np.arange(n), dtype=float)
     return np.clip(weights, 0.0, 1.0, out=weights)
 
 
-def partial_sum_batch(sorted_rows: np.ndarray, m: float) -> np.ndarray:
+def partial_sum_batch(sorted_rows, m: float):
     """Fractional partial sum over the last axis of sorted entries: a float
     for one sorted vector, one per row for a (B, N) batch.
 
     A vector gives the bits of its own row in a batch: the floor(m) entries
-    are summed along the last axis in the same order either way.
+    are summed along the last axis in the same order either way.  A sorted
+    list of Python floats takes ``pairwise_sum``, numpy's order, so it
+    gives the bits of its array too.
     """
+    if isinstance(sorted_rows, list):
+        m = _checked_m(m, len(sorted_rows))
+        fl = math.floor(m)
+        total = pairwise_sum(sorted_rows[:fl])
+        return total if m == fl else total + (m - fl) * sorted_rows[fl]
+    import numpy as np
+
     rows = np.asarray(sorted_rows, dtype=float)
     if rows.ndim < 1:
         raise ValueError("expected a sorted vector or a (..., N) batch")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gardinglab import cones
+from gardinglab import cones, symfun
 from gardinglab.config import DEFAULT_TOL
 from gardinglab.cones import (
     ShiftParams,
@@ -284,6 +284,58 @@ class TestScaleAndPermutationInvariance:
             assert in_positivity_cone(v, 2.5).margin == pytest.approx(
                 in_positivity_cone(v[perm], 2.5).margin, rel=1e-12, abs=1e-15
             )
+
+
+def _outcome(call):
+    """repr of a cone test's record, or of the ValueError it raises, so
+    that margins compare bit for bit, signed zeros included."""
+    try:
+        return repr(call().to_record())
+    except ValueError as exc:
+        return repr(exc)
+
+
+class TestFloatAndArrayPaths:
+    """Vectors up to ``symfun._FLOAT_ENTRIES`` entries run the cone tests on
+    Python floats, longer ones on numpy; each path must give the records of
+    the other on every vector."""
+
+    def test_records_match_on_both_paths(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        for n in range(1, 61):
+            v = rng.normal(size=n) * 10.0 ** rng.uniform(-300.0, 300.0)
+            v[rng.random(n) < 0.2] = 0.0
+            v[rng.random(n) < 0.2] = -0.0
+            if n % 9 == 0:
+                v = np.full(n, 1e308)  # a norm and a sum past the float maximum
+            ks = sorted({1, min(2, n), n, int(rng.integers(1, n + 1))})
+            p = ShiftParams(alpha=float(rng.uniform(0.0, 1.0 / n)), N=n)
+            m = float(rng.uniform(0.5, n))
+            calls = [lambda x, k=k: in_garding_cone(x, k) for k in ks]
+            calls += [lambda x, k=k: in_shifted_cone(x, k, p) for k in ks]
+            calls.append(lambda x: in_positivity_cone(x, m))
+            outcomes = []
+            for limit in (10**9, 0):
+                monkeypatch.setattr(symfun, "_FLOAT_ENTRIES", limit)
+                for x in (v, v.tolist()):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        outcomes.append([_outcome(lambda: call(x)) for call in calls])
+            assert all(o == outcomes[0] for o in outcomes), n
+
+    def test_invalid_input_raises_alike_on_both_paths(self, monkeypatch):
+        for bad in ([], [1.0, math.nan], [[1.0, 2.0]], np.ones((2, 2)), "1.5"):
+            errors = []
+            for limit in (10**9, 0):
+                monkeypatch.setattr(symfun, "_FLOAT_ENTRIES", limit)
+                for test in (
+                    lambda: in_garding_cone(bad, 1),
+                    lambda: in_shifted_cone(bad, 1, ShiftParams(alpha=0.0, N=2)),
+                    lambda: in_positivity_cone(bad, 1.0),
+                ):
+                    with pytest.raises(ValueError) as info:
+                        test()
+                    errors.append(str(info.value))
+            assert errors[:3] == errors[3:]
 
 
 class TestNesting:

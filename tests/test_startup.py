@@ -73,13 +73,94 @@ def test_thresholds_and_usage_errors_run_without_numpy(argv, expected_code):
     assert _submodules(modules) <= {"gardinglab.cli", "gardinglab.config", "gardinglab.tables"}
 
 
+# Makes ``import numpy`` raise in the child, so a run that passes cannot
+# have needed it, whatever was loaded before.
+_BLOCK_NUMPY = """
+class _NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is blocked in this run")
+sys.meta_path.insert(0, _NoNumpy())
+"""
+
+_RUN_CLI_WITHOUT_NUMPY = _BLOCK_NUMPY + """
+from gardinglab import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    code = [cli.main(sys.argv[1:]), out.getvalue()]
+"""
+
+
+def test_cone_modules_import_without_numpy():
+    code, modules = _loaded("import gardinglab.cones, gardinglab.symfun\ncode = 0")
+    assert code == 0 and "numpy" not in modules
+
+
+def test_blocked_numpy_cannot_be_imported():
+    code, modules = _loaded(
+        _BLOCK_NUMPY + "try:\n    import numpy\n    code = 0\nexcept ImportError:\n    code = 1\n"
+    )
+    assert code == 1 and "numpy" not in modules
+
+
+# Every cone-test form on the vector (1, 2, 3), with the exit code and the
+# record each run gives.
+_CONE_TEST_RUNS = [
+    (
+        ["--k", "2"],
+        0,
+        '{"N": 3, "binding_constraint": "sigma_2", "cone": "G_2", "margin": 0.2619047619047619, '
+        '"member_closed": true, "member_open": true, "record": "cone_test", "tol": 1e-09}',
+    ),
+    (
+        ["--k", "3"],
+        0,
+        '{"N": 3, "binding_constraint": "sigma_3", "cone": "G_3", "margin": 0.11454053224818189, '
+        '"member_closed": true, "member_open": true, "record": "cone_test", "tol": 1e-09}',
+    ),
+    (
+        ["--k", "3", "--epsilon", "0.5"],
+        1,
+        '{"N": 3, "binding_constraint": "sigma_3", "cone": "G_3(alpha=0.166666666667)", '
+        '"margin": 0.0, "member_closed": true, "member_open": false, "record": "cone_test", '
+        '"tol": 1e-09}',
+    ),
+    (
+        ["--k", "2", "--alpha", "0.1"],
+        0,
+        '{"N": 3, "binding_constraint": "sigma_2", "cone": "G_2(alpha=0.1)", '
+        '"margin": 0.2064297800338409, "member_closed": true, "member_open": true, '
+        '"record": "cone_test", "tol": 1e-09}',
+    ),
+    (
+        ["--k", "2", "--alpha", "0.3"],
+        2,
+        '{"N": 3, "binding_constraint": "sigma_2", "cone": "G_2(alpha=0.3)", '
+        '"margin": -0.13836477987421375, "member_closed": false, "member_open": false, '
+        '"record": "cone_test", "tol": 1e-09}',
+    ),
+    (
+        ["--m", "1.5"],
+        0,
+        '{"N": 3, "binding_constraint": "partial_sum[m=1.5]", "cone": "P_1.5", '
+        '"margin": 0.3563483225498992, "member_closed": true, "member_open": true, '
+        '"record": "cone_test", "tol": 1e-09}',
+    ),
+]
+
+
 def test_cone_test_loads_only_what_it_runs(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("1, 2, 3\n", encoding="utf-8")
-    code, modules = _loaded(_RUN_CLI, "cone-test", str(path), "--k", "2")
-    assert code == 0
-    unused = {f"gardinglab.{name}" for name in ("curvature", "classify", "inclusion", "weighted")}
-    assert not modules & unused
+    for options, expected_code, expected_record in _CONE_TEST_RUNS:
+        argv = ["--format", "machine", "cone-test", str(path), *options]
+        (code, stdout), modules = _loaded(_RUN_CLI_WITHOUT_NUMPY, *argv)
+        assert (code, stdout) == (expected_code, expected_record + "\n"), options
+        assert "numpy" not in modules, options
+        assert _submodules(modules) == {
+            "gardinglab.cli", "gardinglab.config", "gardinglab.io", "gardinglab.cones",
+            "gardinglab.symfun",
+        }, options
 
 
 @pytest.mark.parametrize(

@@ -8,17 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gardinglab import symfun
 from gardinglab.symfun import (
+    _FLOAT_ENTRIES,
     _degree_factors,
     as_array,
+    as_floats,
     elementary_symmetric,
     normalized_partial_sum,
     partial_sum_batch,
     partial_sum_fractional,
+    pairwise_sum,
     partial_sum_weights,
     sigma2_via_power_sums,
     sigma_prefix,
     sigma_prefix_batch,
+    vector_entries,
 )
 
 from oracles import (
@@ -91,9 +96,10 @@ class TestElementarySymmetric:
             elementary_symmetric([1.0, float("nan")], 1)
 
     def test_single_row_matches_vector_loop(self):
-        # The degree-major single-row kernel does the same float operations
-        # as the row-major loop, so the results agree bit for bit, signed
-        # zeros included: the loop never returns -0.0.
+        # Both degree-major single-row kernels, on an array and on Python
+        # floats, do the same float operations as the row-major loop, so the
+        # results agree bit for bit, signed zeros included: the loop never
+        # returns -0.0.
         rng = np.random.default_rng(17)
         for _ in range(300):
             n = int(rng.integers(1, 41))
@@ -101,8 +107,8 @@ class TestElementarySymmetric:
             v[rng.random(n) < 0.2] = 0.0
             v[rng.random(n) < 0.2] = -0.0
             for k in sorted({1, min(2, n), n, int(rng.integers(1, n + 1))}):
-                for means in (False, True):
-                    got = sigma_prefix(v, k, _means=means)
+                for means, x in itertools.product((False, True), (v, v.tolist())):
+                    got = np.asarray(sigma_prefix(x, k, _means=means))
                     want = sigma_prefix_row_major(v[None, :], k, means)[0]
                     assert np.array_equal(got, want)
                     assert not np.signbit(got[got == 0.0]).any()
@@ -250,6 +256,60 @@ def _bits(value):
 class TestSingleVectorKernels:
     """The single-vector kernels against the forms they replaced, byte for byte."""
 
+    def test_float_sigma_matches_array_loop_and_batch_row(self):
+        # The list kernel against the numpy single-row loop and one row of
+        # the batch loop, on both sides of the length at which the cone
+        # tests switch from one to the other.
+        rng = np.random.default_rng(71)
+        for n, v in _oracle_vectors(73):
+            unit = v / (math.hypot(*v.tolist()) or 1.0)
+            if n <= 40:
+                ks, xs = range(1, n + 1), (v, unit)
+            else:
+                ks = sorted({1, 2, int(rng.integers(3, n + 1)), n if n % 20 == 0 else 2})
+                xs = (v if n % 2 else unit,)
+            assert isinstance(vector_entries(v), list) == (n <= _FLOAT_ENTRIES)
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                for x, k, means in itertools.product(xs, ks, (False, True)):
+                    got = sigma_prefix(x.tolist(), k, _means=means)
+                    assert isinstance(got, list) and len(got) == k
+                    want = sigma_prefix(x, k, _means=means)
+                    assert _bits(got) == _bits(want), (n, k, means)
+                    assert _bits(got) == _bits(sigma_prefix_batch(x[None, :], k, _means=means)[0])
+                    assert not any(math.copysign(1.0, t) < 0 for t in got if t == 0.0)
+
+    @pytest.mark.parametrize("n", [*range(0, 301), 1000, 4097])
+    def test_pairwise_sum_matches_add_reduce(self, n):
+        rng = np.random.default_rng(n)
+        magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, size=n)
+        cases = [
+            np.zeros(n),
+            -np.zeros(n),
+            rng.normal(size=n),
+            rng.normal(size=n) * magnitudes,
+            np.where(rng.random(n) < 0.5, -0.0, 0.0),
+        ]
+        mixed = rng.normal(size=n) * 10.0 ** rng.uniform(-20.0, 20.0, size=n)
+        mixed[rng.random(n) < 0.2] = 0.0
+        mixed[rng.random(n) < 0.2] = -0.0
+        cases.append(mixed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in cases:
+                got = pairwise_sum(x.tolist())
+                assert type(got) is float
+                assert _bits(got) == _bits(np.add.reduce(x)), n
+
+    def test_partial_sum_of_a_float_list_matches_its_array(self):
+        rng = np.random.default_rng(79)
+        for n, v in _oracle_vectors(83):
+            sorted_v = np.sort(v)
+            ms = {float(n), 1.0, float(rng.integers(1, n + 1)), float(rng.uniform(0.01, n))}
+            with np.errstate(over="ignore", invalid="ignore"):
+                for m in sorted(ms):
+                    got = partial_sum_batch(sorted(v.tolist()), m)
+                    assert type(got) is float
+                    assert _bits(got) == _bits(partial_sum_batch(sorted_v, m)), (n, m)
+
     def test_sigma_prefix_matches_fresh_factors(self):
         rng = np.random.default_rng(41)
         for n, v in _oracle_vectors(43):
@@ -308,13 +368,14 @@ class TestSingleVectorKernels:
     def test_mutating_a_result_leaves_later_calls_unchanged(self):
         x = np.random.default_rng(61).normal(size=12)
         rows = x[None, :]
-        for means in (False, True):
-            first = sigma_prefix(x, 12, _means=means)
+        for means, entries in itertools.product((False, True), (x, x.tolist())):
+            first = sigma_prefix(entries, 12, _means=means)
             batch = sigma_prefix_batch(rows, 12, _means=means)
-            want, want_batch = first.copy(), batch.copy()
-            first[:] = 7.0
+            want, want_batch = np.array(first), batch.copy()
+            np.asarray(first)[:] = 7.0
+            first[:] = [7.0] * 12
             batch[:] = 7.0
-            assert _bits(sigma_prefix(x, 12, _means=means)) == _bits(want)
+            assert _bits(sigma_prefix(entries, 12, _means=means)) == _bits(want)
             assert _bits(sigma_prefix_batch(rows, 12, _means=means)) == _bits(want_batch)
         sums = partial_sum_batch(np.sort(rows, axis=1), 5.5)
         want = sums.copy()
@@ -322,7 +383,44 @@ class TestSingleVectorKernels:
         assert _bits(partial_sum_batch(np.sort(rows, axis=1), 5.5)) == _bits(want)
 
 
+_INVALID_VECTORS = {
+    "2d_array": np.ones((2, 3)),
+    "empty": [],
+    "non_finite": [1.0, math.inf],
+    "nan_in_array": np.array([1.0, math.nan, 2.0]),
+    "nested_list": [[1.0, 2.0]],
+    "ragged_list": [[1.0], [2.0, 3.0]],
+    "numeric_string": "12.5",
+    "word_entry": [1.0, "x"],
+    "scalar": 3.0,
+}
+
+
 class TestVectorTypes:
+    @pytest.mark.parametrize("name", sorted(_INVALID_VECTORS))
+    def test_float_and_array_validation_raise_alike(self, name):
+        bad = _INVALID_VECTORS[name]
+        errors = []
+        for validate in (as_array, as_floats):
+            with pytest.raises((ValueError, TypeError)) as info:
+                validate(bad)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
+    def test_as_floats_reads_sequences_and_arrays(self):
+        for v in ([1, 2, 3], (1, 2.5, -0.0), np.array([1, 2, 3]), np.array([0.5, -0.0])):
+            x = as_floats(v)
+            assert all(type(t) is float for t in x)
+            assert _bits(x) == _bits(as_array(v))
+
+    def test_vector_entries_switch_on_length(self, monkeypatch):
+        short, long = [1.0] * _FLOAT_ENTRIES, [1.0] * (_FLOAT_ENTRIES + 1)
+        assert isinstance(vector_entries(short), list)
+        assert isinstance(vector_entries(np.array(short)), list)
+        assert isinstance(vector_entries(long), np.ndarray)
+        monkeypatch.setattr(symfun, "_FLOAT_ENTRIES", 0)
+        assert isinstance(vector_entries(short), np.ndarray)
+
     def test_as_array_validation(self):
         for bad in ([], [1.0, math.inf], [[1.0, 2.0]]):
             with pytest.raises(ValueError):
