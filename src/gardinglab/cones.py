@@ -165,10 +165,11 @@ def _garding_membership(x, k: int, tol: float) -> ConeMembership:
         return _membership(0.0, "zero_vector", tol)
     if isinstance(x, list):
         margins = sigma_prefix([t / norm for t in x], k, _means=True)
+        j = margins.index(min(margins))
     else:
-        margins = sigma_prefix(x / norm, k, _means=True).tolist()
-    worst = min(margins)
-    return _membership(worst, f"sigma_{margins.index(worst) + 1}", tol)
+        margins = sigma_prefix(x / norm, k, _means=True)
+        j = int(margins.argmin())
+    return _membership(float(margins[j]), f"sigma_{j + 1}", tol)
 
 
 def in_garding_cone(v: VectorLike, k: int, tol: float = DEFAULT_TOL) -> ConeMembership:
@@ -192,9 +193,9 @@ def in_positivity_cone(v: VectorLike, m: float, tol: float = DEFAULT_TOL) -> Con
     if isinstance(x, list):
         c0 = partial_sum_batch(sorted(x), m)
     else:
-        import numpy as np
-
-        c0 = float(partial_sum_batch(np.sort(x), m))
+        sorted_x = x.copy()
+        sorted_x.sort()  # what np.sort(x) does, without importing numpy here
+        c0 = float(partial_sum_batch(sorted_x, m))
     return _membership(c0 / (float(m) * norm), f"partial_sum[m={m:g}]", tol)
 
 
