@@ -33,7 +33,7 @@ which the entries, shifted entries and partial sums are finite normal
 floats: tested over 1e-300..1e300 with N up to about 1000, where they
 agree with the scale-1 margins within 1e-15 and a power-of-two scaling
 changes no bit.  They run on Python floats for vectors of up to 16 entries
-and on numpy above (``symfun.vector_entries``), with the same bits: the
+and on numpy above (``symfun._vector_entries``), with the same bits: the
 shift sums in numpy's pairwise order and the recurrence does numpy's
 operations.  numpy is imported only by the array paths, the batch kernels
 and the nesting checker.  The batch kernels take ``np.linalg.norm`` of rows
@@ -53,13 +53,13 @@ from typing import TYPE_CHECKING
 from .config import DEFAULT_TOL, Record
 from .symfun import (
     VectorLike,
+    _pairwise_sum,
+    _vector_entries,
     as_array,
-    pairwise_sum,
     partial_sum_batch,
     partial_sum_weights,
     sigma_prefix,
     sigma_prefix_batch,
-    vector_entries,
 )
 
 if TYPE_CHECKING:
@@ -130,11 +130,11 @@ def _membership(margin: float, binding: str, tol: float) -> ConeMembership:
 
 def _shifted(x, p: ShiftParams):
     """``x - alpha * sum(x)`` of validated entries, Python floats or a float
-    array; a list's sum is ``pairwise_sum``, so both give the same bits."""
+    array; a list's sum is ``_pairwise_sum``, so both give the same bits."""
     if len(x) != p.N:
         raise ValueError(f"vector length {len(x)} does not match N={p.N}")
     if isinstance(x, list):
-        offset = p.alpha * pairwise_sum(x)
+        offset = p.alpha * _pairwise_sum(x)
         return [t - offset for t in x]
     return x - p.alpha * x.sum()
 
@@ -155,7 +155,7 @@ def _norm(x) -> float:
 
 
 def _garding_membership(x, k: int, tol: float) -> ConeMembership:
-    """G_k test of validated entries from ``vector_entries``: the worst mean
+    """G_k test of validated entries from ``_vector_entries``: the worst mean
     E_j of x / ||x||, on Python floats for a list and on numpy for an array."""
     n = len(x)
     if not 1 <= k <= n:
@@ -174,19 +174,19 @@ def _garding_membership(x, k: int, tol: float) -> ConeMembership:
 
 def in_garding_cone(v: VectorLike, k: int, tol: float = DEFAULT_TOL) -> ConeMembership:
     """Test v against G_k; the margin is the worst normalized sigma_j."""
-    return _garding_membership(vector_entries(v), k, tol)
+    return _garding_membership(_vector_entries(v), k, tol)
 
 
 def in_shifted_cone(
     v: VectorLike, k: int, p: ShiftParams, tol: float = DEFAULT_TOL
 ) -> ConeMembership:
     """Test v against G_k(alpha): membership of the shifted vector in G_k."""
-    return _garding_membership(_shifted(vector_entries(v), p), k, tol)
+    return _garding_membership(_shifted(_vector_entries(v), p), k, tol)
 
 
 def in_positivity_cone(v: VectorLike, m: float, tol: float = DEFAULT_TOL) -> ConeMembership:
     """Test v against P_m; sorting makes the smallest entries binding."""
-    x = vector_entries(v)
+    x = _vector_entries(v)
     norm = _norm(x)
     if norm == 0.0:
         return _membership(0.0, "zero_vector", tol)

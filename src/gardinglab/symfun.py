@@ -16,7 +16,7 @@ Conventions used throughout the package:
   of Python floats it is one ``itertools.accumulate`` per degree, with the
   same multiplies and the same sequential adds.
 * Single vectors run on Python floats up to 16 entries and on numpy above
-  (``vector_entries``), chosen by length alone; batches always run on
+  (``_vector_entries``), chosen by length alone; batches always run on
   numpy.  A whole cone test on floats pays per entry and per multiply-add,
   and numpy pays per degree and per call, so floats are faster or level
   at every degree up to 16 entries and numpy is faster at most degrees
@@ -45,7 +45,7 @@ Conventions used throughout the package:
   out-of-range entry is ever read.  One kernel, ``partial_sum_batch``, takes
   it over the last axis, so one sorted vector and a (B, N) batch of sorted
   rows go through the same code and a vector gets the bits of its row.  A
-  sorted list of Python floats is summed by ``pairwise_sum`` in numpy's
+  sorted list of Python floats is summed by ``_pairwise_sum`` in numpy's
   pairwise order (Higham, SIAM J. Sci. Comput. 14, 1993), so it gets the
   bits of its array too.
 """
@@ -73,7 +73,7 @@ __all__ = [
 _M_CLAMP_RTOL = 1e-12
 
 # Vectors of at most this many entries take the single-vector kernels on
-# Python floats; longer ones take numpy's (see ``vector_entries``).
+# Python floats; longer ones take numpy's (see ``_vector_entries``).
 _FLOAT_ENTRIES = 16
 
 
@@ -92,7 +92,7 @@ def as_array(v: VectorLike) -> np.ndarray:
     return x
 
 
-def as_floats(v: VectorLike) -> list[float]:
+def _as_floats(v: VectorLike) -> list[float]:
     """The entries of a validated 1-d vector as a list of Python floats.
 
     A list, tuple or 1-d array of finite numbers is read without numpy.
@@ -109,8 +109,8 @@ def as_floats(v: VectorLike) -> list[float]:
     return as_array(v).tolist()
 
 
-def vector_entries(v: VectorLike) -> list[float] | np.ndarray:
-    """The validated entries of v: Python floats (``as_floats``) for at most
+def _vector_entries(v: VectorLike) -> list[float] | np.ndarray:
+    """The validated entries of v: Python floats (``_as_floats``) for at most
     ``_FLOAT_ENTRIES`` entries, a float array (``as_array``) for more.
 
     The choice reads the length of v alone (see the module docstring for
@@ -120,10 +120,10 @@ def vector_entries(v: VectorLike) -> list[float] | np.ndarray:
         n = len(v)
     except TypeError:
         n = 0
-    return as_floats(v) if n <= _FLOAT_ENTRIES else as_array(v)
+    return _as_floats(v) if n <= _FLOAT_ENTRIES else as_array(v)
 
 
-def pairwise_sum(x: list[float]) -> float:
+def _pairwise_sum(x: list[float]) -> float:
     """``np.add.reduce`` of a list of floats, bit for bit.
 
     numpy starts a float sum at +0.0 and adds the pairwise sum of the
@@ -160,7 +160,7 @@ def _sorted_entries(v: VectorLike) -> np.ndarray:
 
 def elementary_symmetric(v: VectorLike, k: int) -> float:
     """k-th elementary symmetric polynomial sigma_k of the entries."""
-    x = vector_entries(v)
+    x = _vector_entries(v)
     n = len(x)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
@@ -311,13 +311,13 @@ def partial_sum_batch(sorted_rows, m: float):
 
     A vector gives the bits of its own row in a batch: the floor(m) entries
     are summed along the last axis in the same order either way.  A sorted
-    list of Python floats takes ``pairwise_sum``, numpy's order, so it
+    list of Python floats takes ``_pairwise_sum``, numpy's order, so it
     gives the bits of its array too.
     """
     if isinstance(sorted_rows, list):
         m = _checked_m(m, len(sorted_rows))
         fl = math.floor(m)
-        total = pairwise_sum(sorted_rows[:fl])
+        total = _pairwise_sum(sorted_rows[:fl])
         return total if m == fl else total + (m - fl) * sorted_rows[fl]
     import numpy as np
 

@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 from gardinglab import symfun
 from gardinglab.symfun import (
     _FLOAT_ENTRIES,
+    _as_floats,
     _degree_factors,
+    _pairwise_sum,
+    _vector_entries,
     as_array,
-    as_floats,
     elementary_symmetric,
     normalized_partial_sum,
     partial_sum_batch,
     partial_sum_fractional,
-    pairwise_sum,
     partial_sum_weights,
     sigma2_via_power_sums,
     sigma_prefix,
     sigma_prefix_batch,
-    vector_entries,
 )
 
 from oracles import (
@@ -268,15 +268,17 @@ class TestSingleVectorKernels:
             else:
                 ks = sorted({1, 2, int(rng.integers(3, n + 1)), n if n % 20 == 0 else 2})
                 xs = (v if n % 2 else unit,)
-            assert isinstance(vector_entries(v), list) == (n <= _FLOAT_ENTRIES)
+            assert isinstance(_vector_entries(v), list) == (n <= _FLOAT_ENTRIES)
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                for x, k, means in itertools.product(xs, ks, (False, True)):
-                    got = sigma_prefix(x.tolist(), k, _means=means)
-                    assert isinstance(got, list) and len(got) == k
-                    want = sigma_prefix(x, k, _means=means)
-                    assert _bits(got) == _bits(want), (n, k, means)
-                    assert _bits(got) == _bits(sigma_prefix_batch(x[None, :], k, _means=means)[0])
-                    assert not any(math.copysign(1.0, t) < 0 for t in got if t == 0.0)
+                for x, means in itertools.product(xs, (False, True)):
+                    # Batch column j is sigma_{j+1} whatever k, so one row serves every k.
+                    row = sigma_prefix_batch(x[None, :], max(ks), _means=means)[0]
+                    for k in ks:
+                        got = sigma_prefix(x.tolist(), k, _means=means)
+                        assert isinstance(got, list) and len(got) == k
+                        assert _bits(got) == _bits(sigma_prefix(x, k, _means=means)), (n, k)
+                        assert _bits(got) == _bits(row[:k]), (n, k, means)
+                        assert not any(math.copysign(1.0, t) < 0 for t in got if t == 0.0)
 
     @pytest.mark.parametrize("n", [*range(0, 301), 1000, 4097])
     def test_pairwise_sum_matches_add_reduce(self, n):
@@ -295,7 +297,7 @@ class TestSingleVectorKernels:
         cases.append(mixed)
         with np.errstate(over="ignore", invalid="ignore"):
             for x in cases:
-                got = pairwise_sum(x.tolist())
+                got = _pairwise_sum(x.tolist())
                 assert type(got) is float
                 assert _bits(got) == _bits(np.add.reduce(x)), n
 
@@ -401,7 +403,7 @@ class TestVectorTypes:
     def test_float_and_array_validation_raise_alike(self, name):
         bad = _INVALID_VECTORS[name]
         errors = []
-        for validate in (as_array, as_floats):
+        for validate in (as_array, _as_floats):
             with pytest.raises((ValueError, TypeError)) as info:
                 validate(bad)
             errors.append((type(info.value), str(info.value)))
@@ -409,17 +411,17 @@ class TestVectorTypes:
 
     def test_as_floats_reads_sequences_and_arrays(self):
         for v in ([1, 2, 3], (1, 2.5, -0.0), np.array([1, 2, 3]), np.array([0.5, -0.0])):
-            x = as_floats(v)
+            x = _as_floats(v)
             assert all(type(t) is float for t in x)
             assert _bits(x) == _bits(as_array(v))
 
     def test_vector_entries_switch_on_length(self, monkeypatch):
         short, long = [1.0] * _FLOAT_ENTRIES, [1.0] * (_FLOAT_ENTRIES + 1)
-        assert isinstance(vector_entries(short), list)
-        assert isinstance(vector_entries(np.array(short)), list)
-        assert isinstance(vector_entries(long), np.ndarray)
+        assert isinstance(_vector_entries(short), list)
+        assert isinstance(_vector_entries(np.array(short)), list)
+        assert isinstance(_vector_entries(long), np.ndarray)
         monkeypatch.setattr(symfun, "_FLOAT_ENTRIES", 0)
-        assert isinstance(vector_entries(short), np.ndarray)
+        assert isinstance(_vector_entries(short), np.ndarray)
 
     def test_as_array_validation(self):
         for bad in ([], [1.0, math.inf], [[1.0, 2.0]]):
