@@ -24,6 +24,11 @@ complex labels also need their positivity consequence), and records the
 inequality it rests on with both numeric sides so reports can be audited
 without rerunning.  A report without a verdict gets a ``none`` entry that
 says why.
+
+The module loads no numpy: it reads ``tables``, ``cones`` and ``symfun``,
+so the CLI classifies its spectrum, a sorted list of Python floats, on
+floats at any length.  Where numpy is loaded, ``symfun``'s length rule
+picks the path, with the same report.
 """
 
 from __future__ import annotations
@@ -32,24 +37,28 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from .config import DEFAULT_TOL, Record
-from .cones import ConeMembership, in_positivity_cone, in_shifted_cone
-from .curvature import KIND_FIRST, KIND_SECOND, Spectrum
-from .inclusion import _resolvable_params
-from .symfun import VectorLike, as_array, partial_sum_fractional
+from .cones import (
+    ConeMembership,
+    _resolvable_params,
+    in_positivity_cone,
+    in_shifted_cone,
+)
+from .symfun import VectorLike, _vector_entries, partial_sum_batch
 from .tables import (
+    KIND_FIRST,
+    KIND_SECOND,
+    Spectrum,
     ThresholdTable,
     cpn_biholomorphic_threshold,
     cpn_cohomology_threshold,
+    form_degree_coeff,
     space_form_first_threshold,
     space_form_second_threshold,
     thresholds,
     trace_free_count,
     two_form_count,
 )
-from .weighted import form_degree_coeff
 
 __all__ = [
     "KIND_KAEHLER",
@@ -131,8 +140,14 @@ class ClassificationReport(Record):
 
 
 def _ceil_with_snap(m: float, tol: float) -> int:
-    """ceil(m) with integers reached by float noise snapped back down."""
-    return int(math.ceil(m - max(tol, 1e-12) * max(1.0, abs(m))))
+    """ceil(m) with integers reached by float noise snapped back down.
+
+    The snap band is the cone tolerance, capped at ``DEFAULT_TOL``: a looser
+    cone tolerance must not round an m that clears an integer by more than
+    float noise down to that integer, which would claim a larger vanishing
+    range than ceil(m) supports.
+    """
+    return int(math.ceil(m - max(min(tol, DEFAULT_TOL), 1e-12) * max(1.0, abs(m))))
 
 
 def _at_most(value: float, bound: float) -> bool:
@@ -141,14 +156,14 @@ def _at_most(value: float, bound: float) -> bool:
 
 
 def _base_report(
-    kind: str, n: int, values: np.ndarray, epsilon: float, tol: float
+    kind: str, n: int, values: VectorLike, epsilon: float, tol: float
 ) -> ClassificationReport:
-    params = _resolvable_params(epsilon, values.size)
+    params = _resolvable_params(epsilon, len(values))
     membership = in_shifted_cone(values, 2, params.shift_params, tol)
     report = ClassificationReport(
         kind=kind,
         n=n,
-        N=values.size,
+        N=len(values),
         epsilon=params.epsilon,
         alpha=params.alpha_eps,
         m_eps=params.m_eps,
@@ -287,17 +302,22 @@ def classify_kaehler(
     """Classify a unitary-holonomy-operator spectrum of length n_complex^2."""
     if n_complex < 2:
         raise ValueError(f"complex dimension must be >= 2, got {n_complex}")
-    values = np.sort(as_array(spec), kind="stable")
+    values = _vector_entries(spec)
+    if isinstance(values, list):
+        values = sorted(values)
+    else:
+        values = values.copy()
+        values.sort(kind="stable")  # what np.sort does, without importing numpy here
     n3 = n_complex * n_complex
-    if values.size != n3:
-        raise ValueError(f"spectrum length {values.size} does not match n^2 = {n3}")
+    if len(values) != n3:
+        raise ValueError(f"spectrum length {len(values)} does not match n^2 = {n3}")
     report = _base_report(KIND_KAEHLER, n_complex, values, epsilon, tol)
     if report.membership.member_open:
         thr = cpn_cohomology_threshold(n_complex)
         if _within_threshold(report, thr):
             m_target = 3.0 - 2.0 / n_complex
             if in_positivity_cone(values, m_target, tol).member_open:
-                consequence = partial_sum_fractional(values, m_target)
+                consequence = float(partial_sum_batch(values, m_target))
                 _add_verdict(
                     report, VERDICT_CPN_COHOMOLOGY, "cpn_cohomology_threshold", thr,
                     f" and partial_sum({m_target:.12g}) = {consequence:.12g} > 0",

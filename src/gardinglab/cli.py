@@ -18,19 +18,20 @@ configurations and seeds reproduce byte-identical output.
 
 Start-up: the module level imports the standard library and ``config``
 alone, and each handler imports what it runs when it is called, after its
-usage checks.
-``thresholds`` and every usage error run without numpy.  ``cone-test``
-loads ``io`` and parses its vector file into Python floats, so a missing,
-malformed or non-finite file exits 65 without numpy, and only then loads
-``cones`` and ``symfun``.  A vector of up to 16 entries is tested on those
-floats and loads no numpy at all; a longer one loads numpy, whose
-single-row loop is faster there, and gives the same record.
-``model-space`` adds ``curvature``; ``verify-inclusion`` loads
-``inclusion``; ``classify`` reads its file in the same way and counts its
-entries before numpy loads, so a spectrum of the wrong length exits 65
-without numpy too.  Handlers read
-library functions from their modules at call time, so a wrapper set on a
-module sees the call.
+usage checks.  ``thresholds``, ``cone-test``, ``classify`` and every usage
+error run without numpy, at any vector or spectrum length.
+``cone-test`` loads ``io`` and parses its vector file into Python floats,
+so a missing, malformed or non-finite file exits 65, and only then loads
+``cones`` and ``symfun``.  ``classify`` reads its file in the same way,
+checks the spectrum length against ``tables``, so a spectrum of the wrong
+length exits 65 too, and then loads ``classify``, ``cones`` and
+``symfun`` and passes the sorted floats to the classifier.  The cone
+tests run on Python floats whenever numpy is not loaded
+(``symfun._vector_entries``), since numpy's import costs more than the
+float work saves (see ``symfun``), and both paths give the same records.
+``model-space`` adds ``curvature`` and ``verify-inclusion`` loads
+``inclusion``; both load numpy.  Handlers read library functions from
+their modules at call time, so a wrapper set on a module sees the call.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ def _cmd_classify(args, config: RunConfig) -> int:
     from .io import _parse_floats, _read_text
 
     entries = _parse_floats(_read_text(args.spectrum_file))
-    from .tables import trace_free_count, two_form_count
+    from .tables import KIND_FIRST, KIND_SECOND, Spectrum, trace_free_count, two_form_count
 
     n = args.dim
     size = {"first": two_form_count, "second": trace_free_count, "kaehler": lambda d: d * d}
@@ -305,17 +306,15 @@ def _cmd_classify(args, config: RunConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
-    import numpy as np
+    from . import classify
 
-    from . import classify, curvature
-
-    values = np.array(entries, dtype=float)
+    values = sorted(entries)
     if args.operator == "kaehler":
         report = classify.classify_kaehler(values, n, args.epsilon, config.tol)
     else:
         first = args.operator == "first"
-        kind = curvature.KIND_FIRST if first else curvature.KIND_SECOND
-        spectrum = curvature.Spectrum(np.sort(values, kind="stable"), kind, n)
+        kind = KIND_FIRST if first else KIND_SECOND
+        spectrum = Spectrum(values, kind, n)
         classifier = classify.classify_first_kind if first else classify.classify_second_kind
         report = classifier(spectrum, args.epsilon, config.tol)
     lines = [

@@ -32,11 +32,17 @@ neither overflows nor underflows short of a norm past the float maximum
 which the entries, shifted entries and partial sums are finite normal
 floats: tested over 1e-300..1e300 with N up to about 1000, where they
 agree with the scale-1 margins within 1e-15 and a power-of-two scaling
-changes no bit.  They run on Python floats for vectors of up to 16 entries
-and on numpy above (``symfun._vector_entries``), with the same bits: the
-shift sums in numpy's pairwise order and the recurrence does numpy's
-operations.  numpy is imported only by the array paths, the batch kernels
-and the nesting checker.  The batch kernels take ``np.linalg.norm`` of rows
+changes no bit.  They run on Python floats for vectors of up to 16 entries,
+and at any length in a process that has not loaded numpy, and on numpy
+otherwise (``symfun._vector_entries``), with the same bits: the shift sums
+in numpy's pairwise order and the recurrence does numpy's operations.
+numpy is imported only by the array paths, the batch kernels and the
+nesting checker, so ``cone-test`` and ``classify`` run without it at any
+length: its import costs more than the float work saves, short of very
+large N*k (see ``symfun``).  The shift maps live here too: ``ShiftParams``
+and the closed forms of ``EpsilonParams`` (``epsilon_to_params``,
+re-exported by ``inclusion``), which the classifier reads without loading
+``inclusion`` and numpy.  The batch kernels take ``np.linalg.norm`` of rows
 whose squares stay in float range, as the samplers' and the nesting
 checker's rows do (the nesting checker is tested up to N = 2000).  The zero
 vector is a closed member of every cone (it is the cone vertex) and an open
@@ -46,6 +52,7 @@ membership requires ``margin >= -tol``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -68,6 +75,8 @@ if TYPE_CHECKING:
 __all__ = [
     "ConeMembership",
     "ShiftParams",
+    "EpsilonParams",
+    "epsilon_to_params",
     "shift",
     "in_garding_cone",
     "in_shifted_cone",
@@ -116,6 +125,61 @@ def _resolvable_alpha(epsilon: float, N: int) -> float:
             f"the shift (1 - epsilon)/N rounds to 1/N"
         )
     return alpha
+
+
+@dataclass(frozen=True)
+class EpsilonParams:
+    """(eps, alpha_eps, m_eps, N) bundle tying a shift to its positivity index."""
+
+    epsilon: float
+    N: int
+    alpha_eps: float
+    m_eps: float
+
+    def __post_init__(self) -> None:
+        if self.N < 2:
+            raise ValueError(f"N must be >= 2, got {self.N}")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+
+    @functools.cached_property
+    def shift_params(self) -> ShiftParams:
+        return ShiftParams(alpha=self.alpha_eps, N=self.N)
+
+    @property
+    def quadratic_coefficient(self) -> float:
+        """q = (1 + (N-1) eps^2) / N, the coefficient in the ball identity."""
+        return (1.0 + (self.N - 1) * self.epsilon**2) / self.N
+
+    @property
+    def slice_radius(self) -> float:
+        """Ball radius on the sum = 1 slice: eps * sqrt((N-1)/N)."""
+        return self.epsilon * math.sqrt((self.N - 1) / self.N)
+
+
+def epsilon_to_params(epsilon: float, N: int) -> EpsilonParams:
+    """Populate alpha_eps and m_eps from their closed forms."""
+    epsilon = float(epsilon)
+    e2 = epsilon * epsilon
+    return EpsilonParams(
+        epsilon=epsilon,
+        N=N,
+        alpha_eps=(1.0 - epsilon) / N,
+        m_eps=N * (N - 1) * e2 / (1.0 + (N - 1) * e2),
+    )
+
+
+def _resolvable_params(epsilon: float, N: int) -> EpsilonParams:
+    """``epsilon_to_params``, refusing an eps too small for float64 at N.
+
+    Below about 5.6e-17 (1.7e-16 at N = 3) the shift ``(1 - eps)/N`` rounds
+    to ``1/N``, outside ``ShiftParams``' range: the cone slice degenerates,
+    ``m_eps`` is lost in rounding (it is 0 once eps^2 underflows, below about
+    1e-162), the sampler finds no member and the boundary search cannot run.
+    """
+    p = epsilon_to_params(epsilon, N)
+    _resolvable_alpha(p.epsilon, N)
+    return p
 
 
 def _membership(margin: float, binding: str, tol: float) -> ConeMembership:

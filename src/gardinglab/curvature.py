@@ -28,6 +28,10 @@ rows on top and their ``q`` partners below, so it rotates contiguous halves
 and gathers nothing; one ``take`` moves the copy into the next round's
 order.  Rows with no nonzero off-diagonal entry are skipped, so sparse model
 operators rotate only the few rows that couple.
+
+``Spectrum``, ``KIND_FIRST`` and ``KIND_SECOND`` are defined in ``tables``,
+which loads no numpy, so the classifier reads them without this module;
+they are re-exported here as the same objects.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .config import Record
-from .symfun import _sorted_entries
-from .tables import trace_free_count, two_form_count
+from .tables import KIND_FIRST, KIND_SECOND, Spectrum, trace_free_count, two_form_count
 
 __all__ = [
     "KIND_FIRST",
@@ -67,8 +70,6 @@ __all__ = [
     "CurvatureIdentityReport",
 ]
 
-KIND_FIRST = "first_kind"
-KIND_SECOND = "second_kind"
 KIND_GENERIC = "generic"
 
 _SYMMETRY_ATOL = 1e-12
@@ -169,27 +170,6 @@ class OperatorMatrix:
             )
         arr.setflags(write=False)
         return cls(N=arr.shape[0], entries=arr, kind=kind)
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues with the operator kind and frame dimension.
-
-    ``eigenvalues`` is a read-only copy of the given finite, non-decreasing
-    1-d float array; callers sort with ``np.sort(..., kind="stable")``.
-    """
-
-    eigenvalues: np.ndarray
-    kind: str
-    n: Optional[int]
-
-    def __post_init__(self) -> None:
-        values = _sorted_entries(self.eigenvalues).copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", values)
-
-    def __len__(self) -> int:
-        return len(self.eigenvalues)
 
 
 # ---------------------------------------------------------------------------

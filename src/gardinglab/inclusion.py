@@ -23,6 +23,10 @@ Equality in the inclusion is rigid: it forces ``m_eps`` to be a positive
 integer and the sorted vector to consist of ``m_eps`` zeros followed by
 equal positive entries.  ``sharp_witness`` builds those extremal vectors and
 ``boundary_search`` recovers them as the exact minimizers of the partial sum.
+
+``EpsilonParams`` and ``epsilon_to_params`` are defined in ``cones``, which
+loads no numpy, so the classifier reads them without this module; they are
+re-exported here as the same objects.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Record
 from .cones import (
-    ShiftParams,
+    EpsilonParams,
     _norm,
-    _resolvable_alpha,
+    _resolvable_params,
+    epsilon_to_params,
     in_garding_cone,
     in_shifted_cone,
     positivity_margins_batch,
@@ -83,61 +88,6 @@ CASE_NOT_MEMBER = "not_member"
 _DRAW_CAP = 100_000_000
 _MAX_BATCH = 2_000_000
 _BLOCK_FLOATS = 32_768
-
-
-@dataclass(frozen=True)
-class EpsilonParams:
-    """(eps, alpha_eps, m_eps, N) bundle tying a shift to its positivity index."""
-
-    epsilon: float
-    N: int
-    alpha_eps: float
-    m_eps: float
-
-    def __post_init__(self) -> None:
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-
-    @functools.cached_property
-    def shift_params(self) -> ShiftParams:
-        return ShiftParams(alpha=self.alpha_eps, N=self.N)
-
-    @property
-    def quadratic_coefficient(self) -> float:
-        """q = (1 + (N-1) eps^2) / N, the coefficient in the ball identity."""
-        return (1.0 + (self.N - 1) * self.epsilon**2) / self.N
-
-    @property
-    def slice_radius(self) -> float:
-        """Ball radius on the sum = 1 slice: eps * sqrt((N-1)/N)."""
-        return self.epsilon * math.sqrt((self.N - 1) / self.N)
-
-
-def epsilon_to_params(epsilon: float, N: int) -> EpsilonParams:
-    """Populate alpha_eps and m_eps from their closed forms."""
-    epsilon = float(epsilon)
-    e2 = epsilon * epsilon
-    return EpsilonParams(
-        epsilon=epsilon,
-        N=N,
-        alpha_eps=(1.0 - epsilon) / N,
-        m_eps=N * (N - 1) * e2 / (1.0 + (N - 1) * e2),
-    )
-
-
-def _resolvable_params(epsilon: float, N: int) -> EpsilonParams:
-    """``epsilon_to_params``, refusing an eps too small for float64 at N.
-
-    Below about 5.6e-17 (1.7e-16 at N = 3) the shift ``(1 - eps)/N`` rounds
-    to ``1/N``, outside ``ShiftParams``' range: the cone slice degenerates,
-    ``m_eps`` is lost in rounding (it is 0 once eps^2 underflows, below about
-    1e-162), the sampler finds no member and the boundary search cannot run.
-    """
-    p = epsilon_to_params(epsilon, N)
-    _resolvable_alpha(p.epsilon, N)
-    return p
 
 
 def epsilon_for_target_m(m_target: float, N: int) -> float:

@@ -15,14 +15,23 @@ Conventions used throughout the package:
   ``np.add.accumulate`` per degree, k numpy steps instead of N; on a list
   of Python floats it is one ``itertools.accumulate`` per degree, with the
   same multiplies and the same sequential adds.
-* Single vectors run on Python floats up to 16 entries and on numpy above
-  (``_vector_entries``), chosen by length alone; batches always run on
-  numpy.  A whole cone test on floats pays per entry and per multiply-add,
-  and numpy pays per degree and per call, so floats are faster or level
-  at every degree up to 16 entries and numpy is faster at most degrees
-  from about 20.  numpy is imported by the functions that build arrays, so
-  a float path never loads it; this is what lets ``cone-test`` on a short
-  vector start without numpy.
+* Single vectors run on Python floats up to 16 entries, and at any length
+  while numpy is not loaded; otherwise on numpy (``_vector_entries``).
+  Batches always run on numpy.  A whole cone test on floats pays per
+  entry and per multiply-add, and numpy pays per degree and per call, so
+  floats are faster or level at every degree up to 16 entries and numpy is
+  faster at most degrees from about 20, once it is loaded.  Loading it
+  costs more than that: numpy is imported by the functions that build
+  arrays, so a process that has not loaded it, such as a ``cone-test`` or
+  ``classify`` run of the CLI, stays on floats and never does.  From the
+  shell (2-core host, Python 3.11, numpy 2.4, median of 7 runs, same
+  output) ``cone-test`` took 252 -> 134 ms at N = k = 300,
+  229 -> 135 ms at N = 1000 with k = 2 and 328 -> 216 ms at N = k = 1000
+  with this rule instead of the length rule alone.  The float work grows
+  as N*k, so past about N = k = 1500 it costs more than the import:
+  290 -> 429 ms at N = k = 2000.  ``classify`` runs k = 2 and stays well
+  inside the gain.  An array argument means numpy is loaded, so the
+  length rule still decides for every caller in a process that has it.
 * The cone margins use the same recurrence for the elementary symmetric
   means ``E_j = sigma_j / binom(N, j)``: coefficient j carries the factor
   ``1 / binom(N, j)``, so each update adds ``(j/(N-j+1) * v_i) * E_{j-1}``.
@@ -54,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from itertools import accumulate, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, Sequence, Union
@@ -111,16 +121,22 @@ def _as_floats(v: VectorLike) -> list[float]:
 
 def _vector_entries(v: VectorLike) -> list[float] | np.ndarray:
     """The validated entries of v: Python floats (``_as_floats``) for at most
-    ``_FLOAT_ENTRIES`` entries, a float array (``as_array``) for more.
+    ``_FLOAT_ENTRIES`` entries or while numpy is not loaded, a float array
+    (``as_array``) otherwise.
 
-    The choice reads the length of v alone (see the module docstring for
-    why), and both forms refuse the same inputs with the same errors.
+    An array argument means numpy is loaded, so only a sequence in a
+    process without numpy takes floats by the second rule; it spares that
+    process numpy's import, which costs more than the float work saves (see
+    the module docstring).  Both forms refuse the same inputs with the same
+    errors.
     """
     try:
         n = len(v)
     except TypeError:
         n = 0
-    return _as_floats(v) if n <= _FLOAT_ENTRIES else as_array(v)
+    if n <= _FLOAT_ENTRIES or "numpy" not in sys.modules:
+        return _as_floats(v)
+    return as_array(v)
 
 
 def _pairwise_sum(x: list[float]) -> float:

@@ -1,8 +1,12 @@
-"""Operator dimension counts and the per-dimension verdict thresholds.
+"""Operator dimension counts, the per-dimension verdict thresholds, and the
+closed forms the classifier reads.
 
-Everything here is a closed form in the frame dimension, so the module
-imports no numpy: ``gardinglab thresholds`` runs on it alone.  ``curvature``
-and ``classify`` import their counts, formulas and table from here.
+Everything here is a closed form in the frame dimension, or a check of a
+list of floats, so the module imports no numpy: ``gardinglab thresholds``
+runs on it alone, and ``classify`` runs on it with ``cones`` and
+``symfun``.  ``curvature``, ``weighted`` and ``classify`` import their
+counts, formulas, kinds, ``Spectrum`` and table from here; ``curvature``
+and ``weighted`` re-export the names they held before.
 
 Each threshold is the eps at which m_eps reaches a fixed positivity target:
 2 on 2-forms (N1 = n(n-1)/2), 3 on trace-free symmetric 2-tensors
@@ -14,20 +18,65 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from operator import gt
+from typing import TYPE_CHECKING, Optional, Union
 
 from .config import Record
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
+    "KIND_FIRST",
+    "KIND_SECOND",
+    "Spectrum",
     "two_form_count",
     "trace_free_count",
     "space_form_first_threshold",
     "space_form_second_threshold",
     "cpn_cohomology_threshold",
     "cpn_biholomorphic_threshold",
+    "FormDegreeCoeffs",
+    "form_degree_coeff",
     "ThresholdTable",
     "thresholds",
 ]
+
+KIND_FIRST = "first_kind"
+KIND_SECOND = "second_kind"
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Eigenvalues with the operator kind and frame dimension.
+
+    ``eigenvalues`` is a copy of the given finite, non-decreasing entries.
+    A list or tuple of numbers is checked on Python floats, without numpy,
+    and held as a tuple of floats; callers sort it with ``sorted``.  Any
+    other input is held as a read-only 1-d float array; callers sort it
+    with ``np.sort(..., kind="stable")``.  Both refuse the same inputs with
+    the same errors.  Equality is identity and instances hash by identity,
+    as for the array holders of ``curvature``.
+    """
+
+    eigenvalues: Union[tuple, "np.ndarray"]
+    kind: str
+    n: Optional[int]
+
+    def __post_init__(self) -> None:
+        from .symfun import _as_floats, _sorted_entries
+
+        if isinstance(self.eigenvalues, (list, tuple)):
+            values = tuple(_as_floats(self.eigenvalues))
+            if any(map(gt, values, values[1:])):
+                raise ValueError("input must be sorted non-decreasing")
+        else:
+            values = _sorted_entries(self.eigenvalues).copy()
+            values.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", values)
+
+    def __len__(self) -> int:
+        return len(self.eigenvalues)
 
 
 def two_form_count(n: int) -> int:
@@ -61,6 +110,34 @@ def cpn_biholomorphic_threshold(n: int) -> float:
     """sqrt(2/((n^2-1)(n^2-2))); positivity target 2 for N3 = n^2."""
     n3 = n * n
     return math.sqrt(2.0 / ((n3 - 1) * (n3 - 2)))
+
+
+@dataclass(frozen=True)
+class FormDegreeCoeffs:
+    """Coefficient C_p = total/highest weight for degree-p forms in dim n."""
+
+    n: int
+    p: int
+    coeff: float
+    highest_weight: float
+    total_weight: float
+
+    def __post_init__(self) -> None:
+        if self.n < 3:
+            raise ValueError(f"n must be >= 3, got {self.n}")
+        if not 1 <= self.p <= self.n // 2:
+            raise ValueError(f"p must satisfy 1 <= p <= {self.n // 2}, got {self.p}")
+
+
+def form_degree_coeff(n: int, p: int) -> FormDegreeCoeffs:
+    """C_p(n) with its defining highest/total weight pair."""
+    total = 1.5 * p * (n - p)
+    highest = (n * n * p - n * p * p - 2 * n * p + 2 * n * n + 2 * n - 4 * p) / (
+        n * (n + 2)
+    )
+    return FormDegreeCoeffs(
+        n=n, p=p, coeff=total / highest, highest_weight=highest, total_weight=total
+    )
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ The form-degree coefficients ``C_p(n) = S_p / Omega_p`` with ``S_p =
 (3/2) p (n-p)`` and ``Omega_p = (n^2 p - n p^2 - 2np + 2n^2 + 2n - 4p) /
 (n (n+2))`` gate which eigenvalue partial sums control which vanishing
 ranges; they increase in p, with ``C_1 <= 3n/4 < C_2`` for every n >= 3.
+``FormDegreeCoeffs`` and ``form_degree_coeff`` are defined in ``tables``,
+which loads no numpy, so the classifier reads them without this module;
+they are re-exported here as the same objects.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .symfun import (
     normalized_partial_sum,
     partial_sum_fractional,
 )
-from .tables import trace_free_count
+from .tables import FormDegreeCoeffs, form_degree_coeff, trace_free_count
 
 __all__ = [
     "WeightBudget",
@@ -141,34 +144,6 @@ def budget_normalized_bound(spectrum: VectorLike, budget: WeightBudget) -> float
         raise ValueError(f"S/Omega must be >= 1, got {ratio}")
     ratio = max(ratio, 1.0)
     return budget.S * normalized_partial_sum(x, ratio)
-
-
-@dataclass(frozen=True)
-class FormDegreeCoeffs:
-    """Coefficient C_p = total/highest weight for degree-p forms in dim n."""
-
-    n: int
-    p: int
-    coeff: float
-    highest_weight: float
-    total_weight: float
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n}")
-        if not 1 <= self.p <= self.n // 2:
-            raise ValueError(f"p must satisfy 1 <= p <= {self.n // 2}, got {self.p}")
-
-
-def form_degree_coeff(n: int, p: int) -> FormDegreeCoeffs:
-    """C_p(n) with its defining highest/total weight pair."""
-    total = 1.5 * p * (n - p)
-    highest = (n * n * p - n * p * p - 2 * n * p + 2 * n * n + 2 * n - 4 * p) / (
-        n * (n + 2)
-    )
-    return FormDegreeCoeffs(
-        n=n, p=p, coeff=total / highest, highest_weight=highest, total_weight=total
-    )
 
 
 def refined_one_form_coeff(n: int) -> float:

@@ -20,6 +20,7 @@ from gardinglab.classify import (
     space_form_second_threshold,
     thresholds,
 )
+from gardinglab.config import DEFAULT_TOL
 from gardinglab.curvature import (
     KIND_FIRST,
     KIND_SECOND,
@@ -135,6 +136,22 @@ class TestClassifyFirstKind:
         assert k == 5
         ranges = [(r.lo, r.hi) for r in report.betti_zero_ranges]
         assert ranges == [(1, 1), (5, 5)]
+
+    def test_loose_tol_does_not_widen_the_ceil_snap(self):
+        # m_eps = 4.002 on S^7: ceil(m_eps) = 5 gives the split ranges.  A
+        # snap band scaled by tol = 1e-3 would round 4.002 down to 4 and
+        # claim the full vanishing range b_1..b_6.
+        n = 7
+        spec = eigen_spectrum(assemble_first_kind(model_space_form(n, 1.0)))
+        eps = math.sqrt(4.002 / (20 * 16.998))
+        for tol in (DEFAULT_TOL, 1e-3):
+            report = classify_first_kind(spec, eps, tol)
+            assert report.membership.member_open
+            assert report.m_eps == pytest.approx(4.002, rel=1e-12)
+            assert [(r.lo, r.hi, r.rule, r.bound_lhs) for r in report.betti_zero_ranges] == [
+                (1, 2, "two_form_split_vanishing_low", 5.0),
+                (5, 6, "two_form_split_vanishing_high", 5.0),
+            ], tol
 
     def test_no_overlap_between_cases(self):
         rng = np.random.default_rng(3)
@@ -376,3 +393,45 @@ class TestReportAuditing:
         spec = eigen_spectrum(assemble_first_kind(model_space_form(4, 1.0)))
         report = classify_first_kind(spec, 0.25)
         json.dumps(report.to_record())
+
+
+class TestFloatListsAndArrays:
+    """The CLI passes sorted lists of Python floats, which take the float
+    path at every length in a process without numpy; in-process callers pass
+    arrays.  Both must give the same report, bit for bit."""
+
+    def test_reports_match_over_the_threshold_and_integer_m_grid(self, monkeypatch):
+        from gardinglab import symfun
+        from gardinglab.inclusion import epsilon_for_target_m
+
+        def real(classify, kind, n):
+            return lambda x, eps: classify(Spectrum(x, kind, n), eps)
+
+        def kaehler(n):  # reversed, so that the classifier's own sort runs
+            return lambda x, eps: classify_kaehler(x[::-1], n, eps)
+
+        default = symfun._FLOAT_ENTRIES
+        ulps = [1.0 + j * 2.0**-52 for j in range(-4, 5)]
+        cases = [(n, two_form_count(n), real(classify_first_kind, KIND_FIRST, n))
+                 for n in range(3, 9)]
+        cases += [(n, trace_free_count(n), real(classify_second_kind, KIND_SECOND, n))
+                  for n in range(3, 9)]
+        cases += [(n, n * n, kaehler(n)) for n in range(2, 6)]
+        for n, size, call in cases:
+            table = thresholds(n if n >= 3 else None, kaehler_complex_dim=n)
+            targets = [
+                table.space_form_first, table.space_form_second,
+                table.cpn_cohomology, table.cpn_biholomorphic,
+            ]
+            targets += [epsilon_for_target_m(m, size) for m in range(1, size - 1)]
+            grid = [t * u for t in targets if t is not None for u in ulps]
+            spectra = [np.ones(size), 1.0 + np.arange(size) % 3, np.ones(size)]
+            spectra[2][:2] = (0.0, -0.0)
+            for values in spectra:
+                as_array = np.sort(values, kind="stable")
+                as_list = sorted(values.tolist())
+                for eps in (e for e in grid if 0.0 < e < 1.0):
+                    monkeypatch.setattr(symfun, "_FLOAT_ENTRIES", default)
+                    expected = call(as_array, eps).to_record()
+                    monkeypatch.setattr(symfun, "_FLOAT_ENTRIES", 10**9)
+                    assert repr(call(as_list, eps).to_record()) == repr(expected), (n, size, eps)

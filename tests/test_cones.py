@@ -18,6 +18,7 @@ from gardinglab.cones import (
     shift,
 )
 from gardinglab.inclusion import dichotomy_check, epsilon_to_params
+from gardinglab.tables import trace_free_count, two_form_count
 
 from oracles import nesting_check_full_chain, selection_sum_min
 
@@ -321,6 +322,33 @@ class TestFloatAndArrayPaths:
                     with np.errstate(over="ignore", invalid="ignore"):
                         outcomes.append([_outcome(lambda: call(x)) for call in calls])
             assert all(o == outcomes[0] for o in outcomes), n
+        # The classifier's two calls, G_2 at alpha_eps and P_{m_eps}, at every
+        # operator length of a dimension up to 20 (up to 400 entries), on
+        # spectra with ties and mixed signed zeros.  The float path sorts
+        # them with ``sorted`` and the array path with a stable np.sort.
+        lengths = {two_form_count(d) for d in range(3, 21)}
+        lengths |= {trace_free_count(d) for d in range(3, 21)}
+        lengths |= {d * d for d in range(2, 21)}
+        for n in sorted(lengths):
+            ties = rng.integers(0, 3, size=n).astype(float)
+            ties[(ties == 0.0) & (rng.random(n) < 0.5)] = -0.0
+            negative = ties.copy()
+            negative[int(rng.integers(n))] = -1.0
+            for v in (ties, negative * 10.0 ** rng.uniform(-300.0, 300.0)):
+                as_list, as_array = sorted(v.tolist()), np.sort(v, kind="stable")
+                assert np.array(as_list).tobytes() == as_array.tobytes(), n
+                for eps in (0.1, 0.5, 0.95):
+                    p = epsilon_to_params(eps, n)
+                    outcomes = []
+                    for limit, x in ((10**9, as_list), (0, as_array)):
+                        monkeypatch.setattr(symfun, "_FLOAT_ENTRIES", limit)
+                        outcomes.append(
+                            [
+                                _outcome(lambda: in_shifted_cone(x, 2, p.shift_params)),
+                                _outcome(lambda: in_positivity_cone(x, p.m_eps)),
+                            ]
+                        )
+                    assert outcomes[0] == outcomes[1], (n, eps)
 
     def test_invalid_input_raises_alike_on_both_paths(self, monkeypatch):
         for bad in ([], [1.0, math.nan], [[1.0, 2.0]], np.ones((2, 2)), "1.5"):

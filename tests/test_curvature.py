@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 import re
 
 import numpy as np
@@ -502,8 +503,23 @@ class TestOperatorMatrixAndSpectrum:
         assert len(spec) == 5
 
     def test_spectrum_rejects_unsorted(self):
-        with pytest.raises(ValueError, match="sorted non-decreasing"):
-            Spectrum(np.array([2.0, 1.0]), KIND_GENERIC, None)
+        for values in (np.array([2.0, 1.0]), [2.0, 1.0], (2.0, 1.0)):
+            with pytest.raises(ValueError, match="sorted non-decreasing"):
+                Spectrum(values, KIND_GENERIC, None)
+
+    def test_spectrum_checks_a_float_list_as_its_array(self):
+        # A list or tuple is held as a tuple of floats, checked without
+        # numpy; it refuses what the array refuses, with the same message.
+        spec = Spectrum([-1, 0.0, -0.0, 2.5], KIND_GENERIC, None)
+        assert spec.eigenvalues == (-1.0, 0.0, -0.0, 2.5) and len(spec) == 4
+        assert [math.copysign(1.0, t) for t in spec.eigenvalues] == [-1.0, 1.0, -1.0, 1.0]
+        for bad in ([], [1.0, math.inf], [1.0, math.nan], [[1.0, 2.0]], ["x"]):
+            errors = []
+            for values in (bad, np.array(bad, dtype=object)):
+                with pytest.raises(ValueError) as info:
+                    Spectrum(values, KIND_GENERIC, None)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1], bad
 
     def test_spectrum_holds_a_read_only_copy(self):
         values = np.array([-1.0, 0.0, 0.0, 2.5])

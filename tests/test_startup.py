@@ -9,12 +9,15 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import gardinglab as gl
+from gardinglab.config import CONFIG_ENV_VAR
+from test_golden_cli import CASES, GOLDEN, INPUTS
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -29,7 +32,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 """
 
 
-def _loaded(body, *argv):
+def _loaded(body, *argv, cwd=None):
     """Exit code and the modules loaded after ``body`` runs in a fresh process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gl.__file__)))
     env = dict(os.environ)
@@ -39,6 +42,7 @@ def _loaded(body, *argv):
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
         check=True,
     )
     result = json.loads(proc.stdout)
@@ -92,7 +96,9 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
 
 
 def test_cone_modules_import_without_numpy():
-    code, modules = _loaded("import gardinglab.cones, gardinglab.symfun\ncode = 0")
+    code, modules = _loaded(
+        "import gardinglab.cones, gardinglab.symfun, gardinglab.classify\ncode = 0"
+    )
     assert code == 0 and "numpy" not in modules
 
 
@@ -161,6 +167,39 @@ def test_cone_test_loads_only_what_it_runs(tmp_path):
             "gardinglab.cli", "gardinglab.config", "gardinglab.io", "gardinglab.cones",
             "gardinglab.symfun",
         }, options
+
+
+def _golden_runs():
+    """Exit code and stdout of each run in the golden transcript, by command."""
+    runs = {}
+    for chunk in re.split(r"^\$ gardinglab ", GOLDEN.read_text(encoding="utf-8"), flags=re.M)[1:]:
+        command, code, stdout = chunk.split("\n", 2)
+        runs[command] = (int(code.removeprefix("exit ")), stdout)
+    return runs
+
+
+# Every golden classify run, spectra of 4 to 35 entries, and the golden
+# cone-test run on 40 entries: both sides of symfun._FLOAT_ENTRIES.
+_GOLDEN_NUMPY_FREE = [
+    argv for argv in CASES if "classify" in argv
+] + [argv for argv in CASES if argv[-3:] == ("v40_e300.txt", "--k", "40")]
+
+
+@pytest.mark.parametrize("argv", _GOLDEN_NUMPY_FREE, ids=" ".join)
+def test_golden_classify_and_long_cone_test_run_without_numpy(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (code, stdout), modules = _loaded(_RUN_CLI_WITHOUT_NUMPY, *argv, cwd=tmp_path)
+    assert (code, stdout) == _golden_runs()[" ".join(argv)]
+    assert "numpy" not in modules
+    # A spectrum of the wrong length exits 65 before the classifier loads.
+    loaded = (
+        {"cones", "symfun"} if "cone-test" in argv
+        else {"tables"} if code == 65
+        else {"tables", "classify", "cones", "symfun"}
+    )
+    assert _submodules(modules) == {f"gardinglab.{m}" for m in {"cli", "config", "io", *loaded}}
 
 
 @pytest.mark.parametrize(
