@@ -13,21 +13,52 @@ Two self-adjoint operators are assembled from it:
   unit sphere's spectrum all ones and the scalar curvature equal twice the
   trace;
 * the projected action on trace-free symmetric 2-tensors over the basis of
-  normalized off-diagonal symmetrizations plus Gram-Schmidt-orthonormalized
-  diagonal differences, for which the scalar curvature equals 2n/(n+2)
-  times the trace.
+  normalized off-diagonal symmetrizations ``(e_i e_j + e_j e_i)/sqrt(2)``,
+  i < j, followed by the Helmert diagonals
+  ``diag(1, ..., 1, -k, 0, ..., 0)/sqrt(k(k+1))``, k = 1..n-1 (what
+  Gram-Schmidt makes of the differences ``e_{k-1} - e_k``), for which the
+  scalar curvature equals 2n/(n+2) times the trace.
+
+Every number on the record path comes from operations whose order is fixed
+by the code, not by a BLAS or SIMD kernel: element-wise ``+ - * /``,
+square roots, index gathers, sequential running sums (``np.cumsum``) and
+numpy's pairwise sum (``np.add.reduce``, reproduced on floats by
+``symfun._pairwise_sum``).  The second-kind operator is a sparse
+contraction: an off-diagonal basis element is a pair of index gathers, and
+all Helmert diagonals come from one running sum over the diagonal slices
+``R_illj`` (and, for the Gram matrix, over each image's diagonal).  The
+scalar curvature and the operator traces of the identity checks are
+correctly rounded sums (``math.fsum``), so they are exact to the last bit.
+Jacobi's ``||A||_F`` and off-diagonal norm are square roots of pairwise
+sums of the squares, row by row and then over the rows.
 
 Spectra are the eigenvalues of a Jacobi rotation solver (off-diagonal
 threshold 1e-14 * ||A||_F, at most 100 sweeps) so the package carries no
-LAPACK dependency on this path; numpy is used only for array storage and
-arithmetic.  No eigenvectors are accumulated: every consumer of a spectrum
-reads its eigenvalues alone.  Each sweep runs in round-robin order: rounds
-of disjoint pairs whose rotations are applied as one array update.  Each
-round works on a copy of the matrix laid out in its paired order, the ``p``
-rows on top and their ``q`` partners below, so it rotates contiguous halves
-and gathers nothing; one ``take`` moves the copy into the next round's
-order.  Rows with no nonzero off-diagonal entry are skipped, so sparse model
-operators rotate only the few rows that couple.
+LAPACK dependency on this path.  No eigenvectors are accumulated: every
+consumer of a spectrum reads its eigenvalues alone.  Each sweep runs in
+round-robin order: rounds of disjoint pairs whose rotations are applied as
+one update, every angle of a round first, then all row updates, then all
+column updates.  On numpy each round works on a copy of the matrix laid out
+in its paired order, the ``p`` rows on top and their ``q`` partners below,
+so it rotates contiguous halves and gathers nothing; one ``take`` moves the
+copy into the next round's order.  Rows with no nonzero off-diagonal entry
+are skipped, so sparse model operators rotate only the few rows that
+couple.
+
+Two paths run the same float operations in the same order, so they give
+the same bits.  While numpy is not loaded (``"numpy" not in sys.modules``),
+``model_space_form``, ``model_product_spheres`` and ``io.parse_tensor_text``
+build a tensor over the flat tuple of its n^4 components in row-major
+order, ``OperatorMatrix`` holds a tuple of row tuples, and the validation,
+both assemblers, the identity checks and the Jacobi solver run on Python
+floats; ``jacobi_eigensystem`` then returns a sorted list (``sorted`` is
+stable, as ``np.sort(kind="stable")`` is, so ``-0.0`` and ``0.0`` keep
+their order).  Otherwise everything runs on numpy arrays.  numpy's import
+costs a ``model-space`` run of the CLI more than the float work on its
+operators of at most a few dozen rows, so that run never loads it, while
+in-process callers, which have numpy loaded, keep the array kernels for
+operators of up to a hundred rows.  numpy is imported only inside the
+functions that build arrays.
 
 ``Spectrum``, ``KIND_FIRST`` and ``KIND_SECOND`` are defined in ``tables``,
 which loads no numpy, so the classifier reads them without this module;
@@ -39,13 +70,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from operator import add, sub
+from typing import TYPE_CHECKING, Optional, Union
 
 from .config import Record
+from .symfun import _pairwise_sum
 from .tables import KIND_FIRST, KIND_SECOND, Spectrum, trace_free_count, two_form_count
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "KIND_FIRST",
@@ -57,13 +92,12 @@ __all__ = [
     "two_form_count",
     "trace_free_count",
     "dimension_for_count",
+    "validate_curvature_symmetries",
     "model_space_form",
     "model_product_spheres",
     "random_curvature_tensor",
     "assemble_first_kind",
     "assemble_second_kind",
-    "trace_free_basis",
-    "assemble_on_tensor_basis",
     "jacobi_eigensystem",
     "eigen_spectrum",
     "scalar_curvature_checks",
@@ -77,6 +111,8 @@ _SYMMETRY_ATOL = 1e-12
 _JACOBI_OFF_TOL = 1e-14
 # Relative error within which the scalar curvature identities count as held.
 _IDENTITY_RTOL = 1e-8
+# The off-diagonal entries of the trace-free basis.
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def dimension_for_count(N: int, kind: str) -> Optional[int]:
@@ -90,18 +126,65 @@ def dimension_for_count(N: int, kind: str) -> Optional[int]:
     return None
 
 
-@np.errstate(invalid="ignore")
-def validate_curvature_symmetries(components: np.ndarray, atol: float = _SYMMETRY_ATOL) -> None:
-    """Raise ValueError if any algebraic curvature identity fails."""
+@functools.lru_cache(maxsize=8)
+def _symmetry_partners(n: int) -> tuple[tuple[int, ...], ...]:
+    """Flat indices of R_jikl, R_ijlk, R_klij, R_iljk and R_iklj at each
+    flat position (i, j, k, l), the partners the identities compare.
+
+    The partner that reads axis ``order[t]`` of (i, j, k, l) in place t
+    sits at the sum of each index times its stride, ``n^(3-t)``."""
+    partners = []
+    for order in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (0, 3, 1, 2), (0, 2, 3, 1)):
+        s0, s1, s2, s3 = (n ** (3 - order.index(axis)) for axis in range(4))
+        partners.append(
+            tuple(
+                a + b + c + d
+                for a in range(0, n * s0, s0)
+                for b in range(0, n * s1, s1)
+                for c in range(0, n * s2, s2)
+                for d in range(0, n * s3, s3)
+            )
+        )
+    return tuple(partners)
+
+
+def _max_abs(values) -> float:
+    """``np.max(np.abs(values))``: NaN if any value is NaN."""
+    mags = list(map(abs, values))
+    return math.nan if any(map(math.isnan, mags)) else max(mags)
+
+
+def validate_curvature_symmetries(components, atol: float = _SYMMETRY_ATOL) -> None:
+    """Raise ValueError if any algebraic curvature identity fails.
+
+    ``components`` is an (n, n, n, n) array, or the flat tuple of its n^4
+    entries in row-major order, checked on Python floats with the same
+    float operations.
+    """
     r = components
-    checks = {
-        "antisymmetry_first_pair": np.max(np.abs(r + r.transpose(1, 0, 2, 3))),
-        "antisymmetry_second_pair": np.max(np.abs(r + r.transpose(0, 1, 3, 2))),
-        "pair_symmetry": np.max(np.abs(r - r.transpose(2, 3, 0, 1))),
-        "first_bianchi": np.max(
-            np.abs(r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2))
-        ),
-    }
+    if isinstance(r, tuple):
+        jikl, ijlk, klij, iljk, iklj = (
+            map(r.__getitem__, partner)
+            for partner in _symmetry_partners(math.isqrt(math.isqrt(len(r))))
+        )
+        checks = {
+            "antisymmetry_first_pair": _max_abs(map(add, r, jikl)),
+            "antisymmetry_second_pair": _max_abs(map(add, r, ijlk)),
+            "pair_symmetry": _max_abs(map(sub, r, klij)),
+            "first_bianchi": _max_abs(map(add, map(add, r, iljk), iklj)),
+        }
+    else:
+        import numpy as np
+
+        with np.errstate(invalid="ignore"):
+            checks = {
+                "antisymmetry_first_pair": np.max(np.abs(r + r.transpose(1, 0, 2, 3))),
+                "antisymmetry_second_pair": np.max(np.abs(r + r.transpose(0, 1, 3, 2))),
+                "pair_symmetry": np.max(np.abs(r - r.transpose(2, 3, 0, 1))),
+                "first_bianchi": np.max(
+                    np.abs(r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2))
+                ),
+            }
     # Written so that a NaN (from a non-finite component) fails the check.
     bad = {name: float(v) for name, v in checks.items() if not v <= atol}
     if bad:
@@ -112,15 +195,19 @@ def validate_curvature_symmetries(components: np.ndarray, atol: float = _SYMMETR
 class CurvatureTensor:
     """Dense curvature tensor over an orthonormal frame in dimension n >= 3.
 
-    Like ``OperatorMatrix`` and ``Spectrum``, it holds an array, so equality
+    ``components`` is a read-only (n, n, n, n) float array, or, on the float
+    path, the flat tuple of its n^4 entries in row-major order (see the
+    module docstring).  Like ``OperatorMatrix`` and ``Spectrum``, equality
     is identity and instances hash by identity.
     """
 
     n: int
-    components: np.ndarray
+    components: Union[tuple, "np.ndarray"]
 
     @classmethod
     def from_components(cls, components) -> "CurvatureTensor":
+        import numpy as np
+
         arr = np.array(components, dtype=float)
         if arr.ndim != 4 or len(set(arr.shape)) != 1:
             raise ValueError(f"expected an (n,n,n,n) array, got shape {arr.shape}")
@@ -131,45 +218,74 @@ class CurvatureTensor:
         arr.setflags(write=False)
         return cls(n=n, components=arr)
 
+    @classmethod
+    def _from_floats(cls, n: int, values) -> "CurvatureTensor":
+        """Tensor over the flat row-major list of n^4 Python floats."""
+        if n < 3:
+            raise ValueError(f"dimension must be >= 3, got {n}")
+        values = tuple(values)
+        validate_curvature_symmetries(values)
+        return cls(n=n, components=values)
+
     def scalar_curvature(self) -> float:
-        """Direct double trace: sum over i, j of R_ijij."""
-        return float(np.einsum("ijij->", self.components))
+        """Direct double trace, correctly rounded: sum over i, j of R_ijij.
+
+        R_ijij is the diagonal of the components read as an (n^2, n^2)
+        matrix, every (n^2 + 1)-th flat entry."""
+        r = self.components
+        if isinstance(r, tuple):
+            return math.fsum(r[:: self.n * self.n + 1])
+        return math.fsum(r.reshape(-1)[:: self.n * self.n + 1].tolist())
 
     def frame_change(self, q: np.ndarray) -> "CurvatureTensor":
         """Components in the rotated frame e'_a = sum_i q[i, a] e_i."""
-        rotated = np.einsum(
-            "ia,jb,kc,ld,ijkl->abcd", q, q, q, q, self.components, optimize=True
-        )
+        import numpy as np
+
+        r = np.asarray(self.components, dtype=float).reshape((self.n,) * 4)
+        rotated = np.einsum("ia,jb,kc,ld,ijkl->abcd", q, q, q, q, r, optimize=True)
         return CurvatureTensor.from_components(rotated)
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense symmetric operator matrix with its kind tag."""
+    """Dense symmetric operator matrix with its kind tag.
+
+    ``entries`` is a read-only float array, or, while numpy is not loaded,
+    a tuple of row tuples of Python floats.
+    """
 
     N: int
-    entries: np.ndarray
+    entries: Union[tuple, "np.ndarray"]
     kind: str
 
     @classmethod
     def from_entries(cls, entries, kind: str = KIND_GENERIC) -> "OperatorMatrix":
-        arr = np.array(entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] < 1:
+        if "numpy" not in sys.modules:
+            arr = tuple(tuple(map(float, row)) for row in entries)
+            shape = (len(arr), *{len(row) for row in arr})
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"expected a square matrix, got shape {shape}")
+            asym = _max_abs(map(sub, itertools.chain(*arr), itertools.chain(*zip(*arr))))
+        else:
+            import numpy as np
+
+            arr = np.array(entries, dtype=float)
+            shape = arr.shape
+            if arr.ndim != 2 or shape[0] != shape[1]:
+                raise ValueError(f"expected a square matrix, got shape {shape}")
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+                asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
+        if shape[0] < 1:
             raise ValueError("operator matrix must be at least 1x1")
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
-            asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
         if not asym <= _SYMMETRY_ATOL:
             raise ValueError(f"matrix asymmetry {asym} exceeds {_SYMMETRY_ATOL}")
         if kind not in (KIND_FIRST, KIND_SECOND, KIND_GENERIC):
             raise ValueError(f"unknown kind {kind!r}")
-        if kind != KIND_GENERIC and dimension_for_count(arr.shape[0], kind) is None:
-            raise ValueError(
-                f"size {arr.shape[0]} does not match any dimension for kind {kind}"
-            )
-        arr.setflags(write=False)
-        return cls(N=arr.shape[0], entries=arr, kind=kind)
+        if kind != KIND_GENERIC and dimension_for_count(shape[0], kind) is None:
+            raise ValueError(f"size {shape[0]} does not match any dimension for kind {kind}")
+        if not isinstance(arr, tuple):
+            arr.setflags(write=False)
+        return cls(N=shape[0], entries=arr, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +293,27 @@ class OperatorMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _unit_curvature_floats(n: int, keep=None) -> list[float]:
+    """Flat ``d_ik d_jl - d_il d_jk`` on floats, the float operations of the
+    array constructors; ``keep(i, j, k, l)`` false gives +0.0 instead."""
+    eye = [[1.0 if i == k else 0.0 for k in range(n)] for i in range(n)]
+    return [
+        eye[i][k] * eye[j][l] - eye[i][l] * eye[j][k]
+        if keep is None or keep(i, j, k, l)
+        else 0.0
+        for i, j, k, l in itertools.product(range(n), repeat=4)
+    ]
+
+
 def model_space_form(n: int, curvature: float) -> CurvatureTensor:
     """Constant-curvature tensor R_ijkl = c (d_ik d_jl - d_il d_jk)."""
     if n < 3:
         raise ValueError(f"dimension must be >= 3, got {n}")
+    if "numpy" not in sys.modules:
+        unit = _unit_curvature_floats(n)
+        return CurvatureTensor._from_floats(n, [curvature * t for t in unit])
+    import numpy as np
+
     eye = np.eye(n)
     comps = curvature * (
         np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
@@ -193,6 +326,12 @@ def model_product_spheres(p: int, q: int) -> CurvatureTensor:
     if p < 2 or q < 2:
         raise ValueError(f"both factors need dimension >= 2, got {p}, {q}")
     n = p + q
+    if "numpy" not in sys.modules:
+        # Keep only components with all four indices in one factor.
+        unit = _unit_curvature_floats(n, lambda *cell: len({c < p for c in cell}) == 1)
+        return CurvatureTensor._from_floats(n, unit)
+    import numpy as np
+
     factor = np.zeros(n, dtype=int)
     factor[p:] = 1
     same = factor[:, None] == factor[None, :]
@@ -211,6 +350,8 @@ def random_curvature_tensor(n: int, seed: int = 0) -> CurvatureTensor:
     and the totally antisymmetric part removed, which projects exactly onto
     the kernel of the cyclic sum.
     """
+    import numpy as np
+
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     g = rng.normal(size=(n, n, n, n))
     g = g - g.transpose(1, 0, 2, 3)
@@ -229,6 +370,11 @@ def _pair_indices(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def _symmetrized(mat: list[list[float]]) -> list[list[float]]:
+    """``(mat + mat.T) / 2`` of a square list of rows."""
+    return [[(x + y) / 2.0 for x, y in zip(row, col)] for row, col in zip(mat, zip(*mat))]
+
+
 def assemble_first_kind(tensor: CurvatureTensor) -> OperatorMatrix:
     """Matrix of the 2-form action over the orthonormal pair basis.
 
@@ -236,54 +382,93 @@ def assemble_first_kind(tensor: CurvatureTensor) -> OperatorMatrix:
     """
     n = tensor.n
     pairs = _pair_indices(n)
-    rows = np.array([p[0] for p in pairs])
-    cols = np.array([p[1] for p in pairs])
-    mat = tensor.components[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
-    mat = (mat + mat.T) / 2.0
+    r = tensor.components
+    if isinstance(r, tuple):
+        # R_ijkl sits at flat index (i n + j) n^2 + (k n + l).
+        flat = [i * n + j for i, j in pairs]
+        mat = _symmetrized([[r[a * n * n + b] for b in flat] for a in flat])
+    else:
+        import numpy as np
+
+        rows = np.array([p[0] for p in pairs])
+        cols = np.array([p[1] for p in pairs])
+        mat = r[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
+        mat = (mat + mat.T) / 2.0
     return OperatorMatrix.from_entries(mat, kind=KIND_FIRST)
 
 
-def trace_free_basis(n: int) -> np.ndarray:
-    """(N2, n, n) orthonormal basis of trace-free symmetric 2-tensors.
-
-    Off-diagonal elements (e_i e_j + e_j e_i)/sqrt(2) for i < j, followed by
-    n-1 Gram-Schmidt-orthonormalized diagonal difference tensors.  The array
-    is built once per n and is read-only.
-    """
-    return _trace_free_basis(n)
-
-
 @functools.lru_cache(maxsize=32)
-def _trace_free_basis(n: int) -> np.ndarray:
-    mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = m[j, i] = 1.0 / math.sqrt(2.0)
-            mats.append(m)
-    # Diagonal differences diag(e_k) - diag(e_{k+1}), orthonormalized.
-    diags = []
-    for k in range(n - 1):
-        d = np.zeros(n)
-        d[k] = 1.0
-        d[k + 1] = -1.0
-        for prev in diags:
-            d = d - np.dot(d, prev) * prev
-        d = d / np.linalg.norm(d)
-        diags.append(d)
-        mats.append(np.diag(d))
-    basis = np.stack(mats, axis=0)
-    basis.setflags(write=False)
-    return basis
+def _helmert_scales(n: int) -> tuple[float, ...]:
+    """``1/sqrt(k(k+1))`` for k = 1..n-1, the scales of the Helmert
+    diagonals ``(1, ..., 1, -k, 0, ..., 0)``."""
+    return tuple(1.0 / math.sqrt(k * (k + 1)) for k in range(1, n))
 
 
-def assemble_on_tensor_basis(tensor: CurvatureTensor, basis: np.ndarray) -> np.ndarray:
-    """Gram matrix <R_bar(B_a), B_b> of the symmetric-tensor action.
+def _second_kind_floats(r: tuple, n: int) -> list[list[float]]:
+    """``_second_kind_array`` on the flat tuple of a tensor's components."""
+    pairs = _pair_indices(n)
+    scales = list(enumerate(_helmert_scales(n), start=1))
+    n2, n3 = n * n, n * n * n
 
-    R_bar(h)_ij = sum_{k,l} R_iklj h_kl; the basis need not be trace-free.
+    def slice_kl(k: int, l: int) -> list[float]:
+        # R_iklj over (i, j) in row-major order: n runs of n entries.
+        start = k * n2 + l * n
+        return list(itertools.chain.from_iterable(r[o : o + n] for o in range(start, n**4, n3)))
+
+    images = [
+        [(x + y) * _SQRT_HALF for x, y in zip(slice_kl(p, q), slice_kl(q, p))] for p, q in pairs
+    ]
+    diagonal = [slice_kl(l, l) for l in range(n)]
+    prefix = diagonal[0]
+    for k, scale in scales:
+        images.append([(s - k * d) * scale for s, d in zip(prefix, diagonal[k])])
+        prefix = list(map(add, prefix, diagonal[k]))
+    mat = []
+    for image in images:
+        row = [(image[p * n + q] + image[q * n + p]) * _SQRT_HALF for p, q in pairs]
+        d = image[:: n + 1]
+        prefix = d[0]
+        for k, scale in scales:
+            row.append((prefix - k * d[k]) * scale)
+            prefix += d[k]
+        mat.append(row)
+    return _symmetrized(mat)
+
+
+def _second_kind_array(r: np.ndarray) -> np.ndarray:
+    """Gram matrix ``<R_bar(B_a), B_b>`` over the trace-free basis, where
+    ``R_bar(h)_ij = sum_{k,l} R_iklj h_kl``, symmetrized.
+
+    The image of an off-diagonal element (p, q) is ``(R_ipqj + R_iqpj) /
+    sqrt(2)``, two gathers; the image of the k-th Helmert diagonal is
+    ``(S_k - k D_k) / sqrt(k(k+1))`` with ``D_l = R_illj`` and ``S_k`` the
+    running sum of ``D_0 .. D_{k-1}``, one ``cumsum`` for all k.  Each Gram
+    entry reads its image the same way: two gathered entries, or the running
+    sum of the image's diagonal.
     """
-    images = np.einsum("iklj,akl->aij", tensor.components, basis, optimize=True)
-    mat = np.einsum("aij,bij->ab", images, basis, optimize=True)
+    import numpy as np
+
+    n = r.shape[0]
+    p, q = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    k = np.arange(1.0, n)
+    scale = np.array(_helmert_scales(n))
+    rt = r.transpose(1, 2, 0, 3)  # rt[k, l, i, j] = R_iklj
+    d = rt[diag, diag]
+    images = np.concatenate(
+        [
+            (rt[p, q] + rt[q, p]) * _SQRT_HALF,
+            (np.cumsum(d, axis=0)[:-1] - k[:, None, None] * d[1:]) * scale[:, None, None],
+        ]
+    )
+    d = images[:, diag, diag]
+    mat = np.concatenate(
+        [
+            (images[:, p, q] + images[:, q, p]) * _SQRT_HALF,
+            (np.cumsum(d, axis=1)[:, :-1] - k * d[:, 1:]) * scale,
+        ],
+        axis=1,
+    )
     return (mat + mat.T) / 2.0
 
 
@@ -291,9 +476,14 @@ def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
     """Matrix of the projected symmetric-tensor action on trace-free tensors.
 
     Because every basis element is trace-free and the projection is
-    orthogonal, the projected Gram matrix equals the unprojected one.
+    orthogonal, the projected Gram matrix equals the unprojected one; it is
+    assembled by the sparse contraction of ``_second_kind_array``.
     """
-    mat = assemble_on_tensor_basis(tensor, trace_free_basis(tensor.n))
+    r = tensor.components
+    if isinstance(r, tuple):
+        mat = _second_kind_floats(r, tensor.n)
+    else:
+        mat = _second_kind_array(r)
     return OperatorMatrix.from_entries(mat, kind=KIND_SECOND)
 
 
@@ -303,24 +493,24 @@ def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
 
 
 @functools.lru_cache(maxsize=32)
-def _round_robin_schedule(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _round_robin_schedule(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Rounds of disjoint pairs ``(p, q)``, p < q, that cover every pair of
-    ``range(m)`` exactly once; the cached arrays are read-only.
+    ``range(m)`` exactly once, each as the tuple of its ``p`` and the tuple
+    of their ``q`` partners.
 
     Circle method: index 0 stays put and the others move one place per round;
     for odd m a dummy index m pads the ring and its partner sits the round out.
     """
     size = m + m % 2
-    ring = np.arange(size)
+    ring = list(range(size))
     rounds = []
     for _ in range(size - 1):
-        x, y = ring[: size // 2], ring[::-1][: size // 2]
-        p, q = np.minimum(x, y), np.maximum(x, y)
-        p, q = p[q < m], q[q < m]
-        p.setflags(write=False)
-        q.setflags(write=False)
-        rounds.append((p, q))
-        ring = np.r_[ring[0], ring[-1], ring[1:-1]]
+        pairs = [
+            (min(x, y), max(x, y)) for x, y in zip(ring[: size // 2], ring[::-1][: size // 2])
+        ]
+        pairs = [pair for pair in pairs if pair[1] < m]
+        rounds.append((tuple(p for p, _ in pairs), tuple(q for _, q in pairs)))
+        ring = [ring[0], ring[-1], *ring[1:-1]]
     return tuple(rounds)
 
 
@@ -339,14 +529,16 @@ def _paired_layouts(m: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     cached arrays are read-only; the moves hold s^3 indices in all, 0.7 MB
     at s = 44.
     """
+    import numpy as np
+
     size = m + m % 2
     half = size // 2
     orders = [np.arange(size)]
     for p, q in _round_robin_schedule(m):
-        if p.size < half:
-            (idle,) = set(range(m)).difference(p.tolist(), q.tolist())
-            p, q = np.r_[p, idle], np.r_[q, m]
-        orders.append(np.r_[p, q])
+        if len(p) < half:
+            (idle,) = set(range(m)).difference(p, q)
+            p, q = (*p, idle), (*q, m)
+        orders.append(np.array(p + q))
     orders.append(orders[0])
     moves = []
     for old, new in zip(orders[:-1], orders[1:]):
@@ -362,10 +554,26 @@ def _paired_layouts(m: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return tuple(moves), pivots
 
 
-def _off_norm(x: np.ndarray) -> float:
+def _frobenius(x) -> float:
+    """``||x||_F`` in a fixed order: the square root of the pairwise sum
+    (``np.add.reduce``) of each row's pairwise sum of squares.  ``x`` is a
+    float array or a list of rows of Python floats (``symfun._pairwise_sum``
+    gives the same bits)."""
+    if isinstance(x, list):
+        return math.sqrt(_pairwise_sum([_pairwise_sum([t * t for t in row]) for row in x]))
+    import numpy as np
+
+    return math.sqrt(np.add.reduce(np.add.reduce(x * x, axis=1)))
+
+
+def _off_norm(x) -> float:
     # Square the off-diagonal entries directly; subtracting the diagonal
     # mass from the total cancels catastrophically near convergence.
-    return float(np.linalg.norm(x - np.diag(x.diagonal())))
+    if isinstance(x, list):
+        return _frobenius([[*row[:i], 0.0, *row[i + 1 :]] for i, row in enumerate(x)])
+    import numpy as np
+
+    return _frobenius(x - np.diag(x.diagonal()))
 
 
 def _jacobi_sweep(x: np.ndarray, moves: tuple[np.ndarray, ...], pivots: np.ndarray) -> None:
@@ -379,6 +587,8 @@ def _jacobi_sweep(x: np.ndarray, moves: tuple[np.ndarray, ...], pivots: np.ndarr
     one back into ``x``.  A dummy row and column of +0.0 get ``c = 1``,
     ``s = 0`` exactly, which leaves every entry bit for bit as it is.
     """
+    import numpy as np
+
     size = x.shape[0]
     half = size // 2
     step = size + 1
@@ -431,7 +641,83 @@ def _jacobi_sweep(x: np.ndarray, moves: tuple[np.ndarray, ...], pivots: np.ndarr
     source.take(moves[-1], out=x.reshape(-1), mode="clip")
 
 
-def jacobi_eigensystem(matrix: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
+def _jacobi_round_floats(a: list[list[float]], ps: tuple, qs: tuple) -> None:
+    """One round of ``_jacobi_sweep`` in place on a list of rows: every
+    angle from the matrix as the round finds it, then all row updates, then
+    all column updates, then the pivots set to 0.0, with the same float
+    operations as the array lanes.  A pair with ``apq == 0`` gets ``c = 1``,
+    ``s = 0`` and is still applied: ``x - 0.0 * y`` turns ``x = -0.0`` into
+    +0.0 where ``y`` is negative, as the array update does."""
+    rotations = []
+    for p, q in zip(ps, qs):
+        apq = a[p][q]
+        h = a[q][q] - a[p][p]
+        abs_h = abs(h)
+        if apq == 0.0:
+            t = 0.0
+        elif abs_h + 100.0 * abs(apq) == abs_h:
+            t = apq / h
+        else:
+            theta = 0.5 * h / apq
+            t = math.copysign(1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0)), theta + 0.0)
+        c = 1.0 / math.sqrt(t * t + 1.0)
+        rotations.append((p, q, c, t * c))
+    for p, q, c, s in rotations:
+        row_p, row_q = a[p], a[q]
+        a[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
+        a[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
+    for row in a:
+        for p, q, c, s in rotations:
+            x, y = row[p], row[q]
+            row[p] = c * x - s * y
+            row[q] = s * x + c * y
+    for p, q, _, _ in rotations:
+        a[p][q] = a[q][p] = 0.0
+
+
+def _ldexp(x: float, exponent: int) -> float:
+    """``np.ldexp`` of one float: infinity where the result overflows."""
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _jacobi_floats(matrix, max_sweeps: int = 100) -> list[float]:
+    """``jacobi_eigensystem`` on Python floats: the same checks, scaling,
+    active rows, schedule, rotations and stopping test, round by round as
+    ``tests/oracles.round_robin_jacobi_by_gathers`` runs them, so the same
+    bits; returns a sorted list."""
+    a = [list(map(float, row)) for row in matrix]
+    shape = (len(a), *{len(row) for row in a})
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    entries = list(itertools.chain(*a))
+    if not all(map(math.isfinite, entries)):
+        raise ValueError("matrix has non-finite entries")
+    w = [row[i] for i, row in enumerate(a)]
+    exponent = math.frexp(max(map(abs, entries)))[1]
+    a = _symmetrized([[math.ldexp(t, -exponent) for t in row] for row in a])
+    fro = _frobenius(a)
+    threshold = _JACOBI_OFF_TOL * max(fro, sys.float_info.min)
+    active = [i for i, row in enumerate(a) if any(t != 0.0 for j, t in enumerate(row) if j != i)]
+    sub = [[a[i][j] for j in active] for i in active]
+    for _ in range(max_sweeps):
+        if _off_norm(sub) <= threshold:
+            break
+        for ps, qs in _round_robin_schedule(len(active)):
+            _jacobi_round_floats(sub, ps, qs)
+    else:
+        raise RuntimeError(
+            f"Jacobi eigensolver did not converge within {max_sweeps} sweeps "
+            f"(off/||A||_F = {_off_norm(sub) / fro:.3e})"
+        )
+    for k, i in enumerate(active):
+        w[i] = _ldexp(sub[k][k], exponent)
+    return sorted(w)
+
+
+def jacobi_eigensystem(matrix, max_sweeps: int = 100):
     """Eigenvalues of a symmetric matrix by round-robin Jacobi rotations.
 
     A sweep visits every ``(p, q)`` pair once, in rounds of disjoint pairs
@@ -439,9 +725,9 @@ def jacobi_eigensystem(matrix: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
     each round's paired order (``_paired_layouts``); the float operations
     are those of gathering the rows and columns of each pair in natural
     order, so the eigenvalues are the same bits.  The convergence test reads
-    the matrix in natural order once per sweep.  Only rows with a nonzero
-    off-diagonal entry take part: a rotation never mixes another row in, so
-    the other diagonal entries pass through as they are.
+    the matrix in natural order once per sweep (``_off_norm``).  Only rows
+    with a nonzero off-diagonal entry take part: a rotation never mixes
+    another row in, so the other diagonal entries pass through as they are.
 
     The solve runs on the matrix scaled by the power of two that brings its
     largest entry into [0.5, 1), so ``||A||_F`` cannot overflow at any finite
@@ -449,11 +735,17 @@ def jacobi_eigensystem(matrix: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
     so the result is bit for bit the unscaled one wherever no entry falls
     to a subnormal.
 
-    Returns the eigenvalues in ascending order, sorted stably.  Raises
-    ValueError on non-finite entries, and RuntimeError, with the final
-    ``off/||A||_F``, if the off-diagonal norm has not dropped below
-    ``1e-14 * ||A||_F`` within ``max_sweeps`` full sweeps.
+    Returns the eigenvalues in ascending order, sorted stably: a float
+    array, or, while numpy is not loaded, a list of Python floats with the
+    same bits (``_jacobi_floats``).  Raises ValueError on non-finite
+    entries, and RuntimeError, with the final ``off/||A||_F``, if the
+    off-diagonal norm has not dropped below ``1e-14 * ||A||_F`` within
+    ``max_sweeps`` full sweeps.
     """
+    if "numpy" not in sys.modules:
+        return _jacobi_floats(matrix, max_sweeps)
+    import numpy as np
+
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -463,8 +755,8 @@ def jacobi_eigensystem(matrix: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
     exponent = int(np.frexp(np.abs(a).max())[1])
     a = np.ldexp(a, -exponent)
     a = (a + a.T) / 2.0
-    fro = float(np.linalg.norm(a))
-    threshold = _JACOBI_OFF_TOL * max(fro, np.finfo(float).tiny)
+    fro = _frobenius(a)
+    threshold = _JACOBI_OFF_TOL * max(fro, sys.float_info.min)
     active = np.flatnonzero((a != np.diag(a.diagonal())).any(axis=1))
     m = active.size
     padded = np.zeros((m + m % 2, m + m % 2))
@@ -518,6 +810,14 @@ class CurvatureIdentityReport(Record):
         return self.first_kind_ok and self.second_kind_ok
 
 
+def _trace(operator: OperatorMatrix) -> float:
+    """Correctly rounded trace of an operator's entries."""
+    entries = operator.entries
+    if isinstance(entries, tuple):
+        return math.fsum(row[i] for i, row in enumerate(entries))
+    return math.fsum(entries.diagonal().tolist())
+
+
 def scalar_curvature_checks(
     tensor: CurvatureTensor, operator: Optional[OperatorMatrix] = None
 ) -> CurvatureIdentityReport:
@@ -525,10 +825,11 @@ def scalar_curvature_checks(
 
     The traces are taken of the assembled operators, so no eigensolve runs:
     the identities test the basis normalizations of the assembly, and a
-    spectrum's sum equals its operator's trace up to rounding.  ``operator``
-    may hand in the tensor's first- or second-kind operator, already
-    assembled by ``assemble_first_kind`` or ``assemble_second_kind``; only
-    the other kind is then assembled here, and the report is the same.
+    spectrum's sum equals its operator's trace up to rounding.  The scalar
+    curvature and both traces are correctly rounded sums (``math.fsum``).
+    ``operator`` may hand in the tensor's first- or second-kind operator,
+    already assembled by ``assemble_first_kind`` or ``assemble_second_kind``;
+    only the other kind is then assembled here, and the report is the same.
     """
     scal = tensor.scalar_curvature()
     n = tensor.n
@@ -542,8 +843,8 @@ def scalar_curvature_checks(
         given[operator.kind] = operator
     first_op = given.get(KIND_FIRST) or assemble_first_kind(tensor)
     second_op = given.get(KIND_SECOND) or assemble_second_kind(tensor)
-    first = 2.0 * float(np.trace(first_op.entries))
-    second = (2.0 * n / (n + 2.0)) * float(np.trace(second_op.entries))
+    first = 2.0 * _trace(first_op)
+    second = (2.0 * n / (n + 2.0)) * _trace(second_op)
     scale = max(1.0, abs(scal))
     err1 = abs(first - scal) / scale
     err2 = abs(second - scal) / scale

@@ -14,12 +14,19 @@ otherwise the largest index seen is used.
 numpy is imported by the functions that build or format arrays, once the
 text has parsed, so a malformed file fails without loading it.  The float
 parse of a vector text is numpy-free on its own (``_parse_floats``), so a
-caller can check the number of entries before any array is built.
+caller can check the number of entries before any array is built.  While
+numpy is not loaded (``"numpy" not in sys.modules``), as in a
+``model-space`` run of the CLI, ``parse_tensor_text`` builds its tensor
+over the flat tuple of its components (see ``curvature``), and
+``format_vector`` prints a list or tuple of floats as it is; both give the
+bits and the text of the array path, and neither loads numpy, whose import
+costs more than these few hundred float operations.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -88,10 +95,14 @@ def read_vector_file(path: str | Path) -> np.ndarray:
 
 
 def format_vector(values) -> str:
-    """Comma-separated shortest-representation decimals (bit-exact reload)."""
-    import numpy as np
+    """Comma-separated shortest-representation decimals (bit-exact reload).
 
-    return ",".join(repr(float(v)) for v in np.asarray(values, dtype=float))
+    A list or tuple is read as it is; anything else as a float array."""
+    if not isinstance(values, (list, tuple)):
+        import numpy as np
+
+        values = np.asarray(values, dtype=float)
+    return ",".join(repr(float(v)) for v in values)
 
 
 def parse_tensor_text(text: str) -> CurvatureTensor:
@@ -143,12 +154,21 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
         raise VectorParseError("need dimension >= 3 (add a 'dim n' line?)", 1)
     if max_index > n:
         raise VectorParseError(f"index {max_index} exceeds dim {n}", 1)
-    import numpy as np
-
     from .curvature import CurvatureTensor
 
     # Canonical keys are unique, so no two entries write the same component
     # and all of them can be scattered at once.
+    if "numpy" not in sys.modules:
+        comps = [0.0] * n**4
+        for (i, j, k, l), value in entries.items():
+            a, b, c, d = i - 1, j - 1, k - 1, l - 1
+            for (p, q, sp) in ((a, b, 1.0), (b, a, -1.0)):
+                for (r, s, ss) in ((c, d, 1.0), (d, c, -1.0)):
+                    comps[((p * n + q) * n + r) * n + s] = sp * ss * value
+                    comps[((r * n + s) * n + p) * n + q] = sp * ss * value
+        return CurvatureTensor._from_floats(n, comps)
+    import numpy as np
+
     a, b, c, d = np.array(list(entries), dtype=np.intp).reshape(-1, 4).T - 1
     values = np.fromiter(entries.values(), dtype=float, count=len(entries))
     comps = np.zeros((n, n, n, n))

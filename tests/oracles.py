@@ -33,7 +33,7 @@ from gardinglab.cones import (
     garding_margin_chain_batch,
     positivity_margins_batch,
 )
-from gardinglab.curvature import _round_robin_schedule, trace_free_basis
+from gardinglab.curvature import _helmert_scales, _round_robin_schedule
 from gardinglab.inclusion import (
     _DRAW_CAP,
     _MAX_BATCH,
@@ -306,6 +306,38 @@ def cpn_cohomology_threshold_inverse_form(n: int) -> float:
     return epsilon_for_target_m(3.0 - 2.0 / n, n * n)
 
 
+def trace_free_basis(n: int) -> np.ndarray:
+    """(N2, n, n) orthonormal basis of trace-free symmetric 2-tensors, dense.
+
+    Off-diagonal elements (e_i e_j + e_j e_i)/sqrt(2) for i < j, followed by
+    the Helmert diagonals diag(1, ..., 1, -k, 0, ..., 0)/sqrt(k(k+1)),
+    k = 1..n-1: the basis that ``curvature.assemble_second_kind`` contracts
+    with sparsely.
+    """
+    mats = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n))
+            m[i, j] = m[j, i] = 1.0 / math.sqrt(2.0)
+            mats.append(m)
+    for k, scale in enumerate(_helmert_scales(n), start=1):
+        d = np.zeros(n)
+        d[:k] = scale
+        d[k] = -k * scale
+        mats.append(np.diag(d))
+    return np.stack(mats, axis=0)
+
+
+def gram_on_tensor_basis(tensor, basis: np.ndarray) -> np.ndarray:
+    """Gram matrix <R_bar(B_a), B_b> of the symmetric-tensor action by two
+    dense ``einsum`` contractions, symmetrized; R_bar(h)_ij = sum_{k,l}
+    R_iklj h_kl and the basis need not be trace-free."""
+    r = np.asarray(tensor.components, dtype=float).reshape((tensor.n,) * 4)
+    images = np.einsum("iklj,akl->aij", r, basis, optimize=True)
+    mat = np.einsum("aij,bij->ab", images, basis, optimize=True)
+    return (mat + mat.T) / 2.0
+
+
 def full_symmetric_basis(n: int) -> np.ndarray:
     """Trace-free basis extended by the normalized identity (pure trace)."""
     return np.concatenate(
@@ -353,9 +385,10 @@ def round_robin_jacobi_by_gathers(matrix, max_sweeps: int = 100) -> np.ndarray:
     gathered and scattered by fancy indexing in natural order.
 
     Same input checks, power-of-two scaling, active rows, round-robin
-    schedule, angle formulas, stopping test and error texts; the library
-    runs the same float operations on a copy kept in each round's paired
-    order, so both give the same bits.
+    schedule, angle formulas, stopping test (the fixed-order Frobenius norm
+    of row sums) and error texts; the library runs the same float operations
+    on a copy kept in each round's paired order, and on lists of Python
+    floats, so all three give the same bits.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -366,19 +399,24 @@ def round_robin_jacobi_by_gathers(matrix, max_sweeps: int = 100) -> np.ndarray:
     exponent = int(np.frexp(np.abs(a).max())[1])
     a = np.ldexp(a, -exponent)
     a = (a + a.T) / 2.0
-    fro = float(np.linalg.norm(a))
+
+    def frobenius(x):
+        return math.sqrt(np.add.reduce(np.add.reduce(x * x, axis=1)))
+
+    fro = frobenius(a)
     threshold = 1e-14 * max(fro, np.finfo(float).tiny)
     active = np.flatnonzero((a != np.diag(a.diagonal())).any(axis=1))
     sub = a[np.ix_(active, active)]
 
     def off_norm(x):
-        return float(np.linalg.norm(x - np.diag(x.diagonal())))
+        return frobenius(x - np.diag(x.diagonal()))
 
     for _ in range(max_sweeps):
         if off_norm(sub) <= threshold:
             break
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for p, q in _round_robin_schedule(active.size):
+                p, q = np.array(p, dtype=np.intp), np.array(q, dtype=np.intp)
                 apq = sub[p, q]
                 h = sub[q, q] - sub[p, p]
                 theta = 0.5 * h / apq

@@ -16,7 +16,6 @@ from gardinglab.curvature import (
     OperatorMatrix,
     Spectrum,
     assemble_first_kind,
-    assemble_on_tensor_basis,
     assemble_second_kind,
     dimension_for_count,
     eigen_spectrum,
@@ -25,7 +24,6 @@ from gardinglab.curvature import (
     model_space_form,
     random_curvature_tensor,
     scalar_curvature_checks,
-    trace_free_basis,
     trace_free_count,
     two_form_count,
     validate_curvature_symmetries,
@@ -36,7 +34,9 @@ from gardinglab.curvature import (
 from oracles import (
     cyclic_jacobi_eigenvalues,
     full_symmetric_basis,
+    gram_on_tensor_basis,
     round_robin_jacobi_by_gathers,
+    trace_free_basis,
 )
 
 
@@ -163,28 +163,22 @@ class TestSecondKindAssembly:
             traces = np.einsum("aii->a", basis)
             np.testing.assert_allclose(traces, 0.0, atol=1e-12)
 
-    def test_basis_is_built_once_and_read_only(self, monkeypatch):
-        import gardinglab.curvature as curvature_mod
-
-        basis = trace_free_basis(5)
-        assert trace_free_basis(5) is basis and not basis.flags.writeable
-        # assemble_second_kind reads the module-level name at call time.
-        seen = []
-
-        def wrapper(n):
-            seen.append(n)
-            return basis
-
-        monkeypatch.setattr(curvature_mod, "trace_free_basis", wrapper)
-        assemble_second_kind(random_curvature_tensor(5, seed=1))
-        assert seen == [5]
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_sparse_contraction_matches_the_dense_gram(self, n):
+        # The gathers and running sums against two dense einsum contractions
+        # over the closed-form basis: the same matrix up to rounding.
+        for tensor in (random_curvature_tensor(n, seed=n), model_space_form(n, 1.3)):
+            got = assemble_second_kind(tensor).entries
+            dense = gram_on_tensor_basis(tensor, trace_free_basis(n))
+            scale = np.abs(tensor.components).max()
+            assert np.max(np.abs(got - dense)) <= 2e-15 * n * scale
 
     def test_trace_mode_decouples_for_space_forms(self):
         # On the full symmetric basis (trace-free + pure trace) the last
         # row/column couples to nothing for a space form.
         for c in (1.0, -2.0):
             tensor = model_space_form(4, c)
-            full = assemble_on_tensor_basis(tensor, full_symmetric_basis(4))
+            full = gram_on_tensor_basis(tensor, full_symmetric_basis(4))
             off = full[-1, :-1]
             np.testing.assert_allclose(off, 0.0, atol=1e-12)
 
@@ -262,8 +256,9 @@ class TestJacobiEigensolver:
             rounds = _round_robin_schedule(m)
             assert len(rounds) == m - 1 + m % 2
             for p, q in rounds:
-                assert np.all(p < q) and np.unique(np.r_[p, q]).size == 2 * p.size
-            pairs = sorted(pair for p, q in rounds for pair in zip(p.tolist(), q.tolist()))
+                assert len(p) == len(q) and all(a < b for a, b in zip(p, q))
+                assert len(set(p + q)) == 2 * len(p)
+            pairs = sorted(pair for p, q in rounds for pair in zip(p, q))
             assert pairs == list(itertools.combinations(range(m), 2))
 
     @pytest.mark.parametrize("assemble", [assemble_first_kind, assemble_second_kind])
@@ -306,11 +301,12 @@ class TestJacobiEigensolver:
         assert np.all(np.diff(w) >= 0)
 
     def test_inactive_rows_pass_through(self):
-        # S^7 x S^7 on trace-free tensors: only 13 of 104 rows have a
-        # nonzero off-diagonal entry.
+        # S^7 x S^7 on trace-free tensors: only 8 of 104 rows have a
+        # nonzero off-diagonal entry, the last Helmert diagonals, which
+        # span both factors.
         a = assemble_second_kind(model_product_spheres(7, 7)).entries
         inactive = np.flatnonzero(~(a - np.diag(a.diagonal())).any(axis=1))
-        assert inactive.size == 104 - 13
+        assert inactive.size == 104 - 8
         w = jacobi_eigensystem(a)
         np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-13 * np.linalg.norm(a))
         _assert_similarity_invariants(a, w, 1e-13)
@@ -444,10 +440,10 @@ class TestPairedLayout:
         for move, (p, q) in zip(moves, rounds):
             x = x.take(move)
             rows = x.reshape(size, size)[:, 0] // size
-            assert np.array_equal(rows[: p.size], p)
-            assert np.array_equal(rows[half : half + q.size], q)
-            if p.size < half:  # the idle index meets the dummy m, last
-                assert rows[half - 1] not in np.r_[p, q] and rows[-1] == m
+            assert rows[: len(p)].tolist() == list(p)
+            assert rows[half : half + len(q)].tolist() == list(q)
+            if len(p) < half:  # the idle index meets the dummy m, last
+                assert rows[half - 1] not in p + q and rows[-1] == m
             assert np.array_equal(x[pivots] // size, np.r_[rows[:half], rows[half:]])
             assert np.array_equal(x[pivots] % size, np.r_[rows[half:], rows[:half]])
         assert np.array_equal(x.take(moves[-1]), np.arange(size * size))
