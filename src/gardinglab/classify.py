@@ -27,8 +27,14 @@ says why.
 
 The module loads no numpy: it reads ``tables``, ``cones`` and ``symfun``,
 so the CLI classifies its spectrum, a sorted list of Python floats, on
-floats at any length.  Where numpy is loaded, ``symfun``'s length rule
-picks the path, with the same report.
+floats up to 900 000 entries (``symfun._FLOAT_WORK`` at k = 2).  Where
+numpy is loaded, ``symfun``'s length rule picks the path, with the same
+report.
+
+The first-kind rule takes k = ceil(m_eps) with an m_eps within float noise
+above an integer snapped down to it (``_ceil_with_snap``), so an eps typed
+to ten digits still reaches its integer target.  When the snap decides k,
+the report says so in a note.
 """
 
 from __future__ import annotations
@@ -247,6 +253,11 @@ def classify_first_kind(
     if report.membership.member_open:
         n = report.n
         k = _ceil_with_snap(report.m_eps, tol)
+        if k < math.ceil(report.m_eps):
+            report.notes.append(
+                f"ceil-snap: m_eps = {report.m_eps:.12g} is within the snap band above "
+                f"{k}, so k = {k} rather than ceil(m_eps) = {math.ceil(report.m_eps)}"
+            )
         half = math.ceil(n / 2)
         if k <= half:
             report.betti_zero_ranges.append(

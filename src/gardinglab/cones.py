@@ -33,13 +33,13 @@ which the entries, shifted entries and partial sums are finite normal
 floats: tested over 1e-300..1e300 with N up to about 1000, where they
 agree with the scale-1 margins within 1e-15 and a power-of-two scaling
 changes no bit.  They run on Python floats for vectors of up to 16 entries,
-and at any length in a process that has not loaded numpy, and on numpy
-otherwise (``symfun._vector_entries``), with the same bits: the shift sums
-in numpy's pairwise order and the recurrence does numpy's operations.
-numpy is imported only by the array paths, the batch kernels and the
-nesting checker, so ``cone-test`` and ``classify`` run without it at any
-length: its import costs more than the float work saves, short of very
-large N*k (see ``symfun``).  The shift maps live here too: ``ShiftParams``
+and in a process that has not loaded numpy while N*k is at most 1.8
+million, and on numpy otherwise (``symfun._vector_entries``), with the same
+bits: the shift sums in numpy's pairwise order and the recurrence does
+numpy's operations.  numpy is imported only by the array paths, the batch
+kernels and the nesting checker, so ``classify`` and ``cone-test`` run
+without it up to that cap: below it numpy's import costs more than the
+float work saves (see ``symfun``).  The shift maps live here too: ``ShiftParams``
 and the closed forms of ``EpsilonParams`` (``epsilon_to_params``,
 re-exported by ``inclusion``), which the classifier reads without loading
 ``inclusion`` and numpy.  The batch kernels take ``np.linalg.norm`` of rows
@@ -238,14 +238,14 @@ def _garding_membership(x, k: int, tol: float) -> ConeMembership:
 
 def in_garding_cone(v: VectorLike, k: int, tol: float = DEFAULT_TOL) -> ConeMembership:
     """Test v against G_k; the margin is the worst normalized sigma_j."""
-    return _garding_membership(_vector_entries(v), k, tol)
+    return _garding_membership(_vector_entries(v, k), k, tol)
 
 
 def in_shifted_cone(
     v: VectorLike, k: int, p: ShiftParams, tol: float = DEFAULT_TOL
 ) -> ConeMembership:
     """Test v against G_k(alpha): membership of the shifted vector in G_k."""
-    return _garding_membership(_shifted(_vector_entries(v), p), k, tol)
+    return _garding_membership(_shifted(_vector_entries(v, k), p), k, tol)
 
 
 def in_positivity_cone(v: VectorLike, m: float, tol: float = DEFAULT_TOL) -> ConeMembership:

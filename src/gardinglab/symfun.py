@@ -15,8 +15,9 @@ Conventions used throughout the package:
   ``np.add.accumulate`` per degree, k numpy steps instead of N; on a list
   of Python floats it is one ``itertools.accumulate`` per degree, with the
   same multiplies and the same sequential adds.
-* Single vectors run on Python floats up to 16 entries, and at any length
-  while numpy is not loaded; otherwise on numpy (``_vector_entries``).
+* Single vectors run on Python floats up to 16 entries, and while numpy is
+  not loaded as long as N*k is at most 1.8 million; otherwise on numpy
+  (``_vector_entries``).
   Batches always run on numpy.  A whole cone test on floats pays per
   entry and per multiply-add, and numpy pays per degree and per call, so
   floats are faster or level at every degree up to 16 entries and numpy is
@@ -29,9 +30,14 @@ Conventions used throughout the package:
   229 -> 135 ms at N = 1000 with k = 2 and 328 -> 216 ms at N = k = 1000
   with this rule instead of the length rule alone.  The float work grows
   as N*k, so past about N = k = 1500 it costs more than the import:
-  290 -> 429 ms at N = k = 2000.  ``classify`` runs k = 2 and stays well
-  inside the gain.  An array argument means numpy is loaded, so the
-  length rule still decides for every caller in a process that has it.
+  290 -> 429 ms at N = k = 2000.  So the float path without numpy is
+  capped at N*k = 1.8 million (``_FLOAT_WORK``): on the same host
+  (median of 7 runs, the float path against numpy imported first)
+  ``cone-test`` took 259 against 280 ms at N = k = 1200 and 306 against
+  298 ms at N = k = 1400, so the two cross near N*k = 1.8 million.
+  ``classify`` runs k = 2 and stays well inside the gain.  An array
+  argument means numpy is loaded, so the length rule still decides for
+  every caller in a process that has it.
 * The cone margins use the same recurrence for the elementary symmetric
   means ``E_j = sigma_j / binom(N, j)``: coefficient j carries the factor
   ``1 / binom(N, j)``, so each update adds ``(j/(N-j+1) * v_i) * E_{j-1}``.
@@ -85,6 +91,10 @@ _M_CLAMP_RTOL = 1e-12
 # Vectors of at most this many entries take the single-vector kernels on
 # Python floats; longer ones take numpy's (see ``_vector_entries``).
 _FLOAT_ENTRIES = 16
+# While numpy is not loaded, vectors whose entries times degree are at most
+# this take the float kernels too: past it the float recurrence costs more
+# than importing numpy (see the module docstring).
+_FLOAT_WORK = 1_800_000
 
 
 VectorLike = Union[Sequence[float], "np.ndarray"]
@@ -119,22 +129,23 @@ def _as_floats(v: VectorLike) -> list[float]:
     return as_array(v).tolist()
 
 
-def _vector_entries(v: VectorLike) -> list[float] | np.ndarray:
-    """The validated entries of v: Python floats (``_as_floats``) for at most
-    ``_FLOAT_ENTRIES`` entries or while numpy is not loaded, a float array
+def _vector_entries(v: VectorLike, degree: int = 1) -> list[float] | np.ndarray:
+    """The validated entries of v for work up to ``degree``: Python floats
+    (``_as_floats``) for at most ``_FLOAT_ENTRIES`` entries, or while numpy
+    is not loaded and ``len(v) * degree <= _FLOAT_WORK``; a float array
     (``as_array``) otherwise.
 
     An array argument means numpy is loaded, so only a sequence in a
     process without numpy takes floats by the second rule; it spares that
-    process numpy's import, which costs more than the float work saves (see
-    the module docstring).  Both forms refuse the same inputs with the same
-    errors.
+    process numpy's import, which costs more than the float work saves up
+    to the cap (see the module docstring).  Both forms refuse the same
+    inputs with the same errors.
     """
     try:
         n = len(v)
     except TypeError:
         n = 0
-    if n <= _FLOAT_ENTRIES or "numpy" not in sys.modules:
+    if n <= _FLOAT_ENTRIES or ("numpy" not in sys.modules and n * degree <= _FLOAT_WORK):
         return _as_floats(v)
     return as_array(v)
 
@@ -176,7 +187,7 @@ def _sorted_entries(v: VectorLike) -> np.ndarray:
 
 def elementary_symmetric(v: VectorLike, k: int) -> float:
     """k-th elementary symmetric polynomial sigma_k of the entries."""
-    x = _vector_entries(v)
+    x = _vector_entries(v, k)
     n = len(x)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")

@@ -33,7 +33,7 @@ from gardinglab.curvature import (
     trace_free_count,
     two_form_count,
 )
-from gardinglab.inclusion import epsilon_to_params
+from gardinglab.inclusion import epsilon_for_target_m, epsilon_to_params
 from oracles import (
     cpn_cohomology_threshold_inverse_form,
     space_form_first_threshold_dim_form,
@@ -152,6 +152,25 @@ class TestClassifyFirstKind:
                 (1, 2, "two_form_split_vanishing_low", 5.0),
                 (5, 6, "two_form_split_vanishing_high", 5.0),
             ], tol
+
+    def test_a_snap_that_decides_k_is_noted(self):
+        # m_eps = 4.0000000026 on S^7: the snap band takes k = 4 and the full
+        # vanishing range where ceil(m_eps) = 5 would give the split ranges,
+        # so the report says the snap decided k.  An integer m_eps and an
+        # m_eps past the band get no such note.
+        spec = eigen_spectrum(assemble_first_kind(model_space_form(7, 1.0)))
+        snapped = epsilon_for_target_m(4, 21) * (1 + 4e-10)
+        report = classify_first_kind(spec, snapped)
+        assert 4.0 < report.m_eps < 4.0 + 1e-8
+        assert [r.rule for r in report.betti_zero_ranges] == ["two_form_full_vanishing"]
+        snap_notes = [note for note in report.notes if note.startswith("ceil-snap")]
+        assert snap_notes == [
+            f"ceil-snap: m_eps = {report.m_eps:.12g} is within the snap band above 4, "
+            "so k = 4 rather than ceil(m_eps) = 5"
+        ]
+        for eps in (epsilon_for_target_m(4, 21), math.sqrt(4.002 / (20 * 16.998))):
+            report = classify_first_kind(spec, eps)
+            assert not [note for note in report.notes if note.startswith("ceil-snap")]
 
     def test_no_overlap_between_cases(self):
         rng = np.random.default_rng(3)

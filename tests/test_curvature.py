@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import json
 import math
 import re
 
@@ -27,9 +28,11 @@ from gardinglab.curvature import (
     trace_free_count,
     two_form_count,
     validate_curvature_symmetries,
+    _jacobi_floats,
     _paired_layouts,
     _round_robin_schedule,
 )
+from gardinglab.io import read_tensor_file
 
 from oracles import (
     cyclic_jacobi_eigenvalues,
@@ -38,6 +41,7 @@ from oracles import (
     round_robin_jacobi_by_gathers,
     trace_free_basis,
 )
+from test_startup import _BLOCK_NUMPY, _loaded
 
 
 def _random_symmetric(n, seed):
@@ -448,6 +452,134 @@ class TestPairedLayout:
             assert np.array_equal(x[pivots] % size, np.r_[rows[half:], rows[:half]])
         assert np.array_equal(x.take(moves[-1]), np.arange(size * size))
         assert not any(move.flags.writeable for move in moves) and not pivots.flags.writeable
+
+
+class TestFloatPath:
+    """The Python-float kernels that run while numpy is not loaded give the
+    bits of the array kernels."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            pytest.param(a, id=label)
+            for label, a in _gather_oracle_cases()
+            if a.shape[0] <= 36 or label.startswith("product")
+        ],
+    )
+    def test_float_jacobi_matches_the_gather_oracle(self, a):
+        w = _jacobi_floats(a.tolist())
+        assert all(type(t) is float for t in w)
+        assert np.array(w).tobytes() == round_robin_jacobi_by_gathers(a).tobytes()
+
+    @pytest.mark.parametrize("n, seed", [(7, 7), (30, 7)])
+    def test_float_jacobi_fails_with_the_oracle_text(self, n, seed):
+        a = _random_symmetric(n, seed=seed)
+        needed = next(k for k in range(1, 100) if _converges(a, k))
+        for max_sweeps in range(1, needed):
+            with pytest.raises(RuntimeError) as ours:
+                _jacobi_floats(a.tolist(), max_sweeps)
+            with pytest.raises(RuntimeError) as theirs:
+                round_robin_jacobi_by_gathers(a, max_sweeps=max_sweeps)
+            assert str(ours.value) == str(theirs.value)
+
+    def test_without_numpy_every_record_and_bit_matches(self, tmp_path):
+        # One process with numpy blocked builds, assembles, checks and
+        # solves every case; this one does the same on arrays.
+        cases = [
+            ("sphere", n, c)
+            for n in (3, 4, 6)
+            for c in (1.0, -1.0, 0.5, 1.3, 1e300, -1e-300, 0.0, -0.0)
+        ]
+        cases += [("product", p, q) for p in range(2, 6) for q in range(2, 6)]
+        for n in range(3, 9):
+            entries = _canonical_entries(random_curvature_tensor(n, seed=29 + n).components)
+            cases.append(("file", _write_tensor(tmp_path / f"r{n}.txt", entries)))
+        for name, tensor in (("s4", model_space_form(4, -1.3)), ("s2xs3", model_product_spheres(2, 3))):
+            # Every other zero component written as -0.0.
+            entries = _canonical_entries(tensor.components)
+            zeros = [key for key, value in entries.items() if value == 0.0]
+            entries.update(dict.fromkeys(zeros[::2], -0.0))
+            cases.append(("file", _write_tensor(tmp_path / f"{name}.txt", entries)))
+        # A component list that breaks the first Bianchi identity.
+        cases.append(("file", _write_tensor(tmp_path / "bad.txt", {(1, 2, 3, 4): 1.0})))
+        floats, modules = _loaded(_FLOAT_PATH_RUN, json.dumps(cases))
+        assert "numpy" not in modules
+        assert len(floats) == len(cases)
+        for case, got in zip(cases, floats):
+            assert got == _array_path_result(case), case
+
+    def test_float_kernels_keep_python_floats(self):
+        tensor = model_space_form(4, 1.3)
+        flat = CurvatureTensor._from_floats(4, tensor.components.ravel().tolist())
+        assert type(flat.components) is tuple
+        assert flat.scalar_curvature() == tensor.scalar_curvature() == math.fsum([1.3] * 12)
+        with pytest.raises(ValueError, match="dimension must be >= 3"):
+            CurvatureTensor._from_floats(2, [0.0] * 16)
+
+
+# Builds, assembles, checks and solves each case of argv[1] on the float
+# path (numpy cannot load) and reports the bits of each result in hex.
+_FLOAT_PATH_RUN = _BLOCK_NUMPY + """
+from gardinglab import curvature, io as gio
+code = []
+for kind, a, *b in json.loads(sys.argv[1]):
+    try:
+        if kind == "sphere":
+            tensor = curvature.model_space_form(a, *b)
+        elif kind == "product":
+            tensor = curvature.model_product_spheres(a, *b)
+        else:
+            tensor = gio.read_tensor_file(a)
+    except ValueError as exc:
+        code.append(str(exc))
+        continue
+    ops = [curvature.assemble_first_kind(tensor), curvature.assemble_second_kind(tensor)]
+    code.append({
+        "components": [t.hex() for t in tensor.components],
+        "operators": [[t.hex() for row in op.entries for t in row] for op in ops],
+        "spectra": [[t.hex() for t in curvature.eigen_spectrum(op).eigenvalues] for op in ops],
+        "record": curvature.scalar_curvature_checks(tensor, ops[0]).to_record(),
+    })
+"""
+
+
+def _array_path_result(case):
+    """``_FLOAT_PATH_RUN``'s report of one case, from the array kernels."""
+    kind, a, *b = case
+    try:
+        if kind == "sphere":
+            tensor = model_space_form(a, *b)
+        elif kind == "product":
+            tensor = model_product_spheres(a, *b)
+        else:
+            tensor = read_tensor_file(a)
+    except ValueError as exc:
+        return str(exc)
+    ops = [assemble_first_kind(tensor), assemble_second_kind(tensor)]
+    return {
+        "components": [t.hex() for t in tensor.components.ravel().tolist()],
+        "operators": [[t.hex() for t in op.entries.ravel().tolist()] for op in ops],
+        "spectra": [[t.hex() for t in eigen_spectrum(op).eigenvalues.tolist()] for op in ops],
+        "record": scalar_curvature_checks(tensor, ops[0]).to_record(),
+    }
+
+
+def _canonical_entries(r):
+    """Canonical 1-based ``(i, j, k, l) -> value`` entries of components r."""
+    n = r.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return {
+        (i + 1, j + 1, k + 1, l + 1): float(r[i, j, k, l])
+        for a, (i, j) in enumerate(pairs)
+        for k, l in pairs[a:]
+    }
+
+
+def _write_tensor(path, entries):
+    n = max(max(key) for key in entries)
+    lines = [f"dim {n}"] + [f"{i} {j} {k} {l} {v!r}" for (i, j, k, l), v in entries.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
 
 
 def _assert_similarity_invariants(a, w, rtol):

@@ -17,6 +17,7 @@ import difflib
 import io
 import math
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -150,8 +151,8 @@ def _tensor_text(n: int = 4, seed: int = 11) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render(workdir: Path) -> str:
-    """Transcript of every case run in workdir: argv, exit code, stdout."""
+def render(workdir: Path, cases=CASES) -> str:
+    """Transcript of each case run in workdir: argv, exit code, stdout."""
     for name, text in INPUTS.items():
         (workdir / name).write_text(text, encoding="utf-8")
     (workdir / "tensor.txt").write_text(_tensor_text(), encoding="utf-8")
@@ -159,7 +160,7 @@ def render(workdir: Path) -> str:
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        for argv in CASES:
+        for argv in cases:
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 code = main(list(argv))
@@ -176,6 +177,78 @@ def render(workdir: Path) -> str:
 def test_cli_output_matches_golden(tmp_path, monkeypatch):
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     assert render(tmp_path) == GOLDEN.read_text(encoding="utf-8")
+
+
+# The runs whose records use no BLAS call: every case but verify-inclusion,
+# whose ball sampler (a gemm) and boundary search (a BLAS dot) still do.
+KERNEL_FREE_CASES = [
+    argv
+    for argv in CASES
+    if next(t for t in argv if t in ("cone-test", "verify-inclusion", "model-space",
+                                     "classify", "thresholds")) != "verify-inclusion"
+]
+
+# Each kernel set another CPU would get, as the environment that selects it
+# and the /proc/cpuinfo flags it needs: OpenBLAS's DYNAMIC_ARCH kernels and
+# numpy's dispatch without its AVX-512 targets.
+KERNEL_SETS = {
+    **{
+        f"OPENBLAS_CORETYPE={core}": ({"OPENBLAS_CORETYPE": core}, flags)
+        for core, flags in (
+            ("Prescott", {"pni"}),
+            ("Sandybridge", {"avx"}),
+            ("Haswell", {"avx2", "fma"}),
+            ("Zen", {"avx2", "fma"}),
+            ("SkylakeX", {"avx512f", "avx512bw", "avx512vl", "avx512dq", "avx512cd"}),
+        )
+    },
+    "NPY_DISABLE_CPU_FEATURES": (
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+        {"avx512f"},
+    ),
+}
+
+# Renders KERNEL_FREE_CASES in argv[1] with numpy loaded, so every run takes
+# the array kernels.
+_RENDER_WITH_NUMPY = """
+import pathlib, sys
+import numpy
+import test_golden_cli
+sys.stdout.write(test_golden_cli.render(pathlib.Path(sys.argv[1]), test_golden_cli.KERNEL_FREE_CASES))
+"""
+
+
+def _cpu_flags() -> set:
+    try:
+        text = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        return set()
+    return {f for line in text.splitlines() if line.startswith("flags") for f in line.split()}
+
+
+def test_records_do_not_depend_on_blas_or_simd_kernels(tmp_path, monkeypatch):
+    """The kernel-free runs give the same bytes under every kernel set the
+    host can run, one subprocess per set; the sets that ran are printed."""
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    expected = render(tmp_path, KERNEL_FREE_CASES)
+    golden = GOLDEN.read_text(encoding="utf-8")
+    assert all(f"$ gardinglab {run}" in golden for run in expected.split("$ gardinglab ")[1:])
+    src = Path(__file__).resolve().parent.parent / "src"
+    flags = _cpu_flags()
+    ran = []
+    for name, (env, needs) in KERNEL_SETS.items():
+        if not needs <= flags:
+            continue
+        workdir = tmp_path / f"set{len(ran)}"
+        workdir.mkdir()
+        env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _RENDER_WITH_NUMPY, str(workdir)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout == expected, name
+        ran.append(name)
+    print(f"kernel sets run: {', '.join(ran) or 'none'}")
 
 
 if __name__ == "__main__":

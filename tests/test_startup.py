@@ -17,7 +17,7 @@ import pytest
 
 import gardinglab as gl
 from gardinglab.config import CONFIG_ENV_VAR
-from test_golden_cli import CASES, GOLDEN, INPUTS
+from test_golden_cli import CASES, GOLDEN, INPUTS, _tensor_text
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -87,17 +87,21 @@ class _NoNumpy:
 sys.meta_path.insert(0, _NoNumpy())
 """
 
-_RUN_CLI_WITHOUT_NUMPY = _BLOCK_NUMPY + """
+# Reports the exit code and stdout of one CLI run.
+_CAPTURE_CLI = """
 from gardinglab import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
     code = [cli.main(sys.argv[1:]), out.getvalue()]
 """
 
+_RUN_CLI_WITHOUT_NUMPY = _BLOCK_NUMPY + _CAPTURE_CLI
+
 
 def test_cone_modules_import_without_numpy():
     code, modules = _loaded(
-        "import gardinglab.cones, gardinglab.symfun, gardinglab.classify\ncode = 0"
+        "import gardinglab.cones, gardinglab.symfun, gardinglab.classify, "
+        "gardinglab.curvature, gardinglab.io\ncode = 0"
     )
     assert code == 0 and "numpy" not in modules
 
@@ -200,6 +204,43 @@ def test_golden_classify_and_long_cone_test_run_without_numpy(tmp_path, monkeypa
         else {"tables", "classify", "cones", "symfun"}
     )
     assert _submodules(modules) == {f"gardinglab.{m}" for m in {"cli", "config", "io", *loaded}}
+
+
+_GOLDEN_MODEL_SPACE = [argv for argv in CASES if "model-space" in argv]
+
+
+@pytest.mark.parametrize("argv", _GOLDEN_MODEL_SPACE, ids=" ".join)
+def test_golden_model_space_runs_without_numpy(tmp_path, monkeypatch, argv):
+    # Machine and human format, a tensor file, --out and the usage error.
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    (tmp_path / "tensor.txt").write_text(_tensor_text(), encoding="utf-8")
+    (code, stdout), modules = _loaded(_RUN_CLI_WITHOUT_NUMPY, *argv, cwd=tmp_path)
+    spec = tmp_path / "spec.csv"
+    if spec.exists():
+        stdout += f"> spec.csv\n{spec.read_text(encoding='utf-8')}"
+    assert (code, stdout) == _golden_runs()[" ".join(argv)]
+    assert "numpy" not in modules
+    loaded = set() if code == 64 else {"io", "tables", "curvature", "symfun"}
+    assert _submodules(modules) == {f"gardinglab.{m}" for m in {"cli", "config", *loaded}}
+
+
+def test_cone_test_past_the_float_cap_loads_numpy(tmp_path, capsys):
+    # N = k = 2000 is past symfun._FLOAT_WORK: the run loads numpy, whose
+    # import costs less than the float recurrence there, and prints what
+    # the array path prints in-process.
+    import random
+
+    from gardinglab import cli, symfun
+
+    rng = random.Random(7)
+    path = tmp_path / "v.txt"
+    path.write_text(",".join(repr(rng.uniform(0.5, 1.5)) for _ in range(2000)), encoding="utf-8")
+    argv = ["--format", "machine", "cone-test", str(path), "--k", "2000"]
+    assert 2000 * 2000 > symfun._FLOAT_WORK >= 40 * 40
+    (code, stdout), modules = _loaded(_CAPTURE_CLI, *argv)
+    assert "numpy" in modules
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == stdout
 
 
 @pytest.mark.parametrize(
