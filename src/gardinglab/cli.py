@@ -18,20 +18,24 @@ configurations and seeds reproduce byte-identical output.
 
 Start-up: the module level imports the standard library and ``config``
 alone, and each handler imports what it runs when it is called, after its
-usage checks.  ``thresholds``, ``cone-test``, ``classify`` and every usage
-error run without numpy, at any vector or spectrum length.
-``cone-test`` loads ``io`` and parses its vector file into Python floats,
-so a missing, malformed or non-finite file exits 65, and only then loads
-``cones`` and ``symfun``.  ``classify`` reads its file in the same way,
-checks the spectrum length against ``tables``, so a spectrum of the wrong
-length exits 65 too, and then loads ``classify``, ``cones`` and
-``symfun`` and passes the sorted floats to the classifier.  The cone
-tests run on Python floats whenever numpy is not loaded
-(``symfun._vector_entries``), since numpy's import costs more than the
-float work saves (see ``symfun``), and both paths give the same records.
-``model-space`` adds ``curvature`` and ``verify-inclusion`` loads
-``inclusion``; both load numpy.  Handlers read library functions from
-their modules at call time, so a wrapper set on a module sees the call.
+usage checks.  ``thresholds``, ``classify``, ``model-space`` and every
+usage error run without numpy, and so does ``cone-test`` up to N*k = 1.8
+million.  ``cone-test`` loads ``io`` and parses its vector file into
+Python floats, so a missing, malformed or non-finite file exits 65, and
+only then loads ``cones`` and ``symfun``.  ``classify`` reads its file in
+the same way, checks the spectrum length against ``tables``, so a
+spectrum of the wrong length exits 65 too, and then loads ``classify``,
+``cones`` and ``symfun`` and passes the sorted floats to the classifier.
+``model-space`` loads ``io``, ``tables``, ``curvature`` and ``symfun``:
+its tensor, both operators, the identity checks and the Jacobi solve run
+on Python floats.  Each library module takes its float path while numpy
+is not loaded (``symfun._vector_entries``, ``curvature``, ``io``), since
+numpy's import costs more than the float work on these inputs saves, and
+both paths run the same float operations in the same order, so they give
+the same records.  Past N*k = 1.8 million a ``cone-test`` loads numpy,
+whose recurrence is faster there.  ``verify-inclusion`` loads
+``inclusion`` and numpy.  Handlers read library functions from their
+modules at call time, so a wrapper set on a module sees the call.
 """
 
 from __future__ import annotations

@@ -13,8 +13,10 @@ round-robin Jacobi rounds that gather and scatter rows and columns in
 natural order, the restarted subgradient boundary search, the per-entry
 symmetric fill of a parsed tensor file, the nesting check that runs every
 sample's Garding chain through all N degrees and the inclusion sampler that
-tests each drawn batch whole.  The full symmetric-tensor basis (trace-free
-part plus pure trace) is here as well, since only a test uses it.
+tests each drawn batch whole.  The dense trace-free basis, the full
+symmetric-tensor basis (trace-free part plus pure trace) and the dense
+``einsum`` Gram matrix on a basis are here as well: the library assembles
+the second-kind operator by a sparse contraction and only tests use them.
 """
 
 from __future__ import annotations

@@ -28,6 +28,8 @@ from gardinglab.curvature import (
     trace_free_count,
     two_form_count,
     validate_curvature_symmetries,
+    _CACHED_LAYOUT_ROWS,
+    _cached_paired_layouts,
     _jacobi_floats,
     _paired_layouts,
     _round_robin_schedule,
@@ -431,6 +433,17 @@ class TestPairedLayout:
             assert str(ours.value) == str(theirs.value)
         w = round_robin_jacobi_by_gathers(a, max_sweeps=needed)
         assert jacobi_eigensystem(a, max_sweeps=needed).tobytes() == w.tobytes()
+
+    def test_only_small_layouts_are_cached(self):
+        # Each cached layout holds s^3 indices, so larger ones are built per
+        # solve: the cache holds at most 32 layouts of at most 48 rows.
+        _cached_paired_layouts.cache_clear()
+        for n in (_CACHED_LAYOUT_ROWS + 1, _CACHED_LAYOUT_ROWS + 2, 104):
+            jacobi_eigensystem(_random_symmetric(n, seed=n))
+        assert _cached_paired_layouts.cache_info().currsize == 0
+        jacobi_eigensystem(_random_symmetric(_CACHED_LAYOUT_ROWS, seed=3))
+        assert _cached_paired_layouts.cache_info().currsize == 1
+        assert _cached_paired_layouts.cache_info().maxsize == 32
 
     @pytest.mark.parametrize("m", [2, 3, 4, 7, 10, 21])
     def test_layouts_follow_the_schedule_and_close_the_ring(self, m):
