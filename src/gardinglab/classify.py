@@ -255,7 +255,7 @@ def classify_first_kind(
         k = _ceil_with_snap(report.m_eps, tol)
         if k < math.ceil(report.m_eps):
             report.notes.append(
-                f"ceil-snap: m_eps = {report.m_eps:.12g} is within the snap band above "
+                f"ceil-snap: m_eps = {report.m_eps!r} is within the snap band above "
                 f"{k}, so k = {k} rather than ceil(m_eps) = {math.ceil(report.m_eps)}"
             )
         half = math.ceil(n / 2)

@@ -622,7 +622,8 @@ def _jacobi_sweep(x: np.ndarray, moves: tuple[np.ndarray, ...], pivots: np.ndarr
             source.take(move, out=buf, mode="clip")
             # Standard stable angle formulas: t = apq / h where apq is
             # negligible against the diagonal gap (theta would overflow), and
-            # t = 0 (c = 1, s = 0, an exact no-op) where apq == 0.  Adding
+            # t = 0 (c = 1, s = 0, a no-op but for the sign of a zero entry)
+            # where apq == 0.  Adding
             # +0.0 turns theta = -0.0 into +0.0, so copysign flips t exactly
             # where theta < 0.
             h = aqq - app

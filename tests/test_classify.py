@@ -165,7 +165,7 @@ class TestClassifyFirstKind:
         assert [r.rule for r in report.betti_zero_ranges] == ["two_form_full_vanishing"]
         snap_notes = [note for note in report.notes if note.startswith("ceil-snap")]
         assert snap_notes == [
-            f"ceil-snap: m_eps = {report.m_eps:.12g} is within the snap band above 4, "
+            f"ceil-snap: m_eps = {report.m_eps!r} is within the snap band above 4, "
             "so k = 4 rather than ceil(m_eps) = 5"
         ]
         for eps in (epsilon_for_target_m(4, 21), math.sqrt(4.002 / (20 * 16.998))):

@@ -30,7 +30,9 @@ from gardinglab.curvature import (
     validate_curvature_symmetries,
     _CACHED_LAYOUT_ROWS,
     _cached_paired_layouts,
+    _frobenius,
     _jacobi_floats,
+    _off_norm,
     _paired_layouts,
     _round_robin_schedule,
 )
@@ -520,6 +522,14 @@ class TestFloatPath:
         assert len(floats) == len(cases)
         for case, got in zip(cases, floats):
             assert got == _array_path_result(case), case
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 36, 129])
+    def test_norms_take_the_same_fixed_order(self, n):
+        a = _random_symmetric(n, seed=n) * 10.0 ** np.random.default_rng(n).integers(
+            -8, 8, size=(n, n)
+        )
+        assert _frobenius(a.tolist()) == _frobenius(a)
+        assert _off_norm(a.tolist()) == _off_norm(a)
 
     def test_float_kernels_keep_python_floats(self):
         tensor = model_space_form(4, 1.3)
