@@ -39,8 +39,8 @@ bits: the shift sums in numpy's pairwise order and the recurrence does
 numpy's operations.  numpy is imported only by the array paths, the batch
 kernels and the nesting checker, so ``classify`` and ``cone-test`` run
 without it up to that cap: below it numpy's import costs more than the
-float work saves (see ``symfun``).  The shift maps live here too: ``ShiftParams``
-and the closed forms of ``EpsilonParams`` (``epsilon_to_params``,
+float work saves (see ``symfun``).  The shift maps live here too:
+``ShiftParams`` and the closed forms of ``EpsilonParams`` (``epsilon_to_params``,
 re-exported by ``inclusion``), which the classifier reads without loading
 ``inclusion`` and numpy.  The batch kernels take ``np.linalg.norm`` of rows
 whose squares stay in float range, as the samplers' and the nesting

@@ -28,7 +28,7 @@ contraction: an off-diagonal basis element is a pair of index gathers, and
 all Helmert diagonals come from one running sum over the diagonal slices
 ``R_illj`` (and, for the Gram matrix, over each image's diagonal).  The
 scalar curvature and the operator traces of the identity checks are
-correctly rounded sums (``math.fsum``), so they are exact to the last bit.
+correctly rounded sums (``math.fsum``), so no order of the terms enters.
 Jacobi's ``||A||_F`` and off-diagonal norm are square roots of pairwise
 sums of the squares, row by row and then over the rows.
 
@@ -55,10 +55,14 @@ floats; ``jacobi_eigensystem`` then returns a sorted list (``sorted`` is
 stable, as ``np.sort(kind="stable")`` is, so ``-0.0`` and ``0.0`` keep
 their order).  Otherwise everything runs on numpy arrays.  numpy's import
 costs a ``model-space`` run of the CLI more than the float work on its
-operators of at most a few dozen rows, so that run never loads it, while
-in-process callers, which have numpy loaded, keep the array kernels for
-operators of up to a hundred rows.  numpy is imported only inside the
-functions that build arrays.
+operators of at most a few dozen rows, so that run never loads it: from
+the shell (2-core host, Python 3.11, numpy 2.4, no bytecode cache, median
+of 7 runs) ``model-space sphere --n 6 --curvature 1.3`` took 285 ms with
+numpy and 187 ms on floats, and a random n = 4 tensor file's second-kind
+operator 236 and 176 ms.  In-process callers, which have numpy loaded,
+keep the array kernels for operators of up to a hundred rows, where a
+Python Jacobi solve would be far slower.  numpy is imported only inside
+the functions that build arrays.
 
 ``Spectrum``, ``KIND_FIRST`` and ``KIND_SECOND`` are defined in ``tables``,
 which loads no numpy, so the classifier reads them without this module;

@@ -509,7 +509,8 @@ class TestFloatPath:
         for n in range(3, 9):
             entries = _canonical_entries(random_curvature_tensor(n, seed=29 + n).components)
             cases.append(("file", _write_tensor(tmp_path / f"r{n}.txt", entries)))
-        for name, tensor in (("s4", model_space_form(4, -1.3)), ("s2xs3", model_product_spheres(2, 3))):
+        signed = (("s4", model_space_form(4, -1.3)), ("s2xs3", model_product_spheres(2, 3)))
+        for name, tensor in signed:
             # Every other zero component written as -0.0.
             entries = _canonical_entries(tensor.components)
             zeros = [key for key, value in entries.items() if value == 0.0]

@@ -213,8 +213,8 @@ KERNEL_SETS = {
 _RENDER_WITH_NUMPY = """
 import pathlib, sys
 import numpy
-import test_golden_cli
-sys.stdout.write(test_golden_cli.render(pathlib.Path(sys.argv[1]), test_golden_cli.KERNEL_FREE_CASES))
+from test_golden_cli import KERNEL_FREE_CASES, render
+sys.stdout.write(render(pathlib.Path(sys.argv[1]), KERNEL_FREE_CASES))
 """
 
 
@@ -241,7 +241,8 @@ def test_records_do_not_depend_on_blas_or_simd_kernels(tmp_path, monkeypatch):
             continue
         workdir = tmp_path / f"set{len(ran)}"
         workdir.mkdir()
-        env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+        path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+        env = {**os.environ, **env, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-c", _RENDER_WITH_NUMPY, str(workdir)],
             capture_output=True, text=True, env=env, check=True,
