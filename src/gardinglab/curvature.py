@@ -442,12 +442,12 @@ def _second_kind_array(r: np.ndarray) -> np.ndarray:
     """Gram matrix ``<R_bar(B_a), B_b>`` over the trace-free basis, where
     ``R_bar(h)_ij = sum_{k,l} R_iklj h_kl``, symmetrized.
 
-    The image of an off-diagonal element (p, q) is ``(R_ipqj + R_iqpj) /
-    sqrt(2)``, two gathers; the image of the k-th Helmert diagonal is
-    ``(S_k - k D_k) / sqrt(k(k+1))`` with ``D_l = R_illj`` and ``S_k`` the
-    running sum of ``D_0 .. D_{k-1}``, one ``cumsum`` for all k.  Each Gram
-    entry reads its image the same way: two gathered entries, or the running
-    sum of the image's diagonal.
+    The image of an off-diagonal element (p, q) is ``(R_ipqj + R_iqpj) *
+    (1/sqrt(2))``, two gathers; the image of the k-th Helmert diagonal is
+    ``(S_k - k D_k) * (1/sqrt(k(k+1)))`` with ``D_l = R_illj`` and ``S_k``
+    the running sum of ``D_0 .. D_{k-1}``, one ``cumsum`` for all k.  Each
+    Gram entry reads its image the same way: two gathered entries, or the
+    running sum of the image's diagonal.
     """
     import numpy as np
 
