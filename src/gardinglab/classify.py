@@ -34,7 +34,8 @@ report.
 The first-kind rule takes k = ceil(m_eps) with an m_eps within float noise
 above an integer snapped down to it (``_ceil_with_snap``), so an eps typed
 to ten digits still reaches its integer target.  When the snap decides k,
-the report says so in a note.
+the report says so in a note, and the odd-n case-boundary note names that
+k, not ceil(m_eps).
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def classify_first_kind(
             )
         if n % 2 == 1 and k == half:
             report.notes.append(
-                "case-boundary: ceil(m_eps) equals ceil(n/2) with odd n, where the "
+                "case-boundary: k equals ceil(n/2) with odd n, where the "
                 "floor/ceil conventions for the full-vanishing case differ"
             )
         thr = space_form_first_threshold(n)

@@ -18,24 +18,27 @@ configurations and seeds reproduce byte-identical output.
 
 Start-up: the module level imports the standard library and ``config``
 alone, and each handler imports what it runs when it is called, after its
-usage checks.  ``thresholds``, ``classify``, ``model-space`` and every
-usage error run without numpy, and so does ``cone-test`` up to N*k = 1.8
-million.  ``cone-test`` loads ``io`` and parses its vector file into
-Python floats, so a missing, malformed or non-finite file exits 65, and
-only then loads ``cones`` and ``symfun``.  ``classify`` reads its file in
-the same way, checks the spectrum length against ``tables``, so a
-spectrum of the wrong length exits 65 too, and then loads ``classify``,
-``cones`` and ``symfun`` and passes the sorted floats to the classifier.
+usage checks.  ``thresholds``, ``classify`` and every usage error run
+without numpy, and so do ``cone-test`` up to N*k = 1.8 million and
+``model-space`` up to dimension 12 and 40 active Jacobi rows.
+``cone-test`` loads ``io`` and parses its vector file into Python floats,
+so a missing, malformed or non-finite file exits 65, and only then loads
+``cones`` and ``symfun``.  ``classify`` reads its file in the same way,
+checks the spectrum length against ``tables``, so a spectrum of the wrong
+length exits 65 too, and then loads ``classify``, ``cones`` and
+``symfun`` and passes the sorted floats to the classifier.
 ``model-space`` loads ``io``, ``tables``, ``curvature`` and ``symfun``:
 its tensor, both operators, the identity checks and the Jacobi solve run
-on Python floats.  Each library module takes its float path while numpy
-is not loaded (``symfun._vector_entries``, ``curvature``, ``io``), since
-numpy's import costs more than the float work on these inputs saves, and
-both paths run the same float operations in the same order, so they give
-the same records.  Past N*k = 1.8 million a ``cone-test`` loads numpy,
-whose recurrence is faster there.  ``verify-inclusion`` loads
-``inclusion`` and numpy.  Handlers read library functions from their
-modules at call time, so a wrapper set on a module sees the call.
+on Python floats within those bounds.  Each library module takes its
+float path while numpy is not loaded (``symfun._vector_entries``,
+``curvature``, ``io``), since numpy's import costs more than the float
+work on these inputs saves, and both paths run the same float operations
+in the same order, so they give the same records.  Past N*k = 1.8 million
+a ``cone-test`` loads numpy, whose recurrence is faster there, and so
+does a ``model-space`` run past either of its bounds
+(``curvature._FLOAT_DIM``, ``_FLOAT_ACTIVE_ROWS``).  ``verify-inclusion``
+loads ``inclusion`` and numpy.  Handlers read library functions from
+their modules at call time, so a wrapper set on a module sees the call.
 """
 
 from __future__ import annotations

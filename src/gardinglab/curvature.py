@@ -48,21 +48,28 @@ couple.
 Two paths run the same float operations in the same order, so they give
 the same bits.  While numpy is not loaded (``"numpy" not in sys.modules``),
 ``model_space_form``, ``model_product_spheres`` and ``io.parse_tensor_text``
-build a tensor over the flat tuple of its n^4 components in row-major
-order, ``OperatorMatrix`` holds a tuple of row tuples, and the validation,
-both assemblers, the identity checks and the Jacobi solver run on Python
-floats; ``jacobi_eigensystem`` then returns a sorted list (``sorted`` is
-stable, as ``np.sort(kind="stable")`` is, so ``-0.0`` and ``0.0`` keep
-their order).  Otherwise everything runs on numpy arrays.  numpy's import
-costs a ``model-space`` run of the CLI more than the float work on its
-operators of at most a few dozen rows, so that run never loads it: from
-the shell (2-core host, Python 3.11, numpy 2.4, no bytecode cache, median
-of 7 runs) ``model-space sphere --n 6 --curvature 1.3`` took 285 ms with
-numpy and 187 ms on floats, and a random n = 4 tensor file's second-kind
-operator 236 and 176 ms.  In-process callers, which have numpy loaded,
-keep the array kernels for operators of up to a hundred rows, where a
-Python Jacobi solve would be far slower.  numpy is imported only inside
-the functions that build arrays.
+build a tensor of dimension n <= 12 (``_FLOAT_DIM``) over the flat tuple of
+its n^4 components in row-major order, ``OperatorMatrix`` holds a tuple of
+row tuples, and the validation, both assemblers and the identity checks
+run on Python floats; so does the Jacobi solver for at most 40 active rows
+(``_FLOAT_ACTIVE_ROWS``), and ``jacobi_eigensystem`` then returns a sorted
+list (``sorted`` is stable, as ``np.sort(kind="stable")`` is, so ``-0.0``
+and ``0.0`` keep their order).  Otherwise everything runs on numpy arrays:
+past either bound the float work costs more than numpy's import, so a
+larger tensor loads numpy before its components are built, and a solve
+with more active rows loads it before its first sweep (the bounds and
+their measurements are at ``_FLOAT_DIM``).  Below them the import costs a
+``model-space`` run of the CLI more than the float work, so that run
+loads no numpy: from the shell (2-core host, Python 3.11, numpy 2.4, no
+bytecode cache, median of 7 runs) ``model-space sphere --n 6 --curvature
+1.3`` took 285 ms with numpy and 187 ms on floats, and a random n = 4
+tensor file's second-kind operator 236 and 176 ms.  In-process callers,
+which have numpy loaded, keep the array kernels for operators of up to a
+hundred rows.  numpy is imported only inside the functions that build
+arrays.  Which path ran shows in the types of ``CurvatureTensor.components``,
+``OperatorMatrix.entries`` and the eigenvalues, so a caller that needs an
+array converts them with ``np.asarray`` (``components`` is then reshaped to
+(n, n, n, n)).
 
 ``Spectrum``, ``KIND_FIRST`` and ``KIND_SECOND`` are defined in ``tables``,
 which loads no numpy, so the classifier reads them without this module;
@@ -117,6 +124,17 @@ _JACOBI_OFF_TOL = 1e-14
 _IDENTITY_RTOL = 1e-8
 # The off-diagonal entries of the trace-free basis.
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+# Bounds of the float path, past which numpy's import costs less than the
+# Python float work.  Measured in-process on a 2-core host (Python 3.11,
+# numpy 2.4), where the import took 54-100 ms: building, assembling and
+# checking a sphere or product tensor on floats took 33-53 ms at n = 12,
+# 47-65 ms at n = 13 and about 95 ms at n = 14 (the n^4 components and
+# their symmetry partners dominate), against at most 4 ms on arrays; a
+# dense Jacobi solve took 41-69 ms on floats against 10-15 ms on arrays at
+# 36 active rows, 55-94 against 11-18 ms at 40 and 80-139 against 15-32 ms
+# at 44.
+_FLOAT_DIM = 12
+_FLOAT_ACTIVE_ROWS = 40
 
 
 def dimension_for_count(N: int, kind: str) -> Optional[int]:
@@ -128,6 +146,12 @@ def dimension_for_count(N: int, kind: str) -> Optional[int]:
         n = int(round((-1 + math.sqrt(9 + 8 * N)) / 2))
         return n if n >= 2 and trace_free_count(n) == N else None
     return None
+
+
+def _floats_for_dimension(n: int) -> bool:
+    """Whether a tensor in dimension n is built on Python floats: numpy is
+    not loaded and ``n <= _FLOAT_DIM``."""
+    return n <= _FLOAT_DIM and "numpy" not in sys.modules
 
 
 @functools.lru_cache(maxsize=8)
@@ -199,10 +223,12 @@ def validate_curvature_symmetries(components, atol: float = _SYMMETRY_ATOL) -> N
 class CurvatureTensor:
     """Dense curvature tensor over an orthonormal frame in dimension n >= 3.
 
-    ``components`` is a read-only (n, n, n, n) float array, or, on the float
-    path, the flat tuple of its n^4 entries in row-major order (see the
-    module docstring).  Like ``OperatorMatrix`` and ``Spectrum``, equality
-    is identity and instances hash by identity.
+    ``components`` is a read-only (n, n, n, n) float array, or, for a tensor
+    built on the float path while numpy was not loaded, the flat tuple of
+    its n^4 entries in row-major order (see the module docstring); a caller
+    that needs the array takes ``np.asarray(t.components).reshape((t.n,) *
+    4)``, which is the same array either way.  Like ``OperatorMatrix`` and
+    ``Spectrum``, equality is identity and instances hash by identity.
     """
 
     n: int
@@ -254,8 +280,10 @@ class CurvatureTensor:
 class OperatorMatrix:
     """Dense symmetric operator matrix with its kind tag.
 
-    ``entries`` is a read-only float array, or, while numpy is not loaded,
-    a tuple of row tuples of Python floats.
+    ``entries`` is a read-only float array, or, for a matrix built while
+    numpy was not loaded, a tuple of row tuples of Python floats; a caller
+    that needs the array takes ``np.asarray(entries)``, which is the same
+    array either way.
     """
 
     N: int
@@ -313,7 +341,7 @@ def model_space_form(n: int, curvature: float) -> CurvatureTensor:
     """Constant-curvature tensor R_ijkl = c (d_ik d_jl - d_il d_jk)."""
     if n < 3:
         raise ValueError(f"dimension must be >= 3, got {n}")
-    if "numpy" not in sys.modules:
+    if _floats_for_dimension(n):
         unit = _unit_curvature_floats(n)
         return CurvatureTensor._from_floats(n, [curvature * t for t in unit])
     import numpy as np
@@ -330,7 +358,7 @@ def model_product_spheres(p: int, q: int) -> CurvatureTensor:
     if p < 2 or q < 2:
         raise ValueError(f"both factors need dimension >= 2, got {p}, {q}")
     n = p + q
-    if "numpy" not in sys.modules:
+    if _floats_for_dimension(n):
         # Keep only components with all four indices in one factor.
         unit = _unit_curvature_floats(n, lambda *cell: len({c < p for c in cell}) == 1)
         return CurvatureTensor._from_floats(n, unit)
@@ -517,6 +545,7 @@ def _round_robin_schedule(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...
     return tuple(rounds)
 
 
+@functools.lru_cache(maxsize=32)
 def _paired_layouts(m: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Flat ``take`` indices that carry an ``s x s`` matrix, s = m + m % 2,
     through one sweep in paired order, and the flat index of a round's pivots.
@@ -555,12 +584,6 @@ def _paired_layouts(m: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     pivots.setflags(write=False)
     return tuple(moves), pivots
 
-
-# The solver keeps the layouts of active sizes up to this many rows, at most
-# 0.9 MB each; larger ones, whose sweeps cost ten times more than building
-# them (9 ms against 88 ms at 104 rows), are built per solve.
-_CACHED_LAYOUT_ROWS = 48
-_cached_paired_layouts = functools.lru_cache(maxsize=32)(_paired_layouts)
 
 
 def _frobenius(x) -> float:
@@ -693,11 +716,12 @@ def _ldexp(x: float, exponent: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _jacobi_floats(matrix, max_sweeps: int = 100) -> list[float]:
+def _jacobi_floats(matrix, max_sweeps: int = 100) -> Optional[list[float]]:
     """``jacobi_eigensystem`` on Python floats: the same checks, scaling,
     active rows, schedule, rotations and stopping test, round by round as
     ``tests/oracles.round_robin_jacobi_by_gathers`` runs them, so the same
-    bits; returns a sorted list."""
+    bits; returns a sorted list, or None, before any sweep, if more than
+    ``_FLOAT_ACTIVE_ROWS`` rows are active."""
     a = [list(map(float, row)) for row in matrix]
     shape = (len(a), *{len(row) for row in a})
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -711,6 +735,8 @@ def _jacobi_floats(matrix, max_sweeps: int = 100) -> list[float]:
     fro = _frobenius(a)
     threshold = _JACOBI_OFF_TOL * max(fro, sys.float_info.min)
     active = [i for i, row in enumerate(a) if any(t != 0.0 for j, t in enumerate(row) if j != i)]
+    if len(active) > _FLOAT_ACTIVE_ROWS:
+        return None
     sub = [[a[i][j] for j in active] for i in active]
     for _ in range(max_sweeps):
         if _off_norm(sub) <= threshold:
@@ -746,14 +772,17 @@ def jacobi_eigensystem(matrix, max_sweeps: int = 100):
     to a subnormal.
 
     Returns the eigenvalues in ascending order, sorted stably: a float
-    array, or, while numpy is not loaded, a list of Python floats with the
-    same bits (``_jacobi_floats``).  Raises ValueError on non-finite
+    array, or, while numpy is not loaded and at most ``_FLOAT_ACTIVE_ROWS``
+    rows are active, a list of Python floats with the same bits
+    (``_jacobi_floats``); past that bound the solve imports numpy.  Raises ValueError on non-finite
     entries, and RuntimeError, with the final ``off/||A||_F``, if the
     off-diagonal norm has not dropped below ``1e-14 * ||A||_F`` within
     ``max_sweeps`` full sweeps.
     """
     if "numpy" not in sys.modules:
-        return _jacobi_floats(matrix, max_sweeps)
+        w = _jacobi_floats(matrix, max_sweeps)
+        if w is not None:
+            return w
     import numpy as np
 
     a = np.array(matrix, dtype=float)
@@ -772,11 +801,10 @@ def jacobi_eigensystem(matrix, max_sweeps: int = 100):
     padded = np.zeros((m + m % 2, m + m % 2))
     sub = padded[:m, :m]
     sub[...] = a[np.ix_(active, active)]
-    layouts = (_cached_paired_layouts if m <= _CACHED_LAYOUT_ROWS else _paired_layouts)(m)
     for _ in range(max_sweeps):
         if _off_norm(sub) <= threshold:
             break
-        _jacobi_sweep(padded, *layouts)
+        _jacobi_sweep(padded, *_paired_layouts(m))
     else:
         raise RuntimeError(
             f"Jacobi eigensolver did not converge within {max_sweeps} sweeps "

@@ -16,17 +16,17 @@ text has parsed, so a malformed file fails without loading it.  The float
 parse of a vector text is numpy-free on its own (``_parse_floats``), so a
 caller can check the number of entries before any array is built.  While
 numpy is not loaded (``"numpy" not in sys.modules``), as in a
-``model-space`` run of the CLI, ``parse_tensor_text`` builds its tensor
-over the flat tuple of its components (see ``curvature``), and
+``model-space`` run of the CLI, ``parse_tensor_text`` builds a tensor of
+dimension up to 12 over the flat tuple of its components (see
+``curvature``, whose ``_floats_for_dimension`` decides), and
 ``format_vector`` prints a list or tuple of floats as it is; both give the
 bits and the text of the array path, and neither loads numpy, whose import
-costs more than these few hundred float operations.
+costs more than that float work.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -154,11 +154,11 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
         raise VectorParseError("need dimension >= 3 (add a 'dim n' line?)", 1)
     if max_index > n:
         raise VectorParseError(f"index {max_index} exceeds dim {n}", 1)
-    from .curvature import CurvatureTensor
+    from .curvature import CurvatureTensor, _floats_for_dimension
 
     # Canonical keys are unique, so no two entries write the same component
     # and all of them can be scattered at once.
-    if "numpy" not in sys.modules:
+    if _floats_for_dimension(n):
         comps = [0.0] * n**4
         for (i, j, k, l), value in entries.items():
             a, b, c, d = i - 1, j - 1, k - 1, l - 1

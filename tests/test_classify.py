@@ -168,6 +168,12 @@ class TestClassifyFirstKind:
             f"ceil-snap: m_eps = {report.m_eps!r} is within the snap band above 4, "
             "so k = 4 rather than ceil(m_eps) = 5"
         ]
+        # k = 4 = ceil(7/2) with n odd: the case-boundary note names k, not
+        # ceil(m_eps), so the two notes agree.
+        assert [note for note in report.notes if note.startswith("case-boundary")] == [
+            "case-boundary: k equals ceil(n/2) with odd n, where the floor/ceil "
+            "conventions for the full-vanishing case differ"
+        ]
         for eps in (epsilon_for_target_m(4, 21), math.sqrt(4.002 / (20 * 16.998))):
             report = classify_first_kind(spec, eps)
             assert not [note for note in report.notes if note.startswith("ceil-snap")]

@@ -28,8 +28,7 @@ from gardinglab.curvature import (
     trace_free_count,
     two_form_count,
     validate_curvature_symmetries,
-    _CACHED_LAYOUT_ROWS,
-    _cached_paired_layouts,
+    _FLOAT_ACTIVE_ROWS,
     _frobenius,
     _jacobi_floats,
     _off_norm,
@@ -436,17 +435,6 @@ class TestPairedLayout:
         w = round_robin_jacobi_by_gathers(a, max_sweeps=needed)
         assert jacobi_eigensystem(a, max_sweeps=needed).tobytes() == w.tobytes()
 
-    def test_only_small_layouts_are_cached(self):
-        # Each cached layout holds s^3 indices, so larger ones are built per
-        # solve: the cache holds at most 32 layouts of at most 48 rows.
-        _cached_paired_layouts.cache_clear()
-        for n in (_CACHED_LAYOUT_ROWS + 1, _CACHED_LAYOUT_ROWS + 2, 104):
-            jacobi_eigensystem(_random_symmetric(n, seed=n))
-        assert _cached_paired_layouts.cache_info().currsize == 0
-        jacobi_eigensystem(_random_symmetric(_CACHED_LAYOUT_ROWS, seed=3))
-        assert _cached_paired_layouts.cache_info().currsize == 1
-        assert _cached_paired_layouts.cache_info().maxsize == 32
-
     @pytest.mark.parametrize("m", [2, 3, 4, 7, 10, 21])
     def test_layouts_follow_the_schedule_and_close_the_ring(self, m):
         moves, pivots = _paired_layouts(m)
@@ -496,6 +484,17 @@ class TestFloatPath:
             with pytest.raises(RuntimeError) as theirs:
                 round_robin_jacobi_by_gathers(a, max_sweeps=max_sweeps)
             assert str(ours.value) == str(theirs.value)
+
+    def test_float_jacobi_declines_past_the_active_row_bound(self):
+        # Past _FLOAT_ACTIVE_ROWS active rows the float sweeps cost more than
+        # numpy's import, so the float solver declines before any sweep; the
+        # bound counts active rows, not the matrix size.
+        bound = _FLOAT_ACTIVE_ROWS
+        assert _jacobi_floats(_random_symmetric(bound + 1, seed=1).tolist()) is None
+        a = np.zeros((104, 104))
+        a[:bound, :bound] = _random_symmetric(bound, seed=2)
+        w = _jacobi_floats(a.tolist())
+        assert np.array(w).tobytes() == jacobi_eigensystem(a).tobytes()
 
     def test_without_numpy_every_record_and_bit_matches(self, tmp_path):
         # One process with numpy blocked builds, assembles, checks and
