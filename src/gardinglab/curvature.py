@@ -66,10 +66,10 @@ bytecode cache, median of 7 runs) ``model-space sphere --n 6 --curvature
 tensor file's second-kind operator 236 and 176 ms.  In-process callers,
 which have numpy loaded, keep the array kernels for operators of up to a
 hundred rows.  numpy is imported only inside the functions that build
-arrays.  Which path ran shows in the types of ``CurvatureTensor.components``,
-``OperatorMatrix.entries`` and the eigenvalues, so a caller that needs an
-array converts them with ``np.asarray`` (``components`` is then reshaped to
-(n, n, n, n)).
+arrays.  Which path ran shows in the types of
+``CurvatureTensor.components``, ``OperatorMatrix.entries`` and the
+eigenvalues, so a caller that needs an array converts them with
+``np.asarray`` (``components`` is then reshaped to (n, n, n, n)).
 
 ``Spectrum``, ``KIND_FIRST`` and ``KIND_SECOND`` are defined in ``tables``,
 which loads no numpy, so the classifier reads them without this module;
@@ -774,10 +774,10 @@ def jacobi_eigensystem(matrix, max_sweeps: int = 100):
     Returns the eigenvalues in ascending order, sorted stably: a float
     array, or, while numpy is not loaded and at most ``_FLOAT_ACTIVE_ROWS``
     rows are active, a list of Python floats with the same bits
-    (``_jacobi_floats``); past that bound the solve imports numpy.  Raises ValueError on non-finite
-    entries, and RuntimeError, with the final ``off/||A||_F``, if the
-    off-diagonal norm has not dropped below ``1e-14 * ||A||_F`` within
-    ``max_sweeps`` full sweeps.
+    (``_jacobi_floats``); past that bound the solve imports numpy.  Raises
+    ValueError on non-finite entries, and RuntimeError, with the final
+    ``off/||A||_F``, if the off-diagonal norm has not dropped below
+    ``1e-14 * ||A||_F`` within ``max_sweeps`` full sweeps.
     """
     if "numpy" not in sys.modules:
         w = _jacobi_floats(matrix, max_sweeps)
