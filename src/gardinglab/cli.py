@@ -29,11 +29,13 @@ length exits 65 too, and then loads ``classify``, ``cones`` and
 ``symfun`` and passes the sorted floats to the classifier.
 ``model-space`` loads ``io``, ``tables``, ``curvature`` and ``symfun``:
 its tensor, both operators, the identity checks and the Jacobi solve run
-on Python floats within those bounds.  Each library module takes its
-float path while numpy is not loaded (``symfun._vector_entries``,
-``curvature``, ``io``), since numpy's import costs more than the float
-work on these inputs saves, and both paths run the same float operations
-in the same order, so they give the same records.  Past N*k = 1.8 million
+on Python floats within those bounds.  The library takes its float path
+while numpy is not loaded, since numpy's import costs more than the float
+work on these inputs saves: ``symfun._vector_entries`` decides it for a
+vector, and ``curvature._from_canonical``, through which every tensor
+source (the sphere, the product and ``io``'s tensor file) is built, for a
+tensor and all that follows from it.  Both paths run the same float
+operations in the same order, so they give the same records.  Past N*k = 1.8 million
 a ``cone-test`` loads numpy, whose recurrence is faster there, and so
 does a ``model-space`` run past either of its bounds
 (``curvature._FLOAT_DIM``, ``_FLOAT_ACTIVE_ROWS``).  ``verify-inclusion``

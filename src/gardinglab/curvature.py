@@ -46,29 +46,33 @@ are skipped, so sparse model operators rotate only the few rows that
 couple.
 
 Two paths run the same float operations in the same order, so they give
-the same bits.  While numpy is not loaded (``"numpy" not in sys.modules``),
-``model_space_form``, ``model_product_spheres`` and ``io.parse_tensor_text``
-build a tensor of dimension n <= 12 (``_FLOAT_DIM``) over the flat tuple of
-its n^4 components in row-major order, ``OperatorMatrix`` holds a tuple of
-row tuples, and the validation, both assemblers and the identity checks
-run on Python floats; so does the Jacobi solver for at most 40 active rows
-(``_FLOAT_ACTIVE_ROWS``), and ``jacobi_eigensystem`` then returns a sorted
-list (``sorted`` is stable, as ``np.sort(kind="stable")`` is, so ``-0.0``
-and ``0.0`` keep their order).  Otherwise everything runs on numpy arrays:
-past either bound the float work costs more than numpy's import, so a
-larger tensor loads numpy before its components are built, and a solve
-with more active rows loads it before its first sweep (the bounds and
-their measurements are at ``_FLOAT_DIM``).  Below them the import costs a
-``model-space`` run of the CLI more than the float work, so that run
-loads no numpy: from the shell (2-core host, Python 3.11, numpy 2.4, no
-bytecode cache, median of 7 runs) ``model-space sphere --n 6 --curvature
-1.3`` took 285 ms with numpy and 187 ms on floats, and a random n = 4
-tensor file's second-kind operator 236 and 176 ms.  In-process callers,
-which have numpy loaded, keep the array kernels for operators of up to a
-hundred rows.  numpy is imported only inside the functions that build
-arrays.  Which path ran shows in the types of
-``CurvatureTensor.components``, ``OperatorMatrix.entries`` and the
-eigenvalues, so a caller that needs an array converts them with
+the same bits.  Every tensor source (``model_space_form``,
+``model_product_spheres``, ``io.parse_tensor_text``) lists its nonzero
+independent components and hands them to ``_from_canonical``, which fills
+in the rest by symmetry and alone decides the layout: while numpy is not
+loaded (``"numpy" not in sys.modules``) a tensor of dimension n <= 12
+(``_FLOAT_DIM``) holds the flat tuple of its n^4 components in row-major
+order, and otherwise a float array.  The layout picks the path of what
+follows: on the tuple ``OperatorMatrix`` holds a tuple of row tuples, and
+the validation, both assemblers and the identity checks run on Python
+floats; so does the Jacobi solver for at most 40 active rows
+(``_FLOAT_ACTIVE_ROWS``) while numpy is not loaded, and
+``jacobi_eigensystem`` then returns a sorted list (``sorted`` is stable,
+as ``np.sort(kind="stable")`` is, so ``-0.0`` and ``0.0`` keep their
+order).  Otherwise everything runs on numpy arrays: past either bound the
+float work costs more than numpy's import, so a larger tensor loads numpy
+before its components are built, and a solve with more active rows loads
+it before its first sweep (the bounds and their measurements are at
+``_FLOAT_DIM``).  Below them the import costs a ``model-space`` run of the
+CLI more than the float work, so that run loads no numpy: from the shell
+(2-core host, Python 3.11, numpy 2.4, no bytecode cache, median of 7 runs)
+``model-space sphere --n 6 --curvature 1.3`` took 285 ms with numpy and
+187 ms on floats, and a random n = 4 tensor file's second-kind operator
+236 and 176 ms.  In-process callers, which have numpy loaded, keep the
+array kernels for operators of up to a hundred rows.  numpy is imported
+only inside the functions that build arrays.  Which path ran shows in the
+types of ``CurvatureTensor.components``, ``OperatorMatrix.entries`` and
+the eigenvalues, so a caller that needs an array converts them with
 ``np.asarray`` (``components`` is then reshaped to (n, n, n, n)).
 
 ``Spectrum``, ``KIND_FIRST`` and ``KIND_SECOND`` are defined in ``tables``,
@@ -146,12 +150,6 @@ def dimension_for_count(N: int, kind: str) -> Optional[int]:
         n = int(round((-1 + math.sqrt(9 + 8 * N)) / 2))
         return n if n >= 2 and trace_free_count(n) == N else None
     return None
-
-
-def _floats_for_dimension(n: int) -> bool:
-    """Whether a tensor in dimension n is built on Python floats: numpy is
-    not loaded and ``n <= _FLOAT_DIM``."""
-    return n <= _FLOAT_DIM and "numpy" not in sys.modules
 
 
 @functools.lru_cache(maxsize=8)
@@ -248,15 +246,6 @@ class CurvatureTensor:
         arr.setflags(write=False)
         return cls(n=n, components=arr)
 
-    @classmethod
-    def _from_floats(cls, n: int, values) -> "CurvatureTensor":
-        """Tensor over the flat row-major list of n^4 Python floats."""
-        if n < 3:
-            raise ValueError(f"dimension must be >= 3, got {n}")
-        values = tuple(values)
-        validate_curvature_symmetries(values)
-        return cls(n=n, components=values)
-
     def scalar_curvature(self) -> float:
         """Direct double trace, correctly rounded: sum over i, j of R_ijij.
 
@@ -325,54 +314,63 @@ class OperatorMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _unit_curvature_floats(n: int, keep=None) -> list[float]:
-    """Flat ``d_ik d_jl - d_il d_jk`` on floats, the float operations of the
-    array constructors; ``keep(i, j, k, l)`` false gives +0.0 instead."""
-    eye = [[1.0 if i == k else 0.0 for k in range(n)] for i in range(n)]
-    return [
-        eye[i][k] * eye[j][l] - eye[i][l] * eye[j][k]
-        if keep is None or keep(i, j, k, l)
-        else 0.0
-        for i, j, k, l in itertools.product(range(n), repeat=4)
-    ]
+def _partners(a, b, c, d):
+    """The eight components that the symmetries tie to the independent one
+    (a, b, c, d), as ``(p, q, r, s, sign)`` with R_pqrs = sign * R_abcd."""
+    for p, q, sp in ((a, b, 1.0), (b, a, -1.0)):
+        for r, s, ss in ((c, d, 1.0), (d, c, -1.0)):
+            yield p, q, r, s, sp * ss
+            yield r, s, p, q, sp * ss
+
+
+def _from_canonical(n: int, entries: dict, zero: float = 0.0) -> CurvatureTensor:
+    """Validated tensor with the independent components ``entries``,
+    ``(i, j, k, l) -> value``, 0-based with i < j, k < l, (i, j) <= (k, l).
+
+    Each entry also sets the components ``_partners`` ties to it, and
+    every component no entry reaches is ``zero``; canonical keys are
+    unique, so no two entries write the same component.  While numpy is not
+    loaded and ``n <= _FLOAT_DIM`` the components are the flat row-major
+    tuple of n^4 Python floats, otherwise a read-only (n, n, n, n) array
+    with the same bits.
+    """
+    if n < 3:
+        raise ValueError(f"dimension must be >= 3, got {n}")
+    if n <= _FLOAT_DIM and "numpy" not in sys.modules:
+        comps = [zero] * n**4
+        for key, value in entries.items():
+            for p, q, r, s, sign in _partners(*key):
+                comps[((p * n + q) * n + r) * n + s] = sign * value
+        components = tuple(comps)
+    else:
+        import numpy as np
+
+        keys = np.array(list(entries), dtype=np.intp).reshape(-1, 4).T
+        values = np.fromiter(entries.values(), dtype=float, count=len(entries))
+        components = np.full((n,) * 4, zero, dtype=float)
+        for p, q, r, s, sign in _partners(*keys):
+            components[p, q, r, s] = sign * values
+        components.setflags(write=False)
+    validate_curvature_symmetries(components)
+    return CurvatureTensor(n=n, components=components)
 
 
 def model_space_form(n: int, curvature: float) -> CurvatureTensor:
-    """Constant-curvature tensor R_ijkl = c (d_ik d_jl - d_il d_jk)."""
-    if n < 3:
-        raise ValueError(f"dimension must be >= 3, got {n}")
-    if _floats_for_dimension(n):
-        unit = _unit_curvature_floats(n)
-        return CurvatureTensor._from_floats(n, [curvature * t for t in unit])
-    import numpy as np
+    """Constant-curvature tensor R_ijkl = c (d_ik d_jl - d_il d_jk).
 
-    eye = np.eye(n)
-    comps = curvature * (
-        np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
-    )
-    return CurvatureTensor.from_components(comps)
+    Every other component is ``c * 0.0``, as the formula gives it: -0.0
+    for negative c and NaN for non-finite c."""
+    entries = {(i, j, i, j): curvature for i, j in _pair_indices(n)}
+    return _from_canonical(n, entries, zero=curvature * 0.0)
 
 
 def model_product_spheres(p: int, q: int) -> CurvatureTensor:
     """Product of unit round factors of dimensions p and q (block tensor)."""
     if p < 2 or q < 2:
         raise ValueError(f"both factors need dimension >= 2, got {p}, {q}")
-    n = p + q
-    if _floats_for_dimension(n):
-        # Keep only components with all four indices in one factor.
-        unit = _unit_curvature_floats(n, lambda *cell: len({c < p for c in cell}) == 1)
-        return CurvatureTensor._from_floats(n, unit)
-    import numpy as np
-
-    factor = np.zeros(n, dtype=int)
-    factor[p:] = 1
-    same = factor[:, None] == factor[None, :]
-    eye = np.eye(n)
-    comps = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
-    # Keep only components with all four indices in one factor.
-    mask = same[:, :, None, None] & same[:, None, :, None] & same[:, None, None, :]
-    comps = np.where(mask, comps, 0.0)
-    return CurvatureTensor.from_components(comps)
+    # Only components with all four indices in one factor are nonzero.
+    pairs = _pair_indices(p + q)
+    return _from_canonical(p + q, {(i, j, i, j): 1.0 for i, j in pairs if (i < p) == (j < p)})
 
 
 def random_curvature_tensor(n: int, seed: int = 0) -> CurvatureTensor:

@@ -14,14 +14,14 @@ otherwise the largest index seen is used.
 numpy is imported by the functions that build or format arrays, once the
 text has parsed, so a malformed file fails without loading it.  The float
 parse of a vector text is numpy-free on its own (``_parse_floats``), so a
-caller can check the number of entries before any array is built.  While
-numpy is not loaded (``"numpy" not in sys.modules``), as in a
-``model-space`` run of the CLI, ``parse_tensor_text`` builds a tensor of
-dimension up to 12 over the flat tuple of its components (see
-``curvature``, whose ``_floats_for_dimension`` decides), and
-``format_vector`` prints a list or tuple of floats as it is; both give the
-bits and the text of the array path, and neither loads numpy, whose import
-costs more than that float work.
+caller can check the number of entries before any array is built.
+``parse_tensor_text`` hands the independent components it read to
+``curvature._from_canonical``, which fills in the rest and decides the
+layout: while numpy is not loaded, as in a ``model-space`` run of the CLI,
+a tensor of dimension up to 12 is a flat tuple of Python floats, with the
+bits of the array.  ``format_vector`` prints a list or tuple of floats as
+it is, with the text of the array path, so neither loads numpy, whose
+import costs more than that float work.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def format_vector(values) -> str:
 
 def parse_tensor_text(text: str) -> CurvatureTensor:
     """Parse an ``i j k l value`` component list into a curvature tensor."""
-    entries: dict[tuple[int, int, int, int], float] = {}
+    entries: dict[tuple[int, int, int, int], float] = {}  # 0-based keys
     dim: int | None = None
     max_index = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -143,9 +143,9 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
                 "follow by symmetry",
                 lineno,
             )
-        key = (i, j, k, l)
+        key = (i - 1, j - 1, k - 1, l - 1)
         if key in entries and entries[key] != value:
-            raise VectorParseError(f"conflicting duplicate for {key}", lineno)
+            raise VectorParseError(f"conflicting duplicate for {(i, j, k, l)}", lineno)
         entries[key] = value
         # i < j, k < l and i <= k, so j or l is the largest index.
         max_index = max(max_index, j, l)
@@ -154,29 +154,9 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
         raise VectorParseError("need dimension >= 3 (add a 'dim n' line?)", 1)
     if max_index > n:
         raise VectorParseError(f"index {max_index} exceeds dim {n}", 1)
-    from .curvature import CurvatureTensor, _floats_for_dimension
+    from .curvature import _from_canonical
 
-    # Canonical keys are unique, so no two entries write the same component
-    # and all of them can be scattered at once.
-    if _floats_for_dimension(n):
-        comps = [0.0] * n**4
-        for (i, j, k, l), value in entries.items():
-            a, b, c, d = i - 1, j - 1, k - 1, l - 1
-            for (p, q, sp) in ((a, b, 1.0), (b, a, -1.0)):
-                for (r, s, ss) in ((c, d, 1.0), (d, c, -1.0)):
-                    comps[((p * n + q) * n + r) * n + s] = sp * ss * value
-                    comps[((r * n + s) * n + p) * n + q] = sp * ss * value
-        return CurvatureTensor._from_floats(n, comps)
-    import numpy as np
-
-    a, b, c, d = np.array(list(entries), dtype=np.intp).reshape(-1, 4).T - 1
-    values = np.fromiter(entries.values(), dtype=float, count=len(entries))
-    comps = np.zeros((n, n, n, n))
-    for (p, q, sp) in ((a, b, 1.0), (b, a, -1.0)):
-        for (r, s, ss) in ((c, d, 1.0), (d, c, -1.0)):
-            comps[p, q, r, s] = sp * ss * values
-            comps[r, s, p, q] = sp * ss * values
-    return CurvatureTensor.from_components(comps)
+    return _from_canonical(n, entries)
 
 
 def read_tensor_file(path: str | Path) -> CurvatureTensor:

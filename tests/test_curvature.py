@@ -29,6 +29,7 @@ from gardinglab.curvature import (
     two_form_count,
     validate_curvature_symmetries,
     _FLOAT_ACTIVE_ROWS,
+    _from_canonical,
     _frobenius,
     _jacobi_floats,
     _off_norm,
@@ -533,11 +534,12 @@ class TestFloatPath:
 
     def test_float_kernels_keep_python_floats(self):
         tensor = model_space_form(4, 1.3)
-        flat = CurvatureTensor._from_floats(4, tensor.components.ravel().tolist())
+        flat = CurvatureTensor(n=4, components=tuple(tensor.components.ravel().tolist()))
+        validate_curvature_symmetries(flat.components)
         assert type(flat.components) is tuple
         assert flat.scalar_curvature() == tensor.scalar_curvature() == math.fsum([1.3] * 12)
         with pytest.raises(ValueError, match="dimension must be >= 3"):
-            CurvatureTensor._from_floats(2, [0.0] * 16)
+            _from_canonical(2, {})
 
 
 # Builds, assembles, checks and solves each case of argv[1] on the float
