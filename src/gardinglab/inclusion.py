@@ -500,7 +500,7 @@ def boundary_search(N: int, epsilon: float, tol: float = DEFAULT_TOL) -> Boundar
     m = p.m_eps
     direction = partial_sum_weights(m, N)
     direction -= direction.mean()
-    step = p.slice_radius * direction / np.linalg.norm(direction)
+    step = p.slice_radius * direction / _norm(direction)
     minimizer = np.sort(1.0 / N - step)
     min_c0 = partial_sum_fractional(minimizer, m)
     exact = boundary_minimum_closed_form(p)

@@ -81,6 +81,8 @@ CASES = [
      "--epsilon", EPS_2_6, "--boundary-search"),
     (*M, "--samples", "300", "--seed", "7", "verify-inclusion", "--n", "40",
      "--epsilon", EPS_7_40, "--boundary-search"),
+    (*M, "--samples", "0", "verify-inclusion", "--n", "40", "--epsilon", EPS_7_40,
+     "--boundary-search"),
     (*M, "verify-inclusion", "--n", "4", "--epsilon", "0.5", "--method", "hitrun"),
     (*M, "model-space", "sphere", "--n", "4"),
     (*M, "model-space", "sphere", "--n", "4", "--operator", "second"),
@@ -179,14 +181,23 @@ def test_cli_output_matches_golden(tmp_path, monkeypatch):
     assert render(tmp_path) == GOLDEN.read_text(encoding="utf-8")
 
 
-# The runs whose records use no BLAS call: every case but verify-inclusion,
-# whose ball sampler (a gemm) and boundary search (a BLAS dot) still do.
-KERNEL_FREE_CASES = [
-    argv
-    for argv in CASES
-    if next(t for t in argv if t in ("cone-test", "verify-inclusion", "model-space",
-                                     "classify", "thresholds")) != "verify-inclusion"
-]
+
+def _samples_the_ball(argv) -> bool:
+    """Whether a run draws ball-route samples: verify-inclusion with
+    samples > 0 and no other method."""
+    def option(name, default):
+        return argv[argv.index(name) + 1] if name in argv else default
+
+    return (
+        "verify-inclusion" in argv
+        and int(option("--samples", 1)) > 0
+        and option("--method", "ball") == "ball"
+    )
+
+
+# The runs whose records use no BLAS call: every case but ball-route
+# sampling, whose basis product is a gemm.
+KERNEL_FREE_CASES = [argv for argv in CASES if not _samples_the_ball(argv)]
 
 # Each kernel set another CPU would get, as the environment that selects it
 # and the /proc/cpuinfo flags it needs: OpenBLAS's DYNAMIC_ARCH kernels and
