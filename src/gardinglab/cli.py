@@ -11,10 +11,13 @@ Subcommands and exit codes:
 * ``classify``: 0 iff some verdict label was emitted, else 1.
 * ``thresholds``: always 0.
 
-Usage errors exit 64; input files that are malformed, not UTF-8 or cannot be
-opened (and any other failed file operation) exit 65.  Machine format
-prints one self-describing JSON record per line with sorted keys, so equal
-configurations and seeds reproduce byte-identical output.
+Usage errors exit 64, and so does an input the library refuses with a
+ValueError or RuntimeError, with its message: a tensor that breaks a
+curvature symmetry, or whose scalar curvature, operator entries or operator
+trace overflow the float range.  Input files that are malformed, not UTF-8
+or cannot be opened (and any other failed file operation) exit 65.
+Machine format prints one self-describing JSON record per line with sorted
+keys, so equal configurations and seeds reproduce byte-identical output.
 
 Start-up: the module level imports the standard library and ``config``
 alone, and each handler imports what it runs when it is called, after its

@@ -180,6 +180,15 @@ def _max_abs(values) -> float:
     return math.nan if any(map(math.isnan, mags)) else max(mags)
 
 
+def _fsum(values, name: str) -> float:
+    """``math.fsum`` of finite floats; ValueError naming ``name`` where the
+    sum is past the float range (fsum's OverflowError)."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise ValueError(f"the {name} overflows the float range") from None
+
+
 def validate_curvature_symmetries(components, atol: float = _SYMMETRY_ATOL) -> None:
     """Raise ValueError if any algebraic curvature identity fails.
 
@@ -250,11 +259,12 @@ class CurvatureTensor:
         """Direct double trace, correctly rounded: sum over i, j of R_ijij.
 
         R_ijij is the diagonal of the components read as an (n^2, n^2)
-        matrix, every (n^2 + 1)-th flat entry."""
+        matrix, every (n^2 + 1)-th flat entry.  Raises ValueError where the
+        sum is past the float range."""
         r = self.components
-        if isinstance(r, tuple):
-            return math.fsum(r[:: self.n * self.n + 1])
-        return math.fsum(r.reshape(-1)[:: self.n * self.n + 1].tolist())
+        step = self.n * self.n + 1
+        diagonal = r[::step] if isinstance(r, tuple) else r.reshape(-1)[::step].tolist()
+        return _fsum(diagonal, "scalar curvature")
 
     def frame_change(self, q: np.ndarray) -> "CurvatureTensor":
         """Components in the rotated frame e'_a = sum_i q[i, a] e_i."""
@@ -400,9 +410,36 @@ def _pair_indices(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _symmetrized(mat: list[list[float]]) -> list[list[float]]:
-    """``(mat + mat.T) / 2`` of a square list of rows."""
-    return [[(x + y) / 2.0 for x, y in zip(row, col)] for row, col in zip(mat, zip(*mat))]
+def _symmetrized(mat):
+    """``(mat + mat.T) / 2`` of a square list of rows or float array, except
+    that a nonzero entry equal to its transpose is kept as it is.  That is
+    the formula's value wherever the sum does not overflow, so a pair that
+    agrees stays finite at any scale and no other bit changes."""
+    if isinstance(mat, list):
+        return [
+            [x if x == y and x != 0.0 else (x + y) / 2.0 for x, y in zip(row, col)]
+            for row, col in zip(mat, zip(*mat))
+        ]
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where((mat == mat.T) & (mat != 0.0), mat, (mat + mat.T) / 2.0)
+
+
+def _assembled(mat, kind: str) -> OperatorMatrix:
+    """The operator of an assembled matrix, symmetrized.  A tensor's
+    components are finite, so an entry that is not is a sum that overflowed;
+    it is refused with a message that says so."""
+    mat = _symmetrized(mat)
+    if isinstance(mat, list):
+        finite = all(map(math.isfinite, itertools.chain(*mat)))
+    else:
+        import numpy as np
+
+        finite = np.isfinite(mat).all()
+    if not finite:
+        raise ValueError(f"{kind} operator entries overflow the float range")
+    return OperatorMatrix.from_entries(mat, kind=kind)
 
 
 def assemble_first_kind(tensor: CurvatureTensor) -> OperatorMatrix:
@@ -416,15 +453,14 @@ def assemble_first_kind(tensor: CurvatureTensor) -> OperatorMatrix:
     if isinstance(r, tuple):
         # R_ijkl sits at flat index (i n + j) n^2 + (k n + l).
         flat = [i * n + j for i, j in pairs]
-        mat = _symmetrized([[r[a * n * n + b] for b in flat] for a in flat])
+        mat = [[r[a * n * n + b] for b in flat] for a in flat]
     else:
         import numpy as np
 
         rows = np.array([p[0] for p in pairs])
         cols = np.array([p[1] for p in pairs])
         mat = r[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
-        mat = (mat + mat.T) / 2.0
-    return OperatorMatrix.from_entries(mat, kind=KIND_FIRST)
+    return _assembled(mat, KIND_FIRST)
 
 
 def _helmert_scales(n: int) -> tuple[float, ...]:
@@ -434,7 +470,8 @@ def _helmert_scales(n: int) -> tuple[float, ...]:
 
 
 def _second_kind_floats(r: tuple, n: int) -> list[list[float]]:
-    """``_second_kind_array`` on the flat tuple of a tensor's components."""
+    """``_second_kind_array`` on the flat tuple of a tensor's components,
+    unsymmetrized too."""
     pairs = _pair_indices(n)
     scales = list(enumerate(_helmert_scales(n), start=1))
     n2, n3 = n * n, n * n * n
@@ -461,19 +498,20 @@ def _second_kind_floats(r: tuple, n: int) -> list[list[float]]:
             row.append((prefix - k * d[k]) * scale)
             prefix += d[k]
         mat.append(row)
-    return _symmetrized(mat)
+    return mat
 
 
 def _second_kind_array(r: np.ndarray) -> np.ndarray:
     """Gram matrix ``<R_bar(B_a), B_b>`` over the trace-free basis, where
-    ``R_bar(h)_ij = sum_{k,l} R_iklj h_kl``, symmetrized.
+    ``R_bar(h)_ij = sum_{k,l} R_iklj h_kl``, before it is symmetrized.
 
     The image of an off-diagonal element (p, q) is ``(R_ipqj + R_iqpj) *
     (1/sqrt(2))``, two gathers; the image of the k-th Helmert diagonal is
     ``(S_k - k D_k) * (1/sqrt(k(k+1)))`` with ``D_l = R_illj`` and ``S_k``
     the running sum of ``D_0 .. D_{k-1}``, one ``cumsum`` for all k.  Each
     Gram entry reads its image the same way: two gathered entries, or the
-    running sum of the image's diagonal.
+    running sum of the image's diagonal.  A sum that overflows is left as
+    it comes out, for ``_assembled`` to refuse.
     """
     import numpy as np
 
@@ -484,21 +522,21 @@ def _second_kind_array(r: np.ndarray) -> np.ndarray:
     scale = np.array(_helmert_scales(n))
     rt = r.transpose(1, 2, 0, 3)  # rt[k, l, i, j] = R_iklj
     d = rt[diag, diag]
-    images = np.concatenate(
-        [
-            (rt[p, q] + rt[q, p]) * _SQRT_HALF,
-            (np.cumsum(d, axis=0)[:-1] - k[:, None, None] * d[1:]) * scale[:, None, None],
-        ]
-    )
-    d = images[:, diag, diag]
-    mat = np.concatenate(
-        [
-            (images[:, p, q] + images[:, q, p]) * _SQRT_HALF,
-            (np.cumsum(d, axis=1)[:, :-1] - k * d[:, 1:]) * scale,
-        ],
-        axis=1,
-    )
-    return (mat + mat.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = np.concatenate(
+            [
+                (rt[p, q] + rt[q, p]) * _SQRT_HALF,
+                (np.cumsum(d, axis=0)[:-1] - k[:, None, None] * d[1:]) * scale[:, None, None],
+            ]
+        )
+        d = images[:, diag, diag]
+        return np.concatenate(
+            [
+                (images[:, p, q] + images[:, q, p]) * _SQRT_HALF,
+                (np.cumsum(d, axis=1)[:, :-1] - k * d[:, 1:]) * scale,
+            ],
+            axis=1,
+        )
 
 
 def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
@@ -513,7 +551,7 @@ def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
         mat = _second_kind_floats(r, tensor.n)
     else:
         mat = _second_kind_array(r)
-    return OperatorMatrix.from_entries(mat, kind=KIND_SECOND)
+    return _assembled(mat, KIND_SECOND)
 
 
 # ---------------------------------------------------------------------------
@@ -790,8 +828,7 @@ def jacobi_eigensystem(matrix, max_sweeps: int = 100):
         raise ValueError("matrix has non-finite entries")
     w = a.diagonal().copy()
     exponent = int(np.frexp(np.abs(a).max())[1])
-    a = np.ldexp(a, -exponent)
-    a = (a + a.T) / 2.0
+    a = _symmetrized(np.ldexp(a, -exponent))
     fro = _frobenius(a)
     threshold = _JACOBI_OFF_TOL * max(fro, sys.float_info.min)
     active = np.flatnonzero((a != np.diag(a.diagonal())).any(axis=1))
@@ -851,8 +888,10 @@ def _trace(operator: OperatorMatrix) -> float:
     """Correctly rounded trace of an operator's entries."""
     entries = operator.entries
     if isinstance(entries, tuple):
-        return math.fsum(row[i] for i, row in enumerate(entries))
-    return math.fsum(entries.diagonal().tolist())
+        diagonal = [row[i] for i, row in enumerate(entries)]
+    else:
+        diagonal = entries.diagonal().tolist()
+    return _fsum(diagonal, f"trace of the {operator.kind} operator")
 
 
 def scalar_curvature_checks(
