@@ -26,7 +26,8 @@ equal positive entries.  ``sharp_witness`` builds those extremal vectors and
 
 ``EpsilonParams`` and ``epsilon_to_params`` are defined in ``cones``, which
 loads no numpy, so the classifier reads them without this module; they are
-re-exported here as the same objects.
+re-exported here as the same objects.  numpy is imported inside the
+functions that build arrays, so importing this module loads none.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .config import DEFAULT_TOL, Record
 from .cones import (
@@ -56,6 +55,9 @@ from .symfun import (
     partial_sum_weights,
     sigma_prefix,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EpsilonParams",
@@ -145,6 +147,8 @@ def _rigid_zero_count(sorted_x: np.ndarray, m_eps: float, tol: float) -> Optiona
     the answer does not depend on the vector's scale; the zero vector, whose
     tail is not positive, gets None.
     """
+    import numpy as np
+
     n = sorted_x.size
     m_int = round(m_eps)
     if abs(m_eps - m_int) > max(tol, 1e-9) * max(1.0, abs(m_eps)):
@@ -173,6 +177,8 @@ def dichotomy_check(
     rescaling.  The zero vector is the one closed member with ``sum(v) = 0``
     and is reported as a degenerate boundary case (rigid_m None).
     """
+    import numpy as np
+
     membership = in_shifted_cone(v, 2, p.shift_params, tol)
     # The cone test has validated v; this only takes its float array.
     x = np.asarray(v, dtype=float)
@@ -196,6 +202,8 @@ def sharp_witness(N: int, m: int) -> np.ndarray:
     With eps chosen so that m_eps = m, the witness sits exactly on the
     sigma_2 boundary of the shifted cone and has vanishing partial sum.
     """
+    import numpy as np
+
     if not 1 <= m <= N - 1:
         raise ValueError(f"m must satisfy 1 <= m <= {N - 1}, got {m}")
     return np.repeat([0.0, 1.0], [m, N - m])
@@ -210,6 +218,8 @@ def sharp_witness(N: int, m: int) -> np.ndarray:
 def _sum_zero_basis(N: int) -> np.ndarray:
     """(N-1, N) orthonormal rows spanning the sum-zero hyperplane (Helmert);
     built once per N and read-only."""
+    import numpy as np
+
     basis = np.zeros((N - 1, N))
     for k in range(1, N):
         basis[k - 1, :k] = 1.0
@@ -227,6 +237,8 @@ def _ball_points(
     A normalized Gaussian direction is uniform on the sphere, and the radius
     ``radius * U^(1/dim)`` has the law of a uniform point's norm (Muller 1959).
     """
+    import numpy as np
+
     w = rng.normal(size=(size, dim))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     w *= radius * rng.uniform(size=(size, 1)) ** (1.0 / dim)
@@ -282,6 +294,8 @@ def _strict_member_mask(rows: np.ndarray, p: EpsilonParams, tol: float) -> np.nd
     ``job_tail_ms`` by 40-50% over 3 pairs, so the sampler keeps the form
     without a loop.
     """
+    import numpy as np
+
     n = p.N
     sums = rows.sum(axis=1)
     shifted = rows - p.alpha_eps * sums[:, None]
@@ -299,6 +313,8 @@ def _strict_member_mask(rows: np.ndarray, p: EpsilonParams, tol: float) -> np.nd
 def _collect_members(
     report: InclusionReport, members: np.ndarray, p: EpsilonParams
 ) -> None:
+    import numpy as np
+
     margins = positivity_margins_batch(members, p.m_eps)
     if margins.size:
         low = float(margins.min())
@@ -353,6 +369,8 @@ def verify_inclusion_sampling(
     Samples and all derived randomness come from one seeded generator in a
     fixed order; reports are reproducible byte-for-byte for a given seed.
     """
+    import numpy as np
+
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     if samples < 0:
@@ -496,6 +514,8 @@ def boundary_search(N: int, epsilon: float, tol: float = DEFAULT_TOL) -> Boundar
     ``1/N - alpha_eps`` instead cancels for small eps and leaves a sigma_2
     margin of rounding noise below -tol (-1.4e-9 at eps = 1e-10, N = 45).
     """
+    import numpy as np
+
     p = _resolvable_params(epsilon, N)
     m = p.m_eps
     direction = partial_sum_weights(m, N)

@@ -19,15 +19,15 @@ The form-degree coefficients ``C_p(n) = S_p / Omega_p`` with ``S_p =
 ranges; they increase in p, with ``C_1 <= 3n/4 < C_2`` for every n >= 3.
 ``FormDegreeCoeffs`` and ``form_degree_coeff`` are defined in ``tables``,
 which loads no numpy, so the classifier reads them without this module;
-they are re-exported here as the same objects.
+they are re-exported here as the same objects.  numpy is imported inside
+the one function that names it, so importing this module loads none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import DEFAULT_TOL
 from .symfun import (
@@ -37,6 +37,9 @@ from .symfun import (
     partial_sum_fractional,
 )
 from .tables import FormDegreeCoeffs, form_degree_coeff, trace_free_count
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WeightBudget",
@@ -119,6 +122,8 @@ def anchored_lower_bound(spectrum: VectorLike, budget: WeightBudget, m: int) -> 
     For ``m == N`` there is no (m+1)-th entry; the anchor term must vanish,
     which requires ``S == N * Omega``.
     """
+    import numpy as np
+
     x = _budget_entries(spectrum, budget)
     n = x.size
     if not (isinstance(m, (int, np.integer)) and 1 <= m <= n):

@@ -101,7 +101,8 @@ _RUN_CLI_WITHOUT_NUMPY = _BLOCK_NUMPY + _CAPTURE_CLI
 def test_cone_modules_import_without_numpy():
     code, modules = _loaded(
         "import gardinglab.cones, gardinglab.symfun, gardinglab.classify, "
-        "gardinglab.curvature, gardinglab.io\ncode = 0"
+        "gardinglab.curvature, gardinglab.io, gardinglab.inclusion, "
+        "gardinglab.weighted\ncode = 0"
     )
     assert code == 0 and "numpy" not in modules
 
