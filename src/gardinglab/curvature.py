@@ -110,7 +110,6 @@ __all__ = [
     "validate_curvature_symmetries",
     "model_space_form",
     "model_product_spheres",
-    "random_curvature_tensor",
     "assemble_first_kind",
     "assemble_second_kind",
     "jacobi_eigensystem",
@@ -266,14 +265,6 @@ class CurvatureTensor:
         diagonal = r[::step] if isinstance(r, tuple) else r.reshape(-1)[::step].tolist()
         return _fsum(diagonal, "scalar curvature")
 
-    def frame_change(self, q: np.ndarray) -> "CurvatureTensor":
-        """Components in the rotated frame e'_a = sum_i q[i, a] e_i."""
-        import numpy as np
-
-        r = np.asarray(self.components, dtype=float).reshape((self.n,) * 4)
-        rotated = np.einsum("ia,jb,kc,ld,ijkl->abcd", q, q, q, q, r, optimize=True)
-        return CurvatureTensor.from_components(rotated)
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
@@ -381,24 +372,6 @@ def model_product_spheres(p: int, q: int) -> CurvatureTensor:
     # Only components with all four indices in one factor are nonzero.
     pairs = _pair_indices(p + q)
     return _from_canonical(p + q, {(i, j, i, j): 1.0 for i, j in pairs if (i < p) == (j < p)})
-
-
-def random_curvature_tensor(n: int, seed: int = 0) -> CurvatureTensor:
-    """Random tensor with all four identities, for stress tests.
-
-    A Gaussian 4-array is (anti)symmetrized into the pair-symmetric space
-    and the totally antisymmetric part removed, which projects exactly onto
-    the kernel of the cyclic sum.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    g = rng.normal(size=(n, n, n, n))
-    g = g - g.transpose(1, 0, 2, 3)
-    g = g - g.transpose(0, 1, 3, 2)
-    g = g + g.transpose(2, 3, 0, 1)
-    cyc = (g + g.transpose(0, 2, 3, 1) + g.transpose(0, 3, 1, 2)) / 3.0
-    return CurvatureTensor.from_components(g - cyc)
 
 
 # ---------------------------------------------------------------------------

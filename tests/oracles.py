@@ -16,7 +16,9 @@ sample's Garding chain through all N degrees and the inclusion sampler that
 tests each drawn batch whole.  The dense trace-free basis, the full
 symmetric-tensor basis (trace-free part plus pure trace) and the dense
 ``einsum`` Gram matrix on a basis are here as well: the library assembles
-the second-kind operator by a sparse contraction and only tests use them.
+the second-kind operator by a sparse contraction and only tests use them;
+so are the random curvature tensor the stress tests draw and the frame
+change the invariance tests apply.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from gardinglab.cones import (
     garding_margin_chain_batch,
     positivity_margins_batch,
 )
-from gardinglab.curvature import _helmert_scales, _round_robin_schedule
+from gardinglab.curvature import CurvatureTensor, _helmert_scales, _round_robin_schedule
 from gardinglab.inclusion import (
     _DRAW_CAP,
     _MAX_BATCH,
@@ -306,6 +308,29 @@ def space_form_second_threshold_dim_form(n: int) -> float:
 def cpn_cohomology_threshold_inverse_form(n: int) -> float:
     """CP^n cohomology threshold through the generic inverse at target 3 - 2/n."""
     return epsilon_for_target_m(3.0 - 2.0 / n, n * n)
+
+
+def random_curvature_tensor(n: int, seed: int = 0) -> CurvatureTensor:
+    """Random tensor with all four identities, for stress tests.
+
+    A Gaussian 4-array is (anti)symmetrized into the pair-symmetric space
+    and the totally antisymmetric part removed, which projects exactly onto
+    the kernel of the cyclic sum.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    g = rng.normal(size=(n, n, n, n))
+    g = g - g.transpose(1, 0, 2, 3)
+    g = g - g.transpose(0, 1, 3, 2)
+    g = g + g.transpose(2, 3, 0, 1)
+    cyc = (g + g.transpose(0, 2, 3, 1) + g.transpose(0, 3, 1, 2)) / 3.0
+    return CurvatureTensor.from_components(g - cyc)
+
+
+def frame_change(tensor: CurvatureTensor, q: np.ndarray) -> CurvatureTensor:
+    """``tensor``'s components in the rotated frame e'_a = sum_i q[i, a] e_i."""
+    r = np.asarray(tensor.components, dtype=float).reshape((tensor.n,) * 4)
+    rotated = np.einsum("ia,jb,kc,ld,ijkl->abcd", q, q, q, q, r, optimize=True)
+    return CurvatureTensor.from_components(rotated)
 
 
 def trace_free_basis(n: int) -> np.ndarray:

@@ -27,7 +27,6 @@ from gardinglab.curvature import (
     eigen_spectrum,
     model_product_spheres,
     model_space_form,
-    random_curvature_tensor,
     scalar_curvature_checks,
     trace_free_count,
     two_form_count,
@@ -52,6 +51,7 @@ from gardinglab.weighted import (
 from oracles import (
     boundary_search_by_subgradient,
     cpn_cohomology_threshold_inverse_form,
+    random_curvature_tensor,
     space_form_first_threshold_dim_form,
     space_form_second_threshold_dim_form,
     weighted_extremes_enum,

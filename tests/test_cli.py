@@ -13,7 +13,7 @@ import pytest
 
 from gardinglab.cli import main
 from gardinglab.config import CONFIG_ENV_VAR
-from gardinglab.curvature import model_product_spheres, random_curvature_tensor
+from gardinglab.curvature import model_product_spheres
 from gardinglab.io import (
     VectorParseError,
     format_vector,
@@ -23,7 +23,7 @@ from gardinglab.io import (
     read_vector_file,
 )
 
-from oracles import tensor_fill_by_loop
+from oracles import random_curvature_tensor, tensor_fill_by_loop
 
 
 def run_cli(capsys, *argv):
