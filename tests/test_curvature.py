@@ -500,12 +500,12 @@ class TestFloatPath:
 
     def test_without_numpy_every_record_and_bit_matches(self, tmp_path):
         # One process with numpy blocked builds, assembles, checks and
-        # solves every case; this one does the same on arrays.
-        cases = [
-            ("sphere", n, c)
-            for n in (3, 4, 6)
-            for c in (1.0, -1.0, 0.5, 1.3, 1e300, -1e-300, 0.0, -0.0)
-        ]
+        # solves every case; this one does the same on arrays.  A tensor
+        # either path refuses gives the same error text, and one whose sums
+        # overflow still gives the same components.
+        curvatures = (1.0, -1.0, 0.5, 1.3, -2.5, 1e300, -1e-300, 0.0, -0.0, 5e-324, -1e-310)
+        curvatures += (1e308, -1e308, math.nan, math.inf, -math.inf)
+        cases = [("sphere", n, c) for n in (3, 4, 6) for c in curvatures]
         cases += [("product", p, q) for p in range(2, 6) for q in range(2, 6)]
         for n in range(3, 9):
             entries = _canonical_entries(random_curvature_tensor(n, seed=29 + n).components)
@@ -524,31 +524,6 @@ class TestFloatPath:
         assert len(floats) == len(cases)
         for case, got in zip(cases, floats):
             assert got == _array_path_result(case), case
-
-    def test_builder_gives_the_same_components_on_both_paths(self, tmp_path):
-        # Every tensor source through _from_canonical, built with numpy
-        # blocked and here on arrays: the same bits, or the same error.
-        curvatures = [0.0, -0.0, 1.0, -1.0, 1.3, -2.5, 5e-324, -1e-310, 1e308, -1e308]
-        curvatures += [math.nan, math.inf, -math.inf]
-        cases = [("sphere", n, c) for n in (3, 4, 7) for c in curvatures]
-        cases += [("product", p, q) for p, q in ((2, 3), (3, 2), (2, 5), (4, 3))]
-        entries = _canonical_entries(np.asarray(model_product_spheres(3, 2).components))
-        entries.update({key: -0.0 for key, value in entries.items() if value == 0.0})
-        cases.append(("file", _write_tensor(tmp_path / "signed.txt", entries)))
-        floats, modules = _loaded(_BUILD_FLOATS, json.dumps(cases))
-        assert "numpy" not in modules
-        assert len(floats) == len(cases)
-        for (kind, *args), got in zip(cases, floats):
-            build = {"sphere": model_space_form, "product": model_product_spheres}.get(
-                kind, read_tensor_file
-            )
-            try:
-                comps = build(*args).components
-            except ValueError as exc:
-                assert got == str(exc), (kind, *args)
-                continue
-            assert isinstance(comps, np.ndarray)
-            assert got == [t.hex() for t in comps.ravel().tolist()], (kind, *args)
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 36, 129])
     def test_norms_take_the_same_fixed_order(self, n):
@@ -584,30 +559,17 @@ for kind, a, *b in json.loads(sys.argv[1]):
     except ValueError as exc:
         code.append(str(exc))
         continue
-    ops = [curvature.assemble_first_kind(tensor), curvature.assemble_second_kind(tensor)]
-    code.append({
-        "components": [t.hex() for t in tensor.components],
-        "operators": [[t.hex() for row in op.entries for t in row] for op in ops],
-        "spectra": [[t.hex() for t in curvature.eigen_spectrum(op).eigenvalues] for op in ops],
-        "record": curvature.scalar_curvature_checks(tensor, ops[0]).to_record(),
-    })
-"""
-
-
-# Builds each tensor of argv[1] on the float path (numpy cannot load) and
-# reports the bits of its flat components in hex, or the error text.
-_BUILD_FLOATS = _BLOCK_NUMPY + """
-from gardinglab import curvature, io as gio
-code = []
-for kind, *args in json.loads(sys.argv[1]):
-    build = {"sphere": curvature.model_space_form, "product": curvature.model_product_spheres}
+    result = {"components": [t.hex() for t in tensor.components]}
     try:
-        tensor = build.get(kind, gio.read_tensor_file)(*args)
+        ops = [curvature.assemble_first_kind(tensor), curvature.assemble_second_kind(tensor)]
+        result["operators"] = [[t.hex() for row in op.entries for t in row] for op in ops]
+        result["spectra"] = [
+            [t.hex() for t in curvature.eigen_spectrum(op).eigenvalues] for op in ops
+        ]
+        result["record"] = curvature.scalar_curvature_checks(tensor, ops[0]).to_record()
     except ValueError as exc:
-        code.append(str(exc))
-        continue
-    assert type(tensor.components) is tuple
-    code.append([t.hex() for t in tensor.components])
+        result["error"] = str(exc)
+    code.append(result)
 """
 
 
@@ -623,13 +585,17 @@ def _array_path_result(case):
             tensor = read_tensor_file(a)
     except ValueError as exc:
         return str(exc)
-    ops = [assemble_first_kind(tensor), assemble_second_kind(tensor)]
-    return {
-        "components": [t.hex() for t in tensor.components.ravel().tolist()],
-        "operators": [[t.hex() for t in op.entries.ravel().tolist()] for op in ops],
-        "spectra": [[t.hex() for t in eigen_spectrum(op).eigenvalues.tolist()] for op in ops],
-        "record": scalar_curvature_checks(tensor, ops[0]).to_record(),
-    }
+    result = {"components": [t.hex() for t in tensor.components.ravel().tolist()]}
+    try:
+        ops = [assemble_first_kind(tensor), assemble_second_kind(tensor)]
+        result["operators"] = [[t.hex() for t in op.entries.ravel().tolist()] for op in ops]
+        result["spectra"] = [
+            [t.hex() for t in eigen_spectrum(op).eigenvalues.tolist()] for op in ops
+        ]
+        result["record"] = scalar_curvature_checks(tensor, ops[0]).to_record()
+    except ValueError as exc:
+        result["error"] = str(exc)
+    return result
 
 
 def _canonical_entries(r):
