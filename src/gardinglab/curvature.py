@@ -396,7 +396,10 @@ def _symmetrized(mat):
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where((mat == mat.T) & (mat != 0.0), mat, (mat + mat.T) / 2.0)
+        sym = (mat + mat.T) / 2.0
+    if np.isfinite(sym).all():  # nothing overflowed: the formula stands
+        return sym
+    return np.where((mat == mat.T) & (mat != 0.0), mat, sym)
 
 
 def _assembled(mat, kind: str) -> OperatorMatrix:
@@ -483,8 +486,7 @@ def _second_kind_array(r: np.ndarray) -> np.ndarray:
     ``(S_k - k D_k) * (1/sqrt(k(k+1)))`` with ``D_l = R_illj`` and ``S_k``
     the running sum of ``D_0 .. D_{k-1}``, one ``cumsum`` for all k.  Each
     Gram entry reads its image the same way: two gathered entries, or the
-    running sum of the image's diagonal.  A sum that overflows is left as
-    it comes out, for ``_assembled`` to refuse.
+    running sum of the image's diagonal.
     """
     import numpy as np
 
@@ -495,21 +497,20 @@ def _second_kind_array(r: np.ndarray) -> np.ndarray:
     scale = np.array(_helmert_scales(n))
     rt = r.transpose(1, 2, 0, 3)  # rt[k, l, i, j] = R_iklj
     d = rt[diag, diag]
-    with np.errstate(over="ignore", invalid="ignore"):
-        images = np.concatenate(
-            [
-                (rt[p, q] + rt[q, p]) * _SQRT_HALF,
-                (np.cumsum(d, axis=0)[:-1] - k[:, None, None] * d[1:]) * scale[:, None, None],
-            ]
-        )
-        d = images[:, diag, diag]
-        return np.concatenate(
-            [
-                (images[:, p, q] + images[:, q, p]) * _SQRT_HALF,
-                (np.cumsum(d, axis=1)[:, :-1] - k * d[:, 1:]) * scale,
-            ],
-            axis=1,
-        )
+    images = np.concatenate(
+        [
+            (rt[p, q] + rt[q, p]) * _SQRT_HALF,
+            (np.cumsum(d, axis=0)[:-1] - k[:, None, None] * d[1:]) * scale[:, None, None],
+        ]
+    )
+    d = images[:, diag, diag]
+    return np.concatenate(
+        [
+            (images[:, p, q] + images[:, q, p]) * _SQRT_HALF,
+            (np.cumsum(d, axis=1)[:, :-1] - k * d[:, 1:]) * scale,
+        ],
+        axis=1,
+    )
 
 
 def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
@@ -523,7 +524,11 @@ def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
     if isinstance(r, tuple):
         mat = _second_kind_floats(r, tensor.n)
     else:
-        mat = _second_kind_array(r)
+        import numpy as np
+
+        # A sum that overflows is left as it comes out, for _assembled to refuse.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = _second_kind_array(r)
     return _assembled(mat, KIND_SECOND)
 
 
@@ -801,7 +806,8 @@ def jacobi_eigensystem(matrix, max_sweeps: int = 100):
         raise ValueError("matrix has non-finite entries")
     w = a.diagonal().copy()
     exponent = int(np.frexp(np.abs(a).max())[1])
-    a = _symmetrized(np.ldexp(a, -exponent))
+    a = np.ldexp(a, -exponent)
+    a = (a + a.T) / 2.0
     fro = _frobenius(a)
     threshold = _JACOBI_OFF_TOL * max(fro, sys.float_info.min)
     active = np.flatnonzero((a != np.diag(a.diagonal())).any(axis=1))
