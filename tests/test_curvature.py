@@ -726,55 +726,45 @@ class TestBasisIndependence:
         np.testing.assert_allclose(got, base, atol=1e-8)
 
 
-# Sphere runs in dimension 4 whose sums overflow, with the message each
-# refusal gives: the scalar curvature is 12 c, and at c = 1e308 the
-# second-kind running sums of 2 c overflow first.
-_OVERFLOW_RUNS = {
-    ("5e307", "first"): "the scalar curvature overflows the float range",
-    ("5e307", "second"): "the scalar curvature overflows the float range",
-    ("1e308", "first"): "the scalar curvature overflows the float range",
-    ("1e308", "second"): "second_kind operator entries overflow the float range",
-}
-
-# Runs each argv of the list in argv[1] through cli.main with numpy blocked
-# and reports its exit code, stdout and stderr.
-_CLI_RUNS_WITHOUT_NUMPY = _BLOCK_NUMPY + """
+# Runs cli.main on argv with numpy blocked and reports its exit code,
+# stdout and stderr.
+_CLI_WITHOUT_NUMPY = _BLOCK_NUMPY + """
 from gardinglab import cli
-code = []
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code.append([cli.main(argv), out.getvalue(), err.getvalue()])
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = [cli.main(sys.argv[1:]), out.getvalue(), err.getvalue()]
 """
 
 
 class TestScalarCurvatureChecks:
-    @pytest.mark.parametrize("curvature", ["5e307", "1e308"])
-    def test_overflowing_sums_are_refused_by_name(self, capsys, curvature):
-        # Each run exits 64 with the message, on arrays and on floats: no
+    # Spheres in dimension 4 whose sums overflow: the scalar curvature is
+    # 12 c, and at c = 1e308 the second-kind running sums of 2 c overflow
+    # first.
+    @pytest.mark.parametrize(
+        "curvature, operator, message",
+        [
+            ("5e307", "first", "the scalar curvature overflows the float range"),
+            ("5e307", "second", "the scalar curvature overflows the float range"),
+            ("1e308", "first", "the scalar curvature overflows the float range"),
+            ("1e308", "second", "second_kind operator entries overflow the float range"),
+        ],
+    )
+    def test_overflowing_sums_are_refused_by_name(self, capsys, curvature, operator, message):
+        # The run exits 64 with the message, on arrays and on floats: no
         # OverflowError from fsum, and no false asymmetry from (x + x) / 2
         # of first-kind entries that agree.
         from gardinglab.cli import main
 
-        runs = {key: message for key, message in _OVERFLOW_RUNS.items() if key[0] == curvature}
-        argvs = [
-            ["model-space", "sphere", "--n", "4", "--curvature", c, "--operator", op]
-            for c, op in runs
-        ]
-        expected = [[64, "", f"gardinglab: {message}\n"] for message in runs.values()]
-        got = []
-        for argv in argvs:
-            code = main(argv)
-            got.append([code, *capsys.readouterr()])
-        assert got == expected
-        floats, modules = _loaded(_CLI_RUNS_WITHOUT_NUMPY, json.dumps(argvs))
-        assert "numpy" not in modules
-        assert floats == expected
-        assemble = {"first": assemble_first_kind, "second": assemble_second_kind}
-        for (c, op), message in runs.items():
-            tensor = model_space_form(4, float(c))
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                scalar_curvature_checks(tensor, assemble[op](tensor))
+        argv = ["model-space", "sphere", "--n", "4", "--curvature", curvature]
+        argv += ["--operator", operator]
+        expected = [64, "", f"gardinglab: {message}\n"]
+        assert [main(argv), *capsys.readouterr()] == expected
+        got, modules = _loaded(_CLI_WITHOUT_NUMPY, *argv)
+        assert got == expected and "numpy" not in modules
+        tensor = model_space_form(4, float(curvature))
+        assemble = assemble_first_kind if operator == "first" else assemble_second_kind
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scalar_curvature_checks(tensor, assemble(tensor))
 
     def test_unit_spheres(self):
         for n in range(3, 9):
