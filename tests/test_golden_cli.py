@@ -185,13 +185,11 @@ def test_cli_output_matches_golden(tmp_path, monkeypatch):
 def _samples_the_ball(argv) -> bool:
     """Whether a run draws ball-route samples: verify-inclusion with
     samples > 0 and no other method."""
-    def option(name, default):
-        return argv[argv.index(name) + 1] if name in argv else default
-
+    value = dict(zip(argv, argv[1:]))  # each option's value
     return (
         "verify-inclusion" in argv
-        and int(option("--samples", 1)) > 0
-        and option("--method", "ball") == "ball"
+        and int(value.get("--samples", 1)) > 0
+        and value.get("--method", "ball") == "ball"
     )
 
 
