@@ -421,7 +421,8 @@ def _assembled(mat, kind: str) -> OperatorMatrix:
 def assemble_first_kind(tensor: CurvatureTensor) -> OperatorMatrix:
     """Matrix of the 2-form action over the orthonormal pair basis.
 
-    Entry ((i,j), (k,l)) is R_ijkl for i < j, k < l in lexicographic order.
+    Entry ((i,j), (k,l)) is R_ijkl for i < j, k < l in lexicographic order,
+    symmetrized; an entry past the float range raises ValueError.
     """
     n = tensor.n
     pairs = _pair_indices(n)
@@ -518,7 +519,8 @@ def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
 
     Because every basis element is trace-free and the projection is
     orthogonal, the projected Gram matrix equals the unprojected one; it is
-    assembled by the sparse contraction of ``_second_kind_array``.
+    assembled by the sparse contraction of ``_second_kind_array``.  An
+    entry past the float range raises ValueError.
     """
     r = tensor.components
     if isinstance(r, tuple):
@@ -885,6 +887,7 @@ def scalar_curvature_checks(
     ``operator`` may hand in the tensor's first- or second-kind operator,
     already assembled by ``assemble_first_kind`` or ``assemble_second_kind``;
     only the other kind is then assembled here, and the report is the same.
+    A sum past the float range raises ValueError that names it.
     """
     scal = tensor.scalar_curvature()
     n = tensor.n
