@@ -13,8 +13,8 @@ Subcommands and exit codes:
 
 Usage errors exit 64, and so does an input the library refuses with a
 ValueError or RuntimeError, with its message: a tensor that breaks a
-curvature symmetry, or whose scalar curvature, operator entries or operator
-trace overflow the float range.  Input files that are malformed, not UTF-8
+curvature symmetry, or whose scalar curvature, operator assembly or operator
+trace overflows the float range.  Input files that are malformed, not UTF-8
 or cannot be opened (and any other failed file operation) exit 65.
 Machine format prints one self-describing JSON record per line with sorted
 keys, so equal configurations and seeds reproduce byte-identical output.

@@ -180,12 +180,19 @@ def _max_abs(values) -> float:
 
 
 def _fsum(values, name: str) -> float:
-    """``math.fsum`` of finite floats; ValueError naming ``name`` where the
-    sum is past the float range (fsum's OverflowError)."""
+    """``math.fsum`` of a list of finite floats; ValueError naming ``name``
+    where the sum is past the float range.  fsum also overflows where only
+    a partial sum does, so the exact rational sum, rounded the same way,
+    decides then."""
     try:
         return math.fsum(values)
     except OverflowError:
-        raise ValueError(f"the {name} overflows the float range") from None
+        from fractions import Fraction
+
+        try:
+            return float(sum(map(Fraction, values)))
+        except OverflowError:
+            raise ValueError(f"the {name} overflows the float range") from None
 
 
 def validate_curvature_symmetries(components, atol: float = _SYMMETRY_ATOL) -> None:
@@ -396,16 +403,14 @@ def _symmetrized(mat):
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = (mat + mat.T) / 2.0
-    if np.isfinite(sym).all():  # nothing overflowed: the formula stands
-        return sym
-    return np.where((mat == mat.T) & (mat != 0.0), mat, sym)
+        return np.where((mat == mat.T) & (mat != 0.0), mat, (mat + mat.T) / 2.0)
 
 
 def _assembled(mat, kind: str) -> OperatorMatrix:
     """The operator of an assembled matrix, symmetrized.  A tensor's
-    components are finite, so an entry that is not is a sum that overflowed;
-    it is refused with a message that says so."""
+    components are finite, so an entry that is not comes from a sum of the
+    assembly that overflowed, although the exact entry may be finite; it is
+    refused with a message that says so."""
     mat = _symmetrized(mat)
     if isinstance(mat, list):
         finite = all(map(math.isfinite, itertools.chain(*mat)))
@@ -414,7 +419,7 @@ def _assembled(mat, kind: str) -> OperatorMatrix:
 
         finite = np.isfinite(mat).all()
     if not finite:
-        raise ValueError(f"{kind} operator entries overflow the float range")
+        raise ValueError(f"the {kind} operator's assembly overflows the float range")
     return OperatorMatrix.from_entries(mat, kind=kind)
 
 
@@ -422,7 +427,8 @@ def assemble_first_kind(tensor: CurvatureTensor) -> OperatorMatrix:
     """Matrix of the 2-form action over the orthonormal pair basis.
 
     Entry ((i,j), (k,l)) is R_ijkl for i < j, k < l in lexicographic order,
-    symmetrized; an entry past the float range raises ValueError.
+    symmetrized; a sum of the assembly past the float range raises
+    ValueError.
     """
     n = tensor.n
     pairs = _pair_indices(n)
@@ -519,8 +525,8 @@ def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
 
     Because every basis element is trace-free and the projection is
     orthogonal, the projected Gram matrix equals the unprojected one; it is
-    assembled by the sparse contraction of ``_second_kind_array``.  An
-    entry past the float range raises ValueError.
+    assembled by the sparse contraction of ``_second_kind_array``.  A sum
+    of the assembly past the float range raises ValueError.
     """
     r = tensor.components
     if isinstance(r, tuple):

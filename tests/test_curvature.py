@@ -46,7 +46,7 @@ from oracles import (
     round_robin_jacobi_by_gathers,
     trace_free_basis,
 )
-from test_startup import _BLOCK_NUMPY, _loaded
+from test_startup import _BLOCK_NUMPY, _RUN_CLI_WITHOUT_NUMPY, _loaded
 
 
 def _random_symmetric(n, seed):
@@ -518,12 +518,25 @@ class TestFloatPath:
             entries.update(dict.fromkeys(zeros[::2], -0.0))
             cases.append(("file", _write_tensor(tmp_path / f"{name}.txt", entries)))
         # A component list that breaks the first Bianchi identity.
-        cases.append(("file", _write_tensor(tmp_path / "bad.txt", {(1, 2, 3, 4): 1.0})))
+        bad = ("file", _write_tensor(tmp_path / "bad.txt", {(1, 2, 3, 4): 1.0}))
+        # A partial sum overflows, the scalar curvature does not.
+        partial = ("file", _write_tensor(tmp_path / "partial.txt", _PARTIAL_OVERFLOW))
+        cases += [bad, partial]
         floats, modules = _loaded(_FLOAT_PATH_RUN, json.dumps(cases))
         assert "numpy" not in modules
         assert len(floats) == len(cases)
         for case, got in zip(cases, floats):
             assert got == _array_path_result(case), case
+        # Only non-finite curvatures and the broken identity are refused at
+        # construction, and only sums past the float range later on.
+        refused = [case for case, got in zip(cases, floats) if isinstance(got, str)]
+        assert refused == [
+            case for case in cases if case[0] == "sphere" and not math.isfinite(case[2])
+        ] + [bad]
+        overflowed = [case for case, got in zip(cases, floats) if isinstance(got, dict) and "error" in got]
+        assert overflowed == [
+            case for case in cases if case[0] == "sphere" and abs(case[2]) == 1e308
+        ] + [partial]
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 36, 129])
     def test_norms_take_the_same_fixed_order(self, n):
@@ -596,6 +609,11 @@ def _array_path_result(case):
     except ValueError as exc:
         result["error"] = str(exc)
     return result
+
+
+# A dimension-3 tensor file whose scalar curvature, 1.6e308, is finite
+# although the diagonal's running sum 0.8e308 + 0.8e308 + 0.8e308 is not.
+_PARTIAL_OVERFLOW = {(1, 2, 1, 2): 0.8e308, (1, 3, 1, 3): 0.8e308, (2, 3, 2, 3): -0.8e308}
 
 
 def _canonical_entries(r):
@@ -726,16 +744,6 @@ class TestBasisIndependence:
         np.testing.assert_allclose(got, base, atol=1e-8)
 
 
-# Runs cli.main on argv with numpy blocked and reports its exit code,
-# stdout and stderr.
-_CLI_WITHOUT_NUMPY = _BLOCK_NUMPY + """
-from gardinglab import cli
-out, err = io.StringIO(), io.StringIO()
-with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-    code = [cli.main(sys.argv[1:]), out.getvalue(), err.getvalue()]
-"""
-
-
 class TestScalarCurvatureChecks:
     # Spheres in dimension 4 whose sums overflow: the scalar curvature is
     # 12 c, and at c = 1e308 the second-kind running sums of 2 c overflow
@@ -746,7 +754,7 @@ class TestScalarCurvatureChecks:
             ("5e307", "first", "the scalar curvature overflows the float range"),
             ("5e307", "second", "the scalar curvature overflows the float range"),
             ("1e308", "first", "the scalar curvature overflows the float range"),
-            ("1e308", "second", "second_kind operator entries overflow the float range"),
+            ("1e308", "second", "the second_kind operator's assembly overflows the float range"),
         ],
     )
     def test_overflowing_sums_are_refused_by_name(self, capsys, curvature, operator, message):
@@ -759,12 +767,30 @@ class TestScalarCurvatureChecks:
         argv += ["--operator", operator]
         expected = [64, "", f"gardinglab: {message}\n"]
         assert [main(argv), *capsys.readouterr()] == expected
-        got, modules = _loaded(_CLI_WITHOUT_NUMPY, *argv)
+        got, modules = _loaded(_RUN_CLI_WITHOUT_NUMPY, *argv)
         assert got == expected and "numpy" not in modules
         tensor = model_space_form(4, float(curvature))
         assemble = assemble_first_kind if operator == "first" else assemble_second_kind
         with pytest.raises(ValueError, match=f"^{message}$"):
             scalar_curvature_checks(tensor, assemble(tensor))
+
+    def test_a_partial_sum_overflow_is_not_refused_as_the_sum(self, tmp_path, capsys):
+        # fsum overflows on the running sum, the exact sum is finite.  The
+        # run is refused by the second-kind assembly, whose running sums
+        # overflow, and not by the scalar curvature; the both-paths bit test
+        # runs this file with numpy blocked too.
+        from gardinglab.cli import main
+
+        path = _write_tensor(tmp_path / "partial.txt", _PARTIAL_OVERFLOW)
+        tensor = read_tensor_file(path)
+        assert tensor.scalar_curvature() == 1.6e308
+        first = assemble_first_kind(tensor)
+        assert float(np.trace(first.entries)) == 0.8e308
+        message = "the second_kind operator's assembly overflows the float range"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scalar_curvature_checks(tensor, first)
+        argv = ["model-space", "file", "--tensor-file", path]
+        assert [main(argv), *capsys.readouterr()] == [64, "", f"gardinglab: {message}\n"]
 
     def test_unit_spheres(self):
         for n in range(3, 9):

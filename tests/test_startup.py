@@ -87,12 +87,12 @@ class _NoNumpy:
 sys.meta_path.insert(0, _NoNumpy())
 """
 
-# Reports the exit code and stdout of one CLI run.
+# Reports the exit code, stdout and stderr of one CLI run.
 _CAPTURE_CLI = """
 from gardinglab import cli
-out = io.StringIO()
-with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-    code = [cli.main(sys.argv[1:]), out.getvalue()]
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = [cli.main(sys.argv[1:]), out.getvalue(), err.getvalue()]
 """
 
 _RUN_CLI_WITHOUT_NUMPY = _BLOCK_NUMPY + _CAPTURE_CLI
@@ -165,7 +165,7 @@ def test_cone_test_loads_only_what_it_runs(tmp_path):
     path.write_text("1, 2, 3\n", encoding="utf-8")
     for options, expected_code, expected_record in _CONE_TEST_RUNS:
         argv = ["--format", "machine", "cone-test", str(path), *options]
-        (code, stdout), modules = _loaded(_RUN_CLI_WITHOUT_NUMPY, *argv)
+        (code, stdout, _), modules = _loaded(_RUN_CLI_WITHOUT_NUMPY, *argv)
         assert (code, stdout) == (expected_code, expected_record + "\n"), options
         assert "numpy" not in modules, options
         assert _submodules(modules) == {
@@ -195,7 +195,7 @@ def test_golden_classify_and_long_cone_test_run_without_numpy(tmp_path, monkeypa
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
-    (code, stdout), modules = _loaded(_RUN_CLI_WITHOUT_NUMPY, *argv, cwd=tmp_path)
+    (code, stdout, _), modules = _loaded(_RUN_CLI_WITHOUT_NUMPY, *argv, cwd=tmp_path)
     assert (code, stdout) == _golden_runs()[" ".join(argv)]
     assert "numpy" not in modules
     # A spectrum of the wrong length exits 65 before the classifier loads.
@@ -215,7 +215,7 @@ def test_golden_model_space_runs_without_numpy(tmp_path, monkeypatch, argv):
     # Machine and human format, a tensor file, --out and the usage error.
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     (tmp_path / "tensor.txt").write_text(_tensor_text(), encoding="utf-8")
-    (code, stdout), modules = _loaded(_RUN_CLI_WITHOUT_NUMPY, *argv, cwd=tmp_path)
+    (code, stdout, _), modules = _loaded(_RUN_CLI_WITHOUT_NUMPY, *argv, cwd=tmp_path)
     spec = tmp_path / "spec.csv"
     if spec.exists():
         stdout += f"> spec.csv\n{spec.read_text(encoding='utf-8')}"
@@ -238,7 +238,7 @@ def test_cone_test_past_the_float_cap_loads_numpy(tmp_path, capsys):
     path.write_text(",".join(repr(rng.uniform(0.5, 1.5)) for _ in range(2000)), encoding="utf-8")
     argv = ["--format", "machine", "cone-test", str(path), "--k", "2000"]
     assert 2000 * 2000 > symfun._FLOAT_WORK >= 40 * 40
-    (code, stdout), modules = _loaded(_CAPTURE_CLI, *argv)
+    (code, stdout, _), modules = _loaded(_CAPTURE_CLI, *argv)
     assert "numpy" in modules
     assert cli.main(argv) == code
     assert capsys.readouterr().out == stdout
@@ -276,7 +276,7 @@ def test_model_space_past_the_float_bounds_loads_numpy(
         (tmp_path / f"t{n}.txt").write_text(_tensor_text(n, seed=n), encoding="utf-8")
     argv = ["--format", "machine", "model-space", *args]
     body = _CAPTURE_CLI if loads_numpy else _RUN_CLI_WITHOUT_NUMPY
-    (code, stdout), modules = _loaded(body, *argv, cwd=tmp_path)
+    (code, stdout, _), modules = _loaded(body, *argv, cwd=tmp_path)
     assert ("numpy" in modules) == loads_numpy
     assert cli.main(argv) == code == 0
     assert capsys.readouterr().out == stdout
