@@ -14,10 +14,10 @@ m-positivity cone ``P_{m_eps}``.  The workhorse is the algebraic identity
 which turns membership into a ball condition around the diagonal: on the
 slice ``sum(v) = 1`` the feasible set is exactly the ball of radius
 ``eps * sqrt((N-1)/N)`` about the barycenter in the sum-zero hyperplane.
-The ball sampler draws from that ball, and the boundary search minimizes
-the partial sum over it in closed form; Gaussian rejection sampling does not
-assume the identity, and the residual of the identity itself is exposed for
-independent checking.
+The ball sampler draws from that ball by dropped coordinates, with no basis
+of the hyperplane, and the boundary search minimizes the partial sum over it
+in closed form; Gaussian rejection sampling does not assume the identity,
+and the residual of the identity itself is exposed for independent checking.
 
 Equality in the inclusion is rigid: it forces ``m_eps`` to be a positive
 integer and the sorted vector to consist of ``m_eps`` zeros followed by
@@ -32,7 +32,6 @@ functions that build arrays, so importing this module loads none.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -80,10 +79,10 @@ CASE_NOT_MEMBER = "not_member"
 
 # A sampling run stops short of its target after max(_DRAW_CAP, 50 * samples)
 # raw draws.  No batch holds more than _MAX_BATCH rows, and a draw keeps at
-# most two batch-sized float64 arrays alive at once (the ball route's
-# directions and their basis product), so the sampler's memory ceiling is
-# 2 * _MAX_BATCH * N * 8 bytes, 32 * N MB, plus the members kept on
-# request.  Membership and margins run over consecutive blocks of
+# most two batch-sized float64 arrays alive at once (the ball route's N + 2
+# normals and their squares, or its normals and rows), so the memory ceiling
+# is 2 * _MAX_BATCH * (N + 2) * 8 bytes, 32 * (N + 2) MB, plus the members
+# kept on request.  Membership and margins run over consecutive blocks of
 # _BLOCK_FLOATS float64s (256 KiB) of a batch: their temporaries fit a
 # 2 MiB L2 cache, which full-batch temporaries (4 MB each at 5000 x 100)
 # overflowed.
@@ -120,7 +119,7 @@ def shift_identity_residual(v: VectorLike, p: EpsilonParams) -> float:
     u = x / norm
     total = float(u.sum())
     lhs = 2.0 * float(sigma_prefix(u - p.alpha_eps * total, 2)[-1])
-    rhs = p.quadratic_coefficient * total**2 - float((u * u).sum())
+    rhs = p.quadratic_coefficient * (total * total) - float((u * u).sum())
     return (lhs - rhs) * norm * norm
 
 
@@ -214,35 +213,28 @@ def sharp_witness(N: int, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=32)
-def _sum_zero_basis(N: int) -> np.ndarray:
-    """(N-1, N) orthonormal rows spanning the sum-zero hyperplane (Helmert);
-    built once per N and read-only."""
-    import numpy as np
-
-    basis = np.zeros((N - 1, N))
-    for k in range(1, N):
-        basis[k - 1, :k] = 1.0
-        basis[k - 1, k] = -float(k)
-        basis[k - 1] /= math.sqrt(k * (k + 1))
-    basis.setflags(write=False)
-    return basis
-
-
-def _ball_points(
-    rng: np.random.Generator, size: int, dim: int, radius: float
+def _ball_slice_rows(
+    rng: np.random.Generator, size: int, N: int, radius: float
 ) -> np.ndarray:
-    """(size, dim) i.i.d. uniform points in the ball of the given radius.
+    """(size, N) i.i.d. uniform points of the ball of the given radius about
+    ``1/N`` in the slice sum(v) = 1, as one C-ordered array.
 
-    A normalized Gaussian direction is uniform on the sphere, and the radius
-    ``radius * U^(1/dim)`` has the law of a uniform point's norm (Muller 1959).
+    Dropped coordinates (Voelker, Gosmann and Stewart 2017): a uniform point
+    of the unit sphere in R^(d+2) without two of its coordinates is uniform
+    in the unit d-ball.  N normals less their mean are a standard normal of
+    the sum-zero hyperplane, so d = N - 1 takes N + 2 normals.  They are
+    drawn coordinate-major, so every step is element-wise or a sum over axis
+    0, in an order that no BLAS or SIMD kernel changes.
     """
     import numpy as np
 
-    w = rng.normal(size=(size, dim))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    w *= radius * rng.uniform(size=(size, 1)) ** (1.0 / dim)
-    return w
+    z = rng.normal(size=(N + 2, size))
+    head = z[:N]
+    head -= head.mean(axis=0)
+    head /= np.sqrt((z * z).sum(axis=0))
+    head *= radius
+    head += 1.0 / N
+    return np.ascontiguousarray(head.T)
 
 
 @dataclass
@@ -299,14 +291,14 @@ def _strict_member_mask(rows: np.ndarray, p: EpsilonParams, tol: float) -> np.nd
     n = p.N
     sums = rows.sum(axis=1)
     shifted = rows - p.alpha_eps * sums[:, None]
-    # np.linalg.norm(shifted, axis=1) is sqrt of this very sum, so one sum of
-    # squares serves the norm and sigma_2 with the same bits.
+    # The row norm is the sqrt of this very sum, so one sum of squares serves
+    # the norm and sigma_2 with the same bits.
     squares = (shifted * shifted).sum(axis=1)
     norms = np.sqrt(squares)
     safe = np.where(norms == 0.0, 1.0, norms)
     s1 = shifted.sum(axis=1)
     s2 = (s1 * s1 - squares) / 2.0
-    margin = np.minimum(s1 / (n * safe), s2 / (math.comb(n, 2) * safe**2))
+    margin = np.minimum(s1 / (n * safe), s2 / (math.comb(n, 2) * (safe * safe)))
     return (margin > tol) & (norms > 0.0)
 
 
@@ -345,9 +337,10 @@ def verify_inclusion_sampling(
 
     * ``ball`` -- i.i.d. uniform points of the sum = 1 slice, where the cone
       section is the ball of radius ``eps * sqrt((N-1)/N)`` about the
-      barycenter: a Gaussian direction in the sum-zero hyperplane and a
-      radius ``rho * U^(1/(N-1))``.  Exact and independent, and as cheap
-      in a narrow cone as in a wide one;
+      barycenter: N + 2 normals, the mean taken off the first N, scaled
+      by ``rho`` over the norm of all N + 2, with the last two dropped.
+      Exact and independent, and as cheap in a narrow cone as in a wide
+      one;
     * ``rejection`` -- rotation-invariant Gaussian draws.  It is the one
       route that does not assume the ball identity being checked, but its
       acceptance rate collapses for narrow cones in high dimension.
@@ -393,7 +386,6 @@ def verify_inclusion_sampling(
         return report
     report.method_used = method
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    basis = _sum_zero_basis(N) if method == "ball" else None
     kept: list[np.ndarray] = []
     hard_cap = max(_DRAW_CAP, 50 * samples)
     block = max(1, _BLOCK_FLOATS // N)
@@ -403,14 +395,11 @@ def verify_inclusion_sampling(
             # far: one batch when nearly every draw is a member, geometric
             # growth when few are.
             size = min(_MAX_BATCH, samples + report.draws - 2 * report.accepted)
-            rows = _ball_points(rng, size, N - 1, p.slice_radius) @ basis
-            rows += 1.0 / N  # in place; the same bits as 1.0 / N + product
+            rows = _ball_slice_rows(rng, size, N, p.slice_radius)
         else:
             size = max(10_000, min(_MAX_BATCH, samples * 4))
             rows = rng.normal(size=(size, N))
         report.draws += size
-        # The basis product above stays whole: OpenBLAS rounds a row of a
-        # row-blocked product differently at some N (18, 28, 60, 100, ...).
         for start in range(0, size, block):
             chunk = rows[start : start + block]
             members = chunk[_strict_member_mask(chunk, p, tol)][: samples - report.accepted]

@@ -10,10 +10,11 @@ the library replaced: the row-major sigma recurrence, the single-vector
 recurrence with degree factors built per call, the partial sum of one
 vector as a (1, N) batch, the scalar cyclic-order Jacobi loop, the
 round-robin Jacobi rounds that gather and scatter rows and columns in
-natural order, the restarted subgradient boundary search, the per-entry
-symmetric fill of a parsed tensor file, the nesting check that runs every
-sample's Garding chain through all N degrees and the inclusion sampler that
-tests each drawn batch whole.  The dense trace-free basis, the full
+natural order, the restarted subgradient boundary search over a Helmert
+basis of the sum-zero hyperplane, the per-entry symmetric fill of a parsed
+tensor file, the nesting check that runs every sample's Garding chain
+through all N degrees and the inclusion sampler that tests each drawn batch
+whole.  The dense trace-free basis, the full
 symmetric-tensor basis (trace-free part plus pure trace) and the dense
 ``einsum`` Gram matrix on a basis are here as well: the library assembles
 the second-kind operator by a sparse contraction and only tests use them;
@@ -42,11 +43,10 @@ from gardinglab.inclusion import (
     _DRAW_CAP,
     _MAX_BATCH,
     InclusionReport,
-    _ball_points,
+    _ball_slice_rows,
     _collect_members,
     _resolvable_params,
     _strict_member_mask,
-    _sum_zero_basis,
     epsilon_for_target_m,
     epsilon_to_params,
 )
@@ -200,6 +200,16 @@ def boundary_min_by_projection(N: int, epsilon: float) -> float:
     return float(np.dot(weights, np.full(N, 1.0 / N)) - rho * np.linalg.norm(perp))
 
 
+def _sum_zero_basis(N: int) -> np.ndarray:
+    """(N-1, N) orthonormal rows spanning the sum-zero hyperplane (Helmert)."""
+    basis = np.zeros((N - 1, N))
+    for k in range(1, N):
+        basis[k - 1, :k] = 1.0
+        basis[k - 1, k] = -float(k)
+        basis[k - 1] /= math.sqrt(k * (k + 1))
+    return basis
+
+
 @dataclass
 class SubgradientResult:
     """Best restart of ``boundary_search_by_subgradient`` and its counters."""
@@ -254,7 +264,11 @@ def boundary_search_by_subgradient(
         np.put_along_axis(sel, order, np.broadcast_to(weight, v.shape), axis=1)
         return v, sel
 
-    w = _ball_points(rng, restarts, N - 1, rho)
+    # Uniform starts in the ball: a Gaussian direction and the radius
+    # rho * U^(1/(N-1)) (Muller 1959).
+    w = rng.normal(size=(restarts, N - 1))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w *= rho * rng.uniform(size=(restarts, 1)) ** (1.0 / (N - 1))
     best_vals = np.full(restarts, np.inf)
     best_w = w.copy()
     prev_sel = None
@@ -564,11 +578,11 @@ def verify_inclusion_sampling_unblocked(
     keep_members: bool = False,
 ) -> InclusionReport:
     """``inclusion.verify_inclusion_sampling`` with membership and margins
-    taken over each drawn batch whole rather than in row blocks, and the
-    ball rows shifted by ``1/N`` out of place.
+    taken over each drawn batch whole rather than in row blocks.
 
-    Same seeded draws, same per-row kernels, same record and members; the
-    arguments are assumed valid.
+    Same seeded draws (the ball rows from the library's own draw), same
+    per-row kernels, same record and members; the arguments are assumed
+    valid.
     """
     p = _resolvable_params(epsilon, N)
     report = InclusionReport(
@@ -586,13 +600,12 @@ def verify_inclusion_sampling_unblocked(
         return report
     report.method_used = method
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    basis = _sum_zero_basis(N) if method == "ball" else None
     kept: list[np.ndarray] = []
     hard_cap = max(_DRAW_CAP, 50 * samples)
     while report.accepted < samples and report.draws < hard_cap:
         if method == "ball":
             size = min(_MAX_BATCH, samples + report.draws - 2 * report.accepted)
-            rows = 1.0 / N + _ball_points(rng, size, N - 1, p.slice_radius) @ basis
+            rows = _ball_slice_rows(rng, size, N, p.slice_radius)
         else:
             size = max(10_000, min(_MAX_BATCH, samples * 4))
             rows = rng.normal(size=(size, N))

@@ -181,22 +181,6 @@ def test_cli_output_matches_golden(tmp_path, monkeypatch):
     assert render(tmp_path) == GOLDEN.read_text(encoding="utf-8")
 
 
-
-def _samples_the_ball(argv) -> bool:
-    """Whether a run draws ball-route samples: verify-inclusion with
-    samples > 0 and no other method."""
-    value = dict(zip(argv, argv[1:]))  # each option's value
-    return (
-        "verify-inclusion" in argv
-        and int(value.get("--samples", 1)) > 0
-        and value.get("--method", "ball") == "ball"
-    )
-
-
-# The runs whose records use no BLAS call: every case but ball-route
-# sampling, whose basis product is a gemm.
-KERNEL_FREE_CASES = [argv for argv in CASES if not _samples_the_ball(argv)]
-
 # Each kernel set another CPU would get, as the environment that selects it
 # and the /proc/cpuinfo flags it needs: OpenBLAS's DYNAMIC_ARCH kernels and
 # numpy's dispatch without its AVX-512 targets.
@@ -217,13 +201,13 @@ KERNEL_SETS = {
     ),
 }
 
-# Renders KERNEL_FREE_CASES in argv[1] with numpy loaded, so every run takes
-# the array kernels.
+# Renders every case in argv[1] with numpy loaded, so every run takes the
+# array kernels.
 _RENDER_WITH_NUMPY = """
 import pathlib, sys
 import numpy
-from test_golden_cli import KERNEL_FREE_CASES, render
-sys.stdout.write(render(pathlib.Path(sys.argv[1]), KERNEL_FREE_CASES))
+from test_golden_cli import render
+sys.stdout.write(render(pathlib.Path(sys.argv[1])))
 """
 
 
@@ -236,12 +220,10 @@ def _cpu_flags() -> set:
 
 
 def test_records_do_not_depend_on_blas_or_simd_kernels(tmp_path, monkeypatch):
-    """The kernel-free runs give the same bytes under every kernel set the
-    host can run, one subprocess per set; the sets that ran are printed."""
+    """Every golden run gives the same bytes under every kernel set the host
+    can run, one subprocess per set; the sets that ran are printed."""
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    expected = render(tmp_path, KERNEL_FREE_CASES)
-    golden = GOLDEN.read_text(encoding="utf-8")
-    assert all(f"$ gardinglab {run}" in golden for run in expected.split("$ gardinglab ")[1:])
+    expected = GOLDEN.read_text(encoding="utf-8")
     src = Path(__file__).resolve().parent.parent / "src"
     flags = _cpu_flags()
     ran = []

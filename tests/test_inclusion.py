@@ -18,7 +18,6 @@ from gardinglab.inclusion import (
     _BLOCK_FLOATS,
     _collect_members,
     _rigid_zero_count,
-    _sum_zero_basis,
     boundary_minimum_closed_form,
     boundary_search,
     dichotomy_check,
@@ -338,12 +337,6 @@ class TestSamplingVerification:
         assert math.isnan(report.min_margin)
         assert report.violation_count == 1 and not report.ok
 
-    def test_basis_is_built_once_and_read_only(self):
-        basis = _sum_zero_basis(7)
-        assert _sum_zero_basis(7) is basis and not basis.flags.writeable
-        np.testing.assert_allclose(basis @ basis.T, np.eye(6), atol=1e-15)
-        np.testing.assert_allclose(basis.sum(axis=1), 0.0, atol=1e-15)
-
     def test_deterministic_records(self):
         a = verify_inclusion_sampling(N=6, epsilon=0.4, samples=5_000, seed=37)
         b = verify_inclusion_sampling(N=6, epsilon=0.4, samples=5_000, seed=37)
@@ -410,16 +403,16 @@ class TestBlockedSampling:
         real = inclusion_mod.positivity_margins_batch
 
         def flag_some(rows, m):
-            # About 1% of rows, picked by a digit of their first entry, so
+            # About 0.5% of rows, picked by a digit of their first entry, so
             # both samplers flag the same rows wherever the blocks fall.
             margins = real(rows, m)
-            return np.where((rows[:, 0] * 1e9) % 1.0 < 0.01, -margins, margins)
+            return np.where((rows[:, 0] * 1e9) % 1.0 < 0.005, -margins, margins)
 
         monkeypatch.setattr(inclusion_mod, "positivity_margins_batch", flag_some)
         N = 100
         report = _assert_same_as_unblocked(N, 0.2, 5000, 3, "ball")
         assert report.violation_count > 10 and len(report.violations) == 10
-        flagged = np.flatnonzero((report.members[:, 0] * 1e9) % 1.0 < 0.01)
+        flagged = np.flatnonzero((report.members[:, 0] * 1e9) % 1.0 < 0.005)
         assert flagged.size == report.violation_count
         assert [v["vector"] for v in report.violations] == report.members[flagged[:10]].tolist()
         assert flagged[9] >= 2 * _block(N)
@@ -428,7 +421,7 @@ class TestBlockedSampling:
         "method, eps, batch_rows, batches", [("ball", 0.2, 5000, 2.25), ("rejection", 0.9, 20_000, 1.25)]
     )
     def test_peak_memory_stays_near_the_draw(self, method, eps, batch_rows, batches):
-        # The ball draw holds two (5000, 100) arrays at its peak and the
+        # The ball draw holds two (102, 5000) arrays at its peak and the
         # rejection draw one (20000, 100) array; full-batch temporaries of
         # the membership and margin passes would add several more.
         N = 100
