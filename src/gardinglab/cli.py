@@ -12,10 +12,11 @@ Subcommands and exit codes:
 * ``thresholds``: always 0.
 
 Usage errors exit 64, and so does an input the library refuses with a
-ValueError or RuntimeError, with its message: a tensor that breaks a
-curvature symmetry, or whose scalar curvature, operator assembly or operator
-trace overflows the float range.  Input files that are malformed, not UTF-8
-or cannot be opened (and any other failed file operation) exit 65.
+ValueError or RuntimeError, with its message: a non-finite curvature, a
+tensor that breaks a curvature symmetry, or one whose scalar curvature,
+operator assembly or operator trace overflows the float range.  Input files
+that are malformed, not UTF-8 or cannot be opened (and any other failed file
+operation) exit 65.
 Machine format prints one self-describing JSON record per line with sorted
 keys, so equal configurations and seeds reproduce byte-identical output.
 

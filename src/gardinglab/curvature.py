@@ -294,6 +294,8 @@ class OperatorMatrix:
             shape = (len(arr), *{len(row) for row in arr})
             if len(shape) != 2 or shape[0] != shape[1]:
                 raise ValueError(f"expected a square matrix, got shape {shape}")
+            if not all(map(math.isfinite, itertools.chain(*arr))):
+                raise ValueError("matrix has non-finite entries")
             asym = _max_abs(map(sub, itertools.chain(*arr), itertools.chain(*zip(*arr))))
         else:
             import numpy as np
@@ -302,8 +304,9 @@ class OperatorMatrix:
             shape = arr.shape
             if arr.ndim != 2 or shape[0] != shape[1]:
                 raise ValueError(f"expected a square matrix, got shape {shape}")
-            with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
-                asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
+            if not np.isfinite(arr).all():
+                raise ValueError("matrix has non-finite entries")
+            asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
         if shape[0] < 1:
             raise ValueError("operator matrix must be at least 1x1")
         if not asym <= _SYMMETRY_ATOL:
@@ -367,7 +370,9 @@ def model_space_form(n: int, curvature: float) -> CurvatureTensor:
     """Constant-curvature tensor R_ijkl = c (d_ik d_jl - d_il d_jk).
 
     Every other component is ``c * 0.0``, as the formula gives it: -0.0
-    for negative c and NaN for non-finite c."""
+    for negative c.  A non-finite c raises ValueError."""
+    if not math.isfinite(curvature):
+        raise ValueError(f"curvature must be finite, got {curvature}")
     entries = {(i, j, i, j): curvature for i, j in _pair_indices(n)}
     return _from_canonical(n, entries, zero=curvature * 0.0)
 

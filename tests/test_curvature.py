@@ -67,6 +67,19 @@ class TestModelSpaces:
     def test_negative_curvature(self):
         assert model_space_form(3, -1.0).components[0, 1, 0, 1] == -1.0
 
+    @pytest.mark.parametrize("curvature", ["nan", "inf", "-inf"])
+    def test_non_finite_curvature_is_refused_by_name(self, capsys, curvature):
+        # c * 0.0 and inf - inf put NaN into every symmetry check, so the
+        # curvature is checked first.  The run exits 64 with the same text
+        # on arrays and on floats.
+        from gardinglab.cli import main
+
+        argv = ["model-space", "sphere", "--n", "4", f"--curvature={curvature}"]
+        expected = [64, "", f"gardinglab: curvature must be finite, got {curvature}\n"]
+        assert [main(argv), *capsys.readouterr()] == expected
+        got, modules = _loaded(_RUN_CLI_WITHOUT_NUMPY, *argv)
+        assert got == expected and "numpy" not in modules
+
     def test_product_components(self):
         r = model_product_spheres(2, 2).components
         assert r[0, 1, 0, 1] == 1.0
@@ -556,6 +569,18 @@ class TestFloatPath:
             _from_canonical(2, {})
 
 
+# The error text of OperatorMatrix.from_entries on the rows of argv[1], a
+# JSON list, with numpy blocked.
+_FROM_ENTRIES_WITHOUT_NUMPY = _BLOCK_NUMPY + """
+from gardinglab.curvature import OperatorMatrix
+try:
+    OperatorMatrix.from_entries(json.loads(sys.argv[1]))
+    code = None
+except ValueError as exc:
+    code = str(exc)
+"""
+
+
 # Builds, assembles, checks and solves each case of argv[1] on the float
 # path (numpy cannot load) and reports the bits of each result in hex.
 _FLOAT_PATH_RUN = _BLOCK_NUMPY + """
@@ -668,14 +693,18 @@ class TestOperatorMatrixAndSpectrum:
         with pytest.raises(ValueError):
             OperatorMatrix.from_entries(bad)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_entries_rejected(self, bad):
-        # inf - inf is NaN, and NaN > atol is false: the check must be
-        # written so that NaN fails it.
-        a = np.eye(10)
-        a[2, 5] = a[5, 2] = bad
-        with pytest.raises(ValueError):
-            OperatorMatrix.from_entries(a)
+        # Refused by name on arrays and on floats, off the diagonal and on
+        # it.  inf - inf is NaN, so the asymmetry check alone would call a
+        # symmetric matrix with one such entry asymmetric.
+        for i, j in ((2, 5), (1, 1)):
+            a = np.eye(10)
+            a[i, j] = a[j, i] = bad
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                OperatorMatrix.from_entries(a)
+            got, modules = _loaded(_FROM_ENTRIES_WITHOUT_NUMPY, json.dumps(a.tolist()))
+            assert got == "matrix has non-finite entries" and "numpy" not in modules
 
     def test_generic_spectrum_has_no_dimension(self):
         spec = eigen_spectrum(OperatorMatrix.from_entries(np.eye(5), KIND_GENERIC))
