@@ -49,7 +49,6 @@ _EXPORTS = {
             "assemble_first_kind",
             "assemble_second_kind",
             "eigen_spectrum",
-            "jacobi_eigensystem",
             "model_product_spheres",
             "model_space_form",
             "scalar_curvature_checks",

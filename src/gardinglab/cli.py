@@ -24,27 +24,27 @@ Start-up: the module level imports the standard library and ``config``
 alone, and each handler imports what it runs when it is called, after its
 usage checks.  ``thresholds``, ``classify`` and every usage error run
 without numpy, and so do ``cone-test`` up to N*k = 1.8 million and
-``model-space`` up to dimension 12 and 40 active Jacobi rows.
-``cone-test`` loads ``io`` and parses its vector file into Python floats,
-so a missing, malformed or non-finite file exits 65, and only then loads
-``cones`` and ``symfun``.  ``classify`` reads its file in the same way,
-checks the spectrum length against ``tables``, so a spectrum of the wrong
-length exits 65 too, and then loads ``classify``, ``cones`` and
-``symfun`` and passes the sorted floats to the classifier.
-``model-space`` loads ``io``, ``tables``, ``curvature`` and ``symfun``:
-its tensor, both operators, the identity checks and the Jacobi solve run
-on Python floats within those bounds.  The library takes its float path
-while numpy is not loaded, since numpy's import costs more than the float
-work on these inputs saves: ``symfun._vector_entries`` decides it for a
-vector, and ``curvature._from_canonical``, through which every tensor
-source (the sphere, the product and ``io``'s tensor file) is built, for a
-tensor and all that follows from it.  Both paths run the same float
-operations in the same order, so they give the same records.  Past N*k = 1.8 million
-a ``cone-test`` loads numpy, whose recurrence is faster there, and so
-does a ``model-space`` run past either of its bounds
-(``curvature._FLOAT_DIM``, ``_FLOAT_ACTIVE_ROWS``).  ``verify-inclusion``
-loads ``inclusion`` and numpy.  Handlers read library functions from
-their modules at call time, so a wrapper set on a module sees the call.
+``model-space`` up to dimension 12.  ``cone-test`` loads ``io`` and parses
+its vector file into Python floats, so a missing, malformed or non-finite
+file exits 65, and only then loads ``cones`` and ``symfun``.  ``classify``
+reads its file in the same way, checks the spectrum length against
+``tables``, so a spectrum of the wrong length exits 65 too, and then loads
+``classify``, ``cones`` and ``symfun`` and passes the sorted floats to the
+classifier.  ``model-space`` loads ``io``, ``tables``, ``curvature`` and
+``symfun``: its tensor, both operators and the identity checks run on
+Python floats within that bound, and its eigensolve always does.  The
+library takes its float path while numpy is not loaded, since numpy's
+import costs more than the float work on these inputs saves:
+``symfun._vector_entries`` decides it for a vector, and
+``curvature._from_canonical``, through which every tensor source (the
+sphere, the product and ``io``'s tensor file) is built, for a tensor and
+all that follows from it.  Both paths run the same float operations in the
+same order, so they give the same records.  Past N*k = 1.8 million a
+``cone-test`` loads numpy, whose recurrence is faster there, and so does a
+``model-space`` run past dimension 12 (``curvature._FLOAT_DIM``).
+``verify-inclusion`` loads ``inclusion`` and numpy.  Handlers read library
+functions from their modules at call time, so a wrapper set on a module
+sees the call.
 """
 
 from __future__ import annotations

@@ -149,7 +149,7 @@ class EpsilonParams:
     @property
     def quadratic_coefficient(self) -> float:
         """q = (1 + (N-1) eps^2) / N, the coefficient in the ball identity."""
-        return (1.0 + (self.N - 1) * self.epsilon**2) / self.N
+        return (1.0 + (self.N - 1) * (self.epsilon * self.epsilon)) / self.N
 
     @property
     def slice_radius(self) -> float:

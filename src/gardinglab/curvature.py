@@ -21,59 +21,49 @@ Two self-adjoint operators are assembled from it:
 
 Every number on the record path comes from operations whose order is fixed
 by the code, not by a BLAS or SIMD kernel: element-wise ``+ - * /``,
-square roots, index gathers, sequential running sums (``np.cumsum``) and
-numpy's pairwise sum (``np.add.reduce``, reproduced on floats by
-``symfun._pairwise_sum``).  The second-kind operator is a sparse
-contraction: an off-diagonal basis element is a pair of index gathers, and
-all Helmert diagonals come from one running sum over the diagonal slices
-``R_illj`` (and, for the Gram matrix, over each image's diagonal).  The
-scalar curvature and the operator traces of the identity checks are
-correctly rounded sums (``math.fsum``), so no order of the terms enters.
-Jacobi's ``||A||_F`` and off-diagonal norm are square roots of pairwise
-sums of the squares, row by row and then over the rows.
+square roots, ``math.hypot``, index gathers, sequential running sums
+(``np.cumsum``) and correctly rounded sums (``math.fsum``).  The
+second-kind operator is a sparse contraction: an off-diagonal basis element
+is a pair of index gathers, and all Helmert diagonals come from one running
+sum over the diagonal slices ``R_illj`` (and, for the Gram matrix, over
+each image's diagonal).  The scalar curvature, the operator traces of the
+identity checks and every dot product of the eigensolver are ``math.fsum``
+sums, so no order of their terms enters.
 
-Spectra are the eigenvalues of a Jacobi rotation solver (off-diagonal
-threshold 1e-14 * ||A||_F, at most 100 sweeps) so the package carries no
-LAPACK dependency on this path.  No eigenvectors are accumulated: every
-consumer of a spectrum reads its eigenvalues alone.  Each sweep runs in
-round-robin order: rounds of disjoint pairs whose rotations are applied as
-one update, every angle of a round first, then all row updates, then all
-column updates.  On numpy each round works on a copy of the matrix laid out
-in its paired order, the ``p`` rows on top and their ``q`` partners below,
-so it rotates contiguous halves and gathers nothing; one ``take`` moves the
-copy into the next round's order.  Rows with no nonzero off-diagonal entry
-are skipped, so sparse model operators rotate only the few rows that
-couple.
+Spectra are the eigenvalues of ``_eigenvalues``, so the package carries no
+LAPACK dependency on this path: Householder reduction to tridiagonal form,
+then implicit QL with Wilkinson shifts (the EISPACK tred1/tql1 pair), on
+Python floats whether or not numpy is loaded.  No eigenvectors are
+accumulated: every consumer of a spectrum reads its eigenvalues alone.
+Rows with no nonzero off-diagonal entry are left out of the solve, so
+sparse model operators reduce only the few rows that couple.
 
-Two paths run the same float operations in the same order, so they give
-the same bits.  Every tensor source (``model_space_form``,
-``model_product_spheres``, ``io.parse_tensor_text``) lists its nonzero
-independent components and hands them to ``_from_canonical``, which fills
-in the rest by symmetry and alone decides the layout: while numpy is not
-loaded (``"numpy" not in sys.modules``) a tensor of dimension n <= 12
-(``_FLOAT_DIM``) holds the flat tuple of its n^4 components in row-major
-order, and otherwise a float array.  The layout picks the path of what
-follows: on the tuple ``OperatorMatrix`` holds a tuple of row tuples, and
-the validation, both assemblers and the identity checks run on Python
-floats; so does the Jacobi solver for at most 40 active rows
-(``_FLOAT_ACTIVE_ROWS``) while numpy is not loaded, and
-``jacobi_eigensystem`` then returns a sorted list (``sorted`` is stable,
-as ``np.sort(kind="stable")`` is, so ``-0.0`` and ``0.0`` keep their
-order).  Otherwise everything runs on numpy arrays: past either bound the
-float work costs more than numpy's import, so a larger tensor loads numpy
-before its components are built, and a solve with more active rows loads
-it before its first sweep (the bounds and their measurements are at
-``_FLOAT_DIM``).  Below them the import costs a ``model-space`` run of the
+The tensor kernels have two paths that run the same float operations in
+the same order, so they give the same bits.  Every tensor source
+(``model_space_form``, ``model_product_spheres``, ``io.parse_tensor_text``)
+lists its nonzero independent components and hands them to
+``_from_canonical``, which fills in the rest by symmetry and alone decides
+the layout: while numpy is not loaded (``"numpy" not in sys.modules``) a
+tensor of dimension n <= 12 (``_FLOAT_DIM``) holds the flat tuple of its
+n^4 components in row-major order, and otherwise a float array.  The
+layout picks the path of what follows: on the tuple ``OperatorMatrix``
+holds a tuple of row tuples, and the validation, both assemblers and the
+identity checks run on Python floats; otherwise they run on numpy arrays.
+Past the bound the float work costs more than numpy's import, so a larger
+tensor loads numpy before its components are built (the measurements are
+at ``_FLOAT_DIM``).  Below it the import costs a ``model-space`` run of the
 CLI more than the float work, so that run loads no numpy: from the shell
 (2-core host, Python 3.11, numpy 2.4, no bytecode cache, median of 7 runs)
 ``model-space sphere --n 6 --curvature 1.3`` took 285 ms with numpy and
 187 ms on floats, and a random n = 4 tensor file's second-kind operator
-236 and 176 ms.  In-process callers, which have numpy loaded, keep the
-array kernels for operators of up to a hundred rows.  numpy is imported
-only inside the functions that build arrays.  Which path ran shows in the
-types of ``CurvatureTensor.components``, ``OperatorMatrix.entries`` and
-the eigenvalues, so a caller that needs an array converts them with
-``np.asarray`` (``components`` is then reshaped to (n, n, n, n)).
+236 and 176 ms.  The eigensolver returns a sorted list while numpy is not
+loaded and a float array otherwise (``list.sort`` is stable, as
+``np.sort(kind="stable")`` is, so ``-0.0`` and ``0.0`` keep their order).
+numpy is imported only inside the functions that build arrays.  Which path
+ran shows in the types of ``CurvatureTensor.components``,
+``OperatorMatrix.entries`` and the eigenvalues, so a caller that needs an
+array converts them with ``np.asarray`` (``components`` is then reshaped
+to (n, n, n, n)).
 
 ``Spectrum``, ``KIND_FIRST`` and ``KIND_SECOND`` are defined in ``tables``,
 which loads no numpy, so the classifier reads them without this module;
@@ -87,11 +77,10 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, Optional, Union
 
 from .config import Record
-from .symfun import _pairwise_sum
 from .tables import KIND_FIRST, KIND_SECOND, Spectrum, trace_free_count, two_form_count
 
 if TYPE_CHECKING:
@@ -112,7 +101,6 @@ __all__ = [
     "model_product_spheres",
     "assemble_first_kind",
     "assemble_second_kind",
-    "jacobi_eigensystem",
     "eigen_spectrum",
     "scalar_curvature_checks",
     "CurvatureIdentityReport",
@@ -121,23 +109,21 @@ __all__ = [
 KIND_GENERIC = "generic"
 
 _SYMMETRY_ATOL = 1e-12
-# Jacobi stops once the off-diagonal norm is below this fraction of ||A||_F.
-_JACOBI_OFF_TOL = 1e-14
+# Implicit-QL iterations one eigenvalue may take (EISPACK's cap), and the
+# relative size below which an off-diagonal entry splits the matrix.
+_QL_ITERATIONS = 30
+_SPLIT_TOL = sys.float_info.epsilon
 # Relative error within which the scalar curvature identities count as held.
 _IDENTITY_RTOL = 1e-8
 # The off-diagonal entries of the trace-free basis.
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-# Bounds of the float path, past which numpy's import costs less than the
-# Python float work.  Measured in-process on a 2-core host (Python 3.11,
-# numpy 2.4), where the import took 54-100 ms: building, assembling and
-# checking a sphere or product tensor on floats took 33-53 ms at n = 12,
-# 47-65 ms at n = 13 and about 95 ms at n = 14 (the n^4 components and
-# their symmetry partners dominate), against at most 4 ms on arrays; a
-# dense Jacobi solve took 41-69 ms on floats against 10-15 ms on arrays at
-# 36 active rows, 55-94 against 11-18 ms at 40 and 80-139 against 15-32 ms
-# at 44.
+# Bound of the float path for tensors, past which numpy's import costs less
+# than the Python float work.  Measured in-process on a 2-core host (Python
+# 3.11, numpy 2.4), where the import took 54-100 ms: building, assembling
+# and checking a sphere or product tensor on floats took 33-53 ms at
+# n = 12, 47-65 ms at n = 13 and about 95 ms at n = 14 (the n^4 components
+# and their symmetry partners dominate), against at most 4 ms on arrays.
 _FLOAT_DIM = 12
-_FLOAT_ACTIVE_ROWS = 40
 
 
 def dimension_for_count(N: int, kind: str) -> Optional[int]:
@@ -550,189 +536,102 @@ def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=32)
-def _round_robin_schedule(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Rounds of disjoint pairs ``(p, q)``, p < q, that cover every pair of
-    ``range(m)`` exactly once, each as the tuple of its ``p`` and the tuple
-    of their ``q`` partners.
+def _tridiagonal(a: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Householder reduction of the symmetric list of rows ``a``, which it
+    consumes, to a tridiagonal matrix with the same eigenvalues: its
+    diagonal ``d`` and its off-diagonal ``e``, where ``e[i]`` couples rows
+    i and i + 1 and the last entry is 0.0.
 
-    Circle method: index 0 stays put and the others move one place per round;
-    for odd m a dummy index m pads the ring and its partner sits the round out.
+    Rows are reduced from the last up (EISPACK's tred1).  Row i's leading
+    i entries, divided by their absolute sum so that no square under- or
+    overflows, give the reflector ``I - u u^T / h`` that maps them onto
+    their last entry; the leading i x i block then takes the rank-2 update
+    ``a - (u q^T + q u^T)``, whose entries (j, k) and (k, j) are the same
+    float operations, so it stays exactly symmetric.  Every dot product is
+    a ``math.fsum``, correctly rounded, so no order of its terms enters.
     """
-    size = m + m % 2
-    ring = list(range(size))
-    rounds = []
-    for _ in range(size - 1):
-        pairs = [
-            (min(x, y), max(x, y)) for x, y in zip(ring[: size // 2], ring[::-1][: size // 2])
-        ]
-        pairs = [pair for pair in pairs if pair[1] < m]
-        rounds.append((tuple(p for p, _ in pairs), tuple(q for _, q in pairs)))
-        ring = [ring[0], ring[-1], *ring[1:-1]]
-    return tuple(rounds)
+    m = len(a)
+    d = [0.0] * m
+    e = [0.0] * m
+    for i in range(m - 1, 0, -1):
+        row = a.pop()
+        d[i] = row[i]
+        x = row[:i]
+        scale = math.fsum(map(abs, x))
+        if i == 1 or scale == 0.0:
+            e[i - 1] = x[-1]
+            continue
+        u = [t / scale for t in x]
+        h = math.fsum(map(mul, u, u))
+        f = u[-1]
+        g = -math.copysign(math.sqrt(h), f)
+        e[i - 1] = scale * g
+        h -= f * g
+        u[-1] = f - g
+        p = [math.fsum(map(mul, r, u)) / h for r in a]
+        k = math.fsum(map(mul, u, p)) / (h + h)
+        q = [s - k * t for s, t in zip(p, u)]
+        a = [[t - (uj * qk + qj * uk) for t, qk, uk in zip(r, q, u)] for r, uj, qj in zip(a, u, q)]
+    if m:
+        d[0] = a[0][0]
+    return d, e
 
 
-@functools.lru_cache(maxsize=32)
-def _paired_layouts(m: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Flat ``take`` indices that carry an ``s x s`` matrix, s = m + m % 2,
-    through one sweep in paired order, and the flat index of a round's pivots.
+def _implicit_ql(d: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues, unsorted, of the symmetric tridiagonal matrix of
+    ``_tridiagonal``, by implicit QL with Wilkinson shifts and
+    ``math.hypot`` rotations (EISPACK's tql1, in the form of Numerical
+    Recipes' tqli); overwrites ``d`` and ``e`` and returns ``d``.
 
-    Round r's paired order lists the ``p`` indices of
-    ``_round_robin_schedule(m)[r]``, then their ``q`` partners in the same
-    pair order; for odd m the index that sits the round out is paired last
-    with the dummy index m.  ``moves[0]`` takes natural order to round 0's
-    order, ``moves[r]`` round r-1's order to round r's, and the last move
-    round s-2's order back to natural order.  In paired order the pivots of
-    a round are entries ``(i, h + i)`` and ``(h + i, i)``, h = s/2.  The
-    arrays are read-only; the moves hold s^3 indices in all, 0.7 MB at
-    s = 44 and 9 MB at s = 104.
+    ``e[k]`` counts as zero, which splits the matrix there, once it is at
+    most ``_SPLIT_TOL * (|d[k]| + |d[k+1]| + 1)``: negligible beside its
+    neighbours, or, where they are tiny, beside the matrix, whose largest
+    entry the caller scales into [0.5, 1).  Raises RuntimeError once one
+    eigenvalue has taken ``_QL_ITERATIONS`` iterations.
     """
-    import numpy as np
-
-    size = m + m % 2
-    half = size // 2
-    orders = [np.arange(size)]
-    for p, q in _round_robin_schedule(m):
-        if len(p) < half:
-            (idle,) = set(range(m)).difference(p, q)
-            p, q = (*p, idle), (*q, m)
-        orders.append(np.array(p + q))
-    orders.append(orders[0])
-    moves = []
-    for old, new in zip(orders[:-1], orders[1:]):
-        position = np.empty(size, dtype=np.intp)
-        position[old] = np.arange(size)
-        src = position[new]
-        move = (src[:, None] * size + src[None, :]).ravel()
-        move.setflags(write=False)
-        moves.append(move)
-    diagonal = np.arange(half) * (size + 1)
-    pivots = np.r_[diagonal + half, diagonal + half * size]
-    pivots.setflags(write=False)
-    return tuple(moves), pivots
-
-
-
-def _frobenius(x) -> float:
-    """``||x||_F`` in a fixed order: the square root of the pairwise sum
-    (``np.add.reduce``) of each row's pairwise sum of squares.  ``x`` is a
-    float array or a list of rows of Python floats (``symfun._pairwise_sum``
-    gives the same bits)."""
-    if isinstance(x, list):
-        return math.sqrt(_pairwise_sum([_pairwise_sum([t * t for t in row]) for row in x]))
-    import numpy as np
-
-    return math.sqrt(np.add.reduce(np.add.reduce(x * x, axis=1)))
-
-
-def _off_norm(x) -> float:
-    # Square the off-diagonal entries directly; subtracting the diagonal
-    # mass from the total cancels catastrophically near convergence.
-    if isinstance(x, list):
-        return _frobenius([[*row[:i], 0.0, *row[i + 1 :]] for i, row in enumerate(x)])
-    import numpy as np
-
-    return _frobenius(x - np.diag(x.diagonal()))
-
-
-def _jacobi_sweep(x: np.ndarray, moves: tuple[np.ndarray, ...], pivots: np.ndarray) -> None:
-    """One sweep in place on the ``s x s`` matrix ``x`` of ``_paired_layouts``.
-
-    Each round works on a copy of the matrix in the round's paired order, so
-    its ``p`` rows are the top half and its ``q`` rows the bottom half:
-    ``app``, ``aqq`` and ``apq`` are diagonal views, and the rotations of
-    all pairs update two contiguous row halves, then two column halves.
-    One ``take`` moves the copy into the next round's order, and the last
-    one back into ``x``.  A dummy row and column of +0.0 get ``c = 1``,
-    ``s = 0`` exactly, which leaves every entry bit for bit as it is.
-    """
-    import numpy as np
-
-    size = x.shape[0]
-    half = size // 2
-    step = size + 1
-    layouts = [
-        (
-            buf,
-            buf.reshape(2, half, size),
-            buf.reshape(size, 2, half),
-            buf[: half * step : step],
-            buf[half * step :: step],
-            buf[half : half * step : step],
-        )
-        for buf in (np.empty(size * size), np.empty(size * size))
-    ]
-    cs = np.empty((2, half))
-    c, s = cs
-    row_cs, col_cs = cs[:, None, :, None], cs[:, None, None, :]
-    source = x.reshape(-1)
-    # Both angle branches are evaluated for every pair, so the lanes that
-    # divide by zero are silenced here and then overwritten.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for move, (buf, rows, cols, app, aqq, apq) in zip(
-            moves[:-1], itertools.cycle(layouts)
-        ):
-            # mode="clip" lets take write to ``out`` without buffering.
-            source.take(move, out=buf, mode="clip")
-            # Standard stable angle formulas: t = apq / h where apq is
-            # negligible against the diagonal gap (theta would overflow), and
-            # t = 0 (c = 1, s = 0, a no-op but for the sign of a zero entry)
-            # where apq == 0.  Adding
-            # +0.0 turns theta = -0.0 into +0.0, so copysign flips t exactly
-            # where theta < 0.
-            h = aqq - app
-            theta = 0.5 * h / apq
-            t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            np.copysign(t, theta + 0.0, out=t)
-            abs_h = np.abs(h)
-            t = np.where(abs_h + 100.0 * np.abs(apq) == abs_h, apq / h, t)
-            t[apq == 0.0] = 0.0
-            np.divide(1.0, np.sqrt(t * t + 1.0), out=c)
-            np.multiply(t, c, out=s)
-            # rows[0] = c*rows[0] - s*rows[1], rows[1] = s*rows[0] + c*rows[1].
-            prod = row_cs * rows
-            np.subtract(prod[0, 0], prod[1, 1], out=rows[0])
-            np.add(prod[1, 0], prod[0, 1], out=rows[1])
-            prod = col_cs * cols
-            np.subtract(prod[0, :, 0], prod[1, :, 1], out=cols[:, 0])
-            np.add(prod[1, :, 0], prod[0, :, 1], out=cols[:, 1])
-            buf[pivots] = 0.0
-            source = buf
-    source.take(moves[-1], out=x.reshape(-1), mode="clip")
-
-
-def _jacobi_round_floats(a: list[list[float]], ps: tuple, qs: tuple) -> None:
-    """One round of ``_jacobi_sweep`` in place on a list of rows: every
-    angle from the matrix as the round finds it, then all row updates, then
-    all column updates, then the pivots set to 0.0, with the same float
-    operations as the array lanes.  A pair with ``apq == 0`` gets ``c = 1``,
-    ``s = 0`` and is still applied: ``x - 0.0 * y`` turns ``x = -0.0`` into
-    +0.0 where ``y`` is negative, as the array update does."""
-    rotations = []
-    for p, q in zip(ps, qs):
-        apq = a[p][q]
-        h = a[q][q] - a[p][p]
-        abs_h = abs(h)
-        if apq == 0.0:
-            t = 0.0
-        elif abs_h + 100.0 * abs(apq) == abs_h:
-            t = apq / h
-        else:
-            theta = 0.5 * h / apq
-            t = math.copysign(1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0)), theta + 0.0)
-        c = 1.0 / math.sqrt(t * t + 1.0)
-        rotations.append((p, q, c, t * c))
-    for p, q, c, s in rotations:
-        row_p, row_q = a[p], a[q]
-        a[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
-        a[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
-    for row in a:
-        for p, q, c, s in rotations:
-            x, y = row[p], row[q]
-            row[p] = c * x - s * y
-            row[q] = s * x + c * y
-    for p, q, _, _ in rotations:
-        a[p][q] = a[q][p] = 0.0
+    m = len(d)
+    for l in range(m):
+        iterations = 0
+        while True:
+            k = l
+            while k < m - 1 and abs(e[k]) > _SPLIT_TOL * (abs(d[k]) + abs(d[k + 1]) + 1.0):
+                k += 1
+            if k == l:
+                break
+            if iterations == _QL_ITERATIONS:
+                raise RuntimeError(
+                    f"QL eigensolver did not converge within {_QL_ITERATIONS} "
+                    "iterations for one eigenvalue"
+                )
+            iterations += 1
+            # The shift is the eigenvalue of the leading 2 x 2 block nearer d[l].
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[k] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(k - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    # An underflow split the block at i + 1: start over.
+                    d[i + 1] -= p
+                    e[k] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[k] = 0.0
+    return d
 
 
 def _ldexp(x: float, exponent: int) -> float:
@@ -743,109 +642,69 @@ def _ldexp(x: float, exponent: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _jacobi_floats(matrix, max_sweeps: int = 100) -> Optional[list[float]]:
-    """``jacobi_eigensystem`` on Python floats: the same checks, scaling,
-    active rows, schedule, rotations and stopping test, round by round as
-    ``tests/oracles.round_robin_jacobi_by_gathers`` runs them, so the same
-    bits; returns a sorted list, or None, before any sweep, if more than
-    ``_FLOAT_ACTIVE_ROWS`` rows are active."""
-    a = [list(map(float, row)) for row in matrix]
-    shape = (len(a), *{len(row) for row in a})
+def _nonzero_off_diagonal(rows) -> list[int]:
+    """Indices of the rows with a nonzero (or non-finite) entry off the
+    diagonal."""
+    return [i for i, row in enumerate(rows) if any(row[:i]) or any(row[i + 1 :])]
+
+
+def _eigenvalues(matrix):
+    """Eigenvalues of a symmetric matrix, ascending: Householder reduction
+    to tridiagonal form, then implicit QL (``_tridiagonal``,
+    ``_implicit_ql``; Bowdler, Martin, Reinsch and Wilkinson, Numer. Math.
+    11, 1968), on Python floats whether or not numpy is loaded.
+
+    ``matrix`` is a float array or a sequence of rows.  Only rows that
+    couple, those whose row or column holds a nonzero off-diagonal entry,
+    take part: their block is scaled by the power of two that brings the
+    matrix's largest entry into [0.5, 1), so no sum of the solve can
+    overflow at any finite scale, and symmetrized (``_symmetrized``).  The
+    diagonal entries of the other rows, and of any row whose entries the
+    scaling and symmetrizing turn to zero, pass through bit for bit.  The
+    scale is exact, so a matrix scaled by 2^k gives eigenvalues scaled by
+    2^k, bit for bit, wherever no entry falls to a subnormal.
+
+    Returns the eigenvalues sorted stably: a float array while numpy is
+    loaded, a list of Python floats otherwise, with the same bits.  Raises
+    ValueError on a matrix that is not square or has non-finite entries,
+    and RuntimeError if one eigenvalue takes more than ``_QL_ITERATIONS``
+    iterations.
+    """
+    if hasattr(matrix, "tolist"):
+        shape, rows = matrix.shape, matrix.tolist()
+    else:
+        rows = matrix
+        shape = (len(rows), *{len(row) for row in rows})
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"expected a square matrix, got shape {shape}")
-    entries = list(itertools.chain(*a))
-    if not all(map(math.isfinite, entries)):
+    w = [float(row[i]) for i, row in enumerate(rows)]
+    # Every nonzero off-diagonal entry lies in the block of these rows.
+    coupled = set(_nonzero_off_diagonal(rows))
+    for i in list(coupled):
+        coupled.update(itertools.compress(range(len(rows)), rows[i]))
+    coupled = sorted(coupled)
+    block = [[float(rows[i][j]) for j in coupled] for i in coupled]
+    if not all(map(math.isfinite, itertools.chain(w, *block))):
         raise ValueError("matrix has non-finite entries")
-    w = [row[i] for i, row in enumerate(a)]
-    exponent = math.frexp(max(map(abs, entries)))[1]
-    a = _symmetrized([[math.ldexp(t, -exponent) for t in row] for row in a])
-    fro = _frobenius(a)
-    threshold = _JACOBI_OFF_TOL * max(fro, sys.float_info.min)
-    active = [i for i, row in enumerate(a) if any(t != 0.0 for j, t in enumerate(row) if j != i)]
-    if len(active) > _FLOAT_ACTIVE_ROWS:
-        return None
-    sub = [[a[i][j] for j in active] for i in active]
-    for _ in range(max_sweeps):
-        if _off_norm(sub) <= threshold:
-            break
-        for ps, qs in _round_robin_schedule(len(active)):
-            _jacobi_round_floats(sub, ps, qs)
-    else:
-        raise RuntimeError(
-            f"Jacobi eigensolver did not converge within {max_sweeps} sweeps "
-            f"(off/||A||_F = {_off_norm(sub) / fro:.3e})"
-        )
-    for k, i in enumerate(active):
-        w[i] = _ldexp(sub[k][k], exponent)
-    return sorted(w)
-
-
-def jacobi_eigensystem(matrix, max_sweeps: int = 100):
-    """Eigenvalues of a symmetric matrix by round-robin Jacobi rotations.
-
-    A sweep visits every ``(p, q)`` pair once, in rounds of disjoint pairs
-    (Brent & Luk) whose rotations are applied together, on a copy kept in
-    each round's paired order (``_paired_layouts``); the float operations
-    are those of gathering the rows and columns of each pair in natural
-    order, so the eigenvalues are the same bits.  The convergence test reads
-    the matrix in natural order once per sweep (``_off_norm``).  Only rows
-    with a nonzero off-diagonal entry take part: a rotation never mixes
-    another row in, so the other diagonal entries pass through as they are.
-
-    The solve runs on the matrix scaled by the power of two that brings its
-    largest entry into [0.5, 1), so ``||A||_F`` cannot overflow at any finite
-    scale.  Every rotation angle is scale-invariant and the scale is exact,
-    so the result is bit for bit the unscaled one wherever no entry falls
-    to a subnormal.
-
-    Returns the eigenvalues in ascending order, sorted stably: a float
-    array, or, while numpy is not loaded and at most ``_FLOAT_ACTIVE_ROWS``
-    rows are active, a list of Python floats with the same bits
-    (``_jacobi_floats``); past that bound the solve imports numpy.  Raises
-    ValueError on non-finite entries, and RuntimeError, with the final
-    ``off/||A||_F``, if the off-diagonal norm has not dropped below
-    ``1e-14 * ||A||_F`` within ``max_sweeps`` full sweeps.
-    """
+    exponent = math.frexp(max(map(abs, itertools.chain(w, *block)), default=0.0))[1]
+    block = _symmetrized([[math.ldexp(t, -exponent) for t in row] for row in block])
+    active = _nonzero_off_diagonal(block)
+    sub = [[block[j][k] for k in active] for j in active]
+    for k, t in zip(active, _implicit_ql(*_tridiagonal(sub))):
+        w[coupled[k]] = _ldexp(t, exponent)
+    w.sort()
     if "numpy" not in sys.modules:
-        w = _jacobi_floats(matrix, max_sweeps)
-        if w is not None:
-            return w
+        return w
     import numpy as np
 
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    w = a.diagonal().copy()
-    exponent = int(np.frexp(np.abs(a).max())[1])
-    a = np.ldexp(a, -exponent)
-    a = (a + a.T) / 2.0
-    fro = _frobenius(a)
-    threshold = _JACOBI_OFF_TOL * max(fro, sys.float_info.min)
-    active = np.flatnonzero((a != np.diag(a.diagonal())).any(axis=1))
-    m = active.size
-    padded = np.zeros((m + m % 2, m + m % 2))
-    sub = padded[:m, :m]
-    sub[...] = a[np.ix_(active, active)]
-    for _ in range(max_sweeps):
-        if _off_norm(sub) <= threshold:
-            break
-        _jacobi_sweep(padded, *_paired_layouts(m))
-    else:
-        raise RuntimeError(
-            f"Jacobi eigensolver did not converge within {max_sweeps} sweeps "
-            f"(off/||A||_F = {_off_norm(sub) / fro:.3e})"
-        )
-    w[active] = np.ldexp(sub.diagonal(), exponent)
-    return np.sort(w, kind="stable")
+    return np.array(w)
 
 
 def eigen_spectrum(matrix: OperatorMatrix) -> Spectrum:
     """Ordered spectrum of an operator matrix: the eigenvalues of
-    ``jacobi_eigensystem(matrix.entries)``, bit for bit."""
+    ``_eigenvalues(matrix.entries)``, bit for bit."""
     return Spectrum(
-        eigenvalues=jacobi_eigensystem(matrix.entries),
+        eigenvalues=_eigenvalues(matrix.entries),
         kind=matrix.kind,
         n=dimension_for_count(matrix.N, matrix.kind),
     )

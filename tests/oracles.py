@@ -8,13 +8,13 @@ projection for the boundary minimum of the partial sum.  The equivalent
 closed forms of the verdict thresholds live here too, and so do the loops
 the library replaced: the row-major sigma recurrence, the single-vector
 recurrence with degree factors built per call, the partial sum of one
-vector as a (1, N) batch, the scalar cyclic-order Jacobi loop, the
-round-robin Jacobi rounds that gather and scatter rows and columns in
-natural order, the restarted subgradient boundary search over a Helmert
-basis of the sum-zero hyperplane, the per-entry symmetric fill of a parsed
-tensor file, the nesting check that runs every sample's Garding chain
-through all N degrees and the inclusion sampler that tests each drawn batch
-whole.  The dense trace-free basis, the full
+vector as a (1, N) batch, the Jacobi eigensolvers (a scalar cyclic-order
+loop, and round-robin rounds, with their schedule, that gather and scatter
+rows and columns in natural order), the restarted subgradient boundary
+search over a Helmert basis of the sum-zero hyperplane, the per-entry
+symmetric fill of a parsed tensor file, the nesting check that runs every
+sample's Garding chain through all N degrees and the inclusion sampler
+that tests each drawn batch whole.  The dense trace-free basis, the full
 symmetric-tensor basis (trace-free part plus pure trace) and the dense
 ``einsum`` Gram matrix on a basis are here as well: the library assembles
 the second-kind operator by a sparse contraction and only tests use them;
@@ -24,6 +24,7 @@ change the invariance tests apply.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from gardinglab.cones import (
     garding_margin_chain_batch,
     positivity_margins_batch,
 )
-from gardinglab.curvature import CurvatureTensor, _helmert_scales, _round_robin_schedule
+from gardinglab.curvature import CurvatureTensor, _helmert_scales
 from gardinglab.inclusion import (
     _DRAW_CAP,
     _MAX_BATCH,
@@ -386,11 +387,33 @@ def full_symmetric_basis(n: int) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=32)
+def round_robin_schedule(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Rounds of disjoint pairs ``(p, q)``, p < q, that cover every pair of
+    ``range(m)`` exactly once, each as the tuple of its ``p`` and the tuple
+    of their ``q`` partners.
+
+    Circle method: index 0 stays put and the others move one place per round;
+    for odd m a dummy index m pads the ring and its partner sits the round out.
+    """
+    size = m + m % 2
+    ring = list(range(size))
+    rounds = []
+    for _ in range(size - 1):
+        pairs = [
+            (min(x, y), max(x, y)) for x, y in zip(ring[: size // 2], ring[::-1][: size // 2])
+        ]
+        pairs = [pair for pair in pairs if pair[1] < m]
+        rounds.append((tuple(p for p, _ in pairs), tuple(q for _, q in pairs)))
+        ring = [ring[0], ring[-1], *ring[1:-1]]
+    return tuple(rounds)
+
+
 def cyclic_jacobi_eigenvalues(matrix, off_tol_factor: float = 1e-14) -> np.ndarray:
     """Ascending eigenvalues by one scalar Jacobi rotation per (p, q) pair.
 
     Sweeps visit the pairs in row-cyclic order, p < q; the angle formula and
-    the stopping test are those of ``curvature.jacobi_eigensystem``.
+    the stopping test are those of ``round_robin_jacobi_by_gathers``.
     """
     a = np.array(matrix, dtype=float)
     a = (a + a.T) / 2.0
@@ -421,15 +444,16 @@ def cyclic_jacobi_eigenvalues(matrix, off_tol_factor: float = 1e-14) -> np.ndarr
     raise RuntimeError("cyclic Jacobi did not converge within 100 sweeps")
 
 
-def round_robin_jacobi_by_gathers(matrix, max_sweeps: int = 100) -> np.ndarray:
-    """``curvature.jacobi_eigensystem`` with each round's rows and columns
-    gathered and scattered by fancy indexing in natural order.
+def round_robin_jacobi_by_gathers(matrix) -> np.ndarray:
+    """Ascending eigenvalues by round-robin Jacobi rotations (Brent & Luk),
+    each round's rows and columns gathered and scattered by fancy indexing.
 
-    Same input checks, power-of-two scaling, active rows, round-robin
-    schedule, angle formulas, stopping test (the fixed-order Frobenius norm
-    of row sums) and error texts; the library runs the same float operations
-    on a copy kept in each round's paired order, and on lists of Python
-    floats, so all three give the same bits.
+    The input checks and their error texts, the power-of-two scaling and
+    the active rows are those of ``curvature._eigenvalues``.  A sweep
+    visits every pair once, in rounds of disjoint pairs whose rotations are
+    applied together (``round_robin_schedule``), and the solve stops once
+    the off-diagonal norm (the fixed-order Frobenius norm of row sums) is
+    at most ``1e-14 * ||A||_F``, or raises RuntimeError after 100 sweeps.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -452,11 +476,11 @@ def round_robin_jacobi_by_gathers(matrix, max_sweeps: int = 100) -> np.ndarray:
     def off_norm(x):
         return frobenius(x - np.diag(x.diagonal()))
 
-    for _ in range(max_sweeps):
+    for _ in range(100):
         if off_norm(sub) <= threshold:
             break
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for p, q in _round_robin_schedule(active.size):
+            for p, q in round_robin_schedule(active.size):
                 p, q = np.array(p, dtype=np.intp), np.array(q, dtype=np.intp)
                 apq = sub[p, q]
                 h = sub[q, q] - sub[p, p]
@@ -478,7 +502,7 @@ def round_robin_jacobi_by_gathers(matrix, max_sweeps: int = 100) -> np.ndarray:
                 sub[q, p] = 0.0
     else:
         raise RuntimeError(
-            f"Jacobi eigensolver did not converge within {max_sweeps} sweeps "
+            "Jacobi eigensolver did not converge within 100 sweeps "
             f"(off/||A||_F = {off_norm(sub) / fro:.3e})"
         )
     w[active] = np.ldexp(sub.diagonal(), exponent)

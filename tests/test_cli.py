@@ -371,13 +371,13 @@ class TestModelSpaceCommand:
         import gardinglab.curvature as curvature_mod
 
         calls = []
-        solve = curvature_mod.jacobi_eigensystem
+        solve = curvature_mod._eigenvalues
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(curvature_mod, "jacobi_eigensystem", counting)
+        monkeypatch.setattr(curvature_mod, "_eigenvalues", counting)
         path = tmp_path / "t.txt"
         r = random_curvature_tensor(4, seed=0).components
         pairs = list(itertools.combinations(range(4), 2))

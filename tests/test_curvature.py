@@ -1,10 +1,10 @@
-"""Model-space operators, symmetry validation, and the Jacobi eigensolver."""
+"""Model-space operators, symmetry validation, and the eigensolver."""
 
 import collections
 import itertools
 import json
 import math
-import re
+import sys
 
 import numpy as np
 import pytest
@@ -20,20 +20,14 @@ from gardinglab.curvature import (
     assemble_second_kind,
     dimension_for_count,
     eigen_spectrum,
-    jacobi_eigensystem,
     model_product_spheres,
     model_space_form,
     scalar_curvature_checks,
     trace_free_count,
     two_form_count,
     validate_curvature_symmetries,
-    _FLOAT_ACTIVE_ROWS,
+    _eigenvalues,
     _from_canonical,
-    _frobenius,
-    _jacobi_floats,
-    _off_norm,
-    _paired_layouts,
-    _round_robin_schedule,
 )
 from gardinglab.io import read_tensor_file
 
@@ -44,6 +38,7 @@ from oracles import (
     gram_on_tensor_basis,
     random_curvature_tensor,
     round_robin_jacobi_by_gathers,
+    round_robin_schedule,
     trace_free_basis,
 )
 from test_startup import _BLOCK_NUMPY, _RUN_CLI_WITHOUT_NUMPY, _loaded
@@ -211,18 +206,21 @@ class TestSecondKindAssembly:
 
 
 class TestJacobiEigensolver:
+    """The eigensolver of every spectrum, ``curvature._eigenvalues``, against
+    LAPACK (a test oracle only) and the Jacobi oracles of ``oracles``."""
+
     def test_identity(self):
-        w = jacobi_eigensystem(np.eye(6))
+        w = _eigenvalues(np.eye(6))
         np.testing.assert_allclose(w, np.ones(6))
         # No row couples, so every diagonal entry passes through unrotated.
         assert np.array_equal(w, np.ones(6))
 
     def test_diagonal(self):
-        w = jacobi_eigensystem(np.diag([3.0, 1.0, 2.0]))
+        w = _eigenvalues(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
 
     def test_two_by_two(self):
-        w = jacobi_eigensystem(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        w = _eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
 
     def test_reconstruction_and_orthogonality(self):
@@ -232,7 +230,7 @@ class TestJacobiEigensolver:
         for n in (2, 5, 12, 35):
             a = rng.normal(size=(n, n))
             a = (a + a.T) / 2
-            w = jacobi_eigensystem(a)
+            w = _eigenvalues(a)
             fro = np.linalg.norm(a)
             _assert_similarity_invariants(a, w, 1e-10)
             np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-10 * (1 + fro))
@@ -243,19 +241,19 @@ class TestJacobiEigensolver:
         for n in (3, 8, 20):
             a = rng.normal(size=(n, n)) * 3
             a = (a + a.T) / 2
-            w = jacobi_eigensystem(a)
+            w = _eigenvalues(a)
             np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-9)
 
     def test_eigen_spectrum_round_trip(self):
-        w = jacobi_eigensystem(np.diag([2.0, -1.0, 0.5]))
+        w = _eigenvalues(np.diag([2.0, -1.0, 0.5]))
         q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
         rebuilt = q @ np.diag(w) @ q.T
-        w2 = jacobi_eigensystem((rebuilt + rebuilt.T) / 2)
+        w2 = _eigenvalues((rebuilt + rebuilt.T) / 2)
         np.testing.assert_allclose(w, w2, atol=1e-10)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            jacobi_eigensystem(np.zeros((2, 3)))
+            _eigenvalues(np.zeros((2, 3)))
 
     @pytest.mark.parametrize(
         "n, assemble",
@@ -269,13 +267,13 @@ class TestJacobiEigensolver:
     def test_curvature_operators_match_lapack_oracle(self, n, assemble):
         # N = 45, 54, 91, 104; eigvalsh is the oracle only.
         a = assemble(random_curvature_tensor(n, seed=n)).entries
-        w = jacobi_eigensystem(a)
+        w = _eigenvalues(a)
         fro = np.linalg.norm(a)
         assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-13 * fro
 
     def test_round_robin_schedule_covers_each_pair_once(self):
         for m in range(2, 42):
-            rounds = _round_robin_schedule(m)
+            rounds = round_robin_schedule(m)
             assert len(rounds) == m - 1 + m % 2
             for p, q in rounds:
                 assert len(p) == len(q) and all(a < b for a, b in zip(p, q))
@@ -285,15 +283,47 @@ class TestJacobiEigensolver:
 
     @pytest.mark.parametrize("assemble", [assemble_first_kind, assemble_second_kind])
     def test_round_robin_matches_cyclic_loop(self, assemble):
-        # Same rotations in another order: equal eigenvalues up to rounding.
+        # The two Jacobi oracles run the same rotations in another order, and
+        # the QL solver takes none: equal eigenvalues up to rounding.
         a = assemble(random_curvature_tensor(6, seed=3)).entries
-        w = jacobi_eigensystem(a)
-        assert np.max(np.abs(w - cyclic_jacobi_eigenvalues(a))) <= 1e-13 * np.linalg.norm(a)
+        tol = 1e-13 * np.linalg.norm(a)
+        cyclic = cyclic_jacobi_eigenvalues(a)
+        assert np.max(np.abs(round_robin_jacobi_by_gathers(a) - cyclic)) <= tol
+        assert np.max(np.abs(_eigenvalues(a) - cyclic)) <= tol
+
+    @pytest.mark.parametrize(
+        "kind, size, operator",
+        [
+            pytest.param(kind, size, operator, id=f"{kind}-{size}-{operator}")
+            for kind, sizes in (
+                ("sphere", (5, 9, 14)),
+                ("product", ((3, 4), (7, 7))),
+                ("file", range(5, 10)),
+            )
+            for size in sizes
+            for operator in ("first", "second")
+        ],
+    )
+    def test_model_spectra_operators_match_lapack_and_jacobi_oracle(self, kind, size, operator):
+        # Every operator shape the model_spectra benchmark solves: spheres,
+        # sphere products and dense random tensors (10 to 44 rows).
+        if kind == "sphere":
+            tensor = model_space_form(size, 1.3)
+        elif kind == "product":
+            tensor = model_product_spheres(*size)
+        else:
+            tensor = random_curvature_tensor(size, seed=size)
+        assemble = assemble_first_kind if operator == "first" else assemble_second_kind
+        a = assemble(tensor).entries
+        w = _eigenvalues(a)
+        tol = 1e-13 * np.linalg.norm(a)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= tol
+        assert np.max(np.abs(w - round_robin_jacobi_by_gathers(a))) <= tol
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 21])
     def test_small_and_odd_sizes_match_lapack_oracle(self, n):
         a = _random_symmetric(n, seed=100 + n)
-        w = jacobi_eigensystem(a)
+        w = _eigenvalues(a)
         fro = np.linalg.norm(a)
         assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-13 * fro
         _assert_similarity_invariants(a, w, 1e-13)
@@ -311,14 +341,14 @@ class TestJacobiEigensolver:
             OperatorMatrix.from_entries([[-2.5]]),
         ]
         for matrix in operators:
-            w = jacobi_eigensystem(matrix.entries)
+            w = _eigenvalues(matrix.entries)
             values = eigen_spectrum(matrix).eigenvalues
             assert values.tobytes() == w.tobytes()
             assert values.dtype == np.float64 and not values.flags.writeable
 
     def test_reconstruction_and_orthogonality_at_104(self):
         a = assemble_second_kind(random_curvature_tensor(14, seed=5)).entries
-        w = jacobi_eigensystem(a)
+        w = _eigenvalues(a)
         _assert_similarity_invariants(a, w, 1e-12)
         assert np.all(np.diff(w) >= 0)
 
@@ -329,7 +359,7 @@ class TestJacobiEigensolver:
         a = assemble_second_kind(model_product_spheres(7, 7)).entries
         inactive = np.flatnonzero(~(a - np.diag(a.diagonal())).any(axis=1))
         assert inactive.size == 104 - 8
-        w = jacobi_eigensystem(a)
+        w = _eigenvalues(a)
         np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-13 * np.linalg.norm(a))
         _assert_similarity_invariants(a, w, 1e-13)
         _assert_diagonal_entries_pass_through(a, w, inactive)
@@ -337,7 +367,7 @@ class TestJacobiEigensolver:
     def test_one_isolated_pair(self):
         a = np.diag([5.0, 1.0, 4.0, 2.0, 3.0, 0.0])
         a[1, 4] = a[4, 1] = 0.5
-        w = jacobi_eigensystem(a)
+        w = _eigenvalues(a)
         np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-15)
         # The pair's block [[1, 0.5], [0.5, 3]] has eigenvalues 2 -+ sqrt(1.25).
         pair = np.setdiff1d(w, [5.0, 4.0, 2.0, 0.0])
@@ -346,42 +376,43 @@ class TestJacobiEigensolver:
         _assert_diagonal_entries_pass_through(a, w, [0, 2, 3, 5])
 
     def test_zero_matrix(self):
-        w = jacobi_eigensystem(np.zeros((7, 7)))
+        w = _eigenvalues(np.zeros((7, 7)))
         assert np.all(w == 0.0)
         assert w.shape == (7,) and not np.signbit(w).any()
 
-    def test_max_sweeps_is_honoured(self):
-        a = _random_symmetric(30, seed=7)
-        w = jacobi_eigensystem(a)
-        needed = next(k for k in range(1, 100) if _converges(a, k))
-        assert needed > 2
-        w_cap = jacobi_eigensystem(a, max_sweeps=needed)
-        assert np.array_equal(w_cap, w)
-        with pytest.raises(RuntimeError, match=f"within {needed - 1} sweeps"):
-            jacobi_eigensystem(a, max_sweeps=needed - 1)
+    def test_iteration_cap_is_honoured_and_named(self, monkeypatch):
+        # The fewest iterations per eigenvalue that solve this matrix give
+        # the default cap's bits; one fewer raises, naming the cap.
+        import gardinglab.curvature as curvature_mod
 
-    def test_failure_reports_off_diagonal_ratio(self):
-        with pytest.raises(RuntimeError) as info:
-            jacobi_eigensystem(_random_symmetric(30, seed=11), max_sweeps=1)
-        found = re.search(r"within 1 sweeps \(off/\|\|A\|\|_F = (\S+)\)", str(info.value))
-        assert found, str(info.value)
-        assert 1e-14 < float(found.group(1)) < 1.0
+        a = _random_symmetric(30, seed=7)
+        w = _eigenvalues(a)
+        needed = next(
+            cap for cap in range(1, curvature_mod._QL_ITERATIONS + 1) if _solves(monkeypatch, a, cap)
+        )
+        assert needed > 1
+        monkeypatch.setattr(curvature_mod, "_QL_ITERATIONS", needed)
+        assert _eigenvalues(a).tobytes() == w.tobytes()
+        monkeypatch.setattr(curvature_mod, "_QL_ITERATIONS", needed - 1)
+        message = f"QL eigensolver did not converge within {needed - 1} iterations for one eigenvalue"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            _eigenvalues(a)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite(self, bad):
         a = np.eye(10)
         a[2, 5] = a[5, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            jacobi_eigensystem(a)
+            _eigenvalues(a)
 
     def test_nan_matrix_fails_before_any_sweep(self):
         with pytest.raises(ValueError, match="non-finite"):
-            jacobi_eigensystem(np.full((6, 6), np.nan))
+            _eigenvalues(np.full((6, 6), np.nan))
 
     @pytest.mark.parametrize("scale", [1e200, 1e308])
     def test_huge_entries_still_rotate(self, scale):
         # ||A||_F of these overflows; an inf threshold would return the diagonal.
-        w = jacobi_eigensystem(np.array([[1.0, 1.0], [1.0, -1.0]]) * scale)
+        w = _eigenvalues(np.array([[1.0, 1.0], [1.0, -1.0]]) * scale)
         np.testing.assert_allclose(w, [-np.sqrt(2.0) * scale, np.sqrt(2.0) * scale], rtol=1e-14)
         assert abs(w.sum()) <= 1e-15 * scale  # the trace, 0
 
@@ -390,13 +421,16 @@ class TestJacobiEigensolver:
         # Each entry stays normal, so scaling by 2^power scales the
         # eigenvalues exactly.
         a = _random_symmetric(12, seed=19)
-        w = jacobi_eigensystem(a)
-        w_scaled = jacobi_eigensystem(np.ldexp(a, power))
+        w = _eigenvalues(a)
+        w_scaled = _eigenvalues(np.ldexp(a, power))
         assert np.array_equal(w_scaled, np.ldexp(w, power))
 
 
 def _gather_oracle_cases():
-    """(id, matrix) pairs for the bit-identity tests of the paired layout."""
+    """(id, matrix) pairs on which the solver is checked against the
+    round-robin Jacobi oracle: odd and even sizes, curvature operators,
+    equal and signed-zero diagonals, zero pivots, rows that do not couple
+    and power-of-two scales."""
     for n in range(1, 51):  # odd and even active sizes
         yield f"random-{n}", _random_symmetric(n, seed=200 + n)
     for n in range(3, 13):
@@ -431,45 +465,23 @@ def _gather_oracle_cases():
 
 
 class TestPairedLayout:
+    """The solver against the round-robin Jacobi oracle on the cases the
+    Jacobi's paired row layout was checked on."""
+
     @pytest.mark.parametrize(
         "a", [pytest.param(a, id=label) for label, a in _gather_oracle_cases()]
     )
     def test_spectrum_bytes_match_the_gather_oracle(self, a):
-        assert jacobi_eigensystem(a).tobytes() == round_robin_jacobi_by_gathers(a).tobytes()
-
-    @pytest.mark.parametrize("n, seed", [(7, 7), (30, 7), (31, 11), (45, 3)])
-    def test_max_sweeps_fails_with_the_oracle_text(self, n, seed):
-        a = _random_symmetric(n, seed=seed)
-        needed = next(k for k in range(1, 100) if _converges(a, k))
-        for max_sweeps in range(1, needed):
-            with pytest.raises(RuntimeError) as ours:
-                jacobi_eigensystem(a, max_sweeps=max_sweeps)
-            with pytest.raises(RuntimeError) as theirs:
-                round_robin_jacobi_by_gathers(a, max_sweeps=max_sweeps)
-            assert str(ours.value) == str(theirs.value)
-        w = round_robin_jacobi_by_gathers(a, max_sweeps=needed)
-        assert jacobi_eigensystem(a, max_sweeps=needed).tobytes() == w.tobytes()
-
-    @pytest.mark.parametrize("m", [2, 3, 4, 7, 10, 21])
-    def test_layouts_follow_the_schedule_and_close_the_ring(self, m):
-        moves, pivots = _paired_layouts(m)
-        size = m + m % 2
-        half = size // 2
-        rounds = _round_robin_schedule(m)
-        assert len(moves) == len(rounds) + 1
-        # Label each entry by its natural (row, column) and follow the moves.
-        x = np.arange(size * size)
-        for move, (p, q) in zip(moves, rounds):
-            x = x.take(move)
-            rows = x.reshape(size, size)[:, 0] // size
-            assert rows[: len(p)].tolist() == list(p)
-            assert rows[half : half + len(q)].tolist() == list(q)
-            if len(p) < half:  # the idle index meets the dummy m, last
-                assert rows[half - 1] not in p + q and rows[-1] == m
-            assert np.array_equal(x[pivots] // size, np.r_[rows[:half], rows[half:]])
-            assert np.array_equal(x[pivots] % size, np.r_[rows[half:], rows[:half]])
-        assert np.array_equal(x.take(moves[-1]), np.arange(size * size))
-        assert not any(move.flags.writeable for move in moves) and not pivots.flags.writeable
+        # Within 1e-13 ||A||_F of the oracle and of LAPACK, and the diagonal
+        # entries of rows that do not couple are the oracle's bytes.
+        w = _eigenvalues(a)
+        oracle = round_robin_jacobi_by_gathers(a)
+        tol = 1e-13 * _frobenius_norm(a)
+        assert np.max(np.abs(w - oracle)) <= tol
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= tol
+        inactive = np.flatnonzero(~(a - np.diag(a.diagonal())).any(axis=1))
+        _assert_diagonal_entries_pass_through(a, w, inactive)
+        _assert_diagonal_entries_pass_through(a, oracle, inactive)
 
 
 class TestFloatPath:
@@ -484,32 +496,19 @@ class TestFloatPath:
             if a.shape[0] <= 36 or label.startswith("product")
         ],
     )
-    def test_float_jacobi_matches_the_gather_oracle(self, a):
-        w = _jacobi_floats(a.tolist())
-        assert all(type(t) is float for t in w)
-        assert np.array(w).tobytes() == round_robin_jacobi_by_gathers(a).tobytes()
-
-    @pytest.mark.parametrize("n, seed", [(7, 7), (30, 7)])
-    def test_float_jacobi_fails_with_the_oracle_text(self, n, seed):
-        a = _random_symmetric(n, seed=seed)
-        needed = next(k for k in range(1, 100) if _converges(a, k))
-        for max_sweeps in range(1, needed):
-            with pytest.raises(RuntimeError) as ours:
-                _jacobi_floats(a.tolist(), max_sweeps)
-            with pytest.raises(RuntimeError) as theirs:
-                round_robin_jacobi_by_gathers(a, max_sweeps=max_sweeps)
-            assert str(ours.value) == str(theirs.value)
-
-    def test_float_jacobi_declines_past_the_active_row_bound(self):
-        # Past _FLOAT_ACTIVE_ROWS active rows the float sweeps cost more than
-        # numpy's import, so the float solver declines before any sweep; the
-        # bound counts active rows, not the matrix size.
-        bound = _FLOAT_ACTIVE_ROWS
-        assert _jacobi_floats(_random_symmetric(bound + 1, seed=1).tolist()) is None
-        a = np.zeros((104, 104))
-        a[:bound, :bound] = _random_symmetric(bound, seed=2)
-        w = _jacobi_floats(a.tolist())
-        assert np.array(w).tobytes() == jacobi_eigensystem(a).tobytes()
+    def test_float_jacobi_matches_the_gather_oracle(self, monkeypatch, a):
+        # The solver on a tuple of row tuples, as an operator built without
+        # numpy holds it, while numpy counts as not loaded: a list of Python
+        # floats with the bits of the array solve, within 1e-13 ||A||_F of
+        # the Jacobi oracle.
+        rows = tuple(map(tuple, a.tolist()))
+        with monkeypatch.context() as m:
+            m.delitem(sys.modules, "numpy")
+            w = _eigenvalues(rows)
+        assert type(w) is list and all(type(t) is float for t in w)
+        assert np.array(w).tobytes() == _eigenvalues(a).tobytes()
+        oracle = round_robin_jacobi_by_gathers(a)
+        assert np.max(np.abs(np.array(w) - oracle)) <= 1e-13 * _frobenius_norm(a)
 
     def test_without_numpy_every_record_and_bit_matches(self, tmp_path):
         # One process with numpy blocked builds, assembles, checks and
@@ -552,12 +551,21 @@ class TestFloatPath:
         ] + [partial]
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 36, 129])
-    def test_norms_take_the_same_fixed_order(self, n):
+    def test_norms_take_the_same_fixed_order(self, monkeypatch, n):
+        # Every dot product and norm of the solve is a math.fsum, correctly
+        # rounded: none goes through the built-in sum, whose algorithm
+        # changed in Python 3.12, so the bits do not depend on the version.
+        import gardinglab.curvature as curvature_mod
+
         a = _random_symmetric(n, seed=n) * 10.0 ** np.random.default_rng(n).integers(
             -8, 8, size=(n, n)
         )
-        assert _frobenius(a.tolist()) == _frobenius(a)
-        assert _off_norm(a.tolist()) == _off_norm(a)
+        w = _eigenvalues(a)
+        with monkeypatch.context() as m:
+            m.setattr(curvature_mod, "sum", _no_builtin_sum, raising=False)
+            assert _eigenvalues(a).tobytes() == w.tobytes()
+        sym = (a + a.T) / 2
+        assert np.max(np.abs(w - np.linalg.eigvalsh(sym))) <= 1e-13 * np.linalg.norm(sym)
 
     def test_float_kernels_keep_python_floats(self):
         tensor = model_space_form(4, 1.3)
@@ -673,12 +681,28 @@ def _assert_diagonal_entries_pass_through(a, w, rows):
     assert all(have[bits] >= count for bits, count in need.items()), need - have
 
 
-def _converges(a, max_sweeps):
-    try:
-        jacobi_eigensystem(a, max_sweeps=max_sweeps)
-    except RuntimeError:
-        return False
+def _solves(monkeypatch, a, cap):
+    """Whether the solver finishes ``a`` with at most ``cap`` iterations per
+    eigenvalue."""
+    import gardinglab.curvature as curvature_mod
+
+    with monkeypatch.context() as m:
+        m.setattr(curvature_mod, "_QL_ITERATIONS", cap)
+        try:
+            _eigenvalues(a)
+        except RuntimeError:
+            return False
     return True
+
+
+def _frobenius_norm(a):
+    """||A||_F without under- or overflow at any finite scale."""
+    scale = np.abs(a).max()
+    return scale * np.linalg.norm(a / scale) if scale else 0.0
+
+
+def _no_builtin_sum(*args, **kwargs):
+    raise AssertionError("the built-in sum was called")
 
 
 class TestOperatorMatrixAndSpectrum:

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,13 @@ class TestEpsilonParams:
             a1 = epsilon_to_params(e1, n).alpha_eps
             a2 = epsilon_to_params(e2, n).alpha_eps
             assert a2 < a1
+
+    @pytest.mark.parametrize("eps", [0.633541589146366, 0.9667289557425227, 0.3067177786403865])
+    def test_quadratic_coefficient_squares_eps_correctly_rounded(self, eps):
+        # eps * eps is correctly rounded; libm's pow, behind eps**2, can be
+        # one ulp off at these eps, and at N = 8 that ulp reaches q.
+        exact_square = float(Fraction(eps) ** 2)
+        assert epsilon_to_params(eps, 8).quadratic_coefficient == (1.0 + 7 * exact_square) / 8
 
     def test_domain(self):
         with pytest.raises(ValueError):

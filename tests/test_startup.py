@@ -253,7 +253,8 @@ def test_cone_test_past_the_float_cap_loads_numpy(tmp_path, capsys):
             (["sphere", "--n", "13", "--operator", "second"], True),
             (["product", "--p", "6", "--q", "7"], True),
             (["file", "--tensor-file", "t8.txt", "--operator", "second"], False),
-            (["file", "--tensor-file", "t9.txt", "--operator", "second"], True),
+            (["file", "--tensor-file", "t9.txt", "--operator", "second"], False),
+            (["file", "--tensor-file", "t12.txt", "--operator", "second"], False),
         ]
     ],
 )
@@ -261,18 +262,16 @@ def test_model_space_past_the_float_bounds_loads_numpy(
     tmp_path, monkeypatch, capsys, args, loads_numpy
 ):
     # Dimension 13 is past curvature._FLOAT_DIM, so the tensor is built on
-    # arrays; a dense tensor file in dimension 9 stays on floats, but its
-    # second-kind operator has 44 active rows, past _FLOAT_ACTIVE_ROWS, so
-    # the solve loads numpy.  Dimension 12 and the 35 rows of dimension 8
-    # stay numpy-free.  Either way stdout is the in-process run's.
+    # arrays.  Dimension 12 stays numpy-free, and so does the solve of any
+    # operator built on floats: the dense tensor files in dimensions 8, 9
+    # and 12 have second-kind operators of 35, 44 and 77 active rows.
+    # Either way stdout is the in-process run's.
     from gardinglab import cli, curvature
-    from gardinglab.tables import trace_free_count
 
     assert curvature._FLOAT_DIM == 12
-    assert trace_free_count(8) <= curvature._FLOAT_ACTIVE_ROWS < trace_free_count(9)
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
-    for n in (8, 9):
+    for n in (8, 9, 12):
         (tmp_path / f"t{n}.txt").write_text(_tensor_text(n, seed=n), encoding="utf-8")
     argv = ["--format", "machine", "model-space", *args]
     body = _CAPTURE_CLI if loads_numpy else _RUN_CLI_WITHOUT_NUMPY
