@@ -14,7 +14,9 @@ Subcommands and exit codes:
 Usage errors exit 64, and so does an input the library refuses with a
 ValueError or RuntimeError, with its message: a non-finite curvature, a
 tensor that breaks a curvature symmetry, or one whose scalar curvature,
-operator assembly or operator trace overflows the float range.  Input files
+operator assembly or operator trace overflows the float range.  An input
+too large to allocate (a MemoryError, such as the n^4 components of a
+tensor of dimension 1000) exits 64 too, with one line.  Input files
 that are malformed, not UTF-8 or cannot be opened (and any other failed file
 operation) exit 65.
 Machine format prints one self-describing JSON record per line with sorted
@@ -422,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"gardinglab: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"gardinglab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

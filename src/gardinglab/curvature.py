@@ -6,6 +6,11 @@ frame and must satisfy, within 1e-12 absolute,
     R_ijkl = -R_jikl = -R_ijlk,   R_ijkl = R_klij,
     R_ijkl + R_iklj + R_iljk = 0.
 
+Every tensor the library builds comes from its independent components
+(``_from_canonical``), whose partner writes make the first three exact, so
+only the first Bianchi identity is checked there (``_check_canonical``);
+outside input is checked for all four (``validate_curvature_symmetries``).
+
 Two self-adjoint operators are assembled from it:
 
 * the action on 2-forms over the basis ``{e_i ^ e_j : i < j}`` (declared
@@ -47,11 +52,11 @@ the layout: while numpy is not loaded (``"numpy" not in sys.modules``) a
 tensor of dimension n <= 12 (``_FLOAT_DIM``) holds the flat tuple of its
 n^4 components in row-major order, and otherwise a float array.  The
 layout picks the path of what follows: on the tuple ``OperatorMatrix``
-holds a tuple of row tuples, and the validation, both assemblers and the
-identity checks run on Python floats; otherwise they run on numpy arrays.
-Past the bound the float work costs more than numpy's import, so a larger
-tensor loads numpy before its components are built (the measurements are
-at ``_FLOAT_DIM``).  Below it the import costs a ``model-space`` run of the
+holds a tuple of row tuples, and both assemblers and the identity checks
+run on Python floats; otherwise they run on numpy arrays.  The check of
+the independent components is the same on both.  Past the bound a tensor
+loads numpy before its components are built (the measurements are at
+``_FLOAT_DIM``).  Below it the import costs a ``model-space`` run of the
 CLI more than the float work, so that run loads no numpy: from the shell
 (2-core host, Python 3.11, numpy 2.4, no bytecode cache, median of 7 runs)
 ``model-space sphere --n 6 --curvature 1.3`` took 285 ms with numpy and
@@ -72,7 +77,6 @@ they are re-exported here as the same objects.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -117,12 +121,12 @@ _SPLIT_TOL = sys.float_info.epsilon
 _IDENTITY_RTOL = 1e-8
 # The off-diagonal entries of the trace-free basis.
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-# Bound of the float path for tensors, past which numpy's import costs less
-# than the Python float work.  Measured in-process on a 2-core host (Python
-# 3.11, numpy 2.4), where the import took 54-100 ms: building, assembling
-# and checking a sphere or product tensor on floats took 33-53 ms at
-# n = 12, 47-65 ms at n = 13 and about 95 ms at n = 14 (the n^4 components
-# and their symmetry partners dominate), against at most 4 ms on arrays.
+# Bound of the float path for tensors, past which a tensor loads numpy.  Set
+# when each build checked all n^4 components: building, assembling and
+# checking a sphere or product on floats took 33-53 ms at n = 12 and 95 ms
+# at n = 14 in-process (2-core host, Python 3.11, numpy 2.4, whose import
+# took 54-100 ms).  Now it takes 9-11 and 22 ms, the assembly dominating,
+# against at most 3 ms on arrays; moving it waits on CLI timings of each side.
 _FLOAT_DIM = 12
 
 
@@ -135,28 +139,6 @@ def dimension_for_count(N: int, kind: str) -> Optional[int]:
         n = int(round((-1 + math.sqrt(9 + 8 * N)) / 2))
         return n if n >= 2 and trace_free_count(n) == N else None
     return None
-
-
-@functools.lru_cache(maxsize=8)
-def _symmetry_partners(n: int) -> tuple[tuple[int, ...], ...]:
-    """Flat indices of R_jikl, R_ijlk, R_klij, R_iljk and R_iklj at each
-    flat position (i, j, k, l), the partners the identities compare.
-
-    The partner that reads axis ``order[t]`` of (i, j, k, l) in place t
-    sits at the sum of each index times its stride, ``n^(3-t)``."""
-    partners = []
-    for order in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (0, 3, 1, 2), (0, 2, 3, 1)):
-        s0, s1, s2, s3 = (n ** (3 - order.index(axis)) for axis in range(4))
-        partners.append(
-            tuple(
-                a + b + c + d
-                for a in range(0, n * s0, s0)
-                for b in range(0, n * s1, s1)
-                for c in range(0, n * s2, s2)
-                for d in range(0, n * s3, s3)
-            )
-        )
-    return tuple(partners)
 
 
 def _max_abs(values) -> float:
@@ -182,36 +164,18 @@ def _fsum(values, name: str) -> float:
 
 
 def validate_curvature_symmetries(components, atol: float = _SYMMETRY_ATOL) -> None:
-    """Raise ValueError if any algebraic curvature identity fails.
+    """Raise ValueError if any algebraic curvature identity fails on the
+    (n, n, n, n) array ``components``."""
+    import numpy as np
 
-    ``components`` is an (n, n, n, n) array, or the flat tuple of its n^4
-    entries in row-major order, checked on Python floats with the same
-    float operations.
-    """
     r = components
-    if isinstance(r, tuple):
-        jikl, ijlk, klij, iljk, iklj = (
-            map(r.__getitem__, partner)
-            for partner in _symmetry_partners(math.isqrt(math.isqrt(len(r))))
-        )
+    with np.errstate(invalid="ignore"):
         checks = {
-            "antisymmetry_first_pair": _max_abs(map(add, r, jikl)),
-            "antisymmetry_second_pair": _max_abs(map(add, r, ijlk)),
-            "pair_symmetry": _max_abs(map(sub, r, klij)),
-            "first_bianchi": _max_abs(map(add, map(add, r, iljk), iklj)),
+            "antisymmetry_first_pair": np.max(np.abs(r + r.transpose(1, 0, 2, 3))),
+            "antisymmetry_second_pair": np.max(np.abs(r + r.transpose(0, 1, 3, 2))),
+            "pair_symmetry": np.max(np.abs(r - r.transpose(2, 3, 0, 1))),
+            "first_bianchi": np.max(np.abs(r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2))),
         }
-    else:
-        import numpy as np
-
-        with np.errstate(invalid="ignore"):
-            checks = {
-                "antisymmetry_first_pair": np.max(np.abs(r + r.transpose(1, 0, 2, 3))),
-                "antisymmetry_second_pair": np.max(np.abs(r + r.transpose(0, 1, 3, 2))),
-                "pair_symmetry": np.max(np.abs(r - r.transpose(2, 3, 0, 1))),
-                "first_bianchi": np.max(
-                    np.abs(r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2))
-                ),
-            }
     # Written so that a NaN (from a non-finite component) fails the check.
     bad = {name: float(v) for name, v in checks.items() if not v <= atol}
     if bad:
@@ -259,6 +223,16 @@ class CurvatureTensor:
         return _fsum(diagonal, "scalar curvature")
 
 
+def _float_rows(entries) -> tuple:
+    """``entries`` as a tuple of row tuples of Python floats; ValueError
+    where the rows differ in length."""
+    rows = tuple(tuple(map(float, row)) for row in entries)
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise ValueError(f"expected a square matrix, got rows of lengths {lengths}")
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Dense symmetric operator matrix with its kind tag.
@@ -276,7 +250,7 @@ class OperatorMatrix:
     @classmethod
     def from_entries(cls, entries, kind: str = KIND_GENERIC) -> "OperatorMatrix":
         if "numpy" not in sys.modules:
-            arr = tuple(tuple(map(float, row)) for row in entries)
+            arr = _float_rows(entries)
             shape = (len(arr), *{len(row) for row in arr})
             if len(shape) != 2 or shape[0] != shape[1]:
                 raise ValueError(f"expected a square matrix, got shape {shape}")
@@ -286,7 +260,12 @@ class OperatorMatrix:
         else:
             import numpy as np
 
-            arr = np.array(entries, dtype=float)
+            try:
+                arr = np.array(entries, dtype=float)
+            except ValueError:
+                # Rows numpy cannot read are refused as on the float path.
+                _float_rows(entries)
+                raise
             shape = arr.shape
             if arr.ndim != 2 or shape[0] != shape[1]:
                 raise ValueError(f"expected a square matrix, got shape {shape}")
@@ -320,19 +299,43 @@ def _partners(a, b, c, d):
             yield r, s, p, q, sp * ss
 
 
+def _check_canonical(entries: dict, zero: float) -> None:
+    """Refuse the tensor ``_from_canonical`` builds where a component is not
+    finite or, with the dense check's text, the first Bianchi identity fails.
+    The partner writes make the other identities exact, so the cyclic sum
+    vanishes wherever two indices agree, and each set a < b < c < d leaves
+    x - y + z = 0 for the canonical x = R_abcd, y = R_acbd, z = R_adbc.  The
+    set's cyclic sums add them in the three orders below, so the defect is
+    the dense check's, bit for bit."""
+    if not (math.isfinite(zero) and all(map(math.isfinite, entries.values()))):
+        raise ValueError("curvature components must be finite")
+    defect = 0.0
+    # The first index of a canonical key is the least of its four.
+    for a, b, c, d in {(i, *sorted(rest)) for i, *rest in entries if len({i, *rest}) == 4}:
+        x = entries.get((a, b, c, d), zero)
+        y = entries.get((a, c, b, d), zero)
+        z = entries.get((a, d, b, c), zero)
+        defect = max(defect, abs((x + z) - y), abs((x - y) + z), abs((z - y) + x))
+    if not defect <= _SYMMETRY_ATOL:
+        bad = {"first_bianchi": defect}
+        raise ValueError(f"curvature symmetries violated beyond {_SYMMETRY_ATOL}: {bad}")
+
+
 def _from_canonical(n: int, entries: dict, zero: float = 0.0) -> CurvatureTensor:
-    """Validated tensor with the independent components ``entries``,
-    ``(i, j, k, l) -> value``, 0-based with i < j, k < l, (i, j) <= (k, l).
+    """Tensor with the independent components ``entries``, ``(i, j, k, l)
+    -> value``, 0-based with i < j, k < l, (i, j) <= (k, l).
 
     Each entry also sets the components ``_partners`` ties to it, and
     every component no entry reaches is ``zero``; canonical keys are
-    unique, so no two entries write the same component.  While numpy is not
-    loaded and ``n <= _FLOAT_DIM`` the components are the flat row-major
-    tuple of n^4 Python floats, otherwise a read-only (n, n, n, n) array
-    with the same bits.
+    unique, so no two entries write the same component.  ``entries`` are
+    checked first (``_check_canonical``).  While numpy is not loaded and
+    ``n <= _FLOAT_DIM`` the components are the flat row-major tuple of n^4
+    Python floats, otherwise a read-only (n, n, n, n) array with the same
+    bits.
     """
     if n < 3:
         raise ValueError(f"dimension must be >= 3, got {n}")
+    _check_canonical(entries, zero)
     if n <= _FLOAT_DIM and "numpy" not in sys.modules:
         comps = [zero] * n**4
         for key, value in entries.items():
@@ -348,7 +351,6 @@ def _from_canonical(n: int, entries: dict, zero: float = 0.0) -> CurvatureTensor
         for p, q, r, s, sign in _partners(*keys):
             components[p, q, r, s] = sign * values
         components.setflags(write=False)
-    validate_curvature_symmetries(components)
     return CurvatureTensor(n=n, components=components)
 
 

@@ -19,9 +19,8 @@ caller can check the number of entries before any array is built.
 ``curvature._from_canonical``, which fills in the rest and decides the
 layout: while numpy is not loaded, as in a ``model-space`` run of the CLI,
 a tensor of dimension up to 12 is a flat tuple of Python floats, with the
-bits of the array.  ``format_vector`` prints a list or tuple of floats as
-it is, with the text of the array path, so neither loads numpy, whose
-import costs more than that float work.
+bits of the array.  ``format_vector`` prints each value as a Python float,
+so it loads no numpy, whose import costs more than that float work.
 """
 
 from __future__ import annotations
@@ -95,13 +94,8 @@ def read_vector_file(path: str | Path) -> np.ndarray:
 
 
 def format_vector(values) -> str:
-    """Comma-separated shortest-representation decimals (bit-exact reload).
-
-    A list or tuple is read as it is; anything else as a float array."""
-    if not isinstance(values, (list, tuple)):
-        import numpy as np
-
-        values = np.asarray(values, dtype=float)
+    """Comma-separated shortest-representation decimals (bit-exact reload)
+    of a sequence of floats or a 1-D float array."""
     return ",".join(repr(float(v)) for v in values)
 
 

@@ -343,6 +343,17 @@ class TestModelSpaceCommand:
         code, _, _ = run_cli(capsys, "model-space", "sphere")
         assert code == 64
 
+    @pytest.mark.parametrize("source", ["sphere", "file"])
+    def test_impossible_allocation_exits_64(self, capsys, tmp_path, source):
+        # Dimension 1000 asks for 7.28 TiB of components, a request that
+        # fails at once; no size that could really be allocated is tried.
+        path = tmp_path / "t.txt"
+        path.write_text("dim 1000\n1 2 1 2 1\n", encoding="utf-8")
+        args = {"sphere": ("--n", "1000"), "file": ("--tensor-file", str(path))}[source]
+        code, out, err = run_cli(capsys, "model-space", source, *args)
+        assert code == 64 and out == ""
+        assert err.startswith("gardinglab: Unable to allocate") and err.count("\n") == 1
+
     def test_identity_failure_exits_3(self, capsys, monkeypatch):
         # Valid tensors always satisfy the identities, so fake a failing
         # check to pin the exit-code wiring.

@@ -113,6 +113,125 @@ class TestModelSpaces:
             np.testing.assert_allclose(bianchi, 0.0, atol=1e-12)
 
 
+def _layout(monkeypatch, build, numpy_loaded):
+    """``build()`` with numpy counted as loaded or not, so that
+    ``_from_canonical`` writes the array or the tuple layout."""
+    with monkeypatch.context() as m:
+        if not numpy_loaded:
+            m.delitem(sys.modules, "numpy")
+        return build()
+
+
+def _refusal(build):
+    """The text of the ValueError ``build()`` raises, or None."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _random_canonical(rng, n):
+    """Random independent components of dimension n, at magnitudes from
+    1e-300 to 1e308, some of them signed zeros; in half the draws each set
+    of four indices is given R_acbd = R_abcd + R_adbc, rounded, so that only
+    rounding breaks the first Bianchi identity."""
+    pairs = list(itertools.combinations(range(n), 2))
+    keys = [(*p, *q) for a, p in enumerate(pairs) for q in pairs[a:]]
+    kept = rng.random(len(keys)) < rng.random()
+    values = rng.choice([-1.0, 1.0], len(keys)) * 10.0 ** rng.uniform(-300, 308, len(keys))
+    values[rng.random(len(keys)) < 0.2] = 0.0
+    values[rng.random(len(keys)) < 0.1] = -0.0
+    entries = {key: float(v) for key, v, keep in zip(keys, values, kept) if keep}
+    if rng.random() < 0.5:
+        for a, b, c, d in itertools.combinations(range(n), 4):
+            y = entries.get((a, b, c, d), 0.0) + entries.get((a, d, b, c), 0.0)
+            if math.isfinite(y):
+                entries[a, c, b, d] = y
+    return entries
+
+
+class TestCanonicalCheck:
+    # _from_canonical checks only the first Bianchi identity, on the
+    # independent components; these pin that it refuses what the dense
+    # check of all four identities over all n^4 components refuses, with
+    # the same text.
+
+    @staticmethod
+    def _dense_refusal(monkeypatch, n, entries, zero):
+        """The dense check's text on the components built unchecked."""
+        import gardinglab.curvature as curvature_mod
+
+        with monkeypatch.context() as m:
+            m.setattr(curvature_mod, "_check_canonical", lambda entries, zero: None)
+            r = _from_canonical(n, entries, zero).components
+        with np.errstate(over="ignore"):
+            return _refusal(lambda: validate_curvature_symmetries(r))
+
+    def test_refusal_text_is_the_dense_checks(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        cases = [
+            (n, _random_canonical(rng, n), float(rng.choice([0.0, -0.0])))
+            for n in range(3, 9)
+            for _ in range(60)
+        ]
+        # Every sum of the one condition overflows.
+        cases.append((4, {(0, 1, 2, 3): 1e308, (0, 2, 1, 3): -1e308, (0, 3, 1, 2): 1e308}, 0.0))
+        refused = 0
+        for n, entries, zero in cases:
+            expected = self._dense_refusal(monkeypatch, n, entries, zero)
+            for numpy_loaded in (True, False):
+                build = lambda: _from_canonical(n, entries, zero)  # noqa: E731
+                got = _refusal(lambda: _layout(monkeypatch, build, numpy_loaded))
+                assert got == expected, (n, entries, zero)
+            refused += expected is not None
+        assert expected == "curvature symmetries violated beyond 1e-12: {'first_bianchi': inf}"
+        # About half are refused, so some are accepted beside those of n = 3,
+        # which has no set of four indices.
+        assert 150 <= refused < len(cases) - 60
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_or_zero_is_refused(self, monkeypatch, bad):
+        # An entry no Bianchi condition reads, one that it does, and the fill.
+        cases = [({(0, 1, 0, 1): bad}, 0.0), ({(0, 2, 1, 3): bad}, 0.0), ({(0, 1, 0, 1): 1.0}, bad)]
+        for entries, zero in cases:
+            for numpy_loaded in (True, False):
+                build = lambda: _from_canonical(4, entries, zero)  # noqa: E731
+                got = _refusal(lambda: _layout(monkeypatch, build, numpy_loaded))
+                assert got == "curvature components must be finite", (entries, zero)
+
+    def test_every_source_holds_the_other_identities_exactly(self, monkeypatch, tmp_path):
+        # The premise that lets the check read the first Bianchi identity
+        # alone: the partner writes make the antisymmetries and the pair
+        # symmetry hold exactly, signed zeros included, on both layouts.
+        files = []
+        signed = (
+            ("s4", model_space_form(4, -1.3)),
+            ("s2xs3", model_product_spheres(2, 3)),
+            ("r6", random_curvature_tensor(6, seed=3)),
+        )
+        for name, tensor in signed:
+            entries = _canonical_entries(tensor.components)
+            zeros = [key for key, value in entries.items() if value == 0.0]
+            entries.update(dict.fromkeys(zeros[::2], -0.0))
+            files.append(_write_tensor(tmp_path / f"{name}.txt", entries))
+        sources = [lambda c=c: model_space_form(5, c) for c in (1.3, -1.3)]
+        sources += [lambda: model_product_spheres(2, 3), lambda: model_product_spheres(3, 3)]
+        sources += [lambda f=f: read_tensor_file(f) for f in files]
+        for build in sources:
+            for numpy_loaded in (True, False):
+                tensor = _layout(monkeypatch, build, numpy_loaded)
+                assert isinstance(tensor.components, tuple) is not numpy_loaded
+                r = np.asarray(tensor.components).reshape((tensor.n,) * 4)
+                assert np.max(np.abs(r + r.transpose(1, 0, 2, 3))) == 0.0
+                assert np.max(np.abs(r + r.transpose(0, 1, 3, 2))) == 0.0
+                assert np.max(np.abs(r - r.transpose(2, 3, 0, 1))) == 0.0
+        # The sphere at negative curvature fills with -0.0 on both layouts.
+        for numpy_loaded in (True, False):
+            r = np.asarray(_layout(monkeypatch, sources[1], numpy_loaded).components)
+            assert np.signbit(r[r == 0.0]).all()
+
+
 class TestFirstKindAssembly:
     def test_unit_sphere_is_identity(self):
         mat = assemble_first_kind(model_space_form(4, 1.0))
@@ -570,7 +689,6 @@ class TestFloatPath:
     def test_float_kernels_keep_python_floats(self):
         tensor = model_space_form(4, 1.3)
         flat = CurvatureTensor(n=4, components=tuple(tensor.components.ravel().tolist()))
-        validate_curvature_symmetries(flat.components)
         assert type(flat.components) is tuple
         assert flat.scalar_curvature() == tensor.scalar_curvature() == math.fsum([1.3] * 12)
         with pytest.raises(ValueError, match="dimension must be >= 3"):
@@ -729,6 +847,15 @@ class TestOperatorMatrixAndSpectrum:
                 OperatorMatrix.from_entries(a)
             got, modules = _loaded(_FROM_ENTRIES_WITHOUT_NUMPY, json.dumps(a.tolist()))
             assert got == "matrix has non-finite entries" and "numpy" not in modules
+
+    def test_ragged_rows_are_refused_alike(self):
+        # Rows of unequal lengths get one message on both paths.
+        rows = [[1.0, 2.0], [2.0]]
+        with pytest.raises(ValueError) as info:
+            OperatorMatrix.from_entries(rows)
+        got, modules = _loaded(_FROM_ENTRIES_WITHOUT_NUMPY, json.dumps(rows))
+        assert got == str(info.value) == "expected a square matrix, got rows of lengths [1, 2]"
+        assert "numpy" not in modules
 
     def test_generic_spectrum_has_no_dimension(self):
         spec = eigen_spectrum(OperatorMatrix.from_entries(np.eye(5), KIND_GENERIC))
