@@ -25,11 +25,13 @@ inequality it rests on with both numeric sides so reports can be audited
 without rerunning.  A report without a verdict gets a ``none`` entry that
 says why.
 
-The module loads no numpy: it reads ``tables``, ``cones`` and ``symfun``,
-so the CLI classifies its spectrum, a sorted list of Python floats, on
-floats up to 900 000 entries (``symfun._FLOAT_WORK`` at k = 2).  Where
-numpy is loaded, ``symfun``'s length rule picks the path, with the same
-report.
+The module loads no numpy: it reads ``tables``, ``cones`` and ``symfun``.
+A spectrum is Python floats in every process (a ``Spectrum``'s tuple, or
+the sorted list ``classify_kaehler`` makes of its input), and the
+positivity tests run on them.  Only the shifted G_2 test takes numpy, by
+``symfun``'s length rule, past 16 entries where numpy is loaded, with the
+same report; so the CLI classifies its spectrum on floats up to 900 000
+entries (``symfun._FLOAT_WORK`` at k = 2).
 
 The first-kind rule takes k = ceil(m_eps) with an m_eps within float noise
 above an integer snapped down to it (``_ceil_with_snap``), so an eps typed
@@ -51,7 +53,7 @@ from .cones import (
     in_positivity_cone,
     in_shifted_cone,
 )
-from .symfun import VectorLike, _vector_entries, partial_sum_batch
+from .symfun import VectorLike, _as_floats, partial_sum_batch
 from .tables import (
     KIND_FIRST,
     KIND_SECOND,
@@ -314,12 +316,7 @@ def classify_kaehler(
     """Classify a unitary-holonomy-operator spectrum of length n_complex^2."""
     if n_complex < 2:
         raise ValueError(f"complex dimension must be >= 2, got {n_complex}")
-    values = _vector_entries(spec)
-    if isinstance(values, list):
-        values = sorted(values)
-    else:
-        values = values.copy()
-        values.sort(kind="stable")  # what np.sort does, without importing numpy here
+    values = sorted(_as_floats(spec))
     n3 = n_complex * n_complex
     if len(values) != n3:
         raise ValueError(f"spectrum length {len(values)} does not match n^2 = {n3}")

@@ -25,8 +25,8 @@ keys, so equal configurations and seeds reproduce byte-identical output.
 Start-up: the module level imports the standard library and ``config``
 alone, and each handler imports what it runs when it is called, after its
 usage checks.  ``thresholds``, ``classify`` and every usage error run
-without numpy, and so do ``cone-test`` up to N*k = 1.8 million and
-``model-space`` up to dimension 12.  ``cone-test`` loads ``io`` and parses
+without numpy, and so do ``cone-test`` with ``--m``, with ``--k`` up to
+N*k = 1.8 million, and ``model-space`` up to dimension 12.  ``cone-test`` loads ``io`` and parses
 its vector file into Python floats, so a missing, malformed or non-finite
 file exits 65, and only then loads ``cones`` and ``symfun``.  ``classify``
 reads its file in the same way, checks the spectrum length against
@@ -296,7 +296,7 @@ def _cmd_model_space(args, config: RunConfig) -> int:
             f"scalar-curvature identities ok={checks.ok}"
         )
     else:
-        record["spectrum"] = [float(t) for t in spectrum.eigenvalues]
+        record["spectrum"] = list(spectrum.eigenvalues)
         human = (
             f"{csv}\n# scalar curvature {checks.scalar_curvature!r}; identities "
             f"first_ok={checks.first_kind_ok} second_ok={checks.second_kind_ok}"

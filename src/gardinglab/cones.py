@@ -32,14 +32,15 @@ neither overflows nor underflows short of a norm past the float maximum
 which the entries, shifted entries and partial sums are finite normal
 floats: tested over 1e-300..1e300 with N up to about 1000, where they
 agree with the scale-1 margins within 1e-15 and a power-of-two scaling
-changes no bit.  They run on Python floats for vectors of up to 16 entries,
-and in a process that has not loaded numpy while N*k is at most 1.8
-million, and on numpy otherwise (``symfun._vector_entries``), with the same
-bits: the shift sums in numpy's pairwise order and the recurrence does
-numpy's operations.  numpy is imported only by the array paths, the batch
-kernels and the nesting checker, so ``classify`` and ``cone-test`` run
-without it up to that cap: below it numpy's import costs more than the
-float work saves (see ``symfun``).  The shift maps live here too:
+changes no bit.  The P_m test runs on Python floats for every vector
+(``symfun._as_floats``).  The G_k tests run on floats for vectors of up to
+16 entries, and in a process that has not loaded numpy while N*k is at
+most 1.8 million, and on numpy otherwise (``symfun._vector_entries``),
+with the same bits: the shift sums in numpy's pairwise order and the
+recurrence does numpy's operations.  numpy is imported only by the array
+paths, the batch kernels and the nesting checker, so ``classify`` and
+``cone-test`` run without it up to that cap: below it numpy's import
+costs more than the float work saves (see ``symfun``).  The shift maps live here too:
 ``ShiftParams`` and the closed forms of ``EpsilonParams`` (``epsilon_to_params``,
 re-exported by ``inclusion``), which the classifier reads without loading
 ``inclusion`` and numpy.  The batch kernels take ``np.linalg.norm`` of rows
@@ -60,6 +61,7 @@ from typing import TYPE_CHECKING
 from .config import DEFAULT_TOL, Record
 from .symfun import (
     VectorLike,
+    _as_floats,
     _pairwise_sum,
     _vector_entries,
     as_array,
@@ -250,16 +252,11 @@ def in_shifted_cone(
 
 def in_positivity_cone(v: VectorLike, m: float, tol: float = DEFAULT_TOL) -> ConeMembership:
     """Test v against P_m; sorting makes the smallest entries binding."""
-    x = _vector_entries(v)
+    x = _as_floats(v)
     norm = _norm(x)
     if norm == 0.0:
         return _membership(0.0, "zero_vector", tol)
-    if isinstance(x, list):
-        c0 = partial_sum_batch(sorted(x), m)
-    else:
-        sorted_x = x.copy()
-        sorted_x.sort()  # what np.sort(x) does, without importing numpy here
-        c0 = float(partial_sum_batch(sorted_x, m))
+    c0 = partial_sum_batch(sorted(x), m)
     return _membership(c0 / (float(m) * norm), f"partial_sum[m={m:g}]", tol)
 
 

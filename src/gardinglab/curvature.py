@@ -41,7 +41,9 @@ then implicit QL with Wilkinson shifts (the EISPACK tred1/tql1 pair), on
 Python floats whether or not numpy is loaded.  No eigenvectors are
 accumulated: every consumer of a spectrum reads its eigenvalues alone.
 Rows with no nonzero off-diagonal entry are left out of the solve, so
-sparse model operators reduce only the few rows that couple.
+sparse model operators reduce only the few rows that couple.  From the
+solver on, a spectrum is Python floats in every process: a sorted list,
+then the tuple a ``Spectrum`` holds.
 
 The tensor kernels have two paths that run the same float operations in
 the same order, so they give the same bits.  Every tensor source
@@ -51,24 +53,25 @@ lists its nonzero independent components and hands them to
 the layout: while numpy is not loaded (``"numpy" not in sys.modules``) a
 tensor of dimension n <= 12 (``_FLOAT_DIM``) holds the flat tuple of its
 n^4 components in row-major order, and otherwise a float array.  The
-layout picks the path of what follows: on the tuple ``OperatorMatrix``
+layout picks the path of the assembly: on the tuple ``OperatorMatrix``
 holds a tuple of row tuples, and both assemblers and the identity checks
-run on Python floats; otherwise they run on numpy arrays.  The check of
-the independent components is the same on both.  Past the bound a tensor
-loads numpy before its components are built (the measurements are at
-``_FLOAT_DIM``).  Below it the import costs a ``model-space`` run of the
+run on Python floats; otherwise they run on numpy arrays, and the operator
+holds a read-only array.  The check of the independent components is the
+same on both, and an assembled operator is built directly: it is square,
+exactly symmetric and of its kind's size by construction, so only its
+finiteness is checked.  ``OperatorMatrix.from_entries`` checks outside
+input, on Python floats, and holds a tuple of row tuples.  Past the bound
+a tensor loads numpy before its components are built (the measurements
+are at ``_FLOAT_DIM``).  Below it the import costs a ``model-space`` run of the
 CLI more than the float work, so that run loads no numpy: from the shell
 (2-core host, Python 3.11, numpy 2.4, no bytecode cache, median of 7 runs)
 ``model-space sphere --n 6 --curvature 1.3`` took 285 ms with numpy and
 187 ms on floats, and a random n = 4 tensor file's second-kind operator
-236 and 176 ms.  The eigensolver returns a sorted list while numpy is not
-loaded and a float array otherwise (``list.sort`` is stable, as
-``np.sort(kind="stable")`` is, so ``-0.0`` and ``0.0`` keep their order).
-numpy is imported only inside the functions that build arrays.  Which path
-ran shows in the types of ``CurvatureTensor.components``,
-``OperatorMatrix.entries`` and the eigenvalues, so a caller that needs an
-array converts them with ``np.asarray`` (``components`` is then reshaped
-to (n, n, n, n)).
+236 and 176 ms.  numpy is imported only inside the functions that build
+arrays.  Which path ran shows in the types of
+``CurvatureTensor.components`` and ``OperatorMatrix.entries``, so a caller
+that needs an array converts them with ``np.asarray`` (``components`` is
+then reshaped to (n, n, n, n)).
 
 ``Spectrum``, ``KIND_FIRST`` and ``KIND_SECOND`` are defined in ``tables``,
 which loads no numpy, so the classifier reads them without this module;
@@ -224,23 +227,38 @@ class CurvatureTensor:
 
 
 def _float_rows(entries) -> tuple:
-    """``entries`` as a tuple of row tuples of Python floats; ValueError
-    where the rows differ in length."""
-    rows = tuple(tuple(map(float, row)) for row in entries)
-    lengths = sorted({len(row) for row in rows})
-    if len(lengths) > 1:
-        raise ValueError(f"expected a square matrix, got rows of lengths {lengths}")
-    return rows
+    """A square matrix, given as a sequence of rows or as an array, as a
+    tuple of row tuples of Python floats.  Where it is not one, ValueError
+    with the text numpy's reading gives: the shape, read along the first
+    entries, or the row lengths where they differ."""
+    if hasattr(entries, "tolist"):
+        shape, entries = entries.shape, entries.tolist()
+    else:
+        shape, x = [], entries
+        while hasattr(x, "__len__") and not isinstance(x, (str, bytes)):
+            shape.append(len(x))
+            if not shape[-1]:
+                break
+            x = x[0]
+    if len(shape) == 2:
+        rows = tuple(tuple(map(float, row)) for row in entries)
+        lengths = sorted({len(row) for row in rows})
+        if len(lengths) > 1:
+            raise ValueError(f"expected a square matrix, got rows of lengths {lengths}")
+        if shape[0] == shape[1]:
+            return rows
+    raise ValueError(f"expected a square matrix, got shape {tuple(shape)}")
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Dense symmetric operator matrix with its kind tag.
 
-    ``entries`` is a read-only float array, or, for a matrix built while
-    numpy was not loaded, a tuple of row tuples of Python floats; a caller
-    that needs the array takes ``np.asarray(entries)``, which is the same
-    array either way.
+    ``entries`` is a tuple of row tuples of Python floats, or, for an
+    operator assembled from a tensor held as an array, a read-only float
+    array; a caller that needs the array takes ``np.asarray(entries)``,
+    which is the same array either way.  Assembled operators are built
+    directly (``_assembled``); ``from_entries`` checks outside input.
     """
 
     N: int
@@ -249,40 +267,25 @@ class OperatorMatrix:
 
     @classmethod
     def from_entries(cls, entries, kind: str = KIND_GENERIC) -> "OperatorMatrix":
-        if "numpy" not in sys.modules:
-            arr = _float_rows(entries)
-            shape = (len(arr), *{len(row) for row in arr})
-            if len(shape) != 2 or shape[0] != shape[1]:
-                raise ValueError(f"expected a square matrix, got shape {shape}")
-            if not all(map(math.isfinite, itertools.chain(*arr))):
-                raise ValueError("matrix has non-finite entries")
-            asym = _max_abs(map(sub, itertools.chain(*arr), itertools.chain(*zip(*arr))))
-        else:
-            import numpy as np
-
-            try:
-                arr = np.array(entries, dtype=float)
-            except ValueError:
-                # Rows numpy cannot read are refused as on the float path.
-                _float_rows(entries)
-                raise
-            shape = arr.shape
-            if arr.ndim != 2 or shape[0] != shape[1]:
-                raise ValueError(f"expected a square matrix, got shape {shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError("matrix has non-finite entries")
-            asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-        if shape[0] < 1:
+        """The operator of a square matrix of finite entries, symmetric
+        within 1e-12, given as a sequence of rows or an array; held as a
+        tuple of row tuples of Python floats, on one path that loads no
+        numpy.  Raises ValueError on a matrix that is not square, is empty,
+        has non-finite entries or is asymmetric, on an unknown kind, and on
+        a size that fits no dimension of the kind."""
+        rows = _float_rows(entries)
+        if not all(map(math.isfinite, itertools.chain(*rows))):
+            raise ValueError("matrix has non-finite entries")
+        if not rows:
             raise ValueError("operator matrix must be at least 1x1")
+        asym = _max_abs(map(sub, itertools.chain(*rows), itertools.chain(*zip(*rows))))
         if not asym <= _SYMMETRY_ATOL:
             raise ValueError(f"matrix asymmetry {asym} exceeds {_SYMMETRY_ATOL}")
         if kind not in (KIND_FIRST, KIND_SECOND, KIND_GENERIC):
             raise ValueError(f"unknown kind {kind!r}")
-        if kind != KIND_GENERIC and dimension_for_count(shape[0], kind) is None:
-            raise ValueError(f"size {shape[0]} does not match any dimension for kind {kind}")
-        if not isinstance(arr, tuple):
-            arr.setflags(write=False)
-        return cls(N=shape[0], entries=arr, kind=kind)
+        if kind != KIND_GENERIC and dimension_for_count(len(rows), kind) is None:
+            raise ValueError(f"size {len(rows)} does not match any dimension for kind {kind}")
+        return cls(N=len(rows), entries=rows, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -400,20 +403,25 @@ def _symmetrized(mat):
 
 
 def _assembled(mat, kind: str) -> OperatorMatrix:
-    """The operator of an assembled matrix, symmetrized.  A tensor's
-    components are finite, so an entry that is not comes from a sum of the
-    assembly that overflowed, although the exact entry may be finite; it is
-    refused with a message that says so."""
+    """The operator of an assembled matrix, symmetrized.  It is square,
+    exactly symmetric and of its kind's size by construction, so only its
+    entries' finiteness is checked: a tensor's components are finite, so an
+    entry that is not comes from a sum of the assembly that overflowed,
+    although the exact entry may be finite; it is refused with a message
+    that says so."""
     mat = _symmetrized(mat)
     if isinstance(mat, list):
         finite = all(map(math.isfinite, itertools.chain(*mat)))
+        entries = tuple(map(tuple, mat))
     else:
         import numpy as np
 
         finite = np.isfinite(mat).all()
+        mat.setflags(write=False)
+        entries = mat
     if not finite:
         raise ValueError(f"the {kind} operator's assembly overflows the float range")
-    return OperatorMatrix.from_entries(mat, kind=kind)
+    return OperatorMatrix(N=len(entries), entries=entries, kind=kind)
 
 
 def assemble_first_kind(tensor: CurvatureTensor) -> OperatorMatrix:
@@ -636,14 +644,6 @@ def _implicit_ql(d: list[float], e: list[float]) -> list[float]:
     return d
 
 
-def _ldexp(x: float, exponent: int) -> float:
-    """``np.ldexp`` of one float: infinity where the result overflows."""
-    try:
-        return math.ldexp(x, exponent)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
 def _nonzero_off_diagonal(rows) -> list[int]:
     """Indices of the rows with a nonzero (or non-finite) entry off the
     diagonal."""
@@ -666,11 +666,11 @@ def _eigenvalues(matrix):
     scale is exact, so a matrix scaled by 2^k gives eigenvalues scaled by
     2^k, bit for bit, wherever no entry falls to a subnormal.
 
-    Returns the eigenvalues sorted stably: a float array while numpy is
-    loaded, a list of Python floats otherwise, with the same bits.  Raises
-    ValueError on a matrix that is not square or has non-finite entries,
-    and RuntimeError if one eigenvalue takes more than ``_QL_ITERATIONS``
-    iterations.
+    Returns the eigenvalues as a list of Python floats sorted stably, in
+    every process.  Raises ValueError on a matrix that is not square or has
+    non-finite entries, or whose eigenvalue, scaled back, is past the float
+    range, and RuntimeError if one eigenvalue takes more than
+    ``_QL_ITERATIONS`` iterations.
     """
     if hasattr(matrix, "tolist"):
         shape, rows = matrix.shape, matrix.tolist()
@@ -693,18 +693,18 @@ def _eigenvalues(matrix):
     active = _nonzero_off_diagonal(block)
     sub = [[block[j][k] for k in active] for j in active]
     for k, t in zip(active, _implicit_ql(*_tridiagonal(sub))):
-        w[coupled[k]] = _ldexp(t, exponent)
+        try:
+            w[coupled[k]] = math.ldexp(t, exponent)
+        except OverflowError:
+            raise ValueError("an eigenvalue overflows the float range") from None
     w.sort()
-    if "numpy" not in sys.modules:
-        return w
-    import numpy as np
-
-    return np.array(w)
+    return w
 
 
 def eigen_spectrum(matrix: OperatorMatrix) -> Spectrum:
     """Ordered spectrum of an operator matrix: the eigenvalues of
-    ``_eigenvalues(matrix.entries)``, bit for bit."""
+    ``_eigenvalues(matrix.entries)``, bit for bit, as a tuple of Python
+    floats."""
     return Spectrum(
         eigenvalues=_eigenvalues(matrix.entries),
         kind=matrix.kind,

@@ -15,15 +15,19 @@ Conventions used throughout the package:
   ``np.add.accumulate`` per degree, k numpy steps instead of N; on a list
   of Python floats it is one ``itertools.accumulate`` per degree, with the
   same multiplies and the same sequential adds.
-* Single vectors run on Python floats up to 16 entries, and while numpy is
-  not loaded as long as N*k is at most 1.8 million; otherwise on numpy
-  (``_vector_entries``).
-  Batches always run on numpy.  A whole cone test on floats pays per
-  entry and per multiply-add, and numpy pays per degree and per call, so
-  floats are faster or level at every degree up to 16 entries and numpy is
-  faster at most degrees from about 20, once it is loaded.  Loading it
-  costs more than that: numpy is imported by the functions that build
-  arrays, so a process that has not loaded it, such as a ``cone-test`` or
+* A single vector of the recurrence (``elementary_symmetric`` and the G_k
+  tests of ``cones``) runs on Python floats up to 16 entries, and while
+  numpy is not loaded as long as N*k is at most 1.8 million; otherwise on
+  numpy (``_vector_entries``).  The P_m test, a sort and one partial sum,
+  always runs on floats (``_as_floats``): at N = 17 to 40 a whole call
+  took 4.9-13.1 µs on floats against 7.3-13.3 µs on numpy (2-core host,
+  Python 3.11, numpy 2.4, interleaved in-process timing), and numpy wins
+  only past about 50 entries.  Batches always run on numpy.  A whole G_k
+  test on floats pays per entry and per multiply-add, and numpy pays per
+  degree and per call, so floats are faster or level at every degree up to
+  16 entries and numpy is faster at most degrees from about 20, once it is
+  loaded.  Loading it costs more than that: numpy is imported by the
+  functions that build arrays, so a process that has not loaded it, such as a ``cone-test`` or
   ``classify`` run of the CLI, stays on floats and never does.  From the
   shell (2-core host, Python 3.11, numpy 2.4, median of 7 runs, same
   output) ``cone-test`` took 252 -> 134 ms at N = k = 300,
@@ -88,7 +92,7 @@ __all__ = [
 # float roundoff (e.g. m computed from a shift parameter).
 _M_CLAMP_RTOL = 1e-12
 
-# Vectors of at most this many entries take the single-vector kernels on
+# Vectors of at most this many entries take the single-vector recurrence on
 # Python floats; longer ones take numpy's (see ``_vector_entries``).
 _FLOAT_ENTRIES = 16
 # While numpy is not loaded, vectors whose entries times degree are at most
@@ -129,11 +133,11 @@ def _as_floats(v: VectorLike) -> list[float]:
     return as_array(v).tolist()
 
 
-def _vector_entries(v: VectorLike, degree: int = 1) -> list[float] | np.ndarray:
-    """The validated entries of v for work up to ``degree``: Python floats
-    (``_as_floats``) for at most ``_FLOAT_ENTRIES`` entries, or while numpy
-    is not loaded and ``len(v) * degree <= _FLOAT_WORK``; a float array
-    (``as_array``) otherwise.
+def _vector_entries(v: VectorLike, degree: int) -> list[float] | np.ndarray:
+    """The validated entries of v for the recurrence up to ``degree``:
+    Python floats (``_as_floats``) for at most ``_FLOAT_ENTRIES`` entries,
+    or while numpy is not loaded and ``len(v) * degree <= _FLOAT_WORK``; a
+    float array (``as_array``) otherwise.
 
     An array argument means numpy is loaded, so only a sequence in a
     process without numpy takes floats by the second rule; it spares that

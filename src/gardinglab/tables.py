@@ -1,8 +1,9 @@
 """Operator dimension counts, the per-dimension verdict thresholds, and the
 closed forms the classifier reads.
 
-Everything here is a closed form in the frame dimension, or a check of a
-list of floats, so the module imports no numpy: ``gardinglab thresholds``
+Everything here is a closed form in the frame dimension, or the check of
+a spectrum, which ``Spectrum`` holds as a tuple of Python floats whatever
+it is given as, so the module imports no numpy: ``gardinglab thresholds``
 runs on it alone, and ``classify`` runs on it with ``cones`` and
 ``symfun``.  ``curvature``, ``weighted`` and ``classify`` import their
 counts, formulas, kinds, ``Spectrum`` and table from here; ``curvature``
@@ -19,12 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import gt
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional
 
 from .config import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "KIND_FIRST",
@@ -50,29 +48,23 @@ KIND_SECOND = "second_kind"
 class Spectrum:
     """Eigenvalues with the operator kind and frame dimension.
 
-    ``eigenvalues`` is a copy of the given finite, non-decreasing entries.
-    A list or tuple of numbers is checked on Python floats, without numpy,
-    and held as a tuple of floats; callers sort it with ``sorted``.  Any
-    other input is held as a read-only 1-d float array; callers sort it
-    with ``np.sort(..., kind="stable")``.  Both refuse the same inputs with
-    the same errors.  Equality is identity and instances hash by identity,
-    as for the array holders of ``curvature``.
+    ``eigenvalues`` is a tuple of Python floats, the given finite,
+    non-decreasing entries of a list, tuple or 1-d array, checked without
+    numpy (``symfun._as_floats``, which refuses what ``as_array`` refuses,
+    with the same errors).  Equality is identity and instances hash by
+    identity, as for the holders of ``curvature``.
     """
 
-    eigenvalues: Union[tuple, "np.ndarray"]
+    eigenvalues: tuple
     kind: str
     n: Optional[int]
 
     def __post_init__(self) -> None:
-        from .symfun import _as_floats, _sorted_entries
+        from .symfun import _as_floats
 
-        if isinstance(self.eigenvalues, (list, tuple)):
-            values = tuple(_as_floats(self.eigenvalues))
-            if any(map(gt, values, values[1:])):
-                raise ValueError("input must be sorted non-decreasing")
-        else:
-            values = _sorted_entries(self.eigenvalues).copy()
-            values.setflags(write=False)
+        values = tuple(_as_floats(self.eigenvalues))
+        if any(map(gt, values, values[1:])):
+            raise ValueError("input must be sorted non-decreasing")
         object.__setattr__(self, "eigenvalues", values)
 
     def __len__(self) -> int:

@@ -226,8 +226,8 @@ def _spectrum_sums_hold(tensor) -> bool:
     """scal = 2 * sum(first-kind spectrum) = 2n/(n+2) * sum(second-kind spectrum)."""
     n = tensor.n
     scal = tensor.scalar_curvature()
-    first = 2.0 * eigen_spectrum(assemble_first_kind(tensor)).eigenvalues.sum()
-    second = 2.0 * n / (n + 2.0) * eigen_spectrum(assemble_second_kind(tensor)).eigenvalues.sum()
+    first = 2.0 * np.asarray(eigen_spectrum(assemble_first_kind(tensor)).eigenvalues).sum()
+    second = 2.0 * n / (n + 2.0) * np.asarray(eigen_spectrum(assemble_second_kind(tensor)).eigenvalues).sum()
     tol = 1e-8 * max(1.0, abs(scal))
     return abs(first - scal) <= tol and abs(second - scal) <= tol
 

@@ -192,7 +192,7 @@ class TestClassifyFirstKind:
 
     def test_scale_invariance(self):
         spec = eigen_spectrum(assemble_first_kind(model_space_form(5, 1.0)))
-        scaled = _spectrum(spec.eigenvalues * 7.3, KIND_FIRST, 5)
+        scaled = _spectrum(np.asarray(spec.eigenvalues) * 7.3, KIND_FIRST, 5)
         a = classify_first_kind(spec, 0.2)
         b = classify_first_kind(scaled, 0.2)
         assert [v.verdict for v in a.verdicts] == [v.verdict for v in b.verdicts]

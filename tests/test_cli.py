@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gardinglab.cli import main
-from gardinglab.config import CONFIG_ENV_VAR
+from gardinglab.config import CONFIG_ENV_VAR, load_config
 from gardinglab.curvature import model_product_spheres
 from gardinglab.io import (
     VectorParseError,
@@ -113,6 +113,50 @@ class TestTensorFiles:
         code, _, err = run_cli(capsys, "model-space", "file", "--tensor-file", str(path))
         assert code == 65 and "non-finite" in err
 
+    # Each refusal with its line: two comment and blank lines come first,
+    # so the count shows that they are read and skipped.
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("dim\n", 3, "dim line must be 'dim n'"),
+            ("dim 3 4\n", 3, "dim line must be 'dim n'"),
+            ("dim three\n", 3, "bad dimension 'three'"),
+            ("dim 3\n1 2 1 2\n", 4, "expected 'i j k l value', got 4 fields"),
+            ("dim 3\n1 2 1 2 1 0\n", 4, "expected 'i j k l value', got 6 fields"),
+            ("dim 3\n1 2 1 2 one  # c\n", 4, "bad component line: '1 2 1 2 one'"),
+            ("dim 3\n1 2.0 1 2 1\n", 4, "bad component line: '1 2.0 1 2 1'"),
+            ("dim 3\n0 1 0 1 1\n", 4, "indices are 1-based"),
+            ("dim 3\n1 2 1 2 1\n1 2 1 2 2\n", 5, "conflicting duplicate for (1, 2, 1, 2)"),
+            ("1 2 1 2 1\n", 1, "need dimension >= 3 (add a 'dim n' line?)"),
+            ("dim 2\n1 2 1 2 1\n", 1, "need dimension >= 3 (add a 'dim n' line?)"),
+            ("dim 3\n1 4 1 4 1\n", 1, "index 4 exceeds dim 3"),
+        ],
+        ids=["dim-alone", "dim-two-values", "bad-dim", "four-fields", "six-fields",
+             "bad-value", "bad-index", "zero-based", "conflicting-duplicate",
+             "no-dim-below-3", "dim-below-3", "index-past-dim"],
+    )
+    def test_refusals_name_the_line(self, body, line, message):
+        with pytest.raises(VectorParseError) as info:
+            parse_tensor_text("# header\n   \n" + body)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
+
+    def test_blank_and_comment_lines_are_skipped(self):
+        plain = parse_tensor_text("dim 3\n1 2 1 2 1\n1 3 1 3 1\n2 3 2 3 1\n")
+        spaced = parse_tensor_text(
+            "# sphere\n\ndim 3  # frame\n \t\n1 2 1 2 1\n# none\n1 3 1 3 1\n1 2 1 2 1.0\n2 3 2 3 1\n"
+        )
+        assert spaced.n == plain.n == 3
+        assert spaced.components.tobytes() == plain.components.tobytes()
+
+    def test_refused_tensor_file_exits_65(self, capsys, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("dim 3\n1 2 1 2 1\n1 2 1 2 2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "model-space", "file", "--tensor-file", str(path))
+        assert [code, out, err] == [
+            65, "", "gardinglab: line 3: conflicting duplicate for (1, 2, 1, 2)\n"
+        ]
+
     def test_symmetry_violation_rejected(self):
         # Lone off-block component breaks the first Bianchi identity.
         with pytest.raises(ValueError):
@@ -180,6 +224,11 @@ class TestConeTestCommand:
     def test_usage_error(self, capsys, vec_file):
         code, _, err = run_cli(capsys, "cone-test", vec_file("v", "1,2"))
         assert code == 64
+
+    @pytest.mark.parametrize("epsilon", ["1.5", "0", "1", "-0.5"])
+    def test_epsilon_outside_the_unit_interval_exits_64(self, capsys, vec_file, epsilon):
+        argv = ("cone-test", vec_file("v", "1,2,3"), "--k", "2", "--epsilon", epsilon)
+        assert run_cli(capsys, *argv) == (64, "", "--epsilon must lie in (0, 1)\n")
 
     def test_unresolvable_epsilon_names_epsilon(self, capsys, vec_file):
         code, out, err = run_cli(
@@ -342,6 +391,18 @@ class TestModelSpaceCommand:
     def test_usage_error_without_n(self, capsys):
         code, _, _ = run_cli(capsys, "model-space", "sphere")
         assert code == 64
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("product",), "model-space product needs --p and --q"),
+            (("product", "--p", "2"), "model-space product needs --p and --q"),
+            (("product", "--q", "3"), "model-space product needs --p and --q"),
+            (("file",), "model-space file needs --tensor-file"),
+        ],
+    )
+    def test_missing_source_options_exit_64(self, capsys, argv, message):
+        assert run_cli(capsys, "model-space", *argv) == (64, "", message + "\n")
 
     @pytest.mark.parametrize("source", ["sphere", "file"])
     def test_impossible_allocation_exits_64(self, capsys, tmp_path, source):
@@ -586,11 +647,16 @@ class TestConfig:
             ({"seed": False}, "seed must be an integer, got False"),
             ({"samples": 1.5}, "samples must be an integer, got 1.5"),
             ({"samples": True}, "samples must be an integer, got True"),
+            ({"samples": -1}, "samples must be >= 0, got -1"),
+            ({"output_format": "xml"},
+             "output_format must be one of ('human', 'machine'), got 'xml'"),
+            ([1, 2], "config file {path}: expected a JSON object"),
             # restarts is no longer a setting: any value is an unknown key.
             ({"restarts": 2.5}, "config file {path}: unknown keys ['restarts']"),
         ],
         ids=["tol_str", "tol_null", "tol_bool", "tol_inf", "seed_str", "seed_bool",
-             "samples_float", "samples_bool", "restarts_float"],
+             "samples_float", "samples_bool", "samples_negative", "format_xml",
+             "json_list", "restarts_float"],
     )
     def test_mistyped_config_value_is_usage_error(
         self, data, message, capsys, tmp_path, monkeypatch
@@ -602,6 +668,22 @@ class TestConfig:
         code, out, err = run_cli(capsys, "thresholds", "--n-max", "3")
         assert code == 64 and out == ""
         assert err == f"gardinglab: {message.format(path=cfg)}\n"
+
+    def test_invalid_json_config_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{", encoding="utf-8")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        code, out, err = run_cli(capsys, "thresholds", "--n-max", "3")
+        assert code == 64 and out == ""
+        assert err == (
+            f"gardinglab: config file {cfg}: invalid JSON (Expecting property name "
+            "enclosed in double quotes: line 1 column 2 (char 1))\n"
+        )
+
+    def test_unknown_override_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            load_config({"samples": 5, "restarts": 2, "nope": None}, env={})
+        assert str(info.value) == "unknown config overrides ['nope', 'restarts']"
 
     def test_infinite_tol_flag_is_usage_error(self, capsys, vec_file):
         # An infinite tolerance would call the open member 1,2,3 closed-boundary.

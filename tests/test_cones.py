@@ -297,9 +297,10 @@ def _outcome(call):
 
 
 class TestFloatAndArrayPaths:
-    """Vectors up to ``symfun._FLOAT_ENTRIES`` entries run the cone tests on
+    """Vectors up to ``symfun._FLOAT_ENTRIES`` entries run the G_k tests on
     Python floats, longer ones on numpy; each path must give the records of
-    the other on every vector."""
+    the other on every vector.  The P_m test runs on floats for every
+    length, so its records must not depend on the switch either."""
 
     def test_records_match_on_both_paths(self, monkeypatch):
         rng = np.random.default_rng(89)
@@ -324,8 +325,8 @@ class TestFloatAndArrayPaths:
             assert all(o == outcomes[0] for o in outcomes), n
         # The classifier's two calls, G_2 at alpha_eps and P_{m_eps}, at every
         # operator length of a dimension up to 20 (up to 400 entries), on
-        # spectra with ties and mixed signed zeros.  The float path sorts
-        # them with ``sorted`` and the array path with a stable np.sort.
+        # spectra with ties and mixed signed zeros, given as the list that
+        # ``sorted`` makes and the array that a stable np.sort makes.
         lengths = {two_form_count(d) for d in range(3, 21)}
         lengths |= {trace_free_count(d) for d in range(3, 21)}
         lengths |= {d * d for d in range(2, 21)}

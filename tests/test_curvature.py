@@ -4,6 +4,7 @@ import collections
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -239,7 +240,7 @@ class TestFirstKindAssembly:
         spectrum = eigen_spectrum(mat)
         np.testing.assert_allclose(spectrum.eigenvalues, np.ones(6), atol=1e-12)
         # Cross-check: twice the eigenvalue sum is n(n-1).
-        assert 2 * spectrum.eigenvalues.sum() == pytest.approx(12.0)
+        assert 2 * np.asarray(spectrum.eigenvalues).sum() == pytest.approx(12.0)
 
     def test_zero_tensor(self):
         mat = assemble_first_kind(model_space_form(4, 0.0))
@@ -329,17 +330,17 @@ class TestJacobiEigensolver:
     LAPACK (a test oracle only) and the Jacobi oracles of ``oracles``."""
 
     def test_identity(self):
-        w = _eigenvalues(np.eye(6))
+        w = np.asarray(_eigenvalues(np.eye(6)))
         np.testing.assert_allclose(w, np.ones(6))
         # No row couples, so every diagonal entry passes through unrotated.
         assert np.array_equal(w, np.ones(6))
 
     def test_diagonal(self):
-        w = _eigenvalues(np.diag([3.0, 1.0, 2.0]))
+        w = np.asarray(_eigenvalues(np.diag([3.0, 1.0, 2.0])))
         np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
 
     def test_two_by_two(self):
-        w = _eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        w = np.asarray(_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])))
         np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
 
     def test_reconstruction_and_orthogonality(self):
@@ -349,7 +350,7 @@ class TestJacobiEigensolver:
         for n in (2, 5, 12, 35):
             a = rng.normal(size=(n, n))
             a = (a + a.T) / 2
-            w = _eigenvalues(a)
+            w = np.asarray(_eigenvalues(a))
             fro = np.linalg.norm(a)
             _assert_similarity_invariants(a, w, 1e-10)
             np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-10 * (1 + fro))
@@ -360,14 +361,14 @@ class TestJacobiEigensolver:
         for n in (3, 8, 20):
             a = rng.normal(size=(n, n)) * 3
             a = (a + a.T) / 2
-            w = _eigenvalues(a)
+            w = np.asarray(_eigenvalues(a))
             np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-9)
 
     def test_eigen_spectrum_round_trip(self):
-        w = _eigenvalues(np.diag([2.0, -1.0, 0.5]))
+        w = np.asarray(_eigenvalues(np.diag([2.0, -1.0, 0.5])))
         q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
         rebuilt = q @ np.diag(w) @ q.T
-        w2 = _eigenvalues((rebuilt + rebuilt.T) / 2)
+        w2 = np.asarray(_eigenvalues((rebuilt + rebuilt.T) / 2))
         np.testing.assert_allclose(w, w2, atol=1e-10)
 
     def test_rejects_non_square(self):
@@ -386,7 +387,7 @@ class TestJacobiEigensolver:
     def test_curvature_operators_match_lapack_oracle(self, n, assemble):
         # N = 45, 54, 91, 104; eigvalsh is the oracle only.
         a = assemble(random_curvature_tensor(n, seed=n)).entries
-        w = _eigenvalues(a)
+        w = np.asarray(_eigenvalues(a))
         fro = np.linalg.norm(a)
         assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-13 * fro
 
@@ -434,7 +435,7 @@ class TestJacobiEigensolver:
             tensor = random_curvature_tensor(size, seed=size)
         assemble = assemble_first_kind if operator == "first" else assemble_second_kind
         a = assemble(tensor).entries
-        w = _eigenvalues(a)
+        w = np.asarray(_eigenvalues(a))
         tol = 1e-13 * np.linalg.norm(a)
         assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= tol
         assert np.max(np.abs(w - round_robin_jacobi_by_gathers(a))) <= tol
@@ -442,13 +443,14 @@ class TestJacobiEigensolver:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 21])
     def test_small_and_odd_sizes_match_lapack_oracle(self, n):
         a = _random_symmetric(n, seed=100 + n)
-        w = _eigenvalues(a)
+        w = np.asarray(_eigenvalues(a))
         fro = np.linalg.norm(a)
         assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-13 * fro
         _assert_similarity_invariants(a, w, 1e-13)
 
     def test_eigenvalue_only_path_is_bit_identical(self):
-        # eigen_spectrum keeps the solver's eigenvalues bit for bit, read-only.
+        # eigen_spectrum keeps the solver's eigenvalues bit for bit, as a
+        # tuple of Python floats.
         operators = [
             assemble(random_curvature_tensor(n, seed=n))
             for n in range(3, 15)
@@ -462,12 +464,13 @@ class TestJacobiEigensolver:
         for matrix in operators:
             w = _eigenvalues(matrix.entries)
             values = eigen_spectrum(matrix).eigenvalues
-            assert values.tobytes() == w.tobytes()
-            assert values.dtype == np.float64 and not values.flags.writeable
+            assert type(w) is list and type(values) is tuple
+            assert all(type(t) is float for t in values)
+            assert np.asarray(values).tobytes() == np.asarray(w).tobytes()
 
     def test_reconstruction_and_orthogonality_at_104(self):
         a = assemble_second_kind(random_curvature_tensor(14, seed=5)).entries
-        w = _eigenvalues(a)
+        w = np.asarray(_eigenvalues(a))
         _assert_similarity_invariants(a, w, 1e-12)
         assert np.all(np.diff(w) >= 0)
 
@@ -478,7 +481,7 @@ class TestJacobiEigensolver:
         a = assemble_second_kind(model_product_spheres(7, 7)).entries
         inactive = np.flatnonzero(~(a - np.diag(a.diagonal())).any(axis=1))
         assert inactive.size == 104 - 8
-        w = _eigenvalues(a)
+        w = np.asarray(_eigenvalues(a))
         np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-13 * np.linalg.norm(a))
         _assert_similarity_invariants(a, w, 1e-13)
         _assert_diagonal_entries_pass_through(a, w, inactive)
@@ -486,7 +489,7 @@ class TestJacobiEigensolver:
     def test_one_isolated_pair(self):
         a = np.diag([5.0, 1.0, 4.0, 2.0, 3.0, 0.0])
         a[1, 4] = a[4, 1] = 0.5
-        w = _eigenvalues(a)
+        w = np.asarray(_eigenvalues(a))
         np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-15)
         # The pair's block [[1, 0.5], [0.5, 3]] has eigenvalues 2 -+ sqrt(1.25).
         pair = np.setdiff1d(w, [5.0, 4.0, 2.0, 0.0])
@@ -495,7 +498,7 @@ class TestJacobiEigensolver:
         _assert_diagonal_entries_pass_through(a, w, [0, 2, 3, 5])
 
     def test_zero_matrix(self):
-        w = _eigenvalues(np.zeros((7, 7)))
+        w = np.asarray(_eigenvalues(np.zeros((7, 7))))
         assert np.all(w == 0.0)
         assert w.shape == (7,) and not np.signbit(w).any()
 
@@ -505,13 +508,13 @@ class TestJacobiEigensolver:
         import gardinglab.curvature as curvature_mod
 
         a = _random_symmetric(30, seed=7)
-        w = _eigenvalues(a)
+        w = np.asarray(_eigenvalues(a))
         needed = next(
             cap for cap in range(1, curvature_mod._QL_ITERATIONS + 1) if _solves(monkeypatch, a, cap)
         )
         assert needed > 1
         monkeypatch.setattr(curvature_mod, "_QL_ITERATIONS", needed)
-        assert _eigenvalues(a).tobytes() == w.tobytes()
+        assert np.asarray(_eigenvalues(a)).tobytes() == w.tobytes()
         monkeypatch.setattr(curvature_mod, "_QL_ITERATIONS", needed - 1)
         message = f"QL eigensolver did not converge within {needed - 1} iterations for one eigenvalue"
         with pytest.raises(RuntimeError, match=f"^{message}$"):
@@ -531,7 +534,7 @@ class TestJacobiEigensolver:
     @pytest.mark.parametrize("scale", [1e200, 1e308])
     def test_huge_entries_still_rotate(self, scale):
         # ||A||_F of these overflows; an inf threshold would return the diagonal.
-        w = _eigenvalues(np.array([[1.0, 1.0], [1.0, -1.0]]) * scale)
+        w = np.asarray(_eigenvalues(np.array([[1.0, 1.0], [1.0, -1.0]]) * scale))
         np.testing.assert_allclose(w, [-np.sqrt(2.0) * scale, np.sqrt(2.0) * scale], rtol=1e-14)
         assert abs(w.sum()) <= 1e-15 * scale  # the trace, 0
 
@@ -540,8 +543,8 @@ class TestJacobiEigensolver:
         # Each entry stays normal, so scaling by 2^power scales the
         # eigenvalues exactly.
         a = _random_symmetric(12, seed=19)
-        w = _eigenvalues(a)
-        w_scaled = _eigenvalues(np.ldexp(a, power))
+        w = np.asarray(_eigenvalues(a))
+        w_scaled = np.asarray(_eigenvalues(np.ldexp(a, power)))
         assert np.array_equal(w_scaled, np.ldexp(w, power))
 
 
@@ -593,7 +596,7 @@ class TestPairedLayout:
     def test_spectrum_bytes_match_the_gather_oracle(self, a):
         # Within 1e-13 ||A||_F of the oracle and of LAPACK, and the diagonal
         # entries of rows that do not couple are the oracle's bytes.
-        w = _eigenvalues(a)
+        w = np.asarray(_eigenvalues(a))
         oracle = round_robin_jacobi_by_gathers(a)
         tol = 1e-13 * _frobenius_norm(a)
         assert np.max(np.abs(w - oracle)) <= tol
@@ -625,7 +628,7 @@ class TestFloatPath:
             m.delitem(sys.modules, "numpy")
             w = _eigenvalues(rows)
         assert type(w) is list and all(type(t) is float for t in w)
-        assert np.array(w).tobytes() == _eigenvalues(a).tobytes()
+        assert np.array(w).tobytes() == np.asarray(_eigenvalues(a)).tobytes()
         oracle = round_robin_jacobi_by_gathers(a)
         assert np.max(np.abs(np.array(w) - oracle)) <= 1e-13 * _frobenius_norm(a)
 
@@ -679,10 +682,10 @@ class TestFloatPath:
         a = _random_symmetric(n, seed=n) * 10.0 ** np.random.default_rng(n).integers(
             -8, 8, size=(n, n)
         )
-        w = _eigenvalues(a)
+        w = np.asarray(_eigenvalues(a))
         with monkeypatch.context() as m:
             m.setattr(curvature_mod, "sum", _no_builtin_sum, raising=False)
-            assert _eigenvalues(a).tobytes() == w.tobytes()
+            assert np.asarray(_eigenvalues(a)).tobytes() == w.tobytes()
         sym = (a + a.T) / 2
         assert np.max(np.abs(w - np.linalg.eigvalsh(sym))) <= 1e-13 * np.linalg.norm(sym)
 
@@ -696,11 +699,11 @@ class TestFloatPath:
 
 
 # The error text of OperatorMatrix.from_entries on the rows of argv[1], a
-# JSON list, with numpy blocked.
+# JSON list, and the kind in argv[2], if any, with numpy blocked.
 _FROM_ENTRIES_WITHOUT_NUMPY = _BLOCK_NUMPY + """
 from gardinglab.curvature import OperatorMatrix
 try:
-    OperatorMatrix.from_entries(json.loads(sys.argv[1]))
+    OperatorMatrix.from_entries(json.loads(sys.argv[1]), *sys.argv[2:])
     code = None
 except ValueError as exc:
     code = str(exc)
@@ -754,7 +757,7 @@ def _array_path_result(case):
         ops = [assemble_first_kind(tensor), assemble_second_kind(tensor)]
         result["operators"] = [[t.hex() for t in op.entries.ravel().tolist()] for op in ops]
         result["spectra"] = [
-            [t.hex() for t in eigen_spectrum(op).eigenvalues.tolist()] for op in ops
+            [t.hex() for t in eigen_spectrum(op).eigenvalues] for op in ops
         ]
         result["record"] = scalar_curvature_checks(tensor, ops[0]).to_record()
     except ValueError as exc:
@@ -857,6 +860,64 @@ class TestOperatorMatrixAndSpectrum:
         assert got == str(info.value) == "expected a square matrix, got rows of lengths [1, 2]"
         assert "numpy" not in modules
 
+    @pytest.mark.parametrize(
+        "rows, kind, message",
+        [
+            ([1.0, 2.0], KIND_GENERIC, "expected a square matrix, got shape (2,)"),
+            ([[[1.0]]], KIND_GENERIC, "expected a square matrix, got shape (1, 1, 1)"),
+            ([], KIND_GENERIC, "expected a square matrix, got shape (0,)"),
+            ([[]], KIND_GENERIC, "expected a square matrix, got shape (1, 0)"),
+            ([[1.0, 2.0, 3.0], [2.0, 1.0, 0.0]], KIND_GENERIC, "expected a square matrix, got shape (2, 3)"),
+            ([[1.0, 2.0], [2.0]], KIND_GENERIC, "expected a square matrix, got rows of lengths [1, 2]"),
+            ([[1.0, math.inf], [math.inf, 1.0]], KIND_GENERIC, "matrix has non-finite entries"),
+            ([[0.0, 1.0], [0.0, 0.0]], KIND_GENERIC, "matrix asymmetry 1.0 exceeds 1e-12"),
+            ([[1.0]], "bogus", "unknown kind 'bogus'"),
+            (np.eye(5).tolist(), KIND_FIRST, "size 5 does not match any dimension for kind first_kind"),
+            (np.eye(6).tolist(), KIND_SECOND, "size 6 does not match any dimension for kind second_kind"),
+        ],
+        ids=["1d", "3d", "empty", "empty-row", "not-square", "ragged", "non-finite",
+             "asymmetric", "unknown-kind", "first-size", "second-size"],
+    )
+    def test_refusals_keep_the_array_reading_text(self, rows, kind, message):
+        # The text numpy's reading of the rows gave, in-process and with
+        # numpy blocked.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OperatorMatrix.from_entries(rows, kind)
+        got, modules = _loaded(_FROM_ENTRIES_WITHOUT_NUMPY, json.dumps(rows), kind)
+        assert got == message and "numpy" not in modules
+
+    def test_arrays_are_read_as_float_rows(self):
+        # An array is held as the tuple of its rows; its shape is read as
+        # numpy gives it.
+        matrix = OperatorMatrix.from_entries(np.diag([1.0, -0.0, 2.5]))
+        assert matrix.entries == ((1.0, 0.0, 0.0), (0.0, -0.0, 0.0), (0.0, 0.0, 2.5))
+        assert all(type(t) is float for row in matrix.entries for t in row)
+        assert math.copysign(1.0, matrix.entries[1][1]) == -1.0
+        for entries, message in (
+            (np.zeros((0, 0)), "operator matrix must be at least 1x1"),
+            (np.array(5.0), "expected a square matrix, got shape ()"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                OperatorMatrix.from_entries(entries)
+
+    def test_assembly_builds_its_operator_without_from_entries(self, monkeypatch):
+        # An assembled matrix is square, exactly symmetric and of its kind's
+        # size by construction, so it is not checked again.
+        expected = [
+            np.asarray(assemble(model_product_spheres(2, 3)).entries)
+            for assemble in (assemble_first_kind, assemble_second_kind)
+        ]
+        monkeypatch.setattr(OperatorMatrix, "from_entries", None)
+        for assemble, want in zip((assemble_first_kind, assemble_second_kind), expected):
+            got = assemble(model_product_spheres(2, 3))
+            assert np.asarray(got.entries).tobytes() == want.tobytes()
+
+    def test_an_overflowing_eigenvalue_is_refused_by_name(self):
+        # Every entry is finite, the eigenvalue 2e308 is not.
+        matrix = OperatorMatrix.from_entries([[1e308, 1e308], [1e308, 1e308]])
+        with pytest.raises(ValueError, match="^an eigenvalue overflows the float range$"):
+            eigen_spectrum(matrix)
+
     def test_generic_spectrum_has_no_dimension(self):
         spec = eigen_spectrum(OperatorMatrix.from_entries(np.eye(5), KIND_GENERIC))
         assert spec.n is None
@@ -885,9 +946,9 @@ class TestOperatorMatrixAndSpectrum:
         values = np.array([-1.0, 0.0, 0.0, 2.5])
         spec = Spectrum(values, KIND_GENERIC, None)
         values[0] = 7.0
-        assert spec.eigenvalues.tolist() == [-1.0, 0.0, 0.0, 2.5]
-        assert spec.eigenvalues.dtype == np.float64
-        with pytest.raises(ValueError):
+        assert spec.eigenvalues == (-1.0, 0.0, 0.0, 2.5)
+        assert all(type(t) is float for t in spec.eigenvalues)
+        with pytest.raises(TypeError):
             spec.eigenvalues[0] = 0.0
 
 

@@ -268,7 +268,7 @@ class TestSingleVectorKernels:
             else:
                 ks = sorted({1, 2, int(rng.integers(3, n + 1)), n if n % 20 == 0 else 2})
                 xs = (v if n % 2 else unit,)
-            assert isinstance(_vector_entries(v), list) == (n <= _FLOAT_ENTRIES)
+            assert isinstance(_vector_entries(v, 1), list) == (n <= _FLOAT_ENTRIES)
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
                 for x, means in itertools.product(xs, (False, True)):
                     # Batch column j is sigma_{j+1} whatever k, so one row serves every k.
@@ -417,11 +417,11 @@ class TestVectorTypes:
 
     def test_vector_entries_switch_on_length(self, monkeypatch):
         short, long = [1.0] * _FLOAT_ENTRIES, [1.0] * (_FLOAT_ENTRIES + 1)
-        assert isinstance(_vector_entries(short), list)
-        assert isinstance(_vector_entries(np.array(short)), list)
-        assert isinstance(_vector_entries(long), np.ndarray)
+        assert isinstance(_vector_entries(short, 1), list)
+        assert isinstance(_vector_entries(np.array(short), 1), list)
+        assert isinstance(_vector_entries(long, 1), np.ndarray)
         monkeypatch.setattr(symfun, "_FLOAT_ENTRIES", 0)
-        assert isinstance(_vector_entries(short), np.ndarray)
+        assert isinstance(_vector_entries(short, 1), np.ndarray)
 
     def test_as_array_validation(self):
         for bad in ([], [1.0, math.inf], [[1.0, 2.0]]):
