@@ -26,12 +26,13 @@ without rerunning.  A report without a verdict gets a ``none`` entry that
 says why.
 
 The module loads no numpy: it reads ``tables``, ``cones`` and ``symfun``.
-A spectrum is Python floats in every process (a ``Spectrum``'s tuple, or
-the sorted list ``classify_kaehler`` makes of its input), and the
-positivity tests run on them.  Only the shifted G_2 test takes numpy, by
-``symfun``'s length rule, past 16 entries where numpy is loaded, with the
-same report; so the CLI classifies its spectrum on floats up to 900 000
-entries (``symfun._FLOAT_WORK`` at k = 2).
+All three classifiers take a ``Spectrum``, which has checked its entries
+(finite and sorted) and holds them as Python floats; each classifier checks
+its kind and its length against ``tables.SPECTRUM_SIZES`` and reads the
+entries as one list, on which the positivity tests run.  Only the shifted
+G_2 test takes numpy, by ``symfun``'s length rule, past 16 entries where
+numpy is loaded, with the same report; so the CLI classifies its
+spectrum on floats up to 900 000 entries (``symfun._FLOAT_WORK`` at k = 2).
 
 The first-kind rule takes k = ceil(m_eps) with an m_eps within float noise
 above an integer snapped down to it (``_ceil_with_snap``), so an eps typed
@@ -44,19 +45,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .config import DEFAULT_TOL, Record
-from .cones import (
-    ConeMembership,
-    _resolvable_params,
-    in_positivity_cone,
-    in_shifted_cone,
-)
-from .symfun import VectorLike, _as_floats, partial_sum_batch
+from .cones import ConeMembership, epsilon_to_params, in_positivity_cone, in_shifted_cone
+from .symfun import partial_sum_batch
 from .tables import (
     KIND_FIRST,
+    KIND_KAEHLER,
     KIND_SECOND,
+    SPECTRUM_SIZES,
     Spectrum,
     ThresholdTable,
     cpn_biholomorphic_threshold,
@@ -65,8 +63,6 @@ from .tables import (
     space_form_first_threshold,
     space_form_second_threshold,
     thresholds,
-    trace_free_count,
-    two_form_count,
 )
 
 __all__ = [
@@ -84,8 +80,6 @@ __all__ = [
     "classify_second_kind",
     "classify_kaehler",
 ]
-
-KIND_KAEHLER = "kaehler"
 
 VERDICT_SPACE_FORM = "spherical_space_form"
 VERDICT_CPN_COHOMOLOGY = "rational_cohomology_CPn"
@@ -164,14 +158,25 @@ def _at_most(value: float, bound: float) -> bool:
     return value <= bound * (1.0 + _THRESHOLD_RTOL) + _THRESHOLD_RTOL
 
 
-def _base_report(
-    kind: str, n: int, values: VectorLike, epsilon: float, tol: float
+def _spectrum_report(
+    spec: Spectrum, kind: str, epsilon: float, tol: float
 ) -> ClassificationReport:
-    params = _resolvable_params(epsilon, len(values))
+    """Base report for a spectrum after checking its kind and its length
+    (``tables.SPECTRUM_SIZES``), and for the Kaehler kind its complex
+    dimension."""
+    if spec.kind != kind:
+        raise ValueError(f"expected a {kind} spectrum, got {spec.kind}")
+    count, formula = SPECTRUM_SIZES[kind]
+    if spec.n is None or len(spec) != count(spec.n):
+        raise ValueError(f"spectrum length does not match {formula} for its dimension")
+    if kind == KIND_KAEHLER and spec.n < 2:
+        raise ValueError(f"complex dimension must be >= 2, got {spec.n}")
+    values = list(spec.eigenvalues)
+    params = epsilon_to_params(epsilon, len(values))
     membership = in_shifted_cone(values, 2, params.shift_params, tol)
     report = ClassificationReport(
         kind=kind,
-        n=n,
+        n=spec.n,
         N=len(values),
         epsilon=params.epsilon,
         alpha=params.alpha_eps,
@@ -188,22 +193,6 @@ def _base_report(
             "verdicts need open membership"
         )
     return report
-
-
-def _real_report(
-    spec: Spectrum,
-    kind: str,
-    count: Callable[[int], int],
-    formula: str,
-    epsilon: float,
-    tol: float,
-) -> ClassificationReport:
-    """Base report for a real-operator spectrum after checking kind and length."""
-    if spec.kind != kind:
-        raise ValueError(f"expected a {kind} spectrum, got {spec.kind}")
-    if spec.n is None or len(spec) != count(spec.n):
-        raise ValueError(f"spectrum length does not match {formula} for its dimension")
-    return _base_report(kind, spec.n, spec.eigenvalues, epsilon, tol)
 
 
 def _within_threshold(report: ClassificationReport, thr: float) -> bool:
@@ -252,7 +241,7 @@ def classify_first_kind(
     spec: Spectrum, epsilon: float, tol: float = DEFAULT_TOL
 ) -> ClassificationReport:
     """Classify a 2-form-operator spectrum at shift strength eps."""
-    report = _real_report(spec, KIND_FIRST, two_form_count, "n(n-1)/2", epsilon, tol)
+    report = _spectrum_report(spec, KIND_FIRST, epsilon, tol)
     if report.membership.member_open:
         n = report.n
         k = _ceil_with_snap(report.m_eps, tol)
@@ -288,9 +277,7 @@ def classify_second_kind(
     spec: Spectrum, epsilon: float, tol: float = DEFAULT_TOL
 ) -> ClassificationReport:
     """Classify a trace-free-operator spectrum at shift strength eps."""
-    report = _real_report(
-        spec, KIND_SECOND, trace_free_count, "(n-1)(n+2)/2", epsilon, tol
-    )
+    report = _spectrum_report(spec, KIND_SECOND, epsilon, tol)
     if report.membership.member_open:
         n = report.n
         bulk = 3.0 * n / 4.0
@@ -311,30 +298,27 @@ def classify_second_kind(
 
 
 def classify_kaehler(
-    spec: VectorLike, n_complex: int, epsilon: float, tol: float = DEFAULT_TOL
+    spec: Spectrum, epsilon: float, tol: float = DEFAULT_TOL
 ) -> ClassificationReport:
-    """Classify a unitary-holonomy-operator spectrum of length n_complex^2."""
-    if n_complex < 2:
-        raise ValueError(f"complex dimension must be >= 2, got {n_complex}")
-    values = sorted(_as_floats(spec))
-    n3 = n_complex * n_complex
-    if len(values) != n3:
-        raise ValueError(f"spectrum length {len(values)} does not match n^2 = {n3}")
-    report = _base_report(KIND_KAEHLER, n_complex, values, epsilon, tol)
+    """Classify a unitary-holonomy-operator spectrum at shift strength eps;
+    ``spec.n`` is the complex dimension and the spectrum has n^2 entries."""
+    report = _spectrum_report(spec, KIND_KAEHLER, epsilon, tol)
     if report.membership.member_open:
-        thr = cpn_cohomology_threshold(n_complex)
+        n = report.n
+        values = list(spec.eigenvalues)
+        thr = cpn_cohomology_threshold(n)
         if _within_threshold(report, thr):
-            m_target = 3.0 - 2.0 / n_complex
+            m_target = 3.0 - 2.0 / n
             if in_positivity_cone(values, m_target, tol).member_open:
-                consequence = float(partial_sum_batch(values, m_target))
+                consequence = partial_sum_batch(values, m_target)
                 _add_verdict(
                     report, VERDICT_CPN_COHOMOLOGY, "cpn_cohomology_threshold", thr,
                     f" and partial_sum({m_target:.12g}) = {consequence:.12g} > 0",
                 )
-        thr = cpn_biholomorphic_threshold(n_complex)
+        thr = cpn_biholomorphic_threshold(n)
         if _within_threshold(report, thr):
             if in_positivity_cone(values, 2.0, tol).member_open:
-                pair_sum = float(values[0] + values[1])
+                pair_sum = values[0] + values[1]
                 _add_verdict(
                     report, VERDICT_CPN_BIHOLOMORPHIC, "cpn_biholomorphic_threshold", thr,
                     f" and smallest pair sum = {pair_sum:.12g} > 0",

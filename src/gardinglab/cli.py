@@ -26,15 +26,17 @@ Start-up: the module level imports the standard library and ``config``
 alone, and each handler imports what it runs when it is called, after its
 usage checks.  ``thresholds``, ``classify`` and every usage error run
 without numpy, and so do ``cone-test`` with ``--m``, with ``--k`` up to
-N*k = 1.8 million, and ``model-space`` up to dimension 12.  ``cone-test`` loads ``io`` and parses
-its vector file into Python floats, so a missing, malformed or non-finite
-file exits 65, and only then loads ``cones`` and ``symfun``.  ``classify``
-reads its file in the same way, checks the spectrum length against
-``tables``, so a spectrum of the wrong length exits 65 too, and then loads
-``classify``, ``cones`` and ``symfun`` and passes the sorted floats to the
-classifier.  ``model-space`` loads ``io``, ``tables``, ``curvature`` and
-``symfun``: its tensor, both operators and the identity checks run on
-Python floats within that bound, and its eigensolve always does.  The
+N*k = 1.8 million, and ``model-space`` up to dimension 12.  ``cone-test``
+loads ``io`` and reads its vector file with ``io.read_vector_file``, a list
+of Python floats, so a missing, malformed or non-finite file exits 65, and
+only then loads ``cones`` and ``symfun``.  ``classify`` reads its file in
+the same way, checks the spectrum length against ``tables.SPECTRUM_SIZES``,
+so a spectrum of the wrong length exits 65 too, and builds one
+``Spectrum`` of the sorted floats; it then loads ``classify``, ``cones``
+and ``symfun`` and passes that spectrum to the classifier of its kind.
+``model-space`` loads ``io``, ``tables``, ``curvature`` and ``symfun``:
+its tensor, both operators and the identity checks run on Python floats
+within that bound, and its eigensolve always does.  The
 library takes its float path while numpy is not loaded, since numpy's
 import costs more than the float work on these inputs saves:
 ``symfun._vector_entries`` decides it for a vector, and
@@ -176,9 +178,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_cone_test(args, config: RunConfig) -> int:
-    from .io import _parse_floats, _read_text
+    from .io import read_vector_file
 
-    vec = _parse_floats(_read_text(args.vector_file))
+    vec = read_vector_file(args.vector_file)
     from .cones import ShiftParams, _resolvable_alpha, in_positivity_cone, in_shifted_cone
 
     n = len(vec)
@@ -306,14 +308,14 @@ def _cmd_model_space(args, config: RunConfig) -> int:
 
 
 def _cmd_classify(args, config: RunConfig) -> int:
-    from .io import _parse_floats, _read_text
+    from .io import read_vector_file
 
-    entries = _parse_floats(_read_text(args.spectrum_file))
-    from .tables import KIND_FIRST, KIND_SECOND, Spectrum, trace_free_count, two_form_count
+    entries = read_vector_file(args.spectrum_file)
+    from .tables import KIND_FIRST, KIND_KAEHLER, KIND_SECOND, SPECTRUM_SIZES, Spectrum
 
     n = args.dim
-    size = {"first": two_form_count, "second": trace_free_count, "kaehler": lambda d: d * d}
-    expected = size[args.operator](n)
+    kind = {"first": KIND_FIRST, "second": KIND_SECOND, "kaehler": KIND_KAEHLER}[args.operator]
+    expected = SPECTRUM_SIZES[kind][0](n)
     if len(entries) != expected:
         print(
             f"gardinglab: spectrum length {len(entries)} does not match the "
@@ -321,17 +323,15 @@ def _cmd_classify(args, config: RunConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
+    spectrum = Spectrum(sorted(entries), kind, n)
     from . import classify
 
-    values = sorted(entries)
-    if args.operator == "kaehler":
-        report = classify.classify_kaehler(values, n, args.epsilon, config.tol)
-    else:
-        first = args.operator == "first"
-        kind = KIND_FIRST if first else KIND_SECOND
-        spectrum = Spectrum(values, kind, n)
-        classifier = classify.classify_first_kind if first else classify.classify_second_kind
-        report = classifier(spectrum, args.epsilon, config.tol)
+    classifier = {
+        KIND_FIRST: classify.classify_first_kind,
+        KIND_SECOND: classify.classify_second_kind,
+        KIND_KAEHLER: classify.classify_kaehler,
+    }[kind]
+    report = classifier(spectrum, args.epsilon, config.tol)
     lines = [
         f"{args.operator} operator, n={n}, N={report.N}, eps={report.epsilon:.6g}: "
         f"member_open={report.membership.member_open} m_eps={report.m_eps:.6g}"

@@ -58,7 +58,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .config import DEFAULT_TOL, Record
+from .config import DEFAULT_TOL, Record, _check_tol
 from .symfun import (
     VectorLike,
     _as_floats,
@@ -160,31 +160,29 @@ class EpsilonParams:
 
 
 def epsilon_to_params(epsilon: float, N: int) -> EpsilonParams:
-    """Populate alpha_eps and m_eps from their closed forms."""
-    epsilon = float(epsilon)
-    e2 = epsilon * epsilon
-    return EpsilonParams(
-        epsilon=epsilon,
-        N=N,
-        alpha_eps=(1.0 - epsilon) / N,
-        m_eps=N * (N - 1) * e2 / (1.0 + (N - 1) * e2),
-    )
-
-
-def _resolvable_params(epsilon: float, N: int) -> EpsilonParams:
-    """``epsilon_to_params``, refusing an eps too small for float64 at N.
+    """Populate alpha_eps and m_eps from their closed forms, refusing an eps
+    too small for float64 at N.
 
     Below about 5.6e-17 (1.7e-16 at N = 3) the shift ``(1 - eps)/N`` rounds
     to ``1/N``, outside ``ShiftParams``' range: the cone slice degenerates,
     ``m_eps`` is lost in rounding (it is 0 once eps^2 underflows, below about
     1e-162), the sampler finds no member and the boundary search cannot run.
+    ``EpsilonParams``' own refusals (N, eps outside (0, 1)) come first.
     """
-    p = epsilon_to_params(epsilon, N)
-    _resolvable_alpha(p.epsilon, N)
-    return p
+    epsilon = float(epsilon)
+    e2 = epsilon * epsilon
+    params = EpsilonParams(
+        epsilon=epsilon,
+        N=N,
+        alpha_eps=(1.0 - epsilon) / N,
+        m_eps=N * (N - 1) * e2 / (1.0 + (N - 1) * e2),
+    )
+    _resolvable_alpha(epsilon, N)
+    return params
 
 
 def _membership(margin: float, binding: str, tol: float) -> ConeMembership:
+    _check_tol(tol)
     return ConeMembership(
         member_open=margin > tol,
         member_closed=margin >= -tol,
@@ -439,6 +437,7 @@ def nesting_check(
         raise ValueError(f"N must be >= 2, got {N}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    _check_tol(tol)
     report = NestingReport(N=N, samples=samples, seed=seed, tol=tol)
     if samples == 0:
         return report

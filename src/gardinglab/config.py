@@ -7,8 +7,9 @@ named by the ``GARDINGLAB_CONFIG`` environment variable, which beats the
 built-in defaults.
 
 The module also holds what every other module shares without numpy: the
-``Record`` mixin and ``VectorParseError``, which the CLI maps to exit 65
-without importing ``io``.
+``Record`` mixin, ``VectorParseError``, which the CLI maps to exit 65
+without importing ``io``, and ``_check_tol``, the tolerance check of every
+library function (``RunConfig`` wants a positive one).
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ CONFIG_ENV_VAR = "GARDINGLAB_CONFIG"
 
 _FORMATS = ("human", "machine")
 _MAX_RECORDED_VIOLATIONS = 10
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse a NaN, infinite or negative tolerance; zero is valid."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
 
 
 class VectorParseError(ValueError):

@@ -60,9 +60,10 @@ holds a read-only array.  The check of the independent components is the
 same on both, and an assembled operator is built directly: it is square,
 exactly symmetric and of its kind's size by construction, so only its
 finiteness is checked.  ``OperatorMatrix.from_entries`` checks outside
-input, on Python floats, and holds a tuple of row tuples.  Past the bound
-a tensor loads numpy before its components are built (the measurements
-are at ``_FLOAT_DIM``).  Below it the import costs a ``model-space`` run of the
+input, on Python floats, and holds its rows symmetrized, as a tuple of
+row tuples, so the solver reads either as given.  Past the bound a tensor
+loads numpy before its components are built (the measurements are at
+``_FLOAT_DIM``).  Below it the import costs a ``model-space`` run of the
 CLI more than the float work, so that run loads no numpy: from the shell
 (2-core host, Python 3.11, numpy 2.4, no bytecode cache, median of 7 runs)
 ``model-space sphere --n 6 --curvature 1.3`` took 285 ms with numpy and
@@ -257,8 +258,10 @@ class OperatorMatrix:
     ``entries`` is a tuple of row tuples of Python floats, or, for an
     operator assembled from a tensor held as an array, a read-only float
     array; a caller that needs the array takes ``np.asarray(entries)``,
-    which is the same array either way.  Assembled operators are built
-    directly (``_assembled``); ``from_entries`` checks outside input.
+    which is the same array either way.  Its rows are square, finite and
+    exactly symmetric: assembled operators are built directly
+    (``_assembled``), ``from_entries`` checks outside input, and both store
+    their rows through ``_symmetrized``.
     """
 
     N: int
@@ -270,9 +273,10 @@ class OperatorMatrix:
         """The operator of a square matrix of finite entries, symmetric
         within 1e-12, given as a sequence of rows or an array; held as a
         tuple of row tuples of Python floats, on one path that loads no
-        numpy.  Raises ValueError on a matrix that is not square, is empty,
-        has non-finite entries or is asymmetric, on an unknown kind, and on
-        a size that fits no dimension of the kind."""
+        numpy, and stored exactly symmetric (``_symmetrized``).  Raises
+        ValueError on a matrix that is not square, is empty, has non-finite
+        entries or is asymmetric, on an unknown kind, and on a size that
+        fits no dimension of the kind."""
         rows = _float_rows(entries)
         if not all(map(math.isfinite, itertools.chain(*rows))):
             raise ValueError("matrix has non-finite entries")
@@ -285,6 +289,7 @@ class OperatorMatrix:
             raise ValueError(f"unknown kind {kind!r}")
         if kind != KIND_GENERIC and dimension_for_count(len(rows), kind) is None:
             raise ValueError(f"size {len(rows)} does not match any dimension for kind {kind}")
+        rows = tuple(map(tuple, _symmetrized(list(rows))))
         return cls(N=len(rows), entries=rows, kind=kind)
 
 
@@ -651,45 +656,38 @@ def _nonzero_off_diagonal(rows) -> list[int]:
 
 
 def _eigenvalues(matrix):
-    """Eigenvalues of a symmetric matrix, ascending: Householder reduction
-    to tridiagonal form, then implicit QL (``_tridiagonal``,
-    ``_implicit_ql``; Bowdler, Martin, Reinsch and Wilkinson, Numer. Math.
-    11, 1968), on Python floats whether or not numpy is loaded.
+    """Eigenvalues of a square, exactly symmetric matrix, ascending:
+    Householder reduction to tridiagonal form, then implicit QL
+    (``_tridiagonal``, ``_implicit_ql``; Bowdler, Martin, Reinsch and
+    Wilkinson, Numer. Math. 11, 1968), on Python floats whether or not
+    numpy is loaded.
 
-    ``matrix`` is a float array or a sequence of rows.  Only rows that
-    couple, those whose row or column holds a nonzero off-diagonal entry,
-    take part: their block is scaled by the power of two that brings the
-    matrix's largest entry into [0.5, 1), so no sum of the solve can
-    overflow at any finite scale, and symmetrized (``_symmetrized``).  The
-    diagonal entries of the other rows, and of any row whose entries the
-    scaling and symmetrizing turn to zero, pass through bit for bit.  The
-    scale is exact, so a matrix scaled by 2^k gives eigenvalues scaled by
-    2^k, bit for bit, wherever no entry falls to a subnormal.
+    ``matrix`` is the ``entries`` of an ``OperatorMatrix``, which both of
+    its doors make square and exactly symmetric: a float array or a
+    sequence of rows of Python floats, read as given.  Only rows that
+    couple, those with a nonzero off-diagonal entry, take part: their block
+    is scaled by the power of two that brings the matrix's largest entry
+    into [0.5, 1), so no sum of the solve can overflow at any finite scale.
+    The diagonal entries of the other rows, and of any row whose entries
+    the scaling turns to zero, pass through bit for bit.  The scale is
+    exact, so a matrix scaled by 2^k gives eigenvalues scaled by 2^k, bit
+    for bit, wherever no entry falls to a subnormal.
 
     Returns the eigenvalues as a list of Python floats sorted stably, in
-    every process.  Raises ValueError on a matrix that is not square or has
-    non-finite entries, or whose eigenvalue, scaled back, is past the float
-    range, and RuntimeError if one eigenvalue takes more than
-    ``_QL_ITERATIONS`` iterations.
+    every process.  Raises ValueError on a matrix with non-finite entries
+    (a NaN or an infinity off the diagonal makes its row couple, so every
+    one is seen, also in an operator built directly), or whose eigenvalue,
+    scaled back, is past the float range, and RuntimeError if one
+    eigenvalue takes more than ``_QL_ITERATIONS`` iterations.
     """
-    if hasattr(matrix, "tolist"):
-        shape, rows = matrix.shape, matrix.tolist()
-    else:
-        rows = matrix
-        shape = (len(rows), *{len(row) for row in rows})
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {shape}")
-    w = [float(row[i]) for i, row in enumerate(rows)]
-    # Every nonzero off-diagonal entry lies in the block of these rows.
-    coupled = set(_nonzero_off_diagonal(rows))
-    for i in list(coupled):
-        coupled.update(itertools.compress(range(len(rows)), rows[i]))
-    coupled = sorted(coupled)
-    block = [[float(rows[i][j]) for j in coupled] for i in coupled]
-    if not all(map(math.isfinite, itertools.chain(w, *block))):
+    rows = matrix.tolist() if hasattr(matrix, "tolist") else matrix
+    w = [row[i] for i, row in enumerate(rows)]
+    coupled = _nonzero_off_diagonal(rows)
+    if not all(map(math.isfinite, itertools.chain(w, *(rows[i] for i in coupled)))):
         raise ValueError("matrix has non-finite entries")
+    block = [[rows[i][j] for j in coupled] for i in coupled]
     exponent = math.frexp(max(map(abs, itertools.chain(w, *block)), default=0.0))[1]
-    block = _symmetrized([[math.ldexp(t, -exponent) for t in row] for row in block])
+    block = [[math.ldexp(t, -exponent) for t in row] for row in block]
     active = _nonzero_off_diagonal(block)
     sub = [[block[j][k] for k in active] for j in active]
     for k, t in zip(active, _implicit_ql(*_tridiagonal(sub))):

@@ -36,11 +36,10 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from .config import DEFAULT_TOL, Record
+from .config import DEFAULT_TOL, Record, _check_tol
 from .cones import (
     EpsilonParams,
     _norm,
-    _resolvable_params,
     epsilon_to_params,
     in_garding_cone,
     in_shifted_cone,
@@ -370,7 +369,8 @@ def verify_inclusion_sampling(
         raise ValueError(f"samples must be >= 0, got {samples}")
     if method not in ("ball", "rejection"):
         raise ValueError(f"unknown method {method!r}")
-    p = _resolvable_params(epsilon, N)
+    _check_tol(tol)
+    p = epsilon_to_params(epsilon, N)
     report = InclusionReport(
         N=N,
         epsilon=p.epsilon,
@@ -505,7 +505,8 @@ def boundary_search(N: int, epsilon: float, tol: float = DEFAULT_TOL) -> Boundar
     """
     import numpy as np
 
-    p = _resolvable_params(epsilon, N)
+    _check_tol(tol)
+    p = epsilon_to_params(epsilon, N)
     m = p.m_eps
     direction = partial_sum_weights(m, N)
     direction -= direction.mean()

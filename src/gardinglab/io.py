@@ -11,16 +11,17 @@ lexicographic order may appear; every other component follows from the
 algebraic symmetries.  An optional ``dim n`` line fixes the frame dimension,
 otherwise the largest index seen is used.
 
-numpy is imported by the functions that build or format arrays, once the
-text has parsed, so a malformed file fails without loading it.  The float
-parse of a vector text is numpy-free on its own (``_parse_floats``), so a
-caller can check the number of entries before any array is built.
-``parse_tensor_text`` hands the independent components it read to
-``curvature._from_canonical``, which fills in the rest and decides the
-layout: while numpy is not loaded, as in a ``model-space`` run of the CLI,
-a tensor of dimension up to 12 is a flat tuple of Python floats, with the
-bits of the array.  ``format_vector`` prints each value as a Python float,
-so it loads no numpy, whose import costs more than that float work.
+The module imports no numpy.  A vector text parses to a list of Python
+floats (``parse_vector_text``, ``read_vector_file``), which the CLI's
+``cone-test`` and ``classify`` read their files through, so they check
+the number of entries before any numeric module loads; a caller that
+needs an array takes ``np.asarray`` of the list.  ``parse_tensor_text``
+hands the independent components it read to ``curvature._from_canonical``,
+which fills in the rest and decides the layout: while numpy is not
+loaded, as in a ``model-space`` run of the CLI, a tensor of dimension up
+to 12 is a flat tuple of Python floats, with the bits of the array.
+``format_vector`` prints each value as a Python float, so it loads no
+numpy, whose import costs more than that float work.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from typing import TYPE_CHECKING
 from .config import VectorParseError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .curvature import CurvatureTensor
 
 __all__ = [
@@ -46,9 +45,9 @@ __all__ = [
 ]
 
 
-def _parse_floats(text: str) -> list[float]:
+def parse_vector_text(text: str) -> list[float]:
     """The decimals of a vector text, separated by commas and/or whitespace,
-    parsed without numpy.
+    as a list of Python floats, parsed without numpy.
 
     Surrounding parentheses or brackets are ignored, so tuple-style files
     like ``(1,2,3)`` load as written.
@@ -71,14 +70,6 @@ def _parse_floats(text: str) -> list[float]:
     return values
 
 
-def parse_vector_text(text: str) -> np.ndarray:
-    """Parse a vector text (see ``_parse_floats``) into a float array."""
-    values = _parse_floats(text)
-    import numpy as np
-
-    return np.array(values, dtype=float)
-
-
 def _read_text(path: str | Path) -> str:
     """UTF-8 file contents; a byte that does not decode is an error on its line."""
     data = Path(path).read_bytes()
@@ -89,7 +80,7 @@ def _read_text(path: str | Path) -> str:
         raise VectorParseError(f"not UTF-8 text ({exc.reason})", line) from None
 
 
-def read_vector_file(path: str | Path) -> np.ndarray:
+def read_vector_file(path: str | Path) -> list[float]:
     return parse_vector_text(_read_text(path))
 
 

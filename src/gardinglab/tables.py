@@ -6,8 +6,8 @@ a spectrum, which ``Spectrum`` holds as a tuple of Python floats whatever
 it is given as, so the module imports no numpy: ``gardinglab thresholds``
 runs on it alone, and ``classify`` runs on it with ``cones`` and
 ``symfun``.  ``curvature``, ``weighted`` and ``classify`` import their
-counts, formulas, kinds, ``Spectrum`` and table from here; ``curvature``
-and ``weighted`` re-export the names they held before.
+counts, formulas, kinds, ``Spectrum`` and table from here; ``curvature``,
+``weighted`` and ``classify`` re-export the names they held before.
 
 Each threshold is the eps at which m_eps reaches a fixed positivity target:
 2 on 2-forms (N1 = n(n-1)/2), 3 on trace-free symmetric 2-tensors
@@ -27,6 +27,8 @@ from .config import Record
 __all__ = [
     "KIND_FIRST",
     "KIND_SECOND",
+    "KIND_KAEHLER",
+    "SPECTRUM_SIZES",
     "Spectrum",
     "two_form_count",
     "trace_free_count",
@@ -42,6 +44,7 @@ __all__ = [
 
 KIND_FIRST = "first_kind"
 KIND_SECOND = "second_kind"
+KIND_KAEHLER = "kaehler"
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +82,15 @@ def two_form_count(n: int) -> int:
 def trace_free_count(n: int) -> int:
     """Dimension of trace-free symmetric 2-tensors: (n-1)(n+2)/2."""
     return (n - 1) * (n + 2) // 2
+
+
+# Each kind's spectrum size in its dimension (complex for the Kaehler kind)
+# and the size's formula, read by the classifiers and the CLI's length check.
+SPECTRUM_SIZES = {
+    KIND_FIRST: (two_form_count, "n(n-1)/2"),
+    KIND_SECOND: (trace_free_count, "(n-1)(n+2)/2"),
+    KIND_KAEHLER: (lambda n: n * n, "n^2"),
+}
 
 
 def space_form_first_threshold(n: int) -> float:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, _check_tol
 from .symfun import (
     VectorLike,
     _sorted_entries,
@@ -166,6 +166,7 @@ def positivity_at_level(
     The comparison allows a tol-scaled slack so that constant spectra, where
     equality holds identically, evaluate True.
     """
+    _check_tol(tol)
     x = _sorted_entries(spectrum)
     lhs = partial_sum_fractional(x, m)
     rhs = float(m) * float(level)

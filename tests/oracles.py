@@ -46,7 +46,6 @@ from gardinglab.inclusion import (
     InclusionReport,
     _ball_slice_rows,
     _collect_members,
-    _resolvable_params,
     _strict_member_mask,
     epsilon_for_target_m,
     epsilon_to_params,
@@ -608,7 +607,7 @@ def verify_inclusion_sampling_unblocked(
     per-row kernels, same record and members; the arguments are assumed
     valid.
     """
-    p = _resolvable_params(epsilon, N)
+    p = epsilon_to_params(epsilon, N)
     report = InclusionReport(
         N=N,
         epsilon=p.epsilon,

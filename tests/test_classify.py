@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gardinglab.classify import (
+    KIND_KAEHLER,
     VERDICT_CPN_BIHOLOMORPHIC,
     VERDICT_CPN_COHOMOLOGY,
     VERDICT_NONE,
@@ -249,34 +250,34 @@ class TestClassifyKaehler:
     def test_constant_spectrum_both_verdicts(self):
         for n in (2, 3, 5):
             eps = min(cpn_cohomology_threshold(n), cpn_biholomorphic_threshold(n))
-            report = classify_kaehler(np.ones(n * n), n, eps / 2)
+            report = classify_kaehler(_spectrum(np.ones(n * n), KIND_KAEHLER, n), eps / 2)
             verdicts = [v.verdict for v in report.verdicts]
             assert VERDICT_CPN_COHOMOLOGY in verdicts
             assert VERDICT_CPN_BIHOLOMORPHIC in verdicts
 
     def test_dimension_two_threshold(self):
-        report = classify_kaehler(np.ones(4), 2, 1 / math.sqrt(3))
+        report = classify_kaehler(_spectrum(np.ones(4), KIND_KAEHLER, 2), 1 / math.sqrt(3))
         assert report.m_eps == pytest.approx(2.0, abs=1e-12)
         assert VERDICT_CPN_BIHOLOMORPHIC in [v.verdict for v in report.verdicts]
 
     def test_above_threshold_no_verdict(self):
         n = 3
         eps = cpn_cohomology_threshold(n) * 3
-        report = classify_kaehler(np.ones(9), n, eps)
+        report = classify_kaehler(_spectrum(np.ones(9), KIND_KAEHLER, n), eps)
         assert [v.verdict for v in report.verdicts] == [VERDICT_NONE]
 
     def test_membership_decided_by_ball_identity(self):
         # (-1, 1, ..., 1) needs a large eps to enter the shifted cone.
         n = 3
         values = np.concatenate([[-1.0], np.ones(8)])
-        report_small = classify_kaehler(values, n, 0.2)
+        report_small = classify_kaehler(_spectrum(values, KIND_KAEHLER, n), 0.2)
         assert not report_small.membership.member_open
-        report_large = classify_kaehler(values, n, 0.5)
+        report_large = classify_kaehler(_spectrum(values, KIND_KAEHLER, n), 0.5)
         assert report_large.membership.member_open
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            classify_kaehler(np.ones(5), 2, 0.3)
+            classify_kaehler(_spectrum(np.ones(5), KIND_KAEHLER, 2), 0.3)
 
 
 class TestImplicationChain:
@@ -318,7 +319,7 @@ def _second(n, eps):
 
 
 def _kaehler(n, eps):
-    return classify_kaehler(np.ones(n * n), n, eps)
+    return classify_kaehler(_spectrum(np.ones(n * n), KIND_KAEHLER, n), eps)
 
 
 # (verdict, rule, threshold, classifier of a constant spectrum, dimensions)
@@ -380,10 +381,15 @@ class TestValidationMessages:
             classify(_spectrum(np.ones(count(4)), kind, None), 0.2)
 
     def test_kaehler(self):
+        with pytest.raises(ValueError, match=f"^expected a {KIND_KAEHLER} spectrum, got {KIND_FIRST}$"):
+            classify_kaehler(_spectrum(np.ones(6), KIND_FIRST, 4), 0.2)
         with pytest.raises(ValueError, match=r"^complex dimension must be >= 2, got 1$"):
-            classify_kaehler(np.ones(1), 1, 0.2)
-        with pytest.raises(ValueError, match=r"^spectrum length 5 does not match n\^2 = 4$"):
-            classify_kaehler(np.ones(5), 2, 0.2)
+            classify_kaehler(_spectrum(np.ones(1), KIND_KAEHLER, 1), 0.2)
+        length = r"^spectrum length does not match n\^2 for its dimension$"
+        with pytest.raises(ValueError, match=length):
+            classify_kaehler(_spectrum(np.ones(5), KIND_KAEHLER, 2), 0.2)
+        with pytest.raises(ValueError, match=length):
+            classify_kaehler(_spectrum(np.ones(4), KIND_KAEHLER, None), 0.2)
 
     def test_unresolvable_epsilon_names_epsilon(self):
         # Below about 5.6e-17 the shift (1 - eps)/N rounds to 1/N, which
@@ -394,7 +400,7 @@ class TestValidationMessages:
         with pytest.raises(ValueError, match=message.replace("N=6", "N=9")):
             classify_second_kind(_spectrum(np.ones(9), KIND_SECOND, 4), 1e-300)
         with pytest.raises(ValueError, match=message.replace("N=6", "N=4")):
-            classify_kaehler(np.ones(4), 2, 1e-300)
+            classify_kaehler(_spectrum(np.ones(4), KIND_KAEHLER, 2), 1e-300)
 
 
 class TestReportAuditing:
@@ -404,7 +410,7 @@ class TestReportAuditing:
         reports.append(classify_first_kind(spec1, math.sqrt(0.1)))
         spec2 = eigen_spectrum(assemble_second_kind(model_space_form(4, 1.0)))
         reports.append(classify_second_kind(spec2, 0.25))
-        reports.append(classify_kaehler(np.ones(9), 3, 0.1))
+        reports.append(classify_kaehler(_spectrum(np.ones(9), KIND_KAEHLER, 3), 0.1))
         for report in reports:
             for verdict in report.verdicts:
                 if verdict.verdict == VERDICT_NONE:
@@ -421,27 +427,26 @@ class TestReportAuditing:
 
 
 class TestFloatListsAndArrays:
-    """The CLI passes sorted lists of Python floats, which take the float
-    path at every length in a process without numpy; in-process callers pass
-    arrays.  Both must give the same report, bit for bit."""
+    """The CLI builds its spectrum from a sorted list of Python floats, and
+    the classifier's tests take the float path at every length in a process
+    without numpy; in-process callers build it from arrays.  Both must give
+    the same report, bit for bit."""
 
     def test_reports_match_over_the_threshold_and_integer_m_grid(self, monkeypatch):
         from gardinglab import symfun
         from gardinglab.inclusion import epsilon_for_target_m
 
-        def real(classify, kind, n):
+        def classified(classify, kind, n):
             return lambda x, eps: classify(Spectrum(x, kind, n), eps)
-
-        def kaehler(n):  # reversed, so that the classifier's own sort runs
-            return lambda x, eps: classify_kaehler(x[::-1], n, eps)
 
         default = symfun._FLOAT_ENTRIES
         ulps = [1.0 + j * 2.0**-52 for j in range(-4, 5)]
-        cases = [(n, two_form_count(n), real(classify_first_kind, KIND_FIRST, n))
+        cases = [(n, two_form_count(n), classified(classify_first_kind, KIND_FIRST, n))
                  for n in range(3, 9)]
-        cases += [(n, trace_free_count(n), real(classify_second_kind, KIND_SECOND, n))
+        cases += [(n, trace_free_count(n), classified(classify_second_kind, KIND_SECOND, n))
                   for n in range(3, 9)]
-        cases += [(n, n * n, kaehler(n)) for n in range(2, 6)]
+        cases += [(n, n * n, classified(classify_kaehler, KIND_KAEHLER, n))
+                  for n in range(2, 6)]
         for n, size, call in cases:
             table = thresholds(n if n >= 3 else None, kaehler_complex_dim=n)
             targets = [

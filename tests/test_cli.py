@@ -14,6 +14,7 @@ import pytest
 from gardinglab.cli import main
 from gardinglab.config import CONFIG_ENV_VAR, load_config
 from gardinglab.curvature import model_product_spheres
+from gardinglab.tables import KIND_FIRST, KIND_KAEHLER, KIND_SECOND, Spectrum
 from gardinglab.io import (
     VectorParseError,
     format_vector,
@@ -45,7 +46,8 @@ def vec_file(tmp_path):
 class TestVectorFiles:
     def test_separators_and_comments(self):
         got = parse_vector_text("# header\n1, 2.5  3\n4e-1\n")
-        np.testing.assert_allclose(got, [1.0, 2.5, 3.0, 0.4])
+        assert got == [1.0, 2.5, 3.0, 0.4]
+        assert all(type(t) is float for t in got)
 
     def test_tuple_style_files(self):
         np.testing.assert_allclose(parse_vector_text("(1,2,3)"), [1.0, 2.0, 3.0])
@@ -544,13 +546,47 @@ class TestClassifyCommand:
         assert code == 0
         assert "biholomorphic_CPn" in out
 
-    def test_length_mismatch_exit_65(self, capsys, vec_file):
-        code, _, err = run_cli(
-            capsys, "classify", vec_file("s", "1,2,3"), "--dim", "4",
-            "--operator", "first", "--epsilon", "0.2",
+    @pytest.mark.parametrize(
+        "operator, dim, expected", [("first", 4, 6), ("second", 4, 9), ("kaehler", 3, 9)]
+    )
+    def test_length_mismatch_exit_65(self, capsys, vec_file, operator, dim, expected):
+        code, out, err = run_cli(
+            capsys, "classify", vec_file("s", "1,2,3"), "--dim", str(dim),
+            "--operator", operator, "--epsilon", "0.2",
         )
-        assert code == 65
-        assert "does not match" in err
+        assert code == 65 and out == ""
+        assert err == (
+            f"gardinglab: spectrum length 3 does not match the {operator} "
+            f"operator in dimension {dim} (expected {expected})\n"
+        )
+
+    @pytest.mark.parametrize(
+        "operator, kind, dim, size",
+        [("first", KIND_FIRST, 4, 6), ("second", KIND_SECOND, 4, 9),
+         ("kaehler", KIND_KAEHLER, 3, 9)],
+    )
+    @pytest.mark.parametrize("epsilon", [0.05, 0.3, 0.8])
+    def test_every_operator_matches_the_library(
+        self, capsys, vec_file, operator, kind, dim, size, epsilon
+    ):
+        # One door for every kind: the CLI's record is the one the library
+        # gives for the sorted Spectrum of the file's entries, unsorted here.
+        from gardinglab import classify
+
+        values = [1.0 + (7 * i % size) / size for i in range(size)]
+        path = vec_file("s.csv", format_vector(values))
+        code, out, _ = run_cli(
+            capsys, "--format", "machine", "classify", path, "--dim", str(dim),
+            "--operator", operator, "--epsilon", repr(epsilon),
+        )
+        classifier = {
+            KIND_FIRST: classify.classify_first_kind,
+            KIND_SECOND: classify.classify_second_kind,
+            KIND_KAEHLER: classify.classify_kaehler,
+        }[kind]
+        report = classifier(Spectrum(sorted(values), kind, dim), epsilon)
+        assert json.loads(out) == report.to_record()
+        assert code == (0 if report.has_verdict else 1)
 
 
 class TestUnknownTopLevelOption:

@@ -1,6 +1,7 @@
 """Cone membership: margins, scaling, permutations, and nesting chains."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,15 @@ from gardinglab.cones import (
     nesting_check,
     shift,
 )
-from gardinglab.inclusion import dichotomy_check, epsilon_to_params
-from gardinglab.tables import trace_free_count, two_form_count
+from gardinglab.classify import classify_first_kind
+from gardinglab.inclusion import (
+    boundary_search,
+    dichotomy_check,
+    epsilon_to_params,
+    verify_inclusion_sampling,
+)
+from gardinglab.tables import KIND_FIRST, Spectrum, trace_free_count, two_form_count
+from gardinglab.weighted import positivity_at_level
 
 from oracles import nesting_check_full_chain, selection_sum_min
 
@@ -541,3 +549,35 @@ class TestNestingChainHead:
         assert report.violations == [
             {"kind": "garding_chain", "vector": target.tolist(), "margins": chain.tolist()}
         ]
+
+
+# One call of each library function that takes a tolerance, or inherits
+# its check from a cone test.
+_TOL_CALLS = {
+    "in_garding_cone": lambda tol: in_garding_cone([1.0, 2.0], 1, tol=tol),
+    "in_shifted_cone": lambda tol: in_shifted_cone(
+        [1.0, 2.0, 3.0], 2, ShiftParams(alpha=0.1, N=3), tol
+    ),
+    "in_positivity_cone": lambda tol: in_positivity_cone([1.0, 2.0], 1.5, tol),
+    "nesting_check": lambda tol: nesting_check(6, 200, 1, tol=tol),
+    "dichotomy_check": lambda tol: dichotomy_check(
+        [1, 1, 1, 1], epsilon_to_params(0.5, 4), tol=tol
+    ),
+    "boundary_search": lambda tol: boundary_search(6, 0.4, tol=tol),
+    "verify_inclusion_sampling": lambda tol: verify_inclusion_sampling(4, 0.5, 10, 0, tol=tol),
+    "positivity_at_level": lambda tol: positivity_at_level([1.0, 2.0], 1.0, 0.5, tol),
+    "classify_first_kind": lambda tol: classify_first_kind(
+        Spectrum([1.0] * 6, KIND_FIRST, 4), 0.3, tol
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+def test_every_tolerance_is_checked(name, bad):
+    # A NaN band decides no comparison and an infinite one admits every
+    # vector, so each is refused by name, as is a negative one; 0 is valid.
+    message = f"^tol must be a finite non-negative number, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        _TOL_CALLS[name](bad)
+    _TOL_CALLS[name](0.0)

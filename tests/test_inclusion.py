@@ -87,6 +87,15 @@ class TestEpsilonParams:
             with pytest.raises(ValueError):
                 EpsilonParams(epsilon=epsilon, N=N, alpha_eps=0.1, m_eps=1.0)
 
+    def test_unresolvable_epsilon_is_refused_by_name(self):
+        # The map itself refuses an eps whose shift (1 - eps)/N rounds to
+        # 1/N, naming eps, after the bundle's own checks.
+        message = r"^epsilon 1e-300 is too small to resolve in float64 at N=6: "
+        with pytest.raises(ValueError, match=message):
+            epsilon_to_params(1e-300, 6)
+        with pytest.raises(ValueError, match=r"^N must be >= 2, got 1$"):
+            epsilon_to_params(1e-300, 1)
+
 
 class TestInverseMap:
     def test_integer_targets_closed_form(self):

@@ -107,6 +107,20 @@ def test_cone_modules_import_without_numpy():
     assert code == 0 and "numpy" not in modules
 
 
+def test_read_vector_file_gives_python_floats_without_numpy(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("# spectrum\n0.5, 1e-3 2\n", encoding="utf-8")
+    code, modules = _loaded(
+        _BLOCK_NUMPY + "from gardinglab.io import read_vector_file\n"
+        "values = read_vector_file(sys.argv[1])\n"
+        "code = [type(values).__name__, [type(t).__name__ for t in values], values]",
+        str(path),
+    )
+    assert code == ["list", ["float"] * 3, [0.5, 1e-3, 2.0]]
+    assert "numpy" not in modules
+    assert _submodules(modules) == {"gardinglab.config", "gardinglab.io"}
+
+
 def test_blocked_numpy_cannot_be_imported():
     code, modules = _loaded(
         _BLOCK_NUMPY + "try:\n    import numpy\n    code = 0\nexcept ImportError:\n    code = 1\n"
