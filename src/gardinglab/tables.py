@@ -1,18 +1,30 @@
-"""Operator dimension counts, the per-dimension verdict thresholds, and the
-closed forms the classifier reads.
+"""Operator dimension counts, the checked spectrum, and the classifier's
+rules as one table.
 
-Everything here is a closed form in the frame dimension, or the check of
-a spectrum, which ``Spectrum`` holds as a tuple of Python floats whatever
-it is given as, so the module imports no numpy: ``gardinglab thresholds``
-runs on it alone, and ``classify`` runs on it with ``cones`` and
-``symfun``.  ``curvature``, ``weighted`` and ``classify`` import their
-counts, formulas, kinds, ``Spectrum`` and table from here; ``curvature``,
-``weighted`` and ``classify`` re-export the names they held before.
+Every classifier rule is a bound on m_eps, the positivity index that open
+membership in G_2(alpha_eps) gives, and ``RULES`` holds one row per rule,
+with k = ceil(m_eps):
 
-Each threshold is the eps at which m_eps reaches a fixed positivity target:
-2 on 2-forms (N1 = n(n-1)/2), 3 on trace-free symmetric 2-tensors
-(N2 = (n-1)(n+2)/2), and 3 - 2/n and 2 on the n^2-dimensional operator of a
-complex dimension n.
+    kind     bound                             gives
+    first    k <= ceil(n/2)                    b_1..b_{n-1} = 0
+    first    ceil(n/2) < k <= n-1              b_1..b_{n-k} = 0, b_k..b_{n-1} = 0
+    first    eps <= threshold at m = 2         spherical space form
+    second   m_eps <= 3n/4                     b_1..b_{n-1} = 0
+    second   m_eps <= C_p(n), 1 <= p <= n/2    b_p..b_{n-p} = 0
+    second   eps <= threshold at m = 3         spherical space form
+    kaehler  eps <= threshold at m = 3 - 2/n   rational cohomology CP^n
+    kaehler  eps <= threshold at m = 2         biholomorphic CP^n
+
+A threshold is the eps at which m_eps reaches m on the N entries of the
+kind's spectrum (``SPECTRUM_SIZES``), sqrt(m/((N-1)(N-m))); the Kaehler
+verdicts also need open P_m membership, the consequence they rest on.
+
+Everything here is a closed form in the dimension, or the check of a
+spectrum, which ``Spectrum`` holds as a tuple of Python floats, so the
+module imports no numpy: ``gardinglab thresholds`` runs on it alone, and
+``classify`` with ``cones`` and ``symfun``.  ``curvature``, ``weighted``
+and ``classify`` import their counts, formulas, kinds, ``Spectrum`` and
+table from here and re-export the names they held before.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import gt
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from .config import Record
 
@@ -29,6 +41,7 @@ __all__ = [
     "KIND_SECOND",
     "KIND_KAEHLER",
     "SPECTRUM_SIZES",
+    "MIN_DIMS",
     "Spectrum",
     "two_form_count",
     "trace_free_count",
@@ -38,6 +51,8 @@ __all__ = [
     "cpn_biholomorphic_threshold",
     "FormDegreeCoeffs",
     "form_degree_coeff",
+    "Rule",
+    "RULES",
     "ThresholdTable",
     "thresholds",
 ]
@@ -45,6 +60,10 @@ __all__ = [
 KIND_FIRST = "first_kind"
 KIND_SECOND = "second_kind"
 KIND_KAEHLER = "kaehler"
+
+VERDICT_SPACE_FORM = "spherical_space_form"
+VERDICT_CPN_COHOMOLOGY = "rational_cohomology_CPn"
+VERDICT_CPN_BIHOLOMORPHIC = "biholomorphic_CPn"
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,29 +110,36 @@ SPECTRUM_SIZES = {
     KIND_SECOND: (trace_free_count, "(n-1)(n+2)/2"),
     KIND_KAEHLER: (lambda n: n * n, "n^2"),
 }
+# Each kind's least dimension, and that dimension's name in a refusal.
+MIN_DIMS = {KIND_FIRST: (3, "real"), KIND_SECOND: (3, "real"), KIND_KAEHLER: (2, "complex")}
+
+
+def _checked_dim(kind: str, n: int) -> int:
+    """n, refused by name below the least dimension of its kind."""
+    least, name = MIN_DIMS[kind]
+    if n < least:
+        raise ValueError(f"{name} dimension must be >= {least}, got {n}")
+    return n
 
 
 def space_form_first_threshold(n: int) -> float:
     """sqrt(2/((N1-1)(N1-2))) for N1 = n(n-1)/2; positivity target 2."""
-    n1 = two_form_count(n)
-    return math.sqrt(2.0 / ((n1 - 1) * (n1 - 2)))
+    return _VERDICTS["space_form_first"].threshold(n)
 
 
 def space_form_second_threshold(n: int) -> float:
     """sqrt(3/((N2-1)(N2-3))) for N2 = (n-1)(n+2)/2; positivity target 3."""
-    n2 = trace_free_count(n)
-    return math.sqrt(3.0 / ((n2 - 1) * (n2 - 3)))
+    return _VERDICTS["space_form_second"].threshold(n)
 
 
 def cpn_cohomology_threshold(n: int) -> float:
     """sqrt((3n-2)/((n^3-3n+2)(n^2-1))); positivity target 3 - 2/n."""
-    return math.sqrt((3.0 * n - 2.0) / ((n**3 - 3 * n + 2) * (n * n - 1)))
+    return _VERDICTS["cpn_cohomology"].threshold(n)
 
 
 def cpn_biholomorphic_threshold(n: int) -> float:
     """sqrt(2/((n^2-1)(n^2-2))); positivity target 2 for N3 = n^2."""
-    n3 = n * n
-    return math.sqrt(2.0 / ((n3 - 1) * (n3 - 2)))
+    return _VERDICTS["cpn_biholomorphic"].threshold(n)
 
 
 @dataclass(frozen=True)
@@ -145,6 +171,63 @@ def form_degree_coeff(n: int, p: int) -> FormDegreeCoeffs:
 
 
 @dataclass(frozen=True)
+class Rule:
+    """One rule: a bound on its kind's index, and what the bound gives.
+
+    A Betti row gives b_lo..b_hi = 0, (lo, hi) = gives(n, index, p), when
+    lower(n) < index <= bound(n, p), for each degree p in degrees(n), named
+    with p.  A verdict row (with a ``target``) gives its label when
+    eps <= threshold(n) < 1; a consequence target m also needs open P_m
+    membership, whose partial sum the report names as ``said``.
+    """
+
+    kind: str
+    name: str
+    gives: Union[str, Callable]
+    bound: Optional[Callable] = None
+    lower: Optional[Callable] = None
+    degrees: Callable = lambda n: (0,)
+    target: Optional[Callable] = None
+    column: str = ""
+    consequence: Optional[Callable] = None
+    said: str = ""
+
+    def threshold(self, n: int) -> float:
+        """The eps at which m_eps reaches target(n) = num/den; the float
+        numerator rounds the integer denominator to a float first."""
+        num, den = self.target(n)
+        N = SPECTRUM_SIZES[self.kind][0](n)
+        return math.sqrt(float(num) / ((N - 1) * (den * N - num)))
+
+
+# Every rule the classifiers apply; each kind's rows in report order.
+RULES = (
+    Rule(KIND_FIRST, "two_form_full_vanishing", lambda n, k, p: (1, n - 1),
+         bound=lambda n, p: math.ceil(n / 2)),
+    Rule(KIND_FIRST, "two_form_split_vanishing_low", lambda n, k, p: (1, n - k),
+         bound=lambda n, p: n - 1, lower=lambda n: math.ceil(n / 2)),
+    Rule(KIND_FIRST, "two_form_split_vanishing_high", lambda n, k, p: (k, n - 1),
+         bound=lambda n, p: n - 1, lower=lambda n: math.ceil(n / 2)),
+    Rule(KIND_FIRST, "space_form_threshold_first_kind", VERDICT_SPACE_FORM,
+         target=lambda n: (2, 1), column="space_form_first"),
+    Rule(KIND_SECOND, "trace_free_full_vanishing", lambda n, m, p: (1, n - 1),
+         bound=lambda n, p: 3.0 * n / 4.0),
+    Rule(KIND_SECOND, "trace_free_degree_{p}_vanishing", lambda n, m, p: (p, n - p),
+         bound=lambda n, p: form_degree_coeff(n, p).coeff,
+         degrees=lambda n: range(1, n // 2 + 1)),
+    Rule(KIND_SECOND, "space_form_threshold_second_kind", VERDICT_SPACE_FORM,
+         target=lambda n: (3, 1), column="space_form_second"),
+    Rule(KIND_KAEHLER, "cpn_cohomology_threshold", VERDICT_CPN_COHOMOLOGY,
+         target=lambda n: (3 * n - 2, n), column="cpn_cohomology",
+         consequence=lambda n: 3.0 - 2.0 / n, said="partial_sum({m:.12g})"),
+    Rule(KIND_KAEHLER, "cpn_biholomorphic_threshold", VERDICT_CPN_BIHOLOMORPHIC,
+         target=lambda n: (2, 1), column="cpn_biholomorphic",
+         consequence=lambda n: 2.0, said="smallest pair sum"),
+)
+_VERDICTS = {rule.column: rule for rule in RULES if rule.column}
+
+
+@dataclass(frozen=True)
 class ThresholdTable(Record):
     """Per-dimension eps thresholds gating each verdict label.
 
@@ -173,19 +256,12 @@ def thresholds(n: Optional[int], kaehler_complex_dim: Optional[int] = None) -> T
     """
     if n is None and kaehler_complex_dim is None:
         raise ValueError("need a real dimension n >= 3 or a complex dimension >= 2")
+    real = None if n == 2 else n
     columns = {}
-    if n is not None and n >= 3:
-        columns["space_form_first"] = space_form_first_threshold(n)
-        columns["space_form_second"] = space_form_second_threshold(n)
-    elif n is not None and n != 2:
-        raise ValueError(f"real dimension must be >= 3, got {n}")
-    if kaehler_complex_dim is not None:
-        if kaehler_complex_dim < 2:
-            raise ValueError(
-                f"complex dimension must be >= 2, got {kaehler_complex_dim}"
-            )
-        columns["cpn_cohomology"] = cpn_cohomology_threshold(kaehler_complex_dim)
-        columns["cpn_biholomorphic"] = cpn_biholomorphic_threshold(kaehler_complex_dim)
+    for rule in _VERDICTS.values():
+        dim = kaehler_complex_dim if rule.kind == KIND_KAEHLER else real
+        if dim is not None:
+            columns[rule.column] = rule.threshold(_checked_dim(rule.kind, dim))
     return ThresholdTable(
         n=n,
         kaehler_dim=kaehler_complex_dim,
