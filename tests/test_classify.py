@@ -35,6 +35,7 @@ from gardinglab.curvature import (
     two_form_count,
 )
 from gardinglab.inclusion import epsilon_for_target_m, epsilon_to_params
+from gardinglab.tables import RULES, SPECTRUM_SIZES
 from oracles import (
     cpn_cohomology_threshold_inverse_form,
     space_form_first_threshold_dim_form,
@@ -391,6 +392,26 @@ class TestValidationMessages:
         with pytest.raises(ValueError, match=length):
             classify_kaehler(_spectrum(np.ones(4), KIND_KAEHLER, None), 0.2)
 
+    @pytest.mark.parametrize(
+        "classify, kind, n, size, name, least",
+        [
+            (classify_first_kind, KIND_FIRST, -2, 3, "real", 3),
+            (classify_first_kind, KIND_FIRST, -1, 1, "real", 3),
+            (classify_first_kind, KIND_FIRST, 2, 1, "real", 3),
+            (classify_second_kind, KIND_SECOND, 2, 2, "real", 3),
+            (classify_second_kind, KIND_SECOND, -3, 2, "real", 3),
+            (classify_kaehler, KIND_KAEHLER, -2, 4, "complex", 2),
+        ],
+    )
+    def test_dimension_below_the_least_is_refused_by_name(
+        self, classify, kind, n, size, name, least
+    ):
+        # The length matches the size formula at each of these dimensions
+        # (two_form_count(-2) = 3), so only the dimension check refuses them.
+        assert SPECTRUM_SIZES[kind][0](n) == size
+        with pytest.raises(ValueError, match=f"^{name} dimension must be >= {least}, got {n}$"):
+            classify(_spectrum(np.ones(size), kind, n), 0.5)
+
     def test_unresolvable_epsilon_names_epsilon(self):
         # Below about 5.6e-17 the shift (1 - eps)/N rounds to 1/N, which
         # ShiftParams would refuse with a message about alpha.
@@ -401,6 +422,70 @@ class TestValidationMessages:
             classify_second_kind(_spectrum(np.ones(9), KIND_SECOND, 4), 1e-300)
         with pytest.raises(ValueError, match=message.replace("N=6", "N=4")):
             classify_kaehler(_spectrum(np.ones(4), KIND_KAEHLER, 2), 1e-300)
+
+
+class TestRuleIntervals:
+    """Each row of the rule table holds on exactly its eps interval.
+
+    Every rule bounds m_eps, which increases with eps, so a rule appears in
+    a report iff the spectrum is in open G_2(alpha_eps) and eps lies in
+    (eps_lower, eps_rule]: eps_rule = epsilon_for_target_m(bound, N), or the
+    threshold for a verdict, and eps_lower the same map of a split row's
+    lower bound.  A bound at or past N - 1, which m_eps never reaches, holds
+    for every eps.  Shift strengths within 1e-9 of an endpoint are skipped.
+    """
+
+    CLASSIFIERS = {
+        KIND_FIRST: classify_first_kind,
+        KIND_SECOND: classify_second_kind,
+        KIND_KAEHLER: classify_kaehler,
+    }
+
+    @staticmethod
+    def _eps_for(m, N):
+        return 1.0 if m >= N - 1 else epsilon_for_target_m(m, N)
+
+    def _intervals(self, kind, n, N):
+        """(rule name, eps_lower, eps_rule) for each row and degree of a kind."""
+        for rule in (rule for rule in RULES if rule.kind == kind):
+            if rule.target is not None:
+                thr = rule.threshold(n)
+                yield rule.name, 0.0, thr if thr < 1.0 else 0.0
+                continue
+            for p in rule.degrees(n):
+                lower = 0.0 if rule.lower is None else self._eps_for(rule.lower(n), N)
+                yield rule.name.format(p=p), lower, self._eps_for(rule.bound(n, p), N)
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [(KIND_FIRST, n) for n in range(3, 9)]
+        + [(KIND_SECOND, n) for n in range(3, 9)]
+        + [(KIND_KAEHLER, n) for n in range(2, 6)],
+    )
+    def test_each_row_holds_on_its_interval(self, kind, n):
+        N = SPECTRUM_SIZES[kind][0](n)
+        intervals = list(self._intervals(kind, n, N))
+        ends = {e for _, lo, hi in intervals for e in (lo, hi) if 0.0 < e < 1.0}
+        grid = {i / 64 for i in range(1, 64)}
+        grid |= {e * f for e in ends for f in (1 - 1e-6, 1 + 1e-6) if e * f < 1.0}
+        spectra = [
+            [1.0] * N,
+            [float(i) for i in range(1, N + 1)],
+            sorted(1.0 + 0.5 * math.sin(i) for i in range(N)),
+        ]
+        seen = set()
+        for values in spectra:
+            spec = Spectrum(values, kind, n)
+            for eps in sorted(grid):
+                report = self.CLASSIFIERS[kind](spec, eps)
+                listed = {r.rule for r in report.betti_zero_ranges + report.verdicts}
+                for name, lo, hi in intervals:
+                    if any(abs(eps - e) <= 1e-9 * e for e in (lo, hi)):
+                        continue
+                    holds = report.membership.member_open and lo < eps <= hi
+                    assert (name in listed) == holds, (name, values[:3], eps, lo, hi)
+                    seen |= {name} if holds else set()
+        assert seen == {name for name, lo, hi in intervals if lo < hi}
 
 
 class TestReportAuditing:

@@ -546,6 +546,17 @@ class TestClassifyCommand:
         assert code == 0
         assert "biholomorphic_CPn" in out
 
+    @pytest.mark.parametrize("dim, text", [("-2", "1,1,1"), ("-1", "1"), ("2", "1")])
+    def test_real_dimension_below_three_exit_64(self, capsys, vec_file, dim, text):
+        # Each length matches n(n-1)/2 at its dimension, so the refusal must
+        # name the dimension, not the spectrum size.
+        code, out, err = run_cli(
+            capsys, "--format", "machine", "classify", vec_file("s", text), "--dim", dim,
+            "--operator", "first", "--epsilon", "0.5",
+        )
+        assert code == 64 and out == ""
+        assert err == f"gardinglab: real dimension must be >= 3, got {dim}\n"
+
     @pytest.mark.parametrize(
         "operator, dim, expected", [("first", 4, 6), ("second", 4, 9), ("kaehler", 3, 9)]
     )

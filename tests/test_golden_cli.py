@@ -105,6 +105,8 @@ CASES = [
     (*M, "classify", "n8_second.txt", "--dim", "8", "--operator", "second", "--epsilon", "0.085"),
     # The n = 3 first-kind threshold is vacuous (exactly 1).
     (*M, "classify", "s3_first.txt", "--dim", "3", "--operator", "first", "--epsilon", "0.5"),
+    # A real dimension below 3 is refused, though n(n-1)/2 = 3 at n = -2 too.
+    (*M, "classify", "s3_first.txt", "--dim", "-2", "--operator", "first", "--epsilon", "0.5"),
     (*M, "thresholds", "--n-min", "2", "--n-max", "6"),
     (*M, "thresholds", "--n-min", "5", "--n-max", "4"),
     ("cone-test", "wide.txt", "--k", "2", "--epsilon", "0.3"),
