@@ -28,7 +28,7 @@ from typing import Optional
 from .config import DEFAULT_TOL, Record
 from .cones import ConeMembership, epsilon_to_params, in_positivity_cone, in_shifted_cone
 from .symfun import partial_sum_batch
-from .tables import (  # noqa: F401 - the thresholds and counts are re-exported
+from .tables import (  # noqa: F401 - re-exports the threshold functions and form_degree_coeff
     KIND_FIRST,
     KIND_KAEHLER,
     KIND_SECOND,
