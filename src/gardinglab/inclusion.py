@@ -26,8 +26,11 @@ equal positive entries.  ``sharp_witness`` builds those extremal vectors and
 
 ``EpsilonParams`` and ``epsilon_to_params`` are defined in ``cones``, which
 loads no numpy, so the classifier reads them without this module; they are
-re-exported here as the same objects.  numpy is imported inside the
-functions that build arrays, so importing this module loads none.
+re-exported here as the same objects.  The dichotomy and the boundary
+search run on Python floats (``symfun._as_floats``), with the bits numpy
+gives.  numpy is imported inside the functions that build arrays (the
+sampler, ``sharp_witness``) and by ``shift_identity_residual``, so
+importing this module loads none.
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ from .cones import (
 )
 from .symfun import (
     VectorLike,
+    _as_floats,
+    _pairwise_sum,
     as_array,
     partial_sum_batch,
-    partial_sum_fractional,
-    partial_sum_weights,
     sigma_prefix,
 )
 
@@ -109,7 +112,9 @@ def shift_identity_residual(v: VectorLike, p: EpsilonParams) -> float:
     of the unit vector ``v / ||v||`` and the difference is multiplied back by
     ``||v||`` twice, so a residual beyond float range comes back as +-inf,
     without an exception or a warning; it is NaN only where ``||v||`` itself
-    is past the float maximum.
+    is past the float maximum.  It runs on numpy for every vector: its two
+    pairwise sums cost about 1 µs more a call on Python floats, and that
+    route measured 12% slower at the ``cone_margins`` median job.
     """
     x = as_array(v)
     if x.size != p.N:
@@ -138,30 +143,27 @@ class DichotomyVerdict(Record):
     rigid_m: Optional[int] = None
 
 
-def _rigid_zero_count(sorted_x: np.ndarray, m_eps: float, tol: float) -> Optional[int]:
+def _rigid_zero_count(sorted_x: list[float], m_eps: float, tol: float) -> Optional[int]:
     """Number of leading zeros if the sorted vector matches the rigid pattern.
 
     Zeros and equal entries are judged relative to the largest magnitude, so
     the answer does not depend on the vector's scale; the zero vector, whose
     tail is not positive, gets None.
     """
-    import numpy as np
-
-    n = sorted_x.size
+    n = len(sorted_x)
     m_int = round(m_eps)
     if abs(m_eps - m_int) > max(tol, 1e-9) * max(1.0, abs(m_eps)):
         return None
     if not 1 <= m_int <= n - 1:
         return None
-    scale = float(np.max(np.abs(sorted_x)))
-    atol = 10.0 * max(tol, 1e-12) * scale
+    atol = 10.0 * max(tol, 1e-12) * max(map(abs, sorted_x))
     head = sorted_x[:m_int]
     tail = sorted_x[m_int:]
-    if np.max(np.abs(head)) > atol:
+    if max(map(abs, head)) > atol:
         return None
-    if tail.max() - tail.min() > atol or tail.min() <= atol:
+    if max(tail) - min(tail) > atol or min(tail) <= atol:
         return None
-    return int(m_int)
+    return m_int
 
 
 def dichotomy_check(
@@ -175,16 +177,14 @@ def dichotomy_check(
     rescaling.  The zero vector is the one closed member with ``sum(v) = 0``
     and is reported as a degenerate boundary case (rigid_m None).
     """
-    import numpy as np
-
     membership = in_shifted_cone(v, 2, p.shift_params, tol)
-    # The cone test has validated v; this only takes its float array.
-    x = np.asarray(v, dtype=float)
-    sorted_x = np.sort(x, kind="stable")
-    c0 = float(partial_sum_batch(sorted_x, p.m_eps))
+    # The cone test has validated v; this only reads its entries.
+    x = _as_floats(v)
+    sorted_x = sorted(x)
+    c0 = partial_sum_batch(sorted_x, p.m_eps)
     if not membership.member_closed:
         return DichotomyVerdict(case=CASE_NOT_MEMBER, c0=c0)
-    if not x.any():
+    if not any(x):
         return DichotomyVerdict(case=CASE_BOUNDARY, c0=0.0, rigid_m=None)
     # Open membership in P_{m_eps}: its normalized margin exceeds tol.
     if c0 / (p.m_eps * _norm(x)) > tol:
@@ -484,7 +484,7 @@ def boundary_search(N: int, epsilon: float, tol: float = DEFAULT_TOL) -> Boundar
     """Minimize the m_eps-partial sum over the closed cone slice sum(v) = 1.
 
     Over sorted entries the partial sum is the dot product with the weights
-    ``w = partial_sum_weights(m_eps, N)``, and every other selection is a
+    ``w_i = clip(m_eps - i, 0, 1)``, and every other selection is a
     permutation of w.  On the slice the cone is the ball of radius rho about
     the barycenter, so the minimizer is the ball point opposite the sum-zero
     part of w,
@@ -503,20 +503,20 @@ def boundary_search(N: int, epsilon: float, tol: float = DEFAULT_TOL) -> Boundar
     ``1/N - alpha_eps`` instead cancels for small eps and leaves a sigma_2
     margin of rounding noise below -tol (-1.4e-9 at eps = 1e-10, N = 45).
     """
-    import numpy as np
-
     _check_tol(tol)
     p = epsilon_to_params(epsilon, N)
     m = p.m_eps
-    direction = partial_sum_weights(m, N)
-    direction -= direction.mean()
-    step = p.slice_radius * direction / _norm(direction)
-    minimizer = np.sort(1.0 / N - step)
-    min_c0 = partial_sum_fractional(minimizer, m)
+    weights = [min(max(m - i, 0.0), 1.0) for i in range(N)]
+    mean = _pairwise_sum(weights) / N
+    direction = [w - mean for w in weights]
+    norm = _norm(direction)
+    step = [p.slice_radius * d / norm for d in direction]
+    minimizer = sorted(1.0 / N - s for s in step)
+    min_c0 = partial_sum_batch(minimizer, m)
     exact = boundary_minimum_closed_form(p)
     converged = (
         abs(min_c0 - exact) <= 1e-10 * (1.0 + abs(exact))
-        and in_garding_cone(p.epsilon / N - step, 2, tol).member_closed
+        and in_garding_cone([p.epsilon / N - s for s in step], 2, tol).member_closed
     )
     report = BoundarySearchReport(
         N=N,
@@ -524,16 +524,15 @@ def boundary_search(N: int, epsilon: float, tol: float = DEFAULT_TOL) -> Boundar
         m_eps=m,
         tol=tol,
         min_c0=min_c0,
-        minimizer=[float(t) for t in minimizer],
+        minimizer=minimizer,
         converged=converged,
     )
 
     m_int = round(m)
     if abs(m - m_int) <= 1e-9 and 1 <= m_int <= N - 1:
-        pattern = np.zeros(N)
-        pattern[m_int:] = 1.0 / (N - m_int)
-        diff = float(np.max(np.abs(minimizer - pattern)))
-        report.rigid_pattern = [float(t) for t in pattern]
+        pattern = [0.0] * m_int + [1.0 / (N - m_int)] * (N - m_int)
+        diff = max(abs(a - b) for a, b in zip(minimizer, pattern))
+        report.rigid_pattern = pattern
         report.max_pattern_diff = diff
         report.matched_rigid = diff <= 1e-6
     return report

@@ -51,11 +51,15 @@ Conventions used throughout the package:
   loops read the factors from a cache per N, one read-only column of all N
   degrees that both slice to k; the float loop forms the same correctly
   rounded quotients itself.
-* Sorted vectors are plain non-decreasing float arrays, sorted stably
-  (``np.sort(..., kind="stable")``), so equal entries keep their order and
-  a sort is reproducible bit for bit.  A single vector on floats is sorted
-  by ``sorted``; only the order of +0.0 and -0.0 can differ, and no partial
-  sum sees it.
+* A single vector is a list of Python floats (``_as_floats``) in every
+  library function that takes or builds one, and a sorted one is a
+  non-decreasing list from ``sorted``, checked by ``_sorted_entries``.
+  numpy stays where a batch is built, in the public array builders
+  (``cones.shift``, ``inclusion.sharp_witness``) and in two places where
+  floats measured slower: the G_k recurrence past 16 entries once numpy is
+  loaded (above), and ``inclusion.shift_identity_residual``.  Batch rows
+  are sorted stably (``np.sort(..., kind="stable")``), which orders equal
+  entries as ``sorted`` does, so a sorted vector has the bits of its row.
 * ``partial_sum_fractional(v, m)`` with real ``m`` sums the ``floor(m)``
   smallest entries plus ``(m - floor(m))`` times the next one.  The domain is
   ``0 < m <= N``: values below 1 arise naturally from small shift parameters
@@ -75,7 +79,7 @@ import functools
 import math
 import sys
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, gt, mul
 from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:
@@ -179,12 +183,11 @@ def _pairwise(x: list[float], start: int, n: int) -> float:
     return _pairwise(x, start, half) + _pairwise(x, start + half, n - half)
 
 
-def _sorted_entries(v: VectorLike) -> np.ndarray:
-    """Entries of an already-sorted input; raises if the order is violated."""
-    import numpy as np
-
-    x = as_array(v)
-    if np.any(np.diff(x) < 0):
+def _sorted_entries(v: VectorLike) -> list[float]:
+    """Entries of an already-sorted input as Python floats (``_as_floats``);
+    raises if the order is violated."""
+    x = _as_floats(v)
+    if any(map(gt, x, x[1:])):
         raise ValueError("input must be sorted non-decreasing")
     return x
 
@@ -300,11 +303,11 @@ def sigma_prefix_batch(rows: np.ndarray, k: int, *, _means: bool = False) -> np.
 
 def sigma2_via_power_sums(v: VectorLike) -> float:
     """sigma_2 through the power-sum identity ((sum)^2 - sum of squares)/2."""
-    x = as_array(v)
-    if x.size < 2:
-        raise ValueError(f"need N >= 2 entries, got {x.size}")
-    s1 = float(x.sum())
-    return (s1 * s1 - float((x * x).sum())) / 2.0
+    x = _as_floats(v)
+    if len(x) < 2:
+        raise ValueError(f"need N >= 2 entries, got {len(x)}")
+    s1 = _pairwise_sum(x)
+    return (s1 * s1 - _pairwise_sum([t * t for t in x])) / 2.0
 
 
 def _checked_m(m: float, n: int) -> float:
@@ -320,7 +323,7 @@ def _checked_m(m: float, n: int) -> float:
 
 def partial_sum_fractional(v: VectorLike, m: float) -> float:
     """Sum of the floor(m) smallest entries plus the fractional next term."""
-    return float(partial_sum_batch(_sorted_entries(v), m))
+    return partial_sum_batch(_sorted_entries(v), m)
 
 
 def partial_sum_weights(m, n: int) -> np.ndarray:

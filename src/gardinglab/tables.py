@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import gt
 from typing import Callable, Optional, Union
 
 from .config import Record
@@ -72,8 +71,8 @@ class Spectrum:
 
     ``eigenvalues`` is a tuple of Python floats, the given finite,
     non-decreasing entries of a list, tuple or 1-d array, checked without
-    numpy (``symfun._as_floats``, which refuses what ``as_array`` refuses,
-    with the same errors).  Equality is identity and instances hash by
+    numpy by ``symfun._sorted_entries`` (which refuses what ``as_array``
+    refuses, with the same errors).  Equality is identity and instances hash by
     identity, as for the holders of ``curvature``.
     """
 
@@ -82,12 +81,9 @@ class Spectrum:
     n: Optional[int]
 
     def __post_init__(self) -> None:
-        from .symfun import _as_floats
+        from .symfun import _sorted_entries
 
-        values = tuple(_as_floats(self.eigenvalues))
-        if any(map(gt, values, values[1:])):
-            raise ValueError("input must be sorted non-decreasing")
-        object.__setattr__(self, "eigenvalues", values)
+        object.__setattr__(self, "eigenvalues", tuple(_sorted_entries(self.eigenvalues)))
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -251,12 +247,13 @@ def thresholds(n: Optional[int], kaehler_complex_dim: Optional[int] = None) -> T
     """Threshold table for real dimension n and/or a complex dimension.
 
     ``n`` may be None (or 2, for convenience in tabulations) to request a
-    Kaehler-only row; real columns then stay None.  Real columns require
-    n >= 3, complex columns require a complex dimension >= 2.
+    Kaehler-only row; real columns then stay None, and a complex dimension
+    must be given.  Real columns require n >= 3, complex columns require a
+    complex dimension >= 2.
     """
-    if n is None and kaehler_complex_dim is None:
-        raise ValueError("need a real dimension n >= 3 or a complex dimension >= 2")
     real = None if n == 2 else n
+    if real is None and kaehler_complex_dim is None:
+        raise ValueError("need a real dimension n >= 3 or a complex dimension >= 2")
     columns = {}
     for rule in _VERDICTS.values():
         dim = kaehler_complex_dim if rule.kind == KIND_KAEHLER else real

@@ -19,27 +19,27 @@ The form-degree coefficients ``C_p(n) = S_p / Omega_p`` with ``S_p =
 ranges; they increase in p, with ``C_1 <= 3n/4 < C_2`` for every n >= 3.
 ``FormDegreeCoeffs`` and ``form_degree_coeff`` are defined in ``tables``,
 which loads no numpy, so the classifier reads them without this module;
-they are re-exported here as the same objects.  numpy is imported inside
-the one function that names it, so importing this module loads none.
+they are re-exported here as the same objects.  A spectrum is read as
+Python floats (``symfun._sorted_entries``) and its sums are
+``symfun._pairwise_sum``, numpy's order, so this module imports no numpy
+and gives the bits an array's sums give.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .config import DEFAULT_TOL, _check_tol
 from .symfun import (
     VectorLike,
+    _pairwise_sum,
     _sorted_entries,
     normalized_partial_sum,
     partial_sum_fractional,
 )
 from .tables import FormDegreeCoeffs, form_degree_coeff, trace_free_count
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "WeightBudget",
@@ -88,10 +88,10 @@ def _greedy_split(budget: WeightBudget) -> tuple[int, float]:
     return q, max(r, 0.0)
 
 
-def _budget_entries(spectrum: VectorLike, budget: WeightBudget) -> np.ndarray:
+def _budget_entries(spectrum: VectorLike, budget: WeightBudget) -> list[float]:
     x = _sorted_entries(spectrum)
-    if x.size != budget.N:
-        raise ValueError(f"spectrum length {x.size} does not match N={budget.N}")
+    if len(x) != budget.N:
+        raise ValueError(f"spectrum length {len(x)} does not match N={budget.N}")
     return x
 
 
@@ -99,9 +99,10 @@ def weighted_sup(spectrum: VectorLike, budget: WeightBudget) -> float:
     """Supremum of admissible weighted sums: cap the largest entries."""
     x = _budget_entries(spectrum, budget)
     q, r = _greedy_split(budget)
-    total = budget.Omega * float(x[x.size - q :].sum())
-    if q < x.size and r > 0.0:
-        total += r * float(x[x.size - q - 1])
+    n = len(x)
+    total = budget.Omega * _pairwise_sum(x[n - q :])
+    if q < n and r > 0.0:
+        total += r * x[n - q - 1]
     return total
 
 
@@ -109,9 +110,9 @@ def weighted_inf(spectrum: VectorLike, budget: WeightBudget) -> float:
     """Infimum of admissible weighted sums: cap the smallest entries."""
     x = _budget_entries(spectrum, budget)
     q, r = _greedy_split(budget)
-    total = budget.Omega * float(x[:q].sum())
-    if q < x.size and r > 0.0:
-        total += r * float(x[q])
+    total = budget.Omega * _pairwise_sum(x[:q])
+    if q < len(x) and r > 0.0:
+        total += r * x[q]
     return total
 
 
@@ -122,19 +123,17 @@ def anchored_lower_bound(spectrum: VectorLike, budget: WeightBudget, m: int) -> 
     For ``m == N`` there is no (m+1)-th entry; the anchor term must vanish,
     which requires ``S == N * Omega``.
     """
-    import numpy as np
-
     x = _budget_entries(spectrum, budget)
-    n = x.size
-    if not (isinstance(m, (int, np.integer)) and 1 <= m <= n):
+    n = len(x)
+    if not (isinstance(m, numbers.Integral) and 1 <= m <= n):
         raise ValueError(f"m must be an integer in [1, {n}], got {m}")
-    head = budget.Omega * float(x[:m].sum())
+    head = budget.Omega * _pairwise_sum(x[:m])
     rest = budget.S - m * budget.Omega
     if m == n:
         if abs(rest) > 1e-12 * max(1.0, budget.S):
             raise ValueError("m == N requires S == N * Omega")
         return head
-    return rest * float(x[m]) + head
+    return rest * x[m] + head
 
 
 def budget_normalized_bound(spectrum: VectorLike, budget: WeightBudget) -> float:
@@ -167,17 +166,16 @@ def positivity_at_level(
     equality holds identically, evaluate True.
     """
     _check_tol(tol)
-    x = _sorted_entries(spectrum)
-    lhs = partial_sum_fractional(x, m)
+    lhs = partial_sum_fractional(spectrum, m)
     rhs = float(m) * float(level)
     return lhs >= rhs - tol * (1.0 + abs(rhs))
 
 
-def _trace_free_entries(spectrum: VectorLike, n: int) -> np.ndarray:
+def _trace_free_entries(spectrum: VectorLike, n: int) -> list[float]:
     x = _sorted_entries(spectrum)
-    if x.size != trace_free_count(n):
+    if len(x) != trace_free_count(n):
         raise ValueError(
-            f"spectrum length {x.size} does not match (n-1)(n+2)/2 = {trace_free_count(n)}"
+            f"spectrum length {len(x)} does not match (n-1)(n+2)/2 = {trace_free_count(n)}"
         )
     return x
 

@@ -101,6 +101,16 @@ class TestThresholds:
         with pytest.raises(ValueError):
             thresholds(4, kaehler_complex_dim=1)
 
+    def test_two_without_a_complex_dimension_is_refused_like_none(self):
+        # n = 2 asks for a Kaehler-only row, so without a complex dimension
+        # there is no row to give.
+        with pytest.raises(ValueError) as refused_two:
+            thresholds(2)
+        with pytest.raises(ValueError) as refused_none:
+            thresholds(None)
+        assert str(refused_two.value) == str(refused_none.value)
+        assert thresholds(2, 3).to_record() == {**thresholds(None, 3).to_record(), "n": 2}
+
 
 class TestClassifyFirstKind:
     def test_round_sphere_at_threshold(self):

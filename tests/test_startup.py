@@ -107,6 +107,47 @@ def test_cone_modules_import_without_numpy():
     assert code == 0 and "numpy" not in modules
 
 
+# Every single-vector helper of symfun, weighted and inclusion that runs
+# on Python floats, with the results as JSON-ready values.
+_SINGLE_VECTOR_CALLS = """
+from gardinglab.inclusion import (
+    boundary_search, dichotomy_check, epsilon_for_target_m, epsilon_to_params,
+)
+from gardinglab.symfun import partial_sum_fractional, sigma2_via_power_sums
+from gardinglab.weighted import WeightBudget, bulk_positivity, weighted_inf, weighted_sup
+
+x = [-0.5, 0.25, 1.0, 1.0, 2.0]
+budget = WeightBudget(Omega=1.0, S=2.5, N=5)
+code = [
+    weighted_inf(x, budget),
+    weighted_sup(x, budget),
+    bulk_positivity([1.0] * 9, 4, 0.5),
+    partial_sum_fractional(x, 2.5),
+    sigma2_via_power_sums(x),
+    boundary_search(6, 0.4).to_record(),
+    boundary_search(40, epsilon_for_target_m(7, 40)).to_record(),
+]
+for N in range(3, 17):
+    m = N // 2
+    p = epsilon_to_params(epsilon_for_target_m(m, N), N)
+    witness, ramp = [0.0] * m + [1.0] * (N - m), [1.0 + i / N for i in range(N)]
+    for v in (witness, ramp, [-1.0] + [1.0] * (N - 1)):
+        code.append(dichotomy_check(v, p).to_record())
+"""
+
+
+def test_single_vector_helpers_run_without_numpy():
+    # The child's results are the ones this process gives with numpy loaded.
+    code, modules = _loaded(_BLOCK_NUMPY + _SINGLE_VECTOR_CALLS)
+    assert "numpy" not in modules
+    namespace = {}
+    exec(_SINGLE_VECTOR_CALLS, namespace)
+    assert code == json.loads(json.dumps(namespace["code"]))
+    assert {record["case"] for record in code[7:]} == {
+        "strict_positive", "boundary_rigid", "not_member"
+    }
+
+
 def test_read_vector_file_gives_python_floats_without_numpy(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("# spectrum\n0.5, 1e-3 2\n", encoding="utf-8")
