@@ -27,10 +27,9 @@ equal positive entries.  ``sharp_witness`` builds those extremal vectors and
 ``EpsilonParams`` and ``epsilon_to_params`` are defined in ``cones``, which
 loads no numpy, so the classifier reads them without this module; they are
 re-exported here as the same objects.  The dichotomy and the boundary
-search run on Python floats (``symfun._as_floats``), with the bits numpy
-gives.  numpy is imported inside the functions that build arrays (the
-sampler, ``sharp_witness``) and by ``shift_identity_residual``, so
-importing this module loads none.
+search run on Python floats; numpy is imported by the sampler,
+``sharp_witness`` and ``shift_identity_residual``, so importing this
+module loads none.
 """
 
 from __future__ import annotations
@@ -112,9 +111,11 @@ def shift_identity_residual(v: VectorLike, p: EpsilonParams) -> float:
     of the unit vector ``v / ||v||`` and the difference is multiplied back by
     ``||v||`` twice, so a residual beyond float range comes back as +-inf,
     without an exception or a warning; it is NaN only where ``||v||`` itself
-    is past the float maximum.  It runs on numpy for every vector: its two
-    pairwise sums cost about 1 µs more a call on Python floats, and that
-    route measured 12% slower at the ``cone_margins`` median job.
+    is past the float maximum.  It stays on numpy: on Python floats, with
+    the same bits, it ran faster below about 20 entries but slower from
+    about 30 (``cone_margins`` residual jobs, 2-core host: 0.008 against
+    0.014 ms at N < 10, 0.022 against 0.015 ms at N = 40), and that
+    workload's median job, a residual job, rose by 6% over 6 pairs.
     """
     x = as_array(v)
     if x.size != p.N:

@@ -72,8 +72,8 @@ class Spectrum:
     ``eigenvalues`` is a tuple of Python floats, the given finite,
     non-decreasing entries of a list, tuple or 1-d array, checked without
     numpy by ``symfun._sorted_entries`` (which refuses what ``as_array``
-    refuses, with the same errors).  Equality is identity and instances hash by
-    identity, as for the holders of ``curvature``.
+    refuses, with the same errors).  Equality is identity and instances
+    hash by identity, as for the holders of ``curvature``.
     """
 
     eigenvalues: tuple
