@@ -7,17 +7,23 @@ verdict threshold, at every integer positivity target, at 3n/4 and at each
 C_p(n), each times (1 +- 1 ulp), (1 +- 2^-40) and (1 +- 1e-9); the
 spectrum's critical shift eps* times (1 +- 2^-40) and 1; and 20 random
 shift strengths.  One more digest pins ``thresholds(n, n).to_record()`` for
-n = 2..5000.  The expected digests live in
-``tests/golden/classify_digests.json``; regenerate them only for an
+n = 2..5000.  Each case has a second digest over the same records in their
+decision form, with every float-valued field dropped
+(``golden_digests.without_floats``): flags, ``m_positive``, Betti ranges,
+verdict labels, notes, inequality texts and refusal texts stay, so a change
+that only moves margin digits leaves it alone.  The expected digests live
+in ``tests/golden/classify_digests.json`` and
+``tests/golden/classify_decisions.json``; regenerate them only for an
 intended output change, with
 
     PYTHONPATH=src python tests/test_golden_classify.py --write
 
-which prints the cases whose digest moved.
+which prints, per case, how many lines moved since the last ``--write``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -35,8 +41,10 @@ from gardinglab.tables import (
     form_degree_coeff,
     thresholds,
 )
+from golden_digests import report_moved_lines, without_floats
 
 GOLDEN = Path(__file__).parent / "golden" / "classify_digests.json"
+DECISIONS = GOLDEN.with_name("classify_decisions.json")
 
 CLASSIFIERS = {
     KIND_FIRST: classify_first_kind,
@@ -94,17 +102,24 @@ def eps_grid(kind: str, n: int) -> list:
     return sorted(set(grid))
 
 
-def _line(kind: str, spec: Spectrum, eps: float, tol: float) -> str:
+def _lines(record: dict) -> tuple[str, str]:
+    """The record's line and its decision line."""
+    return tuple(json.dumps(r, sort_keys=True) for r in (record, without_floats(record)))
+
+
+def _line(kind: str, spec: Spectrum, eps: float, tol: float) -> tuple[str, str]:
     try:
         record = CLASSIFIERS[kind](spec, eps, tol).to_record()
     except ValueError as exc:
         record = {"epsilon": eps, "error": str(exc), "tol": tol}
-    return json.dumps(record, sort_keys=True)
+    return _lines(record)
 
 
-def case_digests() -> dict:
-    """sha256 of the record lines of every (kind, n, spectrum) case."""
-    digests = {}
+@functools.cache
+def case_lines() -> tuple[dict, dict]:
+    """The record lines and the decision lines of every (kind, n, spectrum)
+    case, and of the threshold tables."""
+    pairs = {}
     for kind, dims in DIMS.items():
         for n in dims:
             N = SPECTRUM_SIZES[kind][0](n)
@@ -114,33 +129,50 @@ def case_digests() -> dict:
                 star = critical_epsilon(values)
                 eps_values = grid + [star, star * (1 - 2.0**-40), star * (1 + 2.0**-40)]
                 eps_values = [e for e in eps_values if 0.0 < e < 1.0]
-                h = hashlib.sha256()
-                for tol in TOLS:
-                    for eps in eps_values:
-                        h.update(_line(kind, spec, eps, tol).encode() + b"\n")
-                digests[f"{kind} n={n} {name}"] = h.hexdigest()
-    h = hashlib.sha256()
-    for n in THRESHOLD_DIMS:
-        h.update(json.dumps(thresholds(n, n).to_record(), sort_keys=True).encode() + b"\n")
-    digests[f"thresholds n={THRESHOLD_DIMS.start}..{THRESHOLD_DIMS.stop - 1}"] = h.hexdigest()
+                pairs[f"{kind} n={n} {name}"] = [
+                    _line(kind, spec, eps, tol) for tol in TOLS for eps in eps_values
+                ]
+    pairs[f"thresholds n={THRESHOLD_DIMS.start}..{THRESHOLD_DIMS.stop - 1}"] = [
+        _lines(thresholds(n, n).to_record()) for n in THRESHOLD_DIMS
+    ]
+    return tuple({case: [pair[i] for pair in lines] for case, lines in pairs.items()} for i in (0, 1))
+
+
+def case_digests(lines: dict) -> dict:
+    """sha256 of the lines of every case."""
+    digests = {}
+    for case, records in lines.items():
+        h = hashlib.sha256()
+        for line in records:
+            h.update(line.encode() + b"\n")
+        digests[case] = h.hexdigest()
     return digests
 
 
-def test_classification_digests_match_golden():
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    actual = case_digests()
+def _moved(golden: Path, lines: dict) -> list:
+    expected = json.loads(golden.read_text(encoding="utf-8"))
+    actual = case_digests(lines)
     assert sorted(actual) == sorted(expected)
-    moved = [case for case in expected if actual[case] != expected[case]]
+    return [case for case in expected if actual[case] != expected[case]]
+
+
+def test_classification_digests_match_golden():
+    moved = _moved(GOLDEN, case_lines()[0])
     assert moved == [], f"digest moved for: {', '.join(moved)}"
+
+
+def test_classification_decisions_match_golden():
+    moved = _moved(DECISIONS, case_lines()[1])
+    assert moved == [], f"decision digest moved for: {', '.join(moved)}"
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    new = case_digests()
-    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    for case in sorted(set(old) | set(new)):
-        if old.get(case) != new.get(case):
-            print(f"moved: {case}")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for golden, lines in zip((GOLDEN, DECISIONS), case_lines()):
+        print(f"{golden.name}:")
+        report_moved_lines(golden, lines)
+        golden.write_text(
+            json.dumps(case_digests(lines), indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        )

@@ -14,17 +14,23 @@ type is named, so a moved bit or a changed return type moves the digest.
   entries, with the clamp and the refusals;
 * every public function of ``weighted``, with its refusals.
 
-The expected digests live in ``tests/golden/single_vector_digests.json``;
-regenerate them only for an intended output change, with
+Each function has a second digest over the same lines in their decision
+form, with every float-valued field of the result dropped
+(``golden_digests.without_floats``): a change that only moves float digits
+leaves it alone.  The expected digests live in
+``tests/golden/single_vector_digests.json`` and
+``tests/golden/single_vector_decisions.json``; regenerate them only for an
+intended output change, with
 
     PYTHONPATH=src python tests/test_golden_single_vector.py --write
 
-which prints the functions whose digest moved.
+which prints, per function, how many lines moved since the last ``--write``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -47,8 +53,10 @@ from gardinglab.symfun import (
     partial_sum_fractional,
     sigma2_via_power_sums,
 )
+from golden_digests import report_moved_lines, without_floats
 
 GOLDEN = Path(__file__).parent / "golden" / "single_vector_digests.json"
+DECISIONS = GOLDEN.with_name("single_vector_decisions.json")
 
 BOUNDARY_DIMS = (*range(3, 60), 100, 400, 2000)
 BOUNDARY_EPS = (1e-12, 1e-6, 0.01, 0.1, 0.25, 0.4, 0.5, 0.75, 0.99)
@@ -72,12 +80,16 @@ def _encode(value):
     return {"type": type(value).__name__, "value": _encode(float(value))}
 
 
-def _line(fn, *args) -> str:
+def _line(fn, *args) -> tuple[str, str]:
+    """The record line of one call and its decision line."""
     try:
-        result = {"result": _encode(fn(*args))}
+        outcome = {"result": fn(*args)}
     except (ValueError, TypeError) as exc:
-        result = {"error": f"{type(exc).__name__}: {exc}"}
-    return json.dumps({"args": _encode(list(args)), **result}, sort_keys=True)
+        outcome = {"error": f"{type(exc).__name__}: {exc}"}
+    return tuple(
+        json.dumps(_encode({"args": list(args), **form}), sort_keys=True)
+        for form in (outcome, without_floats(outcome))
+    )
 
 
 def _sorted_vectors(seed: int):
@@ -218,9 +230,10 @@ def _weighted_lines():
     return lines
 
 
-def digest_lines() -> dict:
-    """The record lines of each function, by name."""
-    return {
+@functools.cache
+def digest_lines() -> tuple[dict, dict]:
+    """The record lines and the decision lines of each function, by name."""
+    pairs = {
         "dichotomy_check": list(_dichotomy_lines()),
         "boundary_search": list(_boundary_lines()),
         "partial_sum_fractional": list(_partial_sum_lines(partial_sum_fractional)),
@@ -228,6 +241,7 @@ def digest_lines() -> dict:
         "sigma2_via_power_sums": list(_sigma2_lines()),
         **{f"weighted.{name}": lines for name, lines in _weighted_lines().items() if lines},
     }
+    return tuple({name: [pair[i] for pair in lines] for name, lines in pairs.items()} for i in (0, 1))
 
 
 def digests(lines: dict) -> dict:
@@ -241,24 +255,31 @@ def digests(lines: dict) -> dict:
     return out
 
 
-def test_single_vector_digests_match_golden():
-    lines = digest_lines()
-    public = {name for name in weighted.__all__ if callable(getattr(weighted, name))}
-    assert {f"weighted.{name}" for name in public} <= set(lines)
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+def _moved(golden: Path, lines: dict) -> list:
+    expected = json.loads(golden.read_text(encoding="utf-8"))
     actual = digests(lines)
     assert sorted(actual) == sorted(expected)
-    moved = [name for name in expected if actual[name] != expected[name]]
+    return [name for name in expected if actual[name] != expected[name]]
+
+
+def test_single_vector_digests_match_golden():
+    lines = digest_lines()[0]
+    public = {name for name in weighted.__all__ if callable(getattr(weighted, name))}
+    assert {f"weighted.{name}" for name in public} <= set(lines)
+    moved = _moved(GOLDEN, lines)
     assert moved == [], f"digest moved for: {', '.join(moved)}"
+
+
+def test_single_vector_decisions_match_golden():
+    moved = _moved(DECISIONS, digest_lines()[1])
+    assert moved == [], f"decision digest moved for: {', '.join(moved)}"
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    new = digests(digest_lines())
-    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    for name in sorted(set(old) | set(new)):
-        if old.get(name) != new.get(name):
-            print(f"moved: {name}")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for golden, lines in zip((GOLDEN, DECISIONS), digest_lines()):
+        print(f"{golden.name}:")
+        report_moved_lines(golden, lines)
+        golden.write_text(json.dumps(digests(lines), indent=1, sort_keys=True) + "\n", encoding="utf-8")
