@@ -194,9 +194,13 @@ def _membership(margin: float, binding: str, tol: float) -> ConeMembership:
 
 def _shifted(x, p: ShiftParams):
     """``x - alpha * sum(x)`` of validated entries, Python floats or a float
-    array; a list's sum is ``_pairwise_sum``, so both give the same bits."""
+    array; a list's sum is ``_pairwise_sum``, so both give the same bits.
+    At alpha 0 the entries come back as they are, unsummed: ``0.0 * sum``
+    is NaN where the sum overflows, though the unshifted test is defined."""
     if len(x) != p.N:
         raise ValueError(f"vector length {len(x)} does not match N={p.N}")
+    if not p.alpha:
+        return x
     if isinstance(x, list):
         offset = p.alpha * _pairwise_sum(x)
         return [t - offset for t in x]
@@ -204,8 +208,11 @@ def _shifted(x, p: ShiftParams):
 
 
 def shift(v: VectorLike, p: ShiftParams) -> np.ndarray:
-    """Subtract alpha times the coordinate sum from every coordinate."""
-    return _shifted(as_array(v), p)
+    """Subtract alpha times the coordinate sum from every coordinate; always
+    a new array."""
+    import numpy as np
+
+    return np.array(_shifted(as_array(v), p))
 
 
 def _norm(x) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gardinglab.cli import main
+from gardinglab.cones import in_garding_cone
 from gardinglab.config import CONFIG_ENV_VAR, load_config
 from gardinglab.curvature import model_product_spheres
 from gardinglab.tables import KIND_FIRST, KIND_KAEHLER, KIND_SECOND, Spectrum
@@ -222,6 +223,14 @@ class TestConeTestCommand:
             "--epsilon", repr(1 / math.sqrt(3)),
         )
         assert code == 1  # boundary witness: closed only
+
+    def test_unshifted_k_test_of_a_vector_whose_sum_overflows(self, capsys, vec_file):
+        # The norm, 1.73e308, is finite; only the entry sum is past the float
+        # range, and an unshifted test never forms it.
+        argv = ("--format", "machine", "cone-test", vec_file("v", "1e308,1e308,1e308"), "--k", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["margin"] == in_garding_cone([1e308] * 3, 2).margin
 
     def test_usage_error(self, capsys, vec_file):
         code, _, err = run_cli(capsys, "cone-test", vec_file("v", "1,2"))

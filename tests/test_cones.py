@@ -46,6 +46,17 @@ class TestShift:
         got = shift([0, 0, 1, 1], ShiftParams(alpha=alpha, N=4))
         np.testing.assert_allclose(got, np.array([0, 0, 1, 1]) - 2 * alpha)
 
+    def test_zero_alpha_returns_a_new_array(self):
+        v = np.array([0.3, -1.2, 4.0])
+        assert shift(v, ShiftParams(alpha=0.0, N=3)) is not v
+
+    @pytest.mark.parametrize("v", [[1e308] * 3, np.full(20, 1e307)])
+    def test_zero_alpha_skips_an_overflowing_sum(self, v):
+        # The entry sum is past the float range and the norm is not: the
+        # unshifted test is the G_k test, with no 0 * inf in it.
+        got = in_shifted_cone(v, 2, ShiftParams(alpha=0.0, N=len(v)))
+        assert got == in_garding_cone(v, 2) and got.member_open
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             shift([1, 2], ShiftParams(alpha=0.1, N=3))
