@@ -36,8 +36,8 @@ changes no bit.  The P_m test runs on Python floats for every vector
 (``symfun._as_floats``).  The G_k tests run on floats for vectors of up to
 16 entries, and in a process that has not loaded numpy while N*k is at
 most 1.8 million, and on numpy otherwise (``symfun._vector_entries``),
-with the same bits: the shift sums in numpy's pairwise order and the
-recurrence does numpy's operations.  numpy is imported only by the array
+with the same bits: the shift's sum is correctly rounded (``symfun._fsum``)
+and the recurrence does numpy's operations.  numpy is imported only by the array
 paths, the batch kernels and the nesting checker, so ``classify`` and
 ``cone-test`` run without it up to that cap: below it numpy's import
 costs more than the float work saves (see ``symfun``).  The shift maps live here too:
@@ -62,7 +62,7 @@ from .config import DEFAULT_TOL, Record, _check_tol
 from .symfun import (
     VectorLike,
     _as_floats,
-    _pairwise_sum,
+    _fsum,
     _vector_entries,
     as_array,
     partial_sum_batch,
@@ -194,25 +194,22 @@ def _membership(margin: float, binding: str, tol: float) -> ConeMembership:
 
 def _shifted(x, p: ShiftParams):
     """``x - alpha * sum(x)`` of validated entries, Python floats or a float
-    array; a list's sum is ``_pairwise_sum``, so both give the same bits.
-    At alpha 0 the entries come back as they are, unsummed: ``0.0 * sum``
-    is NaN where the sum overflows, though the unshifted test is defined."""
+    array, with the sum correctly rounded (``_fsum``) on both, so both give
+    the same bits.  At alpha 0 a copy of x, unsummed: the unshifted test is
+    defined where the sum is past the float range."""
     if len(x) != p.N:
         raise ValueError(f"vector length {len(x)} does not match N={p.N}")
     if not p.alpha:
-        return x
+        return x.copy()
     if isinstance(x, list):
-        offset = p.alpha * _pairwise_sum(x)
+        offset = p.alpha * _fsum(x, "entry sum")
         return [t - offset for t in x]
-    return x - p.alpha * x.sum()
+    return x - p.alpha * _fsum(x.tolist(), "entry sum")
 
 
 def shift(v: VectorLike, p: ShiftParams) -> np.ndarray:
-    """Subtract alpha times the coordinate sum from every coordinate; always
-    a new array."""
-    import numpy as np
-
-    return np.array(_shifted(as_array(v), p))
+    """Subtract alpha times the coordinate sum from every coordinate."""
+    return _shifted(as_array(v), p)
 
 
 def _norm(x) -> float:
@@ -262,7 +259,16 @@ def in_positivity_cone(v: VectorLike, m: float, tol: float = DEFAULT_TOL) -> Con
     if norm == 0.0:
         return _membership(0.0, "zero_vector", tol)
     c0 = partial_sum_batch(sorted(x), m)
-    return _membership(c0 / (float(m) * norm), f"partial_sum[m={m:g}]", tol)
+    return _membership(_positivity_margin(c0, m, norm), f"partial_sum[m={m:g}]", tol)
+
+
+def _positivity_margin(c0: float, m: float, norm: float) -> float:
+    """The P_m margin ``c0 / (m * ||v||)``; raises where ``m * ||v||`` is
+    past the float range, as ``_norm`` does where ``||v||`` is."""
+    divisor = float(m) * norm
+    if not math.isfinite(divisor):
+        raise ValueError("m times the vector norm is not a finite float")
+    return c0 / divisor
 
 
 # ---------------------------------------------------------------------------

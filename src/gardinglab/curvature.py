@@ -31,9 +31,11 @@ square roots, ``math.hypot``, index gathers, sequential running sums
 second-kind operator is a sparse contraction: an off-diagonal basis element
 is a pair of index gathers, and all Helmert diagonals come from one running
 sum over the diagonal slices ``R_illj`` (and, for the Gram matrix, over
-each image's diagonal).  The scalar curvature, the operator traces of the
-identity checks and every dot product of the eigensolver are ``math.fsum``
-sums, so no order of their terms enters.
+each image's diagonal).  The scalar curvature and the operator traces of
+the identity checks are sums over one tensor or operator, so they are the
+package's correctly rounded sum, ``symfun._fsum``, which refuses a sum past
+the float range by name; the dot products of the eigensolver are
+``math.fsum`` too.  So no order of their terms enters.
 
 Spectra are the eigenvalues of ``_eigenvalues``, so the package carries no
 LAPACK dependency on this path: Householder reduction to tridiagonal form,
@@ -89,6 +91,7 @@ from operator import add, mul, sub
 from typing import TYPE_CHECKING, Optional, Union
 
 from .config import Record
+from .symfun import _fsum
 from .tables import KIND_FIRST, KIND_SECOND, Spectrum, trace_free_count, two_form_count
 
 if TYPE_CHECKING:
@@ -149,22 +152,6 @@ def _max_abs(values) -> float:
     """``np.max(np.abs(values))``: NaN if any value is NaN."""
     mags = list(map(abs, values))
     return math.nan if any(map(math.isnan, mags)) else max(mags)
-
-
-def _fsum(values, name: str) -> float:
-    """``math.fsum`` of a list of finite floats; ValueError naming ``name``
-    where the sum is past the float range.  fsum also overflows where only
-    a partial sum does, so the exact rational sum, rounded the same way,
-    decides then."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        from fractions import Fraction
-
-        try:
-            return float(sum(map(Fraction, values)))
-        except OverflowError:
-            raise ValueError(f"the {name} overflows the float range") from None
 
 
 def validate_curvature_symmetries(components, atol: float = _SYMMETRY_ATOL) -> None:
@@ -753,7 +740,7 @@ def scalar_curvature_checks(
     The traces are taken of the assembled operators, so no eigensolve runs:
     the identities test the basis normalizations of the assembly, and a
     spectrum's sum equals its operator's trace up to rounding.  The scalar
-    curvature and both traces are correctly rounded sums (``math.fsum``).
+    curvature and both traces are correctly rounded sums (``symfun._fsum``).
     ``operator`` may hand in the tensor's first- or second-kind operator,
     already assembled by ``assemble_first_kind`` or ``assemble_second_kind``;
     only the other kind is then assembled here, and the report is the same.

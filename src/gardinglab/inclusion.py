@@ -42,6 +42,7 @@ from .config import DEFAULT_TOL, Record, _check_tol
 from .cones import (
     EpsilonParams,
     _norm,
+    _positivity_margin,
     epsilon_to_params,
     in_garding_cone,
     in_shifted_cone,
@@ -50,7 +51,7 @@ from .cones import (
 from .symfun import (
     VectorLike,
     _as_floats,
-    _pairwise_sum,
+    _fsum,
     as_array,
     partial_sum_batch,
     sigma_prefix,
@@ -178,9 +179,8 @@ def dichotomy_check(
     rescaling.  The zero vector is the one closed member with ``sum(v) = 0``
     and is reported as a degenerate boundary case (rigid_m None).
     """
-    membership = in_shifted_cone(v, 2, p.shift_params, tol)
-    # The cone test has validated v; this only reads its entries.
     x = _as_floats(v)
+    membership = in_shifted_cone(x, 2, p.shift_params, tol)
     sorted_x = sorted(x)
     c0 = partial_sum_batch(sorted_x, p.m_eps)
     if not membership.member_closed:
@@ -188,7 +188,7 @@ def dichotomy_check(
     if not any(x):
         return DichotomyVerdict(case=CASE_BOUNDARY, c0=0.0, rigid_m=None)
     # Open membership in P_{m_eps}: its normalized margin exceeds tol.
-    if c0 / (p.m_eps * _norm(x)) > tol:
+    if _positivity_margin(c0, p.m_eps, _norm(x)) > tol:
         return DichotomyVerdict(case=CASE_STRICT, c0=c0)
     return DichotomyVerdict(
         case=CASE_BOUNDARY, c0=c0, rigid_m=_rigid_zero_count(sorted_x, p.m_eps, tol)
@@ -508,7 +508,7 @@ def boundary_search(N: int, epsilon: float, tol: float = DEFAULT_TOL) -> Boundar
     p = epsilon_to_params(epsilon, N)
     m = p.m_eps
     weights = [min(max(m - i, 0.0), 1.0) for i in range(N)]
-    mean = _pairwise_sum(weights) / N
+    mean = _fsum(weights, "sum of the weights") / N
     direction = [w - mean for w in weights]
     norm = _norm(direction)
     step = [p.slice_radius * d / norm for d in direction]

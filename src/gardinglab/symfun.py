@@ -66,11 +66,15 @@ Conventions used throughout the package:
   (the weight then multiplies the single smallest entry), and at integer
   ``m`` (including ``m == N``) the fractional term is dropped so that no
   out-of-range entry is ever read.  One kernel, ``partial_sum_batch``, takes
-  it over the last axis, so one sorted vector and a (B, N) batch of sorted
-  rows go through the same code and a vector gets the bits of its row.  A
-  sorted list of Python floats is summed by ``_pairwise_sum`` in numpy's
-  pairwise order (Higham, SIAM J. Sci. Comput. 14, 1993), so it gets the
-  bits of its array too.
+  it of one sorted vector, a list or a 1-d array, and over the last axis of
+  a batch of sorted rows.
+* A sum over a single vector, tensor or operator is correctly rounded
+  (``_fsum``, which is ``math.fsum``; Shewchuk, Discrete Comput. Geom. 18,
+  1997): it does not depend on the order of its terms, so a list and an
+  array of the same entries give the same bits, and a sum whose exact value
+  is past the float range raises ValueError naming it instead of becoming
+  inf.  Batches keep numpy's ``sum`` along their rows, so a vector and its
+  row in a batch agree within rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ import functools
 import math
 import sys
 from itertools import accumulate, repeat
-from operator import add, gt, mul
+from operator import gt, mul
 from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:
@@ -158,29 +162,21 @@ def _vector_entries(v: VectorLike, degree: int) -> list[float] | np.ndarray:
     return as_array(v)
 
 
-def _pairwise_sum(x: list[float]) -> float:
-    """``np.add.reduce`` of a list of floats, bit for bit.
+def _fsum(values: list[float], name: str) -> float:
+    """The correctly rounded sum of a list of finite floats (``math.fsum``),
+    +0.0 for an empty list or one of zeros; ValueError naming ``name`` where
+    the sum is past the float range.  fsum also overflows where only a
+    partial sum does, so the exact rational sum, rounded the same way,
+    decides then."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        from fractions import Fraction
 
-    numpy starts a float sum at +0.0 and adds the pairwise sum of the
-    entries: sequential below 8 entries, eight interleaved running sums up
-    to 128, and above that the sum of two halves split at a multiple of 8.
-    """
-    return 0.0 + _pairwise(x, 0, len(x))
-
-
-def _pairwise(x: list[float], start: int, n: int) -> float:
-    if n < 8:
-        return functools.reduce(add, x[start : start + n], 0.0)
-    if n <= 128:
-        end = start + n - n % 8
-        r = x[start : start + 8]
-        for i in range(start + 8, end, 8):
-            r = list(map(add, r, x[i : i + 8]))
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return functools.reduce(add, x[end : start + n], res)
-    half = n // 2
-    half -= half % 8
-    return _pairwise(x, start, half) + _pairwise(x, start + half, n - half)
+        try:
+            return float(sum(map(Fraction, values)))
+        except OverflowError:
+            raise ValueError(f"the {name} overflows the float range") from None
 
 
 def _sorted_entries(v: VectorLike) -> list[float]:
@@ -306,8 +302,8 @@ def sigma2_via_power_sums(v: VectorLike) -> float:
     x = _as_floats(v)
     if len(x) < 2:
         raise ValueError(f"need N >= 2 entries, got {len(x)}")
-    s1 = _pairwise_sum(x)
-    return (s1 * s1 - _pairwise_sum([t * t for t in x])) / 2.0
+    s1 = _fsum(x, "sum of the entries")
+    return (s1 * s1 - _fsum([t * t for t in x], "sum of the squares")) / 2.0
 
 
 def _checked_m(m: float, n: int) -> float:
@@ -341,30 +337,29 @@ def partial_sum_weights(m, n: int) -> np.ndarray:
 
 def partial_sum_batch(sorted_rows, m: float):
     """Fractional partial sum over the last axis of sorted entries: a float
-    for one sorted vector, one per row for a (B, N) batch.
+    for one sorted vector, one per row for a (..., N) batch.
 
-    A vector gives the bits of its own row in a batch: the floor(m) entries
-    are summed along the last axis in the same order either way.  A sorted
-    list of Python floats takes ``_pairwise_sum``, numpy's order, so it
-    gives the bits of its array too.
+    One vector, a list or a 1-d array, is read as Python floats and its
+    floor(m) entries are summed correctly rounded (``_fsum``), which refuses
+    a sum past the float range; a batch sums along its rows with numpy's
+    ``sum``.
     """
-    if isinstance(sorted_rows, list):
-        m = _checked_m(m, len(sorted_rows))
-        fl = math.floor(m)
-        total = _pairwise_sum(sorted_rows[:fl])
-        return total if m == fl else total + (m - fl) * sorted_rows[fl]
-    import numpy as np
+    if not isinstance(sorted_rows, list):
+        import numpy as np
 
-    rows = np.asarray(sorted_rows, dtype=float)
-    if rows.ndim < 1:
-        raise ValueError("expected a sorted vector or a (..., N) batch")
-    m = _checked_m(m, rows.shape[-1])
+        rows = np.asarray(sorted_rows, dtype=float)
+        if rows.ndim == 0:
+            raise ValueError("expected a sorted vector or a (..., N) batch")
+        if rows.ndim > 1:
+            m = _checked_m(m, rows.shape[-1])
+            fl = math.floor(m)
+            total = rows[..., :fl].sum(axis=-1)
+            return total if m == fl else total + (m - fl) * rows[..., fl]
+        sorted_rows = rows.tolist()
+    m = _checked_m(m, len(sorted_rows))
     fl = math.floor(m)
-    frac = m - fl
-    total = rows[..., :fl].sum(axis=-1)
-    if frac != 0.0:
-        total = total + frac * rows[..., fl]
-    return total
+    total = _fsum(sorted_rows[:fl], "partial sum")
+    return total if m == fl else total + (m - fl) * sorted_rows[fl]
 
 
 def normalized_partial_sum(v: VectorLike, m: float) -> float:

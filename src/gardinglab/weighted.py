@@ -19,10 +19,11 @@ The form-degree coefficients ``C_p(n) = S_p / Omega_p`` with ``S_p =
 ranges; they increase in p, with ``C_1 <= 3n/4 < C_2`` for every n >= 3.
 ``FormDegreeCoeffs`` and ``form_degree_coeff`` are defined in ``tables``,
 which loads no numpy, so the classifier reads them without this module;
-they are re-exported here as the same objects.  A spectrum is read as
-Python floats (``symfun._sorted_entries``) and its sums are
-``symfun._pairwise_sum``, numpy's order, so this module imports no numpy
-and gives the bits an array's sums give.
+they are re-exported here as the same objects.  A spectrum is read once,
+as sorted Python floats (``symfun._sorted_entries``), and its sums are
+correctly rounded (``symfun._fsum``), so a list and an array give the same
+bits, a sum past the float range is refused by name, and this module
+imports no numpy.
 """
 
 from __future__ import annotations
@@ -32,13 +33,7 @@ import numbers
 from dataclasses import dataclass
 
 from .config import DEFAULT_TOL, _check_tol
-from .symfun import (
-    VectorLike,
-    _pairwise_sum,
-    _sorted_entries,
-    normalized_partial_sum,
-    partial_sum_fractional,
-)
+from .symfun import VectorLike, _fsum, _sorted_entries, partial_sum_batch
 from .tables import FormDegreeCoeffs, form_degree_coeff, trace_free_count
 
 __all__ = [
@@ -100,7 +95,7 @@ def weighted_sup(spectrum: VectorLike, budget: WeightBudget) -> float:
     x = _budget_entries(spectrum, budget)
     q, r = _greedy_split(budget)
     n = len(x)
-    total = budget.Omega * _pairwise_sum(x[n - q :])
+    total = budget.Omega * _fsum(x[n - q :], "sum of the capped entries")
     if q < n and r > 0.0:
         total += r * x[n - q - 1]
     return total
@@ -110,7 +105,7 @@ def weighted_inf(spectrum: VectorLike, budget: WeightBudget) -> float:
     """Infimum of admissible weighted sums: cap the smallest entries."""
     x = _budget_entries(spectrum, budget)
     q, r = _greedy_split(budget)
-    total = budget.Omega * _pairwise_sum(x[:q])
+    total = budget.Omega * _fsum(x[:q], "sum of the capped entries")
     if q < len(x) and r > 0.0:
         total += r * x[q]
     return total
@@ -127,7 +122,7 @@ def anchored_lower_bound(spectrum: VectorLike, budget: WeightBudget, m: int) -> 
     n = len(x)
     if not (isinstance(m, numbers.Integral) and 1 <= m <= n):
         raise ValueError(f"m must be an integer in [1, {n}], got {m}")
-    head = budget.Omega * _pairwise_sum(x[:m])
+    head = budget.Omega * _fsum(x[:m], "sum of the first m entries")
     rest = budget.S - m * budget.Omega
     if m == n:
         if abs(rest) > 1e-12 * max(1.0, budget.S):
@@ -147,7 +142,7 @@ def budget_normalized_bound(spectrum: VectorLike, budget: WeightBudget) -> float
     if ratio < 1.0 - 1e-12:
         raise ValueError(f"S/Omega must be >= 1, got {ratio}")
     ratio = max(ratio, 1.0)
-    return budget.S * normalized_partial_sum(x, ratio)
+    return budget.S * (partial_sum_batch(x, ratio) / ratio)
 
 
 def refined_one_form_coeff(n: int) -> float:
@@ -166,7 +161,12 @@ def positivity_at_level(
     equality holds identically, evaluate True.
     """
     _check_tol(tol)
-    lhs = partial_sum_fractional(spectrum, m)
+    return _reaches_level(_sorted_entries(spectrum), m, level, tol)
+
+
+def _reaches_level(x: list[float], m: float, level: float, tol: float) -> bool:
+    """``positivity_at_level`` of sorted floats, with tol already checked."""
+    lhs = partial_sum_batch(x, m)
     rhs = float(m) * float(level)
     return lhs >= rhs - tol * (1.0 + abs(rhs))
 
@@ -185,7 +185,9 @@ def form_degree_positivity(
 ) -> bool:
     """C_p-level positivity test for a trace-free-operator spectrum."""
     x = _trace_free_entries(spectrum, n)
-    return positivity_at_level(x, form_degree_coeff(n, p).coeff, kappa, tol)
+    coeff = form_degree_coeff(n, p).coeff
+    _check_tol(tol)
+    return _reaches_level(x, coeff, kappa, tol)
 
 
 def bulk_positivity(
@@ -193,4 +195,5 @@ def bulk_positivity(
 ) -> bool:
     """3n/4-level positivity test for a trace-free-operator spectrum."""
     x = _trace_free_entries(spectrum, n)
-    return positivity_at_level(x, 3.0 * n / 4.0, kappa, tol)
+    _check_tol(tol)
+    return _reaches_level(x, 3.0 * n / 4.0, kappa, tol)

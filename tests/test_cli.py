@@ -232,6 +232,13 @@ class TestConeTestCommand:
         assert code == 0
         assert json.loads(out)["margin"] == in_garding_cone([1e308] * 3, 2).margin
 
+    def test_m_test_of_a_vector_whose_partial_sum_overflows(self, capsys, vec_file):
+        # It printed "margin": NaN, which is not JSON, and exited 2.
+        argv = ("--format", "machine", "cone-test", vec_file("v", "1e308,1e308,1e308"), "--m", "2")
+        assert run_cli(capsys, *argv) == (
+            64, "", "gardinglab: the partial sum overflows the float range\n"
+        )
+
     def test_usage_error(self, capsys, vec_file):
         code, _, err = run_cli(capsys, "cone-test", vec_file("v", "1,2"))
         assert code == 64

@@ -174,6 +174,21 @@ class TestPositivityCone:
         assert in_positivity_cone(v, 3).member_open
         assert not in_positivity_cone(v, 2).member_closed
 
+    def test_divisor_past_float_max_raises(self):
+        # The norm, 1.37e308, and the partial sum are finite and m * ||v|| is
+        # not: dividing by it would read margin 0, a closed member only.
+        # Scaled by 1e-308 the vector is an open member with margin 0.146.
+        v = [-0.5e308, 0.9e308, 0.9e308]
+        assert in_positivity_cone([1e-308 * t for t in v], 2).member_open
+        with pytest.raises(ValueError, match="^m times the vector norm is not a finite float$"):
+            in_positivity_cone(v, 2)
+
+    def test_partial_sum_past_float_max_raises(self):
+        # An all-positive vector whose partial sum overflows: inf / inf was
+        # a NaN margin.
+        with pytest.raises(ValueError, match="^the partial sum overflows the float range$"):
+            in_positivity_cone([1e308] * 3, 2)
+
     def test_monotone_in_m(self):
         rng = np.random.default_rng(43)
         for _ in range(200):

@@ -223,6 +223,16 @@ class TestDichotomy:
             assert verdict.case == CASE_BOUNDARY
             assert verdict.rigid_m == m
 
+    def test_divisor_past_float_max_raises(self):
+        # A closed member whose sum, norm and c0 are finite but whose
+        # m_eps * ||v|| (8.79 * 5.4e307) is not: it read margin 0, a
+        # boundary case, instead of the strict case of the same vector at
+        # scale 1.
+        p = epsilon_to_params(0.9, 10)
+        assert dichotomy_check([1.7] * 10, p).case == CASE_STRICT
+        with pytest.raises(ValueError, match="^m times the vector norm is not a finite float$"):
+            dichotomy_check([1.7e307] * 10, p)
+
     @pytest.mark.parametrize("t", [1e-300, 1e-12, 1e-10, 1e-8, 1.0, 1e10, 1e300])
     def test_rigid_pattern_at_every_scale(self, t):
         # An absolute tolerance below scale 1 used to lose the pattern.

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gardinglab.symfun import (
     _FLOAT_ENTRIES,
     _as_floats,
     _degree_factors,
-    _pairwise_sum,
+    _fsum,
     _vector_entries,
     as_array,
     elementary_symmetric,
@@ -180,7 +181,7 @@ class TestPartialSums:
             v = np.sort(rng.normal(size=n))
             m = float(rng.choice([rng.uniform(0.01, n), rng.integers(1, n + 1)]))
             fl = math.floor(m)
-            want = float(v[:fl].sum())
+            want = float(sum(map(Fraction, v[:fl].tolist())))
             if m != fl:
                 want += (m - fl) * float(v[fl])
             assert partial_sum_fractional(v, m) == want
@@ -281,7 +282,7 @@ class TestSingleVectorKernels:
                         assert not any(math.copysign(1.0, t) < 0 for t in got if t == 0.0)
 
     @pytest.mark.parametrize("n", [*range(0, 301), 1000, 4097])
-    def test_pairwise_sum_matches_add_reduce(self, n):
+    def test_fsum_is_the_exactly_rounded_sum(self, n):
         rng = np.random.default_rng(n)
         magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, size=n)
         cases = [
@@ -295,11 +296,22 @@ class TestSingleVectorKernels:
         mixed[rng.random(n) < 0.2] = 0.0
         mixed[rng.random(n) < 0.2] = -0.0
         cases.append(mixed)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for x in cases:
-                got = _pairwise_sum(x.tolist())
-                assert type(got) is float
-                assert _bits(got) == _bits(np.add.reduce(x)), n
+        for x in cases:
+            got = _fsum(x.tolist(), "sum")
+            assert type(got) is float
+            # A sum of zeros alone, -0.0 included, is +0.0, as numpy's is.
+            assert _bits(got) == _bits(float(sum(map(Fraction, x.tolist())))), n
+
+    def test_sigma2_sums_past_float_max_are_refused_by_name(self):
+        with pytest.raises(ValueError, match="^the sum of the entries overflows the float range$"):
+            sigma2_via_power_sums([1e308, 1e308])
+
+    def test_fsum_of_negative_zeros_and_past_the_float_range(self):
+        assert _bits(_fsum([-0.0, -0.0], "sum")) == _bits(0.0)
+        # Only a partial sum overflows: the exact sum is rounded.
+        assert _fsum([1e308, 1e308, -1e308], "sum") == 1e308
+        with pytest.raises(ValueError, match="^the entry sum overflows the float range$"):
+            _fsum([1e308, 1e308, -1e307], "entry sum")
 
     def test_partial_sum_of_a_float_list_matches_its_array(self):
         rng = np.random.default_rng(79)
@@ -336,25 +348,32 @@ class TestSingleVectorKernels:
                 assert _bits(_degree_factors(n, True)[:k, 0]) == _bits(fresh)
             assert _bits(_degree_factors(n, False)) == _bits(np.ones(n))
 
-    def test_partial_sum_of_a_vector_matches_its_batch_row(self):
+    def test_partial_sum_of_a_vector_is_near_its_batch_row(self):
+        # A batch row is the row of a (1, N) batch bit for bit; a vector is
+        # its correctly rounded sum, within N * eps * sum|x| of the row.
         rng = np.random.default_rng(47)
+        eps = np.finfo(float).eps
         for n, v in _oracle_vectors(53):
             sorted_v = np.sort(v)
             batch = np.stack([sorted_v, np.sort(rng.normal(size=n)), sorted_v[::-1].copy()])
             ms = {float(n), 1.0, float(rng.integers(1, n + 1)), float(rng.uniform(0.01, n))}
-            with np.errstate(over="ignore", invalid="ignore"):
-                for m in sorted(ms):
-                    got = partial_sum_batch(sorted_v, m)
-                    assert np.ndim(got) == 0
-                    assert _bits(got) == _bits(partial_sum_as_batch_row(sorted_v, m)), (n, m)
-                    assert _bits(got) == _bits(partial_sum_batch(batch, m)[0])
-                    assert _bits(partial_sum_fractional(sorted_v, m)) == _bits(got)
+            bound = n * eps * math.fsum(map(abs, sorted_v.tolist()))
+            for m in sorted(ms):
+                rows = partial_sum_batch(batch, m)
+                for row, got in zip(batch, rows):
+                    assert _bits(got) == _bits(partial_sum_as_batch_row(row, m)), (n, m)
+                got = partial_sum_batch(sorted_v, m)
+                assert type(got) is float
+                assert abs(got - rows[0]) <= bound, (n, m)
+                assert _bits(partial_sum_fractional(sorted_v, m)) == _bits(got)
 
     def test_partial_sum_reduces_the_last_axis(self):
         rows = np.sort(np.random.default_rng(59).normal(size=(3, 4, 9)), axis=-1)
         got = partial_sum_batch(rows, 4.5)
         assert got.shape == (3, 4)
-        assert _bits(got) == _bits([[partial_sum_batch(r, 4.5) for r in block] for block in rows])
+        assert _bits(got) == _bits([partial_sum_batch(block, 4.5) for block in rows])
+        vectors = [[partial_sum_batch(r, 4.5) for r in block] for block in rows]
+        assert np.abs(got - vectors).max() <= 9 * np.finfo(float).eps * np.abs(rows).sum()
         with pytest.raises(ValueError):
             partial_sum_batch(np.float64(1.0), 1.0)
 

@@ -76,6 +76,18 @@ class TestWeightedExtremes:
         with pytest.raises(ValueError):
             _budget(1.0, 4.0, 3)
 
+    def test_sums_past_float_max_are_refused_by_name(self):
+        spec, b = [1e308] * 3, _budget(1.0, 2.0, 3)
+        for fn in (weighted_sup, weighted_inf):
+            with pytest.raises(ValueError, match="^the sum of the capped entries overflows"):
+                fn(spec, b)
+        with pytest.raises(ValueError, match="^the sum of the first m entries overflows"):
+            anchored_lower_bound(spec, b, 2)
+        with pytest.raises(ValueError, match="^the partial sum overflows"):
+            budget_normalized_bound(spec, b)
+        # Only a partial sum overflows: the exact sum is rounded.
+        assert weighted_sup([-1e308, 1e308, 1e308], _budget(1.0, 3.0, 3)) == 1e308
+
     def test_full_budget(self):
         spec = (0.0, 1.0, 2.0)
         b = _budget(1.0, 3.0, 3)
