@@ -32,10 +32,9 @@ second-kind operator is a sparse contraction: an off-diagonal basis element
 is a pair of index gathers, and all Helmert diagonals come from one running
 sum over the diagonal slices ``R_illj`` (and, for the Gram matrix, over
 each image's diagonal).  The scalar curvature and the operator traces of
-the identity checks are sums over one tensor or operator, so they are the
-package's correctly rounded sum, ``symfun._fsum``, which refuses a sum past
-the float range by name; the dot products of the eigensolver are
-``math.fsum`` too.  So no order of their terms enters.
+the identity checks are ``symfun._fsum`` sums, and every dot product of the
+eigensolver is a ``math.fsum``: all are correctly rounded, so no order of
+their terms enters.
 
 Spectra are the eigenvalues of ``_eigenvalues``, so the package carries no
 LAPACK dependency on this path: Householder reduction to tridiagonal form,

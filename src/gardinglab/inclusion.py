@@ -41,17 +41,18 @@ from typing import TYPE_CHECKING, Optional
 from .config import DEFAULT_TOL, Record, _check_tol
 from .cones import (
     EpsilonParams,
+    _garding_membership,
     _norm,
     _positivity_margin,
+    _shifted,
     epsilon_to_params,
     in_garding_cone,
-    in_shifted_cone,
     positivity_margins_batch,
 )
 from .symfun import (
     VectorLike,
-    _as_floats,
     _fsum,
+    _vector_entries,
     as_array,
     partial_sum_batch,
     sigma_prefix,
@@ -179,8 +180,10 @@ def dichotomy_check(
     rescaling.  The zero vector is the one closed member with ``sum(v) = 0``
     and is reported as a degenerate boundary case (rigid_m None).
     """
-    x = _as_floats(v)
-    membership = in_shifted_cone(x, 2, p.shift_params, tol)
+    # v is read once: in_shifted_cone's G_2 test and the sort share its entries.
+    entries = _vector_entries(v, 2)
+    membership = _garding_membership(_shifted(entries, p.shift_params), 2, tol)
+    x = entries if isinstance(entries, list) else entries.tolist()
     sorted_x = sorted(x)
     c0 = partial_sum_batch(sorted_x, p.m_eps)
     if not membership.member_closed:

@@ -69,12 +69,11 @@ Conventions used throughout the package:
   it of one sorted vector, a list or a 1-d array, and over the last axis of
   a batch of sorted rows.
 * A sum over a single vector, tensor or operator is correctly rounded
-  (``_fsum``, which is ``math.fsum``; Shewchuk, Discrete Comput. Geom. 18,
-  1997): it does not depend on the order of its terms, so a list and an
-  array of the same entries give the same bits, and a sum whose exact value
-  is past the float range raises ValueError naming it instead of becoming
-  inf.  Batches keep numpy's ``sum`` along their rows, so a vector and its
-  row in a batch agree within rounding, not bit for bit.
+  (``_fsum``, ``math.fsum``; Shewchuk, Discrete Comput. Geom. 18, 1997), so
+  it does not depend on the order of its terms: a list and an array of the
+  same entries give the same bits, and a sum past the float range raises
+  ValueError naming it.  Batches keep numpy's ``sum`` along their rows, so
+  a vector and its row in a batch agree within rounding, not bit for bit.
 """
 
 from __future__ import annotations
