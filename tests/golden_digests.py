@@ -53,13 +53,12 @@ def report_moved_lines(golden: Path, lines: dict) -> None:
     saved = golden.with_suffix(".lines.json")
     old = json.loads(saved.read_text(encoding="utf-8")) if saved.exists() else None
     new = {case: _line_hashes(case_lines) for case, case_lines in lines.items()}
-    for case in sorted(new):
-        if old is None:
-            continue
-        before, after = old.get(case, []), new[case]
-        moved = sum(a != b for a, b in zip(before, after)) + abs(len(before) - len(after))
-        if moved:
-            print(f"moved: {case}: {moved} of {len(after)} lines")
     if old is None:
         print(f"no saved lines at {saved.name}: moved lines are counted from the next --write")
+    else:
+        for case in sorted(new):
+            before, after = old.get(case, []), new[case]
+            moved = sum(a != b for a, b in zip(before, after)) + abs(len(before) - len(after))
+            if moved:
+                print(f"moved: {case}: {moved} of {len(after)} lines")
     saved.write_text(json.dumps(new, sort_keys=True) + "\n", encoding="utf-8")

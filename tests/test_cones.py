@@ -53,9 +53,12 @@ class TestShift:
     @pytest.mark.parametrize("v", [[1e308] * 3, np.full(20, 1e307)])
     def test_zero_alpha_skips_an_overflowing_sum(self, v):
         # The entry sum is past the float range and the norm is not: the
-        # unshifted test is the G_k test, with no 0 * inf in it.
+        # unshifted test is the G_k test, with no 0 * inf in it, and a
+        # shifted test refuses the sum by name.
         got = in_shifted_cone(v, 2, ShiftParams(alpha=0.0, N=len(v)))
         assert got == in_garding_cone(v, 2) and got.member_open
+        with pytest.raises(ValueError, match="^the entry sum overflows the float range$"):
+            in_shifted_cone(v, 2, ShiftParams(alpha=0.01, N=len(v)))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -161,6 +161,12 @@ class TestSigma2PowerSums:
         with pytest.raises(ValueError):
             sigma2_via_power_sums([1.0])
 
+    def test_sums_past_float_max_are_refused_by_name(self):
+        with pytest.raises(ValueError, match="^the sum of the entries overflows the float range$"):
+            sigma2_via_power_sums([1e308, 1e308])
+        with pytest.raises(ValueError, match="^the sum of the squares overflows the float range$"):
+            sigma2_via_power_sums([1e154] * 3)
+
 
 class TestPartialSums:
     @pytest.mark.parametrize(
@@ -301,10 +307,6 @@ class TestSingleVectorKernels:
             assert type(got) is float
             # A sum of zeros alone, -0.0 included, is +0.0, as numpy's is.
             assert _bits(got) == _bits(float(sum(map(Fraction, x.tolist())))), n
-
-    def test_sigma2_sums_past_float_max_are_refused_by_name(self):
-        with pytest.raises(ValueError, match="^the sum of the entries overflows the float range$"):
-            sigma2_via_power_sums([1e308, 1e308])
 
     def test_fsum_of_negative_zeros_and_past_the_float_range(self):
         assert _bits(_fsum([-0.0, -0.0], "sum")) == _bits(0.0)
