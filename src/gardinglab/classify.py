@@ -22,7 +22,6 @@ up to 900 000 entries (``symfun._FLOAT_WORK`` at k = 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .config import DEFAULT_TOL, Record
@@ -70,47 +69,50 @@ VERDICT_NONE = "none"
 _THRESHOLD_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BettiRange(Record):
+class BettiRange(Record, frozen=True):
     """Inclusive vanishing range [lo, hi] and the rule that produced it."""
 
-    lo: int
-    hi: int
-    rule: str
-    bound_lhs: float
-    bound_rhs: float
+    def __init__(self, lo: int, hi: int, rule: str, bound_lhs: float, bound_rhs: float) -> None:
+        self.__dict__.update(lo=lo, hi=hi, rule=rule, bound_lhs=bound_lhs, bound_rhs=bound_rhs)
 
 
-@dataclass(frozen=True)
-class VerdictRecord(Record):
+class VerdictRecord(Record, frozen=True):
     """One verdict label plus the checked inequality with numeric sides."""
 
-    verdict: str
-    rule: str
-    inequality: str
-    lhs: float
-    rhs: float
-    holds: bool
+    def __init__(
+        self, verdict: str, rule: str, inequality: str, lhs: float, rhs: float, holds: bool
+    ) -> None:
+        self.__dict__.update(
+            verdict=verdict, rule=rule, inequality=inequality, lhs=lhs, rhs=rhs, holds=holds
+        )
 
 
-@dataclass
 class ClassificationReport(Record):
     """Everything a verdict rests on: membership, positivity, ranges, labels."""
 
     record_tag = "classification"
 
-    kind: str
-    n: int
-    N: int
-    epsilon: float
-    alpha: float
-    m_eps: float
-    membership: ConeMembership
-    m_positive: Optional[bool] = None
-    m_positivity_margin: Optional[float] = None
-    betti_zero_ranges: list = field(default_factory=list)
-    verdicts: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        N: int,
+        epsilon: float,
+        alpha: float,
+        m_eps: float,
+        membership: ConeMembership,
+        m_positive: Optional[bool] = None,
+        m_positivity_margin: Optional[float] = None,
+        betti_zero_ranges: Optional[list] = None,
+        verdicts: Optional[list] = None,
+        notes: Optional[list] = None,
+    ) -> None:
+        self.kind, self.n, self.N = kind, n, N
+        self.epsilon, self.alpha, self.m_eps, self.membership = epsilon, alpha, m_eps, membership
+        self.m_positive, self.m_positivity_margin = m_positive, m_positivity_margin
+        self.betti_zero_ranges = [] if betti_zero_ranges is None else betti_zero_ranges
+        self.verdicts = [] if verdicts is None else verdicts
+        self.notes = [] if notes is None else notes
 
     @property
     def has_verdict(self) -> bool:

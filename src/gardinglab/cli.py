@@ -24,8 +24,11 @@ keys, so equal configurations and seeds reproduce byte-identical output.
 
 Start-up: the module level imports the standard library and ``config``
 alone, and each handler imports what it runs when it is called, after its
-usage checks.  ``thresholds``, ``classify`` and every usage error run
-without numpy, and so do ``cone-test`` with ``--m``, with ``--k`` up to
+usage checks.  Records are plain ``config.Record`` classes and only
+``cones`` imports ``dataclasses`` (and so ``inspect``): ``thresholds``,
+``model-space`` up to dimension 12 and every usage or parse error load
+neither.  ``thresholds``, ``classify`` and every usage error run without
+numpy, and so do ``cone-test`` with ``--m``, with ``--k`` up to
 N*k = 1.8 million, and ``model-space`` up to dimension 12.  ``cone-test``
 loads ``io`` and reads its vector file with ``io.read_vector_file``, a list
 of Python floats, so a missing, malformed or non-finite file exits 65, and

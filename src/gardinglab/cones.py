@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from .config import DEFAULT_TOL, Record, _check_tol
 from .symfun import (
@@ -99,20 +99,20 @@ class ConeMembership(Record):
     tol: float = DEFAULT_TOL
 
 
-@dataclass(frozen=True)
-class ShiftParams:
+# A dataclass still, for ``bench/selftest.py``'s ``dataclasses.replace``.
+ConeMembership._fields = tuple(ConeMembership.__dataclass_fields__)
+
+
+class ShiftParams(Record, frozen=True):
     """Shift weight alpha in [0, 1/N) for vectors of length N."""
 
-    alpha: float
-    N: int
-
-    def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if not 0.0 <= self.alpha < 1.0 / self.N:
-            raise ValueError(
-                f"alpha must lie in [0, 1/{self.N}), got {self.alpha}"
-            )
+    def __init__(self, alpha: float, N: int) -> None:
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
+        if not 0.0 <= alpha < 1.0 / N:
+            raise ValueError(f"alpha must lie in [0, 1/{N}), got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "N", N)
 
 
 def _resolvable_alpha(epsilon: float, N: int) -> float:
@@ -129,20 +129,18 @@ def _resolvable_alpha(epsilon: float, N: int) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
-class EpsilonParams:
+class EpsilonParams(Record, frozen=True):
     """(eps, alpha_eps, m_eps, N) bundle tying a shift to its positivity index."""
 
-    epsilon: float
-    N: int
-    alpha_eps: float
-    m_eps: float
-
-    def __post_init__(self) -> None:
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+    def __init__(self, epsilon: float, N: int, alpha_eps: float, m_eps: float) -> None:
+        if N < 2:
+            raise ValueError(f"N must be >= 2, got {N}")
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "alpha_eps", alpha_eps)
+        object.__setattr__(self, "m_eps", m_eps)
 
     @functools.cached_property
     def shift_params(self) -> ShiftParams:
@@ -329,7 +327,6 @@ def _sorted_positivity_margins(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class NestingReport(Record):
     """Sampled verification of the cone nesting chains.
 
@@ -341,12 +338,12 @@ class NestingReport(Record):
 
     record_tag = "nesting_check"
 
-    N: int
-    samples: int
-    seed: int
-    tol: float
-    checks: int = 0
-    violations: list = field(default_factory=list)
+    def __init__(
+        self, N: int, samples: int, seed: int, tol: float, checks: int = 0,
+        violations: Optional[list] = None,
+    ) -> None:
+        self.N, self.samples, self.seed, self.tol, self.checks = N, samples, seed, tol, checks
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

@@ -6,20 +6,19 @@ resolving a configuration: explicit overrides (CLI flags) beat the JSON file
 named by the ``GARDINGLAB_CONFIG`` environment variable, which beats the
 built-in defaults.
 
-The module also holds what every other module shares without numpy: the
-``Record`` mixin, ``VectorParseError``, which the CLI maps to exit 65
-without importing ``io``, and ``_check_tol``, the tolerance check of every
-library function (``RunConfig`` wants a positive one).
+The module also holds what every other module shares without numpy:
+``Record``, the base of the library's value and report classes,
+``VectorParseError``, which the CLI maps to exit 65 without importing
+``io``, and ``_check_tol``, the tolerance check of every library function
+(``RunConfig`` wants a positive one).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 __all__ = [
@@ -57,25 +56,62 @@ class VectorParseError(ValueError):
         self.line = line
 
 
-class Record:
-    """Mixin giving a report dataclass its ``to_record()`` from its fields.
+def _refuse_assignment(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
 
-    The class-level ``record_tag``, when set, leads the record as
-    ``"record"`` and an ``ok`` property closes it.  ``violations`` keeps its
-    first 10 entries, nested records and sequences are converted, and fields
-    declared with ``metadata={"record": False}`` are left out.
+
+class Record:
+    """Base of the value and report classes: a subclass writes its own
+    ``__init__``, whose positional parameters are its fields, in order
+    (``_fields``, read at class creation); keyword-only ones are not fields.
+    ``frozen=True`` refuses assignment after ``__init__``, which stores
+    through ``self.__dict__``, or through ``object.__setattr__`` in classes
+    built per call, as a ``__dict__`` costs a dict per instance.  Equality
+    compares the fields, and only frozen classes hash; ``eq=False`` keeps
+    identity for both.  ``to_record()`` gives the fields in order, led by
+    ``"record"`` when ``record_tag`` is set and closed by an ``ok``
+    property; ``violations`` keeps its first 10 entries, and nested records
+    and sequences are converted.
     """
 
     record_tag: ClassVar[Optional[str]] = None
+    _fields: ClassVar[tuple] = ()
+
+    def __init_subclass__(cls, frozen: bool = False, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        init = cls.__dict__.get("__init__")
+        if init is None:  # a dataclass, which generates its own methods
+            return
+        cls._fields = init.__code__.co_varnames[1 : init.__code__.co_argcount]
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse_assignment
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        elif not frozen:
+            cls.__hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def to_record(self) -> dict:
         record = {} if self.record_tag is None else {"record": self.record_tag}
-        for f in dataclasses.fields(self):
-            if f.metadata.get("record", True):
-                value = getattr(self, f.name)
-                if f.name == "violations":
-                    value = value[:_MAX_RECORDED_VIOLATIONS]
-                record[f.name] = _record_value(value)
+        for name in self._fields:
+            value = getattr(self, name)
+            if name == "violations":
+                value = value[:_MAX_RECORDED_VIOLATIONS]
+            record[name] = _record_value(value)
         if isinstance(getattr(type(self), "ok", None), property):
             record["ok"] = self.ok
         return record
@@ -89,35 +125,29 @@ def _record_value(value):
     return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record, frozen=True):
     """Knobs for reproducible runs: one tolerance, one seed, fixed budgets."""
 
-    tol: float = DEFAULT_TOL
-    seed: int = DEFAULT_SEED
-    samples: int = DEFAULT_SAMPLES
-    output_format: str = "human"
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        tol: float = DEFAULT_TOL,
+        seed: int = DEFAULT_SEED,
+        samples: int = DEFAULT_SAMPLES,
+        output_format: str = "human",
+    ) -> None:
         # Values may come from a JSON file, so types are checked, not assumed;
         # bool is an int subclass and is refused explicitly.
-        tol = self.tol
         real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
         if not (real and 0 < tol < math.inf):
             raise ValueError(f"tol must be a finite positive number, got {tol!r}")
-        for name in ("seed", "samples"):
-            value = getattr(self, name)
+        for name, value in (("seed", seed), ("samples", samples)):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.samples < 0:
-            raise ValueError(f"samples must be >= 0, got {self.samples}")
-        if self.output_format not in _FORMATS:
-            raise ValueError(
-                f"output_format must be one of {_FORMATS}, got {self.output_format!r}"
-            )
-
-
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(RunConfig))
+        if samples < 0:
+            raise ValueError(f"samples must be >= 0, got {samples}")
+        if output_format not in _FORMATS:
+            raise ValueError(f"output_format must be one of {_FORMATS}, got {output_format!r}")
+        self.__dict__.update(tol=tol, seed=seed, samples=samples, output_format=output_format)
 
 
 def load_config(overrides: dict | None = None, env: dict | None = None) -> RunConfig:
@@ -137,12 +167,12 @@ def load_config(overrides: dict | None = None, env: dict | None = None) -> RunCo
                 raise ValueError(f"config file {path}: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ValueError(f"config file {path}: expected a JSON object")
-        unknown = set(data) - set(_FIELD_NAMES)
+        unknown = set(data) - set(RunConfig._fields)
         if unknown:
             raise ValueError(f"config file {path}: unknown keys {sorted(unknown)}")
         values.update(data)
     if overrides:
-        unknown = set(overrides) - set(_FIELD_NAMES)
+        unknown = set(overrides) - set(RunConfig._fields)
         if unknown:
             raise ValueError(f"unknown config overrides {sorted(unknown)}")
         values.update({k: v for k, v in overrides.items() if v is not None})

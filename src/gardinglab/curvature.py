@@ -85,7 +85,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -172,8 +171,7 @@ def validate_curvature_symmetries(components, atol: float = _SYMMETRY_ATOL) -> N
         raise ValueError(f"curvature symmetries violated beyond {atol}: {bad}")
 
 
-@dataclass(frozen=True, eq=False)
-class CurvatureTensor:
+class CurvatureTensor(Record, frozen=True, eq=False):
     """Dense curvature tensor over an orthonormal frame in dimension n >= 3.
 
     ``components`` is a read-only (n, n, n, n) float array, or, for a tensor
@@ -184,8 +182,8 @@ class CurvatureTensor:
     ``Spectrum``, equality is identity and instances hash by identity.
     """
 
-    n: int
-    components: Union[tuple, "np.ndarray"]
+    def __init__(self, n: int, components: Union[tuple, "np.ndarray"]) -> None:
+        self.__dict__.update(n=n, components=components)
 
     @classmethod
     def from_components(cls, components) -> "CurvatureTensor":
@@ -237,8 +235,7 @@ def _float_rows(entries) -> tuple:
     raise ValueError(f"expected a square matrix, got shape {tuple(shape)}")
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
+class OperatorMatrix(Record, frozen=True, eq=False):
     """Dense symmetric operator matrix with its kind tag.
 
     ``entries`` is a tuple of row tuples of Python floats, or, for an
@@ -250,9 +247,8 @@ class OperatorMatrix:
     their rows through ``_symmetrized``.
     """
 
-    N: int
-    entries: Union[tuple, "np.ndarray"]
-    kind: str
+    def __init__(self, N: int, entries: Union[tuple, "np.ndarray"], kind: str) -> None:
+        self.__dict__.update(N=N, entries=entries, kind=kind)
 
     @classmethod
     def from_entries(cls, entries, kind: str = KIND_GENERIC) -> "OperatorMatrix":
@@ -701,20 +697,28 @@ def eigen_spectrum(matrix: OperatorMatrix) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurvatureIdentityReport(Record):
+class CurvatureIdentityReport(Record, frozen=True):
     """Both trace expressions of the scalar curvature, checked."""
 
     record_tag = "scalar_curvature_checks"
 
-    n: int
-    scalar_curvature: float
-    first_kind_sum: float
-    second_kind_sum: float
-    first_kind_rel_err: float
-    second_kind_rel_err: float
-    first_kind_ok: bool
-    second_kind_ok: bool
+    def __init__(
+        self,
+        n: int,
+        scalar_curvature: float,
+        first_kind_sum: float,
+        second_kind_sum: float,
+        first_kind_rel_err: float,
+        second_kind_rel_err: float,
+        first_kind_ok: bool,
+        second_kind_ok: bool,
+    ) -> None:
+        self.__dict__.update(
+            n=n, scalar_curvature=scalar_curvature, first_kind_sum=first_kind_sum,
+            second_kind_sum=second_kind_sum, first_kind_rel_err=first_kind_rel_err,
+            second_kind_rel_err=second_kind_rel_err, first_kind_ok=first_kind_ok,
+            second_kind_ok=second_kind_ok,
+        )
 
     @property
     def ok(self) -> bool:

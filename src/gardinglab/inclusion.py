@@ -35,7 +35,6 @@ module loads none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .config import DEFAULT_TOL, Record, _check_tol
@@ -130,8 +129,7 @@ def shift_identity_residual(v: VectorLike, p: EpsilonParams) -> float:
     return (lhs - rhs) * norm * norm
 
 
-@dataclass(frozen=True)
-class DichotomyVerdict(Record):
+class DichotomyVerdict(Record, frozen=True):
     """Classification of a vector against the inclusion dichotomy.
 
     ``case`` is one of strict_positive, boundary_rigid, not_member.  ``c0``
@@ -141,9 +139,10 @@ class DichotomyVerdict(Record):
     pattern could not be confirmed at tolerance.
     """
 
-    case: str
-    c0: float
-    rigid_m: Optional[int] = None
+    def __init__(self, case: str, c0: float, rigid_m: Optional[int] = None) -> None:
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "rigid_m", rigid_m)
 
 
 def _rigid_zero_count(sorted_x: list[float], m_eps: float, tol: float) -> Optional[int]:
@@ -240,38 +239,45 @@ def _ball_slice_rows(
     return np.ascontiguousarray(head.T)
 
 
-@dataclass
 class InclusionReport(Record):
     """Outcome of sampled verification that shifted-cone members are m-positive.
 
     ``min_margin`` is the smallest normalized P_{m_eps} margin seen over the
     accepted members; any accepted member whose margin is not > 0 (NaN
-    included) is a violation.
+    included) is a violation.  ``members``, a debug aid, holds the member
+    vectors kept on request; no record, repr or comparison sees it.
     """
 
     record_tag = "verify_inclusion"
 
-    N: int
-    epsilon: float
-    alpha_eps: float
-    m_eps: float
-    seed: int
-    tol: float
-    samples_requested: int
-    method: str = "ball"
-    method_used: str = ""
-    draws: int = 0
-    accepted: int = 0
-    acceptance_rate: float = 0.0
-    min_margin: Optional[float] = None
-    violation_count: int = 0
-    violations: list = field(default_factory=list)
-    shortfall: bool = False
-    # Debug aid: the raw member vectors, kept only on request and never
-    # serialized into records.
-    members: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False, metadata={"record": False}
-    )
+    def __init__(
+        self,
+        N: int,
+        epsilon: float,
+        alpha_eps: float,
+        m_eps: float,
+        seed: int,
+        tol: float,
+        samples_requested: int,
+        method: str = "ball",
+        method_used: str = "",
+        draws: int = 0,
+        accepted: int = 0,
+        acceptance_rate: float = 0.0,
+        min_margin: Optional[float] = None,
+        violation_count: int = 0,
+        violations: Optional[list] = None,
+        shortfall: bool = False,
+        *,
+        members: Optional[np.ndarray] = None,
+    ) -> None:
+        self.N, self.epsilon, self.alpha_eps, self.m_eps = N, epsilon, alpha_eps, m_eps
+        self.seed, self.tol, self.samples_requested = seed, tol, samples_requested
+        self.method, self.method_used = method, method_used
+        self.draws, self.accepted, self.acceptance_rate = draws, accepted, acceptance_rate
+        self.min_margin, self.violation_count = min_margin, violation_count
+        self.violations = [] if violations is None else violations
+        self.shortfall, self.members = shortfall, members
 
     @property
     def ok(self) -> bool:
@@ -447,7 +453,6 @@ def boundary_minimum_closed_form(p: EpsilonParams) -> float:
     return m / p.N - p.slice_radius * math.sqrt(fl + frac * frac - m * m / p.N)
 
 
-@dataclass
 class BoundarySearchReport(Record):
     """The minimum of the m_eps-partial sum over the cone slice, and its minimizer.
 
@@ -462,16 +467,23 @@ class BoundarySearchReport(Record):
     restarts = 1
     iterations = 0
 
-    N: int
-    epsilon: float
-    m_eps: float
-    tol: float
-    min_c0: float
-    minimizer: list
-    converged: bool
-    rigid_pattern: Optional[list] = None
-    max_pattern_diff: Optional[float] = None
-    matched_rigid: Optional[bool] = None
+    def __init__(
+        self,
+        N: int,
+        epsilon: float,
+        m_eps: float,
+        tol: float,
+        min_c0: float,
+        minimizer: list,
+        converged: bool,
+        rigid_pattern: Optional[list] = None,
+        max_pattern_diff: Optional[float] = None,
+        matched_rigid: Optional[bool] = None,
+    ) -> None:
+        self.N, self.epsilon, self.m_eps, self.tol = N, epsilon, m_eps, tol
+        self.min_c0, self.minimizer, self.converged = min_c0, minimizer, converged
+        self.rigid_pattern, self.max_pattern_diff = rigid_pattern, max_pattern_diff
+        self.matched_rigid = matched_rigid
 
     @property
     def restarts_converged(self) -> int:

@@ -162,20 +162,28 @@ def _vector_entries(v: VectorLike, degree: int) -> list[float] | np.ndarray:
 
 
 def _fsum(values: list[float], name: str) -> float:
-    """The correctly rounded sum of a list of finite floats (``math.fsum``),
-    +0.0 for an empty list or one of zeros; ValueError naming ``name`` where
-    the sum is past the float range.  fsum also overflows where only a
-    partial sum does, so the exact rational sum, rounded the same way,
-    decides then."""
+    """The correctly rounded sum of a list of floats (``math.fsum``), +0.0
+    for an empty list or one of zeros; ValueError naming ``name`` where the
+    sum is past the float range, or a term already is (an overflowed
+    square, say).  fsum also overflows where only a partial sum does, so
+    the exact rational sum, rounded the same way, decides then."""
     try:
-        return math.fsum(values)
+        total = math.fsum(values)
     except OverflowError:
         from fractions import Fraction
 
         try:
-            return float(sum(map(Fraction, values)))
+            total = float(sum(map(Fraction, values)))
         except OverflowError:
-            raise ValueError(f"the {name} overflows the float range") from None
+            total = math.inf
+    return _in_range(total, name)
+
+
+def _in_range(value: float, name: str) -> float:
+    """value, refused by name where it is past the float range."""
+    if not math.isfinite(value):
+        raise ValueError(f"the {name} overflows the float range")
+    return value
 
 
 def _sorted_entries(v: VectorLike) -> list[float]:
@@ -302,7 +310,8 @@ def sigma2_via_power_sums(v: VectorLike) -> float:
     if len(x) < 2:
         raise ValueError(f"need N >= 2 entries, got {len(x)}")
     s1 = _fsum(x, "sum of the entries")
-    return (s1 * s1 - _fsum([t * t for t in x], "sum of the squares")) / 2.0
+    squares = _fsum([t * t for t in x], "sum of the squares")
+    return (_in_range(s1 * s1, "square of the sum of the entries") - squares) / 2.0
 
 
 def _checked_m(m: float, n: int) -> float:

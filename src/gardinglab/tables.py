@@ -30,7 +30,6 @@ table from here and re-export the names they held before.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .config import Record
@@ -65,8 +64,7 @@ VERDICT_CPN_COHOMOLOGY = "rational_cohomology_CPn"
 VERDICT_CPN_BIHOLOMORPHIC = "biholomorphic_CPn"
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(Record, frozen=True, eq=False):
     """Eigenvalues with the operator kind and frame dimension.
 
     ``eigenvalues`` is a tuple of Python floats, the given finite,
@@ -76,14 +74,10 @@ class Spectrum:
     hash by identity, as for the holders of ``curvature``.
     """
 
-    eigenvalues: tuple
-    kind: str
-    n: Optional[int]
-
-    def __post_init__(self) -> None:
+    def __init__(self, eigenvalues, kind: str, n: Optional[int]) -> None:
         from .symfun import _sorted_entries
 
-        object.__setattr__(self, "eigenvalues", tuple(_sorted_entries(self.eigenvalues)))
+        self.__dict__.update(eigenvalues=tuple(_sorted_entries(eigenvalues)), kind=kind, n=n)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -138,21 +132,19 @@ def cpn_biholomorphic_threshold(n: int) -> float:
     return _VERDICTS["cpn_biholomorphic"].threshold(n)
 
 
-@dataclass(frozen=True)
-class FormDegreeCoeffs:
+class FormDegreeCoeffs(Record, frozen=True):
     """Coefficient C_p = total/highest weight for degree-p forms in dim n."""
 
-    n: int
-    p: int
-    coeff: float
-    highest_weight: float
-    total_weight: float
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n}")
-        if not 1 <= self.p <= self.n // 2:
-            raise ValueError(f"p must satisfy 1 <= p <= {self.n // 2}, got {self.p}")
+    def __init__(
+        self, n: int, p: int, coeff: float, highest_weight: float, total_weight: float
+    ) -> None:
+        if n < 3:
+            raise ValueError(f"n must be >= 3, got {n}")
+        if not 1 <= p <= n // 2:
+            raise ValueError(f"p must satisfy 1 <= p <= {n // 2}, got {p}")
+        self.__dict__.update(
+            n=n, p=p, coeff=coeff, highest_weight=highest_weight, total_weight=total_weight
+        )
 
 
 def form_degree_coeff(n: int, p: int) -> FormDegreeCoeffs:
@@ -166,8 +158,7 @@ def form_degree_coeff(n: int, p: int) -> FormDegreeCoeffs:
     )
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record, frozen=True):
     """One rule: a bound on its kind's index, and what the bound gives.
 
     A Betti row gives b_lo..b_hi = 0, (lo, hi) = gives(n, index, p), when
@@ -177,16 +168,23 @@ class Rule:
     membership, whose partial sum the report names as ``said``.
     """
 
-    kind: str
-    name: str
-    gives: Union[str, Callable]
-    bound: Optional[Callable] = None
-    lower: Optional[Callable] = None
-    degrees: Callable = lambda n: (0,)
-    target: Optional[Callable] = None
-    column: str = ""
-    consequence: Optional[Callable] = None
-    said: str = ""
+    def __init__(
+        self,
+        kind: str,
+        name: str,
+        gives: Union[str, Callable],
+        bound: Optional[Callable] = None,
+        lower: Optional[Callable] = None,
+        degrees: Callable = lambda n: (0,),
+        target: Optional[Callable] = None,
+        column: str = "",
+        consequence: Optional[Callable] = None,
+        said: str = "",
+    ) -> None:
+        self.__dict__.update(
+            kind=kind, name=name, gives=gives, bound=bound, lower=lower, degrees=degrees,
+            target=target, column=column, consequence=consequence, said=said,
+        )
 
     def threshold(self, n: int) -> float:
         """The eps at which m_eps reaches target(n) = num/den; the float
@@ -223,8 +221,7 @@ RULES = (
 _VERDICTS = {rule.column: rule for rule in RULES if rule.column}
 
 
-@dataclass(frozen=True)
-class ThresholdTable(Record):
+class ThresholdTable(Record, frozen=True):
     """Per-dimension eps thresholds gating each verdict label.
 
     Real-dimension columns are None below n = 3; the two complex columns are
@@ -234,13 +231,21 @@ class ThresholdTable(Record):
 
     record_tag = "thresholds"
 
-    n: Optional[int]
-    kaehler_dim: Optional[int]
-    space_form_first: Optional[float] = None
-    space_form_second: Optional[float] = None
-    cpn_cohomology: Optional[float] = None
-    cpn_biholomorphic: Optional[float] = None
-    vacuous: tuple = ()
+    def __init__(
+        self,
+        n: Optional[int],
+        kaehler_dim: Optional[int],
+        space_form_first: Optional[float] = None,
+        space_form_second: Optional[float] = None,
+        cpn_cohomology: Optional[float] = None,
+        cpn_biholomorphic: Optional[float] = None,
+        vacuous: tuple = (),
+    ) -> None:
+        self.__dict__.update(
+            n=n, kaehler_dim=kaehler_dim, space_form_first=space_form_first,
+            space_form_second=space_form_second, cpn_cohomology=cpn_cohomology,
+            cpn_biholomorphic=cpn_biholomorphic, vacuous=vacuous,
+        )
 
 
 def thresholds(n: Optional[int], kaehler_complex_dim: Optional[int] = None) -> ThresholdTable:

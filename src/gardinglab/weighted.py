@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
-from .config import DEFAULT_TOL, _check_tol
-from .symfun import VectorLike, _fsum, _sorted_entries, partial_sum_batch
+from .config import DEFAULT_TOL, Record, _check_tol
+from .symfun import VectorLike, _fsum, _in_range, _sorted_entries, partial_sum_batch
 from .tables import FormDegreeCoeffs, form_degree_coeff, trace_free_count
 
 __all__ = [
@@ -52,25 +51,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightBudget:
+class WeightBudget(Record, frozen=True):
     """Per-weight cap Omega, total weight S, and the number of weights N."""
 
-    Omega: float
-    S: float
-    N: int
-
-    def __post_init__(self) -> None:
-        if not self.Omega > 0:
-            raise ValueError(f"Omega must be positive, got {self.Omega}")
-        if not self.S > 0:
-            raise ValueError(f"S must be positive, got {self.S}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.S > self.N * self.Omega * (1.0 + 1e-12):
-            raise ValueError(
-                f"infeasible budget: S={self.S} exceeds N*Omega={self.N * self.Omega}"
-            )
+    def __init__(self, Omega: float, S: float, N: int) -> None:
+        if not Omega > 0:
+            raise ValueError(f"Omega must be positive, got {Omega}")
+        if not S > 0:
+            raise ValueError(f"S must be positive, got {S}")
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
+        if S > N * Omega * (1.0 + 1e-12):
+            raise ValueError(f"infeasible budget: S={S} exceeds N*Omega={N * Omega}")
+        self.__dict__.update(Omega=Omega, S=S, N=N)
 
 
 def _greedy_split(budget: WeightBudget) -> tuple[int, float]:
@@ -90,14 +83,19 @@ def _budget_entries(spectrum: VectorLike, budget: WeightBudget) -> list[float]:
     return x
 
 
+def _capped_sum(entries: list[float], budget: WeightBudget, name: str) -> float:
+    """Omega times the correctly rounded sum of entries, refused by name."""
+    return _in_range(budget.Omega * _fsum(entries, name), f"{name} times Omega")
+
+
 def weighted_sup(spectrum: VectorLike, budget: WeightBudget) -> float:
     """Supremum of admissible weighted sums: cap the largest entries."""
     x = _budget_entries(spectrum, budget)
     q, r = _greedy_split(budget)
     n = len(x)
-    total = budget.Omega * _fsum(x[n - q :], "sum of the capped entries")
+    total = _capped_sum(x[n - q :], budget, "sum of the capped entries")
     if q < n and r > 0.0:
-        total += r * x[n - q - 1]
+        total = _in_range(total + r * x[n - q - 1], "weighted sum")
     return total
 
 
@@ -105,9 +103,9 @@ def weighted_inf(spectrum: VectorLike, budget: WeightBudget) -> float:
     """Infimum of admissible weighted sums: cap the smallest entries."""
     x = _budget_entries(spectrum, budget)
     q, r = _greedy_split(budget)
-    total = budget.Omega * _fsum(x[:q], "sum of the capped entries")
+    total = _capped_sum(x[:q], budget, "sum of the capped entries")
     if q < len(x) and r > 0.0:
-        total += r * x[q]
+        total = _in_range(total + r * x[q], "weighted sum")
     return total
 
 
@@ -122,13 +120,13 @@ def anchored_lower_bound(spectrum: VectorLike, budget: WeightBudget, m: int) -> 
     n = len(x)
     if not (isinstance(m, numbers.Integral) and 1 <= m <= n):
         raise ValueError(f"m must be an integer in [1, {n}], got {m}")
-    head = budget.Omega * _fsum(x[:m], "sum of the first m entries")
+    head = _capped_sum(x[:m], budget, "sum of the first m entries")
     rest = budget.S - m * budget.Omega
     if m == n:
         if abs(rest) > 1e-12 * max(1.0, budget.S):
             raise ValueError("m == N requires S == N * Omega")
         return head
-    return rest * x[m] + head
+    return _in_range(rest * x[m] + head, "anchored bound")
 
 
 def budget_normalized_bound(spectrum: VectorLike, budget: WeightBudget) -> float:

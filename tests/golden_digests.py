@@ -16,10 +16,11 @@ afterwards.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
+
+from gardinglab.config import Record
 
 
 def _float_valued(value) -> bool:
@@ -31,10 +32,9 @@ def _float_valued(value) -> bool:
 
 def without_floats(value):
     """``value`` with every float-valued field of a dict or record dropped;
-    a dataclass becomes its record, tagged with its type name."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        record = value.to_record() if hasattr(value, "to_record") else dataclasses.asdict(value)
-        return {"type": type(value).__name__, **without_floats(record)}
+    a ``Record`` becomes its record, tagged with its type name."""
+    if isinstance(value, Record):
+        return {"type": type(value).__name__, **without_floats(value.to_record())}
     if isinstance(value, dict):
         return {k: without_floats(v) for k, v in value.items() if not _float_valued(v)}
     if isinstance(value, (list, tuple)):

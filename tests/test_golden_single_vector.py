@@ -29,7 +29,6 @@ which prints, per function, how many lines moved since the last ``--write``.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -41,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from gardinglab import weighted
+from gardinglab.config import Record
 from gardinglab.inclusion import (
     boundary_search,
     dichotomy_check,
@@ -74,9 +74,8 @@ def _encode(value):
         return {key: _encode(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_encode(item) for item in value]
-    if dataclasses.is_dataclass(value):
-        record = value.to_record() if hasattr(value, "to_record") else dataclasses.asdict(value)
-        return {"type": type(value).__name__, **_encode(record)}
+    if isinstance(value, Record):
+        return {"type": type(value).__name__, **_encode(value.to_record())}
     return {"type": type(value).__name__, "value": _encode(float(value))}
 
 

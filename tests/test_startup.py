@@ -53,6 +53,11 @@ def _submodules(modules):
     return {m for m in modules if m.startswith("gardinglab.")}
 
 
+# What ``dataclasses`` loads: the runs below that need no ``cones`` build
+# their records without either.
+_DATACLASS_MODULES = {"dataclasses", "inspect"}
+
+
 def test_import_loads_no_submodule_and_no_numpy():
     # An unknown name is looked up in the export table alone.
     code, modules = _loaded("import gardinglab\ncode = hasattr(gardinglab, 'no_such_name')")
@@ -74,6 +79,7 @@ def test_thresholds_and_usage_errors_run_without_numpy(argv, expected_code):
     code, modules = _loaded(_RUN_CLI, *argv)
     assert code == expected_code
     assert "numpy" not in modules
+    assert not modules & _DATACLASS_MODULES
     assert _submodules(modules) <= {"gardinglab.cli", "gardinglab.config", "gardinglab.tables"}
 
 
@@ -159,6 +165,7 @@ def test_read_vector_file_gives_python_floats_without_numpy(tmp_path):
     )
     assert code == ["list", ["float"] * 3, [0.5, 1e-3, 2.0]]
     assert "numpy" not in modules
+    assert not modules & _DATACLASS_MODULES
     assert _submodules(modules) == {"gardinglab.config", "gardinglab.io"}
 
 
@@ -276,6 +283,7 @@ def test_golden_model_space_runs_without_numpy(tmp_path, monkeypatch, argv):
         stdout += f"> spec.csv\n{spec.read_text(encoding='utf-8')}"
     assert (code, stdout) == _golden_runs()[" ".join(argv)]
     assert "numpy" not in modules
+    assert not modules & _DATACLASS_MODULES
     loaded = set() if code == 64 else {"io", "tables", "curvature", "symfun"}
     assert _submodules(modules) == {f"gardinglab.{m}" for m in {"cli", "config", *loaded}}
 
@@ -332,6 +340,7 @@ def test_model_space_past_the_float_bounds_loads_numpy(
     body = _CAPTURE_CLI if loads_numpy else _RUN_CLI_WITHOUT_NUMPY
     (code, stdout, _), modules = _loaded(body, *argv, cwd=tmp_path)
     assert ("numpy" in modules) == loads_numpy
+    assert loads_numpy or not modules & _DATACLASS_MODULES
     assert cli.main(argv) == code == 0
     assert capsys.readouterr().out == stdout
 
@@ -353,6 +362,7 @@ def test_unreadable_vector_file_exits_65_without_numpy(tmp_path, content, comman
     code, modules = _loaded(_RUN_CLI, *argv)
     assert code == 65
     assert "numpy" not in modules
+    assert not modules & _DATACLASS_MODULES
     assert _submodules(modules) <= {"gardinglab.cli", "gardinglab.config", "gardinglab.io"}
 
 
@@ -363,6 +373,7 @@ def test_wrong_length_spectrum_exits_65_without_numpy(tmp_path):
     code, modules = _loaded(_RUN_CLI, *argv)
     assert code == 65
     assert "numpy" not in modules
+    assert not modules & _DATACLASS_MODULES
     assert _submodules(modules) == {
         "gardinglab.cli", "gardinglab.config", "gardinglab.io", "gardinglab.tables"
     }

@@ -167,6 +167,17 @@ class TestSigma2PowerSums:
         with pytest.raises(ValueError, match="^the sum of the squares overflows the float range$"):
             sigma2_via_power_sums([1e154] * 3)
 
+    def test_squares_past_float_max_are_refused_by_name(self):
+        # A square past the range is inf before any sum sees it, and so is
+        # the square of a sum of entries that fits.
+        for v in ([1e200, 1e200], [1e160] * 3):
+            with pytest.raises(ValueError, match="^the sum of the squares overflows the float range$"):
+                sigma2_via_power_sums(v)
+        with pytest.raises(
+            ValueError, match="^the square of the sum of the entries overflows the float range$"
+        ):
+            sigma2_via_power_sums([1e153] * 100)
+
 
 class TestPartialSums:
     @pytest.mark.parametrize(
@@ -314,6 +325,8 @@ class TestSingleVectorKernels:
         assert _fsum([1e308, 1e308, -1e308], "sum") == 1e308
         with pytest.raises(ValueError, match="^the entry sum overflows the float range$"):
             _fsum([1e308, 1e308, -1e307], "entry sum")
+        with pytest.raises(ValueError, match="^the square sum overflows the float range$"):
+            _fsum([1.0, math.inf], "square sum")
 
     def test_partial_sum_of_a_float_list_matches_its_array(self):
         rng = np.random.default_rng(79)

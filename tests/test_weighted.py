@@ -88,6 +88,23 @@ class TestWeightedExtremes:
         # Only a partial sum overflows: the exact sum is rounded.
         assert weighted_sup([-1e308, 1e308, 1e308], _budget(1.0, 3.0, 3)) == 1e308
 
+    def test_products_past_float_max_are_refused_by_name(self):
+        # Each sum fits; Omega times it, or the weighted sum, does not.
+        spec, b = [1e308] * 3, _budget(2.0, 2.0, 3)
+        for fn in (weighted_sup, weighted_inf):
+            with pytest.raises(
+                ValueError, match="^the sum of the capped entries times Omega overflows the float range$"
+            ):
+                fn(spec, b)
+            with pytest.raises(ValueError, match="^the weighted sum overflows the float range$"):
+                fn(spec, _budget(1.5, 2.0, 3))
+        with pytest.raises(
+            ValueError, match="^the sum of the first m entries times Omega overflows the float range$"
+        ):
+            anchored_lower_bound(spec, b, 1)
+        with pytest.raises(ValueError, match="^the anchored bound overflows the float range$"):
+            anchored_lower_bound(spec, _budget(1.0, 3.0, 3), 1)
+
     def test_full_budget(self):
         spec = (0.0, 1.0, 2.0)
         b = _budget(1.0, 3.0, 3)
