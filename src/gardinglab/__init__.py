@@ -31,7 +31,9 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "ConeMembership",
+            "EpsilonParams",
             "ShiftParams",
+            "epsilon_to_params",
             "in_garding_cone",
             "in_positivity_cone",
             "in_shifted_cone",
@@ -45,7 +47,6 @@ _EXPORTS = {
         (
             "CurvatureTensor",
             "OperatorMatrix",
-            "Spectrum",
             "assemble_first_kind",
             "assemble_second_kind",
             "eigen_spectrum",
@@ -58,11 +59,9 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "DichotomyVerdict",
-            "EpsilonParams",
             "boundary_search",
             "dichotomy_check",
             "epsilon_for_target_m",
-            "epsilon_to_params",
             "sharp_witness",
             "shift_identity_residual",
             "verify_inclusion_sampling",
@@ -78,15 +77,16 @@ _EXPORTS = {
         ),
         "symfun",
     ),
-    **dict.fromkeys(("ThresholdTable", "thresholds"), "tables"),
+    **dict.fromkeys(
+        ("FormDegreeCoeffs", "Spectrum", "ThresholdTable", "form_degree_coeff", "thresholds"),
+        "tables",
+    ),
     **dict.fromkeys(
         (
-            "FormDegreeCoeffs",
             "WeightBudget",
             "anchored_lower_bound",
             "budget_normalized_bound",
             "bulk_positivity",
-            "form_degree_coeff",
             "form_degree_positivity",
             "refined_one_form_coeff",
             "weighted_inf",

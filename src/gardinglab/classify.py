@@ -77,13 +77,15 @@ class BettiRange(Record, frozen=True):
 
 
 class VerdictRecord(Record, frozen=True):
-    """One verdict label plus the checked inequality with numeric sides."""
+    """One verdict label plus the checked inequality with numeric sides;
+    it ``holds`` for every label but ``VERDICT_NONE``."""
 
-    def __init__(
-        self, verdict: str, rule: str, inequality: str, lhs: float, rhs: float, holds: bool
-    ) -> None:
+    _fields = ("verdict", "rule", "inequality", "lhs", "rhs", "holds")
+
+    def __init__(self, verdict: str, rule: str, inequality: str, lhs: float, rhs: float) -> None:
         self.__dict__.update(
-            verdict=verdict, rule=rule, inequality=inequality, lhs=lhs, rhs=rhs, holds=holds
+            verdict=verdict, rule=rule, inequality=inequality, lhs=lhs, rhs=rhs,
+            holds=verdict != VERDICT_NONE,
         )
 
 
@@ -116,7 +118,7 @@ class ClassificationReport(Record):
 
     @property
     def has_verdict(self) -> bool:
-        return any(v.verdict != VERDICT_NONE for v in self.verdicts)
+        return any(v.holds for v in self.verdicts)
 
 
 def _at_most(value: float, bound: float) -> bool:
@@ -205,7 +207,7 @@ def _classify(
             report.verdicts.append(
                 VerdictRecord(
                     verdict=rule.gives, rule=rule.name, inequality=inequality,
-                    lhs=params.epsilon, rhs=thr, holds=True,
+                    lhs=params.epsilon, rhs=thr,
                 )
             )
     elif membership.member_closed:
@@ -222,7 +224,7 @@ def _classify(
         report.verdicts.append(
             VerdictRecord(
                 verdict=VERDICT_NONE, rule="no_rule_applies", inequality=reason,
-                lhs=membership.margin, rhs=membership.tol, holds=False,
+                lhs=membership.margin, rhs=membership.tol,
             )
         )
     return report

@@ -130,17 +130,30 @@ def _resolvable_alpha(epsilon: float, N: int) -> float:
 
 
 class EpsilonParams(Record, frozen=True):
-    """(eps, alpha_eps, m_eps, N) bundle tying a shift to its positivity index."""
+    """(eps, alpha_eps, m_eps, N) bundle tying a shift to its positivity
+    index, alpha_eps and m_eps from their closed forms.
 
-    def __init__(self, epsilon: float, N: int, alpha_eps: float, m_eps: float) -> None:
+    ``N`` is refused first, then an eps outside (0, 1), then an eps too
+    small for float64 at N: below about 5.6e-17 (1.7e-16 at N = 3) the
+    shift ``(1 - eps)/N`` rounds to ``1/N``, outside ``ShiftParams``' range:
+    the cone slice degenerates, ``m_eps`` is lost in rounding (it is 0 once
+    eps^2 underflows, below about 1e-162), the sampler finds no member and
+    the boundary search cannot run.
+    """
+
+    _fields = ("epsilon", "N", "alpha_eps", "m_eps")
+
+    def __init__(self, epsilon: float, N: int) -> None:
+        epsilon = float(epsilon)
         if N < 2:
             raise ValueError(f"N must be >= 2, got {N}")
         if not 0.0 < epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        e2 = epsilon * epsilon
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "alpha_eps", alpha_eps)
-        object.__setattr__(self, "m_eps", m_eps)
+        object.__setattr__(self, "alpha_eps", _resolvable_alpha(epsilon, N))
+        object.__setattr__(self, "m_eps", N * (N - 1) * e2 / (1.0 + (N - 1) * e2))
 
     @functools.cached_property
     def shift_params(self) -> ShiftParams:
@@ -158,25 +171,8 @@ class EpsilonParams(Record, frozen=True):
 
 
 def epsilon_to_params(epsilon: float, N: int) -> EpsilonParams:
-    """Populate alpha_eps and m_eps from their closed forms, refusing an eps
-    too small for float64 at N.
-
-    Below about 5.6e-17 (1.7e-16 at N = 3) the shift ``(1 - eps)/N`` rounds
-    to ``1/N``, outside ``ShiftParams``' range: the cone slice degenerates,
-    ``m_eps`` is lost in rounding (it is 0 once eps^2 underflows, below about
-    1e-162), the sampler finds no member and the boundary search cannot run.
-    ``EpsilonParams``' own refusals (N, eps outside (0, 1)) come first.
-    """
-    epsilon = float(epsilon)
-    e2 = epsilon * epsilon
-    params = EpsilonParams(
-        epsilon=epsilon,
-        N=N,
-        alpha_eps=(1.0 - epsilon) / N,
-        m_eps=N * (N - 1) * e2 / (1.0 + (N - 1) * e2),
-    )
-    _resolvable_alpha(epsilon, N)
-    return params
+    """The ``EpsilonParams`` of eps at N, with its refusals."""
+    return EpsilonParams(epsilon, N)
 
 
 def _membership(margin: float, binding: str, tol: float) -> ConeMembership:

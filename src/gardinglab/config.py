@@ -64,14 +64,17 @@ class Record:
     """Base of the value and report classes: a subclass writes its own
     ``__init__``, whose positional parameters are its fields, in order
     (``_fields``, read at class creation); keyword-only ones are not fields.
-    ``frozen=True`` refuses assignment after ``__init__``, which stores
-    through ``self.__dict__``, or through ``object.__setattr__`` in classes
-    built per call, as a ``__dict__`` costs a dict per instance.  Equality
-    compares the fields, and only frozen classes hash; ``eq=False`` keeps
-    identity for both.  ``to_record()`` gives the fields in order, led by
-    ``"record"`` when ``record_tag`` is set and closed by an ``ok``
-    property; ``violations`` keeps its first 10 entries, and nested records
-    and sequences are converted.
+    A class that derives some fields lists them all, in order, in its own
+    ``_fields``, and its constructor takes only the others (a mutable class
+    derives through properties).  ``frozen=True`` refuses assignment after
+    ``__init__``, which stores through ``self.__dict__``, or through
+    ``object.__setattr__`` in classes built per call, as a ``__dict__``
+    costs a dict per instance.  Equality compares the fields, and only
+    frozen classes hash; ``eq=False`` keeps identity for both.
+    ``to_record()`` gives the fields in order, led by ``"record"`` when
+    ``record_tag`` is set and closed by an ``ok`` property; ``violations``
+    keeps its first 10 entries, and nested records and sequences are
+    converted.
     """
 
     record_tag: ClassVar[Optional[str]] = None
@@ -82,7 +85,8 @@ class Record:
         init = cls.__dict__.get("__init__")
         if init is None:  # a dataclass, which generates its own methods
             return
-        cls._fields = init.__code__.co_varnames[1 : init.__code__.co_argcount]
+        if "_fields" not in cls.__dict__:
+            cls._fields = init.__code__.co_varnames[1 : init.__code__.co_argcount]
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse_assignment
         if not eq:

@@ -146,13 +146,7 @@ def dimension_for_count(N: int, kind: str) -> Optional[int]:
     return None
 
 
-def _max_abs(values) -> float:
-    """``np.max(np.abs(values))``: NaN if any value is NaN."""
-    mags = list(map(abs, values))
-    return math.nan if any(map(math.isnan, mags)) else max(mags)
-
-
-def validate_curvature_symmetries(components, atol: float = _SYMMETRY_ATOL) -> None:
+def validate_curvature_symmetries(components) -> None:
     """Raise ValueError if any algebraic curvature identity fails on the
     (n, n, n, n) array ``components``."""
     import numpy as np
@@ -166,9 +160,9 @@ def validate_curvature_symmetries(components, atol: float = _SYMMETRY_ATOL) -> N
             "first_bianchi": np.max(np.abs(r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2))),
         }
     # Written so that a NaN (from a non-finite component) fails the check.
-    bad = {name: float(v) for name, v in checks.items() if not v <= atol}
+    bad = {name: float(v) for name, v in checks.items() if not v <= _SYMMETRY_ATOL}
     if bad:
-        raise ValueError(f"curvature symmetries violated beyond {atol}: {bad}")
+        raise ValueError(f"curvature symmetries violated beyond {_SYMMETRY_ATOL}: {bad}")
 
 
 class CurvatureTensor(Record, frozen=True, eq=False):
@@ -247,8 +241,10 @@ class OperatorMatrix(Record, frozen=True, eq=False):
     their rows through ``_symmetrized``.
     """
 
-    def __init__(self, N: int, entries: Union[tuple, "np.ndarray"], kind: str) -> None:
-        self.__dict__.update(N=N, entries=entries, kind=kind)
+    _fields = ("N", "entries", "kind")
+
+    def __init__(self, entries: Union[tuple, "np.ndarray"], kind: str) -> None:
+        self.__dict__.update(N=len(entries), entries=entries, kind=kind)
 
     @classmethod
     def from_entries(cls, entries, kind: str = KIND_GENERIC) -> "OperatorMatrix":
@@ -264,7 +260,7 @@ class OperatorMatrix(Record, frozen=True, eq=False):
             raise ValueError("matrix has non-finite entries")
         if not rows:
             raise ValueError("operator matrix must be at least 1x1")
-        asym = _max_abs(map(sub, itertools.chain(*rows), itertools.chain(*zip(*rows))))
+        asym = max(map(abs, map(sub, itertools.chain(*rows), itertools.chain(*zip(*rows)))))
         if not asym <= _SYMMETRY_ATOL:
             raise ValueError(f"matrix asymmetry {asym} exceeds {_SYMMETRY_ATOL}")
         if kind not in (KIND_FIRST, KIND_SECOND, KIND_GENERIC):
@@ -272,7 +268,7 @@ class OperatorMatrix(Record, frozen=True, eq=False):
         if kind != KIND_GENERIC and dimension_for_count(len(rows), kind) is None:
             raise ValueError(f"size {len(rows)} does not match any dimension for kind {kind}")
         rows = tuple(map(tuple, _symmetrized(list(rows))))
-        return cls(N=len(rows), entries=rows, kind=kind)
+        return cls(rows, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +404,7 @@ def _assembled(mat, kind: str) -> OperatorMatrix:
         entries = mat
     if not finite:
         raise ValueError(f"the {kind} operator's assembly overflows the float range")
-    return OperatorMatrix(N=len(entries), entries=entries, kind=kind)
+    return OperatorMatrix(entries, kind)
 
 
 def assemble_first_kind(tensor: CurvatureTensor) -> OperatorMatrix:
@@ -698,26 +694,26 @@ def eigen_spectrum(matrix: OperatorMatrix) -> Spectrum:
 
 
 class CurvatureIdentityReport(Record, frozen=True):
-    """Both trace expressions of the scalar curvature, checked."""
+    """Both trace expressions of the scalar curvature, checked: each sum's
+    error relative to max(1, |scal|) is within ``_IDENTITY_RTOL``."""
 
     record_tag = "scalar_curvature_checks"
+    _fields = (
+        "n", "scalar_curvature", "first_kind_sum", "second_kind_sum", "first_kind_rel_err",
+        "second_kind_rel_err", "first_kind_ok", "second_kind_ok",
+    )
 
     def __init__(
-        self,
-        n: int,
-        scalar_curvature: float,
-        first_kind_sum: float,
-        second_kind_sum: float,
-        first_kind_rel_err: float,
-        second_kind_rel_err: float,
-        first_kind_ok: bool,
-        second_kind_ok: bool,
+        self, n: int, scalar_curvature: float, first_kind_sum: float, second_kind_sum: float
     ) -> None:
+        scale = max(1.0, abs(scalar_curvature))
+        err1 = abs(first_kind_sum - scalar_curvature) / scale
+        err2 = abs(second_kind_sum - scalar_curvature) / scale
         self.__dict__.update(
             n=n, scalar_curvature=scalar_curvature, first_kind_sum=first_kind_sum,
-            second_kind_sum=second_kind_sum, first_kind_rel_err=first_kind_rel_err,
-            second_kind_rel_err=second_kind_rel_err, first_kind_ok=first_kind_ok,
-            second_kind_ok=second_kind_ok,
+            second_kind_sum=second_kind_sum, first_kind_rel_err=err1,
+            second_kind_rel_err=err2, first_kind_ok=err1 <= _IDENTITY_RTOL,
+            second_kind_ok=err2 <= _IDENTITY_RTOL,
         )
 
     @property
@@ -763,16 +759,4 @@ def scalar_curvature_checks(
     second_op = given.get(KIND_SECOND) or assemble_second_kind(tensor)
     first = 2.0 * _trace(first_op)
     second = (2.0 * n / (n + 2.0)) * _trace(second_op)
-    scale = max(1.0, abs(scal))
-    err1 = abs(first - scal) / scale
-    err2 = abs(second - scal) / scale
-    return CurvatureIdentityReport(
-        n=n,
-        scalar_curvature=scal,
-        first_kind_sum=first,
-        second_kind_sum=second,
-        first_kind_rel_err=err1,
-        second_kind_rel_err=err2,
-        first_kind_ok=err1 <= _IDENTITY_RTOL,
-        second_kind_ok=err2 <= _IDENTITY_RTOL,
-    )
+    return CurvatureIdentityReport(n, scal, first, second)

@@ -249,6 +249,11 @@ class InclusionReport(Record):
     """
 
     record_tag = "verify_inclusion"
+    _fields = (
+        "N", "epsilon", "alpha_eps", "m_eps", "seed", "tol", "samples_requested", "method",
+        "method_used", "draws", "accepted", "acceptance_rate", "min_margin", "violation_count",
+        "violations", "shortfall",
+    )
 
     def __init__(
         self,
@@ -260,10 +265,8 @@ class InclusionReport(Record):
         tol: float,
         samples_requested: int,
         method: str = "ball",
-        method_used: str = "",
         draws: int = 0,
         accepted: int = 0,
-        acceptance_rate: float = 0.0,
         min_margin: Optional[float] = None,
         violation_count: int = 0,
         violations: Optional[list] = None,
@@ -273,11 +276,20 @@ class InclusionReport(Record):
     ) -> None:
         self.N, self.epsilon, self.alpha_eps, self.m_eps = N, epsilon, alpha_eps, m_eps
         self.seed, self.tol, self.samples_requested = seed, tol, samples_requested
-        self.method, self.method_used = method, method_used
-        self.draws, self.accepted, self.acceptance_rate = draws, accepted, acceptance_rate
+        self.method, self.draws, self.accepted = method, draws, accepted
         self.min_margin, self.violation_count = min_margin, violation_count
         self.violations = [] if violations is None else violations
         self.shortfall, self.members = shortfall, members
+
+    @property
+    def method_used(self) -> str:
+        """The sampler that ran: ``method``, or "none" when no sample was asked for."""
+        return self.method if self.samples_requested else "none"
+
+    @property
+    def acceptance_rate(self) -> float:
+        """``accepted / draws``, or 0.0 before any draw."""
+        return self.accepted / self.draws if self.draws else 0.0
 
     @property
     def ok(self) -> bool:
@@ -392,9 +404,7 @@ def verify_inclusion_sampling(
         method=method,
     )
     if samples == 0:
-        report.method_used = "none"
         return report
-    report.method_used = method
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     kept: list[np.ndarray] = []
     hard_cap = max(_DRAW_CAP, 50 * samples)
@@ -423,7 +433,6 @@ def verify_inclusion_sampling(
         # Free this batch before the next one is drawn.
         del rows, chunk
     report.shortfall = report.accepted < samples
-    report.acceptance_rate = report.accepted / report.draws
     if keep_members:
         report.members = np.concatenate(kept, axis=0) if kept else np.empty((0, N))
     return report
@@ -464,6 +473,10 @@ class BoundarySearchReport(Record):
     """
 
     record_tag = "boundary_search"
+    _fields = (
+        "N", "epsilon", "m_eps", "tol", "min_c0", "minimizer", "converged", "rigid_pattern",
+        "max_pattern_diff", "matched_rigid",
+    )
     restarts = 1
     iterations = 0
 
@@ -478,12 +491,18 @@ class BoundarySearchReport(Record):
         converged: bool,
         rigid_pattern: Optional[list] = None,
         max_pattern_diff: Optional[float] = None,
-        matched_rigid: Optional[bool] = None,
     ) -> None:
         self.N, self.epsilon, self.m_eps, self.tol = N, epsilon, m_eps, tol
         self.min_c0, self.minimizer, self.converged = min_c0, minimizer, converged
         self.rigid_pattern, self.max_pattern_diff = rigid_pattern, max_pattern_diff
-        self.matched_rigid = matched_rigid
+
+    @property
+    def matched_rigid(self) -> Optional[bool]:
+        """Whether the minimizer is within 1e-6 of the rigid pattern; None
+        when m_eps is not an integer and there is no pattern."""
+        if self.max_pattern_diff is None:
+            return None
+        return self.max_pattern_diff <= 1e-6
 
     @property
     def restarts_converged(self) -> int:
@@ -534,21 +553,12 @@ def boundary_search(N: int, epsilon: float, tol: float = DEFAULT_TOL) -> Boundar
         abs(min_c0 - exact) <= 1e-10 * (1.0 + abs(exact))
         and in_garding_cone([p.epsilon / N - s for s in step], 2, tol).member_closed
     )
-    report = BoundarySearchReport(
-        N=N,
-        epsilon=p.epsilon,
-        m_eps=m,
-        tol=tol,
-        min_c0=min_c0,
-        minimizer=minimizer,
-        converged=converged,
-    )
-
+    pattern = diff = None
     m_int = round(m)
     if abs(m - m_int) <= 1e-9 and 1 <= m_int <= N - 1:
         pattern = [0.0] * m_int + [1.0 / (N - m_int)] * (N - m_int)
         diff = max(abs(a - b) for a, b in zip(minimizer, pattern))
-        report.rigid_pattern = pattern
-        report.max_pattern_diff = diff
-        report.matched_rigid = diff <= 1e-6
-    return report
+    return BoundarySearchReport(
+        N=N, epsilon=p.epsilon, m_eps=m, tol=tol, min_c0=min_c0, minimizer=minimizer,
+        converged=converged, rigid_pattern=pattern, max_pattern_diff=diff,
+    )

@@ -135,27 +135,25 @@ def cpn_biholomorphic_threshold(n: int) -> float:
 class FormDegreeCoeffs(Record, frozen=True):
     """Coefficient C_p = total/highest weight for degree-p forms in dim n."""
 
-    def __init__(
-        self, n: int, p: int, coeff: float, highest_weight: float, total_weight: float
-    ) -> None:
+    _fields = ("n", "p", "coeff", "highest_weight", "total_weight")
+
+    def __init__(self, n: int, p: int) -> None:
         if n < 3:
             raise ValueError(f"n must be >= 3, got {n}")
         if not 1 <= p <= n // 2:
             raise ValueError(f"p must satisfy 1 <= p <= {n // 2}, got {p}")
+        total = 1.5 * p * (n - p)
+        highest = (n * n * p - n * p * p - 2 * n * p + 2 * n * n + 2 * n - 4 * p) / (
+            n * (n + 2)
+        )
         self.__dict__.update(
-            n=n, p=p, coeff=coeff, highest_weight=highest_weight, total_weight=total_weight
+            n=n, p=p, coeff=total / highest, highest_weight=highest, total_weight=total
         )
 
 
 def form_degree_coeff(n: int, p: int) -> FormDegreeCoeffs:
     """C_p(n) with its defining highest/total weight pair."""
-    total = 1.5 * p * (n - p)
-    highest = (n * n * p - n * p * p - 2 * n * p + 2 * n * n + 2 * n - 4 * p) / (
-        n * (n + 2)
-    )
-    return FormDegreeCoeffs(
-        n=n, p=p, coeff=total / highest, highest_weight=highest, total_weight=total
-    )
+    return FormDegreeCoeffs(n, p)
 
 
 class Rule(Record, frozen=True):
@@ -222,51 +220,36 @@ _VERDICTS = {rule.column: rule for rule in RULES if rule.column}
 
 
 class ThresholdTable(Record, frozen=True):
-    """Per-dimension eps thresholds gating each verdict label.
-
-    Real-dimension columns are None below n = 3; the two complex columns are
-    populated when a complex dimension is supplied.  ``vacuous`` lists the
-    columns whose formula gives eps >= 1, where no admissible shift exists.
-    """
-
-    record_tag = "thresholds"
-
-    def __init__(
-        self,
-        n: Optional[int],
-        kaehler_dim: Optional[int],
-        space_form_first: Optional[float] = None,
-        space_form_second: Optional[float] = None,
-        cpn_cohomology: Optional[float] = None,
-        cpn_biholomorphic: Optional[float] = None,
-        vacuous: tuple = (),
-    ) -> None:
-        self.__dict__.update(
-            n=n, kaehler_dim=kaehler_dim, space_form_first=space_form_first,
-            space_form_second=space_form_second, cpn_cohomology=cpn_cohomology,
-            cpn_biholomorphic=cpn_biholomorphic, vacuous=vacuous,
-        )
-
-
-def thresholds(n: Optional[int], kaehler_complex_dim: Optional[int] = None) -> ThresholdTable:
-    """Threshold table for real dimension n and/or a complex dimension.
+    """Threshold table for real dimension n and/or a complex dimension: the
+    per-dimension eps thresholds gating each verdict label.
 
     ``n`` may be None (or 2, for convenience in tabulations) to request a
     Kaehler-only row; real columns then stay None, and a complex dimension
     must be given.  Real columns require n >= 3, complex columns require a
-    complex dimension >= 2.
+    complex dimension >= 2.  ``vacuous`` lists the columns whose formula
+    gives eps >= 1, where no admissible shift exists.
     """
-    real = None if n == 2 else n
-    if real is None and kaehler_complex_dim is None:
-        raise ValueError("need a real dimension n >= 3 or a complex dimension >= 2")
-    columns = {}
-    for rule in _VERDICTS.values():
-        dim = kaehler_complex_dim if rule.kind == KIND_KAEHLER else real
-        if dim is not None:
-            columns[rule.column] = rule.threshold(_checked_dim(rule.kind, dim))
-    return ThresholdTable(
-        n=n,
-        kaehler_dim=kaehler_complex_dim,
-        vacuous=tuple(name for name, thr in columns.items() if thr >= 1.0),
-        **columns,
+
+    record_tag = "thresholds"
+    _fields = (
+        "n", "kaehler_dim", *(rule.column for rule in _VERDICTS.values()), "vacuous",
     )
+
+    def __init__(self, n: Optional[int], kaehler_dim: Optional[int]) -> None:
+        real = None if n == 2 else n
+        if real is None and kaehler_dim is None:
+            raise ValueError("need a real dimension n >= 3 or a complex dimension >= 2")
+        columns = {}
+        for rule in _VERDICTS.values():
+            dim = kaehler_dim if rule.kind == KIND_KAEHLER else real
+            if dim is not None:
+                columns[rule.column] = rule.threshold(_checked_dim(rule.kind, dim))
+        vacuous = tuple(name for name, thr in columns.items() if thr >= 1.0)
+        self.__dict__.update(
+            dict.fromkeys(self._fields), n=n, kaehler_dim=kaehler_dim, **columns, vacuous=vacuous
+        )
+
+
+def thresholds(n: Optional[int], kaehler_complex_dim: Optional[int] = None) -> ThresholdTable:
+    """The ``ThresholdTable`` of real dimension n and/or a complex dimension."""
+    return ThresholdTable(n, kaehler_complex_dim)

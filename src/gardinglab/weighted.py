@@ -57,6 +57,8 @@ class WeightBudget(Record, frozen=True):
     def __init__(self, Omega: float, S: float, N: int) -> None:
         if not Omega > 0:
             raise ValueError(f"Omega must be positive, got {Omega}")
+        if Omega == math.inf:
+            raise ValueError(f"Omega must be finite, got {Omega}")
         if not S > 0:
             raise ValueError(f"S must be positive, got {S}")
         if N < 1:

@@ -619,9 +619,7 @@ def verify_inclusion_sampling_unblocked(
         method=method,
     )
     if samples == 0:
-        report.method_used = "none"
         return report
-    report.method_used = method
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     kept: list[np.ndarray] = []
     hard_cap = max(_DRAW_CAP, 50 * samples)
@@ -640,7 +638,6 @@ def verify_inclusion_sampling_unblocked(
             if keep_members:
                 kept.append(members)
     report.shortfall = report.accepted < samples
-    report.acceptance_rate = report.accepted / report.draws
     if keep_members:
         report.members = np.concatenate(kept, axis=0) if kept else np.empty((0, N))
     return report

@@ -933,7 +933,7 @@ class TestOperatorMatrixAndSpectrum:
     def test_directly_built_non_finite_operator_is_refused(self, rows):
         # An operator built without either door is not checked on the way
         # in; the solver still refuses its non-finite entries.
-        matrix = OperatorMatrix(N=len(rows), entries=rows, kind=KIND_GENERIC)
+        matrix = OperatorMatrix(rows, KIND_GENERIC)
         with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
             eigen_spectrum(matrix)
 

@@ -85,14 +85,15 @@ class TestEpsilonParams:
         # The bundle itself holds the check, so direct construction is checked.
         for epsilon, N in ((0.0, 4), (1.0, 4), (0.5, 1)):
             with pytest.raises(ValueError):
-                EpsilonParams(epsilon=epsilon, N=N, alpha_eps=0.1, m_eps=1.0)
+                EpsilonParams(epsilon=epsilon, N=N)
 
     def test_unresolvable_epsilon_is_refused_by_name(self):
-        # The map itself refuses an eps whose shift (1 - eps)/N rounds to
-        # 1/N, naming eps, after the bundle's own checks.
+        # The bundle refuses an eps whose shift (1 - eps)/N rounds to 1/N,
+        # naming eps, after its checks of N and of the range of eps.
         message = r"^epsilon 1e-300 is too small to resolve in float64 at N=6: "
-        with pytest.raises(ValueError, match=message):
-            epsilon_to_params(1e-300, 6)
+        for build in (epsilon_to_params, EpsilonParams):
+            with pytest.raises(ValueError, match=message):
+                build(1e-300, 6)
         with pytest.raises(ValueError, match=r"^N must be >= 2, got 1$"):
             epsilon_to_params(1e-300, 1)
 

@@ -408,6 +408,29 @@ def test_every_export_is_listed_by_its_module():
         assert name in module.__all__, (name, module_name)
 
 
+def test_every_export_names_its_defining_module():
+    for name in gl.__all__:
+        obj = getattr(gl, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == f"gardinglab.{gl._EXPORTS[name]}", name
+
+
+@pytest.mark.parametrize(
+    "name,loaded",
+    [
+        ("Spectrum", {"tables", "config"}),
+        ("FormDegreeCoeffs", {"tables", "config"}),
+        ("form_degree_coeff", {"tables", "config"}),
+        ("EpsilonParams", {"cones", "symfun", "config"}),
+        ("epsilon_to_params", {"cones", "symfun", "config"}),
+    ],
+)
+def test_an_export_loads_its_defining_module_and_its_imports(name, loaded):
+    code, modules = _loaded(f"import gardinglab\ngardinglab.{name}\ncode = 0")
+    assert _submodules(modules) == {f"gardinglab.{module}" for module in loaded}
+    assert "numpy" not in modules
+
+
 def test_thresholds_stays_the_function_beside_its_module():
     import gardinglab.classify
     import gardinglab.tables

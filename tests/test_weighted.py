@@ -1,5 +1,7 @@
 """Capped weighted sums against vertex enumeration, and the coefficients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,14 @@ class TestWeightedExtremes:
     def test_infeasible_budget(self):
         with pytest.raises(ValueError):
             _budget(1.0, 4.0, 3)
+
+    def test_an_infinite_cap_is_refused_by_name(self):
+        # Unrefused, it made every weighted sum fail later, naming a product.
+        with pytest.raises(ValueError, match="^Omega must be finite, got inf$"):
+            _budget(math.inf, 1.0, 3)
+        for omega in (math.nan, 0.0, -math.inf):
+            with pytest.raises(ValueError, match=f"^Omega must be positive, got {omega}$"):
+                _budget(omega, 1.0, 3)
 
     def test_sums_past_float_max_are_refused_by_name(self):
         spec, b = [1e308] * 3, _budget(1.0, 2.0, 3)
@@ -232,7 +242,7 @@ class TestFormDegreeCoeffs:
         # The coefficient record itself holds the check.
         for n, p in ((2, 1), (4, 3)):
             with pytest.raises(ValueError):
-                FormDegreeCoeffs(n=n, p=p, coeff=1.0, highest_weight=1.0, total_weight=1.0)
+                FormDegreeCoeffs(n=n, p=p)
 
     @pytest.mark.parametrize(
         "n,expected,floor_value",
