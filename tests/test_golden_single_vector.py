@@ -180,7 +180,7 @@ def _weighted_lines():
     def add(fn, *args):
         lines[fn.__name__].append(_line(fn, *args))
 
-    for args in ((5, 2, 1.0, 1.0, 1.0), (2, 1, 1.0, 1.0, 1.0), (5, 3, 1.0, 1.0, 1.0)):
+    for args in ((5, 2), (2, 1), (5, 3)):
         add(weighted.FormDegreeCoeffs, *args)
     for args in ((1.0, 2.0, 3), (0.0, 1.0, 3), (1.0, -1.0, 3), (1.0, 1.0, 0),
                  (1.0, 3.0 + 1e-13, 3), (1.0, 3.1, 3), (math.nan, 1.0, 3)):
