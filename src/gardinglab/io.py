@@ -94,7 +94,7 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
     """Parse an ``i j k l value`` component list into a curvature tensor."""
     entries: dict[tuple[int, int, int, int], float] = {}  # 0-based keys
     dim: int | None = None
-    max_index = 0
+    max_index = max_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.partition("#")[0]
         tokens = body.replace(",", " ").split()
@@ -104,9 +104,14 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
             if len(tokens) != 2:
                 raise VectorParseError("dim line must be 'dim n'", lineno)
             try:
-                dim = int(tokens[1])
+                size = int(tokens[1])
             except ValueError:
                 raise VectorParseError(f"bad dimension {tokens[1]!r}", lineno) from None
+            if size < 3:
+                raise VectorParseError(f"need dimension >= 3, got {size}", lineno)
+            if dim is not None and size != dim:
+                raise VectorParseError(f"conflicting dim {size} after dim {dim}", lineno)
+            dim = size
             continue
         if len(tokens) != 5:
             raise VectorParseError(
@@ -133,12 +138,13 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
             raise VectorParseError(f"conflicting duplicate for {(i, j, k, l)}", lineno)
         entries[key] = value
         # i < j, k < l and i <= k, so j or l is the largest index.
-        max_index = max(max_index, j, l)
+        if max(j, l) > max_index:
+            max_index, max_line = max(j, l), lineno
     n = dim if dim is not None else max_index
     if n < 3:
         raise VectorParseError("need dimension >= 3 (add a 'dim n' line?)", 1)
     if max_index > n:
-        raise VectorParseError(f"index {max_index} exceeds dim {n}", 1)
+        raise VectorParseError(f"index {max_index} exceeds dim {n}", max_line)
     from .curvature import _from_canonical
 
     return _from_canonical(n, entries)

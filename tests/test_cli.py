@@ -131,12 +131,13 @@ class TestTensorFiles:
             ("dim 3\n0 1 0 1 1\n", 4, "indices are 1-based"),
             ("dim 3\n1 2 1 2 1\n1 2 1 2 2\n", 5, "conflicting duplicate for (1, 2, 1, 2)"),
             ("1 2 1 2 1\n", 1, "need dimension >= 3 (add a 'dim n' line?)"),
-            ("dim 2\n1 2 1 2 1\n", 1, "need dimension >= 3 (add a 'dim n' line?)"),
-            ("dim 3\n1 4 1 4 1\n", 1, "index 4 exceeds dim 3"),
+            ("dim 2\n1 2 1 2 1\n", 3, "need dimension >= 3, got 2"),
+            ("dim 3\n1 4 1 4 1\n", 4, "index 4 exceeds dim 3"),
+            ("dim 4\ndim 3\n1 2 1 2 1.0\n", 4, "conflicting dim 3 after dim 4"),
         ],
         ids=["dim-alone", "dim-two-values", "bad-dim", "four-fields", "six-fields",
              "bad-value", "bad-index", "zero-based", "conflicting-duplicate",
-             "no-dim-below-3", "dim-below-3", "index-past-dim"],
+             "no-dim-below-3", "dim-below-3", "index-past-dim", "conflicting-dim"],
     )
     def test_refusals_name_the_line(self, body, line, message):
         with pytest.raises(VectorParseError) as info:
@@ -146,8 +147,10 @@ class TestTensorFiles:
 
     def test_blank_and_comment_lines_are_skipped(self):
         plain = parse_tensor_text("dim 3\n1 2 1 2 1\n1 3 1 3 1\n2 3 2 3 1\n")
+        # An equal repeat of a component or of the dim line is accepted.
         spaced = parse_tensor_text(
-            "# sphere\n\ndim 3  # frame\n \t\n1 2 1 2 1\n# none\n1 3 1 3 1\n1 2 1 2 1.0\n2 3 2 3 1\n"
+            "# sphere\n\ndim 3  # frame\n \t\n1 2 1 2 1\n# none\n1 3 1 3 1\n1 2 1 2 1.0\ndim 3\n"
+            "2 3 2 3 1\n"
         )
         assert spaced.n == plain.n == 3
         assert spaced.components.tobytes() == plain.components.tobytes()
