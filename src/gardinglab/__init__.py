@@ -73,26 +73,12 @@ _EXPORTS = {
             "elementary_symmetric",
             "normalized_partial_sum",
             "partial_sum_fractional",
-            "sigma2_via_power_sums",
         ),
         "symfun",
     ),
     **dict.fromkeys(
         ("FormDegreeCoeffs", "Spectrum", "ThresholdTable", "form_degree_coeff", "thresholds"),
         "tables",
-    ),
-    **dict.fromkeys(
-        (
-            "WeightBudget",
-            "anchored_lower_bound",
-            "budget_normalized_bound",
-            "bulk_positivity",
-            "form_degree_positivity",
-            "refined_one_form_coeff",
-            "weighted_inf",
-            "weighted_sup",
-        ),
-        "weighted",
     ),
 }
 

@@ -90,7 +90,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "elementary_symmetric",
-    "sigma2_via_power_sums",
     "partial_sum_fractional",
     "normalized_partial_sum",
 ]
@@ -176,14 +175,9 @@ def _fsum(values: list[float], name: str) -> float:
             total = float(sum(map(Fraction, values)))
         except OverflowError:
             total = math.inf
-    return _in_range(total, name)
-
-
-def _in_range(value: float, name: str) -> float:
-    """value, refused by name where it is past the float range."""
-    if not math.isfinite(value):
+    if not math.isfinite(total):
         raise ValueError(f"the {name} overflows the float range")
-    return value
+    return total
 
 
 def _sorted_entries(v: VectorLike) -> list[float]:
@@ -302,16 +296,6 @@ def sigma_prefix_batch(rows: np.ndarray, k: int, *, _means: bool = False) -> np.
         step[:top] *= coeffs[:top]
         coeffs[1 : top + 1] += step[:top]
     return coeffs[1:].T
-
-
-def sigma2_via_power_sums(v: VectorLike) -> float:
-    """sigma_2 through the power-sum identity ((sum)^2 - sum of squares)/2."""
-    x = _as_floats(v)
-    if len(x) < 2:
-        raise ValueError(f"need N >= 2 entries, got {len(x)}")
-    s1 = _fsum(x, "sum of the entries")
-    squares = _fsum([t * t for t in x], "sum of the squares")
-    return (_in_range(s1 * s1, "square of the sum of the entries") - squares) / 2.0
 
 
 def _checked_m(m: float, n: int) -> float:

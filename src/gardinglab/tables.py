@@ -22,9 +22,11 @@ verdicts also need open P_m membership, the consequence they rest on.
 Everything here is a closed form in the dimension, or the check of a
 spectrum, which ``Spectrum`` holds as a tuple of Python floats, so the
 module imports no numpy: ``gardinglab thresholds`` runs on it alone, and
-``classify`` with ``cones`` and ``symfun``.  ``curvature``, ``weighted``
-and ``classify`` import their counts, formulas, kinds, ``Spectrum`` and
-table from here and re-export the names they held before.
+``classify`` with ``cones`` and ``symfun``.  ``curvature`` and
+``classify`` import their counts, formulas, kinds, ``Spectrum`` and table
+from here and re-export the names they held before; ``weighted`` holds
+nothing but its re-exports of ``FormDegreeCoeffs``, ``form_degree_coeff``
+and ``trace_free_count``.
 """
 
 from __future__ import annotations

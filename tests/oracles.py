@@ -3,7 +3,9 @@
 Each oracle recomputes a quantity by direct enumeration or by elementary
 projections so that library outputs are checked against a second route:
 subset enumeration for symmetric polynomials and selection sums, basic
-feasible solutions for the capped weighted-sum extremes, and a ball
+feasible solutions for the capped weighted-sum extremes (whose greedy form
+and anchored lower bound are here too, as the paper's Betti lemma states
+them), and a ball
 projection for the boundary minimum of the partial sum.  The equivalent
 closed forms of the verdict thresholds live here too, and so do the loops
 the library replaced: the row-major sigma recurrence, the single-vector
@@ -167,16 +169,26 @@ def weighted_extremes_enum(values, omega: float, total: float) -> tuple[float, f
     return lo, hi
 
 
-def random_admissible_weights(
-    rng: np.random.Generator, n: int, omega: float, total: float, count: int
-) -> np.ndarray:
-    """Admissible weight vectors by Dirichlet draws with cap rejection."""
-    out = []
-    while len(out) < count:
-        w = rng.dirichlet(np.ones(n), size=4 * count) * total
-        good = w[(w <= omega * (1 + 1e-12)).all(axis=1)]
-        out.extend(np.minimum(good, omega))
-    return np.array(out[:count])
+def weighted_extremes_greedy(values, omega: float, total: float) -> tuple[float, float]:
+    """(min, max) weighted sum over {0 <= w <= omega, sum w = total}, greedily:
+    the cap on the smallest (largest) entries, the leftover on the next."""
+    x = sorted(map(float, values))
+    q = min(math.floor(total / omega), len(x))
+    rest = total - q * omega if q < len(x) else 0.0
+
+    def capped(y):
+        return omega * math.fsum(y[:q]) + (rest * y[q] if rest > 0.0 else 0.0)
+
+    return capped(x), capped(x[::-1])
+
+
+def anchored_lower_bound(values, omega: float, total: float, m: int) -> float:
+    """(total - m*omega) v[m] + omega * sum(v[:m]) over sorted values: below
+    every admissible weighted sum for 1 <= m < N, and at m = N when total =
+    N*omega."""
+    x = sorted(map(float, values))
+    head = omega * math.fsum(x[:m])
+    return head if m == len(x) else (total - m * omega) * x[m] + head
 
 
 def boundary_min_by_projection(N: int, epsilon: float) -> float:

@@ -38,23 +38,23 @@ from gardinglab.inclusion import (
     sharp_witness,
     verify_inclusion_sampling,
 )
-from gardinglab.symfun import elementary_symmetric, partial_sum_fractional, sigma_prefix_batch
-from gardinglab.weighted import (
-    WeightBudget,
-    anchored_lower_bound,
-    budget_normalized_bound,
-    form_degree_coeff,
-    weighted_inf,
-    weighted_sup,
+from gardinglab.symfun import (
+    elementary_symmetric,
+    normalized_partial_sum,
+    partial_sum_fractional,
+    sigma_prefix_batch,
 )
+from gardinglab.tables import form_degree_coeff
 
 from oracles import (
+    anchored_lower_bound,
     boundary_search_by_subgradient,
     cpn_cohomology_threshold_inverse_form,
     random_curvature_tensor,
     space_form_first_threshold_dim_form,
     space_form_second_threshold_dim_form,
     weighted_extremes_enum,
+    weighted_extremes_greedy,
 )
 
 INCLUSION_DIMENSIONS = (3, 4, 6, 10, 28, 45)
@@ -330,17 +330,15 @@ def test_criterion_7_weighted_calculus():
         omega = float(rng.uniform(0.2, 2.0))
         ratio = float(rng.choice(np.arange(2, 2 * n + 1) / 2.0))
         total = min(ratio * omega, n * omega)
-        budget = WeightBudget(Omega=omega, S=total, N=n)
-        sup = weighted_sup(spec, budget)
-        inf = weighted_inf(spec, budget)
+        inf, sup = weighted_extremes_greedy(spec, omega, total)
         lo, hi = weighted_extremes_enum(spec, omega, total)
         sup_err = max(sup_err, abs(sup - hi), abs(inf - lo))
-        tri = budget_normalized_bound(spec, budget)
+        tri = total * normalized_partial_sum(spec, total / omega)
         if sup < tri - 1e-9 or inf < tri - 1e-9 or abs(inf - tri) > 1e-9:
             dominance_violations += 1
         top = n if abs(total - n * omega) <= 1e-12 else n - 1
         for m in range(1, top + 1):
-            if anchored_lower_bound(spec, budget, m) > inf + 1e-9:
+            if anchored_lower_bound(spec, omega, total, m) > inf + 1e-9:
                 dominance_violations += 1
     coeff_ok = True
     for n in range(3, 65):

@@ -26,7 +26,6 @@ from gardinglab.inclusion import (
     verify_inclusion_sampling,
 )
 from gardinglab.tables import KIND_FIRST, Spectrum, trace_free_count, two_form_count
-from gardinglab.weighted import positivity_at_level
 
 from oracles import nesting_check_full_chain, selection_sum_min
 
@@ -594,7 +593,6 @@ _TOL_CALLS = {
     ),
     "boundary_search": lambda tol: boundary_search(6, 0.4, tol=tol),
     "verify_inclusion_sampling": lambda tol: verify_inclusion_sampling(4, 0.5, 10, 0, tol=tol),
-    "positivity_at_level": lambda tol: positivity_at_level([1.0, 2.0], 1.0, 0.5, tol),
     "classify_first_kind": lambda tol: classify_first_kind(
         Spectrum([1.0] * 6, KIND_FIRST, 4), 0.3, tol
     ),

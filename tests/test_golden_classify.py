@@ -41,7 +41,7 @@ from gardinglab.tables import (
     form_degree_coeff,
     thresholds,
 )
-from golden_digests import report_moved_lines, without_floats
+from golden_digests import moved_cases, report_moved_lines, without_floats
 
 GOLDEN = Path(__file__).parent / "golden" / "classify_digests.json"
 DECISIONS = GOLDEN.with_name("classify_decisions.json")
@@ -149,20 +149,13 @@ def case_digests(lines: dict) -> dict:
     return digests
 
 
-def _moved(golden: Path, lines: dict) -> list:
-    expected = json.loads(golden.read_text(encoding="utf-8"))
-    actual = case_digests(lines)
-    assert sorted(actual) == sorted(expected)
-    return [case for case in expected if actual[case] != expected[case]]
-
-
 def test_classification_digests_match_golden():
-    moved = _moved(GOLDEN, case_lines()[0])
+    moved = moved_cases(GOLDEN, case_digests(case_lines()[0]))
     assert moved == [], f"digest moved for: {', '.join(moved)}"
 
 
 def test_classification_decisions_match_golden():
-    moved = _moved(DECISIONS, case_lines()[1])
+    moved = moved_cases(DECISIONS, case_digests(case_lines()[1]))
     assert moved == [], f"decision digest moved for: {', '.join(moved)}"
 
 

@@ -9,10 +9,11 @@ type is named, so a moved bit or a changed return type moves the digest.
   N = 3..40, each as a list and as an array;
 * ``boundary_search``: N = 3..59, 100, 400 and 2000, at nine eps values and
   at the eps of integer m_eps targets;
-* ``partial_sum_fractional``, ``normalized_partial_sum`` and
-  ``sigma2_via_power_sums`` on sorted vectors of 1..40 and 100..300
-  entries, with the clamp and the refusals;
-* every public function of ``weighted``, with its refusals.
+* ``partial_sum_fractional`` and ``normalized_partial_sum`` on sorted
+  vectors of 1..40 and 100..300 entries, with the clamp and the refusals;
+* the three names ``weighted`` re-exports from ``tables``
+  (``FormDegreeCoeffs``, ``form_degree_coeff``, ``trace_free_count``),
+  with their refusals, under the keys ``weighted.<name>``.
 
 Each function has a second digest over the same lines in their decision
 form, with every float-valued field of the result dropped
@@ -48,12 +49,8 @@ from gardinglab.inclusion import (
     epsilon_to_params,
     sharp_witness,
 )
-from gardinglab.symfun import (
-    normalized_partial_sum,
-    partial_sum_fractional,
-    sigma2_via_power_sums,
-)
-from golden_digests import report_moved_lines, without_floats
+from gardinglab.symfun import normalized_partial_sum, partial_sum_fractional
+from golden_digests import moved_cases, report_moved_lines, without_floats
 
 GOLDEN = Path(__file__).parent / "golden" / "single_vector_digests.json"
 DECISIONS = GOLDEN.with_name("single_vector_decisions.json")
@@ -158,74 +155,18 @@ def _partial_sum_lines(fn):
         yield _line(fn, bad, 1.0)
 
 
-def _sigma2_lines():
-    for x in _sorted_vectors(6):
-        for form in (x, x[::-1], np.array(x), [1e150 * t for t in x]):
-            yield _line(sigma2_via_power_sums, form)
-    for bad in ([], [1.0, math.inf], [[0.0, 1.0]]):
-        yield _line(sigma2_via_power_sums, bad)
-
-
-def _budgets(N: int, rng: random.Random):
-    omega = rng.uniform(0.2, 2.0)
-    for ratio in (0.5, 1.0, 1.5, N / 3, N - 0.5, float(N)):
-        if 0 < ratio <= N:
-            yield weighted.WeightBudget(Omega=omega, S=ratio * omega, N=N)
-
-
 def _weighted_lines():
     lines = {name: [] for name in weighted.__all__}
-    rng = random.Random(11)
 
     def add(fn, *args):
         lines[fn.__name__].append(_line(fn, *args))
 
     for args in ((5, 2), (2, 1), (5, 3)):
         add(weighted.FormDegreeCoeffs, *args)
-    for args in ((1.0, 2.0, 3), (0.0, 1.0, 3), (1.0, -1.0, 3), (1.0, 1.0, 0),
-                 (1.0, 3.0 + 1e-13, 3), (1.0, 3.1, 3), (math.nan, 1.0, 3)):
-        add(weighted.WeightBudget, *args)
-    for N in (*range(1, 13), 35, 44, 100, 200):
-        x = sorted(rng.uniform(-0.5, 2.0) for _ in range(N))
-        for b in _budgets(N, rng):
-            for form in (x, np.array(x)):
-                add(weighted.weighted_sup, form, b)
-                add(weighted.weighted_inf, form, b)
-                add(weighted.budget_normalized_bound, form, b)
-            for m in [*sorted({0, 1, 2, N // 2, N, N + 1}), np.int64(1), 1.0]:
-                add(weighted.anchored_lower_bound, x, b, m)
-        full = weighted.WeightBudget(Omega=1.0, S=float(N), N=N)
-        add(weighted.anchored_lower_bound, x, full, N)
-        if N > 1:
-            b = weighted.WeightBudget(Omega=1.0, S=1.0, N=N)
-            add(weighted.weighted_sup, x[::-1], b)
-            add(weighted.weighted_inf, x, weighted.WeightBudget(Omega=1.0, S=1.0, N=N - 1))
-        for m in (0.5, 1.0, N / 2, float(N)):
-            for level in (-1.0, 0.0, 0.25, 1.0):
-                add(weighted.positivity_at_level, x, m, level)
-        add(weighted.positivity_at_level, x, 1.0, 0.0, 1e-3)
-        add(weighted.positivity_at_level, x, 1.0, 0.0, math.nan)
-    add(weighted.positivity_at_level, [0.7] * 5, 2.5, 0.7)
     for n in range(2, 21):
-        add(weighted.refined_one_form_coeff, n)
         add(weighted.trace_free_count, n)
         for p in range(0, n // 2 + 2):
             add(weighted.form_degree_coeff, n, p)
-    for n in range(3, 9):
-        N = weighted.trace_free_count(n)
-        specs = (
-            [1.0] * N,
-            sorted(rng.uniform(-0.2, 1.0) for _ in range(N)),
-            [-5.0] + [1.0] * (N - 1),
-        )
-        for x in specs:
-            for kappa in (0.0, 0.5, 1.0):
-                add(weighted.bulk_positivity, x, n, kappa)
-                for p in range(1, n // 2 + 2):
-                    add(weighted.form_degree_positivity, x, n, p, kappa)
-        add(weighted.bulk_positivity, [1.0] * (N + 1), n, 0.0)
-        add(weighted.form_degree_positivity, [1.0] * (N - 1), n, 1, 0.0)
-        add(weighted.bulk_positivity, [2.0, 1.0] + [1.0] * (N - 2), n, 0.0)
     return lines
 
 
@@ -237,8 +178,7 @@ def digest_lines() -> tuple[dict, dict]:
         "boundary_search": list(_boundary_lines()),
         "partial_sum_fractional": list(_partial_sum_lines(partial_sum_fractional)),
         "normalized_partial_sum": list(_partial_sum_lines(normalized_partial_sum)),
-        "sigma2_via_power_sums": list(_sigma2_lines()),
-        **{f"weighted.{name}": lines for name, lines in _weighted_lines().items() if lines},
+        **{f"weighted.{name}": lines for name, lines in _weighted_lines().items()},
     }
     return tuple({name: [pair[i] for pair in lines] for name, lines in pairs.items()} for i in (0, 1))
 
@@ -254,23 +194,16 @@ def digests(lines: dict) -> dict:
     return out
 
 
-def _moved(golden: Path, lines: dict) -> list:
-    expected = json.loads(golden.read_text(encoding="utf-8"))
-    actual = digests(lines)
-    assert sorted(actual) == sorted(expected)
-    return [name for name in expected if actual[name] != expected[name]]
-
-
 def test_single_vector_digests_match_golden():
     lines = digest_lines()[0]
     public = {name for name in weighted.__all__ if callable(getattr(weighted, name))}
     assert {f"weighted.{name}" for name in public} <= set(lines)
-    moved = _moved(GOLDEN, lines)
+    moved = moved_cases(GOLDEN, digests(lines))
     assert moved == [], f"digest moved for: {', '.join(moved)}"
 
 
 def test_single_vector_decisions_match_golden():
-    moved = _moved(DECISIONS, digest_lines()[1])
+    moved = moved_cases(DECISIONS, digests(digest_lines()[1]))
     assert moved == [], f"decision digest moved for: {', '.join(moved)}"
 
 

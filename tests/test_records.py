@@ -48,7 +48,6 @@ from gardinglab.tables import (
     Spectrum,
     form_degree_coeff,
 )
-from gardinglab.weighted import WeightBudget
 
 
 def test_inclusion_record_caps_violations_at_ten():
@@ -129,7 +128,6 @@ _CLASSES = {
         "N epsilon m_eps tol min_c0 minimizer converged rigid_pattern=None "
         "max_pattern_diff=None *matched_rigid", False, "unhashable",
     ),
-    "WeightBudget": ("Omega S N", True, "value"),
     "CurvatureTensor": ("n components", True, "identity"),
     "OperatorMatrix": ("*N entries kind", True, "identity"),
     "CurvatureIdentityReport": (
@@ -149,7 +147,7 @@ def _instances():
         report.verdicts[0], Spectrum([1.0, 2.0, 3.0], KIND_FIRST, 3), form_degree_coeff(4, 1),
         RULES[0], thresholds(3, 2), p, p.shift_params, nesting_check(3, 5, 0),
         dichotomy_check([1.0] * 6, p), verify_inclusion_sampling(4, 0.5, 10, seed=0),
-        boundary_search(6, 0.4), WeightBudget(1.0, 2.0, 3), tensor, assemble_first_kind(tensor),
+        boundary_search(6, 0.4), tensor, assemble_first_kind(tensor),
         scalar_curvature_checks(tensor),
     ]
 
@@ -178,7 +176,7 @@ def _rebuilt(instance):
 
 def test_every_record_class_is_covered():
     found = set()
-    for name in ("classify", "cones", "config", "curvature", "inclusion", "tables", "weighted"):
+    for name in ("classify", "cones", "config", "curvature", "inclusion", "tables"):
         module = importlib.import_module(f"gardinglab.{name}")
         found |= {
             value for value in vars(module).values()

@@ -10,8 +10,10 @@ import inspect
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,26 +115,30 @@ def test_cone_modules_import_without_numpy():
     assert code == 0 and "numpy" not in modules
 
 
-# Every single-vector helper of symfun, weighted and inclusion that runs
-# on Python floats, with the results as JSON-ready values.
+def test_weighted_loads_only_tables():
+    code, modules = _loaded("import gardinglab.weighted\ncode = 0")
+    assert _submodules(modules) == {
+        "gardinglab.weighted", "gardinglab.tables", "gardinglab.config"
+    }
+    assert "numpy" not in modules
+
+
+# Every single-vector helper of symfun and inclusion that runs on Python
+# floats, with the results as JSON-ready values; the dichotomy records
+# follow the first ``leading`` results.
 _SINGLE_VECTOR_CALLS = """
 from gardinglab.inclusion import (
     boundary_search, dichotomy_check, epsilon_for_target_m, epsilon_to_params,
 )
-from gardinglab.symfun import partial_sum_fractional, sigma2_via_power_sums
-from gardinglab.weighted import WeightBudget, bulk_positivity, weighted_inf, weighted_sup
+from gardinglab.symfun import partial_sum_fractional
 
 x = [-0.5, 0.25, 1.0, 1.0, 2.0]
-budget = WeightBudget(Omega=1.0, S=2.5, N=5)
 code = [
-    weighted_inf(x, budget),
-    weighted_sup(x, budget),
-    bulk_positivity([1.0] * 9, 4, 0.5),
     partial_sum_fractional(x, 2.5),
-    sigma2_via_power_sums(x),
     boundary_search(6, 0.4).to_record(),
     boundary_search(40, epsilon_for_target_m(7, 40)).to_record(),
 ]
+leading = len(code)
 for N in range(3, 17):
     m = N // 2
     p = epsilon_to_params(epsilon_for_target_m(m, N), N)
@@ -149,7 +155,7 @@ def test_single_vector_helpers_run_without_numpy():
     namespace = {}
     exec(_SINGLE_VECTOR_CALLS, namespace)
     assert code == json.loads(json.dumps(namespace["code"]))
-    assert {record["case"] for record in code[7:]} == {
+    assert {record["case"] for record in code[namespace["leading"]:]} == {
         "strict_positive", "boundary_rigid", "not_member"
     }
 
@@ -399,6 +405,16 @@ def test_every_public_name_resolves(name):
     public = module.__all__
     assert len(public) == len(set(public))
     assert [n for n in public if not hasattr(module, n)] == []
+
+
+def test_every_module_the_tracer_wraps_imports():
+    # The benchmark's tracer imports each module it names, so a module that
+    # it still names cannot be deleted.  ``run_path`` compiles the file from
+    # source and writes nothing next to it.
+    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracing.py"))
+    assert tracing["MODULES"]
+    for name in tracing["MODULES"]:
+        importlib.import_module(f"gardinglab.{name}")
 
 
 def test_every_export_is_listed_by_its_module():
