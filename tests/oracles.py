@@ -169,6 +169,18 @@ def weighted_extremes_enum(values, omega: float, total: float) -> tuple[float, f
     return lo, hi
 
 
+def random_admissible_weights(
+    rng: np.random.Generator, n: int, omega: float, total: float, count: int
+) -> np.ndarray:
+    """Admissible weight vectors by Dirichlet draws with cap rejection."""
+    out = []
+    while len(out) < count:
+        w = rng.dirichlet(np.ones(n), size=4 * count) * total
+        good = w[(w <= omega * (1 + 1e-12)).all(axis=1)]
+        out.extend(np.minimum(good, omega))
+    return np.array(out[:count])
+
+
 def weighted_extremes_greedy(values, omega: float, total: float) -> tuple[float, float]:
     """(min, max) weighted sum over {0 <= w <= omega, sum w = total}, greedily:
     the cap on the smallest (largest) entries, the leftover on the next."""

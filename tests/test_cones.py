@@ -18,14 +18,21 @@ from gardinglab.cones import (
     nesting_check,
     shift,
 )
-from gardinglab.classify import classify_first_kind
+from gardinglab.classify import classify_first_kind, classify_kaehler, classify_second_kind
 from gardinglab.inclusion import (
     boundary_search,
     dichotomy_check,
     epsilon_to_params,
     verify_inclusion_sampling,
 )
-from gardinglab.tables import KIND_FIRST, Spectrum, trace_free_count, two_form_count
+from gardinglab.tables import (
+    KIND_FIRST,
+    KIND_KAEHLER,
+    KIND_SECOND,
+    Spectrum,
+    trace_free_count,
+    two_form_count,
+)
 
 from oracles import nesting_check_full_chain, selection_sum_min
 
@@ -595,6 +602,12 @@ _TOL_CALLS = {
     "verify_inclusion_sampling": lambda tol: verify_inclusion_sampling(4, 0.5, 10, 0, tol=tol),
     "classify_first_kind": lambda tol: classify_first_kind(
         Spectrum([1.0] * 6, KIND_FIRST, 4), 0.3, tol
+    ),
+    "classify_second_kind": lambda tol: classify_second_kind(
+        Spectrum([1.0] * 9, KIND_SECOND, 4), 0.3, tol
+    ),
+    "classify_kaehler": lambda tol: classify_kaehler(
+        Spectrum([1.0] * 4, KIND_KAEHLER, 2), 0.3, tol
     ),
 }
 

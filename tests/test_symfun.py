@@ -130,13 +130,41 @@ class TestElementarySymmetric:
 
 
 class TestSigma2PowerSums:
+    # sigma_2 = ((sum v)^2 - sum v^2) / 2, a route independent of the recurrence.
+    @staticmethod
+    def _power_sums(v):
+        v = np.asarray(v, dtype=float)
+        return (math.fsum(v) ** 2 - math.fsum(v * v)) / 2.0
+
+    @pytest.mark.parametrize(
+        "vec,expected",
+        [
+            ((1, 2, 3), 11.0),
+            ((0, 0, 1, 1), 1.0),
+            ((-1, 1, 2), -1.0),
+        ],
+    )
+    def test_small_cases(self, vec, expected):
+        assert elementary_symmetric(vec, 2) == pytest.approx(expected)
+        assert self._power_sums(vec) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_constant_vector(self, n):
+        c = 1.7
+        want = c * c * n * (n - 1) / 2
+        assert elementary_symmetric([c] * n, 2) == pytest.approx(want, rel=1e-13)
+        assert self._power_sums([c] * n) == pytest.approx(want, rel=1e-13)
+
+    def test_needs_two_entries(self):
+        with pytest.raises(ValueError, match="^k must satisfy 1 <= k <= 1, got 2$"):
+            elementary_symmetric([1.0], 2)
+
     def test_agrees_with_recurrence(self):
-        # sigma_2 = ((sum v)^2 - sum v^2) / 2, a route independent of the recurrence.
         rng = np.random.default_rng(11)
         for _ in range(10_000):
             n = int(rng.integers(2, 65))
             v = rng.normal(size=n)
-            a = (math.fsum(v) ** 2 - math.fsum(v * v)) / 2.0
+            a = self._power_sums(v)
             b = elementary_symmetric(v, 2)
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
