@@ -38,8 +38,9 @@ so a spectrum of the wrong length exits 65 too, and builds one
 ``Spectrum`` of the sorted floats; it then loads ``classify``, ``cones``
 and ``symfun`` and passes that spectrum to the classifier of its kind.
 ``model-space`` loads ``io``, ``tables``, ``curvature`` and ``symfun``:
-its tensor, both operators and the identity checks run on Python floats
-within that bound, and its eigensolve always does.  The
+its tensor and operator assembly run on Python floats within that bound,
+and its operators are rows of Python floats on either path.  Each kind
+refuses, as a usage error, an option that only another kind reads.  The
 library takes its float path while numpy is not loaded, since numpy's
 import costs more than the float work on these inputs saves:
 ``symfun._vector_entries`` decides it for a vector, and
@@ -152,7 +153,7 @@ def _build_parser() -> _Parser:
     model = sub.add_parser("model-space", help="spectrum of a model-space operator")
     model.add_argument("kind", choices=("sphere", "product", "file"))
     model.add_argument("--n", type=int, help="dimension (sphere)")
-    model.add_argument("--curvature", type=float, default=1.0, help="sectional value")
+    model.add_argument("--curvature", type=float, help="sectional value (sphere; default 1)")
     model.add_argument("--p", type=int, help="first factor dimension (product)")
     model.add_argument("--q", type=int, help="second factor dimension (product)")
     model.add_argument("--tensor-file", help="component list (file kind)")
@@ -270,11 +271,18 @@ def _cmd_model_space(args, config: RunConfig) -> int:
         raise _CliError("model-space product needs --p and --q", EXIT_USAGE)
     if args.kind == "file" and args.tensor_file is None:
         raise _CliError("model-space file needs --tensor-file", EXIT_USAGE)
+    # The kind that reads each option; any other kind refuses it.
+    for option, kind in (("n", "sphere"), ("curvature", "sphere"), ("p", "product"),
+                         ("q", "product"), ("tensor_file", "file")):
+        if args.kind != kind and getattr(args, option) is not None:
+            flag = "--" + option.replace("_", "-")
+            raise _CliError(f"{flag} applies to model-space {kind} only", EXIT_USAGE)
     from . import curvature
     from .io import format_vector, read_tensor_file
 
     if args.kind == "sphere":
-        tensor = curvature.model_space_form(args.n, args.curvature)
+        c = 1.0 if args.curvature is None else args.curvature
+        tensor = curvature.model_space_form(args.n, c)
     elif args.kind == "product":
         tensor = curvature.model_product_spheres(args.p, args.q)
     else:

@@ -1,15 +1,18 @@
 """Curvature operators of model spaces and a self-contained eigensolver.
 
 A curvature tensor is stored densely as R[i,j,k,l] over an orthonormal
-frame and must satisfy, within 1e-12 absolute,
+frame and satisfies
 
     R_ijkl = -R_jikl = -R_ijlk,   R_ijkl = R_klij,
-    R_ijkl + R_iklj + R_iljk = 0.
+    R_ijkl + R_iklj + R_iljk = 0,
 
-Every tensor the library builds comes from its independent components
+the first three exactly and the first Bianchi identity within 1e-12
+absolute.  Every tensor is built from its independent components
 (``_from_canonical``), whose partner writes make the first three exact, so
-only the first Bianchi identity is checked there (``_check_canonical``);
-outside input is checked for all four (``validate_curvature_symmetries``).
+only the first Bianchi identity is checked (``_check_canonical``); a dense
+array (``CurvatureTensor.from_components``) is read through its
+independent components too, and refused where it is farther than 1e-12
+from the tensor they build.
 
 Two self-adjoint operators are assembled from it:
 
@@ -48,21 +51,18 @@ then the tuple a ``Spectrum`` holds.
 
 The tensor kernels have two paths that run the same float operations in
 the same order, so they give the same bits.  Every tensor source
-(``model_space_form``, ``model_product_spheres``, ``io.parse_tensor_text``)
-lists its nonzero independent components and hands them to
-``_from_canonical``, which fills in the rest by symmetry and alone decides
-the layout: while numpy is not loaded (``"numpy" not in sys.modules``) a
-tensor of dimension n <= 12 (``_FLOAT_DIM``) holds the flat tuple of its
-n^4 components in row-major order, and otherwise a float array.  The
-layout picks the path of the assembly: on the tuple ``OperatorMatrix``
-holds a tuple of row tuples, and both assemblers and the identity checks
-run on Python floats; otherwise they run on numpy arrays, and the operator
-holds a read-only array.  The check of the independent components is the
-same on both, and an assembled operator is built directly: it is square,
-exactly symmetric and of its kind's size by construction, so only its
-finiteness is checked.  ``OperatorMatrix.from_entries`` checks outside
-input, on Python floats, and holds its rows symmetrized, as a tuple of
-row tuples, so the solver reads either as given.  Past the bound a tensor
+(``model_space_form``, ``model_product_spheres``, ``io.parse_tensor_text``,
+``CurvatureTensor.from_components``) lists its independent components and
+hands them to ``_from_canonical``, which fills in the rest by symmetry and
+alone decides the layout: while numpy is not loaded (``"numpy" not in
+sys.modules``) a tensor of dimension n <= 12 (``_FLOAT_DIM``) holds the
+flat tuple of its n^4 components in row-major order, and otherwise a float
+array.  The layout picks the path of the assembly: Python floats on the
+tuple, numpy on the array.  Operators have one layout, a tuple of row
+tuples of Python floats, which the array kernels hand over with one
+``tolist()``.  The first-kind operator copies components, so it is exactly
+symmetric and finite as read; the second-kind one is symmetrized and
+refused where a sum of its assembly overflowed.  Past the bound a tensor
 loads numpy before its components are built (the measurements are at
 ``_FLOAT_DIM``).  Below it the import costs a ``model-space`` run of the
 CLI more than the float work, so that run loads no numpy: from the shell
@@ -70,10 +70,7 @@ CLI more than the float work, so that run loads no numpy: from the shell
 ``model-space sphere --n 6 --curvature 1.3`` took 285 ms with numpy and
 187 ms on floats, and a random n = 4 tensor file's second-kind operator
 236 and 176 ms.  numpy is imported only inside the functions that build
-arrays.  Which path ran shows in the types of
-``CurvatureTensor.components`` and ``OperatorMatrix.entries``, so a caller
-that needs an array converts them with ``np.asarray`` (``components`` is
-then reshaped to (n, n, n, n)).
+arrays.
 
 ``Spectrum``, ``KIND_FIRST`` and ``KIND_SECOND`` are defined in ``tables``,
 which loads no numpy, so the classifier reads them without this module;
@@ -105,7 +102,6 @@ __all__ = [
     "two_form_count",
     "trace_free_count",
     "dimension_for_count",
-    "validate_curvature_symmetries",
     "model_space_form",
     "model_product_spheres",
     "assemble_first_kind",
@@ -126,12 +122,12 @@ _SPLIT_TOL = sys.float_info.epsilon
 _IDENTITY_RTOL = 1e-8
 # The off-diagonal entries of the trace-free basis.
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-# Bound of the float path for tensors, past which a tensor loads numpy.  Set
-# when each build checked all n^4 components: building, assembling and
-# checking a sphere or product on floats took 33-53 ms at n = 12 and 95 ms
-# at n = 14 in-process (2-core host, Python 3.11, numpy 2.4, whose import
-# took 54-100 ms).  Now it takes 9-11 and 22 ms, the assembly dominating,
-# against at most 3 ms on arrays; moving it waits on CLI timings of each side.
+# Bound of the float path for tensors, past which a tensor loads numpy.  The
+# array path stays where numpy is loaded: with every tensor on floats, an
+# in-process model_spectra benchmark pass (seed 3, 2-core host, Python 3.11,
+# numpy 2.4) took 99-102 ms against 70-72 ms, 3 interleaved pairs.  Where
+# numpy is not loaded, the bound's crossover with the import (54-100 ms)
+# lies past n = 12; moving it waits on CLI timings of each side.
 _FLOAT_DIM = 12
 
 
@@ -144,25 +140,6 @@ def dimension_for_count(N: int, kind: str) -> Optional[int]:
         n = int(round((-1 + math.sqrt(9 + 8 * N)) / 2))
         return n if n >= 2 and trace_free_count(n) == N else None
     return None
-
-
-def validate_curvature_symmetries(components) -> None:
-    """Raise ValueError if any algebraic curvature identity fails on the
-    (n, n, n, n) array ``components``."""
-    import numpy as np
-
-    r = components
-    with np.errstate(invalid="ignore"):
-        checks = {
-            "antisymmetry_first_pair": np.max(np.abs(r + r.transpose(1, 0, 2, 3))),
-            "antisymmetry_second_pair": np.max(np.abs(r + r.transpose(0, 1, 3, 2))),
-            "pair_symmetry": np.max(np.abs(r - r.transpose(2, 3, 0, 1))),
-            "first_bianchi": np.max(np.abs(r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2))),
-        }
-    # Written so that a NaN (from a non-finite component) fails the check.
-    bad = {name: float(v) for name, v in checks.items() if not v <= _SYMMETRY_ATOL}
-    if bad:
-        raise ValueError(f"curvature symmetries violated beyond {_SYMMETRY_ATOL}: {bad}")
 
 
 class CurvatureTensor(Record, frozen=True, eq=False):
@@ -181,17 +158,26 @@ class CurvatureTensor(Record, frozen=True, eq=False):
 
     @classmethod
     def from_components(cls, components) -> "CurvatureTensor":
+        """The tensor of the (n, n, n, n) array ``components``: its
+        independent components (i < j, k < l, (i, j) <= (k, l)) built by
+        ``_from_canonical``, whose partners are exact.  Raises ValueError
+        where the array is farther than 1e-12 from that tensor, as at a
+        partner off by more or at a non-finite component."""
         import numpy as np
 
         arr = np.array(components, dtype=float)
         if arr.ndim != 4 or len(set(arr.shape)) != 1:
             raise ValueError(f"expected an (n,n,n,n) array, got shape {arr.shape}")
-        n = arr.shape[0]
-        if n < 3:
-            raise ValueError(f"dimension must be >= 3, got {n}")
-        validate_curvature_symmetries(arr)
-        arr.setflags(write=False)
-        return cls(n=n, components=arr)
+        pairs = _pair_indices(arr.shape[0])
+        keys = [(*p, *q) for a, p in enumerate(pairs) for q in pairs[a:]]
+        tensor = _from_canonical(arr.shape[0], {key: float(arr[key]) for key in keys})
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = np.max(np.abs(arr - tensor.components))
+        # Written so that a NaN (from a non-finite component) is refused.
+        if not gap <= _SYMMETRY_ATOL:
+            bad = {"partners": float(gap)}
+            raise ValueError(f"curvature symmetries violated beyond {_SYMMETRY_ATOL}: {bad}")
+        return tensor
 
     def scalar_curvature(self) -> float:
         """Direct double trace, correctly rounded: sum over i, j of R_ijij.
@@ -232,18 +218,17 @@ def _float_rows(entries) -> tuple:
 class OperatorMatrix(Record, frozen=True, eq=False):
     """Dense symmetric operator matrix with its kind tag.
 
-    ``entries`` is a tuple of row tuples of Python floats, or, for an
-    operator assembled from a tensor held as an array, a read-only float
-    array; a caller that needs the array takes ``np.asarray(entries)``,
-    which is the same array either way.  Its rows are square, finite and
-    exactly symmetric: assembled operators are built directly
-    (``_assembled``), ``from_entries`` checks outside input, and both store
-    their rows through ``_symmetrized``.
+    ``entries`` is a tuple of row tuples of Python floats; a caller that
+    needs the array takes ``np.asarray(entries)``.  Its rows are square,
+    finite and exactly symmetric: the assemblers build them so
+    (``assemble_first_kind``, ``assemble_second_kind``), and
+    ``from_entries`` checks outside input and stores it symmetrized
+    (``_symmetrized``).
     """
 
     _fields = ("N", "entries", "kind")
 
-    def __init__(self, entries: Union[tuple, "np.ndarray"], kind: str) -> None:
+    def __init__(self, entries: tuple, kind: str) -> None:
         self.__dict__.update(N=len(entries), entries=entries, kind=kind)
 
     @classmethod
@@ -370,10 +355,11 @@ def _pair_indices(n: int) -> list[tuple[int, int]]:
 
 
 def _symmetrized(mat):
-    """``(mat + mat.T) / 2`` of a square list of rows or float array, except
-    that a nonzero entry equal to its transpose is kept as it is.  That is
-    the formula's value wherever the sum does not overflow, so a pair that
-    agrees stays finite at any scale and no other bit changes."""
+    """``(mat + mat.T) / 2`` of a square list of rows or float array (under
+    the caller's ``np.errstate``), except that a nonzero entry equal to its
+    transpose is kept as it is.  That is the formula's value wherever the
+    sum does not overflow, so a pair that agrees stays finite at any scale
+    and no other bit changes."""
     if isinstance(mat, list):
         return [
             [x if x == y and x != 0.0 else (x + y) / 2.0 for x, y in zip(row, col)]
@@ -381,53 +367,28 @@ def _symmetrized(mat):
         ]
     import numpy as np
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where((mat == mat.T) & (mat != 0.0), mat, (mat + mat.T) / 2.0)
-
-
-def _assembled(mat, kind: str) -> OperatorMatrix:
-    """The operator of an assembled matrix, symmetrized.  It is square,
-    exactly symmetric and of its kind's size by construction, so only its
-    entries' finiteness is checked: a tensor's components are finite, so an
-    entry that is not comes from a sum of the assembly that overflowed,
-    although the exact entry may be finite; it is refused with a message
-    that says so."""
-    mat = _symmetrized(mat)
-    if isinstance(mat, list):
-        finite = all(map(math.isfinite, itertools.chain(*mat)))
-        entries = tuple(map(tuple, mat))
-    else:
-        import numpy as np
-
-        finite = np.isfinite(mat).all()
-        mat.setflags(write=False)
-        entries = mat
-    if not finite:
-        raise ValueError(f"the {kind} operator's assembly overflows the float range")
-    return OperatorMatrix(entries, kind)
+    return np.where((mat == mat.T) & (mat != 0.0), mat, (mat + mat.T) / 2.0)
 
 
 def assemble_first_kind(tensor: CurvatureTensor) -> OperatorMatrix:
     """Matrix of the 2-form action over the orthonormal pair basis.
 
-    Entry ((i,j), (k,l)) is R_ijkl for i < j, k < l in lexicographic order,
-    symmetrized; a sum of the assembly past the float range raises
-    ValueError.
+    Entry ((i,j), (k,l)) is R_ijkl for i < j, k < l in lexicographic order.
+    A tensor's partners are exact copies and its components finite, so the
+    matrix is exactly symmetric and finite as it is read.
     """
     n = tensor.n
-    pairs = _pair_indices(n)
     r = tensor.components
     if isinstance(r, tuple):
         # R_ijkl sits at flat index (i n + j) n^2 + (k n + l).
-        flat = [i * n + j for i, j in pairs]
-        mat = [[r[a * n * n + b] for b in flat] for a in flat]
+        flat = [i * n + j for i, j in _pair_indices(n)]
+        rows = [tuple([r[a * n * n + b] for b in flat]) for a in flat]
     else:
         import numpy as np
 
-        rows = np.array([p[0] for p in pairs])
-        cols = np.array([p[1] for p in pairs])
-        mat = r[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
-    return _assembled(mat, KIND_FIRST)
+        i, j = np.triu_indices(n, 1)  # the pairs i < j in lexicographic order
+        rows = map(tuple, r[i[:, None], j[:, None], i, j].tolist())
+    return OperatorMatrix(tuple(rows), KIND_FIRST)
 
 
 def _helmert_scales(n: int) -> tuple[float, ...]:
@@ -509,19 +470,26 @@ def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
 
     Because every basis element is trace-free and the projection is
     orthogonal, the projected Gram matrix equals the unprojected one; it is
-    assembled by the sparse contraction of ``_second_kind_array``.  A sum
-    of the assembly past the float range raises ValueError.
+    assembled by the sparse contraction of ``_second_kind_array`` and
+    symmetrized.  A tensor's components are finite, so an entry that is not
+    comes from a sum of the assembly that overflowed, although the exact
+    entry may be finite: it raises ValueError that says so.
     """
     r = tensor.components
     if isinstance(r, tuple):
-        mat = _second_kind_floats(r, tensor.n)
+        mat = _symmetrized(_second_kind_floats(r, tensor.n))
+        finite = all(map(math.isfinite, itertools.chain(*mat)))
     else:
         import numpy as np
 
-        # A sum that overflows is left as it comes out, for _assembled to refuse.
+        # A sum that overflows is left as it comes out, to be refused below.
         with np.errstate(over="ignore", invalid="ignore"):
-            mat = _second_kind_array(r)
-    return _assembled(mat, KIND_SECOND)
+            mat = _symmetrized(_second_kind_array(r))
+        finite = np.isfinite(mat).all()
+        mat = mat.tolist()
+    if not finite:
+        raise ValueError(f"the {KIND_SECOND} operator's assembly overflows the float range")
+    return OperatorMatrix(tuple(map(tuple, mat)), KIND_SECOND)
 
 
 # ---------------------------------------------------------------------------
@@ -633,16 +601,15 @@ def _nonzero_off_diagonal(rows) -> list[int]:
     return [i for i, row in enumerate(rows) if any(row[:i]) or any(row[i + 1 :])]
 
 
-def _eigenvalues(matrix):
+def _eigenvalues(rows):
     """Eigenvalues of a square, exactly symmetric matrix, ascending:
     Householder reduction to tridiagonal form, then implicit QL
     (``_tridiagonal``, ``_implicit_ql``; Bowdler, Martin, Reinsch and
     Wilkinson, Numer. Math. 11, 1968), on Python floats whether or not
     numpy is loaded.
 
-    ``matrix`` is the ``entries`` of an ``OperatorMatrix``, which both of
-    its doors make square and exactly symmetric: a float array or a
-    sequence of rows of Python floats, read as given.  Only rows that
+    ``rows`` is the ``entries`` of an ``OperatorMatrix``, a square and
+    exactly symmetric sequence of rows of Python floats.  Only rows that
     couple, those with a nonzero off-diagonal entry, take part: their block
     is scaled by the power of two that brings the matrix's largest entry
     into [0.5, 1), so no sum of the solve can overflow at any finite scale.
@@ -658,7 +625,6 @@ def _eigenvalues(matrix):
     scaled back, is past the float range, and RuntimeError if one
     eigenvalue takes more than ``_QL_ITERATIONS`` iterations.
     """
-    rows = matrix.tolist() if hasattr(matrix, "tolist") else matrix
     w = [row[i] for i, row in enumerate(rows)]
     coupled = _nonzero_off_diagonal(rows)
     if not all(map(math.isfinite, itertools.chain(w, *(rows[i] for i in coupled)))):
@@ -723,11 +689,7 @@ class CurvatureIdentityReport(Record, frozen=True):
 
 def _trace(operator: OperatorMatrix) -> float:
     """Correctly rounded trace of an operator's entries."""
-    entries = operator.entries
-    if isinstance(entries, tuple):
-        diagonal = [row[i] for i, row in enumerate(entries)]
-    else:
-        diagonal = entries.diagonal().tolist()
+    diagonal = [row[i] for i, row in enumerate(operator.entries)]
     return _fsum(diagonal, f"trace of the {operator.kind} operator")
 
 

@@ -1,7 +1,8 @@
 """Plain-text file formats: spectrum/vector lists and tensor component lists.
 
 Vector files hold comma- or whitespace-separated decimals (scientific
-notation allowed) with ``#`` comments; values are printed back with
+notation allowed) with ``#`` comments, in ASCII digits without the digit
+separators ``float()`` and ``int()`` also read; values are printed back with
 Python's shortest round-tripping representation, so write-read is
 bit-exact.
 
@@ -45,6 +46,14 @@ __all__ = [
 ]
 
 
+def _decimal(parse, token: str):
+    """``parse(token)``, ``float`` or ``int``; ValueError on a ``_`` or a
+    non-ASCII character, which those read but the decimal format does not."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return parse(token)
+
+
 def parse_vector_text(text: str) -> list[float]:
     """The decimals of a vector text, separated by commas and/or whitespace,
     as a list of Python floats, parsed without numpy.
@@ -59,7 +68,7 @@ def parse_vector_text(text: str) -> list[float]:
             body = body.replace(ch, " ")
         for token in body.split():
             try:
-                value = float(token)
+                value = _decimal(float, token)
             except ValueError:
                 raise VectorParseError(f"not a number: {token!r}", lineno) from None
             if not math.isfinite(value):
@@ -104,7 +113,7 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
             if len(tokens) != 2:
                 raise VectorParseError("dim line must be 'dim n'", lineno)
             try:
-                size = int(tokens[1])
+                size = _decimal(int, tokens[1])
             except ValueError:
                 raise VectorParseError(f"bad dimension {tokens[1]!r}", lineno) from None
             if size < 3:
@@ -119,8 +128,8 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
             )
         ti, tj, tk, tl, field = tokens
         try:
-            i, j, k, l = int(ti), int(tj), int(tk), int(tl)
-            value = float(field)
+            i, j, k, l = (_decimal(int, t) for t in (ti, tj, tk, tl))
+            value = _decimal(float, field)
         except ValueError:
             raise VectorParseError(f"bad component line: {body.strip()!r}", lineno) from None
         if not math.isfinite(value):

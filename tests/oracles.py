@@ -21,7 +21,9 @@ symmetric-tensor basis (trace-free part plus pure trace) and the dense
 ``einsum`` Gram matrix on a basis are here as well: the library assembles
 the second-kind operator by a sparse contraction and only tests use them;
 so are the random curvature tensor the stress tests draw and the frame
-change the invariance tests apply.
+change the invariance tests apply, and the dense check of all four
+curvature identities over all n^4 components, which the library's check
+of the independent components is compared against.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from gardinglab.cones import (
     garding_margin_chain_batch,
     positivity_margins_batch,
 )
-from gardinglab.curvature import CurvatureTensor, _helmert_scales
+from gardinglab.curvature import _SYMMETRY_ATOL, CurvatureTensor, _helmert_scales
 from gardinglab.inclusion import (
     _DRAW_CAP,
     _MAX_BATCH,
@@ -348,12 +350,30 @@ def cpn_cohomology_threshold_inverse_form(n: int) -> float:
     return epsilon_for_target_m(3.0 - 2.0 / n, n * n)
 
 
-def random_curvature_tensor(n: int, seed: int = 0) -> CurvatureTensor:
-    """Random tensor with all four identities, for stress tests.
+def validate_curvature_symmetries(components) -> None:
+    """Raise ValueError if any algebraic curvature identity fails on the
+    (n, n, n, n) array ``components``."""
+    r = components
+    with np.errstate(invalid="ignore"):
+        checks = {
+            "antisymmetry_first_pair": np.max(np.abs(r + r.transpose(1, 0, 2, 3))),
+            "antisymmetry_second_pair": np.max(np.abs(r + r.transpose(0, 1, 3, 2))),
+            "pair_symmetry": np.max(np.abs(r - r.transpose(2, 3, 0, 1))),
+            "first_bianchi": np.max(np.abs(r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2))),
+        }
+    # Written so that a NaN (from a non-finite component) fails the check.
+    bad = {name: float(v) for name, v in checks.items() if not v <= _SYMMETRY_ATOL}
+    if bad:
+        raise ValueError(f"curvature symmetries violated beyond {_SYMMETRY_ATOL}: {bad}")
+
+
+def random_curvature_array(n: int, seed: int = 0) -> np.ndarray:
+    """Random (n, n, n, n) array with all four identities up to rounding.
 
     A Gaussian 4-array is (anti)symmetrized into the pair-symmetric space
     and the totally antisymmetric part removed, which projects exactly onto
-    the kernel of the cyclic sum.
+    the kernel of the cyclic sum; in floats the partners agree within a few
+    ulps.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     g = rng.normal(size=(n, n, n, n))
@@ -361,7 +381,12 @@ def random_curvature_tensor(n: int, seed: int = 0) -> CurvatureTensor:
     g = g - g.transpose(0, 1, 3, 2)
     g = g + g.transpose(2, 3, 0, 1)
     cyc = (g + g.transpose(0, 2, 3, 1) + g.transpose(0, 3, 1, 2)) / 3.0
-    return CurvatureTensor.from_components(g - cyc)
+    return g - cyc
+
+
+def random_curvature_tensor(n: int, seed: int = 0) -> CurvatureTensor:
+    """The tensor of ``random_curvature_array``, for stress tests."""
+    return CurvatureTensor.from_components(random_curvature_array(n, seed))
 
 
 def frame_change(tensor: CurvatureTensor, q: np.ndarray) -> CurvatureTensor:

@@ -69,6 +69,20 @@ class TestVectorFiles:
         with pytest.raises(VectorParseError):
             parse_vector_text("# nothing\n")
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0661\u0662", "1e1_0", "\uff11"])
+    def test_only_ascii_decimals_are_read(self, token, capsys, vec_file):
+        # float() reads each of these: digit separators, Arabic-Indic and
+        # full-width digits.  The file format does not, so the run exits 65
+        # and names the line; inf and nan keep their own message.
+        with pytest.raises(VectorParseError) as info:
+            parse_vector_text(f"1, 2\n{token}, 3\n")
+        assert str(info.value) == f"line 2: not a number: {token!r}"
+        path = vec_file("v.txt", f"1, 2\n{token}, 3\n")
+        code, out, err = run_cli(capsys, "cone-test", path, "--k", "2")
+        assert [code, out, err] == [65, "", f"gardinglab: line 2: not a number: {token!r}\n"]
+        with pytest.raises(VectorParseError, match="^line 1: non-finite value: 'Infinity'$"):
+            parse_vector_text("Infinity")
+
 
 class TestTensorFiles:
     def test_space_form_entries(self):
@@ -134,10 +148,14 @@ class TestTensorFiles:
             ("dim 2\n1 2 1 2 1\n", 3, "need dimension >= 3, got 2"),
             ("dim 3\n1 4 1 4 1\n", 4, "index 4 exceeds dim 3"),
             ("dim 4\ndim 3\n1 2 1 2 1.0\n", 4, "conflicting dim 3 after dim 4"),
+            ("dim 1_0\n", 3, "bad dimension '1_0'"),
+            ("dim 3\n1 2 1 2 1_0\n", 4, "bad component line: '1 2 1 2 1_0'"),
+            ("dim 3\n1 2 1 \u0662 1\n", 4, "bad component line: '1 2 1 \u0662 1'"),
         ],
         ids=["dim-alone", "dim-two-values", "bad-dim", "four-fields", "six-fields",
              "bad-value", "bad-index", "zero-based", "conflicting-duplicate",
-             "no-dim-below-3", "dim-below-3", "index-past-dim", "conflicting-dim"],
+             "no-dim-below-3", "dim-below-3", "index-past-dim", "conflicting-dim",
+             "underscore-dim", "underscore-value", "non-ascii-index"],
     )
     def test_refusals_name_the_line(self, body, line, message):
         with pytest.raises(VectorParseError) as info:
@@ -372,6 +390,30 @@ class TestParserReuse:
 
 
 class TestModelSpaceCommand:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("product", "--p", "2", "--q", "2", "--curvature", "5"),
+             "--curvature applies to model-space sphere only"),
+            (("product", "--p", "2", "--q", "2", "--n", "4"),
+             "--n applies to model-space sphere only"),
+            (("sphere", "--n", "4", "--p", "3", "--tensor-file", "/nonexistent"),
+             "--p applies to model-space product only"),
+            (("sphere", "--n", "4", "--q", "3"), "--q applies to model-space product only"),
+            (("sphere", "--n", "4", "--tensor-file", "t.txt"),
+             "--tensor-file applies to model-space file only"),
+            (("file", "--tensor-file", "t.txt", "--curvature", "1"),
+             "--curvature applies to model-space sphere only"),
+        ],
+        ids=["product-curvature", "product-n", "sphere-p", "sphere-q", "sphere-file",
+             "file-curvature"],
+    )
+    def test_options_of_another_kind_are_refused(self, capsys, argv, message):
+        # A usage error before any file is opened, as cone-test refuses
+        # --alpha with --m.
+        code, out, err = run_cli(capsys, "model-space", *argv)
+        assert [code, out, err] == [64, "", message + "\n"]
+
     def test_sphere_first_kind(self, capsys):
         code, out, _ = run_cli(capsys, "model-space", "sphere", "--n", "4")
         assert code == 0
@@ -467,7 +509,7 @@ class TestModelSpaceCommand:
         solve = curvature_mod._eigenvalues
 
         def counting(*args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append(np.asarray(args[0]).shape)
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(curvature_mod, "_eigenvalues", counting)

@@ -26,7 +26,6 @@ from gardinglab.curvature import (
     scalar_curvature_checks,
     trace_free_count,
     two_form_count,
-    validate_curvature_symmetries,
     _eigenvalues,
     _from_canonical,
 )
@@ -37,10 +36,12 @@ from oracles import (
     frame_change,
     full_symmetric_basis,
     gram_on_tensor_basis,
+    random_curvature_array,
     random_curvature_tensor,
     round_robin_jacobi_by_gathers,
     round_robin_schedule,
     trace_free_basis,
+    validate_curvature_symmetries,
 )
 from test_startup import _BLOCK_NUMPY, _RUN_CLI_WITHOUT_NUMPY, _loaded
 
@@ -233,6 +234,97 @@ class TestCanonicalCheck:
             assert np.signbit(r[r == 0.0]).all()
 
 
+def _independent(r):
+    """The independent components of the array r, 0-based
+    ``(i, j, k, l) -> value`` with i < j, k < l, (i, j) <= (k, l)."""
+    pairs = list(itertools.combinations(range(r.shape[0]), 2))
+    return {(*p, *q): float(r[(*p, *q)]) for a, p in enumerate(pairs) for q in pairs[a:]}
+
+
+def _bits(rows):
+    """The float.hex of every entry of a sequence of rows."""
+    return [[t.hex() for t in row] for row in rows]
+
+
+class TestDenseInput:
+    # A dense array is read through its independent components, and the
+    # tensor built from them has exact partners.
+
+    def test_dense_array_builds_the_canonical_tensor(self):
+        moved = 0
+        for n in range(3, 10):
+            for seed in range(3):
+                r = random_curvature_array(n, seed)
+                got = CurvatureTensor.from_components(r).components
+                want = _from_canonical(n, _independent(r)).components
+                assert got.tobytes() == want.tobytes()
+                moved += int((got != r).sum())
+        # The array's partners agree only within rounding, so some moved.
+        assert moved > 0
+
+    def test_first_kind_entries_are_the_components(self):
+        # No symmetrize pass: entry ((i, j), (k, l)) is R_ijkl as built, and
+        # its transpose is the same float, also where the array's pair
+        # partner R_2301 was off by 4e-13.
+        for n in (4, 6, 9):
+            r = random_curvature_array(n, seed=1)
+            r[2, 3, 0, 1] += 4e-13
+            tensor = CurvatureTensor.from_components(r)
+            rows = assemble_first_kind(tensor).entries
+            pairs = list(itertools.combinations(range(n), 2))
+            for a, (i, j) in enumerate(pairs):
+                for b, (k, l) in enumerate(pairs):
+                    assert rows[a][b].hex() == rows[b][a].hex()
+                    assert rows[a][b].hex() == float(tensor.components[i, j, k, l]).hex()
+
+    def test_partner_refusal_boundary(self):
+        r = random_curvature_array(5, seed=4)
+        for off, refused in ((2e-12, True), (5e-13, False)):
+            bad = r.copy()
+            bad[1, 0, 2, 3] += off  # the partner of the independent R_0123
+            if refused:
+                with pytest.raises(ValueError, match="^curvature symmetries violated beyond 1e-12: "
+                                   r"\{'partners': 2\.\d+e-12\}$"):
+                    CurvatureTensor.from_components(bad)
+            else:
+                got = CurvatureTensor.from_components(bad).components
+                assert got[1, 0, 2, 3] == -got[0, 1, 2, 3] == -r[0, 1, 2, 3]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dependent_component_is_refused(self, bad):
+        # R_1023 is no independent component, so only the distance to the
+        # built tensor sees it; an independent one is refused when it is built.
+        r = random_curvature_array(4, seed=2)
+        r[1, 0, 2, 3] = bad
+        with pytest.raises(ValueError, match="^curvature symmetries violated beyond 1e-12: "
+                           r"\{'partners': (nan|inf)\}$"):
+            CurvatureTensor.from_components(r)
+        r[0, 1, 2, 3] = bad
+        with pytest.raises(ValueError, match="^curvature components must be finite$"):
+            CurvatureTensor.from_components(r)
+
+
+class TestOperatorLayout:
+    def test_both_kinds_on_both_layouts_hold_float_rows(self, monkeypatch):
+        # A tuple of row tuples of Python floats, with the same bits, whether
+        # the tensor holds a tuple or an array.
+        builds = [lambda: model_space_form(5, -1.3), lambda: model_product_spheres(3, 4)]
+        for n in (3, 6):
+            entries = _independent(random_curvature_array(n, seed=n))
+            builds.append(lambda n=n, entries=entries: _from_canonical(n, entries))
+        for build in builds:
+            for assemble in (assemble_first_kind, assemble_second_kind):
+                got = []
+                for numpy_loaded in (True, False):
+                    tensor = _layout(monkeypatch, build, numpy_loaded)
+                    assert isinstance(tensor.components, tuple) is not numpy_loaded
+                    rows = assemble(tensor).entries
+                    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+                    assert all(type(t) is float for row in rows for t in row)
+                    got.append(_bits(rows))
+                assert got[0] == got[1]
+
+
 class TestFirstKindAssembly:
     def test_unit_sphere_is_identity(self):
         mat = assemble_first_kind(model_space_form(4, 1.0))
@@ -244,7 +336,7 @@ class TestFirstKindAssembly:
 
     def test_zero_tensor(self):
         mat = assemble_first_kind(model_space_form(4, 0.0))
-        assert np.all(mat.entries == 0.0)
+        assert np.all(np.asarray(mat.entries) == 0.0)
 
     def test_product_spectrum(self):
         mat = assemble_first_kind(model_product_spheres(2, 2))
@@ -280,7 +372,8 @@ class TestSecondKindAssembly:
 
     def test_output_symmetry(self):
         mat = assemble_second_kind(random_curvature_tensor(5, seed=3))
-        assert np.max(np.abs(mat.entries - mat.entries.T)) <= 1e-12
+        a = np.asarray(mat.entries)
+        assert np.max(np.abs(a - a.T)) <= 1e-12
 
     def test_trace_identity_exact(self):
         for seed in (0, 2):
@@ -465,7 +558,7 @@ class TestJacobiEigensolver:
             assert np.asarray(values).tobytes() == np.asarray(w).tobytes()
 
     def test_reconstruction_and_orthogonality_at_104(self):
-        a = assemble_second_kind(random_curvature_tensor(14, seed=5)).entries
+        a = np.asarray(assemble_second_kind(random_curvature_tensor(14, seed=5)).entries)
         w = np.asarray(_eigenvalues(a))
         _assert_similarity_invariants(a, w, 1e-12)
         assert np.all(np.diff(w) >= 0)
@@ -474,7 +567,7 @@ class TestJacobiEigensolver:
         # S^7 x S^7 on trace-free tensors: only 8 of 104 rows have a
         # nonzero off-diagonal entry, the last Helmert diagonals, which
         # span both factors.
-        a = assemble_second_kind(model_product_spheres(7, 7)).entries
+        a = np.asarray(assemble_second_kind(model_product_spheres(7, 7)).entries)
         inactive = np.flatnonzero(~(a - np.diag(a.diagonal())).any(axis=1))
         assert inactive.size == 104 - 8
         w = np.asarray(_eigenvalues(a))
@@ -554,16 +647,16 @@ def _gather_oracle_cases():
     for n in range(3, 13):
         for seed in range(3):
             tensor = random_curvature_tensor(n, seed=seed)
-            yield f"first-{n}-{seed}", assemble_first_kind(tensor).entries
-            yield f"second-{n}-{seed}", assemble_second_kind(tensor).entries
+            yield f"first-{n}-{seed}", np.asarray(assemble_first_kind(tensor).entries)
+            yield f"second-{n}-{seed}", np.asarray(assemble_second_kind(tensor).entries)
     for n in (3, 6, 11):
         sphere = model_space_form(n, 1.7)
-        yield f"sphere-first-{n}", assemble_first_kind(sphere).entries
-        yield f"sphere-second-{n}", assemble_second_kind(sphere).entries
+        yield f"sphere-first-{n}", np.asarray(assemble_first_kind(sphere).entries)
+        yield f"sphere-second-{n}", np.asarray(assemble_second_kind(sphere).entries)
     for p, q in ((2, 2), (3, 4), (5, 2), (7, 7)):
         product = model_product_spheres(p, q)
-        yield f"product-first-{p}-{q}", assemble_first_kind(product).entries
-        yield f"product-second-{p}-{q}", assemble_second_kind(product).entries
+        yield f"product-first-{p}-{q}", np.asarray(assemble_first_kind(product).entries)
+        yield f"product-second-{p}-{q}", np.asarray(assemble_second_kind(product).entries)
     for n in (5, 8, 13):
         # Integer entries: many exactly equal diagonal entries (theta = +-0).
         a = np.random.default_rng(n).integers(-2, 3, size=(n, n)).astype(float)
@@ -751,7 +844,9 @@ def _array_path_result(case):
     result = {"components": [t.hex() for t in tensor.components.ravel().tolist()]}
     try:
         ops = [assemble_first_kind(tensor), assemble_second_kind(tensor)]
-        result["operators"] = [[t.hex() for t in op.entries.ravel().tolist()] for op in ops]
+        result["operators"] = [
+            [t.hex() for t in np.asarray(op.entries).ravel().tolist()] for op in ops
+        ]
         result["spectra"] = [
             [t.hex() for t in eigen_spectrum(op).eigenvalues] for op in ops
         ]

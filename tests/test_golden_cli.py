@@ -46,6 +46,7 @@ INPUTS = {
     "kaehler2.txt": "2,2,2,2\n",
     "kaehler3.txt": "1,1.5,2,2,2.5,3,3,3.5,4\n",
     "short.txt": "1,2,3\n",
+    "underscore.txt": "1_0, 2, 3\n",
     "s3_first.txt": "1,1,1\n",
     "s5_first.txt": ",".join(["1.0"] * 10) + "\n",
     "s7_first.txt": ",".join(["1.0"] * 21) + "\n",
@@ -137,6 +138,10 @@ CASES = [
      "--method", "rejection"),
     (*M, "--samples", "1000", "--seed", "14", "verify-inclusion", "--n", "100",
      "--epsilon", "0.9", "--method", "rejection"),
+    # An option only another model-space kind reads is a usage error.
+    (*M, "model-space", "product", "--p", "2", "--q", "2", "--curvature", "5"),
+    # A token float() reads but the decimal format does not is malformed.
+    (*M, "cone-test", "underscore.txt", "--k", "2"),
 ]
 
 

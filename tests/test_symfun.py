@@ -95,6 +95,25 @@ class TestElementarySymmetric:
         with pytest.raises(ValueError):
             elementary_symmetric([1.0, float("nan")], 1)
 
+    @pytest.mark.parametrize(
+        "v, k",
+        [
+            ([1e308, 1e308], 2),
+            ([1e154] * 10, 2),
+            ([1e308, 1e308, -1e308], 1),  # sigma_1 is finite, its running sum is not
+            (np.array([1e153] * 100), 2),
+            (np.array([1e308, 1e308, -1e308] + [0.0] * _FLOAT_ENTRIES), 1),
+        ],
+        ids=["floats-2", "floats-10", "floats-running-sum", "array-100", "array-running-sum"],
+    )
+    def test_overflow_is_refused_by_name(self, v, k):
+        # On Python floats and on an array (past _FLOAT_ENTRIES): no inf
+        # returned and no RuntimeWarning from numpy.
+        assert isinstance(_vector_entries(v, k), list) is isinstance(v, list)
+        message = f"the sigma_{k} recurrence overflows the float range"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            elementary_symmetric(v, k)
+
     def test_single_row_matches_vector_loop(self):
         # Both degree-major single-row kernels, on an array and on Python
         # floats, do the same float operations as the row-major loop, so the
