@@ -89,6 +89,10 @@ CASES = [
     (*M, "model-space", "sphere", "--n", "4", "--operator", "second"),
     (*M, "model-space", "product", "--p", "2", "--q", "3"),
     (*M, "model-space", "file", "--tensor-file", "tensor.txt", "--operator", "second"),
+    # A dense n = 9 tensor: operators of 36 and 44 coupled rows, which the
+    # eigensolver reduces on an array while numpy is loaded.
+    (*M, "model-space", "file", "--tensor-file", "tensor9.txt"),
+    (*M, "model-space", "file", "--tensor-file", "tensor9.txt", "--operator", "second"),
     (*M, "model-space", "sphere", "--n", "5", "--curvature", "0.5", "--out", "spec.csv"),
     (*M, "model-space", "sphere"),
     (*M, "classify", "s4_first.txt", "--dim", "4", "--operator", "first",
@@ -160,11 +164,17 @@ def _tensor_text(n: int = 4, seed: int = 11) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_tensor_files(workdir: Path) -> None:
+    """The random tensor files the golden runs read: n = 4 and n = 9."""
+    (workdir / "tensor.txt").write_text(_tensor_text(), encoding="utf-8")
+    (workdir / "tensor9.txt").write_text(_tensor_text(9, seed=9), encoding="utf-8")
+
+
 def render(workdir: Path, cases=CASES) -> str:
     """Transcript of each case run in workdir: argv, exit code, stdout."""
     for name, text in INPUTS.items():
         (workdir / name).write_text(text, encoding="utf-8")
-    (workdir / "tensor.txt").write_text(_tensor_text(), encoding="utf-8")
+    write_tensor_files(workdir)
     chunks = []
     cwd = os.getcwd()
     os.chdir(workdir)

@@ -19,7 +19,7 @@ import pytest
 
 import gardinglab as gl
 from gardinglab.config import CONFIG_ENV_VAR
-from test_golden_cli import CASES, GOLDEN, INPUTS, _tensor_text
+from test_golden_cli import CASES, GOLDEN, INPUTS, _tensor_text, write_tensor_files
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -282,7 +282,7 @@ _GOLDEN_MODEL_SPACE = [argv for argv in CASES if "model-space" in argv]
 def test_golden_model_space_runs_without_numpy(tmp_path, monkeypatch, argv):
     # Machine and human format, a tensor file, --out and the usage error.
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    (tmp_path / "tensor.txt").write_text(_tensor_text(), encoding="utf-8")
+    write_tensor_files(tmp_path)
     (code, stdout, _), modules = _loaded(_RUN_CLI_WITHOUT_NUMPY, *argv, cwd=tmp_path)
     spec = tmp_path / "spec.csv"
     if spec.exists():
