@@ -41,8 +41,13 @@ their terms enters.
 
 Spectra are the eigenvalues of ``_eigenvalues``, so the package carries no
 LAPACK dependency on this path: Householder reduction to tridiagonal form,
-then implicit QL with Wilkinson shifts (the EISPACK tred1/tql1 pair), on
-Python floats whether or not numpy is loaded.  No eigenvectors are
+then implicit QL with Wilkinson shifts (the EISPACK tred1/tql1 pair).
+Implicit QL runs on Python floats in every process; so does the reduction
+while numpy is not loaded, and, while it is, on blocks of at most
+``_ARRAY_ROWS`` coupled rows.  Larger blocks are reduced on one float array
+down to that bound, with element-wise products, sums and differences and
+one ``math.fsum`` per row product, the list loop's operations in its
+order, so either kernel gives the same bits.  No eigenvectors are
 accumulated: every consumer of a spectrum reads its eigenvalues alone.
 Rows with no nonzero off-diagonal entry are left out of the solve, so
 sparse model operators reduce only the few rows that couple.  From the
@@ -129,6 +134,18 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # numpy is not loaded, the bound's crossover with the import (54-100 ms)
 # lies past n = 12; moving it waits on CLI timings of each side.
 _FLOAT_DIM = 12
+# Rows of a block past which, while numpy is loaded, the Householder steps
+# run on an array (``_tridiagonal_array``); at least 2, so that the array
+# never takes the step that sets e[0].  The reduction alone of a random
+# N x N block (min of 15 timings, 3 interleaved rounds, 2-core host,
+# Python 3.11, numpy 2.4) went 0.207 -> 0.204 ms at N = 15, 0.467 -> 0.343
+# at N = 20, 4.04 -> 1.96 at N = 44, 19.6 -> 8.5 at N = 77 and 31.0 ->
+# 13.1 at N = 91.  One array step beats one list step from about 9 rows
+# (with the bound at 8, N = 10 went 0.084 -> 0.081 ms), and all-array is
+# slower on small blocks (N = 6: 0.026 -> 0.045 ms); the bound sits at 14
+# so that the sphere, product and n = 5 blocks of the model_spectra
+# benchmark, 14 coupled rows or fewer, never touch numpy.
+_ARRAY_ROWS = 14
 
 
 def dimension_for_count(N: int, kind: str) -> Optional[int]:
@@ -370,6 +387,36 @@ def _symmetrized(mat):
     return np.where((mat == mat.T) & (mat != 0.0), mat, (mat + mat.T) / 2.0)
 
 
+def _operator_rows(mat) -> tuple:
+    """A matrix of ``_first_kind_matrix`` or ``_second_kind_matrix`` as the
+    ``entries`` of an ``OperatorMatrix``: a tuple of row tuples."""
+    if not isinstance(mat, list):
+        mat = mat.tolist()
+    return tuple(map(tuple, mat))
+
+
+def _diagonal(mat) -> list[float]:
+    """The diagonal of a list of rows or of a float array, as Python floats."""
+    if isinstance(mat, (list, tuple)):
+        return [row[i] for i, row in enumerate(mat)]
+    return mat.diagonal().tolist()
+
+
+def _first_kind_matrix(tensor: CurvatureTensor):
+    """The matrix of ``assemble_first_kind``: a list of rows on the tuple
+    layout, a float array on the array layout."""
+    n = tensor.n
+    r = tensor.components
+    if isinstance(r, tuple):
+        # R_ijkl sits at flat index (i n + j) n^2 + (k n + l).
+        flat = [i * n + j for i, j in _pair_indices(n)]
+        return [tuple([r[a * n * n + b] for b in flat]) for a in flat]
+    import numpy as np
+
+    i, j = np.triu_indices(n, 1)  # the pairs i < j in lexicographic order
+    return r[i[:, None], j[:, None], i, j]
+
+
 def assemble_first_kind(tensor: CurvatureTensor) -> OperatorMatrix:
     """Matrix of the 2-form action over the orthonormal pair basis.
 
@@ -377,18 +424,7 @@ def assemble_first_kind(tensor: CurvatureTensor) -> OperatorMatrix:
     A tensor's partners are exact copies and its components finite, so the
     matrix is exactly symmetric and finite as it is read.
     """
-    n = tensor.n
-    r = tensor.components
-    if isinstance(r, tuple):
-        # R_ijkl sits at flat index (i n + j) n^2 + (k n + l).
-        flat = [i * n + j for i, j in _pair_indices(n)]
-        rows = [tuple([r[a * n * n + b] for b in flat]) for a in flat]
-    else:
-        import numpy as np
-
-        i, j = np.triu_indices(n, 1)  # the pairs i < j in lexicographic order
-        rows = map(tuple, r[i[:, None], j[:, None], i, j].tolist())
-    return OperatorMatrix(tuple(rows), KIND_FIRST)
+    return OperatorMatrix(_operator_rows(_first_kind_matrix(tensor)), KIND_FIRST)
 
 
 def _helmert_scales(n: int) -> tuple[float, ...]:
@@ -465,16 +501,9 @@ def _second_kind_array(r: np.ndarray) -> np.ndarray:
     )
 
 
-def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
-    """Matrix of the projected symmetric-tensor action on trace-free tensors.
-
-    Because every basis element is trace-free and the projection is
-    orthogonal, the projected Gram matrix equals the unprojected one; it is
-    assembled by the sparse contraction of ``_second_kind_array`` and
-    symmetrized.  A tensor's components are finite, so an entry that is not
-    comes from a sum of the assembly that overflowed, although the exact
-    entry may be finite: it raises ValueError that says so.
-    """
+def _second_kind_matrix(tensor: CurvatureTensor):
+    """The matrix of ``assemble_second_kind``, checked finite: a list of
+    rows on the tuple layout, a float array on the array layout."""
     r = tensor.components
     if isinstance(r, tuple):
         mat = _symmetrized(_second_kind_floats(r, tensor.n))
@@ -486,10 +515,22 @@ def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             mat = _symmetrized(_second_kind_array(r))
         finite = np.isfinite(mat).all()
-        mat = mat.tolist()
     if not finite:
         raise ValueError(f"the {KIND_SECOND} operator's assembly overflows the float range")
-    return OperatorMatrix(tuple(map(tuple, mat)), KIND_SECOND)
+    return mat
+
+
+def assemble_second_kind(tensor: CurvatureTensor) -> OperatorMatrix:
+    """Matrix of the projected symmetric-tensor action on trace-free tensors.
+
+    Because every basis element is trace-free and the projection is
+    orthogonal, the projected Gram matrix equals the unprojected one; it is
+    assembled by the sparse contraction of ``_second_kind_array`` and
+    symmetrized.  A tensor's components are finite, so an entry that is not
+    comes from a sum of the assembly that overflowed, although the exact
+    entry may be finite: it raises ValueError that says so.
+    """
+    return OperatorMatrix(_operator_rows(_second_kind_matrix(tensor)), KIND_SECOND)
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +551,20 @@ def _tridiagonal(a: list[list[float]]) -> tuple[list[float], list[float]]:
     ``a - (u q^T + q u^T)``, whose entries (j, k) and (k, j) are the same
     float operations, so it stays exactly symmetric.  Every dot product is
     a ``math.fsum``, correctly rounded, so no order of its terms enters.
+
+    While numpy is loaded, the steps of a block of more than
+    ``_ARRAY_ROWS`` rows run on one float array (``_tridiagonal_array``),
+    with the same float operations on the same operands, so with the same
+    bits; the block left at that bound comes back as lists and the loop
+    below finishes it.  A smaller block, and every block in a process
+    without numpy, is reduced on lists alone.
     """
     m = len(a)
     d = [0.0] * m
     e = [0.0] * m
-    for i in range(m - 1, 0, -1):
+    if m > _ARRAY_ROWS and "numpy" in sys.modules:
+        a = _tridiagonal_array(a, d, e)
+    for i in range(len(a) - 1, 0, -1):
         row = a.pop()
         d[i] = row[i]
         x = row[:i]
@@ -536,6 +586,46 @@ def _tridiagonal(a: list[list[float]]) -> tuple[list[float], list[float]]:
     if m:
         d[0] = a[0][0]
     return d, e
+
+
+def _tridiagonal_array(a: list[list[float]], d: list[float], e: list[float]) -> list[list[float]]:
+    """The steps of ``_tridiagonal`` while the block has more than
+    ``_ARRAY_ROWS`` rows, on one float array; writes ``d`` and ``e`` of
+    the rows it reduces and returns the leading ``_ARRAY_ROWS`` rows left,
+    as lists.
+
+    Each step is the list loop's, element for element: the row products
+    ``block * u`` are the loop's ``map(mul, r, u)`` and each row's
+    ``math.fsum`` runs over its ``tolist()``; ``p - k * u`` is its ``s - k
+    * t``; and the rank-2 update subtracts ``u_j q_k + q_j u_k``, one
+    element-wise product, sum and difference per entry.  No reduction runs
+    in numpy, so no BLAS or SIMD kernel chooses an order of a sum."""
+    import numpy as np
+
+    mat = np.array(a, dtype=float)
+    for i in range(len(a) - 1, _ARRAY_ROWS - 1, -1):
+        x = mat[i, :i]
+        d[i] = float(mat[i, i])
+        scale = math.fsum(np.abs(x).tolist())
+        if scale == 0.0:
+            e[i - 1] = float(x[-1])
+            continue
+        u = x / scale
+        h = math.fsum((u * u).tolist())
+        f = float(u[-1])
+        g = -math.copysign(math.sqrt(h), f)
+        e[i - 1] = scale * g
+        h -= f * g
+        u[-1] = f - g
+        block = mat[:i, :i]
+        # Each row's products, then one correctly rounded sum per row.
+        p = np.array(list(map(math.fsum, (block * u).tolist()))) / h
+        k = math.fsum((u * p).tolist()) / (h + h)
+        q = p - k * u
+        # (u q^T)[j, k] + (q u^T)[j, k] = uj*qk + qj*uk, as the list loop adds it.
+        w = np.multiply.outer(u, q)
+        block -= w + w.T
+    return mat[:_ARRAY_ROWS, :_ARRAY_ROWS].tolist()
 
 
 def _implicit_ql(d: list[float], e: list[float]) -> list[float]:
@@ -605,8 +695,10 @@ def _eigenvalues(rows):
     """Eigenvalues of a square, exactly symmetric matrix, ascending:
     Householder reduction to tridiagonal form, then implicit QL
     (``_tridiagonal``, ``_implicit_ql``; Bowdler, Martin, Reinsch and
-    Wilkinson, Numer. Math. 11, 1968), on Python floats whether or not
-    numpy is loaded.
+    Wilkinson, Numer. Math. 11, 1968).  The reduction of a block of more
+    than ``_ARRAY_ROWS`` rows runs on a float array while numpy is loaded,
+    with the bits of the list loop; everything else, implicit QL included,
+    runs on Python floats in every process.
 
     ``rows`` is the ``entries`` of an ``OperatorMatrix``, a square and
     exactly symmetric sequence of rows of Python floats.  Only rows that
@@ -687,10 +779,9 @@ class CurvatureIdentityReport(Record, frozen=True):
         return self.first_kind_ok and self.second_kind_ok
 
 
-def _trace(operator: OperatorMatrix) -> float:
-    """Correctly rounded trace of an operator's entries."""
-    diagonal = [row[i] for i, row in enumerate(operator.entries)]
-    return _fsum(diagonal, f"trace of the {operator.kind} operator")
+def _trace(mat, kind: str) -> float:
+    """Correctly rounded trace of the matrix of an operator of ``kind``."""
+    return _fsum(_diagonal(mat), f"trace of the {kind} operator")
 
 
 def scalar_curvature_checks(
@@ -704,8 +795,10 @@ def scalar_curvature_checks(
     curvature and both traces are correctly rounded sums (``symfun._fsum``).
     ``operator`` may hand in the tensor's first- or second-kind operator,
     already assembled by ``assemble_first_kind`` or ``assemble_second_kind``;
-    only the other kind is then assembled here, and the report is the same.
-    A sum past the float range raises ValueError that names it.
+    only the matrix of the other kind is then built here, and its trace read
+    before it would become an operator's rows, and the report is the same.
+    A sum past the float range raises ValueError that names it, as does an
+    assembly of the second kind that overflows.
     """
     scal = tensor.scalar_curvature()
     n = tensor.n
@@ -716,9 +809,9 @@ def scalar_curvature_checks(
                 f"expected a first- or second-kind operator in dimension {n}, "
                 f"got a {operator.kind} operator of size {operator.N}"
             )
-        given[operator.kind] = operator
-    first_op = given.get(KIND_FIRST) or assemble_first_kind(tensor)
-    second_op = given.get(KIND_SECOND) or assemble_second_kind(tensor)
-    first = 2.0 * _trace(first_op)
-    second = (2.0 * n / (n + 2.0)) * _trace(second_op)
+        given[operator.kind] = operator.entries
+    first_mat = given[KIND_FIRST] if KIND_FIRST in given else _first_kind_matrix(tensor)
+    second_mat = given[KIND_SECOND] if KIND_SECOND in given else _second_kind_matrix(tensor)
+    first = 2.0 * _trace(first_mat, KIND_FIRST)
+    second = (2.0 * n / (n + 2.0)) * _trace(second_mat, KIND_SECOND)
     return CurvatureIdentityReport(n, scal, first, second)

@@ -28,6 +28,7 @@ numpy, whose import costs more than that float work.
 from __future__ import annotations
 
 import math
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -54,6 +55,15 @@ def _decimal(parse, token: str):
     return parse(token)
 
 
+def _decimal_parsers(text: str):
+    """``int`` and ``float`` for the tokens of ``text``: the builtins
+    themselves where the text has no ``_`` and is all ASCII, so that no
+    token can hold either, and otherwise their ``_decimal`` forms."""
+    if "_" not in text and text.isascii():
+        return int, float
+    return partial(_decimal, int), partial(_decimal, float)
+
+
 def parse_vector_text(text: str) -> list[float]:
     """The decimals of a vector text, separated by commas and/or whitespace,
     as a list of Python floats, parsed without numpy.
@@ -62,13 +72,14 @@ def parse_vector_text(text: str) -> list[float]:
     like ``(1,2,3)`` load as written.
     """
     values: list[float] = []
+    _, parse_float = _decimal_parsers(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.partition("#")[0]
         for ch in ",()[]":
             body = body.replace(ch, " ")
         for token in body.split():
             try:
-                value = _decimal(float, token)
+                value = parse_float(token)
             except ValueError:
                 raise VectorParseError(f"not a number: {token!r}", lineno) from None
             if not math.isfinite(value):
@@ -104,6 +115,7 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
     entries: dict[tuple[int, int, int, int], float] = {}  # 0-based keys
     dim: int | None = None
     max_index = max_line = 0
+    parse_int, parse_float = _decimal_parsers(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.partition("#")[0]
         tokens = body.replace(",", " ").split()
@@ -113,7 +125,7 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
             if len(tokens) != 2:
                 raise VectorParseError("dim line must be 'dim n'", lineno)
             try:
-                size = _decimal(int, tokens[1])
+                size = parse_int(tokens[1])
             except ValueError:
                 raise VectorParseError(f"bad dimension {tokens[1]!r}", lineno) from None
             if size < 3:
@@ -128,8 +140,8 @@ def parse_tensor_text(text: str) -> CurvatureTensor:
             )
         ti, tj, tk, tl, field = tokens
         try:
-            i, j, k, l = (_decimal(int, t) for t in (ti, tj, tk, tl))
-            value = _decimal(float, field)
+            i, j, k, l = parse_int(ti), parse_int(tj), parse_int(tk), parse_int(tl)
+            value = parse_float(field)
         except ValueError:
             raise VectorParseError(f"bad component line: {body.strip()!r}", lineno) from None
         if not math.isfinite(value):

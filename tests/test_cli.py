@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -82,6 +83,29 @@ class TestVectorFiles:
         assert [code, out, err] == [65, "", f"gardinglab: line 2: not a number: {token!r}\n"]
         with pytest.raises(VectorParseError, match="^line 1: non-finite value: 'Infinity'$"):
             parse_vector_text("Infinity")
+
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1\u20032,\u00a03\n", [1.0, 2.0, 3.0]),
+            ("# a_b\n1, 2, 3  # c_d\n", [1.0, 2.0, 3.0]),
+            ("# caf\u00e9\n1, 2, 3\n", [1.0, 2.0, 3.0]),
+            ("# a_b\n1, 1_0\n", "line 2: not a number: '1_0'"),
+            ("1\u30002\n1_0\n", "line 2: not a number: '1_0'"),
+        ],
+        ids=["unicode-spaces", "underscore-comment", "non-ascii-comment",
+             "underscore-value-after-comment", "underscore-value-after-unicode-space"],
+    )
+    def test_token_checks_do_not_depend_on_the_rest_of_the_text(self, text, expected):
+        # The reader skips the per-token check on a text with no "_" and no
+        # non-ASCII character; every other text is read token by token, so
+        # each token is accepted or refused as on its own.
+        if isinstance(expected, str):
+            with pytest.raises(VectorParseError, match=f"^{re.escape(expected)}$"):
+                parse_vector_text(text)
+        else:
+            assert parse_vector_text(text) == expected
 
 
 class TestTensorFiles:
@@ -172,6 +196,38 @@ class TestTensorFiles:
         )
         assert spaced.n == plain.n == 3
         assert spaced.components.tobytes() == plain.components.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "dim 3\n1 2 1 2 1\n1\u20033\u30001\u00a03 1\n2 3 2 3 1.0\n",
+            "# a_b\ndim 3  # n_3\n1 2 1 2 1\n1 3 1 3 1\n2 3 2 3 1.0\n",
+            "# caf\u00e9\ndim 3\n1 2 1 2 1\n1 3 1 3 1\n2 3 2 3 1.0\n",
+        ],
+        ids=["unicode-spaces", "underscore-comment", "non-ascii-comment"],
+    )
+    def test_unicode_spaces_and_comments_are_read(self, text):
+        # Unicode whitespace separates tokens as ASCII whitespace does, and a
+        # "_" or a non-ASCII character in a comment is not read at all.
+        plain = parse_tensor_text("dim 3\n1 2 1 2 1\n1 3 1 3 1\n2 3 2 3 1\n")
+        assert parse_tensor_text(text).components.tobytes() == plain.components.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("# a_b\ndim 3\n1 2 1 2 1_0\n", 3),
+            ("dim 3\n1 2 1 2 1_0  # n_3\n", 2),
+            ("dim 3\n1\u20032 1 3 1\n1 2 1 2 1_0\n", 3),
+            ("# caf\u00e9\ndim 3\n1 2 1 2 1_0\n", 3),
+        ],
+        ids=["after-underscore-comment", "before-underscore-comment", "after-unicode-space",
+             "after-non-ascii-comment"],
+    )
+    def test_underscore_value_refused_wherever_the_text_has_another(self, text, line):
+        with pytest.raises(VectorParseError) as info:
+            parse_tensor_text(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: bad component line: '1 2 1 2 1_0'"
 
     def test_refused_tensor_file_exits_65(self, capsys, tmp_path):
         path = tmp_path / "t.txt"

@@ -787,6 +787,101 @@ class TestFloatPath:
             _from_canonical(2, {})
 
 
+def _reductions(monkeypatch, a):
+    """``_tridiagonal`` of the symmetric array ``a`` by each kernel, as the
+    ``float.hex`` of d then e (so -0.0 and 0.0 differ): on lists alone, with
+    numpy counted as not loaded; at the bound ``_ARRAY_ROWS``; and on the
+    array down to 2 rows."""
+    import gardinglab.curvature as curvature_mod
+
+    def reduce(rows=None, numpy_loaded=True):
+        with monkeypatch.context() as m:
+            if not numpy_loaded:
+                m.delitem(sys.modules, "numpy")
+            if rows is not None:
+                m.setattr(curvature_mod, "_ARRAY_ROWS", rows)
+            d, e = curvature_mod._tridiagonal(a.tolist())
+        assert all(type(t) is float for t in d + e)
+        return [t.hex() for t in d + e]
+
+    return {"lists": reduce(numpy_loaded=False), "bound": reduce(), "array": reduce(rows=2)}
+
+
+def _dense_direct_sum(sizes, seed):
+    """Block-diagonal direct sum of random dense symmetric blocks."""
+    a = np.zeros((sum(sizes),) * 2)
+    start = 0
+    for k, size in enumerate(sizes):
+        a[start : start + size, start : start + size] = _random_symmetric(size, seed + k)
+        start += size
+    return a
+
+
+class TestTridiagonalKernels:
+    """The array kernel of the Householder reduction gives the list loop's
+    bits: every d and e, on every case."""
+
+    def _assert_same_bits(self, monkeypatch, a):
+        got = _reductions(monkeypatch, a)
+        assert got["bound"] == got["lists"]
+        assert got["array"] == got["lists"]
+
+    @pytest.mark.parametrize("n", range(1, 81))
+    def test_sizes_on_both_sides_of_the_bound(self, monkeypatch, n):
+        self._assert_same_bits(monkeypatch, _random_symmetric(n, seed=300 + n))
+
+    @pytest.mark.parametrize("sizes", [(40, 30), (20, 20, 20), (60, 5), (16, 1, 16)])
+    def test_zero_reflector_on_the_array(self, monkeypatch, sizes):
+        # The first row of each later block has no entry left of its block:
+        # its reflector's scale is 0, at a row the bound still leaves on the
+        # array, and e is its last entry, a signed zero.
+        import gardinglab.curvature as curvature_mod
+
+        a = _dense_direct_sum(sizes, seed=sum(sizes))
+        d, e = curvature_mod._tridiagonal(a.tolist())
+        for start in itertools.accumulate(sizes[:-1]):
+            assert start > curvature_mod._ARRAY_ROWS and e[start - 1] == 0.0
+        self._assert_same_bits(monkeypatch, a)
+
+    def test_zero_row_inside_the_array_block(self, monkeypatch):
+        a = _random_symmetric(50, seed=41)
+        a[30, :] = a[:, 30] = 0.0
+        a[30, 30] = -0.0
+        self._assert_same_bits(monkeypatch, a)
+        self._assert_same_bits(monkeypatch, -a)
+
+    @pytest.mark.parametrize("n", [3, 15, 16, 40])
+    def test_subnormal_entries(self, monkeypatch, n):
+        # All entries subnormal, and subnormal entries among normal ones.
+        a = _random_symmetric(n, seed=500 + n)
+        self._assert_same_bits(monkeypatch, np.ldexp(a, -1060))
+        mixed = a.copy()
+        mask = np.triu(np.random.default_rng(n).random((n, n)) < 0.3)
+        mixed[mask] = np.ldexp(mixed[mask], -1070)
+        mixed = np.triu(mixed) + np.triu(mixed, 1).T
+        self._assert_same_bits(monkeypatch, mixed)
+
+    @pytest.mark.parametrize("power", [-1000, -500, -60, -1, 1, 60, 500, 1000])
+    def test_blocks_scaled_by_powers_of_two(self, monkeypatch, power):
+        a = _random_symmetric(36, seed=61)
+        self._assert_same_bits(monkeypatch, np.ldexp(a, power))
+
+    def test_blocks_up_to_the_bound_stay_on_lists(self, monkeypatch):
+        # The array kernel never runs on a block of _ARRAY_ROWS rows or
+        # fewer, and runs on one more; blocks of 14 rows, as many as a
+        # dense n = 5 second-kind operator couples, stay on lists.
+        import gardinglab.curvature as curvature_mod
+
+        calls = []
+        kernel = curvature_mod._tridiagonal_array
+        monkeypatch.setattr(
+            curvature_mod, "_tridiagonal_array", lambda *args: calls.append(1) or kernel(*args)
+        )
+        for n in range(1, curvature_mod._ARRAY_ROWS + 2):
+            curvature_mod._tridiagonal(_random_symmetric(n, seed=n).tolist())
+        assert curvature_mod._ARRAY_ROWS >= 14 and calls == [1]
+
+
 # The error text of OperatorMatrix.from_entries on the rows of argv[1], a
 # JSON list, and the kind in argv[2], if any, with numpy blocked.
 _FROM_ENTRIES_WITHOUT_NUMPY = _BLOCK_NUMPY + """
@@ -1176,13 +1271,19 @@ class TestScalarCurvatureChecks:
     def test_assembled_operator_gives_the_same_record(self, monkeypatch):
         import gardinglab.curvature as curvature_mod
 
+        builders = {
+            assemble_first_kind: "_first_kind_matrix",
+            assemble_second_kind: "_second_kind_matrix",
+        }
         for tensor in (random_curvature_tensor(5, seed=4), model_product_spheres(2, 3)):
             expected = scalar_curvature_checks(tensor).to_record()
-            for assemble in (assemble_first_kind, assemble_second_kind):
+            for assemble, builder in builders.items():
                 operator = assemble(tensor)
                 with monkeypatch.context() as m:
-                    # The handed-in kind must not be assembled again.
-                    m.setattr(curvature_mod, assemble.__name__, None)
+                    # The handed-in kind is not built again, and the other
+                    # kind's matrix is not made into operator rows.
+                    m.setattr(curvature_mod, builder, None)
+                    m.setattr(curvature_mod, "_operator_rows", None)
                     got = scalar_curvature_checks(tensor, operator).to_record()
                 assert got == expected
 
