@@ -132,12 +132,15 @@ CASES = [
     # An unknown option is a usage error before and after the subcommand.
     (*M, "--seeds", "3", "thresholds"),
     (*M, "thresholds", "--seeds", "3"),
-    # Batches of many membership blocks at N = 60 and 100: a two-batch ball
-    # run at each N, a four-batch rejection run at N = 60 and, at N = 100, a
-    # rejection batch that reaches its target at row 7925 of 10 000.
+    # Batches of many membership blocks at N = 60 and 100: a one-batch ball
+    # run at each N and one at N = 100 that rejects draws near the sphere and
+    # so draws a second batch, a four-batch rejection run at N = 60 and, at
+    # N = 100, a rejection batch that reaches its target at row 7925 of 10 000.
     (*M, "--samples", "3000", "--seed", "11", "verify-inclusion", "--n", "60", "--epsilon", "0.2"),
     (*M, "--samples", "3000", "--seed", "13", "verify-inclusion", "--n", "100",
      "--epsilon", "0.05"),
+    (*M, "--samples", "5000", "--seed", "3", "verify-inclusion", "--n", "100",
+     "--epsilon", "0.2"),
     (*M, "--samples", "1000", "--seed", "12", "verify-inclusion", "--n", "60", "--epsilon", "0.5",
      "--method", "rejection"),
     (*M, "--samples", "1000", "--seed", "14", "verify-inclusion", "--n", "100",
