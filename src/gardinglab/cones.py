@@ -360,12 +360,22 @@ def _add_violation(report: NestingReport, kind: str, row: np.ndarray, detail: di
 
 def _breaks_maclaurin(chain: np.ndarray, tol: float) -> np.ndarray:
     """Rows where some ``chain_{j+1} > tol`` has a (j+1)-th root above the
-    j-th root of ``chain_j`` by more than tol."""
+    j-th root of ``chain_j`` by more than tol.
+
+    Roots are taken only of the rows with some ``chain_{j+1} > tol``, the
+    only rows that can break it; few rows of a random sample have one.
+    """
     import numpy as np
 
-    roots = np.maximum(chain, 0.0)
-    roots **= 1.0 / np.arange(1, chain.shape[1] + 1)
-    return ((chain[:, 1:] > tol) & ~(roots[:, 1:] <= roots[:, :-1] + tol)).any(axis=1)
+    entered = chain[:, 1:] > tol
+    screened = np.flatnonzero(entered.any(axis=1))
+    breaks = np.zeros(chain.shape[0], dtype=bool)
+    if screened.size:
+        roots = np.maximum(chain[screened], 0.0)
+        roots **= 1.0 / np.arange(1, chain.shape[1] + 1)
+        broken = entered[screened] & ~(roots[:, 1:] <= roots[:, :-1] + tol)
+        breaks[screened] = broken.any(axis=1)
+    return breaks
 
 
 def _chain_faults(chain: np.ndarray, tol: float) -> np.ndarray:
@@ -448,7 +458,7 @@ def nesting_check(
     if samples == 0:
         return report
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    rows = rng.normal(size=(samples, N))
+    rows = rng.standard_normal(size=(samples, N))
     alphas = rng.uniform(0.0, 1.0 / N, size=samples)
     m_pairs = np.sort(rng.uniform(1.0, N, size=(samples, 2)), axis=1)
 

@@ -80,16 +80,18 @@ CASE_BOUNDARY = "boundary_rigid"
 CASE_NOT_MEMBER = "not_member"
 
 # A sampling run stops short of its target after max(_DRAW_CAP, 50 * samples)
-# raw draws.  No batch holds more than _MAX_BATCH rows, and a draw keeps at
-# most two batch-sized float64 arrays alive at once (the ball route's N + 2
-# normals and their squares, or its normals and rows), so the memory ceiling
-# is 2 * _MAX_BATCH * (N + 2) * 8 bytes, 32 * (N + 2) MB, plus the members
-# kept on request.  Membership and margins run over consecutive blocks of
-# _BLOCK_FLOATS float64s (256 KiB) of a batch: their temporaries fit a
-# 2 MiB L2 cache, which full-batch temporaries (4 MB each at 5000 x 100)
-# overflowed.
+# raw draws.  No batch holds more than _BATCH_FLOATS float64s (128 MiB),
+# whatever N: a row cap would let a batch of wide rows, which the doubling
+# of the ball route's batches reaches once most draws are rejected, grow past
+# any memory.  A draw keeps one batch-sized array alive, the ball route's
+# N + 2 normals or the rejection route's N, so the memory ceiling is
+# _BATCH_FLOATS * 8 bytes plus block-sized temporaries and the members kept
+# on request.  Squares, transposes, membership and margins run over
+# consecutive blocks of _BLOCK_FLOATS float64s (256 KiB) of a batch: their
+# temporaries fit a 2 MiB L2 cache, which full-batch temporaries (4 MB each
+# at 5000 x 100) overflowed.
 _DRAW_CAP = 100_000_000
-_MAX_BATCH = 2_000_000
+_BATCH_FLOATS = 2**24
 _BLOCK_FLOATS = 32_768
 
 
@@ -219,24 +221,48 @@ def _ball_slice_rows(
     rng: np.random.Generator, size: int, N: int, radius: float
 ) -> np.ndarray:
     """(size, N) i.i.d. uniform points of the ball of the given radius about
-    ``1/N`` in the slice sum(v) = 1, as one C-ordered array.
+    ``1/N`` in the slice sum(v) = 1, as the transpose of the coordinate-major
+    array they are drawn in.
 
     Dropped coordinates (Voelker, Gosmann and Stewart 2017): a uniform point
     of the unit sphere in R^(d+2) without two of its coordinates is uniform
     in the unit d-ball.  N normals less their mean are a standard normal of
     the sum-zero hyperplane, so d = N - 1 takes N + 2 normals.  They are
     drawn coordinate-major, so every step is element-wise or a sum over axis
-    0, in an order that no BLAS or SIMD kernel changes.
+    0, in an order that no BLAS or SIMD kernel changes, and they are the one
+    batch-sized array: centred and scaled in place, their squares summed in
+    row chunks (``_column_square_sums``), and the rows left for the caller to
+    copy out block by block.
     """
     import numpy as np
 
-    z = rng.normal(size=(N + 2, size))
+    z = rng.standard_normal(size=(N + 2, size))
     head = z[:N]
     head -= head.mean(axis=0)
-    head /= np.sqrt((z * z).sum(axis=0))
+    head /= np.sqrt(_column_square_sums(z))
     head *= radius
     head += 1.0 / N
-    return np.ascontiguousarray(head.T)
+    return head.T
+
+
+def _column_square_sums(z: np.ndarray) -> np.ndarray:
+    """``(z * z).sum(axis=0)`` bit for bit, without a square of all of z.
+
+    numpy sums the columns of a 2-D array of two or more columns one row
+    after another, so the squares go in chunks of about ``_BLOCK_FLOATS``
+    entries and each chunk's first row carries the running sum.  A single
+    column is summed pairwise instead, so it is never split.
+    """
+    rows, cols = z.shape
+    step = rows if cols == 1 else max(1, _BLOCK_FLOATS // cols)
+    total = None
+    for start in range(0, rows, step):
+        part = z[start : start + step]
+        squares = part * part
+        if total is not None:
+            squares[0] += total
+        total = squares.sum(axis=0)
+    return total
 
 
 class InclusionReport(Record):
@@ -374,10 +400,13 @@ def verify_inclusion_sampling(
     An eps so small that ``(1 - eps)/N`` rounds to ``1/N`` raises ValueError
     up front: the membership test would then see only rounding noise.
 
-    Each batch is drawn whole, then tested in consecutive row blocks of
-    about ``_BLOCK_FLOATS`` entries, and the run stops at the first block
-    that completes the target.  Every step after the draw works row by row,
-    so the blocks change no bit of the report or of ``members``; ``draws``
+    Each batch is drawn whole, with ``standard_normal``, as the one
+    batch-sized array, and holds at most ``_BATCH_FLOATS`` normals whatever
+    N.  It is then tested in consecutive row blocks of about
+    ``_BLOCK_FLOATS`` entries, each copied out of a coordinate-major ball
+    draw as the loop reaches it, and the run stops at the first block that
+    completes the target.  Every step after the draw works row by row, so
+    the blocks change no bit of the report or of ``members``; ``draws``
     still counts whole batches.
 
     Samples and all derived randomness come from one seeded generator in a
@@ -409,19 +438,21 @@ def verify_inclusion_sampling(
     kept: list[np.ndarray] = []
     hard_cap = max(_DRAW_CAP, 50 * samples)
     block = max(1, _BLOCK_FLOATS // N)
+    batch = max(1, _BATCH_FLOATS // (N + 2 if method == "ball" else N))
     while report.accepted < samples and report.draws < hard_cap:
         if method == "ball":
             # What is still missing plus as many draws as were rejected so
             # far: one batch when nearly every draw is a member, geometric
             # growth when few are.
-            size = min(_MAX_BATCH, samples + report.draws - 2 * report.accepted)
+            size = min(batch, samples + report.draws - 2 * report.accepted)
             rows = _ball_slice_rows(rng, size, N, p.slice_radius)
         else:
-            size = max(10_000, min(_MAX_BATCH, samples * 4))
-            rows = rng.normal(size=(size, N))
+            size = min(batch, max(10_000, samples * 4))
+            rows = rng.standard_normal(size=(size, N))
         report.draws += size
         for start in range(0, size, block):
-            chunk = rows[start : start + block]
+            # A copy only of a ball block, whose rows are columns of its draw.
+            chunk = np.ascontiguousarray(rows[start : start + block])
             members = chunk[_strict_member_mask(chunk, p, tol)][: samples - report.accepted]
             if members.shape[0]:
                 report.accepted += members.shape[0]

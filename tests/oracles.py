@@ -39,16 +39,14 @@ from gardinglab.config import DEFAULT_TOL
 from gardinglab.cones import (
     NestingReport,
     _add_violation,
-    _breaks_maclaurin,
     garding_margin_chain_batch,
     positivity_margins_batch,
 )
 from gardinglab.curvature import _SYMMETRY_ATOL, CurvatureTensor, _helmert_scales
 from gardinglab.inclusion import (
+    _BATCH_FLOATS,
     _DRAW_CAP,
-    _MAX_BATCH,
     InclusionReport,
-    _ball_slice_rows,
     _collect_members,
     _strict_member_mask,
     epsilon_for_target_m,
@@ -571,6 +569,13 @@ def tensor_fill_by_loop(entries: dict, n: int) -> np.ndarray:
     return comps
 
 
+def breaks_maclaurin_unscreened(chain: np.ndarray, tol: float) -> np.ndarray:
+    """``cones._breaks_maclaurin`` with the roots of every row taken."""
+    roots = np.maximum(chain, 0.0)
+    roots **= 1.0 / np.arange(1, chain.shape[1] + 1)
+    return ((chain[:, 1:] > tol) & ~(roots[:, 1:] <= roots[:, :-1] + tol)).any(axis=1)
+
+
 def nesting_check_full_chain(
     N: int, samples: int, seed: int, tol: float = DEFAULT_TOL
 ) -> NestingReport:
@@ -596,7 +601,7 @@ def nesting_check_full_chain(
         rows - alphas[:, None] * rows.sum(axis=1, keepdims=True), N
     )
     for label, margins in (("garding_chain", plain), ("shifted_chain", shifted)):
-        bad = _breaks_maclaurin(margins, tol) | ~np.isfinite(margins).all(axis=1)
+        bad = breaks_maclaurin_unscreened(margins, tol) | ~np.isfinite(margins).all(axis=1)
         for i in np.flatnonzero(bad):
             _add_violation(report, label, rows[i], {"margins": margins[i].tolist()})
         report.checks += margins.shape[0] * (N - 1)
@@ -649,12 +654,13 @@ def verify_inclusion_sampling_unblocked(
     tol: float = DEFAULT_TOL,
     keep_members: bool = False,
 ) -> InclusionReport:
-    """``inclusion.verify_inclusion_sampling`` with membership and margins
-    taken over each drawn batch whole rather than in row blocks.
+    """``inclusion.verify_inclusion_sampling`` with each drawn batch formed
+    and tested whole rather than in row blocks.
 
-    Same seeded draws (the ball rows from the library's own draw), same
-    per-row kernels, same record and members; the arguments are assumed
-    valid.
+    Same seeded draws, by the whole-batch formulation: ``rng.normal``, the
+    ball's norms from a batch-sized square and one transposed copy of the
+    batch.  Same batch sizes, per-row kernels, record and members; the
+    arguments are assumed valid.
     """
     p = epsilon_to_params(epsilon, N)
     report = InclusionReport(
@@ -674,10 +680,16 @@ def verify_inclusion_sampling_unblocked(
     hard_cap = max(_DRAW_CAP, 50 * samples)
     while report.accepted < samples and report.draws < hard_cap:
         if method == "ball":
-            size = min(_MAX_BATCH, samples + report.draws - 2 * report.accepted)
-            rows = _ball_slice_rows(rng, size, N, p.slice_radius)
+            size = min(_BATCH_FLOATS // (N + 2), samples + report.draws - 2 * report.accepted)
+            z = rng.normal(size=(N + 2, size))
+            head = z[:N]
+            head -= head.mean(axis=0)
+            head /= np.sqrt((z * z).sum(axis=0))
+            head *= p.slice_radius
+            head += 1.0 / N
+            rows = np.ascontiguousarray(head.T)
         else:
-            size = max(10_000, min(_MAX_BATCH, samples * 4))
+            size = min(_BATCH_FLOATS // N, max(10_000, samples * 4))
             rows = rng.normal(size=(size, N))
         report.draws += size
         members = rows[_strict_member_mask(rows, p, tol)][: samples - report.accepted]

@@ -34,7 +34,7 @@ from gardinglab.tables import (
     two_form_count,
 )
 
-from oracles import nesting_check_full_chain, selection_sum_min
+from oracles import breaks_maclaurin_unscreened, nesting_check_full_chain, selection_sum_min
 
 
 class TestShift:
@@ -584,6 +584,23 @@ class TestNestingChainHead:
         assert report.violations == [
             {"kind": "garding_chain", "vector": target.tolist(), "margins": chain.tolist()}
         ]
+
+    @pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, 0.1])
+    def test_screened_maclaurin_matches_every_root(self, tol):
+        # Chains of Maclaurin ties (c^j), random margins, entries at and
+        # around tol, zeros, NaN and +-inf, in rows that do and do not pass
+        # the screen.
+        rng = np.random.default_rng(23)
+        special = np.array([0.0, -0.0, tol, -tol, np.nextafter(tol, 1.0), np.nan, np.inf, -np.inf])
+        for width in (1, 2, 3, cones._CHAIN_HEAD, 20):
+            ties = rng.uniform(0.0, 1.0, size=(50, 1)) ** np.arange(1.0, width + 1)
+            noise = rng.uniform(-1.0, 1.0, size=(200, width)) ** 3
+            picks = rng.choice(special, size=(200, width))
+            mixed = np.where(rng.uniform(size=(200, width)) < 0.2, picks, noise)
+            chains = np.concatenate([ties, noise, mixed, picks, -np.abs(noise)])
+            got = cones._breaks_maclaurin(chains, tol)
+            np.testing.assert_array_equal(got, breaks_maclaurin_unscreened(chains, tol))
+        assert got.any() and not got.all()
 
 
 # One call of each library function that takes a tolerance, or inherits

@@ -422,6 +422,18 @@ class TestBlockedSampling:
         for samples in (1, _block(N) - 1, _block(N), _block(N) + 1, 2 * _block(N)):
             _assert_same_as_unblocked(N, 0.9, samples, samples, method)
 
+    @pytest.mark.parametrize("N", [2, 3, 7, 8, 45, 130, 400])
+    @pytest.mark.parametrize("samples", [1, 2])
+    def test_one_and_two_draw_batches_match_unblocked(self, N, samples):
+        # numpy sums a single column pairwise, two or more row by row.
+        for seed in range(5):
+            report = _assert_same_as_unblocked(N, 0.5, samples, seed, "ball")
+            assert report.draws == samples
+
+    def test_second_ball_batch_matches_unblocked(self):
+        report = _assert_same_as_unblocked(100, 0.2, 5000, 3, "ball")
+        assert report.draws == 5010 and report.ok
+
     @pytest.mark.parametrize("N, eps, samples", [(3, 0.2, 5000), (6, 0.3, 2000), (60, 0.5, 1000)])
     def test_multi_batch_rejection_matches_unblocked(self, N, eps, samples):
         report = _assert_same_as_unblocked(N, eps, samples, 17, "rejection")
@@ -449,7 +461,7 @@ class TestBlockedSampling:
         "method, eps, batch_rows, batches", [("ball", 0.2, 5000, 2.25), ("rejection", 0.9, 20_000, 1.25)]
     )
     def test_peak_memory_stays_near_the_draw(self, method, eps, batch_rows, batches):
-        # The ball draw holds two (102, 5000) arrays at its peak and the
+        # The ball draw holds one (102, 5000) array at its peak and the
         # rejection draw one (20000, 100) array; full-batch temporaries of
         # the membership and margin passes would add several more.
         N = 100
@@ -461,6 +473,48 @@ class TestBlockedSampling:
         finally:
             tracemalloc.stop()
         assert peak < batches * batch_rows * N * 8
+
+    def test_ball_peak_memory_is_one_batch(self):
+        # The normals are the one batch-sized array: no batch-sized square
+        # or transposed copy sits beside them (1.87 batches before).
+        N = 400
+        verify_inclusion_sampling(N, 0.5, 2000, 5)
+        tracemalloc.start()
+        try:
+            report = verify_inclusion_sampling(N, 0.5, 2000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (N + 2) * report.draws * 8
+
+    @pytest.mark.parametrize("method", ["ball", "rejection"])
+    def test_batches_are_bounded_by_floats_not_rows(self, monkeypatch, method):
+        # At N = 2000 the ball route rejects most of its own points (their
+        # sigma_2 margin falls below tol), so its batches double, and a
+        # rejection batch is at least 10 000 rows; a row cap let either grow
+        # without a bound on memory.
+        N, budget = 2000, 1_000_000
+        monkeypatch.setattr(inclusion_mod, "_BATCH_FLOATS", budget)
+        monkeypatch.setattr(inclusion_mod, "_DRAW_CAP", 5000)
+        sizes = []
+        if method == "ball":
+            real = inclusion_mod._ball_slice_rows
+
+            def recording(rng, size, n, radius):
+                sizes.append(size * (n + 2))
+                return real(rng, size, n, radius)
+
+            monkeypatch.setattr(inclusion_mod, "_ball_slice_rows", recording)
+        tracemalloc.start()
+        try:
+            report = verify_inclusion_sampling(N, 0.5, 20, 7, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        if method == "ball":
+            assert max(sizes) == budget // (N + 2) * (N + 2)
+        assert peak <= 1.25 * budget * 8
 
 
 class TestBoundarySearch:
