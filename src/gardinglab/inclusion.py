@@ -81,12 +81,12 @@ CASE_NOT_MEMBER = "not_member"
 
 # A sampling run stops short of its target after max(_DRAW_CAP, 50 * samples)
 # raw draws.  No batch holds more than _BATCH_FLOATS float64s (128 MiB),
-# whatever N: a row cap would let a batch of wide rows, which the doubling
-# of the ball route's batches reaches once most draws are rejected, grow past
-# any memory.  A draw keeps one batch-sized array alive, the ball route's
-# N + 2 normals or the rejection route's N, so the memory ceiling is
-# _BATCH_FLOATS * 8 bytes plus block-sized temporaries and the members kept
-# on request.  Squares, transposes, membership and margins run over
+# whatever N: the ball route's batches double while most draws are rejected,
+# and under a cap on rows a batch of wide rows outgrew any memory.  The cap
+# binds on no batch of the tests or the benchmark (4.5 M floats at most).  A
+# draw keeps one batch-sized array alive, the ball route's N + 2 normals or
+# the rejection route's N, so the memory ceiling is _BATCH_FLOATS * 8 bytes
+# plus block-sized temporaries and the members kept on request.  Squares, transposes, membership and margins run over
 # consecutive blocks of _BLOCK_FLOATS float64s (256 KiB) of a batch: their
 # temporaries fit a 2 MiB L2 cache, which full-batch temporaries (4 MB each
 # at 5000 x 100) overflowed.

@@ -422,15 +422,20 @@ class TestBlockedSampling:
         for samples in (1, _block(N) - 1, _block(N), _block(N) + 1, 2 * _block(N)):
             _assert_same_as_unblocked(N, 0.9, samples, samples, method)
 
+    @pytest.mark.parametrize("block_floats", [_BLOCK_FLOATS, 8])
     @pytest.mark.parametrize("N", [2, 3, 7, 8, 45, 130, 400])
     @pytest.mark.parametrize("samples", [1, 2])
-    def test_one_and_two_draw_batches_match_unblocked(self, N, samples):
-        # numpy sums a single column pairwise, two or more row by row.
+    def test_one_and_two_draw_batches_match_unblocked(self, monkeypatch, N, samples, block_floats):
+        # numpy sums a single column pairwise and two or more row by row; a
+        # small block splits the squares of a batch into many chunks.
+        monkeypatch.setattr(inclusion_mod, "_BLOCK_FLOATS", block_floats)
         for seed in range(5):
             report = _assert_same_as_unblocked(N, 0.5, samples, seed, "ball")
             assert report.draws == samples
 
-    def test_second_ball_batch_matches_unblocked(self):
+    @pytest.mark.parametrize("block_floats", [_BLOCK_FLOATS, 1024])
+    def test_second_ball_batch_matches_unblocked(self, monkeypatch, block_floats):
+        monkeypatch.setattr(inclusion_mod, "_BLOCK_FLOATS", block_floats)
         report = _assert_same_as_unblocked(100, 0.2, 5000, 3, "ball")
         assert report.draws == 5010 and report.ok
 
