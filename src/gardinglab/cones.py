@@ -453,6 +453,8 @@ def nesting_check(
         raise ValueError(f"N must be >= 2, got {N}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     _check_tol(tol)
     report = NestingReport(N=N, samples=samples, seed=seed, tol=tol)
     if samples == 0:

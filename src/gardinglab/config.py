@@ -147,8 +147,8 @@ class RunConfig(Record, frozen=True):
         for name, value in (("seed", seed), ("samples", samples)):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if samples < 0:
-            raise ValueError(f"samples must be >= 0, got {samples}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if output_format not in _FORMATS:
             raise ValueError(f"output_format must be one of {_FORMATS}, got {output_format!r}")
         self.__dict__.update(tol=tol, seed=seed, samples=samples, output_format=output_format)

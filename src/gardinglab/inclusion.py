@@ -418,6 +418,8 @@ def verify_inclusion_sampling(
         raise ValueError(f"N must be >= 2, got {N}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if method not in ("ball", "rejection"):
         raise ValueError(f"unknown method {method!r}")
     _check_tol(tol)

@@ -588,6 +588,8 @@ def nesting_check_full_chain(
         raise ValueError(f"N must be >= 2, got {N}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     report = NestingReport(N=N, samples=samples, seed=seed, tol=tol)
     if samples == 0:
         return report

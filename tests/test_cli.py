@@ -1,5 +1,8 @@
 """Exit-code contract, file formats, config precedence, and determinism."""
 
+import ast
+import gc
+import inspect
 import itertools
 import json
 import math
@@ -8,10 +11,12 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gardinglab import cli
 from gardinglab.cli import main
 from gardinglab.cones import in_garding_cone
 from gardinglab.config import CONFIG_ENV_VAR, load_config
@@ -27,6 +32,7 @@ from gardinglab.io import (
 )
 
 from oracles import random_curvature_tensor, tensor_fill_by_loop
+from test_golden_cli import CASES, INPUTS
 
 
 def run_cli(capsys, *argv):
@@ -809,6 +815,7 @@ class TestConfig:
             ({"tol": 1e400}, "tol must be a finite positive number, got inf"),
             ({"seed": "x"}, "seed must be an integer, got 'x'"),
             ({"seed": False}, "seed must be an integer, got False"),
+            ({"seed": -5}, "seed must be >= 0, got -5"),
             ({"samples": 1.5}, "samples must be an integer, got 1.5"),
             ({"samples": True}, "samples must be an integer, got True"),
             ({"samples": -1}, "samples must be >= 0, got -1"),
@@ -819,7 +826,7 @@ class TestConfig:
             ({"restarts": 2.5}, "config file {path}: unknown keys ['restarts']"),
         ],
         ids=["tol_str", "tol_null", "tol_bool", "tol_inf", "seed_str", "seed_bool",
-             "samples_float", "samples_bool", "samples_negative", "format_xml",
+             "seed_negative", "samples_float", "samples_bool", "samples_negative", "format_xml",
              "json_list", "restarts_float"],
     )
     def test_mistyped_config_value_is_usage_error(
@@ -857,21 +864,120 @@ class TestConfig:
         assert code == 64 and out == ""
         assert err == "gardinglab: tol must be a finite positive number, got inf\n"
 
+    def test_negative_seed_flag_is_refused_by_name(self, capsys):
+        code, out, err = run_cli(
+            capsys, "--seed", "-5", "--samples", "3", "verify-inclusion", "--n", "4",
+            "--epsilon", "0.5",
+        )
+        assert code == 64 and out == ""
+        assert err == "gardinglab: seed must be >= 0, got -5\n"
+
+
+def _child_env():
+    """The environment of a CLI child that imports the same gardinglab as
+    this process, whether or not PYTHONPATH already names it."""
+    import gardinglab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gardinglab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# One golden run per subcommand and one per exit code 1, 2, 64 and 65, in
+# both output formats, and --help, which argparse ends with SystemExit(0).
+_PARITY_CASES = [
+    ("--format", "machine", "cone-test", "pos.txt", "--k", "2"),
+    ("--format", "machine", "cone-test", "boundary.txt", "--m", "2"),
+    ("--format", "machine", "cone-test", "neg.txt", "--m", "1.5"),
+    ("--format", "machine", "cone-test", "pos.txt"),
+    ("--format", "machine", "cone-test", "bad.txt", "--k", "1"),
+    ("--format", "machine", "--samples", "2000", "--seed", "9", "verify-inclusion",
+     "--n", "6", "--epsilon", "0.4"),
+    ("--format", "machine", "model-space", "sphere", "--n", "4"),
+    ("classify", "s5_first.txt", "--dim", "5", "--operator", "first", "--epsilon", "0.1667"),
+    ("thresholds", "--n-min", "2", "--n-max", "4"),
+]
+
 
 class TestConsoleEntry:
-    def test_subprocess_smoke(self, tmp_path):
-        # The child imports the same gardinglab as this process, whether or
-        # not PYTHONPATH already names it.
-        import gardinglab
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(gardinglab.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-m", "gardinglab.cli", "thresholds", "--n-max", "3"],
+    @pytest.mark.parametrize("argv", [*_PARITY_CASES, ("--help",)], ids=" ".join)
+    def test_child_matches_in_process_main(self, argv, capsys, tmp_path, monkeypatch):
+        assert argv in CASES or argv == ("--help",)
+        for name, text in INPUTS.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        # Help text wraps at the terminal width, which COLUMNS sets for both.
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        child = subprocess.run(
+            [sys.executable, "-m", "gardinglab.cli", *argv],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
         )
-        assert out.returncode == 0
-        assert "space_form_second" in out.stdout or "n=3" in out.stdout
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (child.returncode, child.stdout, child.stderr) == (
+            code, captured.out, captured.err
+        )
+
+    def test_main_block_freezes_the_heap_before_shutdown(self):
+        # The hook runs at interpreter shutdown, after the __main__ block.
+        probe = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('freeze count', gc.get_freeze_count(),"
+            " file=sys.stderr))\n"
+            "runpy.run_module('gardinglab.cli', run_name='__main__')\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", probe, "thresholds", "--n-max", "3"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert child.returncode == 0 and child.stdout.startswith("n=3: ")
+        label, _, count = child.stderr.rpartition(" ")
+        assert label == "freeze count" and int(count) > 0
+
+    def test_in_process_main_leaves_the_heap_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["thresholds", "--n-max", "3"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_closed_stdout_exits_65_with_one_line(self):
+        # Far more than a pipe holds, so the child writes after the close.
+        with subprocess.Popen(
+            [sys.executable, "-m", "gardinglab.cli", "thresholds", "--n-min", "3",
+             "--n-max", "3000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+        ) as child:
+            assert len(child.stdout.read(10)) == 10
+            child.stdout.close()
+            err = child.stderr.read()
+        assert child.returncode == 65
+        assert err == b"gardinglab: [Errno 32] Broken pipe\n"
+
+    def test_console_script_is_the_main_block_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # standard from Python 3.11
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        module, _, name = scripts["gardinglab"].partition(":")
+        assert module == "gardinglab.cli"
+        (block,) = [
+            node
+            for node in ast.parse(inspect.getsource(cli)).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        called = [
+            node.func.id
+            for node in ast.walk(block)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        ]
+        assert called == [name]
+        assert getattr(cli, name) is cli.console_main

@@ -436,6 +436,8 @@ class TestNesting:
             nesting_check(N=1, samples=10, seed=0)
         with pytest.raises(ValueError):
             nesting_check(N=3, samples=-1, seed=0)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
+            nesting_check(N=3, samples=3, seed=-5)
 
     @pytest.mark.parametrize(
         "margin_fn",

@@ -335,6 +335,13 @@ class TestSamplingVerification:
         with pytest.raises(ValueError):
             verify_inclusion_sampling(N=4, epsilon=0.5, samples=10, seed=1, method="hitrun")
 
+    @pytest.mark.parametrize("method", ["ball", "rejection"])
+    def test_negative_seed_refused_by_name(self, method):
+        # numpy's SeedSequence would refuse it too, with a text that names
+        # no argument.
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
+            verify_inclusion_sampling(N=4, epsilon=0.5, samples=3, seed=-5, method=method)
+
     def test_nan_margin_counts_as_violation(self):
         p = epsilon_to_params(0.5, 3)
         report = InclusionReport(
